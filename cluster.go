@@ -1,10 +1,10 @@
 package kbtable
 
 // Cluster facade: the engine-level surfaces a multi-node deployment is
-// built from. An owner node hosts a PARTIAL sharded engine (only its
-// owned shards' indexes, built over the full graph so each is
+// built from. An owner node hosts a PARTIAL engine (only its owned
+// shards' indexes, built over the full graph so each is
 // content-identical to the same shard of a full engine) and serves
-// per-shard query legs; a coordinator holds a FULL sharded engine,
+// per-shard query legs; a coordinator holds a FULL engine,
 // scatters the planner probe and the enumerate→aggregate legs to owners,
 // and gathers the per-shard per-root partials with the same Theorem-5
 // fold the in-process scatter uses — so cluster answers are bit-identical
@@ -35,11 +35,8 @@ type ShardPartial = shard.WirePartial
 type ShardPlanStats = shard.WirePlanStats
 
 // OwnedShards returns the sorted list of shards resident on this engine
-// (nil for unsharded engines; all shards for a full sharded engine).
+// (all of them, 0..Shards-1, unless EngineOptions.OwnedShards said less).
 func (e *Engine) OwnedShards() []int {
-	if e.sh == nil {
-		return nil
-	}
 	var out []int
 	for si := 0; si < e.sh.NumShards(); si++ {
 		if e.sh.Resident(si) {
@@ -50,19 +47,14 @@ func (e *Engine) OwnedShards() []int {
 }
 
 // Complete reports whether the engine can answer whole queries (every
-// shard resident, or unsharded).
-func (e *Engine) Complete() bool {
-	return e.sh == nil || e.sh.Complete()
-}
+// shard resident).
+func (e *Engine) Complete() bool { return e.sh.Complete() }
 
 // ProbeShard runs the prepare-only planner probe on one resident shard —
 // an owner node's leg of a scattered cluster probe. Per-shard statistics
 // merged in ascending shard order (MergeShardPlanStats) equal the full
 // engine's own probe merge.
 func (e *Engine) ProbeShard(ctx context.Context, si int, query string, opts SearchOptions) (ShardPlanStats, error) {
-	if e.sh == nil {
-		return ShardPlanStats{}, errors.New("kbtable: ProbeShard requires a sharded engine")
-	}
 	st, err := e.sh.ProbeShard(ctx, si, query, e.searchOptions(opts))
 	if err != nil {
 		return ShardPlanStats{}, fmt.Errorf("kbtable: %w", err)
@@ -80,10 +72,7 @@ func MergeShardPlanStats(parts []ShardPlanStats) ShardPlanStats {
 // resolved algorithm (never Auto; Baseline stays in process) and returns
 // the wire partial an exact cluster gather consumes.
 func (e *Engine) ScatterShard(ctx context.Context, si int, algorithm Algorithm, query string, opts SearchOptions) (*ShardPartial, error) {
-	if e.sh == nil {
-		return nil, errors.New("kbtable: ScatterShard requires a sharded engine")
-	}
-	algo, err := shardAlgo(algorithm)
+	algo, err := searchAlgo(algorithm)
 	if err != nil {
 		return nil, err
 	}
@@ -113,13 +102,10 @@ type ShardExecutor interface {
 // concrete trees rather than per-root aggregates and execute entirely
 // locally.
 func (e *Engine) SearchDistributed(ctx context.Context, exec ShardExecutor, query string, opts SearchOptions) ([]Answer, PlanInfo, error) {
-	if e.sh == nil {
-		return nil, PlanInfo{}, errors.New("kbtable: SearchDistributed requires a sharded engine")
-	}
 	if !e.sh.Complete() {
 		return nil, PlanInfo{}, ErrPartialEngine
 	}
-	algo, err := shardAlgo(opts.Algorithm)
+	algo, err := searchAlgo(opts.Algorithm)
 	if err != nil {
 		return nil, PlanInfo{}, err
 	}
@@ -130,8 +116,8 @@ func (e *Engine) SearchDistributed(ctx context.Context, exec ShardExecutor, quer
 	// Resolve Auto once, coordinator-side: plan-cache hit, else a probe
 	// scattered to the owners (merged ascending — the planner's choice
 	// over scattered statistics equals its choice over a local probe).
-	var plan search.Plan
-	if algo == shard.Auto {
+	plan := search.Plan{Algo: algo}
+	if algo == search.AlgoAuto {
 		if cached, hit := e.cachedAutoPlan(query, so, true); hit {
 			plan = cached
 		} else {
@@ -142,26 +128,16 @@ func (e *Engine) SearchDistributed(ctx context.Context, exec ShardExecutor, quer
 			plan = search.ChoosePlan(search.AlgoAuto, st, so)
 			e.rememberPlanStats(query, st)
 		}
-		algo, err = shardAlgo(facadeAlgo(plan.Algo))
-		if err != nil {
-			return nil, PlanInfo{}, err
-		}
-	} else {
-		salgo, err := searchAlgo(opts.Algorithm)
-		if err != nil {
-			return nil, PlanInfo{}, err
-		}
-		plan = search.Plan{Algo: salgo}
 	}
 
 	// The baseline's scatter gathers concrete trees, not per-root
 	// aggregates; it stays a local execution.
-	if algo == shard.Baseline {
+	if plan.Algo == search.AlgoBaseline {
 		res, err := e.sh.SearchWithPlan(ctx, plan, query, so)
 		if err != nil {
 			return nil, PlanInfo{}, fmt.Errorf("kbtable: %w", err)
 		}
-		return e.shardAnswers(res), planInfo(res.Plan, res.Stats), nil
+		return e.answers(res), planInfo(res.Plan, res.Stats), nil
 	}
 	probed := time.Now()
 
@@ -191,7 +167,7 @@ func (e *Engine) SearchDistributed(ctx context.Context, exec ShardExecutor, quer
 	if err != nil {
 		return nil, PlanInfo{}, fmt.Errorf("kbtable: %w", err)
 	}
-	return e.shardAnswers(res), planInfo(res.Plan, res.Stats), nil
+	return e.answers(res), planInfo(res.Plan, res.Stats), nil
 }
 
 // scatterProbe runs the per-shard planner probe through exec (failed
@@ -228,9 +204,6 @@ func (e *Engine) scatterProbe(ctx context.Context, exec ShardExecutor, query str
 // a miss populates the cache, so the following SearchDistributed reuses
 // the scattered statistics instead of probing again.
 func (e *Engine) PlanDistributed(ctx context.Context, exec ShardExecutor, query string, opts SearchOptions) (PlanInfo, error) {
-	if e.sh == nil {
-		return e.Plan(ctx, query, opts)
-	}
 	if !e.sh.Complete() {
 		return PlanInfo{}, ErrPartialEngine
 	}

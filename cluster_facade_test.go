@@ -13,8 +13,9 @@ import (
 // The cluster facade's exactness contract: scattering per-shard legs to
 // owner engines (through a JSON wire round-trip, as internal/cluster
 // does over HTTP) and gathering the partials on a full coordinator
-// engine reproduces SearchPlan's answers bit for bit — including when
-// some legs fail and fall back to local execution.
+// engine reproduces SearchPlan's answers — the coordinator's own and a
+// one-shard engine's — bit for bit, including when some legs fail and
+// fall back to local execution.
 
 // wireExec routes shard legs to partial owner engines through a JSON
 // encode/decode of every wire value, like the HTTP transport does.
@@ -75,47 +76,68 @@ func roundTrip(in, out any) error {
 }
 
 func TestSearchDistributedMatchesLocal(t *testing.T) {
-	const shards = 3
 	g := loadCorpus(t, "testdata/corpus/wiki.txt")
-	coord, err := NewEngine(g, EngineOptions{D: 3, Shards: shards})
+	one, err := NewEngine(g, EngineOptions{D: 3, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ownerA, err := NewEngine(g, EngineOptions{D: 3, Shards: shards, OwnedShards: []int{0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ownerB, err := NewEngine(g, EngineOptions{D: 3, Shards: shards, OwnedShards: []int{2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec := &wireExec{owners: map[int]*Engine{0: ownerA, 1: ownerA, 2: ownerB}}
+	for _, shards := range shardWidths {
+		coord, err := NewEngine(g, EngineOptions{D: 3, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two owners: all shards but the last, and the last.
+		var head []int
+		exec := &wireExec{owners: map[int]*Engine{}}
+		for si := 0; si < shards-1; si++ {
+			head = append(head, si)
+		}
+		ownerA, err := NewEngine(g, EngineOptions{D: 3, Shards: shards, OwnedShards: head})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ownerB, err := NewEngine(g, EngineOptions{D: 3, Shards: shards, OwnedShards: []int{shards - 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, si := range head {
+			exec.owners[si] = ownerA
+		}
+		exec.owners[shards-1] = ownerB
 
-	queries := goldenCorpora()[0].queries
-	for _, algo := range []Algorithm{PatternEnum, LinearEnum, Auto} {
-		for _, q := range queries {
-			opts := SearchOptions{K: goldenK, Algorithm: algo, MaxRowsPerTable: goldenRows}
-			want, wantPlan, err := coord.SearchPlan(context.Background(), q, opts)
-			if err != nil {
-				t.Fatalf("%v %q local: %v", algo, q, err)
-			}
-			got, gotPlan, err := coord.SearchDistributed(context.Background(), exec, q, opts)
-			if err != nil {
-				t.Fatalf("%v %q distributed: %v", algo, q, err)
-			}
-			if lw, lg := renderGolden(q, want), renderGolden(q, got); lw != lg {
-				t.Fatalf("%v %q: distributed answers differ\nlocal:\n%s\ndistributed:\n%s", algo, q, lw, lg)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%v %q: answer structs differ", algo, q)
-			}
-			if gotPlan.Algorithm != wantPlan.Algorithm {
-				t.Fatalf("%v %q: resolved %v distributed vs %v local", algo, q, gotPlan.Algorithm, wantPlan.Algorithm)
+		queries := goldenCorpora()[0].queries
+		for _, algo := range []Algorithm{PatternEnum, LinearEnum, Auto} {
+			for _, q := range queries {
+				opts := SearchOptions{K: goldenK, Algorithm: algo, MaxRowsPerTable: goldenRows}
+				want, _, err := one.SearchPlan(context.Background(), q, opts)
+				if err != nil {
+					t.Fatalf("%v %q one shard: %v", algo, q, err)
+				}
+				local, localPlan, err := coord.SearchPlan(context.Background(), q, opts)
+				if err != nil {
+					t.Fatalf("%v %q shards=%d local: %v", algo, q, shards, err)
+				}
+				got, gotPlan, err := coord.SearchDistributed(context.Background(), exec, q, opts)
+				if err != nil {
+					t.Fatalf("%v %q shards=%d distributed: %v", algo, q, shards, err)
+				}
+				if lw, lg := renderGolden(q, want), renderGolden(q, got); lw != lg {
+					t.Fatalf("%v %q shards=%d: distributed answers differ\none shard:\n%s\ndistributed:\n%s", algo, q, shards, lw, lg)
+				}
+				if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(want, local) {
+					t.Fatalf("%v %q shards=%d: answer structs differ", algo, q, shards)
+				}
+				// The planner's merged statistics depend on the partition
+				// (pattern space over-counts across shards), so the resolved
+				// algorithm is compared at equal shard count only.
+				if gotPlan.Algorithm != localPlan.Algorithm {
+					t.Fatalf("%v %q shards=%d: resolved %v distributed vs %v local", algo, q, shards, gotPlan.Algorithm, localPlan.Algorithm)
+				}
 			}
 		}
-	}
-	if exec.calls.Load() == 0 {
-		t.Fatal("executor never consulted")
+		if exec.calls.Load() == 0 {
+			t.Fatal("executor never consulted")
+		}
 	}
 }
 

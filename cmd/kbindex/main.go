@@ -98,7 +98,7 @@ func emitSnapshot(kbPath, ds, dir string, shards, workers int, uniformPR bool) {
 	is := eng.IndexStats()
 	fmt.Printf("graph: %d entities, %d attributes\n", g.NumEntities(), g.NumAttributes())
 	fmt.Printf("index: d=%d, %d shard(s), %d entries, %.1f MB resident (%.1f B/entry), built in %v\n",
-		d, max(1, shards), is.Entries, is.SizeMB, is.BytesPerEntry, build.Round(time.Millisecond))
+		d, eng.ShardInfo().Count, is.Entries, is.SizeMB, is.BytesPerEntry, build.Round(time.Millisecond))
 	fmt.Printf("snapshot: %s — %d files, %.1f MB, written in %v\n",
 		dir, cs.Files, float64(cs.Bytes)/(1<<20), cs.Elapsed.Round(time.Millisecond))
 }

@@ -5,7 +5,7 @@
 //
 //	kbsearch -kb wiki.kb -k 5 "washington city population"
 //	kbsearch -kb imdb.kb            # interactive: one query per line
-//	kbsearch -kb wiki.kb -shards 4  # partitioned indexes, scatter-gather
+//	kbsearch -kb wiki.kb -shards 4  # four index shards, scatter-gather
 //	kbsearch -kb wiki.kb -algo auto -explain "city population"
 //	kbsearch -kind fig1 "database software company revenue"
 //
@@ -45,7 +45,7 @@ func main() {
 	algo := flag.String("algo", "pe", "algorithm: pe (PATTERNENUM), le (LINEARENUM), baseline, auto (cost-based planner)")
 	explain := flag.Bool("explain", false, "print the resolved plan and per-stage timings for each query")
 	rows := flag.Int("rows", 8, "max table rows to print per answer")
-	shards := flag.Int("shards", 1, "partition candidate roots across this many index shards")
+	shards := flag.Int("shards", 1, "number of index shards candidate roots are partitioned across (1 = one index, queried directly; more = scatter-gather)")
 	format := flag.String("format", "table", "output format: table, csv, json, md")
 	lambda := flag.Int64("lambda", 0, "LETopK sampling threshold Λ (0 = exact)")
 	rho := flag.Float64("rho", 0.1, "LETopK sampling rate ρ")
@@ -80,51 +80,30 @@ func main() {
 	fmt.Printf("graph: %d entities, %d edges, %d types\n", s.Nodes, s.Edges, s.Types)
 
 	t0 := time.Now()
-	var ix *index.Index
-	var se *shard.Engine
-	if *shards > 1 {
-		if se, err = shard.NewEngine(g, *shards, index.Options{D: *d}); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("index: %d shards built in %v\n", *shards, time.Since(t0).Round(time.Millisecond))
-	} else {
-		if ix, err = index.Build(g, index.Options{D: *d}); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("index: built in %v (%s)\n", time.Since(t0).Round(time.Millisecond), ix.Stats())
+	se, err := shard.NewEngine(g, *shards, index.Options{D: *d})
+	if err != nil {
+		log.Fatal(err)
 	}
+	var entries int64
+	for _, st := range se.Stats() {
+		entries += st.Entries
+	}
+	fmt.Printf("index: %d shard(s), %d entries, built in %v\n", *shards, entries, time.Since(t0).Round(time.Millisecond))
 
 	var salgo search.Algo
-	var shalgo shard.Algo
 	switch *algo {
 	case "pe":
-		salgo, shalgo = search.AlgoPE, shard.PatternEnum
+		salgo = search.AlgoPE
 	case "le":
-		salgo, shalgo = search.AlgoLE, shard.LinearEnum
+		salgo = search.AlgoLE
 	case "baseline":
-		salgo, shalgo = search.AlgoBaseline, shard.Baseline
+		salgo = search.AlgoBaseline
 	case "auto":
-		salgo, shalgo = search.AlgoAuto, shard.Auto
+		salgo = search.AlgoAuto
 	default:
 		log.Fatalf("unknown -algo %q (want pe, le, baseline or auto)", *algo)
 	}
 
-	ex := search.Executor{Ix: ix}
-	if salgo == search.AlgoBaseline && se == nil {
-		if ex.BL, err = search.NewBaseline(g, search.BaselineOptions{D: *d}); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// answer is one ranked pattern in algorithm- and shard-neutral form
-	// (pattern IDs resolve in pt, which is per-shard under -shards).
-	type answer struct {
-		pattern core.TreePattern
-		pt      *core.PatternTable
-		score   float64
-		count   int
-		trees   []core.Subtree
-	}
 	// runPrepared re-executes q through a prepared handle: the prepare
 	// stage (keyword resolution, posting lookups, planner probe) runs
 	// once, each iteration runs only enumerate → aggregate → rank. The
@@ -132,38 +111,17 @@ func main() {
 	runPrepared := func(q string, n int, cold time.Duration) {
 		opts := search.Options{K: *k, Lambda: *lambda, Rho: *rho, MaxTreesPerPattern: *rows, AutoBias: *autoBias}
 		ctx := context.Background()
-		var exec func() (time.Duration, error)
-		if se != nil {
-			p, err := se.Prepare(ctx, shalgo, q, opts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			exec = func() (time.Duration, error) {
-				res, err := se.SearchPrepared(ctx, p, opts)
-				if err != nil {
-					return 0, err
-				}
-				return res.Stats.Elapsed, nil
-			}
-		} else {
-			p, err := search.PrepareQuery(ctx, ix, q, salgo, opts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			exec = func() (time.Duration, error) {
-				res, err := search.ExecutePrepared(ctx, ix, p, p.Algo(), opts)
-				if err != nil {
-					return 0, err
-				}
-				return res.Stats.Elapsed, nil
-			}
+		p, err := se.Prepare(ctx, salgo, q, opts)
+		if err != nil {
+			log.Fatal(err)
 		}
 		var total, min time.Duration
 		for i := 0; i < n; i++ {
-			d, err := exec()
+			res, err := se.SearchPrepared(ctx, p, opts)
 			if err != nil {
 				log.Fatal(err)
 			}
+			d := res.Stats.Elapsed
 			total += d
 			if i == 0 || d < min {
 				min = d
@@ -178,37 +136,13 @@ func main() {
 
 	run := func(q string) {
 		opts := search.Options{K: *k, Lambda: *lambda, Rho: *rho, MaxTreesPerPattern: *rows, AutoBias: *autoBias}
-		var answers []answer
-		var surfaces []string
-		var elapsed time.Duration
-		var plan search.Plan
-		var stages search.StageTimings
-		if se != nil {
-			res, err := se.Search(context.Background(), shalgo, q, opts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			surfaces, elapsed = res.Stats.Surfaces, res.Stats.Elapsed
-			plan, stages = res.Plan, res.Stats.Stages
-			for _, rp := range res.Patterns {
-				answers = append(answers, answer{pattern: rp.Pattern, pt: rp.Table, score: rp.Score, count: rp.Agg.Count, trees: rp.Trees})
-			}
-		} else {
-			res, err := ex.Search(context.Background(), q, salgo, opts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			surfaces, elapsed = res.Stats.Surfaces, res.Stats.Elapsed
-			plan, stages = res.Plan, res.Stats.Stages
-			pt := res.Table
-			if pt == nil {
-				pt = ix.PatternTable()
-			}
-			for _, rp := range res.Patterns {
-				answers = append(answers, answer{pattern: rp.Pattern, pt: pt, score: rp.Score, count: rp.Agg.Count, trees: rp.Trees})
-			}
+		res, err := se.Search(context.Background(), salgo, q, opts)
+		if err != nil {
+			log.Fatal(err)
 		}
-		fmt.Printf("\n%d pattern answers in %v\n", len(answers), elapsed.Round(time.Microsecond))
+		elapsed := res.Stats.Elapsed
+		plan, stages := res.Plan, res.Stats.Stages
+		fmt.Printf("\n%d pattern answers in %v\n", len(res.Patterns), elapsed.Round(time.Microsecond))
 		if *explain {
 			fmt.Printf("plan: algorithm=%s auto=%t\n", plan.Algo, plan.Auto)
 			if plan.Reason != "" {
@@ -223,10 +157,11 @@ func main() {
 		if *repeat > 1 && salgo != search.AlgoBaseline {
 			runPrepared(q, *repeat, elapsed)
 		}
-		for i, rp := range answers {
-			tab := core.ComposeTable(g, rp.pt, rp.pattern, rp.trees)
-			fmt.Printf("\n#%d  score=%.4f  rows=%d\n%s\n", i+1, rp.score, rp.count,
-				rp.pattern.Render(g, rp.pt, surfaces))
+		for i, rp := range res.Patterns {
+			// Pattern IDs resolve in rp.Table, which is per shard.
+			tab := core.ComposeTable(g, rp.Table, rp.Pattern, rp.Trees)
+			fmt.Printf("\n#%d  score=%.4f  rows=%d\n%s\n", i+1, rp.Score, rp.Agg.Count,
+				rp.Pattern.Render(g, rp.Table, res.Stats.Surfaces))
 			switch *format {
 			case "table":
 				fmt.Print(tab.Render(*rows))

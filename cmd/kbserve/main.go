@@ -72,7 +72,7 @@ func main() {
 	ixPath := flag.String("index", "", "prebuilt index file written by kbindex (optional)")
 	demo := flag.Bool("demo", false, "serve the built-in Figure 1 mini knowledge base")
 	d := flag.Int("d", 3, "height threshold for tree patterns")
-	shards := flag.Int("shards", 1, "partition candidate roots across this many index shards (scatter-gather queries, per-shard update routing)")
+	shards := flag.Int("shards", 1, "number of index shards candidate roots are partitioned across (1 = one index, queried directly; more = scatter-gather queries, per-shard update routing)")
 	workers := flag.Int("workers", 0, "per-query worker pool size (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 512, "LRU query-result cache entries (negative disables)")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request search timeout")
@@ -195,9 +195,6 @@ func main() {
 	} else {
 		g := mustGraph(*kbPath, *demo)
 		if *ixPath != "" {
-			if *shards > 1 {
-				log.Fatal("-index is incompatible with -shards > 1 (sharded engines build their partitioned indexes at startup)")
-			}
 			eng, err = kbtable.NewEngineFromIndex(g, *ixPath, opts)
 		} else {
 			eng, err = kbtable.NewEngine(g, opts)
@@ -214,9 +211,8 @@ func main() {
 	st := eng.IndexStats()
 	log.Printf("index: d=%d, %d patterns, %d entries, %.1f MB, ready in %v",
 		st.D, st.Patterns, st.Entries, st.SizeMB, time.Since(t0).Round(time.Millisecond))
-	if info := eng.ShardInfo(); info.Count > 1 {
-		log.Printf("shards: %d (roots per shard %v)", info.Count, info.Roots)
-	}
+	info := eng.ShardInfo()
+	log.Printf("shards: %d (roots per shard %v)", info.Count, info.Roots)
 
 	if _, _, err := serve.ParseAlgorithm(*defaultAlgo); err != nil {
 		log.Fatalf("-default-algo: %v", err)

@@ -228,11 +228,7 @@ func TestColdStartGroupCommitCrash(t *testing.T) {
 // simulating the chain in process.
 func acceptedBatches(t *testing.T, g *Graph, shards int, n int) [][]UpdateOp {
 	t.Helper()
-	sh := 0
-	if shards > 1 {
-		sh = shards
-	}
-	eng, err := NewEngine(g, EngineOptions{D: 3, Shards: sh})
+	eng, err := NewEngine(g, EngineOptions{D: 3, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

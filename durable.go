@@ -329,21 +329,21 @@ func (e *Engine) Checkpoint(s *Store) (CheckpointStats, error) {
 	files := map[string]func(io.Writer) error{
 		store.GraphFileName: e.g.g.Encode,
 	}
-	if e.sh != nil {
+	for si := 0; si < e.sh.NumShards(); si++ {
+		si := si
+		files[store.IndexFileName(si)] = func(w io.Writer) error {
+			return e.sh.EncodeShard(si, w)
+		}
+	}
+	// A one-shard engine has no table to persist (Owners is nil) and its
+	// snapshot stays the file set and manifest of every earlier release's
+	// unsharded engine: graph, one index, no epochs.
+	if owners := e.sh.Owners(); owners != nil {
 		m.Epochs = e.sh.Epochs()
-		owners := e.sh.Owners()
 		files[store.OwnersFileName] = func(w io.Writer) error {
 			_, err := w.Write(owners)
 			return err
 		}
-		for si := 0; si < e.sh.NumShards(); si++ {
-			si := si
-			files[store.IndexFileName(si)] = func(w io.Writer) error {
-				return e.sh.EncodeShard(si, w)
-			}
-		}
-	} else {
-		files[store.IndexFileName(0)] = e.ix.Encode
 	}
 	n, err := s.s.Checkpoint(m, files)
 	if errors.Is(err, store.ErrSnapshotCurrent) {
@@ -374,7 +374,7 @@ type RecoverStats struct {
 	// signature of a crash mid-append) that was discarded; recovery
 	// stopped cleanly at the last good record.
 	TornTail bool
-	// Shards is the recovered engine's shard count (1 = unsharded).
+	// Shards is the recovered engine's shard count, at least 1.
 	Shards int
 	// SnapshotLoad / Replay split the recovery wall-clock time.
 	SnapshotLoad time.Duration
@@ -401,8 +401,8 @@ func (s *Store) Recover(opts EngineOptions) (*Engine, RecoverStats, error) {
 	if opts.D != 0 && opts.D != m.D {
 		return nil, rs, fmt.Errorf("kbtable: snapshot was built with d=%d, requested d=%d", m.D, opts.D)
 	}
-	if opts.Shards != 0 && opts.Shards != m.Shards && !(opts.Shards == 1 && m.Shards == 0) {
-		return nil, rs, fmt.Errorf("kbtable: snapshot has %d shards, requested %d (re-shard by rebuilding and checkpointing)", m.Shards, opts.Shards)
+	if opts.Shards != 0 && shardCount(opts.Shards) != shardCount(m.Shards) {
+		return nil, rs, fmt.Errorf("kbtable: snapshot has %d shards, requested %d (re-shard by rebuilding and checkpointing)", shardCount(m.Shards), opts.Shards)
 	}
 	opts.D = m.D
 	opts.Shards = m.Shards
@@ -415,10 +415,7 @@ func (s *Store) Recover(opts EngineOptions) (*Engine, RecoverStats, error) {
 		return nil, rs, err
 	}
 	rs.SnapshotSeq = m.Seq
-	rs.Shards = 1
-	if m.Shards > 1 {
-		rs.Shards = m.Shards
-	}
+	rs.Shards = eng.sh.NumShards()
 	rs.SnapshotLoad = time.Since(t0)
 
 	t1 := time.Now()
@@ -462,12 +459,8 @@ func loadSnapshot(sn *store.Snapshot, opts EngineOptions) (*Engine, error) {
 			g.NumNodes(), g.NumEdges(), m.Nodes, m.Edges)
 	}
 
-	nix := sn.NumIndexFiles()
-	want := 1
-	if m.Shards > 1 {
-		want = m.Shards
-	}
-	if nix != want {
+	want := shardCount(m.Shards)
+	if nix := sn.NumIndexFiles(); nix != want {
 		return nil, fmt.Errorf("kbtable: snapshot holds %d index files for %d shards", nix, want)
 	}
 
@@ -499,26 +492,18 @@ func loadSnapshot(sn *store.Snapshot, opts EngineOptions) (*Engine, error) {
 		}
 	}
 
-	eng := &Engine{g: &Graph{g: g}, o: opts, seq: m.Seq, plans: search.NewPlanCache(0)}
-	if m.Shards > 1 {
-		owners, err := sn.ReadFile(store.OwnersFileName)
-		if err != nil {
+	// One-shard snapshots carry no ownership table; FromParts derives it.
+	var owners []byte
+	if _, ok := m.Files[store.OwnersFileName]; ok {
+		if owners, err = sn.ReadFile(store.OwnersFileName); err != nil {
 			return nil, fmt.Errorf("kbtable: %w", err)
 		}
-		sh, err := shard.FromParts(g, owners, ixs, m.Epochs, index.Options{
-			D:         opts.D,
-			UniformPR: opts.UniformPageRank,
-			Synonyms:  opts.Synonyms,
-			Workers:   opts.Workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("kbtable: %w", err)
-		}
-		eng.sh = sh
-	} else {
-		eng.ix = ixs[0]
 	}
-	return eng, nil
+	sh, err := shard.FromParts(g, owners, ixs, m.Epochs, opts.indexOptions())
+	if err != nil {
+		return nil, fmt.Errorf("kbtable: %w", err)
+	}
+	return &Engine{g: &Graph{g: g}, sh: sh, o: opts, seq: m.Seq, plans: search.NewPlanCache(0)}, nil
 }
 
 // OpenDir opens a data directory and recovers its engine in one step:

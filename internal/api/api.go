@@ -234,8 +234,7 @@ type UpdateResponse struct {
 	// posting lists changed and how many cached results were dropped.
 	TouchedWords     int `json:"touched_words"`
 	InvalidatedCache int `json:"invalidated_cache"`
-	// AffectedShards counts shards whose postings the update touched
-	// (0 on unsharded engines).
+	// AffectedShards counts shards whose postings the update touched.
 	AffectedShards int     `json:"affected_shards,omitempty"`
 	ElapsedMS      float64 `json:"elapsed_ms"`
 }
@@ -251,9 +250,8 @@ type CacheStats struct {
 // ShardHealth is the /v1/healthz view of the engine's shard layout.
 type ShardHealth struct {
 	Count int `json:"count"`
-	// Epochs / Roots / Entries are per-shard (absent on unsharded
-	// engines): the shard's update epoch, live owned roots, and index
-	// postings.
+	// Epochs / Roots / Entries are per-shard, Count long: the shard's
+	// update epoch, live owned roots, and index postings.
 	Epochs  []uint64 `json:"epochs,omitempty"`
 	Roots   []int    `json:"roots,omitempty"`
 	Entries []int64  `json:"entries,omitempty"`
@@ -401,7 +399,8 @@ type HealthResponse struct {
 // cluster router reads it at startup and on failover to learn where
 // each shard's legs can run.
 type ShardsResponse struct {
-	// Shards is the total partition size (0 = unsharded engine).
+	// Shards is the total partition size, at least 1 (0 only when the
+	// served engine cannot describe its shards).
 	Shards int `json:"shards"`
 	// Owned lists the resident shards, ascending. A complete engine
 	// owns all of them.

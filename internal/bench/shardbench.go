@@ -65,7 +65,8 @@ func (c ShardBenchConfig) withDefaults() ShardBenchConfig {
 type ShardBenchResult struct {
 	// Name identifies the configuration ("serial" or "shards-N").
 	Name string `json:"name"`
-	// Shards is 0 for the unsharded serial reference.
+	// Shards is 0 for the serial reference: one index driven through the
+	// search layer at Workers=1, below the engine.
 	Shards int `json:"shards"`
 	// NsPerOp / BytesPerOp / AllocsPerOp are per benchmark op; one op
 	// answers the whole query workload once (PATTERNENUM, top-K).
@@ -240,7 +241,7 @@ func RunShardBench(cfg ShardBenchConfig) (*ShardBenchReport, error) {
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, q := range qs {
-					if _, err := eng.Search(context.Background(), shard.PatternEnum, q, opts); err != nil {
+					if _, err := eng.Search(context.Background(), search.AlgoPE, q, opts); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -38,8 +38,10 @@ type flatEntry struct {
 // Build runs Algorithm 1: for every root r it enumerates all simple paths
 // of at most D nodes by DFS, and files each (word, pattern, root, path)
 // into the posting lists. Roots are fanned out across Options.Workers
-// goroutines with contiguous root ranges so the merged result is
-// deterministic.
+// goroutines with contiguous root ranges, each interning patterns into a
+// table of its own; the tables and postings are merged in root-range
+// order, so the index — PatternIDs included — is the one a serial build
+// produces, byte for byte, at any worker count.
 func Build(g *kg.Graph, opts Options) (*Index, error) {
 	if opts.D < 1 {
 		return nil, fmt.Errorf("index: height threshold D must be >= 1, got %d", opts.D)
@@ -76,7 +78,7 @@ func Build(g *kg.Graph, opts Options) (*Index, error) {
 	for w := 0; w < workers; w++ {
 		lo := n * w / workers
 		hi := n * (w + 1) / workers
-		st := newBuilderState(g, opts.D, ix.pt, nWords, cw, pr)
+		st := newBuilderState(g, opts.D, core.NewPatternTable(), nWords, cw, pr)
 		outs[w] = st
 		wg.Add(1)
 		go func(lo, hi int) {
@@ -90,6 +92,17 @@ func Build(g *kg.Graph, opts Options) (*Index, error) {
 		}(lo, hi)
 	}
 	wg.Wait()
+
+	// A serial build numbers patterns in order of first encounter over
+	// roots 0..n. Interning each worker's table in root-range order, in its
+	// local (first-encounter) order, reproduces that numbering.
+	remap := make([][]core.PatternID, workers)
+	for w, st := range outs {
+		remap[w] = make([]core.PatternID, st.pt.Len())
+		for id := range remap[w] {
+			remap[w][id] = ix.pt.Intern(st.pt.Get(core.PatternID(id)))
+		}
+	}
 
 	// Phase 3 (parallel per word): merge worker outputs (worker ranges are
 	// in root order, so concatenation keeps entries root-ordered), then
@@ -111,7 +124,7 @@ func Build(g *kg.Graph, opts Options) (*Index, error) {
 		}
 		flat := make([]flatEntry, 0, total)
 		buf := make([]kg.EdgeID, 0, totalEdges)
-		for _, st := range outs {
+		for wk, st := range outs {
 			if w >= len(st.postings) {
 				continue
 			}
@@ -120,6 +133,7 @@ func Build(g *kg.Graph, opts Options) (*Index, error) {
 			buf = append(buf, p.edgeBuf...)
 			for _, e := range p.entries {
 				e.edgeOff += base
+				e.pattern = remap[wk][e.pattern]
 				flat = append(flat, e)
 			}
 			// Release worker memory early.

@@ -116,6 +116,42 @@ func TestWireV2RoundTripShards(t *testing.T) {
 	}
 }
 
+// TestBuildBytesIndependentOfWorkers pins build determinism: PatternIDs
+// are numbered as a serial build numbers them, so the same graph encodes
+// to the same bytes at any worker count — unfiltered (one shard) and under
+// each root filter of a three-way partition. With GOMAXPROCS >= 2 this
+// fails if workers intern into a shared table in scheduling order.
+func TestBuildBytesIndependentOfWorkers(t *testing.T) {
+	for _, c := range wireCorpora() {
+		for _, shards := range []int{1, 3} {
+			for s := 0; s < shards; s++ {
+				var want []byte
+				for _, workers := range []int{1, 2, 8} {
+					opts := Options{D: 3, Workers: workers}
+					if shards > 1 {
+						s := s
+						opts.RootFilter = func(r kg.NodeID) bool { return int(r)%shards == s }
+					}
+					ix, err := Build(c.g, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var buf bytes.Buffer
+					if err := ix.Encode(&buf); err != nil {
+						t.Fatal(err)
+					}
+					if want == nil {
+						want = buf.Bytes()
+					} else if !bytes.Equal(want, buf.Bytes()) {
+						t.Fatalf("%s shard %d of %d: Workers=%d encodes differently from Workers=1 (%d vs %d bytes)",
+							c.name, s, shards, workers, buf.Len(), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 // wireFrame locates one section frame inside an encoded v2 stream.
 type wireFrame struct {
 	id           byte

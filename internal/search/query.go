@@ -65,7 +65,7 @@ type Options struct {
 	// partial aggregates (Theorem 5's decomposition). A scatter-gather
 	// engine whose shards partition the candidate roots needs these to
 	// merge the same tree pattern across shards bit-exactly: partials are
-	// re-folded in ascending root order, reproducing the unsharded fold.
+	// re-folded in ascending root order, reproducing the one-index fold.
 	CollectRootAggs bool
 	// SampleSelectK decouples LINEARENUM's sampled-selection width from K
 	// (0 means "use K"): the estimated per-type local top-SampleSelectK

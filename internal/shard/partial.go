@@ -8,7 +8,6 @@ import (
 	"kbtable/internal/core"
 	"kbtable/internal/index"
 	"kbtable/internal/kg"
-	"kbtable/internal/rank"
 	"kbtable/internal/search"
 )
 
@@ -169,15 +168,6 @@ func (e *Engine) Complete() bool {
 // index is content-identical to the corresponding shard of a full n-way
 // engine over the same graph.
 func NewPartialEngine(g *kg.Graph, n int, owned []int, opts index.Options) (*Engine, error) {
-	if g == nil {
-		return nil, fmt.Errorf("shard: nil graph")
-	}
-	if n < 1 || n > MaxShards {
-		return nil, fmt.Errorf("shard: shard count %d out of range [1,%d]", n, MaxShards)
-	}
-	if opts.RootFilter != nil || opts.DirtyRoots != nil || opts.PageRank != nil {
-		return nil, fmt.Errorf("shard: RootFilter/DirtyRoots/PageRank are managed by the shard layer")
-	}
 	if len(owned) == 0 {
 		return nil, fmt.Errorf("shard: partial engine owns no shards")
 	}
@@ -191,45 +181,7 @@ func NewPartialEngine(g *kg.Graph, n int, owned []int, opts index.Options) (*Eng
 		}
 		seen[si] = true
 	}
-	if opts.D == 0 {
-		opts.D = 3
-	}
-	owner := make([]uint8, g.NumNodes())
-	for v := range owner {
-		owner[v] = ownerOf(g.Type(kg.NodeID(v)), kg.NodeID(v), n)
-	}
-	e := &Engine{g: g, n: n, opts: opts, owner: owner}
-	if !opts.UniformPR {
-		e.pr = rank.PageRank(g, rank.Options{})
-	}
-	perShard := e.splitWorkers(opts.Workers)
-	e.units = make([]*unit, n)
-	errs := make([]error, len(owned))
-	done := make(chan struct{})
-	for i, si := range owned {
-		go func(i, si int) {
-			defer func() { done <- struct{}{} }()
-			so := opts
-			so.Workers = perShard
-			so.RootFilter = e.filter(si)
-			so.PageRank = e.pr
-			ix, err := index.Build(g, so)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			e.units[si] = &unit{ix: ix}
-		}(i, si)
-	}
-	for range owned {
-		<-done
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("shard: %w", err)
-		}
-	}
-	return e, nil
+	return build(g, n, owned, opts)
 }
 
 // ProbeShard runs the prepare-only planner probe on one resident shard
@@ -254,11 +206,11 @@ func (e *Engine) ProbeShard(ctx context.Context, si int, query string, opts sear
 // the coordinator's own scatter would have produced for that shard.
 // Baseline queries gather concrete trees, not per-root aggregates, and
 // stay in-process; Auto must be resolved by the coordinator first.
-func (e *Engine) ScatterShard(ctx context.Context, si int, algo Algo, query string, opts search.Options) (*WirePartial, error) {
-	if algo == Auto {
+func (e *Engine) ScatterShard(ctx context.Context, si int, algo search.Algo, query string, opts search.Options) (*WirePartial, error) {
+	if algo == search.AlgoAuto {
 		return nil, fmt.Errorf("shard: scatter requires a resolved algorithm, not Auto")
 	}
-	if algo == Baseline {
+	if algo == search.AlgoBaseline {
 		return nil, fmt.Errorf("shard: the baseline gathers trees in process and cannot scatter over the wire")
 	}
 	if _, err := e.resident(si); err != nil {
@@ -316,8 +268,7 @@ func (e *Engine) ScatterShard(ctx context.Context, si int, algo Algo, query stri
 // winner trees come from the coordinator's indexes. plan must already be
 // resolved (never Auto); start/probed bound the stage accounting.
 func (e *Engine) GatherPartials(ctx context.Context, start, probed time.Time, plan search.Plan, query string, partials []*WirePartial, opts search.Options) (*Result, error) {
-	algo := fromSearchAlgo(plan.Algo)
-	if algo == Auto || algo == Baseline {
+	if plan.Algo != search.AlgoPE && plan.Algo != search.AlgoLE {
 		return nil, fmt.Errorf("shard: gather requires a resolved non-baseline plan")
 	}
 	if len(partials) != e.n {
@@ -377,5 +328,5 @@ func (e *Engine) GatherPartials(ctx context.Context, start, probed time.Time, pl
 			words: words,
 		}
 	}
-	return e.gather(ctx, start, probed, plan, algo, outs, opts)
+	return e.gather(ctx, start, probed, plan, outs, opts)
 }

@@ -10,15 +10,20 @@ import (
 )
 
 // Persistence hooks for the durable snapshot store (internal/store):
-// a sharded engine is fully determined by its graph snapshot, the
-// ownership table (which CANNOT be recomputed from the graph — a
+// an engine is fully determined by its graph snapshot, the ownership
+// table (which for N > 1 CANNOT be recomputed from the graph — a
 // tombstoned node is retyped, so its recorded assignment is the only
 // witness of its owner), the per-shard indexes, and the per-shard
 // epochs. PageRank is a pure function of the graph and is recomputed on
 // load.
 
-// Owners returns a copy of the node → shard ownership table.
+// Owners returns a copy of the node → shard ownership table, or nil for a
+// one-shard engine: its table is all zeros, so nothing needs persisting
+// and FromParts re-derives it.
 func (e *Engine) Owners() []uint8 {
+	if e.n == 1 {
+		return nil
+	}
 	out := make([]uint8, len(e.owner))
 	copy(out, e.owner)
 	return out
@@ -34,8 +39,9 @@ func (e *Engine) EncodeShard(si int, w io.Writer) error {
 }
 
 // FromParts reassembles an engine from persisted state: the graph, the
-// ownership table, one loaded index per shard, and the shards' update
-// epochs (nil = all zero). The result behaves identically to the engine
+// ownership table (nil with one index = the all-zero table), one loaded
+// index per shard, and the shards' update epochs (nil = all zero). The
+// result behaves identically to the engine
 // that was saved: searches, plans and further ApplyDelta chains produce
 // the same bytes. opts must carry the build-time options (D, UniformPR,
 // Synonyms); RootFilter/DirtyRoots/PageRank stay reserved for the shard
@@ -50,6 +56,9 @@ func FromParts(g *kg.Graph, owner []uint8, ixs []*index.Index, epochs []uint64, 
 	}
 	if opts.RootFilter != nil || opts.DirtyRoots != nil || opts.PageRank != nil {
 		return nil, fmt.Errorf("shard: RootFilter/DirtyRoots/PageRank are managed by the shard layer")
+	}
+	if owner == nil && n == 1 {
+		owner = make([]uint8, g.NumNodes())
 	}
 	if len(owner) != g.NumNodes() {
 		return nil, fmt.Errorf("shard: ownership table covers %d of %d nodes", len(owner), g.NumNodes())

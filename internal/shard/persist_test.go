@@ -36,13 +36,23 @@ func saveLoad(t *testing.T, e *Engine, opts index.Options) *Engine {
 
 // TestPersistRoundtripEquivalence pins that a save/load round trip
 // reproduces the original engine's answers and keeps accepting the same
-// update chain with identical results.
+// update chain with identical results — for a partition, and for one
+// shard, whose persisted parts carry no ownership table.
 func TestPersistRoundtripEquivalence(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		testPersistRoundtrip(t, n)
+	}
+}
+
+func testPersistRoundtrip(t *testing.T, n int) {
 	base := dataset.SynthWiki(dataset.WikiConfig{Entities: 220, Types: 12, Seed: 7})
 	iopts := index.Options{D: 3}
-	e, err := NewEngine(base, 3, iopts)
+	e, err := NewEngine(base, n, iopts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if (e.Owners() == nil) != (n == 1) {
+		t.Fatalf("shards=%d: Owners() = %v; only a one-shard engine's table is derivable", n, e.Owners())
 	}
 	queries := testQueries(base)[:3]
 	opts := search.Options{K: 8, MaxTreesPerPattern: 4}
@@ -54,11 +64,11 @@ func TestPersistRoundtripEquivalence(t *testing.T) {
 			t.Fatalf("step %d: epochs diverged: %v vs %v", step, e.Epochs(), loaded.Epochs())
 		}
 		for _, q := range queries {
-			for _, algo := range []Algo{PatternEnum, LinearEnum} {
-				want := shardedResult(t, e, algo, q, opts)
-				got := shardedResult(t, loaded, algo, q, opts)
+			for _, algo := range []search.Algo{search.AlgoPE, search.AlgoLE} {
+				want := engineResult(t, e, algo, q, opts)
+				got := engineResult(t, loaded, algo, q, opts)
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("step %d algo=%d query=%q: loaded engine diverged", step, algo, q)
+					t.Fatalf("shards=%d step %d algo=%v query=%q: loaded engine diverged", n, step, algo, q)
 				}
 			}
 		}
@@ -101,6 +111,9 @@ func TestFromPartsValidation(t *testing.T) {
 
 	if _, err := FromParts(nil, e.Owners(), ixs, nil, iopts); err == nil {
 		t.Error("nil graph accepted")
+	}
+	if _, err := FromParts(g, nil, ixs, nil, iopts); err == nil {
+		t.Error("missing ownership table accepted for two shards")
 	}
 	if _, err := FromParts(g, e.Owners()[:10], ixs, nil, iopts); err == nil {
 		t.Error("short ownership table accepted")

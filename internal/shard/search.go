@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -12,46 +11,6 @@ import (
 	"kbtable/internal/search"
 	"kbtable/internal/text"
 )
-
-// Algo selects the per-shard query algorithm.
-type Algo int
-
-// The paper's three algorithms, run shard-locally and gathered exactly,
-// plus Auto: the cost-based planner decides PE vs LE once — from
-// prepare-stage statistics merged across every shard — and the scatter
-// carries the resolved algorithm, so all shards execute the same plan.
-const (
-	PatternEnum Algo = iota
-	LinearEnum
-	Baseline
-	Auto
-)
-
-// searchAlgo maps a shard Algo onto the staged executor's strategy.
-func searchAlgo(a Algo) search.Algo {
-	switch a {
-	case LinearEnum:
-		return search.AlgoLE
-	case Baseline:
-		return search.AlgoBaseline
-	case Auto:
-		return search.AlgoAuto
-	default:
-		return search.AlgoPE
-	}
-}
-
-// fromSearchAlgo maps a resolved executor strategy back to a shard Algo.
-func fromSearchAlgo(a search.Algo) Algo {
-	switch a {
-	case search.AlgoLE:
-		return LinearEnum
-	case search.AlgoBaseline:
-		return Baseline
-	default:
-		return PatternEnum
-	}
-}
 
 // allK makes per-shard executors retain every pattern they find. Local
 // top-k pruning would be incorrect here: a pattern whose roots split
@@ -68,17 +27,18 @@ func fromSearchAlgo(a search.Algo) Algo {
 // For the same reason the streaming executor's top-k bound pushdown must
 // not fire inside a shard — a locally dominated pattern can win globally —
 // and it does not: search.peEnumerate gates pruning on !CollectRootAggs,
-// which this engine always sets. Per-shard runs still get streaming's
+// which every scatter sets. Per-shard runs still get streaming's
 // predicate pushdown and scratch reuse; only the score cut is disabled.
+//
+// None of this applies to a one-shard engine: nothing merges after its
+// executor, so Search hands it the caller's K and the bound prunes.
 const allK = 1 << 30
 
-// RankedPattern is one globally ranked pattern after the gather. Pattern's
-// IDs resolve in Table — the pattern table of the lowest-numbered
-// contributing shard (for the baseline, that shard's per-query online
-// table); Trees are merged across all contributing shards in ascending
-// root order.
+// RankedPattern is one globally ranked pattern. Pattern's IDs resolve in
+// Table — the pattern table of the lowest-numbered contributing shard (for
+// the baseline, that shard's per-query online table); Trees are merged
+// across all contributing shards in ascending root order.
 type RankedPattern struct {
-	Shard   int
 	Pattern core.TreePattern
 	Table   *core.PatternTable
 	Agg     core.PatternScore
@@ -86,7 +46,7 @@ type RankedPattern struct {
 	Trees   []core.Subtree
 }
 
-// Result is the gathered output of one sharded query.
+// Result is the output of one query.
 type Result struct {
 	Patterns []RankedPattern
 	Stats    search.QueryStats
@@ -114,15 +74,9 @@ type shardOut struct {
 func (e *Engine) PlanStats(ctx context.Context, query string, opts search.Options) (search.PlanStats, error) {
 	stats := make([]search.PlanStats, e.n)
 	errs := make([]error, e.n)
-	var wg sync.WaitGroup
-	for si := 0; si < e.n; si++ {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			stats[si], errs[si] = search.PlanProbe(ctx, e.units[si].ix, query, opts)
-		}(si)
-	}
-	wg.Wait()
+	e.scatter(func(si int) {
+		stats[si], errs[si] = search.PlanProbe(ctx, e.units[si].ix, query, opts)
+	})
 	var merged search.PlanStats
 	for si := range stats {
 		if errs[si] != nil {
@@ -141,17 +95,16 @@ func (e *Engine) PlanStats(ctx context.Context, query string, opts search.Option
 // Auto, the planner's decision over the merged per-shard statistics. Every
 // shard of a subsequent Search(ctx, resolved, …) executes exactly this
 // plan.
-func (e *Engine) Plan(ctx context.Context, algo Algo, query string, opts search.Options) (search.Plan, error) {
+func (e *Engine) Plan(ctx context.Context, algo search.Algo, query string, opts search.Options) (search.Plan, error) {
 	st, err := e.PlanStats(ctx, query, opts)
 	if err != nil {
 		return search.Plan{}, err
 	}
-	return search.ChoosePlan(searchAlgo(algo), st, opts), nil
+	return search.ChoosePlan(algo, st, opts), nil
 }
 
 // mergedPat accumulates one pattern signature across shards.
 type mergedPat struct {
-	rep      int
 	pattern  core.TreePattern
 	table    *core.PatternTable
 	rootAggs []search.RootAgg
@@ -167,71 +120,103 @@ type contribRef struct {
 	pattern core.TreePattern
 }
 
-// Search scatters the query across every shard, merges same-signature
+// Search answers a query. A one-shard engine runs its executor directly;
+// a partition scatters the query across every shard, merges same-signature
 // patterns exactly, and returns the global top-k.
 //
 // Exactness: every valid subtree roots at exactly one shard, so per-shard
-// per-root partial aggregates (search.RootAgg) partition the unsharded
+// per-root partial aggregates (search.RootAgg) partition the one-shard
 // engine's two-level fold; re-folding them in ascending root order yields
 // bit-identical scores, and the (score, content-key) total order makes the
 // global top-k independent of gather order. LinearEnum's Λ/ρ sampling is
 // the one shard-local behavior: per-type subtree counts and sample draws
-// happen within each shard, so a sampled sharded run is a different (still
-// unbiased) estimate than a sampled unsharded run; exact mode (Lambda <=
-// 0) is identical to the unsharded engine.
-func (e *Engine) Search(ctx context.Context, algo Algo, query string, opts search.Options) (*Result, error) {
+// happen within each shard, so a sampled run over N > 1 shards is a
+// different (still unbiased) estimate than a sampled one-shard run; exact
+// mode (Lambda <= 0) is identical at every N.
+func (e *Engine) Search(ctx context.Context, algo search.Algo, query string, opts search.Options) (*Result, error) {
+	if e.n == 1 {
+		return e.searchOne(ctx, algo, query, opts)
+	}
 	start := time.Now()
 
 	// Auto: one planner decision over merged per-shard statistics; the
 	// scatter below carries the resolved algorithm so every shard agrees.
-	var plan search.Plan
-	if algo == Auto {
+	plan := search.Plan{Algo: algo}
+	if algo == search.AlgoAuto {
 		p, err := e.Plan(ctx, algo, query, opts)
 		if err != nil {
 			return nil, err
 		}
 		plan = p
-		algo = fromSearchAlgo(p.Algo)
-	} else {
-		plan = search.Plan{Algo: searchAlgo(algo)}
 	}
-	return e.searchResolved(ctx, start, plan, algo, query, opts)
+	return e.searchResolved(ctx, start, plan, query, opts)
 }
 
 // SearchWithPlan executes query under a pre-resolved plan — the facade's
-// plan-cache hit path for Auto queries: the cached merged statistics
-// already fed ChoosePlan, so the scatter skips the per-shard planner
-// probe entirely and carries plan.Algo. The result reports the given
-// plan. Answers are bit-identical to Search(ctx, Auto, …) resolving to
-// the same algorithm (the Auto-equivalence property).
+// plan-cache hit path for Auto queries: the cached statistics already fed
+// ChoosePlan, so the planner probe is skipped and every shard executes
+// plan.Algo. An Auto plan is reported as given. Answers are bit-identical
+// to Search(ctx, AlgoAuto, …) resolving to the same algorithm (the
+// Auto-equivalence property).
 func (e *Engine) SearchWithPlan(ctx context.Context, plan search.Plan, query string, opts search.Options) (*Result, error) {
-	return e.searchResolved(ctx, time.Now(), plan, fromSearchAlgo(plan.Algo), query, opts)
+	if e.n == 1 {
+		res, err := e.searchOne(ctx, plan.Algo, query, opts)
+		if err == nil && plan.Auto {
+			res.Plan = plan
+		}
+		return res, err
+	}
+	return e.searchResolved(ctx, time.Now(), plan, query, opts)
+}
+
+// searchOne is the one-shard engine's query: the resident unit's executor
+// with the caller's options untouched, so top-k pruning, stage timings,
+// plan statistics and sampling are the executor's own. algo may be Auto
+// (one prepare serves both the planner and the execution).
+func (e *Engine) searchOne(ctx context.Context, algo search.Algo, query string, opts search.Options) (*Result, error) {
+	ex := search.Executor{Ix: e.units[0].ix}
+	if algo == search.AlgoBaseline {
+		var err error
+		if ex.BL, err = e.baseline(0); err != nil {
+			return nil, err
+		}
+	}
+	res, err := ex.Search(ctx, query, algo, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.oneResult(res), nil
+}
+
+// oneResult lifts a one-shard executor result into the engine's form.
+func (e *Engine) oneResult(res *search.Result) *Result {
+	pt := res.Table // the baseline interns its own patterns per query
+	if pt == nil {
+		pt = e.units[0].ix.PatternTable()
+	}
+	out := &Result{Patterns: make([]RankedPattern, len(res.Patterns)), Stats: res.Stats, Plan: res.Plan}
+	for i, rp := range res.Patterns {
+		out.Patterns[i] = RankedPattern{Pattern: rp.Pattern, Table: pt, Agg: rp.Agg, Score: rp.Score, Trees: rp.Trees}
+	}
+	return out
 }
 
 // searchResolved is the scatter-gather body shared by Search and
-// SearchWithPlan: algo is already resolved (never Auto) and probe time,
-// if any, is already spent.
-func (e *Engine) searchResolved(ctx context.Context, start time.Time, plan search.Plan, algo Algo, query string, opts search.Options) (*Result, error) {
+// SearchWithPlan: plan.Algo is already resolved (never Auto) and probe
+// time, if any, is already spent.
+func (e *Engine) searchResolved(ctx context.Context, start time.Time, plan search.Plan, query string, opts search.Options) (*Result, error) {
 	probed := time.Now()
-
-	so := e.scatterOptions(algo, opts)
-
+	so := e.scatterOptions(plan.Algo, opts)
 	outs := make([]shardOut, e.n)
-	var wg sync.WaitGroup
-	for si := 0; si < e.n; si++ {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			outs[si] = e.searchShard(ctx, si, algo, query, so)
-		}(si)
-	}
-	wg.Wait()
-	return e.gather(ctx, start, probed, plan, algo, outs, opts)
+	e.scatter(func(si int) {
+		outs[si] = e.searchShard(ctx, si, plan.Algo, query, so)
+	})
+	return e.gather(ctx, start, probed, plan, outs, opts)
 }
 
 // scatterOptions lowers the caller's options into the per-shard scatter
 // options shared by every execution path.
-func (e *Engine) scatterOptions(algo Algo, opts search.Options) search.Options {
+func (e *Engine) scatterOptions(algo search.Algo, opts search.Options) search.Options {
 	so := opts
 	so.K = allK
 	so.CollectRootAggs = true
@@ -243,7 +228,7 @@ func (e *Engine) scatterOptions(algo Algo, opts search.Options) search.Options {
 	so.Workers = e.splitWorkers(opts.Workers)
 	// LINEARENUM's sampled path selects its estimated local top-k for
 	// exact re-scoring; selection must stay at the caller's k (per shard,
-	// mirroring the unsharded per-type selection) rather than the
+	// mirroring the one-shard per-type selection) rather than the
 	// unbounded retention heap, or sampling would re-score everything and
 	// stop saving work. Sharded sampling is shard-local and approximate
 	// either way.
@@ -256,14 +241,14 @@ func (e *Engine) scatterOptions(algo Algo, opts search.Options) search.Options {
 	// Trees for PE/LE are materialized after the global cut; the baseline
 	// necessarily collects trees while enumerating (its dictionary IS the
 	// materialization), so its per-shard caps are merged instead.
-	so.SkipTrees = algo != Baseline
+	so.SkipTrees = algo != search.AlgoBaseline
 	return so
 }
 
 // gather merges the scatter's per-shard outputs into the global top-k:
 // the exact cross-shard fold shared by Search, SearchWithPlan and
 // SearchPrepared.
-func (e *Engine) gather(ctx context.Context, start, probed time.Time, plan search.Plan, algo Algo, outs []shardOut, opts search.Options) (*Result, error) {
+func (e *Engine) gather(ctx context.Context, start, probed time.Time, plan search.Plan, outs []shardOut, opts search.Options) (*Result, error) {
 	scattered := time.Now()
 	for si := range outs {
 		if outs[si].err != nil {
@@ -308,7 +293,7 @@ func (e *Engine) gather(ctx context.Context, start, probed time.Time, plan searc
 			key := rp.Pattern.ContentKey(outs[si].table)
 			mp, ok := byKey[key]
 			if !ok {
-				mp = &mergedPat{rep: si, pattern: rp.Pattern, table: outs[si].table}
+				mp = &mergedPat{pattern: rp.Pattern, table: outs[si].table}
 				byKey[key] = mp
 			}
 			mp.rootAggs = append(mp.rootAggs, rp.RootAggs...)
@@ -318,7 +303,7 @@ func (e *Engine) gather(ctx context.Context, start, probed time.Time, plan searc
 	}
 
 	// Fold each pattern's per-root partials in ascending root order — the
-	// exact sequence the unsharded engine folds — then cut to the global
+	// exact sequence a one-shard engine folds — then cut to the global
 	// top-k.
 	k := opts.K
 	if k == 0 {
@@ -334,14 +319,13 @@ func (e *Engine) gather(ctx context.Context, start, probed time.Time, plan searc
 	}
 	stages.Aggregate = time.Since(tAgg)
 
-	stats := e.mergeStats(algo, outs)
+	stats := e.mergeStats(plan.Algo, outs)
 	stats.PatternsFound = len(byKey)
 
 	tRank := time.Now()
 	res := &Result{Patterns: make([]RankedPattern, 0, top.Len()), Plan: plan}
 	for _, mp := range top.Results() {
 		res.Patterns = append(res.Patterns, RankedPattern{
-			Shard:   mp.rep,
 			Pattern: mp.pattern,
 			Table:   mp.table,
 			Agg:     mp.agg,
@@ -353,7 +337,7 @@ func (e *Engine) gather(ctx context.Context, start, probed time.Time, plan searc
 	// gathered above; PE/LE trees come from each contributing shard's
 	// pattern-first index now.
 	if !opts.SkipTrees {
-		if err := e.fillTrees(ctx, algo, outs, top.Results(), res.Patterns, opts); err != nil {
+		if err := e.fillTrees(ctx, plan.Algo, outs, top.Results(), res.Patterns, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -365,17 +349,11 @@ func (e *Engine) gather(ctx context.Context, start, probed time.Time, plan searc
 }
 
 // searchShard runs one shard's local query.
-func (e *Engine) searchShard(ctx context.Context, si int, algo Algo, query string, so search.Options) shardOut {
+func (e *Engine) searchShard(ctx context.Context, si int, algo search.Algo, query string, so search.Options) shardOut {
 	switch algo {
-	case PatternEnum, LinearEnum:
+	case search.AlgoPE, search.AlgoLE:
 		ix := e.units[si].ix
-		var res *search.Result
-		var err error
-		if algo == PatternEnum {
-			res, err = search.PETopKCtx(ctx, ix, query, so)
-		} else {
-			res, err = search.LETopKCtx(ctx, ix, query, so)
-		}
+		res, err := search.Execute(ctx, ix, query, algo, so)
 		if err != nil {
 			return shardOut{err: err}
 		}
@@ -401,8 +379,7 @@ func (e *Engine) searchShard(ctx context.Context, si int, algo Algo, query strin
 // Auto resolves once per execution from the merged statistics (with that
 // execution's bias), exactly as Search resolves from a probe.
 type Prepared struct {
-	algo  Algo
-	query string
+	algo  search.Algo
 	units []*search.Prepared
 	stats search.PlanStats
 }
@@ -412,28 +389,19 @@ func (p *Prepared) Stats() search.PlanStats { return p.stats }
 
 // Plan resolves the plan the prepared query would execute under opts.
 func (p *Prepared) Plan(opts search.Options) search.Plan {
-	return search.ChoosePlan(searchAlgo(p.algo), p.stats, opts)
+	return search.ChoosePlan(p.algo, p.stats, opts)
 }
 
-// Prepare scatters the prepare stage to every shard and retains the
-// per-shard output. The merged statistics are identical to PlanStats'
-// (same per-shard probes, same merge order), so a prepared Auto query
-// resolves exactly as Search would. The baseline has no prepare stage.
-func (e *Engine) Prepare(ctx context.Context, algo Algo, query string, opts search.Options) (*Prepared, error) {
-	if algo == Baseline {
-		return nil, fmt.Errorf("shard: the baseline has no prepare stage")
-	}
-	p := &Prepared{algo: algo, query: query, units: make([]*search.Prepared, e.n)}
+// Prepare runs the prepare stage on every shard and retains the per-shard
+// output. The merged statistics are identical to PlanStats' (same
+// per-shard probes, same merge order), so a prepared Auto query resolves
+// exactly as Search would. The baseline has no prepare stage.
+func (e *Engine) Prepare(ctx context.Context, algo search.Algo, query string, opts search.Options) (*Prepared, error) {
+	p := &Prepared{algo: algo, units: make([]*search.Prepared, e.n)}
 	errs := make([]error, e.n)
-	var wg sync.WaitGroup
-	for si := 0; si < e.n; si++ {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			p.units[si], errs[si] = search.PrepareQuery(ctx, e.units[si].ix, query, searchAlgo(algo), opts)
-		}(si)
-	}
-	wg.Wait()
+	e.scatter(func(si int) {
+		p.units[si], errs[si] = search.PrepareQuery(ctx, e.units[si].ix, query, algo, opts)
+	})
 	for si := range errs {
 		if errs[si] != nil {
 			return nil, errs[si]
@@ -447,50 +415,44 @@ func (e *Engine) Prepare(ctx context.Context, algo Algo, query string, opts sear
 	return p, nil
 }
 
-// SearchPrepared executes a prepared query: Auto is resolved once from
-// the retained merged statistics, then every shard runs stages 2-4 of
-// the pipeline over its retained prepare. The gather is Search's —
-// answers are bit-identical to a fresh Search of the same query on the
-// same engine snapshot.
+// SearchPrepared executes a prepared query: stages 2-4 of the pipeline
+// over each shard's retained prepare, Auto resolved once per execution
+// from the retained statistics. Answers are bit-identical to a fresh
+// Search of the same query on the same engine snapshot.
 func (e *Engine) SearchPrepared(ctx context.Context, p *Prepared, opts search.Options) (*Result, error) {
-	start := time.Now()
-	algo := p.algo
-	var plan search.Plan
-	if algo == Auto {
-		plan = search.ChoosePlan(search.AlgoAuto, p.stats, opts)
-		algo = fromSearchAlgo(plan.Algo)
-	} else {
-		plan = search.Plan{Algo: searchAlgo(algo)}
+	if e.n == 1 {
+		res, err := search.ExecutePrepared(ctx, e.units[0].ix, p.units[0], p.algo, opts)
+		if err != nil {
+			return nil, err
+		}
+		return e.oneResult(res), nil
 	}
+	start := time.Now()
+	plan := search.ChoosePlan(p.algo, p.stats, opts)
 	probed := time.Now()
-	so := e.scatterOptions(algo, opts)
+	so := e.scatterOptions(plan.Algo, opts)
 
 	outs := make([]shardOut, e.n)
-	var wg sync.WaitGroup
-	for si := 0; si < e.n; si++ {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			res, err := search.ExecutePrepared(ctx, e.units[si].ix, p.units[si], searchAlgo(algo), so)
-			if err != nil {
-				outs[si] = shardOut{err: err}
-				return
-			}
-			outs[si] = shardOut{patterns: res.Patterns, table: e.units[si].ix.PatternTable(), stats: res.Stats, plan: res.Plan, words: res.Stats.Words}
-		}(si)
-	}
-	wg.Wait()
-	return e.gather(ctx, start, probed, plan, algo, outs, opts)
+	e.scatter(func(si int) {
+		ix := e.units[si].ix
+		res, err := search.ExecutePrepared(ctx, ix, p.units[si], plan.Algo, so)
+		if err != nil {
+			outs[si] = shardOut{err: err}
+			return
+		}
+		outs[si] = shardOut{patterns: res.Patterns, table: ix.PatternTable(), stats: res.Stats, plan: res.Plan, words: res.Stats.Words}
+	})
+	return e.gather(ctx, start, probed, plan, outs, opts)
 }
 
 // mergeStats folds the per-shard counters. Candidate-root partitions are
 // disjoint, so counts add; EmptyChecked is the summed per-shard waste (a
 // combination can be empty on one shard and populated on another, so it is
-// not comparable to an unsharded run's counter).
-func (e *Engine) mergeStats(algo Algo, outs []shardOut) search.QueryStats {
+// not comparable to a one-shard run's counter).
+func (e *Engine) mergeStats(algo search.Algo, outs []shardOut) search.QueryStats {
 	stats := search.QueryStats{Surfaces: outs[0].stats.Surfaces, Words: outs[0].stats.Words}
 	stats.CandidateRoots = -1
-	if algo != PatternEnum {
+	if algo != search.AlgoPE {
 		stats.CandidateRoots = 0
 		for i := range outs {
 			stats.CandidateRoots += outs[i].stats.CandidateRoots
@@ -507,9 +469,9 @@ func (e *Engine) mergeStats(algo Algo, outs []shardOut) search.QueryStats {
 
 // fillTrees merges each winning pattern's table rows across its
 // contributing shards in ascending root order, truncated to the
-// per-pattern cap — exactly the rows an unsharded materialization pass
+// per-pattern cap — exactly the rows a one-shard materialization pass
 // produces, which walks roots ascending and stops at the cap.
-func (e *Engine) fillTrees(ctx context.Context, algo Algo, outs []shardOut, winners []*mergedPat, patterns []RankedPattern, opts search.Options) error {
+func (e *Engine) fillTrees(ctx context.Context, algo search.Algo, outs []shardOut, winners []*mergedPat, patterns []RankedPattern, opts search.Options) error {
 	maxTrees := opts.MaxTreesPerPattern
 	finish := func(trees []core.Subtree) []core.Subtree {
 		sort.SliceStable(trees, func(i, j int) bool { return trees[i].Root < trees[j].Root })
@@ -518,7 +480,7 @@ func (e *Engine) fillTrees(ctx context.Context, algo Algo, outs []shardOut, winn
 		}
 		return trees
 	}
-	if algo == Baseline {
+	if algo == search.AlgoBaseline {
 		for i, mp := range winners {
 			patterns[i].Trees = finish(mp.trees)
 		}
@@ -549,9 +511,18 @@ type RankedTree struct {
 
 // TopTrees ranks individual valid subtrees across all shards. A subtree
 // lives wholly on the shard owning its root, so per-shard top-k lists
-// merge exactly under the same (score, content key) order a single engine
-// uses.
+// merge exactly under the same (score, content key) order a single index
+// uses; with one shard its list is the answer.
 func (e *Engine) TopTrees(query string, k int, opts search.Options) ([]RankedTree, search.QueryStats) {
+	if e.n == 1 {
+		ix := e.units[0].ix
+		trees, stats := search.TopTrees(ix, query, k, opts)
+		out := make([]RankedTree, len(trees))
+		for i, rt := range trees {
+			out[i] = RankedTree{RankedTree: rt, Table: ix.PatternTable()}
+		}
+		return out, stats
+	}
 	type out struct {
 		trees []search.RankedTree
 		keys  []string
@@ -559,21 +530,15 @@ func (e *Engine) TopTrees(query string, k int, opts search.Options) ([]RankedTre
 		stats search.QueryStats
 	}
 	outs := make([]out, e.n)
-	var wg sync.WaitGroup
-	for si := 0; si < e.n; si++ {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			ix := e.units[si].ix
-			trees, stats := search.TopTrees(ix, query, k, opts)
-			keys := make([]string, len(trees))
-			for i, rt := range trees {
-				keys[i] = search.TreeMergeKey(ix, rt)
-			}
-			outs[si] = out{trees: trees, keys: keys, table: ix.PatternTable(), stats: stats}
-		}(si)
-	}
-	wg.Wait()
+	e.scatter(func(si int) {
+		ix := e.units[si].ix
+		trees, stats := search.TopTrees(ix, query, k, opts)
+		keys := make([]string, len(trees))
+		for i, rt := range trees {
+			keys[i] = search.TreeMergeKey(ix, rt)
+		}
+		outs[si] = out{trees: trees, keys: keys, table: ix.PatternTable(), stats: stats}
+	})
 	top := core.NewTopK[RankedTree](k)
 	stats := search.QueryStats{Surfaces: outs[0].stats.Surfaces, Words: outs[0].stats.Words}
 	for si := range outs {
@@ -588,7 +553,7 @@ func (e *Engine) TopTrees(query string, k int, opts search.Options) ([]RankedTre
 }
 
 // NumCandidateRoots sums the per-shard candidate-root counts (the shards
-// partition the unsharded candidate set).
+// partition the candidate set).
 func (e *Engine) NumCandidateRoots(query string) int {
 	n := 0
 	for si := 0; si < e.n; si++ {
@@ -603,6 +568,9 @@ func (e *Engine) NumCandidateRoots(query string) int {
 // computed first across all shards, and only when it fits the budget is
 // pattern enumeration (whose cost the subtree count bounds) attempted.
 func (e *Engine) CountAllContent(query string, budget int64) (patterns int, trees int64, exceeded bool) {
+	if e.n == 1 { // nothing to union: shard-local PatternIDs identify patterns
+		return search.CountAllCapped(e.units[0].ix, query, budget)
+	}
 	for si := 0; si < e.n; si++ {
 		t := search.SubtreeCount(e.units[si].ix, query)
 		if t > math.MaxInt64-trees { // per-shard counts saturate; so does the sum

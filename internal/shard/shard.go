@@ -1,5 +1,9 @@
-// Package shard partitions a knowledge base's candidate roots across N
-// independent index shards and answers queries scatter-gather.
+// Package shard is the engine: it partitions a knowledge base's candidate
+// roots across N >= 1 independent index shards and answers queries over
+// them. N = 1 is the unpartitioned engine — one unfiltered index, queries
+// run on its executor directly with the caller's k, so the top-k bound
+// pushdown prunes — and N > 1 answers scatter-gather. That choice is made
+// here, from the shard count, and nowhere else.
 //
 // The unit of partitioning is the candidate root: the paper's three
 // algorithms all aggregate a tree pattern from per-root subtree sets
@@ -9,7 +13,7 @@
 // query into N disjoint sub-queries. Each shard runs the existing
 // serial/parallel executors over a root-filtered index; the gather stage
 // re-folds per-root partial aggregates in ascending root order, which
-// reproduces the unsharded engine's two-level fold bit for bit (see
+// reproduces the one-shard engine's two-level fold bit for bit (see
 // search.Options.CollectRootAggs). The same tree pattern discovered on two
 // shards — its roots hash apart — merges into ONE pattern (content-keyed:
 // per-shard pattern tables intern IDs independently) with one table.
@@ -80,11 +84,21 @@ type Engine struct {
 	units []*unit
 }
 
-// NewEngine partitions g's roots across n shards and builds the per-shard
-// indexes in parallel. opts applies to every shard; opts.RootFilter,
-// opts.DirtyRoots and opts.PageRank are reserved for the shard layer
-// itself. PageRank (a whole-graph property) is computed once and shared.
+// NewEngine partitions g's roots across n >= 1 shards and builds the
+// per-shard indexes in parallel. opts applies to every shard;
+// opts.RootFilter, opts.DirtyRoots and opts.PageRank are reserved for the
+// shard layer itself. PageRank (a whole-graph property) is computed once
+// and shared.
 func NewEngine(g *kg.Graph, n int, opts index.Options) (*Engine, error) {
+	all := make([]int, n)
+	for si := range all {
+		all[si] = si
+	}
+	return build(g, n, all, opts)
+}
+
+// build constructs an n-shard engine with only the owned shards resident.
+func build(g *kg.Graph, n int, owned []int, opts index.Options) (*Engine, error) {
 	if g == nil {
 		return nil, fmt.Errorf("shard: nil graph")
 	}
@@ -112,7 +126,7 @@ func NewEngine(g *kg.Graph, n int, opts index.Options) (*Engine, error) {
 	e.units = make([]*unit, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for si := 0; si < n; si++ {
+	for _, si := range owned {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
@@ -137,6 +151,22 @@ func NewEngine(g *kg.Graph, n int, opts index.Options) (*Engine, error) {
 	return e, nil
 }
 
+// scatter runs f once per shard, concurrently: shard 0 on the calling
+// goroutine, the others on their own — so a one-shard engine spawns
+// nothing.
+func (e *Engine) scatter(f func(si int)) {
+	var wg sync.WaitGroup
+	for si := 1; si < e.n; si++ {
+		wg.Add(1)
+		go func(si int) {
+			defer wg.Done()
+			f(si)
+		}(si)
+	}
+	f(0)
+	wg.Wait()
+}
+
 // splitWorkers divides a per-query worker budget (0 = GOMAXPROCS) across
 // the N-way shard scatter.
 func (e *Engine) splitWorkers(w int) int {
@@ -150,9 +180,14 @@ func (e *Engine) splitWorkers(w int) int {
 }
 
 // filter returns the ownership test for shard si over the engine's owner
-// table. The closure captures the table by reference; owner tables are
-// append-only per engine, so concurrent readers are safe.
+// table, or nil on a one-shard engine: every root is owned, and an index
+// built without a filter is the plain, unpartitioned index. The closure
+// captures the table by reference; owner tables are append-only per
+// engine, so concurrent readers are safe.
 func (e *Engine) filter(si int) func(kg.NodeID) bool {
+	if e.n == 1 {
+		return nil
+	}
 	owner := e.owner
 	return func(v kg.NodeID) bool {
 		return int(v) < len(owner) && owner[v] == uint8(si)

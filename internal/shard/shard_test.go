@@ -14,9 +14,10 @@ import (
 	"kbtable/internal/search"
 )
 
-// shardCounts are the partition widths the acceptance criteria pin,
-// including a prime that never divides the synthetic type counts.
-var shardCounts = []int{1, 2, 4, 7}
+// shardCounts are the widths every suite runs at: the one-shard engine
+// (direct execution) and partitions including a prime that never divides
+// the synthetic type counts.
+var shardCounts = []int{1, 2, 3, 8}
 
 // testDatasets builds the reduced-scale synthetic corpora.
 func testDatasets(t testing.TB) map[string]*kg.Graph {
@@ -73,39 +74,27 @@ func renderPattern(g *kg.Graph, pt *core.PatternTable, p core.TreePattern, score
 	return sb.String()
 }
 
-// unshardedResult runs the reference single-index engine.
-func unshardedResult(t testing.TB, g *kg.Graph, ix *index.Index, bl *search.BaselineIndex, algo Algo, query string, opts search.Options) []string {
+// referenceResult runs the reference below the engine: the search
+// executor on one unfiltered index.
+func referenceResult(t testing.TB, g *kg.Graph, ix *index.Index, bl *search.BaselineIndex, algo search.Algo, query string, opts search.Options) []string {
 	t.Helper()
+	res, err := search.Executor{Ix: ix, BL: bl}.Search(context.Background(), query, algo, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := res.Table // the baseline's per-query table
+	if pt == nil {
+		pt = ix.PatternTable()
+	}
 	var out []string
-	switch algo {
-	case PatternEnum, LinearEnum:
-		var res *search.Result
-		var err error
-		if algo == PatternEnum {
-			res, err = search.PETopKCtx(context.Background(), ix, query, opts)
-		} else {
-			res, err = search.LETopKCtx(context.Background(), ix, query, opts)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rp := range res.Patterns {
-			out = append(out, renderPattern(g, ix.PatternTable(), rp.Pattern, rp.Score, rp.Agg, rp.Trees, res.Stats.Surfaces))
-		}
-	default:
-		res, err := bl.SearchCtx(context.Background(), query, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rp := range res.Patterns {
-			out = append(out, renderPattern(g, res.Table, rp.Pattern, rp.Score, rp.Agg, rp.Trees, res.Stats.Surfaces))
-		}
+	for _, rp := range res.Patterns {
+		out = append(out, renderPattern(g, pt, rp.Pattern, rp.Score, rp.Agg, rp.Trees, res.Stats.Surfaces))
 	}
 	return out
 }
 
-// shardedResult runs the scatter-gather engine at the same fidelity.
-func shardedResult(t testing.TB, e *Engine, algo Algo, query string, opts search.Options) []string {
+// engineResult runs the engine at the same fidelity.
+func engineResult(t testing.TB, e *Engine, algo search.Algo, query string, opts search.Options) []string {
 	t.Helper()
 	res, err := e.Search(context.Background(), algo, query, opts)
 	if err != nil {
@@ -119,9 +108,9 @@ func shardedResult(t testing.TB, e *Engine, algo Algo, query string, opts search
 }
 
 // TestShardEquivalence: for every synthetic dataset, algorithm and shard
-// count, the sharded top-k — scores (exact bits), pattern signatures, and
-// row multisets (in fact full row order) — is identical to the unsharded
-// engine's.
+// count, the engine's top-k — scores (exact bits), pattern signatures, and
+// row multisets (in fact full row order) — is identical to the reference
+// executor's on one index.
 func TestShardEquivalence(t *testing.T) {
 	for name, g := range testDatasets(t) {
 		for _, uniform := range []bool{true, false} {
@@ -143,13 +132,13 @@ func TestShardEquivalence(t *testing.T) {
 				engines = append(engines, e)
 			}
 			opts := search.Options{K: 10, MaxTreesPerPattern: 8}
-			for _, algo := range []Algo{PatternEnum, LinearEnum, Baseline} {
+			for _, algo := range []search.Algo{search.AlgoPE, search.AlgoLE, search.AlgoBaseline} {
 				for _, q := range testQueries(g) {
-					want := unshardedResult(t, g, ix, bl, algo, q, opts)
+					want := referenceResult(t, g, ix, bl, algo, q, opts)
 					for ei, e := range engines {
-						got := shardedResult(t, e, algo, q, opts)
+						got := engineResult(t, e, algo, q, opts)
 						if !reflect.DeepEqual(want, got) {
-							t.Fatalf("%s uniform=%v algo=%d shards=%d query=%q:\nunsharded (%d):\n%s\nsharded (%d):\n%s",
+							t.Fatalf("%s uniform=%v algo=%v shards=%d query=%q:\nreference (%d):\n%s\nengine (%d):\n%s",
 								name, uniform, algo, shardCounts[ei], q, len(want), strings.Join(want, "\n---\n"), len(got), strings.Join(got, "\n---\n"))
 						}
 					}

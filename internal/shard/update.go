@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"kbtable/internal/index"
 	"kbtable/internal/kg"
@@ -80,42 +79,36 @@ func (e *Engine) ApplyDelta(ch *kg.Changed) (*Engine, UpdateStats, error) {
 	ne.units = make([]*unit, e.n)
 	stats := make([]index.DeltaStats, e.n)
 	errs := make([]error, e.n)
-	var wg sync.WaitGroup
-	for si := 0; si < e.n; si++ {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			u := e.units[si]
-			if u == nil {
-				return // not resident (partial engine): nothing to splice
-			}
-			if ownedDirty[si] == 0 && identityEdges && !refreshPR {
-				// Untouched shard: same postings, new snapshot.
-				ne.units[si] = &unit{ix: u.ix.Rebind(ch.New), epoch: u.epoch}
-				return
-			}
-			so := e.opts
-			so.RootFilter = ne.filter(si)
-			so.DirtyRoots = dirty
-			so.PageRank = ne.pr
-			nix, ds, err := u.ix.ApplyDelta(ch, so)
-			if err != nil {
-				errs[si] = err
-				return
-			}
-			epoch := u.epoch
-			if ds.DirtyRoots > 0 || ds.WordsTouched > 0 || ds.ScoresRefreshed {
-				// Postings or scores actually moved. A pure edge-ID remap
-				// (another shard's structural change re-sorted the CSR)
-				// rewrites storage but no observable answer, so the epoch
-				// holds.
-				epoch++
-			}
-			ne.units[si] = &unit{ix: nix, epoch: epoch}
-			stats[si] = ds
-		}(si)
-	}
-	wg.Wait()
+	e.scatter(func(si int) {
+		u := e.units[si]
+		if u == nil {
+			return // not resident (partial engine): nothing to splice
+		}
+		if ownedDirty[si] == 0 && identityEdges && !refreshPR {
+			// Untouched shard: same postings, new snapshot.
+			ne.units[si] = &unit{ix: u.ix.Rebind(ch.New), epoch: u.epoch}
+			return
+		}
+		so := e.opts
+		so.RootFilter = ne.filter(si)
+		so.DirtyRoots = dirty
+		so.PageRank = ne.pr
+		nix, ds, err := u.ix.ApplyDelta(ch, so)
+		if err != nil {
+			errs[si] = err
+			return
+		}
+		epoch := u.epoch
+		if ds.DirtyRoots > 0 || ds.WordsTouched > 0 || ds.ScoresRefreshed {
+			// Postings or scores actually moved. A pure edge-ID remap
+			// (another shard's structural change re-sorted the CSR)
+			// rewrites storage but no observable answer, so the epoch
+			// holds.
+			epoch++
+		}
+		ne.units[si] = &unit{ix: nix, epoch: epoch}
+		stats[si] = ds
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, us, fmt.Errorf("shard: %w", err)

@@ -66,10 +66,10 @@ func randomUpdate(rng *rand.Rand, g *kg.Graph) (*kg.Changed, error) {
 	return d.Apply()
 }
 
-// TestShardUpdateEquivalence drives the unsharded index and every sharded
-// engine through the same randomized delta chain; after every batch the
-// sharded top-k (scores, signatures, composed tables) must equal the
-// incrementally maintained unsharded engine's for PE and LE, and for the
+// TestShardUpdateEquivalence drives one reference index and an engine at
+// every shard count through the same randomized delta chain; after every
+// batch the engine's top-k (scores, signatures, composed tables) must equal
+// the incrementally maintained reference index's for PE and LE, and for the
 // baseline on a sampling of the chain (it is rebuilt from the graph, so
 // it also vouches for the shared snapshot itself).
 func TestShardUpdateEquivalence(t *testing.T) {
@@ -115,24 +115,24 @@ func TestShardUpdateEquivalence(t *testing.T) {
 				engines[i] = ne
 			}
 
-			algos := []Algo{PatternEnum, LinearEnum}
+			algos := []search.Algo{search.AlgoPE, search.AlgoLE}
 			if seq%10 == 9 {
-				algos = append(algos, Baseline)
+				algos = append(algos, search.AlgoBaseline)
 			}
 			g := cur.Graph()
 			for _, algo := range algos {
 				var bl *search.BaselineIndex
-				if algo == Baseline {
+				if algo == search.AlgoBaseline {
 					if bl, err = search.NewBaseline(g, search.BaselineOptions{D: iopts.D, UniformPR: iopts.UniformPR}); err != nil {
 						t.Fatal(err)
 					}
 				}
 				for _, q := range queries {
-					want := unshardedResult(t, g, cur, bl, algo, q, opts)
+					want := referenceResult(t, g, cur, bl, algo, q, opts)
 					for i, e := range engines {
-						got := shardedResult(t, e, algo, q, opts)
+						got := engineResult(t, e, algo, q, opts)
 						if !reflect.DeepEqual(want, got) {
-							t.Fatalf("%s seq %d algo=%d shards=%d query=%q diverged:\nunsharded:\n%s\nsharded:\n%s",
+							t.Fatalf("%s seq %d algo=%v shards=%d query=%q diverged:\nreference:\n%s\nengine:\n%s",
 								name, seq, algo, shardCounts[i], q,
 								strings.Join(want, "\n---\n"), strings.Join(got, "\n---\n"))
 						}

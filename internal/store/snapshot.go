@@ -53,10 +53,11 @@ type Manifest struct {
 	Seq uint64 `json:"seq"`
 	// D is the engine's height threshold.
 	D int `json:"d"`
-	// Shards is the engine's shard count (0 or 1 = unsharded; the
-	// snapshot then holds exactly one index file).
+	// Shards is EngineOptions.Shards as the engine was given it: 0 and 1
+	// both mean one shard, and the snapshot then holds exactly one index
+	// file and no ownership table.
 	Shards int `json:"shards"`
-	// Epochs are the per-shard update epochs (nil when unsharded).
+	// Epochs are the per-shard update epochs (nil with one shard).
 	Epochs []uint64 `json:"epochs,omitempty"`
 	// Nodes / Edges fingerprint the graph; loading cross-checks them.
 	Nodes int `json:"nodes"`

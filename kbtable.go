@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"kbtable/internal/core"
@@ -156,21 +155,6 @@ func searchAlgo(a Algorithm) (search.Algo, error) {
 	return 0, fmt.Errorf("kbtable: unknown algorithm %d", a)
 }
 
-// shardAlgo maps the facade algorithm onto the scatter-gather engine's.
-func shardAlgo(a Algorithm) (shard.Algo, error) {
-	switch a {
-	case PatternEnum:
-		return shard.PatternEnum, nil
-	case LinearEnum:
-		return shard.LinearEnum, nil
-	case Baseline:
-		return shard.Baseline, nil
-	case Auto:
-		return shard.Auto, nil
-	}
-	return 0, fmt.Errorf("kbtable: unknown algorithm %d", a)
-}
-
 // facadeAlgo maps a resolved executor strategy back to the facade enum.
 func facadeAlgo(a search.Algo) Algorithm {
 	switch a {
@@ -198,25 +182,45 @@ type EngineOptions struct {
 	// global queue. Parallel queries return exactly the serial results.
 	// 0 (or negative) means GOMAXPROCS; 1 forces serial execution.
 	Workers int
-	// Shards partitions the knowledge base's candidate roots across this
-	// many independent index shards (type-aware root hash, fixed at
-	// entity creation). Queries scatter to every shard and gather
-	// exactly: merged answers — scores, pattern signatures, table rows —
-	// are identical to an unsharded engine's, and updates route only to
-	// the shards owning affected roots, each with its own epoch. 0 or 1
-	// disables sharding. Sharded engines build their indexes in parallel
-	// and cannot currently Save/load prebuilt index files. LinearEnum's
-	// Λ/ρ sampling becomes shard-local (still unbiased, no longer
-	// bit-identical to unsharded sampling); exact queries are unaffected.
+	// Shards is the number of index shards the knowledge base's candidate
+	// roots are partitioned across (type-aware root hash, fixed at entity
+	// creation); 0 means 1. One shard is one index over every root, and
+	// queries run on it directly. With more, queries scatter to every
+	// shard and gather exactly — answers (scores, pattern signatures,
+	// table rows) are identical at every shard count — and updates route
+	// only to the shards owning affected roots, each with its own epoch.
+	// Shards build in parallel. Engines with more than one shard cannot
+	// currently Save/load prebuilt index files, and LinearEnum's Λ/ρ
+	// sampling is shard-local there (still unbiased, not bit-identical
+	// to one-shard sampling); exact queries are unaffected.
 	Shards int
-	// OwnedShards restricts a sharded engine (Shards > 1) to building
-	// only the listed shards' indexes — a cluster owner node's view. The
-	// ownership hash, PageRank and root filters still span the full
-	// graph, so each resident shard is content-identical to the same
-	// shard of a full engine. Partial engines only serve per-shard
-	// cluster legs (ScatterShard / ProbeShard) and updates; whole-query
-	// Search returns ErrPartialEngine. Empty means all shards.
+	// OwnedShards restricts the engine to building only the listed
+	// shards' indexes — a cluster owner node's view. The ownership hash,
+	// PageRank and root filters still span the full graph, so each
+	// resident shard is content-identical to the same shard of a full
+	// engine. Partial engines only serve per-shard cluster legs
+	// (ScatterShard / ProbeShard) and updates; whole-query Search returns
+	// ErrPartialEngine. Empty means all shards.
 	OwnedShards []int
+}
+
+// shardCount is the one place an EngineOptions.Shards (or a snapshot
+// manifest's) value becomes a shard count: anything below 1 means 1.
+func shardCount(n int) int {
+	if n < 1 {
+		return 1
+	}
+	return n
+}
+
+// indexOptions lowers the build-time engine options onto the index's.
+func (o EngineOptions) indexOptions() index.Options {
+	return index.Options{
+		D:         o.D,
+		UniformPR: o.UniformPageRank,
+		Synonyms:  o.Synonyms,
+		Workers:   o.Workers,
+	}
 }
 
 // SearchOptions configure one query beyond the basic top-k.
@@ -303,13 +307,15 @@ func planInfo(p search.Plan, qs search.QueryStats) PlanInfo {
 }
 
 // Engine answers keyword queries over one graph using prebuilt path
-// indexes. With EngineOptions.Shards > 1 the indexes are partitioned by
-// candidate root and queries run scatter-gather (sh is set, ix is nil).
+// indexes: EngineOptions.Shards >= 1 of them, partitioned by candidate
+// root. How a query runs over one shard or several is the shard layer's
+// business; the engine is the same type with the same surface either way.
 type Engine struct {
 	g  *Graph
-	ix *index.Index
 	sh *shard.Engine
-	o  EngineOptions
+	// o holds the options as the caller gave them (Shards possibly 0);
+	// the shard count in effect is sh.NumShards().
+	o EngineOptions
 
 	// seq is the last write-ahead-log sequence number reflected in this
 	// snapshot (0 when the engine is not attached to a Store, or holds
@@ -324,10 +330,6 @@ type Engine struct {
 	// statistics. See search.PlanCache.
 	plans     *search.PlanCache
 	planEpoch uint64
-
-	blOnce sync.Once // lazy baseline build, safe under concurrent Search
-	bl     *search.BaselineIndex
-	blErr  error
 }
 
 // NewEngine builds the path-pattern indexes (Section 3) for g. Building
@@ -340,33 +342,17 @@ func NewEngine(g *Graph, opts EngineOptions) (*Engine, error) {
 	if opts.D == 0 {
 		opts.D = 3
 	}
-	iopts := index.Options{
-		D:         opts.D,
-		UniformPR: opts.UniformPageRank,
-		Synonyms:  opts.Synonyms,
-		Workers:   opts.Workers,
-	}
-	if opts.Shards > 1 {
-		var sh *shard.Engine
-		var err error
-		if len(opts.OwnedShards) > 0 {
-			sh, err = shard.NewPartialEngine(g.g, opts.Shards, opts.OwnedShards, iopts)
-		} else {
-			sh, err = shard.NewEngine(g.g, opts.Shards, iopts)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("kbtable: %w", err)
-		}
-		return &Engine{g: g, sh: sh, o: opts, plans: search.NewPlanCache(0)}, nil
-	}
+	var sh *shard.Engine
+	var err error
 	if len(opts.OwnedShards) > 0 {
-		return nil, errors.New("kbtable: OwnedShards requires Shards > 1")
+		sh, err = shard.NewPartialEngine(g.g, shardCount(opts.Shards), opts.OwnedShards, opts.indexOptions())
+	} else {
+		sh, err = shard.NewEngine(g.g, shardCount(opts.Shards), opts.indexOptions())
 	}
-	ix, err := index.Build(g.g, iopts)
 	if err != nil {
 		return nil, fmt.Errorf("kbtable: %w", err)
 	}
-	return &Engine{g: g, ix: ix, o: opts, plans: search.NewPlanCache(0)}, nil
+	return &Engine{g: g, sh: sh, o: opts, plans: search.NewPlanCache(0)}, nil
 }
 
 // IndexStats describe the built index (the quantities of Figure 6).
@@ -383,41 +369,28 @@ type IndexStats struct {
 	D             int
 }
 
-// IndexStats returns construction statistics. For a sharded engine the
-// sizes sum across shards and BuildSeconds is the slowest shard (the
-// builds run in parallel).
+// IndexStats returns construction statistics: sizes sum across shards
+// and BuildSeconds is the slowest shard (the builds run in parallel).
 func (e *Engine) IndexStats() IndexStats {
-	if e.sh != nil {
-		out := IndexStats{D: e.o.D}
-		for i := 0; i < e.sh.NumShards(); i++ {
-			ix := e.sh.Index(i)
-			if ix == nil { // unowned shard of a partial engine
-				continue
-			}
-			s := ix.Stats()
-			if bs := s.BuildTime.Seconds(); bs > out.BuildSeconds {
-				out.BuildSeconds = bs
-			}
-			out.Bytes += s.Bytes
-			out.Entries += s.NumEntries
-			out.Patterns += s.NumPatterns
+	out := IndexStats{D: e.sh.D()}
+	for i := 0; i < e.sh.NumShards(); i++ {
+		ix := e.sh.Index(i)
+		if ix == nil { // unowned shard of a partial engine
+			continue
 		}
-		out.SizeMB = float64(out.Bytes) / (1 << 20)
-		if out.Entries > 0 {
-			out.BytesPerEntry = float64(out.Bytes) / float64(out.Entries)
+		s := ix.Stats()
+		if bs := s.BuildTime.Seconds(); bs > out.BuildSeconds {
+			out.BuildSeconds = bs
 		}
-		return out
+		out.Bytes += s.Bytes
+		out.Entries += s.NumEntries
+		out.Patterns += s.NumPatterns
 	}
-	s := e.ix.Stats()
-	return IndexStats{
-		BuildSeconds:  s.BuildTime.Seconds(),
-		Bytes:         s.Bytes,
-		SizeMB:        float64(s.Bytes) / (1 << 20),
-		BytesPerEntry: s.BytesPerEntry(),
-		Entries:       s.NumEntries,
-		Patterns:      s.NumPatterns,
-		D:             s.D,
+	out.SizeMB = float64(out.Bytes) / (1 << 20)
+	if out.Entries > 0 {
+		out.BytesPerEntry = float64(out.Bytes) / float64(out.Entries)
 	}
+	return out
 }
 
 // Answer is one ranked tree pattern rendered as a table.
@@ -495,63 +468,31 @@ func (e *Engine) searchOptions(opts SearchOptions) search.Options {
 // bit-identical to requesting that algorithm explicitly), the statistics
 // the decision was based on, and per-stage timings.
 func (e *Engine) SearchPlan(ctx context.Context, query string, opts SearchOptions) ([]Answer, PlanInfo, error) {
-	so := e.searchOptions(opts)
-	if e.sh != nil {
-		if !e.sh.Complete() {
-			return nil, PlanInfo{}, ErrPartialEngine
-		}
-		algo, err := shardAlgo(opts.Algorithm)
-		if err != nil {
-			return nil, PlanInfo{}, err
-		}
-		var res *shard.Result
-		if plan, hit := e.cachedAutoPlan(query, so, algo == shard.Auto); hit {
-			// Plan-cache hit: skip the per-shard planner probe and scatter
-			// the resolved algorithm directly (answers are bit-identical —
-			// the Auto-equivalence property).
-			res, err = e.sh.SearchWithPlan(ctx, plan, query, so)
-		} else {
-			res, err = e.sh.Search(ctx, algo, query, so)
-			if err == nil && algo == shard.Auto {
-				e.rememberPlanStats(query, res.Plan.Stats)
-			}
-		}
-		if err != nil {
-			return nil, PlanInfo{}, fmt.Errorf("kbtable: %w", err)
-		}
-		return e.shardAnswers(res), planInfo(res.Plan, res.Stats), nil
+	if !e.sh.Complete() {
+		return nil, PlanInfo{}, ErrPartialEngine
 	}
 	algo, err := searchAlgo(opts.Algorithm)
 	if err != nil {
 		return nil, PlanInfo{}, err
 	}
-	ex := search.Executor{Ix: e.ix}
-	if algo == search.AlgoBaseline {
-		if ex.BL, err = e.baseline(); err != nil {
-			return nil, PlanInfo{}, err
-		}
-	}
-	var res *search.Result
+	so := e.searchOptions(opts)
+	var res *shard.Result
 	if plan, hit := e.cachedAutoPlan(query, so, algo == search.AlgoAuto); hit {
-		// Plan-cache hit: execute the resolved algorithm explicitly (its
-		// prepare needs less than a planner probe) and report the cached
-		// auto plan. Bit-identical to resolving via a fresh probe.
-		res, err = ex.Search(ctx, query, plan.Algo, so)
-		if err == nil {
-			res.Plan = plan
-		}
+		// Plan-cache hit: skip the planner probe and execute the resolved
+		// algorithm directly (answers are bit-identical — the
+		// Auto-equivalence property).
+		res, err = e.sh.SearchWithPlan(ctx, plan, query, so)
 	} else {
-		res, err = ex.Search(ctx, query, algo, so)
+		res, err = e.sh.Search(ctx, algo, query, so)
 		if err == nil && algo == search.AlgoAuto {
-			// An Auto execution's plan statistics are exactly a probe's
-			// (the prepare ran with the planner's full needs).
+			// An Auto execution's plan statistics are exactly a probe's.
 			e.rememberPlanStats(query, res.Plan.Stats)
 		}
 	}
 	if err != nil {
 		return nil, PlanInfo{}, fmt.Errorf("kbtable: %w", err)
 	}
-	return e.toAnswers(res), planInfo(res.Plan, res.Stats), nil
+	return e.answers(res), planInfo(res.Plan, res.Stats), nil
 }
 
 // Plan resolves a query's execution plan without running it: the prepare
@@ -571,62 +512,46 @@ func (e *Engine) Plan(ctx context.Context, query string, opts SearchOptions) (Pl
 	return planInfo(search.ChoosePlan(algo, st, so), search.QueryStats{}), nil
 }
 
-// baseline lazily builds the enumeration–aggregation baseline index.
-func (e *Engine) baseline() (*search.BaselineIndex, error) {
-	e.blOnce.Do(func() {
-		e.bl, e.blErr = search.NewBaseline(e.g.g, search.BaselineOptions{
-			D:         e.o.D,
-			UniformPR: e.o.UniformPageRank,
-			Synonyms:  e.o.Synonyms,
-		})
-	})
-	if e.blErr != nil {
-		return nil, fmt.Errorf("kbtable: %w", e.blErr)
-	}
-	return e.bl, nil
-}
-
-func (e *Engine) toAnswers(res *search.Result) []Answer {
-	pt := res.Table // the baseline interns its own patterns per query
-	if pt == nil {
-		pt = e.ix.PatternTable()
-	}
-	out := make([]Answer, 0, len(res.Patterns))
-	for i, rp := range res.Patterns {
-		tab := core.ComposeTable(e.g.g, pt, rp.Pattern, rp.Trees)
-		out = append(out, answerFrom(i, rp, tab, rp.Pattern.Render(e.g.g, pt, res.Stats.Surfaces)))
-	}
-	return out
-}
-
-func (e *Engine) shardAnswers(res *shard.Result) []Answer {
+func (e *Engine) answers(res *shard.Result) []Answer {
 	out := make([]Answer, 0, len(res.Patterns))
 	for i, rp := range res.Patterns {
 		tab := core.ComposeTable(e.g.g, rp.Table, rp.Pattern, rp.Trees)
-		sp := search.RankedPattern{Pattern: rp.Pattern, Agg: rp.Agg, Score: rp.Score}
-		out = append(out, answerFrom(i, sp, tab, rp.Pattern.Render(e.g.g, rp.Table, res.Stats.Surfaces)))
+		a := Answer{
+			Rank:    i + 1,
+			Score:   rp.Score,
+			NumRows: rp.Agg.Count,
+			Pattern: rp.Pattern.Render(e.g.g, rp.Table, res.Stats.Surfaces),
+			Rows:    tab.Rows,
+		}
+		for _, c := range tab.Columns {
+			a.Columns = append(a.Columns, c.Name)
+			a.FullColumns = append(a.FullColumns, c.Full)
+		}
+		out = append(out, a)
 	}
 	return out
 }
 
-// SaveIndex persists the engine's path indexes so future engines over the
-// same graph can skip Algorithm 1 (NewEngineFromIndex). The graph is not
-// included; pair the file with Graph.Save's output. Sharded engines do
-// not support index persistence yet (each shard is a separate index).
+// SaveIndex persists a one-shard engine's path index so future engines
+// over the same graph can skip Algorithm 1 (NewEngineFromIndex). The graph
+// is not included; pair the file with Graph.Save's output. Engines with
+// more shards do not support index files yet (each shard is a separate
+// index); Checkpoint persists those.
 func (e *Engine) SaveIndex(path string) error {
-	if e.sh != nil {
+	if e.sh.NumShards() > 1 {
 		return errors.New("kbtable: sharded engines cannot save indexes yet")
 	}
-	return e.ix.SaveFile(path)
+	return e.sh.Index(0).SaveFile(path)
 }
 
-// NewEngineFromIndex loads previously saved indexes for g instead of
-// rebuilding them. Loading verifies the index matches the graph.
+// NewEngineFromIndex loads a previously saved index for g instead of
+// rebuilding it, as a one-shard engine. Loading verifies the index matches
+// the graph.
 func NewEngineFromIndex(g *Graph, path string, opts EngineOptions) (*Engine, error) {
 	if g == nil {
 		return nil, errors.New("kbtable: nil graph")
 	}
-	if opts.Shards > 1 {
+	if shardCount(opts.Shards) > 1 {
 		return nil, errors.New("kbtable: prebuilt index files are incompatible with sharding; build with NewEngine")
 	}
 	ix, err := index.LoadFile(path, g.g)
@@ -636,10 +561,11 @@ func NewEngineFromIndex(g *Graph, path string, opts EngineOptions) (*Engine, err
 	if opts.D == 0 {
 		opts.D = ix.D()
 	}
-	if opts.D != ix.D() {
-		return nil, fmt.Errorf("kbtable: index was built with D=%d, requested D=%d", ix.D(), opts.D)
+	sh, err := shard.FromParts(g.g, nil, []*index.Index{ix}, nil, opts.indexOptions())
+	if err != nil {
+		return nil, fmt.Errorf("kbtable: %w", err)
 	}
-	return &Engine{g: g, ix: ix, o: opts, plans: search.NewPlanCache(0)}, nil
+	return &Engine{g: g, sh: sh, o: opts, plans: search.NewPlanCache(0)}, nil
 }
 
 // Graph returns the engine's knowledge-graph snapshot.
@@ -648,11 +574,11 @@ func (e *Engine) Graph() *Graph { return e.g }
 // ShardInfo describes the engine's shard layout for monitoring surfaces
 // like kbserve's /healthz.
 type ShardInfo struct {
-	// Count is the number of shards (1 for an unsharded engine).
+	// Count is the number of shards, at least 1.
 	Count int
-	// Epochs, Roots and Entries are per-shard: the shard's update epoch
-	// (how many updates spliced its postings), its live owned roots, and
-	// its index posting count. Nil on unsharded engines.
+	// Epochs, Roots and Entries are per-shard, Count long: the shard's
+	// update epoch (how many updates spliced its postings), its live
+	// owned roots, and its index posting count.
 	Epochs  []uint64
 	Roots   []int
 	Entries []int64
@@ -660,9 +586,6 @@ type ShardInfo struct {
 
 // ShardInfo reports the current shard layout.
 func (e *Engine) ShardInfo() ShardInfo {
-	if e.sh == nil {
-		return ShardInfo{Count: 1}
-	}
 	sts := e.sh.Stats()
 	info := ShardInfo{
 		Count:   e.sh.NumShards(),
@@ -796,8 +719,8 @@ type UpdateResult struct {
 	// answers for ALL queries may be stale, not just TouchedWords'.
 	ScoresRefreshed bool
 	// AffectedShards counts the shards whose postings this update
-	// actually touched (0 on unsharded engines; untouched shards rebind
-	// to the new snapshot without re-enumerating anything).
+	// actually touched (untouched shards rebind to the new snapshot
+	// without re-enumerating anything).
 	AffectedShards int
 	// Elapsed is the wall-clock time of graph apply + index maintenance.
 	Elapsed time.Duration
@@ -889,57 +812,20 @@ func (e *Engine) ApplyUpdate(u Update) (*Engine, UpdateResult, error) {
 		Entities:    ch.New.NumNodes(),
 		Attributes:  ch.New.NumEdges(),
 	}
-	if e.sh != nil {
-		nsh, us, err := e.sh.ApplyDelta(ch)
-		if err != nil {
-			return nil, res, fmt.Errorf("kbtable: %w", err)
-		}
-		ne := &Engine{g: &Graph{g: ch.New}, sh: nsh, o: e.o, seq: e.seq}
-		ne.carryPlanCache(e, us.TouchedWords, us.ScoresRefreshed)
-		res.DirtyRoots = us.DirtyRoots
-		res.EntriesRemoved = us.EntriesRemoved
-		res.EntriesAdded = us.EntriesAdded
-		res.TouchedWords = us.TouchedWords
-		res.ScoresRefreshed = us.ScoresRefreshed
-		res.AffectedShards = us.AffectedShards
-		res.Elapsed = time.Since(start)
-		return ne, res, nil
-	}
-	nix, ds, err := e.ix.ApplyDelta(ch, index.Options{
-		D:         e.o.D,
-		UniformPR: e.o.UniformPageRank,
-		Workers:   e.o.Workers,
-	})
+	nsh, us, err := e.sh.ApplyDelta(ch)
 	if err != nil {
 		return nil, res, fmt.Errorf("kbtable: %w", err)
 	}
-	ne := &Engine{g: &Graph{g: ch.New}, ix: nix, o: e.o, seq: e.seq}
-	ne.carryPlanCache(e, ds.TouchedWords, ds.ScoresRefreshed)
-	res.DirtyRoots = ds.DirtyRoots
-	res.EntriesRemoved = ds.EntriesRemoved
-	res.EntriesAdded = ds.EntriesAdded
-	res.TouchedWords = ds.TouchedWords
-	res.ScoresRefreshed = ds.ScoresRefreshed
+	ne := &Engine{g: &Graph{g: ch.New}, sh: nsh, o: e.o, seq: e.seq}
+	ne.carryPlanCache(e, us.TouchedWords, us.ScoresRefreshed)
+	res.DirtyRoots = us.DirtyRoots
+	res.EntriesRemoved = us.EntriesRemoved
+	res.EntriesAdded = us.EntriesAdded
+	res.TouchedWords = us.TouchedWords
+	res.ScoresRefreshed = us.ScoresRefreshed
+	res.AffectedShards = us.AffectedShards
 	res.Elapsed = time.Since(start)
 	return ne, res, nil
-}
-
-// dict returns the engine's query dictionary. A sharded engine uses shard
-// 0's: every shard tokenizes the full corpus in the same deterministic
-// order, so the dictionaries agree on canonical words.
-func (e *Engine) dict() *text.Dict {
-	if e.sh != nil {
-		return e.sh.AnyIndex().Dict()
-	}
-	return e.ix.Dict()
-}
-
-// resolveIndex returns an index suitable for query-word resolution.
-func (e *Engine) resolveIndex() *index.Index {
-	if e.sh != nil {
-		return e.sh.AnyIndex()
-	}
-	return e.ix
 }
 
 // QueryWords returns the sorted canonical words a query resolves to
@@ -947,7 +833,10 @@ func (e *Engine) resolveIndex() *index.Index {
 // their stem). Matched against UpdateResult.TouchedWords, it tells a
 // cache whether an update could have changed this query's answers.
 func (e *Engine) QueryWords(query string) []string {
-	d := e.dict()
+	// Any resident shard's dictionary serves: every shard tokenizes the
+	// full corpus in the same deterministic order, so they agree on
+	// canonical words.
+	d := e.sh.AnyIndex().Dict()
 	ids, surfaces := d.QueryTokens(query)
 	seen := make(map[string]struct{}, len(ids))
 	out := make([]string, 0, len(ids))
@@ -1022,11 +911,11 @@ type Explanation struct {
 // ExplainBudget bounds the work Explain spends counting patterns.
 const ExplainBudget = 5_000_000
 
-// Explain analyzes a query without ranking answers. On a sharded engine
-// candidate roots and subtrees sum across the shards' disjoint root
-// partitions and patterns are unioned by content.
+// Explain analyzes a query without ranking answers. Candidate roots and
+// subtrees sum across the shards' disjoint root partitions and patterns
+// are unioned by content.
 func (e *Engine) Explain(query string) Explanation {
-	words, surfaces := search.ResolveQuery(e.resolveIndex(), query)
+	words, surfaces := search.ResolveQuery(e.sh.AnyIndex(), query)
 	ex := Explanation{}
 	for i, w := range words {
 		if w < 0 {
@@ -1035,13 +924,8 @@ func (e *Engine) Explain(query string) Explanation {
 			ex.Keywords = append(ex.Keywords, surfaces[i])
 		}
 	}
-	if e.sh != nil {
-		ex.CandidateRoots = e.sh.NumCandidateRoots(query)
-		ex.Patterns, ex.Subtrees, ex.Capped = e.sh.CountAllContent(query, ExplainBudget)
-		return ex
-	}
-	ex.CandidateRoots = search.NumCandidateRoots(e.ix, query)
-	ex.Patterns, ex.Subtrees, ex.Capped = search.CountAllCapped(e.ix, query, ExplainBudget)
+	ex.CandidateRoots = e.sh.NumCandidateRoots(query)
+	ex.Patterns, ex.Subtrees, ex.Capped = e.sh.CountAllContent(query, ExplainBudget)
 	return ex
 }
 
@@ -1064,34 +948,14 @@ func (e *Engine) SearchTrees(query string, k int) ([]TreeAnswer, error) {
 	if k <= 0 {
 		k = 10
 	}
-	type rankedTree struct {
-		tree    core.Subtree
-		pattern core.TreePattern
-		table   *core.PatternTable
-		score   float64
-	}
-	var trees []rankedTree
-	var stats search.QueryStats
-	if e.sh != nil {
-		sts, st := e.sh.TopTrees(query, k, search.Options{})
-		stats = st
-		for _, rt := range sts {
-			trees = append(trees, rankedTree{tree: rt.Tree, pattern: rt.Pattern, table: rt.Table, score: rt.Score})
-		}
-	} else {
-		sts, st := search.TopTrees(e.ix, query, k, search.Options{})
-		stats = st
-		for _, rt := range sts {
-			trees = append(trees, rankedTree{tree: rt.Tree, pattern: rt.Pattern, table: e.ix.PatternTable(), score: rt.Score})
-		}
-	}
+	trees, stats := e.sh.TopTrees(query, k, search.Options{})
 	out := make([]TreeAnswer, 0, len(trees))
 	for i, rt := range trees {
-		tab := core.ComposeTable(e.g.g, rt.table, rt.pattern, []core.Subtree{rt.tree})
+		tab := core.ComposeTable(e.g.g, rt.Table, rt.Pattern, []core.Subtree{rt.Tree})
 		ta := TreeAnswer{
 			Rank:    i + 1,
-			Score:   rt.score,
-			Pattern: rt.pattern.Render(e.g.g, rt.table, stats.Surfaces),
+			Score:   rt.Score,
+			Pattern: rt.Pattern.Render(e.g.g, rt.Table, stats.Surfaces),
 		}
 		for _, c := range tab.Columns {
 			ta.Columns = append(ta.Columns, c.Name)
@@ -1102,19 +966,4 @@ func (e *Engine) SearchTrees(query string, k int) ([]TreeAnswer, error) {
 		out = append(out, ta)
 	}
 	return out, nil
-}
-
-func answerFrom(i int, rp search.RankedPattern, tab core.Table, pattern string) Answer {
-	a := Answer{
-		Rank:    i + 1,
-		Score:   rp.Score,
-		NumRows: rp.Agg.Count,
-		Pattern: pattern,
-		Rows:    tab.Rows,
-	}
-	for _, c := range tab.Columns {
-		a.Columns = append(a.Columns, c.Name)
-		a.FullColumns = append(a.FullColumns, c.Full)
-	}
-	return a
 }

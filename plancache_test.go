@@ -41,14 +41,7 @@ func TestNormalizeQuery(t *testing.T) {
 // cached path must always agree with.
 func probePlanStats(t *testing.T, e *Engine, q string, opts SearchOptions) search.PlanStats {
 	t.Helper()
-	so := e.searchOptions(opts)
-	var st search.PlanStats
-	var err error
-	if e.sh != nil {
-		st, err = e.sh.PlanStats(context.Background(), q, so)
-	} else {
-		st, err = search.PlanProbe(context.Background(), e.ix, q, so)
-	}
+	st, err := e.sh.PlanStats(context.Background(), q, e.searchOptions(opts))
 	if err != nil {
 		t.Fatalf("probe %q: %v", q, err)
 	}

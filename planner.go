@@ -65,13 +65,7 @@ func (e *Engine) planStats(ctx context.Context, query string, so search.Options)
 			return st, nil
 		}
 	}
-	var st search.PlanStats
-	var err error
-	if e.sh != nil {
-		st, err = e.sh.PlanStats(ctx, query, so)
-	} else {
-		st, err = search.PlanProbe(ctx, e.ix, query, so)
-	}
+	st, err := e.sh.PlanStats(ctx, query, so)
 	if err != nil {
 		return search.PlanStats{}, err
 	}
@@ -125,8 +119,7 @@ type PreparedQuery struct {
 	query string
 	opts  SearchOptions
 	so    search.Options
-	sp    *search.Prepared
-	shp   *shard.Prepared
+	prep  *shard.Prepared
 }
 
 // Prepare runs the prepare stage for query and retains its output for
@@ -140,25 +133,15 @@ func (e *Engine) Prepare(query string, opts SearchOptions) (*PreparedQuery, erro
 
 // PrepareContext is Prepare with cancellation.
 func (e *Engine) PrepareContext(ctx context.Context, query string, opts SearchOptions) (*PreparedQuery, error) {
-	p := &PreparedQuery{eng: e, query: query, opts: opts, so: e.searchOptions(opts)}
-	if e.sh != nil {
-		algo, err := shardAlgo(opts.Algorithm)
-		if err != nil {
-			return nil, err
-		}
-		if p.shp, err = e.sh.Prepare(ctx, algo, query, p.so); err != nil {
-			return nil, fmt.Errorf("kbtable: %w", err)
-		}
-		return p, nil
-	}
 	algo, err := searchAlgo(opts.Algorithm)
 	if err != nil {
 		return nil, err
 	}
-	if p.sp, err = search.PrepareQuery(ctx, e.ix, query, algo, p.so); err != nil {
+	pq := &PreparedQuery{eng: e, query: query, opts: opts, so: e.searchOptions(opts)}
+	if pq.prep, err = e.sh.Prepare(ctx, algo, query, pq.so); err != nil {
 		return nil, fmt.Errorf("kbtable: %w", err)
 	}
-	return p, nil
+	return pq, nil
 }
 
 // Query returns the prepared query text.
@@ -170,10 +153,7 @@ func (p *PreparedQuery) Engine() *Engine { return p.eng }
 // Plan resolves the plan the prepared query would execute right now,
 // without executing (stage timings are zero).
 func (p *PreparedQuery) Plan() PlanInfo {
-	if p.shp != nil {
-		return planInfo(p.shp.Plan(p.so), search.QueryStats{})
-	}
-	return planInfo(p.sp.Plan(p.so), search.QueryStats{})
+	return planInfo(p.prep.Plan(p.so), search.QueryStats{})
 }
 
 // Search executes the prepared query with the options captured at
@@ -189,18 +169,11 @@ func (p *PreparedQuery) Search(ctx context.Context) ([]Answer, PlanInfo, error) 
 func (p *PreparedQuery) SearchBias(ctx context.Context, autoBias float64) ([]Answer, PlanInfo, error) {
 	so := p.so
 	so.AutoBias = autoBias
-	if p.shp != nil {
-		res, err := p.eng.sh.SearchPrepared(ctx, p.shp, so)
-		if err != nil {
-			return nil, PlanInfo{}, fmt.Errorf("kbtable: %w", err)
-		}
-		return p.eng.shardAnswers(res), planInfo(res.Plan, res.Stats), nil
-	}
-	res, err := search.ExecutePrepared(ctx, p.eng.ix, p.sp, p.sp.Algo(), so)
+	res, err := p.eng.sh.SearchPrepared(ctx, p.prep, so)
 	if err != nil {
 		return nil, PlanInfo{}, fmt.Errorf("kbtable: %w", err)
 	}
-	return p.eng.toAnswers(res), planInfo(res.Plan, res.Stats), nil
+	return p.eng.answers(res), planInfo(res.Plan, res.Stats), nil
 }
 
 // --- Adaptive planner feedback ----------------------------------------
