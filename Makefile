@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench benchmark-module index-procs fmt vet check cover fuzz golden bench-json bench-plan bench-footprint serve clean ci-local cold-start snapshot-fixture load-soak cluster-soak
+.PHONY: build test race bench benchmark-module index-procs fmt vet check cover fuzz golden loc serve clean ci-local cold-start snapshot-fixture load-soak cluster-soak
 
 build:
 	$(GO) build ./...
@@ -82,12 +82,12 @@ cold-start:
 
 # The serving-path soak (the CI `load-soak` job, shortened): a real
 # kbserve (2 shards, durable, group commit) under ~10s of mixed
-# search/update load from kbload, report folded into BENCH_kbtable.json
-# as serve_latency + group_commit rows. CI runs the same recipe at 30s.
+# search/update load from kbload, which prints its table and fails the
+# target on any error or a p99 over 5s. CI runs the same recipe at 30s.
 LOAD_SOAK_DURATION ?= 10s
 load-soak:
 	KBTABLE_PERF=1 $(GO) test -run TestGroupCommitThroughput -v ./internal/store
-	$(GO) build -o bin/ ./cmd/kbgen ./cmd/kbserve ./cmd/kbload ./cmd/kbbench
+	$(GO) build -o bin/ ./cmd/kbgen ./cmd/kbserve ./cmd/kbload
 	./bin/kbgen -kind wiki -entities 4000 -types 60 -seed 1 -o /tmp/kbload-wiki.kb
 	rm -rf /tmp/kbload-soak-data
 	./bin/kbserve -kb /tmp/kbload-wiki.kb -shards 2 -data-dir /tmp/kbload-soak-data \
@@ -99,8 +99,6 @@ load-soak:
 	  -concurrency 16 -read-ratio 0.85 -entities 4000 -types 60 -seed 1 \
 	  -out kbload-report.json -max-error-rate 0 -max-p99 5s; \
 	status=$$?; kill -TERM $$(cat /tmp/kbload-serve.pid) 2>/dev/null; exit $$status
-	./bin/kbbench -json -bench-entities 2500 -bench-queries 8 \
-	  -load-report kbload-report.json -json-out BENCH_kbtable.json
 
 # The multi-node cluster soak (the CI `cluster-soak` job): coordinator +
 # 2 shard owners + WAL-shipped replica as real processes, kbload through
@@ -121,28 +119,10 @@ snapshot-fixture:
 golden:
 	$(GO) test -run TestGoldenCorpus -update .
 
-# The BENCH trajectory CI uploads as an artifact: shard-scaling ns/op,
-# allocs, and speedup vs the serial engine, plus the planner ablation
-# (PE vs LE vs Auto per corpus), written to BENCH_kbtable.json.
-bench-json:
-	$(GO) run ./cmd/kbbench -json -bench-entities 2500 -bench-queries 8
-
-# The planner-focused run of the same report at a scale where the PE/LE
-# split is visible: compare the auto rows' ns/op and chose_pe/chose_le
-# against the explicit pe/le rows to judge the cost model.
-bench-plan:
-	$(GO) run ./cmd/kbbench -json -bench-entities 4000 -bench-queries 12
-
-# Opt-in scale proof for the wire-v2 footprint win: generate a wiki
-# corpus ~10x the standard bench corpus with kbgen -scale, build its
-# index, and print the index_footprint row (resident B/entry, v2 vs gob
-# snapshot bytes, decode speedup). Takes minutes and a few GB of RAM;
-# not part of check/ci-local.
-FOOTPRINT_KB ?= /tmp/kbtable-footprint-wiki.kb
-bench-footprint:
-	$(GO) build -o bin/ ./cmd/kbgen ./cmd/kbbench
-	./bin/kbgen -kind wiki -entities 2000 -types 40 -seed 1 -scale 10 -o $(FOOTPRINT_KB)
-	./bin/kbbench -footprint $(FOOTPRINT_KB)
+# Non-test Go lines outside benchmark/ — the size every CHANGES.md entry
+# quotes (ROADMAP ground rule iv).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
 # Run the HTTP daemon on the built-in demo knowledge base.
 serve:
@@ -150,4 +130,4 @@ serve:
 
 clean:
 	$(GO) clean ./...
-	rm -rf bin cover.out BENCH_kbtable.json kbload-report.json
+	rm -rf bin cover.out kbload-report.json

@@ -118,16 +118,13 @@ func (e *Engine) SearchDistributed(ctx context.Context, exec ShardExecutor, quer
 	// over scattered statistics equals its choice over a local probe).
 	plan := search.Plan{Algo: algo}
 	if algo == search.AlgoAuto {
-		if cached, hit := e.cachedAutoPlan(query, so, true); hit {
-			plan = cached
-		} else {
-			st, err := e.scatterProbe(ctx, exec, query, opts, so)
-			if err != nil {
-				return nil, PlanInfo{}, err
-			}
-			plan = search.ChoosePlan(search.AlgoAuto, st, so)
-			e.rememberPlanStats(query, st)
+		st, err := e.planStats(query, func() (search.PlanStats, error) {
+			return e.scatterProbe(ctx, exec, query, opts, so)
+		})
+		if err != nil {
+			return nil, PlanInfo{}, err
 		}
+		plan = search.ChoosePlan(search.AlgoAuto, st, so)
 	}
 
 	// The baseline's scatter gathers concrete trees, not per-root
@@ -212,19 +209,11 @@ func (e *Engine) PlanDistributed(ctx context.Context, exec ShardExecutor, query 
 	if err != nil {
 		return PlanInfo{}, err
 	}
-	words := e.QueryWords(query)
-	key := search.PlanCacheKey(words)
-	if e.plans != nil {
-		if st, ok := e.plans.Get(key, e.planEpoch); ok {
-			return planInfo(search.ChoosePlan(algo, st, so), search.QueryStats{}), nil
-		}
-	}
-	st, err := e.scatterProbe(ctx, exec, query, opts, so)
+	st, err := e.planStats(query, func() (search.PlanStats, error) {
+		return e.scatterProbe(ctx, exec, query, opts, so)
+	})
 	if err != nil {
 		return PlanInfo{}, err
-	}
-	if e.plans != nil {
-		e.plans.Put(key, e.planEpoch, st, words)
 	}
 	return planInfo(search.ChoosePlan(algo, st, so), search.QueryStats{}), nil
 }

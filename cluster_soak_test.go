@@ -89,15 +89,11 @@ func runClusterSoak(t *testing.T, serveBin, loadBin string, spec corpusSpec) {
 	defer r0.kill()
 
 	// kbload soak through the coordinator: search-only (the golden
-	// byte-diff below needs the corpus unmodified), with the search
-	// latency row named cluster_scatter so kbbench -compare folds it as
-	// its own op.
-	soakOut := filepath.Join(work, "cluster_soak.json")
+	// byte-diff below needs the corpus unmodified).
 	soak := exec.Command(loadBin,
 		"-addr", coord.base, "-duration", "3s", "-concurrency", "8",
 		"-read-ratio", "1", "-entities", "160", "-types", "12", "-seed", "42",
-		"-k", "5", "-search-op", "cluster_scatter", "-out", soakOut,
-		"-max-error-rate", "0.01")
+		"-k", "5", "-max-error-rate", "0.01")
 	if out, err := soak.CombinedOutput(); err != nil {
 		t.Fatalf("kbload soak: %v\n%s", err, out)
 	}

@@ -7,43 +7,22 @@
 //	kbbench                      # full suite at default scale
 //	kbbench -only fig7,fig11     # selected experiments
 //	kbbench -entities 6000 -perm 10   # smaller/faster
-//	kbbench -json                # shard-scaling trajectory -> BENCH_kbtable.json
 //
-// With -json the paper suite is skipped and the shard-scaling benchmark
-// (query ns/op, allocs, and speedup vs the serial engine for 1/2/4
-// shards) is written to -json-out — the BENCH trajectory CI uploads as an
-// artifact on every run. -load-report FILE additionally grafts a kbload
-// soak report onto the JSON as serve_latency and group_commit rows, so
-// the artifact also records the serving path's latency under load.
-//
-// -compare old.json new.json diffs two BENCH artifacts and exits 1 when
-// any pinned metric regressed more than -threshold (default 25%): the
-// CI bench-regression gate.
-//
-// -footprint FILE.kb builds the index for a saved knowledge base (see
-// cmd/kbgen) and prints its index_footprint row — resident bytes/entry,
-// v2 vs gob snapshot size, and encode/decode timings — so the wire-v2
-// win can be demonstrated on corpora far larger than the checked-in
-// ones (make bench-footprint).
+// How fast the served system is — end to end and layer by layer — is
+// measured by the repo's benchmark, benchmark/ (see benchmark/README.md),
+// not by this command.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
-	"os"
 	"strings"
 	"time"
 
 	"kbtable/internal/bench"
-	"kbtable/internal/index"
-	"kbtable/internal/kg"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("kbbench: ")
 	entities := flag.Int("entities", 12000, "SynthWiki entities")
 	types := flag.Int("types", 120, "SynthWiki types")
 	movies := flag.Int("movies", 6000, "SynthIMDB movies")
@@ -52,66 +31,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed")
 	only := flag.String("only", "", "comma-separated subset: fig6,fig7,fig8,fig9,fig10,expk,fig11,fig12,fig13,case,fig16,ablations")
 	caseQuery := flag.String("case-query", "washington city", "case-study query (Figures 14-15)")
-	jsonBench := flag.Bool("json", false, "run the shard-scaling benchmark and write its JSON report instead of the paper suite")
-	jsonOut := flag.String("json-out", "BENCH_kbtable.json", "output path for -json")
-	benchEntities := flag.Int("bench-entities", 4000, "-json: SynthWiki entities")
-	benchQueries := flag.Int("bench-queries", 12, "-json: workload queries per op")
-	var loadReports []string
-	flag.Func("load-report", "-json: kbload report to ingest as serve_latency/group_commit rows (repeatable; a cluster soak adds its cluster_scatter row alongside the single-node soak's)", func(v string) error {
-		loadReports = append(loadReports, v)
-		return nil
-	})
-	compare := flag.Bool("compare", false, "compare two BENCH json files (args: old.json new.json); exit 1 on regression")
-	threshold := flag.Float64("threshold", bench.DefaultRegressionThreshold, "-compare: fractional regression that fails the gate")
-	footprint := flag.String("footprint", "", "measure the index footprint of a saved knowledge base (kbgen output) and print the row")
-	d := flag.Int("d", 3, "-footprint: index depth bound D")
 	flag.Parse()
-
-	if *compare {
-		runCompare(flag.Args(), *threshold)
-		return
-	}
-
-	if *footprint != "" {
-		runFootprint(*footprint, *d)
-		return
-	}
-
-	if *jsonBench {
-		cfg := bench.ShardBenchConfig{
-			Entities: *benchEntities,
-			Queries:  *benchQueries,
-			K:        *k,
-			Seed:     *seed,
-		}
-		report, err := bench.RunShardBench(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if report.ColdStart, err = runColdStartBench(cfg.WikiGraph()); err != nil {
-			log.Fatal(err)
-		}
-		for _, path := range loadReports {
-			lr, err := bench.ReadLoadReport(path)
-			if err != nil {
-				log.Fatal(err)
-			}
-			report.AttachLoadReport(lr)
-		}
-		fmt.Println(report.String())
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
-		return
-	}
 
 	env := bench.NewEnv(bench.Config{
 		WikiEntities: *entities,
@@ -173,60 +93,4 @@ func main() {
 		show(bench.RunAblations(env)...)
 	}
 	fmt.Printf("suite completed in %v\n", time.Since(start).Round(time.Second))
-}
-
-// runFootprint is the opt-in scale proof behind make bench-footprint:
-// build the index for a saved knowledge base and print its
-// index_footprint row (human line + JSON).
-func runFootprint(path string, d int) {
-	g, err := kg.LoadFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	s := g.Stats()
-	fmt.Printf("corpus %s: %d entities, %d edges; building index (d=%d)...\n", path, s.Nodes, s.Edges, d)
-	ix, err := index.Build(g, index.Options{D: d})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fp, err := bench.IndexFootprint(path, g, ix)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("footprint: %d entries, %.1f B/entry resident, snapshot %.2f MB vs gob %.2f MB (%.0f%% smaller), encode %.0fms, decode %.0fms (%.1fx vs gob, %.1fx vs build)\n",
-		fp.Entries, fp.BytesPerEntry, float64(fp.SnapshotBytes)/(1<<20), float64(fp.GobSnapshotBytes)/(1<<20),
-		fp.ShrinkVsGob*100, fp.EncodeMs, fp.DecodeMs, fp.LoadSpeedupVsGob, fp.LoadSpeedupVsBuild)
-	out, err := json.MarshalIndent(fp, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(string(out))
-}
-
-// runCompare is the bench-regression gate: kbbench -compare old.json
-// new.json. A missing or unreadable baseline is a warning, not a
-// failure — on CI the main-branch artifact may simply not exist yet —
-// but a regression in a pinned metric exits 1.
-func runCompare(args []string, threshold float64) {
-	if len(args) != 2 {
-		log.Fatal("-compare needs exactly two arguments: old.json new.json")
-	}
-	old, err := bench.ReadShardBenchReport(args[0])
-	if err != nil {
-		log.Printf("WARN: no usable baseline (%v); skipping regression gate", err)
-		return
-	}
-	cur, err := bench.ReadShardBenchReport(args[1])
-	if err != nil {
-		log.Fatal(err)
-	}
-	regs := bench.CompareReports(old, cur, threshold)
-	if len(regs) == 0 {
-		fmt.Printf("bench gate: no regression beyond %.0f%% (%s vs %s)\n", threshold*100, args[1], args[0])
-		return
-	}
-	for _, r := range regs {
-		log.Printf("REGRESSION: %s", r)
-	}
-	os.Exit(1)
 }

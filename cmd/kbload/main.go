@@ -2,10 +2,10 @@
 // workload and reports client-observed throughput and latency
 // percentiles per op type, plus the server-side counter deltas
 // (coalescing, load shedding, WAL group commit) scraped from /healthz
-// around the run. It is the serving-path counterpart of kbbench: where
-// kbbench measures the algorithms in-process, kbload measures the HTTP
-// daemon under concurrency — admission control, result-cache reuse, and
-// group-commit batching included.
+// around the run. It is a plain load generator: it prints its table,
+// optionally writes the same numbers as JSON (-out), and gates with its
+// exit code. The repo's benchmark — the numbers a performance claim is
+// made on — is benchmark/ (see benchmark/README.md), not this tool.
 //
 // Queries are regenerated from the same synthetic corpus parameters the
 // server's KB was built with (kbgen -kind wiki -entities N -types T
@@ -40,7 +40,6 @@ import (
 
 	"kbtable"
 	"kbtable/internal/api"
-	"kbtable/internal/bench"
 	"kbtable/internal/client"
 	"kbtable/internal/dataset"
 )
@@ -61,7 +60,6 @@ func main() {
 	algo := flag.String("algo", "", "search algorithm to request (empty = server default)")
 	priority := flag.String("priority", "", "X-KB-Priority header for searches (high, normal, low)")
 	reqTimeout := flag.Duration("timeout", 30*time.Second, "per-request client timeout")
-	searchOp := flag.String("search-op", "search", "op name for the search latency row in the report (cluster soaks use cluster_scatter so kbbench -compare folds them separately)")
 	out := flag.String("out", "", "write the JSON report here (empty = stdout table only)")
 	maxErrRate := flag.Float64("max-error-rate", -1, "exit 1 when errors/requests exceeds this (negative disables)")
 	maxP99 := flag.Duration("max-p99", 0, "exit 1 when any op's p99 exceeds this (0 disables)")
@@ -108,7 +106,7 @@ func main() {
 		log.Printf("post-soak /healthz scrape failed: %v", err)
 	}
 
-	report := buildReport(*addr, *searchOp, wall, *concurrency, *readRatio, results, before, after)
+	report := buildReport(*addr, wall, *concurrency, *readRatio, results, before, after)
 	fmt.Print(report.String())
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -264,8 +262,8 @@ func scrapeHealth(cl *client.Client) (*api.HealthResponse, error) {
 	return h, nil
 }
 
-func buildReport(addr, searchOp string, wall time.Duration, concurrency int, readRatio float64,
-	results []workerStats, before, after *api.HealthResponse) *bench.LoadReport {
+func buildReport(addr string, wall time.Duration, concurrency int, readRatio float64,
+	results []workerStats, before, after *api.HealthResponse) *loadReport {
 	var merged workerStats
 	for _, r := range results {
 		merged.searchLat = append(merged.searchLat, r.searchLat...)
@@ -277,20 +275,20 @@ func buildReport(addr, searchOp string, wall time.Duration, concurrency int, rea
 		merged.searchCoalesced += r.searchCoalesced
 		merged.searchCached += r.searchCached
 	}
-	search := bench.Percentiles(searchOp, merged.searchLat, wall, merged.searchErrs, merged.searchShed)
+	search := percentiles("search", merged.searchLat, wall, merged.searchErrs, merged.searchShed)
 	search.Coalesced = merged.searchCoalesced
 	search.CacheHits = merged.searchCached
-	update := bench.Percentiles("update", merged.updateLat, wall, merged.updateErrs, merged.updateShed)
+	update := percentiles("update", merged.updateLat, wall, merged.updateErrs, merged.updateShed)
 
-	report := &bench.LoadReport{
+	report := &loadReport{
 		Target:      addr,
 		DurationSec: wall.Seconds(),
 		Concurrency: concurrency,
 		ReadRatio:   readRatio,
-		Ops:         []bench.LoadOpStats{search, update},
+		Ops:         []opStats{search, update},
 	}
 	if before != nil && after != nil {
-		sc := bench.LoadServerCounters{
+		sc := serverCounters{
 			Coalesced:        after.Serving.Coalesced - before.Serving.Coalesced,
 			ShedQueueFull:    after.Serving.ShedQueueFull - before.Serving.ShedQueueFull,
 			ShedQueueTimeout: after.Serving.ShedQueueTimeout - before.Serving.ShedQueueTimeout,
@@ -311,7 +309,7 @@ func buildReport(addr, searchOp string, wall time.Duration, concurrency int, rea
 }
 
 // gate applies the -max-error-rate / -max-p99 CI thresholds.
-func gate(r *bench.LoadReport, maxErrRate float64, maxP99 time.Duration) int {
+func gate(r *loadReport, maxErrRate float64, maxP99 time.Duration) int {
 	code := 0
 	var reqs, errs uint64
 	for _, op := range r.Ops {

@@ -191,44 +191,31 @@ func renderGolden(query string, answers []Answer) string {
 
 // goldenVariants are the execution modes that must reproduce the golden
 // bytes exactly. Workers=1 vs 4 pins serial/parallel; Shards pins the
-// scatter-gather engine; all three algorithms are exercised for each, and
-// the staged variants pin the streaming executor (the default) against
-// the staged ablation baseline byte-for-byte.
+// scatter-gather engine; all three algorithms are exercised for each.
 type goldenVariant struct {
 	label   string
 	workers int
 	shards  int
 	algo    Algorithm
-	staged  bool
 }
 
 func goldenVariants() []goldenVariant {
 	return []goldenVariant{
-		{"pe-serial", 1, 0, PatternEnum, false}, // the reference that writes the goldens
-		{"pe-parallel", 4, 0, PatternEnum, false},
-		{"le-serial", 1, 0, LinearEnum, false},
-		{"le-parallel", 4, 0, LinearEnum, false},
-		{"baseline-serial", 1, 0, Baseline, false},
-		{"baseline-parallel", 4, 0, Baseline, false},
-		{"pe-sharded2", 0, 2, PatternEnum, false},
-		{"pe-sharded5", 0, 5, PatternEnum, false},
-		{"le-sharded3", 0, 3, LinearEnum, false},
-		{"baseline-sharded4", 0, 4, Baseline, false},
+		{"pe-serial", 1, 0, PatternEnum}, // the reference that writes the goldens
+		{"pe-parallel", 4, 0, PatternEnum},
+		{"le-serial", 1, 0, LinearEnum},
+		{"le-parallel", 4, 0, LinearEnum},
+		{"baseline-serial", 1, 0, Baseline},
+		{"baseline-parallel", 4, 0, Baseline},
+		{"pe-sharded2", 0, 2, PatternEnum},
+		{"pe-sharded5", 0, 5, PatternEnum},
+		{"le-sharded3", 0, 3, LinearEnum},
+		{"baseline-sharded4", 0, 4, Baseline},
 		// The planner may pick either algorithm per query; whatever it
 		// picks must reproduce the same golden bytes.
-		{"auto-serial", 1, 0, Auto, false},
-		{"auto-parallel", 4, 0, Auto, false},
-		{"auto-sharded3", 0, 3, Auto, false},
-		// The staged baseline must reproduce the streaming goldens across
-		// serial, parallel and sharded execution for every algorithm.
-		{"pe-serial-staged", 1, 0, PatternEnum, true},
-		{"pe-parallel-staged", 4, 0, PatternEnum, true},
-		{"le-serial-staged", 1, 0, LinearEnum, true},
-		{"le-parallel-staged", 4, 0, LinearEnum, true},
-		{"pe-sharded2-staged", 0, 2, PatternEnum, true},
-		{"le-sharded3-staged", 0, 3, LinearEnum, true},
-		{"auto-serial-staged", 1, 0, Auto, true},
-		{"auto-sharded3-staged", 0, 3, Auto, true},
+		{"auto-serial", 1, 0, Auto},
+		{"auto-parallel", 4, 0, Auto},
+		{"auto-sharded3", 0, 3, Auto},
 	}
 }
 
@@ -269,7 +256,7 @@ func TestGoldenCorpus(t *testing.T) {
 				var want string
 				for _, v := range goldenVariants() {
 					answers, err := engineFor(v).SearchOpts(q, SearchOptions{
-						K: goldenK, Algorithm: v.algo, MaxRowsPerTable: goldenRows, Staged: v.staged,
+						K: goldenK, Algorithm: v.algo, MaxRowsPerTable: goldenRows,
 					})
 					if err != nil {
 						t.Fatal(err)

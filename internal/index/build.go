@@ -24,8 +24,7 @@ type wordSim struct {
 
 // flatEntry is the row-oriented construction form of one posting: the DFS
 // emits these, finishWord sorts them and transposes into the columnar
-// wordIndex layout. flatten reverses the transform for delta splicing and
-// for the legacy gob writer.
+// wordIndex layout. flatten reverses the transform for delta splicing.
 type flatEntry struct {
 	pattern core.PatternID
 	root    kg.NodeID

@@ -217,6 +217,25 @@ func TestIndexSizeGrowsWithD(t *testing.T) {
 	}
 }
 
+// TestResidentBytesPerEntry pins the columnar layout's resident cost on
+// the SynthWiki 2000/40 corpus: well under the ~97 B/entry the
+// row-oriented layout measured there (the benchmark's
+// resident_index_bytes_per_entry tracks the same number at its scale).
+func TestResidentBytesPerEntry(t *testing.T) {
+	g := dataset.SynthWiki(dataset.WikiConfig{Entities: 2000, Types: 40, Seed: 1})
+	ix, err := Build(g, Options{D: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := ix.Stats()
+	if st.NumEntries == 0 || st.Bytes == 0 {
+		t.Fatalf("degenerate stats: %+v", st)
+	}
+	if bpe := st.BytesPerEntry(); bpe <= 0 || bpe >= 80 {
+		t.Errorf("resident %.1f B/entry, want under 80", bpe)
+	}
+}
+
 func TestTypeVsTextSimMax(t *testing.T) {
 	// "software" appears in the type "Software" (1 token, sim 1); for the
 	// SQL Server root entry, sim must be 1 even though it is absent from

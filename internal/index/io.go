@@ -2,61 +2,43 @@ package index
 
 import (
 	"bufio"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"time"
 
-	"kbtable/internal/core"
 	"kbtable/internal/kg"
-	"kbtable/internal/text"
 )
 
 // The wire format stores the dictionary, the interned patterns, and the
 // raw posting lists; the pattern-first / root-first group tables are
 // rebuilt on load (they are derived data and sort faster than DFS).
 //
-// WireVersion is the index wire-format version this build writes.
-//
-//   - Versions 0 and 1 are the legacy gob container (version 0 predates
-//     the durable snapshot store; the field simply decodes to zero).
-//   - Version 2 is the binary columnar container of wire2.go:
-//     length-prefixed CRC-32C-framed sections encoded and decoded with
-//     per-word parallelism.
-//
-// Load sniffs the container (v2 files start with the wireMagic bytes,
-// gob streams cannot) and reads all of 0/1/2; Encode always writes the
-// current version and anything newer is refused with a clear error
-// instead of gob soup. Bump WireVersion when the posting layout changes,
-// and regenerate the snapshot fixture (make snapshot-fixture).
+// WireVersion is the index wire-format version this build writes and the
+// only one it reads: the binary columnar container of wire2.go
+// (length-prefixed CRC-32C-framed sections, encoded and decoded with
+// per-word parallelism). A stream that does not start with wireMagic is
+// refused before any decoder sees it — snapshots written before wire v2
+// (the gob container) must be rebuilt with kbindex — and a container
+// claiming a newer version is refused by its header check. Bump
+// WireVersion when the posting layout changes, and regenerate the
+// snapshot fixture (make snapshot-fixture).
 const WireVersion = 2
 
-type entryWire struct {
-	Pattern core.PatternID
-	Root    kg.NodeID
-	EdgeOff int32
-	EdgeLen uint8
-	EdgeEnd bool
-	Len     uint8
-	PR      float64
-	Sim     float64
-}
+// errNotWireV2 is the refusal for a stream without the wire-v2 magic.
+var errNotWireV2 = fmt.Errorf("index: not a wire-v%d index stream (expected magic %q); pre-v2 snapshots are not read, rebuild the index with kbindex", WireVersion, wireMagic)
 
-type wordWire struct {
-	Entries []entryWire
-	EdgeBuf []kg.EdgeID
-}
-
-type indexWire struct {
-	// Version is the wire-format version (see WireVersion).
-	Version  int
-	D        int
-	Dict     text.Snapshot
-	Patterns []core.PathPattern
-	Words    []wordWire
-	// Graph fingerprint: load refuses an index built for a different graph.
-	Nodes, Edges int
+// checkMagic judges the first bytes of a stream and the error reading
+// them returned: a stream that is too short or starts with anything but
+// wireMagic is errNotWireV2; a failed read is reported as itself.
+func checkMagic(head []byte, err error) error {
+	if string(head) == wireMagic {
+		return nil
+	}
+	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("index: read magic: %w", err)
+	}
+	return errNotWireV2
 }
 
 // Encode serializes the index in the current wire format (WireVersion).
@@ -66,142 +48,28 @@ func (ix *Index) Encode(w io.Writer) error {
 	return ix.encodeV2(w)
 }
 
-// EncodeLegacyGob serializes the index in the legacy v1 gob container.
-// Retained so the backward-compat fixture can be regenerated and so the
-// benchmark suite can measure the v2 format against the gob baseline it
-// replaced; new snapshots should use Encode.
-func (ix *Index) EncodeLegacyGob(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := gob.NewEncoder(bw)
-	wire := indexWire{
-		Version:  1,
-		D:        ix.d,
-		Dict:     ix.dict.Snapshot(),
-		Patterns: ix.pt.Snapshot(),
-		Words:    make([]wordWire, len(ix.words)),
-		Nodes:    ix.g.NumNodes(),
-		Edges:    ix.g.NumEdges(),
-	}
-	for i := range ix.words {
-		wi := &ix.words[i]
-		if wi.n == 0 {
-			continue
-		}
-		flat, buf := wi.flatten()
-		ww := wordWire{EdgeBuf: buf}
-		ww.Entries = make([]entryWire, len(flat))
-		for j, e := range flat {
-			ww.Entries[j] = entryWire{
-				Pattern: e.pattern,
-				Root:    e.root,
-				EdgeOff: e.edgeOff,
-				EdgeLen: uint8(e.edgeLen),
-				EdgeEnd: e.edgeEnd,
-				Len:     uint8(e.terms.Len),
-				PR:      e.terms.PR,
-				Sim:     e.terms.Sim,
-			}
-		}
-		wire.Words[i] = ww
-	}
-	if err := enc.Encode(&wire); err != nil {
-		return fmt.Errorf("index: encode: %w", err)
-	}
-	return bw.Flush()
-}
-
-// Load reads an index written by any supported wire version (v2 binary or
-// the legacy v0/v1 gob container) and re-derives the two access views
-// against the supplied graph.
+// Load reads an index written by Encode and re-derives the two access
+// views against the supplied graph. Anything that does not start with the
+// wire-v2 magic fails with an error naming it.
 func Load(r io.Reader, g *kg.Graph) (*Index, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(len(wireMagic))
-	if err == nil && string(head) == wireMagic {
-		return loadV2(br, g)
-	}
-	return loadGob(br, g)
-}
-
-// loadGob reads the legacy v0/v1 gob container.
-func loadGob(br *bufio.Reader, g *kg.Graph) (*Index, error) {
-	start := time.Now()
-	dec := gob.NewDecoder(br)
-	var wire indexWire
-	if err := dec.Decode(&wire); err != nil {
-		return nil, fmt.Errorf("index: decode: %w", err)
-	}
-	if wire.Version > WireVersion {
-		return nil, fmt.Errorf("index: wire-format version %d not supported (this build reads up to %d)", wire.Version, WireVersion)
-	}
-	if wire.Nodes != g.NumNodes() || wire.Edges != g.NumEdges() {
-		return nil, fmt.Errorf("index: built for a graph with %d nodes/%d edges, got %d/%d",
-			wire.Nodes, wire.Edges, g.NumNodes(), g.NumEdges())
-	}
-	if wire.D < 1 {
-		return nil, fmt.Errorf("index: invalid height threshold %d", wire.D)
-	}
-	dict, err := text.FromSnapshot(wire.Dict)
-	if err != nil {
+	if err := checkMagic(br.Peek(len(wireMagic))); err != nil {
 		return nil, err
 	}
-	ix := &Index{
-		g:    g,
-		d:    wire.D,
-		dict: dict,
-		pt:   core.TableFromSnapshot(wire.Patterns),
-	}
-	patRootType := patternRootTypes(ix.pt)
-	ix.words = make([]wordIndex, len(wire.Words))
-	for i := range wire.Words {
-		ww := &wire.Words[i]
-		if len(ww.Entries) == 0 {
-			continue
-		}
-		flat := make([]flatEntry, len(ww.Entries))
-		for j, e := range ww.Entries {
-			if int(e.Pattern) >= ix.pt.Len() || e.Pattern < 0 {
-				return nil, fmt.Errorf("index: entry references unknown pattern %d", e.Pattern)
-			}
-			if int(e.Root) >= g.NumNodes() || e.Root < 0 {
-				return nil, fmt.Errorf("index: entry references node %d out of range", e.Root)
-			}
-			if int(e.EdgeOff)+int(e.EdgeLen) > len(ww.EdgeBuf) || e.EdgeOff < 0 {
-				return nil, fmt.Errorf("index: entry edge range out of bounds")
-			}
-			flat[j] = flatEntry{
-				pattern: e.Pattern,
-				root:    e.Root,
-				edgeOff: e.EdgeOff,
-				edgeLen: int32(e.EdgeLen),
-				edgeEnd: e.EdgeEnd,
-				terms:   core.ScoreTerms{Len: int(e.Len), PR: e.PR, Sim: e.Sim},
-			}
-		}
-		finishWord(&ix.words[i], flat, ww.EdgeBuf, patRootType)
-		ix.stats.NumEntries += int64(len(ww.Entries))
-	}
-	ix.stats.D = wire.D
-	ix.stats.NumPatterns = ix.pt.Len()
-	ix.stats.Bytes = ix.sizeBytes()
-	ix.stats.BuildTime = time.Since(start) // load time; cheaper than DFS
-	return ix, nil
+	return loadV2(br, g)
 }
 
 // SniffWireVersion reports the wire version of an encoded index stream
-// from its first bytes: WireVersion (2) for the binary container, 1 for
-// anything else (the legacy gob container does not distinguish 0 from 1
-// without a full decode). It consumes nothing beyond r's internal
-// buffering. Used by cold-start harnesses to assert which format a
-// recovery actually read.
+// from its first bytes: WireVersion for the binary container, an error
+// for anything else. It consumes nothing beyond the magic. Used by
+// cold-start harnesses to assert which format a recovery actually read.
 func SniffWireVersion(r io.Reader) (int, error) {
 	head := make([]byte, len(wireMagic))
-	if _, err := io.ReadFull(r, head); err != nil {
-		return 0, fmt.Errorf("index: sniff: %w", err)
+	n, err := io.ReadFull(r, head)
+	if err := checkMagic(head[:n], err); err != nil {
+		return 0, err
 	}
-	if string(head) == wireMagic {
-		return WireVersion, nil
-	}
-	return 1, nil
+	return WireVersion, nil
 }
 
 // FileWireVersion is SniffWireVersion over a file.

@@ -121,7 +121,7 @@ func TestIndexLoadRejectsWrongGraph(t *testing.T) {
 
 func TestIndexLoadRejectsGarbage(t *testing.T) {
 	g, _ := dataset.Fig1()
-	if _, err := Load(bytes.NewReader([]byte("not a gob stream")), g); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("not an index stream")), g); err == nil {
 		t.Errorf("garbage input must fail")
 	}
 }

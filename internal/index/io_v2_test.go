@@ -3,21 +3,18 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
-	"flag"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"kbtable/internal/dataset"
 	"kbtable/internal/kg"
 	"kbtable/internal/text"
 )
-
-// updateFixtures regenerates the checked-in wire fixtures:
-//
-//	go test ./internal/index -run TestWireV1GobFixture -update
-var updateFixtures = flag.Bool("update", false, "regenerate testdata fixtures")
 
 // wireCorpora are the round-trip corpora: the paper's Figure 1 plus small
 // instances of both synthetic knowledge bases (distinct type/attribute
@@ -213,11 +210,6 @@ func TestWireV2CorruptionMatrix(t *testing.T) {
 		}
 	}
 
-	mustFail("truncated magic", wire[:2])
-	flipped := append([]byte(nil), wire...)
-	flipped[0] ^= 0xFF // no longer the magic: must not be misread as gob
-	mustFail("flipped magic", flipped)
-
 	for _, f := range frames {
 		label := fmt.Sprintf("section %d", f.id)
 
@@ -236,85 +228,63 @@ func TestWireV2CorruptionMatrix(t *testing.T) {
 	}
 }
 
-// v1FixturePath is a checked-in legacy gob snapshot (written by
-// EncodeLegacyGob, i.e. exactly what a pre-v2 build produced). The
-// backward-compat gate below must keep loading it forever.
+// v1FixturePath is a checked-in legacy gob snapshot, exactly what a
+// pre-v2 build produced. This build has no reader for it: it is kept as
+// the negative input of the refusal test below.
 const v1FixturePath = "testdata/index-v1.gob"
 
-func v1FixtureIndex(t *testing.T) (*Index, *kg.Graph) {
-	t.Helper()
-	g, _ := dataset.Fig1()
-	ix, err := Build(g, Options{D: 3, UniformPR: true, Synonyms: map[string]string{"corp": "company"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ix, g
-}
-
-// TestWireV1GobFixture proves old gob snapshots still load, and load to
-// the same in-memory index a fresh build (or a v2 round trip) produces:
-// deep-equal columnar postings and a byte-identical v2 re-encoding.
+// TestWireV1GobFixture pins what happens to a stream without the wire-v2
+// magic — an old gob snapshot, an empty file, a stream cut inside the
+// magic, a v2 stream with a damaged magic: Load and SniffWireVersion
+// refuse it with the one error that names the expected magic and the
+// remedy, and no decoder runs on the bytes.
 func TestWireV1GobFixture(t *testing.T) {
-	ix, g := v1FixtureIndex(t)
-	if *updateFixtures {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Create(v1FixturePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.EncodeLegacyGob(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := os.ReadFile(v1FixturePath)
-	if err != nil {
-		t.Fatalf("read v1 fixture: %v (regenerate with `go test ./internal/index -run TestWireV1GobFixture -update`)", err)
-	}
-	if v, err := SniffWireVersion(bytes.NewReader(data)); err != nil || v != 1 {
-		t.Fatalf("fixture sniffs as version %d (%v), want 1", v, err)
-	}
-	loaded, err := Load(bytes.NewReader(data), g)
-	if err != nil {
-		t.Fatalf("this build can no longer load a v1 gob snapshot: %v", err)
-	}
-	requireDeepEqualWords(t, "v1-fixture", ix, loaded)
-	diffCanonical(t, "v1-fixture", canonical(loaded), canonical(ix))
-
-	var fresh, reenc bytes.Buffer
-	if err := ix.Encode(&fresh); err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.Encode(&reenc); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fresh.Bytes(), reenc.Bytes()) {
-		t.Fatalf("v2 encoding of the v1-loaded index differs from the fresh build's (%d vs %d bytes)",
-			fresh.Len(), reenc.Len())
-	}
-}
-
-// TestWireV2SmallerThanGob pins the headline footprint claim at test
-// scale: the v2 container must be at least 30%% smaller than the legacy
-// gob container for the same index.
-func TestWireV2SmallerThanGob(t *testing.T) {
-	g := dataset.SynthWiki(dataset.WikiConfig{Entities: 600, Types: 15, AttrVocab: 18, Vocab: 120, Seed: 3})
+	g, _ := dataset.Fig1()
 	ix, err := Build(g, Options{D: 3, UniformPR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v2, gob bytes.Buffer
-	if err := ix.Encode(&v2); err != nil {
+	var buf bytes.Buffer
+	if err := ix.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.EncodeLegacyGob(&gob); err != nil {
-		t.Fatal(err)
+	wire := buf.Bytes()
+	gob, err := os.ReadFile(v1FixturePath)
+	if err != nil {
+		t.Fatalf("read v1 fixture: %v", err)
 	}
-	if v2.Len() >= gob.Len()*7/10 {
-		t.Fatalf("v2 snapshot %d bytes is not >=30%% smaller than gob %d bytes", v2.Len(), gob.Len())
+	flipped := append([]byte(nil), wire...)
+	flipped[0] ^= 0xFF
+
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"v1 gob snapshot", gob},
+		{"empty file", nil},
+		{"truncated magic", wire[:len(wireMagic)-1]},
+		{"flipped magic", flipped},
+	} {
+		if _, err := Load(bytes.NewReader(c.data), g); !errors.Is(err, errNotWireV2) {
+			t.Errorf("%s: Load error = %v, want errNotWireV2", c.name, err)
+		}
+		if v, err := SniffWireVersion(bytes.NewReader(c.data)); !errors.Is(err, errNotWireV2) {
+			t.Errorf("%s: SniffWireVersion = %d, %v, want errNotWireV2", c.name, v, err)
+		}
+	}
+	for _, want := range []string{wireMagic, "kbindex"} {
+		if !strings.Contains(errNotWireV2.Error(), want) {
+			t.Errorf("refusal %q does not mention %q", errNotWireV2, want)
+		}
+	}
+	// A failed read is reported as itself, not as a foreign format.
+	boom := errors.New("boom")
+	if _, err := Load(iotest.ErrReader(boom), g); !errors.Is(err, boom) {
+		t.Errorf("failing reader: Load error = %v, want it to wrap the read error", err)
+	}
+	// A stream cut right after a sound magic is a v2 stream: it fails in
+	// the header frame's own checks, not as a foreign format.
+	if _, err := Load(bytes.NewReader(wire[:len(wireMagic)]), g); err == nil || errors.Is(err, errNotWireV2) {
+		t.Errorf("magic-only stream: Load error = %v, want a v2 header error", err)
 	}
 }

@@ -1,6 +1,5 @@
-// Wire format version 2: a binary columnar container replacing the legacy
-// gob stream. The file is a magic string followed by length-prefixed,
-// CRC-32C-framed sections:
+// Wire format version 2: a binary columnar container. The file is a magic
+// string followed by length-prefixed, CRC-32C-framed sections:
 //
 //	"KBX2"
 //	frame := [section id: 1 byte][payload length: uvarint][payload][CRC-32C(payload): 4 bytes LE]
@@ -31,8 +30,7 @@ import (
 	"kbtable/internal/text"
 )
 
-// wireMagic identifies a v2 index stream; gob streams can never start
-// with these bytes.
+// wireMagic identifies a v2 index stream; Load refuses anything else.
 const wireMagic = "KBX2"
 
 // Section identifiers of the v2 container.

@@ -29,8 +29,7 @@ import (
 //	           with the keyword predicate pushed below pattern expansion
 //	           (both sharded across the worker pool; each enumeration unit
 //	           is scored and offered into a per-worker heap the moment it
-//	           is produced — see stream.go, and Options.Staged for the
-//	           non-pruning ablation baseline).
+//	           is produced — see stream.go).
 //	aggregate  fold the per-worker accumulators — local top-k heaps and
 //	           stat counters — into the global queue (the cross-worker
 //	           half of the canonical two-level root fold; the in-shard

@@ -37,18 +37,6 @@ type dictEntry struct {
 	rootAggs []RootAgg // per-root partials, kept under CollectRootAggs
 }
 
-// LETopKWords is LETopK on pre-resolved keywords.
-func LETopKWords(ix *index.Index, words []text.WordID, surfaces []string, opts Options) *Result {
-	res, _ := LETopKWordsCtx(context.Background(), ix, words, surfaces, opts)
-	return res
-}
-
-// LETopKWordsCtx is LETopKWords with cancellation; it runs the staged
-// executor with the algorithm pinned to LINEARENUM-TOPK.
-func LETopKWordsCtx(ctx context.Context, ix *index.Index, words []text.WordID, surfaces []string, opts Options) (*Result, error) {
-	return ExecuteWords(ctx, ix, words, surfaces, AlgoLE, opts)
-}
-
 // leEnumerate is LINEARENUM-TOPK's enumerate stage over the prepared
 // candidate roots (Algorithm 3 line 1 ran in prepare; lines 2-3's by-type
 // partition too). Root types are sharded across the worker pool configured
@@ -62,24 +50,18 @@ func leEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 	pt := ix.PatternTable()
 	workers := resolveWorkers(o.Workers)
 	ws := newWorkerStates[RankedPattern](workers, o.K)
-	// Streaming mode expands roots through per-worker arena scratch with
-	// the keyword predicate pushed below pattern expansion (leScratch.
-	// fetch); LINEARENUM gets no score pruning — its per-root partials
-	// are lower bounds, so no mid-type cut is sound (stream.go).
-	var scratches []leScratch
-	if !o.Staged {
-		scratches = make([]leScratch, workers)
-	}
+	// Roots expand through per-worker arena scratch with the keyword
+	// predicate pushed below pattern expansion (leScratch.fetch);
+	// LINEARENUM gets no score pruning — its per-root partials are lower
+	// bounds, so no mid-type cut is sound (stream.go).
+	scratches := make([]leScratch, workers)
 	err := runShards(ctx, workers, len(prep.types), func(worker, ti int) {
 		c := prep.types[ti]
 		rc := prep.byType[c]
 		st := &ws[worker].stats
 		ltop := ws[worker].top
 		pc := &pollCancel{ctx: ctx}
-		var sc *leScratch
-		if !o.Staged {
-			sc = &scratches[worker]
-		}
+		sc := &scratches[worker]
 
 		// Line 4: NR = Σ_r Π_i |Paths(wi, r)| without enumeration.
 		nr := prep.typeNR(ix, ti)
@@ -203,42 +185,17 @@ func subtreeCountPoll(ix *index.Index, words []text.WordID, roots []kg.NodeID, p
 // for each, the product of Paths(wi, r, Pi) gives its valid subtrees, which
 // are folded into TreeDict.
 //
-// sc, when non-nil, switches to the streaming fetch: the keyword predicate
-// is evaluated from the run table before anything is materialized, and
-// each keyword's paths arrive in one root-first arena walk — replacing
-// |Patterns(wi, r)| binary-searched fetches and their allocations with the
-// same (pattern, path) sequences, so the fold is bit-identical. A nil sc
-// keeps the original per-pattern fetches (the Options.Staged baseline).
+// sc evaluates the keyword predicate from the run table before anything
+// is materialized, and pulls each keyword's paths in one root-first arena
+// walk, in the (pattern, path) posting order per-pattern PathsRF fetches
+// would produce.
 func expandRoot(ix *index.Index, words []text.WordID, r kg.NodeID, o Options, treeDict map[string]*dictEntry, pc *pollCancel, sc *leScratch) {
 	m := len(words)
-	var patLists [][]core.PatternID
-	var pathLists [][][]pathTerm
-	var choice []core.PatternID
-	var chosenPaths [][]pathTerm
-	var psc *aggScratch
-	if sc != nil {
-		patLists, pathLists = sc.fetch(ix, words, r)
-		if patLists == nil {
-			return // some keyword has no path at r: predicate pushdown
-		}
-		choice, chosenPaths = sc.choice[:m], sc.chosen[:m]
-		psc = &sc.agg
-	} else {
-		patLists = make([][]core.PatternID, m)
-		pathLists = make([][][]pathTerm, m)
-		for i, w := range words {
-			patLists[i] = ix.PatternsAt(w, r)
-			if len(patLists[i]) == 0 {
-				return // not a candidate root for this keyword
-			}
-			pathLists[i] = make([][]pathTerm, len(patLists[i]))
-			for j, p := range patLists[i] {
-				pathLists[i][j] = pathsRF(ix, w, r, p)
-			}
-		}
-		choice = make([]core.PatternID, m)
-		chosenPaths = make([][]pathTerm, m)
+	patLists, pathLists := sc.fetch(ix, words, r)
+	if patLists == nil {
+		return // some keyword has no path at r: predicate pushdown
 	}
+	choice, chosenPaths := sc.choice[:m], sc.chosen[:m]
 
 	var rec func(i int)
 	rec = func(i int) {
@@ -248,7 +205,7 @@ func expandRoot(ix *index.Index, words []text.WordID, r kg.NodeID, o Options, tr
 			// entry, so LE produces the same bits as PE and as the
 			// re-folded shard gather.
 			var local core.PatternScore
-			productPaths(ix.Graph(), chosenPaths, o.RequireTreeShape, r, pc, psc, func(_ []core.Path, terms []core.ScoreTerms) {
+			productPaths(ix.Graph(), chosenPaths, o.RequireTreeShape, r, pc, &sc.agg, func(_ []core.Path, terms []core.ScoreTerms) {
 				local.Add(o.Scorer.Tree(terms))
 			})
 			if local.Count == 0 {

@@ -7,7 +7,6 @@ import (
 	"kbtable/internal/core"
 	"kbtable/internal/index"
 	"kbtable/internal/kg"
-	"kbtable/internal/text"
 )
 
 // PETopK runs PATTERNENUM (Algorithm 2): for each root type C it enumerates
@@ -26,25 +25,13 @@ func PETopKCtx(ctx context.Context, ix *index.Index, query string, opts Options)
 	return Execute(ctx, ix, query, AlgoPE, opts)
 }
 
-// PETopKWords is PETopK on pre-resolved keywords.
-func PETopKWords(ix *index.Index, words []text.WordID, surfaces []string, opts Options) *Result {
-	res, _ := PETopKWordsCtx(context.Background(), ix, words, surfaces, opts)
-	return res
-}
-
-// PETopKWordsCtx is PETopKWords with cancellation; it runs the staged
-// executor with the algorithm pinned to PATTERNENUM.
-func PETopKWordsCtx(ctx context.Context, ix *index.Index, words []text.WordID, surfaces []string, opts Options) (*Result, error) {
-	return ExecuteWords(ctx, ix, words, surfaces, AlgoPE, opts)
-}
-
 // peType is the per-root-type precomputation of Algorithm 2 line 3:
 // PatternsC(wi) and the cached root list per pattern, plus the keyword
 // enumeration order (selective first, so empty prefixes prune the
 // combination tree as early as possible; choice[] stays indexed by the
 // original keyword position, so the output is unchanged). bounds carries
-// the per-pattern posting envelopes the streaming bound pushdown reads;
-// it is only populated when pruning is enabled.
+// the per-pattern posting envelopes the top-k bound pushdown reads; it is
+// only populated when pruning is enabled.
 type peType struct {
 	pats   [][]core.PatternID
 	roots  [][][]kg.NodeID
@@ -52,22 +39,6 @@ type peType struct {
 	order  []int
 }
 
-// peEnumerate is PATTERNENUM's fused enumerate→aggregate walk. The
-// enumeration is sharded by (root type, first path-pattern choice) across
-// the worker pool configured by Options.Workers; every tree pattern is
-// scored entirely inside one shard, so the parallel run returns exactly
-// the serial results. The caller folds the returned per-worker
-// accumulators in the aggregate stage.
-//
-// In streaming mode (the default) each worker scores into a shard-local
-// bounded heap and, once that heap holds K patterns, prunes leaf
-// combinations whose posting-envelope bound (peLeafUB) cannot displace
-// the shard-local k-th score — before any path is fetched. stream.go's
-// package comment argues soundness and determinism; Options.Staged or
-// CollectRootAggs disable the pruning (the shard scatter must surface
-// every pattern). Pruning applies only at leaves: interior prefixes keep
-// the original empty-intersection pruning, so EmptyChecked counts exactly
-// the combinations the staged walk counts.
 // peShard is one unit of PATTERNENUM's enumeration cut: the subtree of
 // combinations under pattern choice j of type t's most selective keyword.
 type peShard struct{ t, j int }
@@ -124,11 +95,26 @@ func pePrelude(ix *index.Index, prep *prepared, pruneOK bool) *peTables {
 	return tb
 }
 
+// peEnumerate is PATTERNENUM's fused enumerate→aggregate walk. The
+// enumeration is sharded by (root type, first path-pattern choice) across
+// the worker pool configured by Options.Workers; every tree pattern is
+// scored entirely inside one shard, so the parallel run returns exactly
+// the serial results. The caller folds the returned per-worker
+// accumulators in the aggregate stage.
+//
+// Each worker scores into a shard-local bounded heap and, once that heap
+// holds K patterns, prunes leaf combinations whose posting-envelope bound
+// (peLeafUB) cannot displace the shard-local k-th score — before any path
+// is fetched. stream.go argues soundness and determinism; CollectRootAggs
+// disables the pruning (the shard scatter must surface every pattern).
+// Pruning applies only at leaves: interior prefixes keep the
+// empty-intersection pruning, so EmptyChecked counts exactly the
+// combinations an unpruned walk counts.
 func peEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options) ([]workerState[RankedPattern], error) {
 	words := prep.words
 	m := len(words)
 	pt := ix.PatternTable()
-	pruneOK := !o.Staged && !o.CollectRootAggs
+	pruneOK := !o.CollectRootAggs
 	tb := prep.peTables(ix, pruneOK)
 	types, shards := tb.types, tb.shards
 
@@ -140,12 +126,8 @@ func peEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 	// Section 4.1; the pruning does not change the output).
 	workers := resolveWorkers(o.Workers)
 	ws := newWorkerStates[RankedPattern](workers, o.K)
-	streaming := !o.Staged
+	scratches := make([]aggScratch, workers)
 	var locals []*core.TopK[RankedPattern]
-	var scratches []aggScratch
-	if streaming {
-		scratches = make([]aggScratch, workers)
-	}
 	if pruneOK {
 		locals = make([]*core.TopK[RankedPattern], workers)
 		for i := range locals {
@@ -157,10 +139,7 @@ func peEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 		tt := &types[sh.t]
 		st := &ws[worker].stats
 		sink := ws[worker].top
-		var sc *aggScratch
-		if streaming {
-			sc = &scratches[worker]
-		}
+		sc := &scratches[worker]
 		if pruneOK {
 			// Score into a fresh shard-local heap (backing array reused
 			// across the worker's shards) so the pruning bound depends only

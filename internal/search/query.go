@@ -81,14 +81,6 @@ type Options struct {
 	// DefaultAutoBias; values > 1 favor PE, values < 1 favor LE. Ignored
 	// for explicit algorithms.
 	AutoBias float64
-	// Staged reverts to the original staged enumerate→aggregate execution:
-	// no top-k bound pushdown, no predicate pushdown below pattern
-	// expansion, and per-(pattern, root) fetch allocations instead of
-	// reused scratch buffers (see stream.go for the streaming pipeline it
-	// disables). Answers are bit-identical either way — only cost differs —
-	// so the flag exists as the ablation baseline the benchmark suite and
-	// the equivalence tests compare streaming against.
-	Staged bool
 }
 
 func (o Options) withDefaults() Options {
@@ -142,8 +134,8 @@ type QueryStats struct {
 	// k-th-score bound discarded before expansion: tree-pattern
 	// combinations (PATTERNENUM) or candidate roots (TopTrees). Pruned
 	// units never reach PatternsFound or EmptyChecked. Always 0 under
-	// Options.Staged, under CollectRootAggs (the shard scatter must
-	// surface every pattern regardless of local rank), and in LINEARENUM
+	// CollectRootAggs (the shard scatter must surface every pattern
+	// regardless of local rank) and in LINEARENUM
 	// (its per-root partial aggregates are lower bounds of the final
 	// pattern scores, so no sound mid-enumeration cut exists).
 	BoundPruned int64
@@ -346,30 +338,20 @@ func pathsRF(ix *index.Index, w text.WordID, r kg.NodeID, p core.PatternID) []pa
 // CollectRootAggs). Every aggregation site in this package uses the same
 // shape.
 //
-// sc, when non-nil, lends the per-keyword list and tuple buffers so the
-// streaming hot path performs zero allocations per (pattern, root); a nil
-// sc keeps the original allocating behavior (the Options.Staged baseline).
+// sc lends the per-keyword list and tuple buffers, so the hot path
+// performs zero allocations per (pattern, root).
 func aggregatePattern(ix *index.Index, words []text.WordID, tp core.TreePattern, roots []kg.NodeID, o Options, pc *pollCancel, sc *aggScratch) (core.PatternScore, int64, []RootAgg) {
 	var agg core.PatternScore
 	var n int64
 	var rootAggs []RootAgg
-	var lists [][]pathTerm
-	if sc != nil {
-		lists = sc.listsFor(len(words))
-	} else {
-		lists = make([][]pathTerm, len(words))
-	}
+	lists := sc.listsFor(len(words))
 	for _, r := range roots {
 		if pc.hit() {
 			break
 		}
 		ok := true
 		for i, w := range words {
-			if sc != nil {
-				lists[i] = appendPathsPF(lists[i][:0], ix, w, tp.Paths[i], r)
-			} else {
-				lists[i] = pathsPF(ix, w, tp.Paths[i], r)
-			}
+			lists[i] = appendPathsPF(lists[i][:0], ix, w, tp.Paths[i], r)
 			if len(lists[i]) == 0 {
 				ok = false
 				break

@@ -36,7 +36,7 @@ func TestAggregateSelectedMatchesPerPatternRescoring(t *testing.T) {
 		roots := intersectSorted(rootLists)
 		treeDict := map[string]*dictEntry{}
 		for _, r := range roots {
-			expandRoot(ix, words, r, o, treeDict, nil, nil)
+			expandRoot(ix, words, r, o, treeDict, nil, &leScratch{})
 		}
 		if len(treeDict) == 0 {
 			continue

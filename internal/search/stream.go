@@ -9,11 +9,11 @@ import (
 	"kbtable/internal/text"
 )
 
-// This file holds the streaming executor's moving parts. Streaming is the
-// default execution mode; Options.Staged reverts to the original staged
-// pipeline as the ablation baseline. The answers are bit-identical either
-// way — the streaming rewrite changes when work happens and how much of
-// it is skipped, never what survives into the top-k:
+// This file holds the streaming executor's moving parts — the one way
+// enumerate runs. Streaming changes when work happens and how much of it
+// is skipped, never what survives into the top-k: stream_test.go compares
+// a bounded run against a run whose heap never fills (K larger than the
+// answer set, so nothing is pruned) and against the baseline. The parts:
 //
 //	lazy enumerate→aggregate  Each enumeration unit (a tree-pattern
 //	    combination in PATTERNENUM, a root expansion in LINEARENUM-TOPK)
@@ -50,11 +50,8 @@ import (
 //	cancellation pushdown  productPaths polls the shard's pollCancel once
 //	    per tuple, so a canceled query aborts inside a combinatorial
 //	    product instead of waiting for the next root or pattern boundary.
-//	    This applies in both modes — it is a correctness fix, not a
-//	    streaming optimization.
 
-// aggScratch is the per-worker buffer set of the streaming PATTERNENUM
-// walk: the per-keyword path-list headers and the product's tuple buffers.
+// aggScratch is the per-worker buffer set of the PATTERNENUM walk: the per-keyword path-list headers and the product's tuple buffers.
 // One instance per worker slot; never shared across goroutines.
 type aggScratch struct {
 	lists [][]pathTerm
@@ -80,7 +77,7 @@ func (sc *aggScratch) tuple(m int) ([]core.Path, []core.ScoreTerms) {
 	return sc.paths[:m], sc.terms[:m]
 }
 
-// leScratch is the per-worker buffer set of the streaming LINEARENUM root
+// leScratch is the per-worker buffer set of the LINEARENUM root
 // expansion: per-keyword pattern lists, path segments, and one pathTerm
 // arena per keyword that a single index.PathsAt walk fills. Segment slices
 // alias the arena, which is pre-sized to the root's exact path count
@@ -99,8 +96,8 @@ type leScratch struct {
 // keyword has no path at r — the predicate is read off the run table
 // before any entry is materialized, so non-candidate roots cost m counter
 // lookups and nothing else. Iteration is in (pattern, path) posting order,
-// the same order the staged per-pattern fetches produce, so downstream
-// folds see identical sequences.
+// the same order per-pattern PathsRF fetches produce, so downstream folds
+// see the sequences the re-scoring pass (aggregateSelected) sees.
 func (sc *leScratch) fetch(ix *index.Index, words []text.WordID, r kg.NodeID) ([][]core.PatternID, [][][]pathTerm) {
 	m := len(words)
 	if len(sc.pats) < m {

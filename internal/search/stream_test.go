@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -16,9 +17,9 @@ import (
 
 // equalRanked asserts two results rank identical patterns with
 // bit-identical scores, aggregates and trees. Work counters are NOT
-// compared: the streaming executor's bound pushdown legitimately skips
-// enumeration units the staged baseline counts (BoundPruned accounts for
-// them), so only the answers must match.
+// compared: the bound pushdown legitimately skips enumeration units an
+// unpruned run counts (BoundPruned accounts for them), so only the
+// answers must match.
 func equalRanked(t *testing.T, label string, ix *index.Index, a, b *Result) {
 	t.Helper()
 	if len(a.Patterns) != len(b.Patterns) {
@@ -45,40 +46,83 @@ func equalRanked(t *testing.T, label string, ix *index.Index, a, b *Result) {
 	}
 }
 
-// TestStreamingMatchesStagedExecutor is the streaming executor's core
-// guarantee: for every algorithm, worker count and query, the streaming
-// default returns bit-identical answers to the Options.Staged baseline.
-// Small K makes the bound pushdown actually fire; the CollectRootAggs
-// round exercises streaming's fetch paths with pruning auto-disabled.
-func TestStreamingMatchesStagedExecutor(t *testing.T) {
+// equalToBaseline asserts res ranks the baseline's patterns in the
+// baseline's order with the same subtree counts and scores. The baseline
+// is an independent implementation (online backward search, its own
+// pattern table, its own fold order), so patterns are matched by content
+// and scores to a relative 1e-9.
+func equalToBaseline(t *testing.T, label string, ix *index.Index, res *Result, bl *BaselineResult) {
+	t.Helper()
+	if len(res.Patterns) != len(bl.Patterns) {
+		t.Fatalf("%s: %d patterns vs baseline's %d", label, len(res.Patterns), len(bl.Patterns))
+	}
+	pt := ix.PatternTable()
+	for i := range res.Patterns {
+		rp, bp := res.Patterns[i], bl.Patterns[i]
+		if rp.Pattern.ContentKey(pt) != bp.Pattern.ContentKey(bl.Table) {
+			t.Errorf("%s: rank %d pattern differs from the baseline's", label, i)
+		}
+		if rp.Agg.Count != bp.Agg.Count {
+			t.Errorf("%s: rank %d aggregates %d subtrees, baseline %d", label, i, rp.Agg.Count, bp.Agg.Count)
+		}
+		if math.Abs(rp.Score-bp.Score) > 1e-9*math.Max(1, math.Abs(bp.Score)) {
+			t.Errorf("%s: rank %d score %v, baseline %v", label, i, rp.Score, bp.Score)
+		}
+	}
+}
+
+// unboundedK is a K no answer set reaches: the top-k heap never fills, so
+// the bound pushdown never has a k-th score to prune against and the run
+// enumerates everything.
+const unboundedK = 1 << 30
+
+// TestBoundPushdownNeverChangesTheAnswer is the streaming executor's core
+// guarantee: for every algorithm, worker count and query, a small-K run —
+// where the bound pushdown fires — returns exactly the first K answers of
+// the same executor's unpruned run, and the answers the independent
+// baseline ranks. The CollectRootAggs round exercises the same fetch
+// paths with pruning switched off by the executor itself.
+func TestBoundPushdownNeverChangesTheAnswer(t *testing.T) {
+	const k = 5
 	for _, tc := range synthCases(t) {
 		ix, err := index.Build(tc.g, index.Options{D: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, algo := range []Algo{AlgoPE, AlgoLE, AlgoAuto} {
-			for _, workers := range []int{1, 4} {
-				for _, collect := range []bool{false, true} {
-					for _, q := range tc.queries {
-						opts := Options{K: 5, Workers: workers, CollectRootAggs: collect}
-						staged := opts
-						staged.Staged = true
-						sres, err := Execute(context.Background(), ix, q, algo, staged)
+		bl, err := NewBaseline(tc.g, BaselineOptions{D: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range tc.queries {
+			want, err := bl.SearchCtx(context.Background(), q, Options{K: k, SkipTrees: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, algo := range []Algo{AlgoPE, AlgoLE, AlgoAuto} {
+				for _, workers := range []int{1, 4} {
+					for _, collect := range []bool{false, true} {
+						opts := Options{K: k, Workers: workers, CollectRootAggs: collect}
+						all := opts
+						all.K = unboundedK
+						full, err := Execute(context.Background(), ix, q, algo, all)
 						if err != nil {
 							t.Fatal(err)
 						}
-						stream, err := Execute(context.Background(), ix, q, algo, opts)
+						topk, err := Execute(context.Background(), ix, q, algo, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
 						label := fmt.Sprintf("%s/%v/w=%d/collect=%v/%q", tc.name, algo, workers, collect, q)
-						equalRanked(t, label, ix, sres, stream)
-						if sres.Stats.BoundPruned != 0 {
-							t.Errorf("%s: staged run reports BoundPruned=%d", label, sres.Stats.BoundPruned)
+						if full.Stats.BoundPruned != 0 {
+							t.Errorf("%s: unbounded run reports BoundPruned=%d", label, full.Stats.BoundPruned)
 						}
-						if collect && stream.Stats.BoundPruned != 0 {
+						if collect && topk.Stats.BoundPruned != 0 {
 							t.Errorf("%s: pruning fired under CollectRootAggs", label)
 						}
+						prefix := *full
+						prefix.Patterns = full.Patterns[:min(k, len(full.Patterns))]
+						equalRanked(t, label, ix, &prefix, topk)
+						equalToBaseline(t, label, ix, topk, want)
 					}
 				}
 			}
@@ -86,30 +130,30 @@ func TestStreamingMatchesStagedExecutor(t *testing.T) {
 	}
 }
 
-// TestStreamingTopTreesMatchesStaged: individual-tree ranking under the
-// streaming per-root bound pushdown returns the staged answers
-// bit-identically, and its TreesFound still reports the full enumerated
-// frontier (pruned roots credit their exact subtree count).
-func TestStreamingTopTreesMatchesStaged(t *testing.T) {
+// TestTopTreesBoundPushdownNeverChangesTheAnswer: individual-tree ranking
+// under the per-root bound pushdown returns exactly the first k trees of
+// its own unpruned run, and its TreesFound still reports the full
+// enumerated frontier (pruned roots credit their exact subtree count).
+func TestTopTreesBoundPushdownNeverChangesTheAnswer(t *testing.T) {
 	for _, tc := range synthCases(t) {
 		ix, err := index.Build(tc.g, index.Options{D: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []int{1, 5} {
-			for _, q := range tc.queries {
-				sTrees, sStats := TopTrees(ix, q, k, Options{Staged: true})
+		for _, q := range tc.queries {
+			full, fullStats := TopTrees(ix, q, unboundedK, Options{})
+			if fullStats.BoundPruned != 0 {
+				t.Errorf("%s/%q: unbounded run reports BoundPruned=%d", tc.name, q, fullStats.BoundPruned)
+			}
+			for _, k := range []int{1, 5} {
 				trees, stats := TopTrees(ix, q, k, Options{})
 				label := fmt.Sprintf("%s/k=%d/%q", tc.name, k, q)
-				if !reflect.DeepEqual(sTrees, trees) {
-					t.Errorf("%s: streaming trees differ from staged", label)
+				if !reflect.DeepEqual(full[:min(k, len(full))], trees) {
+					t.Errorf("%s: top-k trees differ from the unpruned run's first k", label)
 				}
-				if sStats.TreesFound != stats.TreesFound {
-					t.Errorf("%s: TreesFound %d != staged %d (pruned-root credit broken)",
-						label, stats.TreesFound, sStats.TreesFound)
-				}
-				if sStats.BoundPruned != 0 {
-					t.Errorf("%s: staged run reports BoundPruned=%d", label, sStats.BoundPruned)
+				if fullStats.TreesFound != stats.TreesFound {
+					t.Errorf("%s: TreesFound %d != unpruned %d (pruned-root credit broken)",
+						label, stats.TreesFound, fullStats.TreesFound)
 				}
 			}
 		}
@@ -175,16 +219,14 @@ func TestCancellationInsideProduct(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range []Algo{AlgoPE, AlgoLE} {
-		for _, staged := range []bool{false, true} {
-			ctx, cancel := context.WithCancel(context.Background())
-			time.AfterFunc(25*time.Millisecond, cancel)
-			start := time.Now()
-			_, err := Execute(ctx, ix, "alpha beta gamma", algo, Options{K: 5, Workers: 1, Staged: staged})
-			elapsed := time.Since(start)
-			cancel()
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("%v/staged=%v: err = %v, want context.Canceled (after %v)", algo, staged, err, elapsed)
-			}
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(25*time.Millisecond, cancel)
+		start := time.Now()
+		_, err := Execute(ctx, ix, "alpha beta gamma", algo, Options{K: 5, Workers: 1})
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%v: err = %v, want context.Canceled (after %v)", algo, err, elapsed)
 		}
 	}
 }

@@ -40,34 +40,19 @@ func TopTrees(ix *index.Index, query string, k int, opts Options) ([]RankedTree,
 	candidates := intersectSorted(rootLists)
 	stats.CandidateRoots = len(candidates)
 
-	// Streaming mode pulls each root through the arena fetch (leScratch)
-	// and, once the heap is full, skips whole roots whose posting-envelope
-	// bound cannot displace the current k-th tree score — before any path
+	// Each root is pulled through the arena fetch (leScratch) and, once
+	// the heap is full, whole roots whose posting-envelope bound cannot
+	// displace the current k-th tree score are skipped — before any path
 	// is fetched. A pruned root credits TreesFound with its exact subtree
 	// count (Π NumPathsAt), so the counter still reports the full frontier
-	// a staged run enumerates; that bookkeeping is only exact without the
-	// tree-shape filter, so RequireTreeShape disables the pruning. The
+	// an unpruned run enumerates; that bookkeeping is only exact without
+	// the tree-shape filter, so RequireTreeShape disables the pruning. The
 	// heap is the single serial top-k, so pruning decisions are
 	// deterministic, and soundness follows as in stream.go: every tree
 	// under a pruned root scores strictly below k retained trees.
-	streaming := !o.Staged
-	pruneRoots := streaming && !o.RequireTreeShape
+	pruneRoots := !o.RequireTreeShape
 	m := len(words)
-	var sc *leScratch
-	var staged struct {
-		patLists  [][]core.PatternID
-		pathLists [][][]pathTerm
-		choice    []core.PatternID
-		chosen    [][]pathTerm
-	}
-	if streaming {
-		sc = &leScratch{}
-	} else {
-		staged.patLists = make([][]core.PatternID, m)
-		staged.pathLists = make([][][]pathTerm, m)
-		staged.choice = make([]core.PatternID, m)
-		staged.chosen = make([][]pathTerm, m)
-	}
+	sc := &leScratch{}
 	for _, r := range candidates {
 		if pruneRoots && top.Len() >= k {
 			if ub, tuples, ok := rootTreeUB(ix, words, r, o); ok && !top.WouldAccept(ub) {
@@ -76,41 +61,15 @@ func TopTrees(ix *index.Index, query string, k int, opts Options) ([]RankedTree,
 				continue
 			}
 		}
-		var patLists [][]core.PatternID
-		var pathLists [][][]pathTerm
-		var choice []core.PatternID
-		var chosen [][]pathTerm
-		var psc *aggScratch
-		if streaming {
-			patLists, pathLists = sc.fetch(ix, words, r)
-			if patLists == nil {
-				continue // some keyword has no path at r
-			}
-			choice, chosen = sc.choice[:m], sc.chosen[:m]
-			psc = &sc.agg
-		} else {
-			patLists, pathLists = staged.patLists, staged.pathLists
-			choice, chosen = staged.choice, staged.chosen
-			ok := true
-			for i, w := range words {
-				patLists[i] = ix.PatternsAt(w, r)
-				if len(patLists[i]) == 0 {
-					ok = false
-					break
-				}
-				pathLists[i] = make([][]pathTerm, len(patLists[i]))
-				for j, p := range patLists[i] {
-					pathLists[i][j] = pathsRF(ix, w, r, p)
-				}
-			}
-			if !ok {
-				continue
-			}
+		patLists, pathLists := sc.fetch(ix, words, r)
+		if patLists == nil {
+			continue // some keyword has no path at r
 		}
+		choice, chosen := sc.choice[:m], sc.chosen[:m]
 		var rec func(i int)
 		rec = func(i int) {
 			if i == m {
-				productPaths(ix.Graph(), chosen, o.RequireTreeShape, r, nil, psc, func(paths []core.Path, terms []core.ScoreTerms) {
+				productPaths(ix.Graph(), chosen, o.RequireTreeShape, r, nil, &sc.agg, func(paths []core.Path, terms []core.ScoreTerms) {
 					stats.TreesFound++
 					score := o.Scorer.Tree(terms)
 					if !top.WouldAccept(score) {

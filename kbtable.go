@@ -246,11 +246,6 @@ type SearchOptions struct {
 	// frontier). 0 means the default (search.DefaultAutoBias); larger
 	// values favor PatternEnum.
 	AutoBias float64
-	// Staged reverts to the staged (non-streaming) executor: no top-k
-	// bound pushdown, no predicate pushdown, allocating fetches. Answers
-	// are bit-identical to the streaming default — the flag exists as the
-	// ablation baseline for benchmarks and equivalence tests.
-	Staged bool
 }
 
 // PlanInfo reports how a query executed (or, from Plan, would execute):
@@ -458,7 +453,6 @@ func (e *Engine) searchOptions(opts SearchOptions) search.Options {
 		MaxTreesPerPattern: opts.MaxRowsPerTable,
 		Workers:            e.o.Workers,
 		AutoBias:           opts.AutoBias,
-		Staged:             opts.Staged,
 	}
 }
 
@@ -505,7 +499,9 @@ func (e *Engine) Plan(ctx context.Context, query string, opts SearchOptions) (Pl
 	if err != nil {
 		return PlanInfo{}, err
 	}
-	st, err := e.planStats(ctx, query, so)
+	st, err := e.planStats(query, func() (search.PlanStats, error) {
+		return e.sh.PlanStats(ctx, query, so)
+	})
 	if err != nil {
 		return PlanInfo{}, fmt.Errorf("kbtable: %w", err)
 	}

@@ -94,18 +94,22 @@ func TestAutoEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestStreamingMatchesStagedProperty is the facade-level half of the
-// streaming executor's guarantee: on both golden corpora, across
-// unsharded and sharded engines and every algorithm, the streaming
-// default's answers are BYTE-identical — via the same full-fidelity
-// rendering the golden suite pins — to the staged ablation baseline's.
-// Small K makes the top-k bound pushdown actually fire on the unsharded
-// engines (sharded scatters disable it by design).
-func TestStreamingMatchesStagedProperty(t *testing.T) {
+// TestTopKMatchesBaselineProperty is the facade-level half of the
+// streaming executor's guarantee: on both golden corpora, at every shard
+// count and for every index-backed algorithm, the answers are
+// BYTE-identical — via the same full-fidelity rendering the golden suite
+// pins — to the independent Baseline's at the same K on a one-shard
+// engine. Small K makes the top-k bound pushdown actually fire on the
+// one-shard engine (scatters over more shards disable it by design).
+func TestTopKMatchesBaselineProperty(t *testing.T) {
+	queries := map[string][]string{}
+	for _, spec := range goldenCorpora() {
+		queries[spec.name] = spec.queries
+	}
 	for name, g := range autoCorpora(t) {
-		queries := map[string][]string{}
-		for _, spec := range goldenCorpora() {
-			queries[spec.name] = spec.queries
+		oracle, err := NewEngine(g, EngineOptions{D: 3})
+		if err != nil {
+			t.Fatal(err)
 		}
 		for _, shards := range []int{1, 2, 4} {
 			label := fmt.Sprintf("%s/shards=%d", name, shards)
@@ -113,21 +117,22 @@ func TestStreamingMatchesStagedProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, algo := range []Algorithm{PatternEnum, LinearEnum, Auto} {
-				for _, k := range []int{2, 10} {
-					for _, q := range queries[name] {
-						opts := SearchOptions{K: k, Algorithm: algo, MaxRowsPerTable: 6}
-						stream, err := e.SearchContext(context.Background(), q, opts)
+			for _, k := range []int{2, 10} {
+				for _, q := range queries[name] {
+					opts := SearchOptions{K: k, Algorithm: Baseline, MaxRowsPerTable: 6}
+					baseline, err := oracle.SearchContext(context.Background(), q, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := renderGolden(q, baseline)
+					for _, algo := range []Algorithm{PatternEnum, LinearEnum, Auto} {
+						opts.Algorithm = algo
+						answers, err := e.SearchContext(context.Background(), q, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
-						opts.Staged = true
-						staged, err := e.SearchContext(context.Background(), q, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got, want := renderGolden(q, stream), renderGolden(q, staged); got != want {
-							t.Errorf("%s/%v/k=%d/%q: streaming diverges from staged:\n%s",
+						if got := renderGolden(q, answers); got != want {
+							t.Errorf("%s/%v/k=%d/%q: diverges from the baseline:\n%s",
 								label, algo, k, q, diffHint(want, got))
 						}
 					}

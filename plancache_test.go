@@ -48,6 +48,13 @@ func probePlanStats(t *testing.T, e *Engine, q string, opts SearchOptions) searc
 	return st
 }
 
+// cachedPlanStats is the lookup Engine.Plan makes: the plan cache first,
+// the in-process probe on a miss.
+func cachedPlanStats(ctx context.Context, e *Engine, q string, opts SearchOptions) (search.PlanStats, error) {
+	so := e.searchOptions(opts)
+	return e.planStats(q, func() (search.PlanStats, error) { return e.sh.PlanStats(ctx, q, so) })
+}
+
 func corpusQueries(name string) []string {
 	for _, spec := range goldenCorpora() {
 		if spec.name == name {
@@ -82,7 +89,7 @@ func TestPlanCacheInvalidationProperty(t *testing.T) {
 				oldBytes := map[string]string{}
 				oldPrep := map[string]*PreparedQuery{}
 				for _, q := range queries {
-					st, err := e.planStats(ctx, q, e.searchOptions(opts))
+					st, err := cachedPlanStats(ctx, e, q, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -103,7 +110,7 @@ func TestPlanCacheInvalidationProperty(t *testing.T) {
 				}
 				// Repeat lookups on the warm snapshot must hit.
 				pre := e.PlanCacheStats()
-				if _, err := e.planStats(ctx, queries[0], e.searchOptions(opts)); err != nil {
+				if _, err := cachedPlanStats(ctx, e, queries[0], opts); err != nil {
 					t.Fatal(err)
 				}
 				if post := e.PlanCacheStats(); post.Hits <= pre.Hits {
@@ -127,7 +134,7 @@ func TestPlanCacheInvalidationProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, q := range queries {
-					st, err := ne.planStats(ctx, q, ne.searchOptions(opts))
+					st, err := cachedPlanStats(ctx, ne, q, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -204,7 +211,7 @@ func TestPlanCacheWordPreciseInvalidation(t *testing.T) {
 	const touchedQ = "acme widget"
 	const disjointQ = "sql server microsoft"
 	for _, q := range []string{touchedQ, disjointQ} {
-		if _, err := e.planStats(ctx, q, e.searchOptions(opts)); err != nil {
+		if _, err := cachedPlanStats(ctx, e, q, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +246,7 @@ func TestPlanCacheWordPreciseInvalidation(t *testing.T) {
 
 	// The disjoint shape survived the invalidation: hit at the new epoch.
 	pre := ne.PlanCacheStats()
-	if _, err := ne.planStats(ctx, disjointQ, ne.searchOptions(opts)); err != nil {
+	if _, err := cachedPlanStats(ctx, ne, disjointQ, opts); err != nil {
 		t.Fatal(err)
 	}
 	mid := ne.PlanCacheStats()
@@ -247,7 +254,7 @@ func TestPlanCacheWordPreciseInvalidation(t *testing.T) {
 		t.Fatalf("disjoint shape was evicted (hits %d -> %d)", pre.Hits, mid.Hits)
 	}
 	// The touched shape was evicted: its next lookup must re-probe.
-	if _, err := ne.planStats(ctx, touchedQ, ne.searchOptions(opts)); err != nil {
+	if _, err := cachedPlanStats(ctx, ne, touchedQ, opts); err != nil {
 		t.Fatal(err)
 	}
 	if post := ne.PlanCacheStats(); post.Misses != mid.Misses+1 {
@@ -256,7 +263,7 @@ func TestPlanCacheWordPreciseInvalidation(t *testing.T) {
 	// The superseded snapshot is fenced out entirely: even the surviving
 	// disjoint entry is refused to the old epoch.
 	preOld := e.PlanCacheStats()
-	if _, err := e.planStats(ctx, disjointQ, e.searchOptions(opts)); err != nil {
+	if _, err := cachedPlanStats(ctx, e, disjointQ, opts); err != nil {
 		t.Fatal(err)
 	}
 	if post := e.PlanCacheStats(); post.Hits != preOld.Hits {
@@ -275,7 +282,7 @@ func TestPlanCacheFlushOnScoreRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := SearchOptions{K: 5, Algorithm: Auto}
-	if _, err := e.planStats(ctx, "sql server", e.searchOptions(opts)); err != nil {
+	if _, err := cachedPlanStats(ctx, e, "sql server", opts); err != nil {
 		t.Fatal(err)
 	}
 	var u Update
@@ -297,7 +304,7 @@ func TestPlanCacheFlushOnScoreRefresh(t *testing.T) {
 		t.Fatalf("score refresh invalidated nothing: %+v", st)
 	}
 	// Word-disjoint or not, the old entry is gone: the lookup re-probes.
-	if _, err := ne.planStats(ctx, "sql server", ne.searchOptions(opts)); err != nil {
+	if _, err := cachedPlanStats(ctx, ne, "sql server", opts); err != nil {
 		t.Fatal(err)
 	}
 	if post := ne.PlanCacheStats(); post.Misses <= st.Misses {
