@@ -94,7 +94,7 @@ load-soak:
 	  -addr 127.0.0.1:18080 -group-commit-delay 1ms >/tmp/kbload-serve.log 2>&1 & \
 	echo $$! > /tmp/kbload-serve.pid
 	@for i in $$(seq 1 120); do \
-	  curl -fsS http://127.0.0.1:18080/healthz >/dev/null 2>&1 && break; sleep 0.5; done
+	  curl -fsS http://127.0.0.1:18080/v1/healthz >/dev/null 2>&1 && break; sleep 0.5; done
 	./bin/kbload -addr http://127.0.0.1:18080 -duration $(LOAD_SOAK_DURATION) \
 	  -concurrency 16 -read-ratio 0.85 -entities 4000 -types 60 -seed 1 \
 	  -out kbload-report.json -max-error-rate 0 -max-p99 5s; \

@@ -38,7 +38,7 @@ func renderAPISchema() string {
 		fmt.Fprintf(&sb, "  %s\n", c)
 	}
 
-	sb.WriteString("\nendpoints (each also served at its unversioned legacy alias, except /v1/shards, /v1/wal/segments, and the cluster leg endpoints):\n")
+	sb.WriteString("\nendpoints (served under /v1 only; any other path answers 404 not_found):\n")
 	for _, ep := range []string{
 		"POST /v1/search",
 		"POST /v1/prepare",

@@ -186,8 +186,20 @@ func TestPartialEngineGuards(t *testing.T) {
 	if got := part.OwnedShards(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("OwnedShards = %v, want [1]", got)
 	}
-	if _, err := part.Search("taylor", 5); !errors.Is(err, ErrPartialEngine) {
-		t.Fatalf("Search on partial engine: err = %v, want ErrPartialEngine", err)
+	// Every whole-query entry point refuses instead of dereferencing a
+	// non-resident shard (inside a scatter goroutine, for most of them).
+	ctx := context.Background()
+	_, searchErr := part.Search("taylor", 5)
+	_, planErr := part.Plan(ctx, "taylor", SearchOptions{Algorithm: Auto})
+	_, prepErr := part.Prepare("taylor", SearchOptions{K: 5})
+	_, treesErr := part.SearchTrees("taylor", 5)
+	_, explainErr := part.Explain("taylor")
+	for name, err := range map[string]error{
+		"Search": searchErr, "Plan": planErr, "Prepare": prepErr, "SearchTrees": treesErr, "Explain": explainErr,
+	} {
+		if !errors.Is(err, ErrPartialEngine) {
+			t.Errorf("%s on partial engine: err = %v, want ErrPartialEngine", name, err)
+		}
 	}
 	if _, err := part.ScatterShard(context.Background(), 0, PatternEnum, "taylor", SearchOptions{K: 5}); err == nil {
 		t.Fatal("scatter of non-resident shard succeeded")

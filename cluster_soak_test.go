@@ -229,7 +229,7 @@ func shardsV1(t *testing.T, base string) v1ShardsResponse {
 }
 
 // clusterRemoteLegs sums the remote-leg counters from the coordinator's
-// /healthz cluster block.
+// /v1/healthz cluster block.
 func clusterRemoteLegs(t *testing.T, base string) uint64 {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/healthz")
@@ -248,7 +248,7 @@ func clusterRemoteLegs(t *testing.T, base string) uint64 {
 		t.Fatal(err)
 	}
 	if hr.Cluster == nil {
-		t.Fatal("coordinator /healthz has no cluster block")
+		t.Fatal("coordinator /v1/healthz has no cluster block")
 	}
 	var remote uint64
 	for _, n := range hr.Cluster.Nodes {

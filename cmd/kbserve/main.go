@@ -2,7 +2,7 @@
 // search: it loads (or demos) a knowledge base, builds the path-pattern
 // indexes once, and serves queries with parallel execution and an LRU
 // result cache until terminated. The knowledge base stays live: POST
-// /update applies mutations atomically, maintains the indexes
+// /v1/update applies mutations atomically, maintains the indexes
 // incrementally (only the d-neighborhood of the change is re-enumerated),
 // and swaps in the new snapshot without blocking in-flight searches.
 //
@@ -22,7 +22,7 @@
 //	kbserve -kb wiki.kb -data-dir ./data     # durable: WAL + snapshots
 //	kbserve -data-dir ./data                 # restart: recover, no -kb needed
 //	kbserve -demo                            # built-in Figure 1 KB
-//	kbserve -demo -readonly                  # disable POST /update
+//	kbserve -demo -readonly                  # disable POST /v1/update
 //
 // Cluster mode (-role) splits one logical server across processes over
 // the same /v1 API. The coordinator holds the full engine and the WAL,
@@ -36,7 +36,7 @@
 //	kbserve -kb wiki.kb -shards 4 -role replica -node-id r0 \
 //	        -source http://coord:8080
 //
-// Endpoints (under /v1; unversioned aliases remain for one release):
+// Endpoints (all under /v1; any other path answers the 404 envelope):
 //
 //	POST /v1/search  {"query":"database software company revenue","k":5,
 //	                  "algorithm":"patternenum","d":3}
@@ -60,6 +60,7 @@ import (
 	"time"
 
 	"kbtable"
+	"kbtable/internal/api"
 	"kbtable/internal/cluster"
 	"kbtable/internal/serve"
 )
@@ -78,7 +79,7 @@ func main() {
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request search timeout")
 	maxK := flag.Int("max-k", 1000, "largest k a request may ask for")
 	maxRows := flag.Int("max-rows", 50, "default cap on table rows per answer")
-	readOnly := flag.Bool("readonly", false, "disable POST /update (serve a frozen snapshot)")
+	readOnly := flag.Bool("readonly", false, "disable POST /v1/update (serve a frozen snapshot)")
 	defaultAlgo := flag.String("default-algo", "patternenum", "algorithm for requests that omit one: patternenum, linearenum, baseline, or auto (cost-based planner)")
 	dataDir := flag.String("data-dir", "", "durable data directory: WAL-log updates, checkpoint snapshots, recover on restart")
 	ckptEvery := flag.Int("checkpoint-every", 64, "background-checkpoint after this many WAL records accumulate past the last snapshot (negative disables)")
@@ -214,7 +215,7 @@ func main() {
 	info := eng.ShardInfo()
 	log.Printf("shards: %d (roots per shard %v)", info.Count, info.Roots)
 
-	if _, _, err := serve.ParseAlgorithm(*defaultAlgo); err != nil {
+	if _, err := api.ParseAlgorithm(*defaultAlgo); err != nil {
 		log.Fatalf("-default-algo: %v", err)
 	}
 	cfg := serve.Config{
@@ -260,14 +261,14 @@ func main() {
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe(*addr) }()
-	mode := "live updates enabled (POST /update)"
+	mode := "live updates enabled (POST /v1/update)"
 	if *readOnly {
 		mode = "read-only"
 	}
 	if store != nil {
 		mode += fmt.Sprintf(", durable in %s (checkpoint every %d records)", store.Dir(), *ckptEvery)
 	}
-	log.Printf("listening on %s (POST /search, GET /healthz, GET /metrics), %s", *addr, mode)
+	log.Printf("listening on %s (POST /v1/search, GET /v1/healthz, GET /v1/metrics), %s", *addr, mode)
 
 	select {
 	case err := <-errCh:

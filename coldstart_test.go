@@ -175,7 +175,7 @@ func TestColdStartGroupCommitCrash(t *testing.T) {
 				e := u.AddEntity("CrashEntity", fmt.Sprintf("crash w%d i%d", w, i))
 				u.AddTextAttr(e, "Note", fmt.Sprintf("payload %d-%d", w, i))
 				body, _ := json.Marshal(map[string]any{"ops": u.Ops})
-				resp, err := http.Post(crash.base+"/update", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(crash.base+"/v1/update", "application/json", bytes.NewReader(body))
 				if err != nil {
 					return // server killed mid-request
 				}
@@ -284,7 +284,7 @@ type kbProc struct {
 	done chan struct{} // closed when the process exits (Wait returns)
 }
 
-// startKBServe launches kbserve on a fresh port and waits for /healthz.
+// startKBServe launches kbserve on a fresh port and waits for /v1/healthz.
 func startKBServe(t *testing.T, bin string, args ...string) *kbProc {
 	t.Helper()
 	return startKBServeAt(t, bin, freeAddr(t), args...)
@@ -313,7 +313,7 @@ func startKBServeAt(t *testing.T, bin, addr string, args ...string) *kbProc {
 	}()
 	deadline := time.Now().Add(120 * time.Second)
 	for {
-		resp, err := http.Get(p.base + "/healthz")
+		resp, err := http.Get(p.base + "/v1/healthz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
@@ -349,7 +349,7 @@ func (p *kbProc) update(t *testing.T, ops []UpdateOp) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(p.base+"/update", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(p.base+"/v1/update", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("update: %v", err)
 	}
@@ -368,7 +368,7 @@ func (p *kbProc) goldenAnswers(t *testing.T, queries []string) []string {
 	out := make([]string, len(queries))
 	for i, q := range queries {
 		body, _ := json.Marshal(map[string]any{"query": q, "k": goldenK, "max_rows": goldenRows})
-		resp, err := http.Post(p.base+"/search", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(p.base+"/v1/search", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("search %q: %v", q, err)
 		}
@@ -411,7 +411,7 @@ type healthResp struct {
 
 func (p *kbProc) healthz(t *testing.T) healthResp {
 	t.Helper()
-	resp, err := http.Get(p.base + "/healthz")
+	resp, err := http.Get(p.base + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

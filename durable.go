@@ -220,19 +220,13 @@ func (e *Engine) ApplyLogged(s *Store, u Update) (*Engine, UpdateResult, error) 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ne, res, err := e.ApplyUpdate(u)
+	ne, res, commit, err := e.ApplyLoggedAsync(s, u)
 	if err != nil {
 		return nil, res, err
 	}
-	payload, err := json.Marshal(walRecord{Ops: u.Ops})
-	if err != nil {
-		return nil, res, fmt.Errorf("kbtable: encode update for wal: %w", err)
+	if _, err := commit.Wait(); err != nil {
+		return nil, res, err
 	}
-	seq, err := s.s.Append(payload)
-	if err != nil {
-		return nil, res, fmt.Errorf("%w: %v", ErrDurability, err)
-	}
-	ne.seq = seq
 	return ne, res, nil
 }
 

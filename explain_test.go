@@ -8,7 +8,10 @@ func TestExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := eng.Explain("database software company revenue")
+	ex, err := eng.Explain("database software company revenue")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ex.Keywords) != 4 || len(ex.Unknown) != 0 {
 		t.Errorf("keywords wrong: %+v", ex)
 	}
@@ -41,7 +44,10 @@ func TestExplainUnknownWord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := eng.Explain("database quasar")
+	ex, err := eng.Explain("database quasar")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ex.Unknown) != 1 || ex.Unknown[0] != "quasar" {
 		t.Errorf("unknown words wrong: %+v", ex.Unknown)
 	}

@@ -63,7 +63,9 @@ func FuzzSearchNeverPanics(f *testing.F) {
 		if _, err := eng.SearchTrees(q, 3); err != nil {
 			t.Fatalf("SearchTrees(%q): %v", q, err)
 		}
-		_ = eng.Explain(q)
+		if _, err := eng.Explain(q); err != nil {
+			t.Fatalf("Explain(%q): %v", q, err)
+		}
 	})
 }
 

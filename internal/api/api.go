@@ -17,8 +17,8 @@ import (
 )
 
 // Version is the current wire API version, the leading path segment of
-// every endpoint (e.g. /v1/search). Unversioned paths remain aliases of
-// /v1 for one release.
+// every endpoint (e.g. /v1/search). Nothing is served outside it: any
+// other path answers 404 not_found.
 const Version = "v1"
 
 // Stable machine-readable error codes, carried in ErrorBody.Code.
@@ -48,11 +48,12 @@ const (
 	// client went away while it was queued or running.
 	CodeTimeout  = "timeout"
 	CodeCanceled = "canceled"
-	// CodeReadOnly: this server does not accept updates (replica or
-	// -readonly), or the engine cannot apply them.
+	// CodeReadOnly: this server does not accept updates (a follower node
+	// or -readonly).
 	CodeReadOnly = "read_only"
-	// CodeNotImplemented: the engine behind this server lacks the
-	// requested capability (prepared queries, WAL shipping, …).
+	// CodeNotImplemented: this server cannot do what was asked: a whole
+	// query (search, prepare) on an owner node hosting only a slice of the
+	// shard partition, or WAL shipping from a server without a WAL.
 	CodeNotImplemented = "not_implemented"
 	// CodeWALGap: the requested WAL cursor precedes the oldest retained
 	// record (a checkpoint truncated history). The follower must reseed
@@ -148,9 +149,9 @@ type SearchResponse struct {
 	// searches bypass the result cache; Epoch is the handle's).
 	PreparedID string  `json:"prepared_id,omitempty"`
 	ElapsedMS  float64 `json:"elapsed_ms"`
-	// Plan reports the resolved execution plan and per-stage timings
-	// (omitted when the engine does not expose plans). On cache hits the
-	// stage timings are those of the run that populated the entry.
+	// Plan reports the resolved execution plan and per-stage timings.
+	// On cache hits the stage timings are those of the run that populated
+	// the entry.
 	Plan    *PlanOut       `json:"plan,omitempty"`
 	Answers []SearchAnswer `json:"answers"`
 }
@@ -275,9 +276,9 @@ type PlannerHealth struct {
 	// ChosePatternEnum / ChoseLinearEnum split the resolutions.
 	ChosePatternEnum uint64 `json:"chose_patternenum"`
 	ChoseLinearEnum  uint64 `json:"chose_linearenum"`
-	// PlanCache reports the engine chain's plan cache (absent when the
-	// engine does not expose one): repeat query shapes resolve their
-	// Auto plan from cached statistics instead of re-probing.
+	// PlanCache reports the engine chain's plan cache: repeat query
+	// shapes resolve their Auto plan from cached statistics instead of
+	// re-probing.
 	PlanCache *PlanCacheHealth `json:"plan_cache,omitempty"`
 	// AdaptiveBias reports the learned planner bias (absent when
 	// adaptive feedback is off).
@@ -399,8 +400,7 @@ type HealthResponse struct {
 // cluster router reads it at startup and on failover to learn where
 // each shard's legs can run.
 type ShardsResponse struct {
-	// Shards is the total partition size, at least 1 (0 only when the
-	// served engine cannot describe its shards).
+	// Shards is the total partition size, at least 1.
 	Shards int `json:"shards"`
 	// Owned lists the resident shards, ascending. A complete engine
 	// owns all of them.

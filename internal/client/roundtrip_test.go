@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -230,55 +229,6 @@ func TestRoundTripErrorCodes(t *testing.T) {
 	u.AddEntity("Company", "Nope Inc")
 	_, err = roCl.Update(ctx, &api.UpdateRequest{Ops: u.Ops})
 	wantCode(t, err, http.StatusNotImplemented, api.CodeReadOnly)
-}
-
-// TestLegacyAliasParity pins that the unversioned paths answer with the
-// same bytes (modulo timings) as their /v1 twins.
-func TestLegacyAliasParity(t *testing.T) {
-	_, ts := demoServer(t, nil)
-
-	// Error responses are deterministic — compare raw bytes.
-	for _, path := range []string{"/search", "/prepare", "/update"} {
-		var bodies [2]string
-		var statuses [2]int
-		for i, p := range []string{path, "/v1" + path} {
-			req, _ := http.NewRequest(http.MethodGet, ts.URL+p, nil)
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			bodies[i], statuses[i] = string(raw), resp.StatusCode
-		}
-		if bodies[0] != bodies[1] || statuses[0] != statuses[1] {
-			t.Fatalf("%s alias diverges: %d %q vs %d %q", path, statuses[0], bodies[0], statuses[1], bodies[1])
-		}
-	}
-
-	// Success responses: decode and compare after zeroing wall-clock
-	// timings (the only legitimately volatile fields).
-	normalize := func(r *api.SearchResponse) {
-		r.ElapsedMS = 0
-		if r.Plan != nil {
-			r.Plan.PrepareMS, r.Plan.EnumerateMS = 0, 0
-			r.Plan.AggregateMS, r.Plan.RankMS = 0, 0
-		}
-	}
-	var got [2]*api.SearchResponse
-	for i, p := range []string{"/search", "/v1/search"} {
-		resp, err := client.New(ts.URL).Search(context.Background(), &api.SearchRequest{Query: "software company revenue", K: 3})
-		_ = p
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[i] = resp
-	}
-	normalize(got[0])
-	normalize(got[1])
-	if !reflect.DeepEqual(got[0], got[1]) {
-		t.Fatalf("search alias diverges:\n%+v\nvs\n%+v", got[0], got[1])
-	}
 }
 
 // TestWALSegmentsRoundTrip reads shipped WAL records back through the

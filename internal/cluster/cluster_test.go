@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -417,5 +419,99 @@ func TestStaleSeqRefused(t *testing.T) {
 		Shard: 0, Query: "software", K: 5, Seq: 0,
 	}); err != nil {
 		t.Fatalf("matching seq refused: %v", err)
+	}
+}
+
+// TestPartialNodeRefusesWholeQueries pins that an owner node — a partial
+// engine hosting one shard of two — answers whole-query requests with the
+// 501 not_implemented envelope and keeps serving afterwards. Before the
+// guard, "auto" and prepare dereferenced the non-resident shard 1 inside
+// a scatter goroutine, which net/http cannot recover: the process died.
+func TestPartialNodeRefusesWholeQueries(t *testing.T) {
+	eng, err := kbtable.NewEngine(demoGraph(t), kbtable.EngineOptions{D: 3, Shards: 2, OwnedShards: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := NewNode(serve.Config{Engine: eng, D: 3, ReadOnly: true}, "node", "n0")
+	ts := httptest.NewServer(node.Handler())
+	t.Cleanup(ts.Close)
+	cl := client.New(ts.URL)
+	ctx := context.Background()
+
+	for _, algo := range []string{"patternenum", "auto"} {
+		_, err := cl.Search(ctx, &api.SearchRequest{Query: "software revenue", Algorithm: algo})
+		if ae, ok := err.(*client.APIError); !ok || ae.Status != 501 || ae.Code != api.CodeNotImplemented {
+			t.Errorf("search %s on a partial node: %v, want 501 not_implemented", algo, err)
+		}
+	}
+	_, err = cl.Prepare(ctx, &api.PrepareRequest{Query: "software revenue", Algorithm: "auto"})
+	if ae, ok := err.(*client.APIError); !ok || ae.Status != 501 || ae.Code != api.CodeNotImplemented {
+		t.Errorf("prepare on a partial node: %v, want 501 not_implemented", err)
+	}
+	h, err := cl.Health(ctx)
+	if err != nil || h.Status != "ok" {
+		t.Fatalf("healthz after refused queries: %+v, %v", h, err)
+	}
+	if _, err := cl.ProbeShard(ctx, &api.ClusterProbeRequest{Shard: 0, Query: "software", K: 5}); err != nil {
+		t.Fatalf("resident shard leg after refused queries: %v", err)
+	}
+}
+
+// TestRouteTable pins the route table against the endpoint list of the
+// wire-schema golden: every endpoint is served under /v1 (a wrong-method
+// request proves the route exists without needing a valid body), and its
+// unversioned spelling — the aliases PR 10 kept for one release — answers
+// the 404 not_found envelope.
+func TestRouteTable(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "api", "v1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(golden), "\nendpoints")
+	section, _, _ = strings.Cut(section, "\n\n")
+	var endpoints [][2]string // method, path
+	for _, line := range strings.Split(section, "\n")[1:] {
+		f := strings.Fields(line)
+		path, _, _ := strings.Cut(f[1], "?")
+		endpoints = append(endpoints, [2]string{f[0], path})
+	}
+	if len(endpoints) != 9 {
+		t.Fatalf("parsed %d endpoints from the golden, want 9: %v", len(endpoints), endpoints)
+	}
+
+	eng, err := kbtable.NewEngine(demoGraph(t), kbtable.EngineOptions{D: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewNode(serve.Config{Engine: eng, D: 3}, "node", "n0").Handler())
+	t.Cleanup(ts.Close)
+
+	status := func(method, path string) (int, string) {
+		req, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env api.ErrorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&env)
+		return resp.StatusCode, env.Error.Code
+	}
+	for _, ep := range endpoints {
+		method, path := ep[0], ep[1]
+		wrong := http.MethodPost
+		if method == http.MethodPost {
+			wrong = http.MethodGet
+		}
+		if code, errCode := status(wrong, path); code != http.StatusMethodNotAllowed || errCode != api.CodeMethodNotAllowed {
+			t.Errorf("%s %s: %d %q, want 405 method_not_allowed (route missing?)", wrong, path, code, errCode)
+		}
+		unversioned := strings.TrimPrefix(path, "/"+api.Version)
+		if code, errCode := status(method, unversioned); code != http.StatusNotFound || errCode != api.CodeNotFound {
+			t.Errorf("%s %s: %d %q, want 404 not_found", method, unversioned, code, errCode)
+		}
 	}
 }

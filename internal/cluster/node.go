@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -14,13 +13,6 @@ import (
 	"kbtable/internal/client"
 	"kbtable/internal/serve"
 )
-
-// shardLeg is the engine surface a node executes cluster legs against
-// (*kbtable.Engine implements it).
-type shardLeg interface {
-	ProbeShard(ctx context.Context, si int, query string, opts kbtable.SearchOptions) (kbtable.ShardPlanStats, error)
-	ScatterShard(ctx context.Context, si int, algorithm kbtable.Algorithm, query string, opts kbtable.SearchOptions) (*kbtable.ShardPartial, error)
-}
 
 // Node wraps a serve.Server as a cluster member: it adds the
 // coordinator-facing /v1/cluster/probe and /v1/cluster/scatter
@@ -86,69 +78,60 @@ func (n *Node) Handler() http.Handler {
 	return mux
 }
 
-// engine returns the published engine's shard-leg surface.
-func (n *Node) engine() (shardLeg, error) {
-	eng, _ := n.srv.CurrentEngine()
-	leg, ok := eng.(shardLeg)
-	if !ok {
-		return nil, fmt.Errorf("cluster: engine does not expose shard legs")
+// pinned reports whether the node's applied cursor is exactly the WAL
+// sequence a leg is pinned to, answering 409 stale_epoch when it is not:
+// a leg must never compute on a different snapshot than the coordinator
+// gathers on. Callers hold n.mu.
+func (n *Node) pinned(w http.ResponseWriter, seq uint64) bool {
+	if seq != n.cursor {
+		serve.WriteError(w, http.StatusConflict, api.CodeStaleEpoch,
+			fmt.Sprintf("node is at seq %d, leg pinned seq %d", n.cursor, seq))
+		return false
 	}
-	return leg, nil
+	return true
 }
 
 func (n *Node) handleProbe(w http.ResponseWriter, r *http.Request) {
 	var req api.ClusterProbeRequest
-	if !decodeLeg(w, r, &req) {
+	if !serve.DecodePost(w, r, 1<<20, &req) {
 		return
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	if req.Seq != n.cursor {
-		writeClusterError(w, http.StatusConflict, api.CodeStaleEpoch,
-			fmt.Sprintf("node is at seq %d, leg pinned seq %d", n.cursor, req.Seq))
+	if !n.pinned(w, req.Seq) {
 		return
 	}
-	leg, err := n.engine()
+	eng, _ := n.srv.CurrentEngine()
+	stats, err := eng.ProbeShard(r.Context(), req.Shard, req.Query, legOptions(req.K, req.MaxRows, req.AutoBias))
 	if err != nil {
-		writeClusterError(w, http.StatusNotImplemented, api.CodeNotImplemented, err.Error())
+		serve.WriteError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
 		return
 	}
-	stats, err := leg.ProbeShard(r.Context(), req.Shard, req.Query, legOptions(req.K, req.MaxRows, req.AutoBias))
-	if err != nil {
-		writeClusterError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-		return
-	}
-	writeClusterJSON(w, &api.ClusterProbeResponse{Shard: req.Shard, Seq: n.cursor, Stats: stats})
+	serve.WriteJSON(w, http.StatusOK, &api.ClusterProbeResponse{Shard: req.Shard, Seq: n.cursor, Stats: stats})
 }
 
 func (n *Node) handleScatter(w http.ResponseWriter, r *http.Request) {
 	var req api.ClusterScatterRequest
-	if !decodeLeg(w, r, &req) {
+	if !serve.DecodePost(w, r, 1<<20, &req) {
 		return
 	}
 	algo, err := api.ParseAlgorithm(req.Algorithm)
 	if err != nil {
-		writeClusterError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+		serve.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 		return
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	if req.Seq != n.cursor {
-		writeClusterError(w, http.StatusConflict, api.CodeStaleEpoch,
-			fmt.Sprintf("node is at seq %d, leg pinned seq %d", n.cursor, req.Seq))
+	if !n.pinned(w, req.Seq) {
 		return
 	}
-	leg, err := n.engine()
+	eng, _ := n.srv.CurrentEngine()
+	partial, err := eng.ScatterShard(r.Context(), req.Shard, algo, req.Query, legOptions(req.K, req.MaxRows, req.AutoBias))
 	if err != nil {
-		writeClusterError(w, http.StatusNotImplemented, api.CodeNotImplemented, err.Error())
+		serve.WriteError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
 		return
 	}
-	partial, err := leg.ScatterShard(r.Context(), req.Shard, algo, req.Query, legOptions(req.K, req.MaxRows, req.AutoBias))
-	if err != nil {
-		writeClusterError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-		return
-	}
-	writeClusterJSON(w, &api.ClusterScatterResponse{Shard: req.Shard, Seq: n.cursor, Partial: partial})
+	serve.WriteJSON(w, http.StatusOK, &api.ClusterScatterResponse{Shard: req.Shard, Seq: n.cursor, Partial: partial})
 }
 
 // legOptions reconstructs the options a leg runs under. Only the
@@ -273,30 +256,4 @@ func (n *Node) Health() *api.ClusterHealth {
 		ch.Replication = rep
 	}
 	return ch
-}
-
-// decodeLeg validates and decodes a cluster leg request body.
-func decodeLeg(w http.ResponseWriter, r *http.Request, into any) bool {
-	if r.Method != http.MethodPost {
-		writeClusterError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "POST only")
-		return false
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		writeClusterError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: "+err.Error())
-		return false
-	}
-	return true
-}
-
-func writeClusterJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeClusterError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(api.ErrorResponse{Error: api.ErrorBody{Code: code, Message: msg}})
 }

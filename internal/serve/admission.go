@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// Admission control: a bounded concurrency gate in front of /search.
+// Admission control: a bounded concurrency gate in front of /v1/search.
 // At most MaxConcurrent searches execute at once; the next MaxQueue
 // wait in priority order (high before normal before low, FIFO within a
 // class); everything beyond that is shed immediately with 429 so
@@ -62,7 +62,7 @@ type gate struct {
 	queues [numPrios][]*waiter
 	queued int
 
-	// Shed counters (for /healthz and /metrics).
+	// Shed counters (for /v1/healthz and /v1/metrics).
 	shedFull    atomic.Uint64
 	shedTimeout atomic.Uint64
 }

@@ -1,8 +1,8 @@
 // Package serve turns a kbtable engine into a long-running HTTP search
-// service: a JSON POST /search endpoint with per-request timeouts, a
-// POST /update endpoint that applies live knowledge-base mutations with an
+// service: a JSON POST /v1/search endpoint with per-request timeouts, a
+// POST /v1/update endpoint that applies live knowledge-base mutations with an
 // atomic epoch swap (in-flight searches finish on their snapshot), a
-// GET /healthz endpoint, an LRU cache over normalized queries with
+// GET /v1/healthz endpoint, an LRU cache over normalized queries with
 // word-precise invalidation, and graceful shutdown. cmd/kbserve is the
 // daemon entry point.
 package serve

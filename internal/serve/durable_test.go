@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"kbtable"
+	"kbtable/internal/api"
 )
 
 // demoEngine builds a small engine over the Figure 1 knowledge base.
@@ -56,7 +56,7 @@ func postJSON(t *testing.T, h http.Handler, path string, body any, out any) *htt
 
 func getHealth(t *testing.T, h http.Handler) HealthResponse {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/healthz", nil)
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	var hr HealthResponse
@@ -105,7 +105,7 @@ func TestServeDurableUpdateAndRecovery(t *testing.T) {
 	const updates = 5
 	for i := 0; i < updates; i++ {
 		var ur UpdateResponse
-		if w := postJSON(t, h, "/update", addSoftwareOp(fmt.Sprintf("Postgres %d", i)), &ur); w.Code != http.StatusOK {
+		if w := postJSON(t, h, "/v1/update", addSoftwareOp(fmt.Sprintf("Postgres %d", i)), &ur); w.Code != http.StatusOK {
 			t.Fatalf("update %d: %d %s", i, w.Code, w.Body.String())
 		}
 	}
@@ -115,7 +115,7 @@ func TestServeDurableUpdateAndRecovery(t *testing.T) {
 	}
 
 	var live SearchResponse
-	if w := postJSON(t, h, "/search", map[string]any{"query": "software company revenue"}, &live); w.Code != http.StatusOK {
+	if w := postJSON(t, h, "/v1/search", map[string]any{"query": "software company revenue"}, &live); w.Code != http.StatusOK {
 		t.Fatalf("search: %d %s", w.Code, w.Body.String())
 	}
 
@@ -131,7 +131,7 @@ func TestServeDurableUpdateAndRecovery(t *testing.T) {
 	}
 	srv2 := New(Config{Engine: rec, D: 3, Store: st2})
 	var recovered SearchResponse
-	if w := postJSON(t, srv2.Handler(), "/search", map[string]any{"query": "software company revenue"}, &recovered); w.Code != http.StatusOK {
+	if w := postJSON(t, srv2.Handler(), "/v1/search", map[string]any{"query": "software company revenue"}, &recovered); w.Code != http.StatusOK {
 		t.Fatalf("recovered search: %d %s", w.Code, w.Body.String())
 	}
 	la, _ := json.Marshal(live.Answers)
@@ -159,7 +159,7 @@ func TestServeBackgroundCheckpoint(t *testing.T) {
 	h := srv.Handler()
 
 	for i := 0; i < 4; i++ {
-		if w := postJSON(t, h, "/update", addSoftwareOp(fmt.Sprintf("DB %d", i)), nil); w.Code != http.StatusOK {
+		if w := postJSON(t, h, "/v1/update", addSoftwareOp(fmt.Sprintf("DB %d", i)), nil); w.Code != http.StatusOK {
 			t.Fatalf("update %d: %d %s", i, w.Code, w.Body.String())
 		}
 	}
@@ -198,37 +198,53 @@ func TestServeBackgroundCheckpoint(t *testing.T) {
 	}
 }
 
-// TestServeNonDurableEngineIgnoresStore pins that a fake engine without
-// the durable surface still serves updates when a store is configured.
-func TestServeNonDurableEngineIgnoresStore(t *testing.T) {
-	dir := t.TempDir()
-	st, err := kbtable.OpenStore(dir)
+// TestWALSegmentsMaxIsCapped pins the bound on one replication pull: a
+// coordinator keeps its whole WAL, so ?max= above the ceiling must not
+// make one response carry all of it. The reply is cut at the ceiling and
+// More tells the follower to pull again.
+func TestWALSegmentsMaxIsCapped(t *testing.T) {
+	eng := demoEngine(t, 0)
+	st, err := kbtable.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	srv := New(Config{Engine: fakeUpdater{demoEngine(t, 0)}, D: 3, Store: st})
-	h := srv.Handler()
-	if w := postJSON(t, h, "/update", addSoftwareOp("X"), nil); w.Code != http.StatusOK {
-		t.Fatalf("update through fake: %d %s", w.Code, w.Body.String())
+	t.Cleanup(func() { st.Close() })
+	if _, err := eng.Checkpoint(st); err != nil {
+		t.Fatal(err)
 	}
-	if ss := st.Stats(); ss.LastSeq != 0 {
-		t.Fatalf("fake engine logged to the WAL: %+v", ss)
+	// Enqueue the whole chain before waiting, so the records share a
+	// handful of group-committed fsyncs.
+	const records = maxWALPull + 6
+	var last *kbtable.Commit
+	for i := 0; i < records; i++ {
+		var u kbtable.Update
+		u.SetText(0, fmt.Sprintf("SQL Server %d", i))
+		if eng, _, last, err = eng.ApplyLoggedAsync(st, u); err != nil {
+			t.Fatal(err)
+		}
 	}
-	hr := getHealth(t, h)
-	if hr.Durability == nil {
-		t.Fatal("durability block should still render (store is open)")
+	if _, err := last.Wait(); err != nil {
+		t.Fatal(err)
 	}
-}
+	h := New(Config{Engine: eng, D: 3, Store: st, CheckpointEvery: -1}).Handler()
 
-// fakeUpdater hides *kbtable.Engine's durable methods behind a plain
-// Searcher+Updater so the server sees a non-durable engine.
-type fakeUpdater struct{ e *kbtable.Engine }
-
-func (f fakeUpdater) SearchContext(ctx context.Context, query string, opts kbtable.SearchOptions) ([]kbtable.Answer, error) {
-	return f.e.SearchContext(ctx, query, opts)
-}
-
-func (f fakeUpdater) ApplyUpdate(u kbtable.Update) (*kbtable.Engine, kbtable.UpdateResult, error) {
-	return f.e.ApplyUpdate(u)
+	pull := func(query string) api.WALSegmentsResponse {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/wal/segments?"+query, nil))
+		var resp api.WALSegmentsResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK {
+			t.Fatalf("pull %s: %d %v (%.200s)", query, w.Code, err, w.Body.String())
+		}
+		return resp
+	}
+	first := pull("after=0&max=1000000000")
+	if len(first.Records) != maxWALPull || first.LastSeq != maxWALPull || !first.More {
+		t.Fatalf("huge max: %d records, last_seq %d, more %v; want %d, %d, true",
+			len(first.Records), first.LastSeq, first.More, maxWALPull, maxWALPull)
+	}
+	rest := pull(fmt.Sprintf("after=%d&max=1000000000", first.LastSeq))
+	if len(rest.Records) != records-maxWALPull || rest.LastSeq != records || rest.More {
+		t.Fatalf("second pull: %d records, last_seq %d, more %v; want %d, %d, false",
+			len(rest.Records), rest.LastSeq, rest.More, records-maxWALPull, records)
+	}
 }

@@ -19,11 +19,12 @@ import (
 	"kbtable"
 )
 
-// blockingEngine is a Searcher whose executions park on release,
-// counting how many times SearchContext actually ran — the probe for
+// blockingEngine is a real engine whose searches park on release,
+// counting how many times SearchPlan actually ran — the probe for
 // coalescing (it should run once for N identical concurrent queries)
 // and admission control (it holds slots occupied at will).
 type blockingEngine struct {
+	*kbtable.Engine
 	executions atomic.Int64
 	release    chan struct{}
 
@@ -31,7 +32,11 @@ type blockingEngine struct {
 	started []string // queries in execution-start order
 }
 
-func (e *blockingEngine) SearchContext(ctx context.Context, query string, opts kbtable.SearchOptions) ([]kbtable.Answer, error) {
+func newBlockingEngine(t *testing.T) *blockingEngine {
+	return &blockingEngine{Engine: fig1Engine(t), release: make(chan struct{})}
+}
+
+func (e *blockingEngine) SearchPlan(ctx context.Context, query string, opts kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error) {
 	e.executions.Add(1)
 	e.mu.Lock()
 	e.started = append(e.started, query)
@@ -39,12 +44,12 @@ func (e *blockingEngine) SearchContext(ctx context.Context, query string, opts k
 	select {
 	case <-e.release:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, kbtable.PlanInfo{}, ctx.Err()
 	}
 	return []kbtable.Answer{{
 		Rank: 1, Score: 0.5, NumRows: 1, Pattern: "p",
 		Columns: []string{"c"}, Rows: [][]string{{query}},
-	}}, nil
+	}}, kbtable.PlanInfo{Algorithm: opts.Algorithm}, nil
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -66,7 +71,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // answers, and all but the leader are marked coalesced.
 func TestCoalescingSharesExecution(t *testing.T) {
 	const n = 8
-	eng := &blockingEngine{release: make(chan struct{})}
+	eng := newBlockingEngine(t)
 	srv := New(Config{Engine: eng, D: 3, CacheSize: -1})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -83,7 +88,7 @@ func TestCoalescingSharesExecution(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			body, _ := json.Marshal(SearchRequest{Query: "database software", K: 5})
-			resp, err := client.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+			resp, err := client.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Error(err)
 				return
@@ -146,7 +151,7 @@ func TestCoalescingSharesExecution(t *testing.T) {
 // healthz fetches and decodes GET /healthz.
 func healthz(t *testing.T, url string) *HealthResponse {
 	t.Helper()
-	resp, err := http.Get(url + "/healthz")
+	resp, err := http.Get(url + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +168,7 @@ func healthz(t *testing.T, url string) *HealthResponse {
 // rejected 429 with a Retry-After header, and the first two complete
 // normally once the engine unblocks.
 func TestAdmissionShedsWithRetryAfter(t *testing.T) {
-	eng := &blockingEngine{release: make(chan struct{})}
+	eng := newBlockingEngine(t)
 	srv := New(Config{Engine: eng, D: 3, CacheSize: -1, MaxConcurrent: 1, MaxQueue: 1})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -171,7 +176,7 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 
 	post := func(query string) (*http.Response, error) {
 		body, _ := json.Marshal(SearchRequest{Query: query, K: 5})
-		return client.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+		return client.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 	}
 
 	codes := make(chan int, 2)
@@ -223,7 +228,7 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 // TestAdmissionQueueTimeout pins the queue-wait bound: a queued request
 // whose wait exceeds QueueTimeout is shed with 429.
 func TestAdmissionQueueTimeout(t *testing.T) {
-	eng := &blockingEngine{release: make(chan struct{})}
+	eng := newBlockingEngine(t)
 	defer close(eng.release)
 	srv := New(Config{
 		Engine: eng, D: 3, CacheSize: -1,
@@ -235,7 +240,7 @@ func TestAdmissionQueueTimeout(t *testing.T) {
 
 	go func() {
 		body, _ := json.Marshal(SearchRequest{Query: "holds the slot", K: 5})
-		resp, err := client.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+		resp, err := client.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 		if err == nil {
 			resp.Body.Close()
 		}
@@ -246,7 +251,7 @@ func TestAdmissionQueueTimeout(t *testing.T) {
 	})
 
 	body, _ := json.Marshal(SearchRequest{Query: "times out in queue", K: 5})
-	resp, err := client.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+	resp, err := client.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +269,7 @@ func TestAdmissionQueueTimeout(t *testing.T) {
 // slot serves the high-priority one first even though low arrived
 // earlier.
 func TestPriorityOrdersQueue(t *testing.T) {
-	eng := &blockingEngine{release: make(chan struct{})}
+	eng := newBlockingEngine(t)
 	srv := New(Config{Engine: eng, D: 3, CacheSize: -1, MaxConcurrent: 1, MaxQueue: 8})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -272,7 +277,7 @@ func TestPriorityOrdersQueue(t *testing.T) {
 
 	post := func(query, prio string) (*http.Response, error) {
 		body, _ := json.Marshal(SearchRequest{Query: query, K: 5})
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/search", bytes.NewReader(body))
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/search", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		if prio != "" {
 			req.Header.Set("X-KB-Priority", prio)
@@ -347,7 +352,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	u.AddTextAttr(sw, "License", "MIT license")
 	postUpdate(t, ts.URL, UpdateRequest{Ops: u.Ops})
 
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +466,7 @@ func TestPriorityRejectsUnknown(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	body, _ := json.Marshal(SearchRequest{Query: "database", K: 5, Priority: "urgent"})
-	resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 	"kbtable/internal/api"
 )
 
-// GET /metrics: Prometheus text exposition (version 0.0.4), hand-rolled
+// GET /v1/metrics: Prometheus text exposition (version 0.0.4), hand-rolled
 // so the server stays dependency-free. Latency is recorded in HDR-style
 // fixed histograms — enough resolution that a scraper can recover
 // p50/p99/p999 via the standard histogram_quantile estimate — and the
@@ -127,10 +127,10 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.Handler {
 	})
 }
 
-// handleMetrics renders GET /metrics.
+// handleMetrics renders GET /v1/metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "GET only")
 		return
 	}
 	var b bytes.Buffer
@@ -191,21 +191,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# TYPE kbserve_bound_pruned_total counter\n")
 	fmt.Fprintf(&b, "kbserve_bound_pruned_total %d\n", s.boundPruned.Load())
 
-	if pcs, ok := s.cur.Load().eng.(planCacheStatser); ok {
-		if ps := pcs.PlanCacheStats(); ps.Capacity > 0 {
-			fmt.Fprintf(&b, "# HELP kbserve_plan_cache_hits_total Plan-cache hits (planner probes skipped).\n")
-			fmt.Fprintf(&b, "# TYPE kbserve_plan_cache_hits_total counter\n")
-			fmt.Fprintf(&b, "kbserve_plan_cache_hits_total %d\n", ps.Hits)
-			fmt.Fprintf(&b, "# HELP kbserve_plan_cache_misses_total Plan-cache misses (planner probes executed).\n")
-			fmt.Fprintf(&b, "# TYPE kbserve_plan_cache_misses_total counter\n")
-			fmt.Fprintf(&b, "kbserve_plan_cache_misses_total %d\n", ps.Misses)
-			fmt.Fprintf(&b, "# HELP kbserve_plan_cache_invalidated_total Plan-cache entries evicted by updates.\n")
-			fmt.Fprintf(&b, "# TYPE kbserve_plan_cache_invalidated_total counter\n")
-			fmt.Fprintf(&b, "kbserve_plan_cache_invalidated_total %d\n", ps.Invalidated)
-			fmt.Fprintf(&b, "# HELP kbserve_plan_cache_size Plan-cache entries currently resident.\n")
-			fmt.Fprintf(&b, "# TYPE kbserve_plan_cache_size gauge\n")
-			fmt.Fprintf(&b, "kbserve_plan_cache_size %d\n", ps.Size)
-		}
+	if ps := s.cur.Load().eng.PlanCacheStats(); ps.Capacity > 0 {
+		fmt.Fprintf(&b, "# HELP kbserve_plan_cache_hits_total Plan-cache hits (planner probes skipped).\n")
+		fmt.Fprintf(&b, "# TYPE kbserve_plan_cache_hits_total counter\n")
+		fmt.Fprintf(&b, "kbserve_plan_cache_hits_total %d\n", ps.Hits)
+		fmt.Fprintf(&b, "# HELP kbserve_plan_cache_misses_total Plan-cache misses (planner probes executed).\n")
+		fmt.Fprintf(&b, "# TYPE kbserve_plan_cache_misses_total counter\n")
+		fmt.Fprintf(&b, "kbserve_plan_cache_misses_total %d\n", ps.Misses)
+		fmt.Fprintf(&b, "# HELP kbserve_plan_cache_invalidated_total Plan-cache entries evicted by updates.\n")
+		fmt.Fprintf(&b, "# TYPE kbserve_plan_cache_invalidated_total counter\n")
+		fmt.Fprintf(&b, "kbserve_plan_cache_invalidated_total %d\n", ps.Invalidated)
+		fmt.Fprintf(&b, "# HELP kbserve_plan_cache_size Plan-cache entries currently resident.\n")
+		fmt.Fprintf(&b, "# TYPE kbserve_plan_cache_size gauge\n")
+		fmt.Fprintf(&b, "kbserve_plan_cache_size %d\n", ps.Size)
 	}
 
 	fmt.Fprintf(&b, "# HELP kbserve_prepared_total Prepared-query events: handles created, executions served, handles expired by epoch swaps.\n")

@@ -1,14 +1,11 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
-
-	"kbtable"
 )
 
 // newHTTPServer wraps a configured Server in an httptest listener.
@@ -17,17 +14,6 @@ func newHTTPServer(t *testing.T, srv *Server) *httptest.Server {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts
-}
-
-// stubSearcher is a bare Searcher (no planner surface): it records the
-// algorithm it was asked for and answers nothing.
-type stubSearcher struct {
-	got kbtable.Algorithm
-}
-
-func (s *stubSearcher) SearchContext(ctx context.Context, query string, opts kbtable.SearchOptions) ([]kbtable.Answer, error) {
-	s.got = opts.Algorithm
-	return nil, nil
 }
 
 // TestSearchAutoOnWire: "auto" requests succeed, report the resolved
@@ -177,7 +163,7 @@ func TestHealthzPlannerCounters(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		postSearch(t, ts.URL, SearchRequest{Query: "software company", Algorithm: "auto"})
 	}
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,27 +196,5 @@ func TestDefaultAlgorithmConfig(t *testing.T) {
 	}
 	if srv.autoRequests.Load() != 1 {
 		t.Errorf("auto_requests = %d, want 1", srv.autoRequests.Load())
-	}
-}
-
-// TestAutoWithoutPlanner: a bare Searcher engine (no Plan/SearchPlan)
-// still serves "auto" requests — passed through to the engine, keyed
-// under "auto", no plan attached.
-func TestAutoWithoutPlanner(t *testing.T) {
-	eng := &stubSearcher{}
-	srv := New(Config{Engine: eng, D: 3})
-	ts := newHTTPServer(t, srv)
-	resp, sr := postSearch(t, ts.URL, SearchRequest{Query: "anything", Algorithm: "auto"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if sr.Algorithm != "auto" {
-		t.Errorf("algorithm = %q, want auto (no planner to resolve it)", sr.Algorithm)
-	}
-	if sr.Plan != nil {
-		t.Errorf("planless engine attached a plan: %+v", sr.Plan)
-	}
-	if eng.got != kbtable.Auto {
-		t.Errorf("engine saw algorithm %v, want Auto", eng.got)
 	}
 }

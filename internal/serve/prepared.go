@@ -1,0 +1,179 @@
+package serve
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"time"
+
+	"kbtable"
+	"kbtable/internal/api"
+)
+
+// preparedHandle is one registered prepared query: the normalized
+// request captured at prepare time, the engine-level handle, and the
+// epoch it is bound to. Handles are invalidated wholesale on every epoch
+// swap — a prepared execution must answer from the snapshot the client
+// prepared against or not at all (410 Gone, re-prepare).
+type preparedHandle struct {
+	id    string
+	epoch uint64
+	req   SearchRequest // normalized at prepare time
+	auto  bool          // the prepare-time request asked for "auto"
+	pq    *kbtable.PreparedQuery
+}
+
+// handlePrepare runs the prepare stage for a query and registers a
+// handle for repeated execution via /v1/search {"prepared_id": ...}.
+func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
+	s.requests.Add(1)
+	var preq PrepareRequest
+	if !DecodePost(w, r, 1<<20, &preq) {
+		return
+	}
+	req := SearchRequest{
+		Query:     preq.Query,
+		K:         preq.K,
+		Algorithm: preq.Algorithm,
+		D:         preq.D,
+		MaxRows:   preq.MaxRows,
+		AutoBias:  preq.AutoBias,
+	}
+	algo, err := s.normalizeRequest(&req)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+		return
+	}
+	if algo == kbtable.Baseline {
+		WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "baseline has no prepare stage and cannot be prepared")
+		return
+	}
+
+	st := s.cur.Load()
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+	defer cancel()
+	pq, err := st.eng.PrepareContext(ctx, req.Query, kbtable.SearchOptions{
+		K:               req.K,
+		Algorithm:       algo,
+		MaxRowsPerTable: req.MaxRows,
+		AutoBias:        req.AutoBias,
+	})
+	if err != nil {
+		writeSearchError(w, err)
+		return
+	}
+
+	// Register under preparedMu, re-checking the published epoch inside
+	// the same critical section the invalidation pass uses: if an update
+	// published while we prepared, the handle answers from a superseded
+	// snapshot and must not be handed out.
+	s.preparedMu.Lock()
+	if s.cur.Load().epoch != st.epoch {
+		s.preparedMu.Unlock()
+		WriteError(w, http.StatusConflict, api.CodeStaleEpoch, "knowledge base updated during prepare; retry")
+		return
+	}
+	s.preparedSeq++
+	h := &preparedHandle{
+		id:    fmt.Sprintf("p%d-%d", st.epoch, s.preparedSeq),
+		epoch: st.epoch,
+		req:   req,
+		auto:  algo == kbtable.Auto,
+		pq:    pq,
+	}
+	s.preparedByID[h.id] = h
+	s.preparedMu.Unlock()
+	s.prepares.Add(1)
+
+	WriteJSON(w, http.StatusOK, &PrepareResponse{
+		ID:        h.id,
+		Epoch:     h.epoch,
+		Query:     req.Query,
+		K:         req.K,
+		Algorithm: req.Algorithm,
+		D:         req.D,
+		MaxRows:   req.MaxRows,
+		Plan:      planOut(pq.Plan()),
+	})
+}
+
+// servePrepared answers a /v1/search carrying prepared_id: look the
+// handle up, execute only enumerate → aggregate → rank on the snapshot it
+// was prepared against, and bypass the result cache and read coalescing
+// (the execution IS the fast path). Admission control still applies.
+func (s *Server) servePrepared(w http.ResponseWriter, r *http.Request, req *SearchRequest) {
+	if req.Query != "" || req.Algorithm != "" || req.K != 0 || req.D != 0 || req.MaxRows != 0 {
+		WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "prepared_id fixes query/k/algorithm/d/max_rows at prepare time; only auto_bias and priority may accompany it")
+		return
+	}
+	if err := checkAutoBias(req.AutoBias); err != nil {
+		WriteError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+		return
+	}
+	release, ok := s.admit(w, r, req.Priority)
+	if !ok {
+		return
+	}
+	defer release()
+
+	s.preparedMu.Lock()
+	h := s.preparedByID[req.PreparedID]
+	s.preparedMu.Unlock()
+	if h == nil {
+		WriteError(w, http.StatusGone, api.CodePreparedGone, fmt.Sprintf("unknown or expired prepared query %q: POST /%s/prepare again on the current epoch", req.PreparedID, api.Version))
+		return
+	}
+
+	bias := h.req.AutoBias
+	if req.AutoBias != 0 {
+		bias = req.AutoBias
+	}
+	if h.auto && bias == 0 && s.abias != nil {
+		bias = s.abias.Effective()
+	}
+
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+	defer cancel()
+	t0 := time.Now()
+	answers, pi, err := h.pq.SearchBias(ctx, bias)
+	if err != nil {
+		writeSearchError(w, err)
+		return
+	}
+	s.observePlan(pi)
+	s.preparedSearches.Add(1)
+	WriteJSON(w, http.StatusOK, &SearchResponse{
+		Query:      h.req.Query,
+		K:          h.req.K,
+		Algorithm:  api.AlgorithmName(pi.Algorithm),
+		D:          h.req.D,
+		Epoch:      h.epoch,
+		PreparedID: h.id,
+		ElapsedMS:  float64(time.Since(t0).Microseconds()) / 1000,
+		Plan:       planOut(pi),
+		Answers:    wireAnswers(answers),
+	})
+}
+
+// dropPrepared expires every prepared handle bound to a superseded
+// epoch. Called after each epoch publish; a prepare racing the publish
+// either registered before (and is dropped here) or re-checks the epoch
+// under the same mutex and refuses to register.
+func (s *Server) dropPrepared() {
+	cur := s.cur.Load().epoch
+	s.preparedMu.Lock()
+	for id, h := range s.preparedByID {
+		if h.epoch != cur {
+			delete(s.preparedByID, id)
+			s.preparedExpired.Add(1)
+		}
+	}
+	s.preparedMu.Unlock()
+}
+
+// preparedLive counts the currently registered prepared handles.
+func (s *Server) preparedLive() int {
+	s.preparedMu.Lock()
+	defer s.preparedMu.Unlock()
+	return len(s.preparedByID)
+}

@@ -18,7 +18,7 @@ import (
 func postPrepare(t *testing.T, url string, req PrepareRequest) (*http.Response, *PrepareResponse) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/prepare", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/prepare", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,17 +113,17 @@ func TestAutoBiasValidation(t *testing.T) {
 		t.Fatalf("auto_bias=-1: status %d, want 400", resp.StatusCode)
 	}
 	for _, b := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.001} {
-		if checkAutoBias(b) == "" {
+		if checkAutoBias(b) == nil {
 			t.Errorf("checkAutoBias(%v) accepted an invalid bias", b)
 		}
 	}
 	for _, b := range []float64{0, 0.5, 1, 8} {
-		if msg := checkAutoBias(b); msg != "" {
-			t.Errorf("checkAutoBias(%v) rejected a valid bias: %s", b, msg)
+		if err := checkAutoBias(b); err != nil {
+			t.Errorf("checkAutoBias(%v) rejected a valid bias: %v", b, err)
 		}
 	}
 	// A raw NaN in the body is malformed JSON: still a 400, never a 500.
-	resp2, err := http.Post(ts.URL+"/search", "application/json",
+	resp2, err := http.Post(ts.URL+"/v1/search", "application/json",
 		bytes.NewReader([]byte(`{"query":"software","algorithm":"auto","auto_bias":NaN}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestPreparedExpiresOnUpdate(t *testing.T) {
 		t.Fatalf("post-update prepared execution must see the new entity: %+v", got)
 	}
 
-	hr, err := http.Get(ts.URL + "/healthz")
+	hr, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestAdaptiveBiasServer(t *testing.T) {
 		t.Fatalf("auto at learned bias diverges from explicit %s", auto.Algorithm)
 	}
 
-	hr, err := http.Get(ts.URL + "/healthz")
+	hr, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestPreparedConcurrentWithUpdates(t *testing.T) {
 				}
 				if id == "" || i%4 == 0 {
 					body, _ := json.Marshal(PrepareRequest{Query: "database software", K: 3, Algorithm: "auto"})
-					resp, err := http.Post(ts.URL+"/prepare", "application/json", bytes.NewReader(body))
+					resp, err := http.Post(ts.URL+"/v1/prepare", "application/json", bytes.NewReader(body))
 					if err != nil {
 						errs <- err
 						return
@@ -352,7 +352,7 @@ func TestPreparedConcurrentWithUpdates(t *testing.T) {
 					continue
 				}
 				body, _ := json.Marshal(SearchRequest{PreparedID: id})
-				resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errs <- err
 					return

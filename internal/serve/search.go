@@ -1,0 +1,379 @@
+package serve
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"net/http"
+	"time"
+
+	"kbtable"
+	"kbtable/internal/api"
+)
+
+// cacheEntry is one computed response, shared read-only by the result
+// cache, the flight that computed it and every request it answers. plan
+// is the plan the computing request reported; words are the canonical
+// words the query resolved to, for word-precise invalidation.
+type cacheEntry struct {
+	resp  *SearchResponse
+	plan  kbtable.PlanInfo
+	words []string
+}
+
+// shared returns a copy of the entry's response for a request that did
+// not compute it (a cache hit or a coalesced follower). The plan must
+// reflect THAT request, not whichever request populated the entry: an
+// auto request carries its own planner decision and probe statistics, an
+// explicit request carries no decision, even when the entry was computed
+// the other way around. Stage timings stay those of the computing run.
+func (e *cacheEntry) shared(chosen *kbtable.PlanInfo) *SearchResponse {
+	resp := *e.resp // shallow copy: answers are shared read-only
+	resp.Plan = planOut(planFor(e.plan, chosen))
+	return &resp
+}
+
+// planFor returns run — the plan of an execution under an explicitly
+// named algorithm — as a request should report it. chosen non-nil marks
+// an auto request that resolved to that algorithm: it surfaces the
+// planner's decision and the (richer) statistics it was based on, keeping
+// the run's timings. nil marks an explicit request: no decision.
+func planFor(run kbtable.PlanInfo, chosen *kbtable.PlanInfo) kbtable.PlanInfo {
+	if chosen == nil {
+		run.Auto, run.Reason = false, ""
+		return run
+	}
+	run.Auto, run.Reason = true, chosen.Reason
+	run.CandidateRoots, run.RootTypes = chosen.CandidateRoots, chosen.RootTypes
+	run.PatternSpace, run.Frontier = chosen.PatternSpace, chosen.Frontier
+	return run
+}
+
+// planOut converts a facade PlanInfo to the wire form.
+func planOut(pi kbtable.PlanInfo) *PlanOut {
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	return &PlanOut{
+		Algorithm:      api.AlgorithmName(pi.Algorithm),
+		Auto:           pi.Auto,
+		Reason:         pi.Reason,
+		CandidateRoots: pi.CandidateRoots,
+		RootTypes:      pi.RootTypes,
+		PatternSpace:   pi.PatternSpace,
+		Frontier:       pi.Frontier,
+		PrepareMS:      ms(pi.Prepare),
+		EnumerateMS:    ms(pi.Enumerate),
+		AggregateMS:    ms(pi.Aggregate),
+		RankMS:         ms(pi.Rank),
+		BoundPruned:    pi.BoundPruned,
+	}
+}
+
+// wireAnswers converts engine answers to the wire form.
+func wireAnswers(answers []kbtable.Answer) []SearchAnswer {
+	out := make([]SearchAnswer, 0, len(answers))
+	for _, a := range answers {
+		out = append(out, SearchAnswer{
+			Rank:        a.Rank,
+			Score:       a.Score,
+			NumRows:     a.NumRows,
+			Pattern:     a.Pattern,
+			Columns:     a.Columns,
+			FullColumns: a.FullColumns,
+			Rows:        a.Rows,
+		})
+	}
+	return out
+}
+
+// normalizeRequest canonicalizes a request before it reaches the cache
+// key: the query goes through the engine's own tokenization (lowercased
+// letter/digit runs joined by single spaces, keyword order preserved — it
+// determines answer column order), the K/D/MaxRows/Algorithm defaults
+// are applied and the algorithm is spelled by its canonical wire name, so
+// logically identical requests — {"k":0} and {"k":10}, "  Foo,  Bar" and
+// "foo bar", "pe" and "patternenum" — occupy ONE cache entry. Validation
+// that depends on the normalized values (limits, the engine's d) happens
+// here too; an error is the client's (400).
+func (s *Server) normalizeRequest(req *SearchRequest) (kbtable.Algorithm, error) {
+	req.Query = kbtable.NormalizeQuery(req.Query)
+	if req.Query == "" {
+		return 0, errors.New("query must not be empty")
+	}
+	if req.K <= 0 {
+		req.K = 10
+	}
+	if req.K > s.cfg.MaxK {
+		return 0, fmt.Errorf("k=%d exceeds the maximum %d", req.K, s.cfg.MaxK)
+	}
+	if req.D == 0 {
+		req.D = s.cfg.D
+	}
+	if req.D != s.cfg.D {
+		return 0, fmt.Errorf("this engine is indexed for d=%d, not d=%d", s.cfg.D, req.D)
+	}
+	if req.MaxRows <= 0 {
+		req.MaxRows = s.cfg.MaxRows
+	}
+	if req.Algorithm == "" {
+		req.Algorithm = s.cfg.DefaultAlgorithm
+	}
+	if err := checkAutoBias(req.AutoBias); err != nil {
+		return 0, err
+	}
+	algo, err := api.ParseAlgorithm(req.Algorithm)
+	if err != nil {
+		return 0, err
+	}
+	req.Algorithm = api.AlgorithmName(algo)
+	return algo, nil
+}
+
+// checkAutoBias validates the auto_bias request field: 0 means "planner
+// default", any positive finite value is a legal crossover override, and
+// everything else (negative, NaN, ±Inf) would silently corrupt the
+// planner's comparison, so it is rejected up front.
+func checkAutoBias(b float64) error {
+	if b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
+		return fmt.Errorf("auto_bias must be a finite non-negative number, got %v", b)
+	}
+	return nil
+}
+
+// cacheKey identifies one (query, options) result in the LRU. algo is the
+// *resolved* algorithm name: an "auto" request whose plan resolves to
+// patternenum shares its entry with explicit patternenum requests (the
+// answers are bit-identical by the planner's equivalence guarantee).
+//
+// The variable-length fields are length-prefixed, making the encoding
+// injective: a query containing the field separator (or any future algo
+// name) can never re-parse as a different (query, algo) split the way a
+// plain join would ("a|b"+"c" vs "a"+"b|c"). The numeric tail needs no
+// prefixes — "|%d" never contains another separator.
+func cacheKey(query, algo string, k, d, maxRows int) string {
+	return fmt.Sprintf("%d:%s|%d:%s|%d|%d|%d", len(query), query, len(algo), algo, k, d, maxRows)
+}
+
+// admit is admission control: it resolves the request's priority class
+// (the X-KB-Priority header wins over the body field) and holds an
+// execution slot until the returned release is called. Under overload
+// the wait is bounded and the queue finite, so excess load turns into
+// prompt 429s the client can back off on. ok is false after an error
+// envelope was written.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, bodyPriority string) (release func(), ok bool) {
+	name := r.Header.Get("X-KB-Priority")
+	if name == "" {
+		name = bodyPriority
+	}
+	prio, err := parsePriority(name)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+		return nil, false
+	}
+	if s.gate == nil {
+		return func() {}, true
+	}
+	if err := s.gate.acquire(r.Context(), prio, s.cfg.QueueTimeout); err != nil {
+		if errors.Is(err, errShedFull) || errors.Is(err, errShedTimeout) {
+			writeShed(w, err.Error())
+		} else {
+			WriteError(w, http.StatusServiceUnavailable, api.CodeCanceled, "request canceled while queued")
+		}
+		return nil, false
+	}
+	return s.gate.release, true
+}
+
+// runner returns how searches pinned to st resolve a plan and execute:
+// on the engine itself, or — in coordinator mode — scattered through
+// Config.Distributor to the owner nodes and gathered on the engine,
+// bit-identical to SearchPlan by the Theorem-5 fold, with failed legs
+// re-executed locally inside the engine. Scattered calls carry st's WAL
+// position on their context so the cluster transport can demand owner
+// nodes at exactly that position (api.SeqFrom on the other side), keeping
+// every leg on the snapshot the request is answering from.
+func (s *Server) runner(st *engineState) (
+	plan func(context.Context, string, kbtable.SearchOptions) (kbtable.PlanInfo, error),
+	search func(context.Context, string, kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error),
+) {
+	exec := s.cfg.Distributor
+	if exec == nil {
+		return st.eng.Plan, st.eng.SearchPlan
+	}
+	seq := st.eng.Seq()
+	plan = func(ctx context.Context, q string, o kbtable.SearchOptions) (kbtable.PlanInfo, error) {
+		return st.eng.PlanDistributed(api.WithSeq(ctx, seq), exec, q, o)
+	}
+	search = func(ctx context.Context, q string, o kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error) {
+		return st.eng.SearchDistributed(api.WithSeq(ctx, seq), exec, q, o)
+	}
+	return plan, search
+}
+
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	s.requests.Add(1)
+	var req SearchRequest
+	if !DecodePost(w, r, 1<<20, &req) {
+		return
+	}
+	if req.PreparedID != "" {
+		s.servePrepared(w, r, &req)
+		return
+	}
+	algo, err := s.normalizeRequest(&req)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+		return
+	}
+	release, ok := s.admit(w, r, req.Priority)
+	if !ok {
+		return
+	}
+	defer release()
+
+	// Pin this request to the currently published snapshot: even if an
+	// update lands mid-query, we keep searching (and report) this epoch.
+	st := s.cur.Load()
+	plan, search := s.runner(st)
+
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+	defer cancel()
+	opts := kbtable.SearchOptions{
+		K:               req.K,
+		Algorithm:       algo,
+		MaxRowsPerTable: req.MaxRows,
+		AutoBias:        req.AutoBias,
+	}
+
+	// Resolve "auto" before touching the cache: the planner names the
+	// algorithm the query would run as, the cache is keyed under that
+	// name, and execution (on a miss) requests it explicitly — so auto
+	// answers share entries with explicit requests in both directions,
+	// and are byte-identical to them. The probe repeats prepare-stage
+	// lookups that a miss's execution redoes (a plan-cache hit skips
+	// them); that double work is the price of knowing the key before the
+	// lookup, and is small next to enumeration (it is exactly the
+	// prepare_ms share of the plan's stage timings).
+	var chosen *kbtable.PlanInfo
+	if algo == kbtable.Auto {
+		s.autoRequests.Add(1)
+		if s.abias != nil && opts.AutoBias == 0 {
+			// Adaptive feedback: requests without an explicit bias run
+			// under the learned crossover. The bias steers only the PE/LE
+			// choice — the resolved algorithm still keys the cache, so a
+			// drifting bias can never serve mismatched bytes.
+			opts.AutoBias = s.abias.Effective()
+		}
+		pi, err := plan(ctx, req.Query, opts)
+		if err != nil {
+			writeSearchError(w, err)
+			return
+		}
+		chosen = &pi
+		algo = pi.Algorithm
+		opts.Algorithm = algo
+		if algo == kbtable.LinearEnum {
+			s.autoChoseLE.Add(1)
+		} else {
+			s.autoChosePE.Add(1)
+		}
+	}
+	algoName := api.AlgorithmName(algo)
+
+	key := cacheKey(req.Query, algoName, req.K, req.D, req.MaxRows)
+	if hit, ok := s.cache.Get(key); ok {
+		resp := hit.shared(chosen)
+		resp.Cached = true
+		WriteJSON(w, http.StatusOK, resp)
+		return
+	}
+
+	// Read coalescing: identical concurrent misses — same cache key AND
+	// same pinned epoch — share one execution. The epoch in the flight
+	// key keeps the freshness contract intact: a request that loaded
+	// epoch N+1 never receives bytes computed on epoch N.
+	flightKey := fmt.Sprintf("%d|%s", st.epoch, key)
+	ent, joined, err := s.flights.do(ctx, flightKey, func() (*cacheEntry, error) {
+		// The leader runs detached from its own request context:
+		// followers depend on this execution, so one impatient client
+		// disconnecting must not fail everyone sharing the flight.
+		lctx, lcancel := context.WithTimeout(context.Background(), s.cfg.Timeout)
+		defer lcancel()
+
+		t0 := time.Now()
+		answers, pi, err := search(lctx, req.Query, opts)
+		if err != nil {
+			return nil, err
+		}
+		pi = planFor(pi, chosen)
+		s.observePlan(pi)
+		ent := &cacheEntry{
+			resp: &SearchResponse{
+				Query:     req.Query,
+				K:         req.K,
+				Algorithm: algoName,
+				D:         req.D,
+				Epoch:     st.epoch,
+				ElapsedMS: float64(time.Since(t0).Microseconds()) / 1000,
+				Plan:      planOut(pi),
+				Answers:   wireAnswers(answers),
+			},
+			plan:  pi,
+			words: st.eng.QueryWords(req.Query),
+		}
+		s.cachePut(st.epoch, key, ent)
+		return ent, nil
+	})
+	if err != nil {
+		writeSearchError(w, err)
+		return
+	}
+	resp := ent.resp
+	if joined {
+		s.metrics.coalesced.Add(1)
+		resp = ent.shared(chosen)
+		resp.Coalesced = true
+	}
+	WriteJSON(w, http.StatusOK, resp)
+}
+
+// observePlan folds one executed query's plan into the server's
+// execution-side accounting: the bound-pruned counter and, when enabled,
+// the adaptive-bias accumulator. Only runs that actually enumerated call
+// it — cache hits and coalesced followers carry another run's timings.
+func (s *Server) observePlan(pi kbtable.PlanInfo) {
+	s.boundPruned.Add(pi.BoundPruned)
+	if s.abias != nil {
+		s.abias.Observe(pi)
+	}
+}
+
+// writeSearchError maps a search failure onto an HTTP status.
+func writeSearchError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		WriteError(w, http.StatusGatewayTimeout, api.CodeTimeout, "query timed out")
+	case errors.Is(err, context.Canceled):
+		WriteError(w, http.StatusServiceUnavailable, api.CodeCanceled, "request canceled")
+	case errors.Is(err, kbtable.ErrPartialEngine):
+		// An owner node hosts a slice of the partition: it serves shard
+		// legs, never whole queries.
+		WriteError(w, http.StatusNotImplemented, api.CodeNotImplemented, err.Error())
+	default:
+		WriteError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
+	}
+}
+
+// cachePut inserts a computed result unless its epoch has been superseded.
+// The read-lock excludes the invalidate-and-publish critical section: if
+// the published epoch still equals the computing epoch, the next update's
+// invalidation pass has not run yet and will see (and judge) this entry;
+// if it no longer does, the invalidation already ran and inserting would
+// smuggle a stale result past it, so the insert is dropped.
+func (s *Server) cachePut(epoch uint64, key string, ent *cacheEntry) {
+	s.swapMu.RLock()
+	defer s.swapMu.RUnlock()
+	if s.cur.Load().epoch == epoch {
+		s.cache.Put(key, ent)
+	}
+}

@@ -2,14 +2,9 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"math"
 	"net/http"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,101 +13,40 @@ import (
 	"kbtable/internal/api"
 )
 
-// Searcher is the query surface the server needs. *kbtable.Engine
-// implements it; tests substitute fakes.
-type Searcher interface {
-	SearchContext(ctx context.Context, query string, opts kbtable.SearchOptions) ([]kbtable.Answer, error)
-}
-
-// Updater is the mutation surface: applying a batch of KB updates yields a
-// NEW engine over the updated snapshot (the old one keeps serving until
-// the swap). *kbtable.Engine implements it; a Config.Engine that does not
-// leaves POST /update disabled.
-type Updater interface {
-	Searcher
-	ApplyUpdate(u kbtable.Update) (*kbtable.Engine, kbtable.UpdateResult, error)
-}
-
-// wordResolver lets the server tag cached responses with the canonical
-// words their query resolved to, enabling word-precise invalidation.
-// Engines that do not implement it still work; their cached entries are
-// simply dropped on every update.
-type wordResolver interface {
+// Engine is the engine surface the HTTP layer runs on: exactly the facade
+// methods this package and internal/cluster's node (which executes shard
+// legs against CurrentEngine) call. *kbtable.Engine implements it. It is
+// an interface so that Config.Engine can be a decorator embedding
+// *kbtable.Engine and overriding single methods (the benchmark's tracer,
+// tests that park or time out a search); every engine an update publishes
+// is the plain *kbtable.Engine the apply returned.
+type Engine interface {
+	SearchPlan(ctx context.Context, query string, opts kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error)
+	Plan(ctx context.Context, query string, opts kbtable.SearchOptions) (kbtable.PlanInfo, error)
+	SearchDistributed(ctx context.Context, exec kbtable.ShardExecutor, query string, opts kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error)
+	PlanDistributed(ctx context.Context, exec kbtable.ShardExecutor, query string, opts kbtable.SearchOptions) (kbtable.PlanInfo, error)
+	PrepareContext(ctx context.Context, query string, opts kbtable.SearchOptions) (*kbtable.PreparedQuery, error)
 	QueryWords(query string) []string
-}
 
-// shardInfoer lets GET /healthz report the engine's shard layout.
-// *kbtable.Engine implements it; fakes that do not simply omit the field.
-type shardInfoer interface {
-	ShardInfo() kbtable.ShardInfo
-}
-
-// durableEngine is the durability surface: logging accepted updates to
-// the write-ahead log before they become visible, and checkpointing the
-// engine into the snapshot store. *kbtable.Engine implements it; fakes
-// that do not simply run without durability even when Config.Store is
-// set.
-type durableEngine interface {
-	ApplyLogged(s *kbtable.Store, u kbtable.Update) (*kbtable.Engine, kbtable.UpdateResult, error)
+	ApplyUpdate(u kbtable.Update) (*kbtable.Engine, kbtable.UpdateResult, error)
+	ApplyLoggedAsync(s *kbtable.Store, u kbtable.Update) (*kbtable.Engine, kbtable.UpdateResult, *kbtable.Commit, error)
 	Checkpoint(s *kbtable.Store) (kbtable.CheckpointStats, error)
 	Seq() uint64
-}
 
-// asyncDurableEngine is the pipelined durability surface: applying a
-// batch in memory while only ENQUEUEING its WAL record, so concurrent
-// updates share one group-committed fsync. *kbtable.Engine implements
-// it; fakes that implement only durableEngine fall back to the serial
-// apply+fsync path.
-type asyncDurableEngine interface {
-	ApplyLoggedAsync(s *kbtable.Store, u kbtable.Update) (*kbtable.Engine, kbtable.UpdateResult, *kbtable.Commit, error)
-}
-
-// planner is the plan-observability surface: resolving a plan without
-// executing (Plan — the server uses it to key "auto" requests under the
-// algorithm they resolve to) and searching with plan + stage timings
-// attached (SearchPlan). *kbtable.Engine implements it; fakes that do not
-// still serve explicit algorithms, with "auto" passed through untouched
-// and plans omitted from responses.
-type planner interface {
-	Plan(ctx context.Context, query string, opts kbtable.SearchOptions) (kbtable.PlanInfo, error)
-	SearchPlan(ctx context.Context, query string, opts kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error)
-}
-
-// preparer is the prepared-query surface: retaining one query's
-// prepare-stage output so repeat executions run only enumerate →
-// aggregate → rank. *kbtable.Engine implements it; fakes that do not
-// leave POST /prepare disabled (501).
-type preparer interface {
-	PrepareContext(ctx context.Context, query string, opts kbtable.SearchOptions) (*kbtable.PreparedQuery, error)
-}
-
-// planCacheStatser exposes the engine chain's plan-cache counters for
-// /healthz and /metrics. *kbtable.Engine implements it.
-type planCacheStatser interface {
-	PlanCacheStats() kbtable.PlanCacheStats
-}
-
-// distributedSearcher is the cluster-coordinator surface: scatter the
-// planner probe and the per-shard enumerate→aggregate legs through a
-// kbtable.ShardExecutor, gather exactly. *kbtable.Engine implements it
-// for complete sharded engines; it engages only when Config.Distributor
-// is set.
-type distributedSearcher interface {
-	PlanDistributed(ctx context.Context, exec kbtable.ShardExecutor, query string, opts kbtable.SearchOptions) (kbtable.PlanInfo, error)
-	SearchDistributed(ctx context.Context, exec kbtable.ShardExecutor, query string, opts kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error)
-}
-
-// shardOwner describes which slice of the shard partition the engine
-// hosts, for GET /v1/shards. *kbtable.Engine implements it.
-type shardOwner interface {
+	ShardInfo() kbtable.ShardInfo
 	OwnedShards() []int
 	Complete() bool
+	IndexStats() kbtable.IndexStats
+	PlanCacheStats() kbtable.PlanCacheStats
+
+	ProbeShard(ctx context.Context, si int, query string, opts kbtable.SearchOptions) (kbtable.ShardPlanStats, error)
+	ScatterShard(ctx context.Context, si int, algorithm kbtable.Algorithm, query string, opts kbtable.SearchOptions) (*kbtable.ShardPartial, error)
 }
 
 // Config configures a Server.
 type Config struct {
-	// Engine answers the queries. Required.
-	Engine Searcher
+	// Engine answers the queries and applies the updates. Required.
+	Engine Engine
 	// D is the engine's height threshold; requests naming a different d
 	// are rejected (the index is built for exactly one d).
 	D int
@@ -126,7 +60,9 @@ type Config struct {
 	// MaxRows caps table rows materialized per answer when the request
 	// does not set max_rows; default 50 (0 would materialize every row).
 	MaxRows int
-	// ReadOnly disables POST /update even when the engine supports it.
+	// ReadOnly disables POST /v1/update. It gates only the HTTP handler:
+	// the replication path (Apply) keeps writing through a server whose
+	// own update endpoint is closed to clients.
 	ReadOnly bool
 	// MaxUpdateOps caps the ops in one update batch; default 10000.
 	MaxUpdateOps int
@@ -135,11 +71,10 @@ type Config struct {
 	// "auto", …). Empty means "patternenum".
 	DefaultAlgorithm string
 	// Store, when non-nil, makes updates durable: every accepted
-	// /update batch is appended to the store's write-ahead log (fsync)
+	// /v1/update batch is appended to the store's write-ahead log (fsync)
 	// before the new epoch is published, and a background checkpoint
 	// rewrites the snapshot — truncating the WAL — whenever the log
-	// grows CheckpointEvery records past the last snapshot. The engine
-	// must support durability (see durableEngine) for Store to engage.
+	// grows CheckpointEvery records past the last snapshot.
 	Store *kbtable.Store
 	// CheckpointEvery is the WAL-records-behind-snapshot threshold that
 	// triggers a background checkpoint; default 64, negative disables
@@ -166,10 +101,9 @@ type Config struct {
 	// remote owner nodes, and the partials gather on the local engine.
 	// Legs that fail re-run locally inside the engine, so answers stay
 	// bit-identical to single-node execution regardless of node health.
-	// Requires an Engine exposing SearchDistributed (a complete sharded
-	// *kbtable.Engine); ignored otherwise.
+	// Requires a complete Engine (every shard resident).
 	Distributor kbtable.ShardExecutor
-	// Cluster, when non-nil, is consulted per /healthz and /v1/shards
+	// Cluster, when non-nil, is consulted per /v1/healthz and /v1/shards
 	// request for this process's cluster role, identity, and
 	// replication position.
 	Cluster func() *api.ClusterHealth
@@ -214,41 +148,11 @@ func (c Config) withDefaults() Config {
 // in-flight query keeps its snapshot even while an update swaps in the
 // next epoch.
 type engineState struct {
-	eng      Searcher
-	upd      Updater             // nil if the engine cannot apply updates
-	words    wordResolver        // nil if the engine cannot resolve query words
-	shards   shardInfoer         // nil if the engine cannot describe its shards
-	plans    planner             // nil if the engine cannot resolve plans
-	preps    preparer            // nil if the engine cannot prepare queries
-	dur      durableEngine       // nil if the engine cannot log/checkpoint
-	durAsync asyncDurableEngine  // nil if the engine cannot pipeline durable updates
-	dist     distributedSearcher // nil if the engine cannot scatter-gather
-	epoch    uint64
-}
-
-// preparedHandle is one registered prepared query: the normalized
-// request captured at prepare time, the engine-level handle, and the
-// epoch it is bound to. Handles are invalidated wholesale on every epoch
-// swap — a prepared execution must answer from the snapshot the client
-// prepared against or not at all (410 Gone, re-prepare).
-type preparedHandle struct {
-	id    string
+	eng   Engine
 	epoch uint64
-	req   SearchRequest // normalized at prepare time
-	auto  bool          // the prepare-time request asked for "auto"
-	pq    *kbtable.PreparedQuery
 }
 
-// cacheEntry is one cached response tagged with the canonical words its
-// query resolved to (nil when unknown: such entries are invalidated by
-// every update).
-type cacheEntry struct {
-	resp  *SearchResponse
-	words []string
-}
-
-// Server is the HTTP search daemon: POST /search, POST /update,
-// GET /healthz.
+// Server is the HTTP search daemon behind the /v1 API.
 type Server struct {
 	cfg      Config
 	cache    *LRU[*cacheEntry]
@@ -257,8 +161,8 @@ type Server struct {
 	updates  atomic.Uint64
 	hs       *http.Server
 
-	// Planner counters for /healthz: how many searches asked for "auto"
-	// and what the planner resolved them to.
+	// Planner counters for /v1/healthz: how many searches asked for
+	// "auto" and what the planner resolved them to.
 	autoRequests atomic.Uint64
 	autoChosePE  atomic.Uint64
 	autoChoseLE  atomic.Uint64
@@ -334,19 +238,7 @@ func New(cfg Config) *Server {
 	if cfg.MaxConcurrent > 0 {
 		s.gate = newGate(cfg.MaxConcurrent, cfg.MaxQueue)
 	}
-	st := &engineState{eng: cfg.Engine, epoch: 0}
-	// ReadOnly gates only the HTTP handler, not the facet: the
-	// replication path (Apply) must keep writing through a server whose
-	// own /update endpoint is closed to clients.
-	st.upd, _ = cfg.Engine.(Updater)
-	st.words, _ = cfg.Engine.(wordResolver)
-	st.shards, _ = cfg.Engine.(shardInfoer)
-	st.plans, _ = cfg.Engine.(planner)
-	st.preps, _ = cfg.Engine.(preparer)
-	st.dur, _ = cfg.Engine.(durableEngine)
-	st.durAsync, _ = cfg.Engine.(asyncDurableEngine)
-	st.dist, _ = cfg.Engine.(distributedSearcher)
-	s.cur.Store(st)
+	s.cur.Store(&engineState{eng: cfg.Engine})
 	// A server recovered with a long WAL suffix should not wait for the
 	// next update to reclaim it: evaluate the checkpoint lag once at
 	// startup too.
@@ -361,37 +253,29 @@ func New(cfg Config) *Server {
 }
 
 // Handler returns the route table, usable directly in tests or behind
-// custom middleware.
+// custom middleware. Every endpoint lives under /v1; any other path
+// answers the JSON 404 envelope, not net/http's text 404.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// Every endpoint lives under /v1; the historical unversioned paths
-	// remain aliases for one release and serve identical bytes.
 	route := func(path, name string, h http.HandlerFunc) {
 		mux.Handle("/"+api.Version+path, s.instrument(name, h))
-		mux.Handle(path, s.instrument(name, h))
 	}
 	route("/search", "search", s.handleSearch)
 	route("/prepare", "prepare", s.handlePrepare)
 	route("/update", "update", s.handleUpdate)
 	route("/healthz", "healthz", s.handleHealthz)
 	route("/metrics", "metrics", s.handleMetrics)
-	mux.Handle("/"+api.Version+"/shards", s.instrument("shards", s.handleShards))
-	mux.Handle("/"+api.Version+"/wal/segments", s.instrument("wal_segments", s.handleWALSegments))
-	// Unknown paths answer the JSON envelope, not net/http's text 404.
-	mux.Handle("/", s.instrument("notfound", s.handleNotFound))
+	route("/shards", "shards", s.handleShards)
+	route("/wal/segments", "wal_segments", s.handleWALSegments)
+	mux.Handle("/", s.instrument("notfound", handleNotFound))
 	return mux
-}
-
-func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
-	writeError(w, http.StatusNotFound, api.CodeNotFound,
-		fmt.Sprintf("no such endpoint %q (the API lives under /%s)", r.URL.Path, api.Version))
 }
 
 // CurrentEngine returns the currently published engine snapshot and its
 // epoch. Cluster node handlers execute shard legs against exactly this
 // pinned pair, so a concurrently applied update can never mix epochs
 // inside one scattered query.
-func (s *Server) CurrentEngine() (Searcher, uint64) {
+func (s *Server) CurrentEngine() (Engine, uint64) {
 	st := s.cur.Load()
 	return st.eng, st.epoch
 }
@@ -445,1128 +329,3 @@ type (
 	ServingHealth      = api.ServingHealth
 	HealthResponse     = api.HealthResponse
 )
-
-// planOut converts a facade PlanInfo to the wire form.
-func planOut(pi kbtable.PlanInfo) *PlanOut {
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	return &PlanOut{
-		Algorithm:      wireName(pi.Algorithm),
-		Auto:           pi.Auto,
-		Reason:         pi.Reason,
-		CandidateRoots: pi.CandidateRoots,
-		RootTypes:      pi.RootTypes,
-		PatternSpace:   pi.PatternSpace,
-		Frontier:       pi.Frontier,
-		PrepareMS:      ms(pi.Prepare),
-		EnumerateMS:    ms(pi.Enumerate),
-		AggregateMS:    ms(pi.Aggregate),
-		RankMS:         ms(pi.Rank),
-		BoundPruned:    pi.BoundPruned,
-	}
-}
-
-// indexStatser is the optional engine facet exposing footprint stats.
-type indexStatser interface {
-	IndexStats() kbtable.IndexStats
-}
-
-// ParseAlgorithm maps a wire name ("pe", "patternenum", "le",
-// "linearenum", "baseline", "auto", "") onto the kbtable algorithm and
-// its canonical wire name. Exposed so kbserve can validate its
-// -default-algo flag at startup.
-func ParseAlgorithm(s string) (kbtable.Algorithm, string, error) {
-	return parseAlgorithm(s)
-}
-
-// parseAlgorithm maps the wire names onto kbtable algorithms.
-func parseAlgorithm(s string) (kbtable.Algorithm, string, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "pe", "patternenum":
-		return kbtable.PatternEnum, "patternenum", nil
-	case "le", "linearenum":
-		return kbtable.LinearEnum, "linearenum", nil
-	case "baseline":
-		return kbtable.Baseline, "baseline", nil
-	case "auto":
-		return kbtable.Auto, "auto", nil
-	}
-	return 0, "", fmt.Errorf("unknown algorithm %q (want patternenum, linearenum, baseline or auto)", s)
-}
-
-// wireName is parseAlgorithm's inverse for resolved algorithms.
-func wireName(a kbtable.Algorithm) string {
-	switch a {
-	case kbtable.LinearEnum:
-		return "linearenum"
-	case kbtable.Baseline:
-		return "baseline"
-	case kbtable.Auto:
-		return "auto"
-	}
-	return "patternenum"
-}
-
-// normalizeQuery canonicalizes a query through the engine's own
-// tokenization: lowercased maximal letter/digit runs joined by single
-// spaces. Punctuation the tokenizer drops never reaches the cache key, so
-// "foo," and "foo" (and every punctuation variant between them) occupy
-// ONE cache entry instead of fragmenting the result cache. Keyword order
-// is preserved: it determines answer column order.
-func normalizeQuery(q string) string {
-	return kbtable.NormalizeQuery(q)
-}
-
-// normalizeRequest canonicalizes a request before it reaches the cache
-// key: the query's whitespace and case fold, and the K/D/MaxRows defaults
-// are applied, so logically identical requests — {"k":0} and {"k":10},
-// "  Foo  Bar" and "foo bar" — occupy ONE cache entry. Validation that
-// depends on the normalized values (limits, the engine's d) happens here
-// too. Returns an HTTP error message and status, or status 0 when valid.
-func (s *Server) normalizeRequest(req *SearchRequest) (string, int) {
-	req.Query = normalizeQuery(req.Query)
-	if req.Query == "" {
-		return "query must not be empty", http.StatusBadRequest
-	}
-	if req.K <= 0 {
-		req.K = 10
-	}
-	if req.K > s.cfg.MaxK {
-		return fmt.Sprintf("k=%d exceeds the maximum %d", req.K, s.cfg.MaxK), http.StatusBadRequest
-	}
-	if req.D == 0 {
-		req.D = s.cfg.D
-	}
-	if req.D != s.cfg.D {
-		return fmt.Sprintf("this engine is indexed for d=%d, not d=%d", s.cfg.D, req.D), http.StatusBadRequest
-	}
-	if req.MaxRows <= 0 {
-		req.MaxRows = s.cfg.MaxRows
-	}
-	if req.Algorithm == "" {
-		req.Algorithm = s.cfg.DefaultAlgorithm
-	}
-	if msg := checkAutoBias(req.AutoBias); msg != "" {
-		return msg, http.StatusBadRequest
-	}
-	return "", 0
-}
-
-// checkAutoBias validates the auto_bias request field: 0 means "planner
-// default", any positive finite value is a legal crossover override, and
-// everything else (negative, NaN, ±Inf) would silently corrupt the
-// planner's comparison, so it is rejected up front. Returns an error
-// message, or "" when valid.
-func checkAutoBias(b float64) string {
-	if b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
-		return fmt.Sprintf("auto_bias must be a finite non-negative number, got %v", b)
-	}
-	return ""
-}
-
-// cacheKey identifies one (query, options) result in the LRU. algo is the
-// *resolved* algorithm name: an "auto" request whose plan resolves to
-// patternenum shares its entry with explicit patternenum requests (the
-// answers are bit-identical by the planner's equivalence guarantee).
-//
-// The variable-length fields are length-prefixed, making the encoding
-// injective: a query containing the field separator (or any future algo
-// name) can never re-parse as a different (query, algo) split the way a
-// plain join would ("a|b"+"c" vs "a"+"b|c"). The numeric tail needs no
-// prefixes — "|%d" never contains another separator.
-func cacheKey(query, algo string, k, d, maxRows int) string {
-	return fmt.Sprintf("%d:%s|%d:%s|%d|%d|%d", len(query), query, len(algo), algo, k, d, maxRows)
-}
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "POST only")
-		return
-	}
-	if !requireJSON(w, r) {
-		return
-	}
-	var req SearchRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if req.PreparedID != "" {
-		s.servePrepared(w, r, &req)
-		return
-	}
-	if msg, status := s.normalizeRequest(&req); status != 0 {
-		writeError(w, status, api.CodeBadRequest, msg)
-		return
-	}
-	algo, algoName, err := parseAlgorithm(req.Algorithm)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	prioName := r.Header.Get("X-KB-Priority")
-	if prioName == "" {
-		prioName = req.Priority
-	}
-	prio, err := parsePriority(prioName)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-
-	// Admission control: hold an execution slot for the rest of the
-	// request. Under overload the wait is bounded and the queue finite,
-	// so excess load turns into prompt 429s the client can back off on.
-	if s.gate != nil {
-		if err := s.gate.acquire(r.Context(), prio, s.cfg.QueueTimeout); err != nil {
-			switch {
-			case errors.Is(err, errShedFull), errors.Is(err, errShedTimeout):
-				writeShed(w, err.Error())
-			default:
-				writeError(w, http.StatusServiceUnavailable, api.CodeCanceled, "request canceled while queued")
-			}
-			return
-		}
-		defer s.gate.release()
-	}
-
-	// Pin this request to the currently published snapshot: even if an
-	// update lands mid-query, we keep searching (and report) this epoch.
-	st := s.cur.Load()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	opts := kbtable.SearchOptions{
-		K:               req.K,
-		Algorithm:       algo,
-		MaxRowsPerTable: req.MaxRows,
-		AutoBias:        req.AutoBias,
-	}
-
-	// Resolve "auto" before touching the cache: the planner names the
-	// algorithm the query would run as, the cache is keyed under that
-	// name, and execution (on a miss) requests it explicitly — so auto
-	// answers share entries with explicit requests in both directions,
-	// and are byte-identical to them. Engines without a planner run
-	// "auto" end to end and key under "auto" (no sharing, still correct).
-	// The probe repeats prepare-stage lookups that a miss's execution
-	// redoes; that double work is the price of knowing the key before the
-	// lookup, and is small next to enumeration (it is exactly the
-	// prepare_ms share of the plan's stage timings).
-	var chosen *kbtable.PlanInfo
-	if algo == kbtable.Auto {
-		s.autoRequests.Add(1)
-		if s.abias != nil && opts.AutoBias == 0 {
-			// Adaptive feedback: requests without an explicit bias run
-			// under the learned crossover. The bias steers only the PE/LE
-			// choice — the resolved algorithm still keys the cache, so a
-			// drifting bias can never serve mismatched bytes.
-			opts.AutoBias = s.abias.Effective()
-		}
-		if st.plans != nil {
-			var pi kbtable.PlanInfo
-			var err error
-			if dist := s.distributor(st); dist != nil {
-				// Coordinator mode: the prepare-stage probe scatters to
-				// the owner nodes (a plan-cache hit skips it entirely).
-				pi, err = st.dist.PlanDistributed(s.pinSeq(ctx, st), dist, req.Query, opts)
-			} else {
-				pi, err = st.plans.Plan(ctx, req.Query, opts)
-			}
-			if err != nil {
-				s.writeSearchError(w, err)
-				return
-			}
-			chosen = &pi
-			algo, algoName = pi.Algorithm, wireName(pi.Algorithm)
-			opts.Algorithm = algo
-			if algo == kbtable.LinearEnum {
-				s.autoChoseLE.Add(1)
-			} else {
-				s.autoChosePE.Add(1)
-			}
-		}
-	}
-
-	key := cacheKey(req.Query, algoName, req.K, req.D, req.MaxRows)
-	if hit, ok := s.cache.Get(key); ok {
-		resp := *hit.resp // shallow copy: answers are shared read-only
-		resp.Cached = true
-		// The plan must reflect THIS request, not whichever request
-		// populated the shared entry: an auto hit carries this request's
-		// planner decision and probe statistics, an explicit hit carries
-		// neither, even when the entry was computed the other way
-		// around. Stage timings stay those of the run that computed it.
-		resp.Plan = personalizePlan(resp.Plan, chosen)
-		writeJSON(w, http.StatusOK, &resp)
-		return
-	}
-
-	// Read coalescing: identical concurrent misses — same cache key AND
-	// same pinned epoch — share one execution. The epoch in the flight
-	// key keeps the freshness contract intact: a request that loaded
-	// epoch N+1 never receives bytes computed on epoch N.
-	flightKey := fmt.Sprintf("%d|%s", st.epoch, key)
-	resp, joined, err := s.flights.do(ctx, flightKey, func() (*SearchResponse, error) {
-		// The leader runs detached from its own request context:
-		// followers depend on this execution, so one impatient client
-		// disconnecting must not fail everyone sharing the flight.
-		lctx, lcancel := context.WithTimeout(context.Background(), s.cfg.Timeout)
-		defer lcancel()
-
-		t0 := time.Now()
-		var answers []kbtable.Answer
-		var plan *PlanOut
-		var lerr error
-		if dist := s.distributor(st); dist != nil {
-			// Coordinator mode: scatter the per-shard legs to owner
-			// nodes and gather their partials on the local engine —
-			// bit-identical to SearchPlan by the Theorem-5 fold, with
-			// failed legs re-executed locally inside the engine.
-			var pi kbtable.PlanInfo
-			answers, pi, lerr = st.dist.SearchDistributed(s.pinSeq(lctx, st), dist, req.Query, opts)
-			if lerr == nil {
-				if chosen != nil {
-					pi.Auto, pi.Reason = true, chosen.Reason
-					pi.CandidateRoots = chosen.CandidateRoots
-					pi.RootTypes = chosen.RootTypes
-					pi.PatternSpace = chosen.PatternSpace
-					pi.Frontier = chosen.Frontier
-				}
-				s.observePlan(pi)
-				plan = planOut(pi)
-			}
-		} else if st.plans != nil {
-			var pi kbtable.PlanInfo
-			answers, pi, lerr = st.plans.SearchPlan(lctx, req.Query, opts)
-			if lerr == nil {
-				if chosen != nil {
-					// The run executed the resolved algorithm explicitly;
-					// surface the planner's decision and the (richer)
-					// statistics it was based on, keeping the run's timings.
-					pi.Auto, pi.Reason = true, chosen.Reason
-					pi.CandidateRoots = chosen.CandidateRoots
-					pi.RootTypes = chosen.RootTypes
-					pi.PatternSpace = chosen.PatternSpace
-					pi.Frontier = chosen.Frontier
-				}
-				s.observePlan(pi)
-				plan = planOut(pi)
-			}
-		} else {
-			answers, lerr = st.eng.SearchContext(lctx, req.Query, opts)
-		}
-		if lerr != nil {
-			return nil, lerr
-		}
-
-		resp := &SearchResponse{
-			Query:     req.Query,
-			K:         req.K,
-			Algorithm: algoName,
-			D:         req.D,
-			Epoch:     st.epoch,
-			ElapsedMS: float64(time.Since(t0).Microseconds()) / 1000,
-			Plan:      plan,
-			Answers:   wireAnswers(answers),
-		}
-		ent := &cacheEntry{resp: resp}
-		if st.words != nil {
-			ent.words = st.words.QueryWords(req.Query)
-		}
-		s.cachePut(st.epoch, key, ent)
-		return resp, nil
-	})
-	if err != nil {
-		s.writeSearchError(w, err)
-		return
-	}
-	if joined {
-		// A follower shares the leader's bytes but not its request
-		// shape: copy, mark, and personalize the plan exactly like a
-		// cache hit (the flight's response is shared read-only).
-		s.metrics.coalesced.Add(1)
-		out := *resp
-		out.Coalesced = true
-		out.Plan = personalizePlan(out.Plan, chosen)
-		writeJSON(w, http.StatusOK, &out)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// personalizePlan adapts a shared (cached or coalesced) response's plan
-// to the requesting side's planner decision: chosen non-nil marks an
-// auto request and grafts its probe statistics, nil marks an explicit
-// request. The input is not mutated.
-func personalizePlan(plan *PlanOut, chosen *kbtable.PlanInfo) *PlanOut {
-	if plan == nil {
-		return nil
-	}
-	p := *plan
-	if chosen != nil {
-		p.Auto, p.Reason = true, chosen.Reason
-		p.CandidateRoots, p.RootTypes = chosen.CandidateRoots, chosen.RootTypes
-		p.PatternSpace, p.Frontier = chosen.PatternSpace, chosen.Frontier
-	} else {
-		p.Auto, p.Reason = false, ""
-	}
-	return &p
-}
-
-// wireAnswers converts engine answers to the wire form.
-func wireAnswers(answers []kbtable.Answer) []SearchAnswer {
-	out := make([]SearchAnswer, 0, len(answers))
-	for _, a := range answers {
-		out = append(out, SearchAnswer{
-			Rank:        a.Rank,
-			Score:       a.Score,
-			NumRows:     a.NumRows,
-			Pattern:     a.Pattern,
-			Columns:     a.Columns,
-			FullColumns: a.FullColumns,
-			Rows:        a.Rows,
-		})
-	}
-	return out
-}
-
-// distributor returns the configured cluster executor when this engine
-// state can scatter-gather through it, nil otherwise.
-func (s *Server) distributor(st *engineState) kbtable.ShardExecutor {
-	if s.cfg.Distributor == nil || st.dist == nil {
-		return nil
-	}
-	return s.cfg.Distributor
-}
-
-// pinSeq stamps the pinned engine state's WAL position onto ctx so the
-// cluster transport can demand owner nodes at exactly that position
-// (api.SeqFrom on the other side), keeping every scattered leg on the
-// same snapshot this request is answering from.
-func (s *Server) pinSeq(ctx context.Context, st *engineState) context.Context {
-	if st.dur != nil {
-		return api.WithSeq(ctx, st.dur.Seq())
-	}
-	return ctx
-}
-
-// observePlan folds one executed query's plan into the server's
-// execution-side accounting: the bound-pruned counter and, when enabled,
-// the adaptive-bias accumulator. Only runs that actually enumerated call
-// it — cache hits and coalesced followers carry another run's timings.
-func (s *Server) observePlan(pi kbtable.PlanInfo) {
-	s.boundPruned.Add(pi.BoundPruned)
-	if s.abias != nil {
-		s.abias.Observe(pi)
-	}
-}
-
-// handlePrepare runs the prepare stage for a query and registers a
-// handle for repeated execution via /search {"prepared_id": ...}.
-func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "POST only")
-		return
-	}
-	if !requireJSON(w, r) {
-		return
-	}
-	var preq PrepareRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&preq); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	req := SearchRequest{
-		Query:     preq.Query,
-		K:         preq.K,
-		Algorithm: preq.Algorithm,
-		D:         preq.D,
-		MaxRows:   preq.MaxRows,
-		AutoBias:  preq.AutoBias,
-	}
-	if msg, status := s.normalizeRequest(&req); status != 0 {
-		writeError(w, status, api.CodeBadRequest, msg)
-		return
-	}
-	algo, algoName, err := parseAlgorithm(req.Algorithm)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	if algo == kbtable.Baseline {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "baseline has no prepare stage and cannot be prepared")
-		return
-	}
-	req.Algorithm = algoName
-
-	st := s.cur.Load()
-	if st.preps == nil {
-		writeError(w, http.StatusNotImplemented, api.CodeNotImplemented, "this engine does not support prepared queries")
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	pq, err := st.preps.PrepareContext(ctx, req.Query, kbtable.SearchOptions{
-		K:               req.K,
-		Algorithm:       algo,
-		MaxRowsPerTable: req.MaxRows,
-		AutoBias:        req.AutoBias,
-	})
-	if err != nil {
-		s.writeSearchError(w, err)
-		return
-	}
-
-	// Register under preparedMu, re-checking the published epoch inside
-	// the same critical section the invalidation pass uses: if an update
-	// published while we prepared, the handle answers from a superseded
-	// snapshot and must not be handed out.
-	s.preparedMu.Lock()
-	if s.cur.Load().epoch != st.epoch {
-		s.preparedMu.Unlock()
-		writeError(w, http.StatusConflict, api.CodeStaleEpoch, "knowledge base updated during prepare; retry")
-		return
-	}
-	s.preparedSeq++
-	h := &preparedHandle{
-		id:    fmt.Sprintf("p%d-%d", st.epoch, s.preparedSeq),
-		epoch: st.epoch,
-		req:   req,
-		auto:  algo == kbtable.Auto,
-		pq:    pq,
-	}
-	s.preparedByID[h.id] = h
-	s.preparedMu.Unlock()
-	s.prepares.Add(1)
-
-	writeJSON(w, http.StatusOK, &PrepareResponse{
-		ID:        h.id,
-		Epoch:     h.epoch,
-		Query:     req.Query,
-		K:         req.K,
-		Algorithm: algoName,
-		D:         req.D,
-		MaxRows:   req.MaxRows,
-		Plan:      planOut(pq.Plan()),
-	})
-}
-
-// servePrepared answers a /search carrying prepared_id: look the handle
-// up, execute only enumerate → aggregate → rank on the snapshot it was
-// prepared against, and bypass the result cache and read coalescing (the
-// execution IS the fast path). Admission control still applies.
-func (s *Server) servePrepared(w http.ResponseWriter, r *http.Request, req *SearchRequest) {
-	if req.Query != "" || req.Algorithm != "" || req.K != 0 || req.D != 0 || req.MaxRows != 0 {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "prepared_id fixes query/k/algorithm/d/max_rows at prepare time; only auto_bias and priority may accompany it")
-		return
-	}
-	if msg := checkAutoBias(req.AutoBias); msg != "" {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, msg)
-		return
-	}
-	prioName := r.Header.Get("X-KB-Priority")
-	if prioName == "" {
-		prioName = req.Priority
-	}
-	prio, err := parsePriority(prioName)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	if s.gate != nil {
-		if err := s.gate.acquire(r.Context(), prio, s.cfg.QueueTimeout); err != nil {
-			switch {
-			case errors.Is(err, errShedFull), errors.Is(err, errShedTimeout):
-				writeShed(w, err.Error())
-			default:
-				writeError(w, http.StatusServiceUnavailable, api.CodeCanceled, "request canceled while queued")
-			}
-			return
-		}
-		defer s.gate.release()
-	}
-
-	s.preparedMu.Lock()
-	h := s.preparedByID[req.PreparedID]
-	s.preparedMu.Unlock()
-	if h == nil {
-		writeError(w, http.StatusGone, api.CodePreparedGone, fmt.Sprintf("unknown or expired prepared query %q: POST /prepare again on the current epoch", req.PreparedID))
-		return
-	}
-
-	bias := h.req.AutoBias
-	if req.AutoBias != 0 {
-		bias = req.AutoBias
-	}
-	if h.auto && bias == 0 && s.abias != nil {
-		bias = s.abias.Effective()
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	t0 := time.Now()
-	answers, pi, err := h.pq.SearchBias(ctx, bias)
-	if err != nil {
-		s.writeSearchError(w, err)
-		return
-	}
-	s.observePlan(pi)
-	s.preparedSearches.Add(1)
-	writeJSON(w, http.StatusOK, &SearchResponse{
-		Query:      h.req.Query,
-		K:          h.req.K,
-		Algorithm:  wireName(pi.Algorithm),
-		D:          h.req.D,
-		Epoch:      h.epoch,
-		PreparedID: h.id,
-		ElapsedMS:  float64(time.Since(t0).Microseconds()) / 1000,
-		Plan:       planOut(pi),
-		Answers:    wireAnswers(answers),
-	})
-}
-
-// dropPrepared expires every prepared handle bound to a superseded
-// epoch. Called after each epoch publish; a prepare racing the publish
-// either registered before (and is dropped here) or re-checks the epoch
-// under the same mutex and refuses to register.
-func (s *Server) dropPrepared() {
-	cur := s.cur.Load().epoch
-	s.preparedMu.Lock()
-	for id, h := range s.preparedByID {
-		if h.epoch != cur {
-			delete(s.preparedByID, id)
-			s.preparedExpired.Add(1)
-		}
-	}
-	s.preparedMu.Unlock()
-}
-
-// writeSearchError maps a search failure onto an HTTP status.
-func (s *Server) writeSearchError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, api.CodeTimeout, "query timed out")
-	case errors.Is(err, context.Canceled):
-		writeError(w, http.StatusServiceUnavailable, api.CodeCanceled, "request canceled")
-	default:
-		writeError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-	}
-}
-
-// cachePut inserts a computed result unless its epoch has been superseded.
-// The read-lock excludes the invalidate-and-publish critical section: if
-// the published epoch still equals the computing epoch, the next update's
-// invalidation pass has not run yet and will see (and judge) this entry;
-// if it no longer does, the invalidation already ran and inserting would
-// smuggle a stale result past it, so the insert is dropped.
-func (s *Server) cachePut(epoch uint64, key string, ent *cacheEntry) {
-	s.swapMu.RLock()
-	defer s.swapMu.RUnlock()
-	if s.cur.Load().epoch == epoch {
-		s.cache.Put(key, ent)
-	}
-}
-
-// handleUpdate applies an atomic batch of KB mutations and publishes the
-// next epoch. Updates are serialized; searches are never blocked — they
-// run on the old snapshot until the new one is atomically swapped in, and
-// only cached entries whose query words the update touched are dropped.
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "POST only")
-		return
-	}
-	if !requireJSON(w, r) {
-		return
-	}
-	if s.cfg.ReadOnly {
-		writeError(w, http.StatusNotImplemented, api.CodeReadOnly, "this server is read-only")
-		return
-	}
-	var req UpdateRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 8<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if len(req.Ops) == 0 {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "update has no ops")
-		return
-	}
-	if len(req.Ops) > s.cfg.MaxUpdateOps {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("update has %d ops, limit is %d", len(req.Ops), s.cfg.MaxUpdateOps))
-		return
-	}
-
-	resp, err := s.applyUpdate(kbtable.Update{Ops: req.Ops})
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusOK, resp)
-	case errors.Is(err, errEngineReadOnly):
-		writeError(w, http.StatusNotImplemented, api.CodeReadOnly, err.Error())
-	case errors.Is(err, kbtable.ErrDurability):
-		// The batch was valid but could not be persisted; nothing was
-		// published, and the store refuses further appends.
-		writeError(w, http.StatusServiceUnavailable, api.CodeDurability, err.Error())
-	default:
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-	}
-}
-
-// errEngineReadOnly reports an apply on an engine without an update
-// surface (distinct from Config.ReadOnly, which gates only the handler).
-var errEngineReadOnly = errors.New("this engine does not support updates")
-
-// Apply applies one update batch through the full serving pipeline —
-// in-order epoch publish, word-precise cache invalidation, prepared
-// handle expiry, durability when configured — exactly like POST
-// /v1/update, and returns the newly published epoch. It is the
-// replication entry point: a follower node replays WAL records shipped
-// from its coordinator through Apply so every serving invariant holds
-// on followers too. Config.ReadOnly does not gate Apply.
-func (s *Server) Apply(u kbtable.Update) (uint64, error) {
-	resp, err := s.applyUpdate(u)
-	if err != nil {
-		return 0, err
-	}
-	return resp.Epoch, nil
-}
-
-// applyUpdate is the shared update pipeline behind POST /v1/update and
-// Apply.
-func (s *Server) applyUpdate(u kbtable.Update) (*UpdateResponse, error) {
-	// Apply in memory on the newest state in the chain — published or
-	// not. applyMu serializes only the (fast, copy-on-write) apply and
-	// the WAL enqueue; the fsync happens after it is released, so
-	// concurrent updates overlap their applies with each other's fsyncs
-	// and the store group-commits their WAL records together.
-	s.applyMu.Lock()
-	base := s.tail
-	if base == nil {
-		base = s.cur.Load()
-	}
-	if base.upd == nil {
-		s.applyMu.Unlock()
-		return nil, errEngineReadOnly
-	}
-	t0 := time.Now()
-	var newEng *kbtable.Engine
-	var res kbtable.UpdateResult
-	var commit *kbtable.Commit
-	var err error
-	durable := s.cfg.Store != nil && base.dur != nil
-	switch {
-	case durable && base.durAsync != nil:
-		// Pipelined durable path: the accepted batch still reaches the
-		// write-ahead log (fsync) before the epoch swap publishes it —
-		// commit.Wait() below resolves before publication — so by the
-		// time any search can observe this update, a crash can no
-		// longer lose it. The wait just no longer serializes fsyncs.
-		newEng, res, commit, err = base.durAsync.ApplyLoggedAsync(s.cfg.Store, u)
-	case durable:
-		// Serial durable fallback (engines exposing only ApplyLogged):
-		// apply + fsync under applyMu, exactly the pre-group-commit path.
-		newEng, res, err = base.dur.ApplyLogged(s.cfg.Store, u)
-	default:
-		newEng, res, err = base.upd.ApplyUpdate(u)
-	}
-	if err != nil {
-		s.applyMu.Unlock()
-		return nil, err
-	}
-	next := &engineState{eng: newEng, upd: newEng, words: newEng, shards: newEng, plans: newEng, preps: newEng, dist: newEng, epoch: base.epoch + 1}
-	if base.dur != nil {
-		// Durability stays engaged only when the whole chain was durable:
-		// an engine wrapped by a non-durable fake produced an unlogged
-		// first update, so logging later ones would leave a WAL that
-		// replays into a different history.
-		next.dur = newEng
-	}
-	if base.durAsync != nil {
-		next.durAsync = newEng
-	}
-	s.tail = next
-	s.applyMu.Unlock()
-
-	if commit != nil {
-		if _, err := commit.Wait(); err != nil {
-			// The batch never became durable: unpublish the poisoned
-			// chain so later applies rebase off the published state.
-			// Every WAL record enqueued after this one fails too (the
-			// store is read-only after an append failure), so no handler
-			// downstream of this epoch is left waiting to publish.
-			s.applyMu.Lock()
-			s.tail = nil
-			s.applyMu.Unlock()
-			return nil, err
-		}
-	}
-
-	touched := make(map[string]bool, len(res.TouchedWords))
-	for _, wd := range res.TouchedWords {
-		touched[wd] = true
-	}
-	// Publish strictly in epoch order: a handler whose predecessor is
-	// still fsyncing parks here until that epoch lands, so searches
-	// observe epochs 1, 2, 3, … with no gaps and every response's epoch
-	// matches exactly the update history it reflects.
-	s.pubMu.Lock()
-	for s.cur.Load().epoch+1 != next.epoch {
-		s.pubCond.Wait()
-	}
-	s.swapMu.Lock()
-	invalidated := s.cache.DeleteFunc(func(_ string, ent *cacheEntry) bool {
-		if res.ScoresRefreshed {
-			// PageRank moved globally: no cached answer is provably
-			// unchanged, word precision does not apply.
-			return true
-		}
-		if ent.words == nil {
-			return true // untagged: cannot prove it unaffected
-		}
-		for _, wd := range ent.words {
-			if touched[wd] {
-				return true
-			}
-		}
-		return false
-	})
-	s.cur.Store(next)
-	s.swapMu.Unlock()
-	s.pubCond.Broadcast()
-	s.pubMu.Unlock()
-	// Prepared handles are bound to their snapshot: every one from a
-	// superseded epoch now answers 410 and the client re-prepares.
-	s.dropPrepared()
-	s.updates.Add(1)
-	s.maybeCheckpoint()
-
-	ids := make([]int64, 0, len(res.NewEntities))
-	for _, id := range res.NewEntities {
-		ids = append(ids, int64(id))
-	}
-	return &UpdateResponse{
-		Epoch:            next.epoch,
-		NewEntities:      ids,
-		Entities:         res.Entities,
-		Attributes:       res.Attributes,
-		EntriesRemoved:   res.EntriesRemoved,
-		EntriesAdded:     res.EntriesAdded,
-		DirtyRoots:       res.DirtyRoots,
-		TouchedWords:     len(res.TouchedWords),
-		InvalidatedCache: invalidated,
-		AffectedShards:   res.AffectedShards,
-		ElapsedMS:        float64(time.Since(t0).Microseconds()) / 1000,
-	}, nil
-}
-
-// maybeCheckpoint starts a background checkpoint when the WAL has
-// grown CheckpointEvery records past the last snapshot. At most one
-// checkpoint runs at a time; the engine snapshot it serializes is
-// immutable, so searches and further updates are never blocked (the
-// WAL suffix appended meanwhile simply survives the truncation).
-func (s *Server) maybeCheckpoint() {
-	if s.cfg.Store == nil || s.cfg.CheckpointEvery < 0 {
-		return
-	}
-	st := s.cur.Load()
-	if st.dur == nil {
-		return
-	}
-	ss := s.cfg.Store.Stats()
-	seq := st.dur.Seq()
-	if seq < ss.SnapshotSeq {
-		// The engine is behind the store's snapshot (a Config pairing an
-		// engine with a store it was not recovered from). Unsigned
-		// subtraction would wrap and fire a doomed checkpoint on every
-		// update; there is nothing useful to snapshot, so stand down.
-		return
-	}
-	if seq-ss.SnapshotSeq < uint64(s.cfg.CheckpointEvery) {
-		return
-	}
-	if !s.ckptBusy.CompareAndSwap(false, true) {
-		return // one goroutine at a time; the next update re-evaluates
-	}
-	go func() {
-		defer s.ckptBusy.Store(false)
-		_ = s.runCheckpoint()
-	}()
-}
-
-// runCheckpoint serializes the CURRENT engine into the store and
-// maintains the /healthz counters. The run mutex orders concurrent
-// callers (background goroutine vs shutdown's CheckpointNow), and the
-// published engine is loaded inside it: the second runner then sees a
-// seq >= the snapshot the first one wrote, so it either skips or
-// checkpoints strictly newer state — never a spurious regression error
-// or a double count.
-func (s *Server) runCheckpoint() error {
-	s.ckptRunMu.Lock()
-	defer s.ckptRunMu.Unlock()
-	st := s.cur.Load()
-	if st.dur == nil {
-		return nil
-	}
-	cs, err := st.dur.Checkpoint(s.cfg.Store)
-	if err != nil {
-		s.ckptErrors.Add(1)
-		return err
-	}
-	if !cs.Skipped {
-		s.checkpoints.Add(1)
-		s.lastCkptUnix.Store(time.Now().Unix())
-	}
-	return nil
-}
-
-// CheckpointNow synchronously checkpoints the currently published
-// engine (kbserve calls it on graceful shutdown, so a clean restart
-// replays no WAL). Without a store or a durable engine it is a no-op.
-func (s *Server) CheckpointNow() error {
-	if s.cfg.Store == nil {
-		return nil
-	}
-	return s.runCheckpoint()
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "GET only")
-		return
-	}
-	st := s.cur.Load()
-	resp := &HealthResponse{
-		Status:        "ok",
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Requests:      s.requests.Load(),
-		Epoch:         st.epoch,
-		Updates:       s.updates.Load(),
-		Updatable:     st.upd != nil && !s.cfg.ReadOnly,
-		Cache:         s.cache.Stats(),
-		Planner: PlannerHealth{
-			AutoRequests:     s.autoRequests.Load(),
-			ChosePatternEnum: s.autoChosePE.Load(),
-			ChoseLinearEnum:  s.autoChoseLE.Load(),
-			Prepared: PreparedHealth{
-				Live:     s.preparedLive(),
-				Prepares: s.prepares.Load(),
-				Searches: s.preparedSearches.Load(),
-				Expired:  s.preparedExpired.Load(),
-			},
-		},
-		Serving: ServingHealth{Coalesced: s.metrics.coalesced.Load()},
-	}
-	if pcs, ok := st.eng.(planCacheStatser); ok {
-		if cs := pcs.PlanCacheStats(); cs.Capacity > 0 {
-			resp.Planner.PlanCache = &PlanCacheHealth{
-				Size:        cs.Size,
-				Capacity:    cs.Capacity,
-				Epoch:       cs.Epoch,
-				Hits:        cs.Hits,
-				Misses:      cs.Misses,
-				Invalidated: cs.Invalidated,
-			}
-		}
-	}
-	if s.abias != nil {
-		bs := s.abias.Stats()
-		resp.Planner.AdaptiveBias = &AdaptiveBiasHealth{
-			Base:           bs.Base,
-			Effective:      bs.Effective,
-			PEObservations: bs.PEObservations,
-			LEObservations: bs.LEObservations,
-			PENsPerUnit:    bs.PENsPerUnit,
-			LENsPerUnit:    bs.LENsPerUnit,
-		}
-	}
-	if s.gate != nil {
-		resp.Serving.MaxConcurrent = s.cfg.MaxConcurrent
-		resp.Serving.InFlight, resp.Serving.QueueDepth = s.gate.depth()
-		resp.Serving.ShedQueueFull = s.gate.shedFull.Load()
-		resp.Serving.ShedQueueTimeout = s.gate.shedTimeout.Load()
-	}
-	if is, ok := st.eng.(indexStatser); ok {
-		ixs := is.IndexStats()
-		resp.Index = &IndexHealth{
-			Bytes:         ixs.Bytes,
-			BytesPerEntry: ixs.BytesPerEntry,
-			Entries:       ixs.Entries,
-			Patterns:      ixs.Patterns,
-			D:             ixs.D,
-		}
-	}
-	if st.shards != nil {
-		info := st.shards.ShardInfo()
-		resp.Shards = &ShardHealth{
-			Count:   info.Count,
-			Epochs:  info.Epochs,
-			Roots:   info.Roots,
-			Entries: info.Entries,
-		}
-	}
-	if s.cfg.Store != nil {
-		ss := s.cfg.Store.Stats()
-		resp.Durability = &DurabilityHealth{
-			DataDir:             ss.Dir,
-			WALSeq:              ss.LastSeq,
-			SnapshotSeq:         ss.SnapshotSeq,
-			PendingRecords:      ss.LastSeq - ss.SnapshotSeq,
-			WALBytes:            ss.WALBytes,
-			Checkpoints:         s.checkpoints.Load(),
-			CheckpointErrors:    s.ckptErrors.Load(),
-			CheckpointEvery:     s.cfg.CheckpointEvery,
-			LastCheckpointUnix:  s.lastCkptUnix.Load(),
-			TornOnOpen:          ss.TornOnOpen,
-			WALBroken:           ss.Broken,
-			GroupCommitBatches:  ss.GroupCommitBatches,
-			GroupCommitRecords:  ss.GroupCommitRecords,
-			GroupCommitMaxBatch: ss.GroupCommitMaxBatch,
-		}
-		if ss.Broken {
-			resp.Status = "degraded"
-		}
-	}
-	if s.cfg.Cluster != nil {
-		resp.Cluster = s.cfg.Cluster()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleShards reports which shards this node hosts and at what WAL
-// sequence — the membership probe a coordinator or operator uses to
-// check a node's role and replication progress. v1-only (no legacy
-// alias: the endpoint postdates the unversioned API).
-func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "GET only")
-		return
-	}
-	st := s.cur.Load()
-	resp := &api.ShardsResponse{Epoch: st.epoch, Role: "standalone"}
-	if so, ok := st.eng.(shardOwner); ok {
-		resp.Owned = so.OwnedShards()
-		resp.Complete = so.Complete()
-	}
-	if st.shards != nil {
-		resp.Shards = st.shards.ShardInfo().Count
-	}
-	if st.dur != nil {
-		resp.Seq = st.dur.Seq()
-	}
-	if s.cfg.Cluster != nil {
-		if ch := s.cfg.Cluster(); ch != nil {
-			resp.Role, resp.NodeID = ch.Role, ch.NodeID
-			if ch.Seq > resp.Seq {
-				resp.Seq = ch.Seq
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleWALSegments streams committed WAL records after a sequence
-// cursor — the replication pull a follower replays through Apply.
-// Responses are bounded (max records per pull) and More tells the
-// follower to pull again immediately instead of sleeping. A cursor
-// older than the retained history (checkpoint truncated it away)
-// answers 410 wal_gap: the follower must reseed from a snapshot.
-func (s *Server) handleWALSegments(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "GET only")
-		return
-	}
-	if s.cfg.Store == nil {
-		writeError(w, http.StatusNotImplemented, api.CodeNotImplemented, "this server has no write-ahead log")
-		return
-	}
-	q := r.URL.Query()
-	var after uint64
-	if v := q.Get("after"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad after cursor: "+err.Error())
-			return
-		}
-		after = n
-	}
-	max := 256
-	if v := q.Get("max"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad max: must be a positive integer")
-			return
-		}
-		max = n
-	}
-	recs, err := s.cfg.Store.ReadWAL(after, max)
-	if err != nil {
-		if errors.Is(err, kbtable.ErrWALGap) {
-			writeError(w, http.StatusGone, api.CodeWALGap, err.Error())
-			return
-		}
-		writeError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-		return
-	}
-	if recs == nil {
-		recs = []kbtable.WALRecord{}
-	}
-	resp := &api.WALSegmentsResponse{After: after, Records: recs}
-	if len(recs) > 0 {
-		resp.LastSeq = recs[len(recs)-1].Seq
-		resp.More = resp.LastSeq < s.cfg.Store.Stats().LastSeq
-	} else {
-		resp.LastSeq = after
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// preparedLive counts the currently registered prepared handles.
-func (s *Server) preparedLive() int {
-	s.preparedMu.Lock()
-	defer s.preparedMu.Unlock()
-	return len(s.preparedByID)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeError writes the structured error envelope: a stable machine
-// code (api.Code*) plus human-readable detail.
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, api.ErrorResponse{Error: api.ErrorBody{Code: code, Message: msg}})
-}
-
-// writeShed writes the 429 shed envelope with its retry hint in both
-// the Retry-After header (seconds) and the body (milliseconds).
-func writeShed(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusTooManyRequests, api.ErrorResponse{
-		Error: api.ErrorBody{Code: api.CodeShed, Message: msg, RetryAfterMS: 1000},
-	})
-}
-
-// requireJSON rejects a POST whose declared Content-Type is something
-// other than JSON (an absent header is accepted for curl-friendliness).
-// Returns false after writing the 415 envelope.
-func requireJSON(w http.ResponseWriter, r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	if ct == "" {
-		return true
-	}
-	mt := strings.TrimSpace(strings.ToLower(strings.SplitN(ct, ";", 2)[0]))
-	if mt == "application/json" || strings.HasSuffix(mt, "+json") {
-		return true
-	}
-	writeError(w, http.StatusUnsupportedMediaType, api.CodeBadRequest,
-		fmt.Sprintf("unsupported content type %q: use application/json", ct))
-	return false
-}

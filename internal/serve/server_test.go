@@ -65,7 +65,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 func postSearch(t *testing.T, url string, req SearchRequest) (*http.Response, *SearchResponse) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/search", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/search", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,19 +146,19 @@ func TestSearchValidation(t *testing.T) {
 		}
 	}
 	// GET on /search is not allowed.
-	resp, err := http.Get(ts.URL + "/search")
+	resp, err := http.Get(ts.URL + "/v1/search")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /search: status %d, want 405", resp.StatusCode)
+		t.Errorf("GET /v1/search: status %d, want 405", resp.StatusCode)
 	}
 }
 
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,21 +175,22 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// slowSearcher blocks until its context expires, standing in for an
-// explosive query that must be cut off by the per-request timeout.
-type slowSearcher struct{}
+// slowEngine is a real engine whose searches block until their context
+// expires, standing in for an explosive query that must be cut off by the
+// per-request timeout.
+type slowEngine struct{ *kbtable.Engine }
 
-func (slowSearcher) SearchContext(ctx context.Context, query string, opts kbtable.SearchOptions) ([]kbtable.Answer, error) {
+func (slowEngine) SearchPlan(ctx context.Context, query string, opts kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error) {
 	<-ctx.Done()
-	return nil, ctx.Err()
+	return nil, kbtable.PlanInfo{}, ctx.Err()
 }
 
 func TestSearchTimeout(t *testing.T) {
-	srv := New(Config{Engine: slowSearcher{}, D: 3, Timeout: 20 * time.Millisecond})
+	srv := New(Config{Engine: slowEngine{fig1Engine(t)}, D: 3, Timeout: 20 * time.Millisecond})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	body, _ := json.Marshal(SearchRequest{Query: "software"})
-	resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestConcurrentStress(t *testing.T) {
 					}
 				default: // full HTTP round trip, exercising the cache
 					body, _ := json.Marshal(SearchRequest{Query: q, K: 5, Algorithm: algos[(w+i)%len(algos)]})
-					resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+					resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 					if err != nil {
 						errs <- err
 						continue

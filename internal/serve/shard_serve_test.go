@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"kbtable"
+	"kbtable/internal/api"
 )
 
 // fig1Sharded builds a sharded engine over the Figure 1 knowledge base.
@@ -46,7 +47,7 @@ func TestShardedServerMatchesUnsharded(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(sharded.URL + "/healthz")
+	resp, err := http.Get(sharded.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +98,11 @@ func TestShardedConcurrentSearchAndUpdateConsistency(t *testing.T) {
 		expected[ep] = make(map[string][]SearchAnswer)
 		for _, q := range queries {
 			key := q.Query + "|" + q.Algorithm
-			algo, _, err := parseAlgorithm(q.Algorithm)
+			algo, err := api.ParseAlgorithm(q.Algorithm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			answers, err := eng.SearchOpts(normalizeQuery(q.Query), kbtable.SearchOptions{
+			answers, err := eng.SearchOpts(kbtable.NormalizeQuery(q.Query), kbtable.SearchOptions{
 				K: q.K, Algorithm: algo, MaxRowsPerTable: 50,
 			})
 			if err != nil {
@@ -139,7 +140,7 @@ func TestShardedConcurrentSearchAndUpdateConsistency(t *testing.T) {
 		defer wg.Done()
 		for i, u := range updates {
 			body, _ := json.Marshal(UpdateRequest{Ops: u.Ops})
-			resp, err := client.Post(ts.URL+"/update", "application/json", bytes.NewReader(body))
+			resp, err := client.Post(ts.URL+"/v1/update", "application/json", bytes.NewReader(body))
 			if err != nil {
 				errc <- err
 				return
@@ -171,7 +172,7 @@ func TestShardedConcurrentSearchAndUpdateConsistency(t *testing.T) {
 				q := queries[(worker+i)%len(queries)]
 				low := published.Load()
 				body, _ := json.Marshal(q)
-				resp, err := client.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+				resp, err := client.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errc <- err
 					return
@@ -207,7 +208,7 @@ func TestShardedConcurrentSearchAndUpdateConsistency(t *testing.T) {
 	}
 	// The update chain only ever touched the Figure 1 software cluster;
 	// per-shard epochs must reflect routed work, not blanket rebuilds.
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

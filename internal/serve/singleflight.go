@@ -20,7 +20,7 @@ import (
 // flight is one in-progress shared execution.
 type flight struct {
 	done chan struct{}
-	resp *SearchResponse // set before done closes; nil on error
+	ent  *cacheEntry // set before done closes; nil on error
 	err  error
 }
 
@@ -35,7 +35,7 @@ type flightGroup struct {
 // caller was a follower (joined an existing flight). A follower whose
 // own ctx expires stops waiting and returns the ctx error; the flight
 // itself continues for the remaining callers.
-func (g *flightGroup) do(ctx context.Context, key string, fn func() (*SearchResponse, error)) (*SearchResponse, bool, error) {
+func (g *flightGroup) do(ctx context.Context, key string, fn func() (*cacheEntry, error)) (*cacheEntry, bool, error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*flight)
@@ -44,7 +44,7 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (*SearchResp
 		g.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.resp, true, f.err
+			return f.ent, true, f.err
 		case <-ctx.Done():
 			return nil, true, ctx.Err()
 		}
@@ -53,10 +53,10 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (*SearchResp
 	g.m[key] = f
 	g.mu.Unlock()
 
-	f.resp, f.err = fn()
+	f.ent, f.err = fn()
 	g.mu.Lock()
 	delete(g.m, key) // remove before close: later arrivals start fresh
 	g.mu.Unlock()
 	close(f.done)
-	return f.resp, false, f.err
+	return f.ent, false, f.err
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"kbtable"
+	"kbtable/internal/api"
 )
 
 // epochUpdates builds the deterministic update sequence the consistency
@@ -58,11 +59,11 @@ func TestConcurrentSearchAndUpdateConsistency(t *testing.T) {
 		expected[ep] = make(map[string][]SearchAnswer)
 		for _, q := range queries {
 			key := q.Query + "|" + q.Algorithm
-			algo, _, err := parseAlgorithm(q.Algorithm)
+			algo, err := api.ParseAlgorithm(q.Algorithm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			answers, err := eng.SearchOpts(normalizeQuery(q.Query), kbtable.SearchOptions{
+			answers, err := eng.SearchOpts(kbtable.NormalizeQuery(q.Query), kbtable.SearchOptions{
 				K: q.K, Algorithm: algo, MaxRowsPerTable: 50,
 			})
 			if err != nil {
@@ -100,7 +101,7 @@ func TestConcurrentSearchAndUpdateConsistency(t *testing.T) {
 		defer wg.Done()
 		for i, u := range updates {
 			body, _ := json.Marshal(UpdateRequest{Ops: u.Ops})
-			resp, err := client.Post(ts.URL+"/update", "application/json", bytes.NewReader(body))
+			resp, err := client.Post(ts.URL+"/v1/update", "application/json", bytes.NewReader(body))
 			if err != nil {
 				errc <- err
 				return
@@ -128,7 +129,7 @@ func TestConcurrentSearchAndUpdateConsistency(t *testing.T) {
 				q := queries[(worker+i)%len(queries)]
 				low := published.Load() // epochs acked before we sent
 				body, _ := json.Marshal(q)
-				resp, err := client.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+				resp, err := client.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errc <- err
 					return
@@ -202,7 +203,7 @@ func TestConcurrentUpdatersDontCorrupt(t *testing.T) {
 				sw := u.AddEntity("Software", fmt.Sprintf("tool w%dn%d", wr, i))
 				u.AddTextAttr(sw, "License", "MIT license")
 				body, _ := json.Marshal(UpdateRequest{Ops: u.Ops})
-				resp, err := client.Post(ts.URL+"/update", "application/json", bytes.NewReader(body))
+				resp, err := client.Post(ts.URL+"/v1/update", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errc <- err
 					return
@@ -224,7 +225,7 @@ func TestConcurrentUpdatersDontCorrupt(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				body, _ := json.Marshal(SearchRequest{Query: "software license", K: 5})
-				resp, err := client.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+				resp, err := client.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errc <- err
 					return

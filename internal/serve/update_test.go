@@ -26,7 +26,7 @@ func fig1UniformEngine(t *testing.T) *kbtable.Engine {
 func postUpdate(t *testing.T, url string, req UpdateRequest) (*http.Response, *UpdateResponse) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/update", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/update", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestUpdateEndpoint(t *testing.T) {
 	}
 
 	// Health reflects the swap.
-	hr, err := http.Get(ts.URL + "/healthz")
+	hr, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +98,13 @@ func TestUpdateEndpointValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/update")
+	resp, err := http.Get(ts.URL + "/v1/update")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /update: status %d", resp.StatusCode)
+		t.Errorf("GET /v1/update: status %d", resp.StatusCode)
 	}
 	// A failed update must not advance the epoch.
 	_, sr := postSearch(t, ts.URL, SearchRequest{Query: "database"})

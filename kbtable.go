@@ -199,7 +199,8 @@ type EngineOptions struct {
 	// PageRank and root filters still span the full graph, so each
 	// resident shard is content-identical to the same shard of a full
 	// engine. Partial engines only serve per-shard cluster legs
-	// (ScatterShard / ProbeShard) and updates; whole-query Search returns
+	// (ScatterShard / ProbeShard) and updates; every whole-query call
+	// (Search*, Plan*, Prepare, SearchTrees, Explain) returns
 	// ErrPartialEngine. Empty means all shards.
 	OwnedShards []int
 }
@@ -494,6 +495,9 @@ func (e *Engine) SearchPlan(ctx context.Context, query string, opts SearchOption
 // subsequent search with the returned PlanInfo.Algorithm produces exactly
 // the answers Auto would. Stage timings are zero (nothing executed).
 func (e *Engine) Plan(ctx context.Context, query string, opts SearchOptions) (PlanInfo, error) {
+	if !e.sh.Complete() {
+		return PlanInfo{}, ErrPartialEngine
+	}
 	so := e.searchOptions(opts)
 	algo, err := searchAlgo(opts.Algorithm)
 	if err != nil {
@@ -909,10 +913,14 @@ const ExplainBudget = 5_000_000
 
 // Explain analyzes a query without ranking answers. Candidate roots and
 // subtrees sum across the shards' disjoint root partitions and patterns
-// are unioned by content.
-func (e *Engine) Explain(query string) Explanation {
-	words, surfaces := search.ResolveQuery(e.sh.AnyIndex(), query)
+// are unioned by content. A partial engine cannot count across the whole
+// partition and returns ErrPartialEngine.
+func (e *Engine) Explain(query string) (Explanation, error) {
 	ex := Explanation{}
+	if !e.sh.Complete() {
+		return ex, ErrPartialEngine
+	}
+	words, surfaces := search.ResolveQuery(e.sh.AnyIndex(), query)
 	for i, w := range words {
 		if w < 0 {
 			ex.Unknown = append(ex.Unknown, surfaces[i])
@@ -922,7 +930,7 @@ func (e *Engine) Explain(query string) Explanation {
 	}
 	ex.CandidateRoots = e.sh.NumCandidateRoots(query)
 	ex.Patterns, ex.Subtrees, ex.Capped = e.sh.CountAllContent(query, ExplainBudget)
-	return ex
+	return ex, nil
 }
 
 // TreeAnswer is one individually-ranked valid subtree, the alternative
@@ -941,6 +949,9 @@ type TreeAnswer struct {
 // game") rather than a list ("list of XBox games"). See EXPERIMENTS.md's
 // case study for the contrast.
 func (e *Engine) SearchTrees(query string, k int) ([]TreeAnswer, error) {
+	if !e.sh.Complete() {
+		return nil, ErrPartialEngine
+	}
 	if k <= 0 {
 		k = 10
 	}

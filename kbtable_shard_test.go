@@ -183,14 +183,17 @@ func TestShardCountInvisibleInUpdates(t *testing.T) {
 // surfaces.
 func TestShardCountInvisibleInExplainAndTrees(t *testing.T) {
 	one, many := enginesOver(t, buildFig1Public(t), EngineOptions{D: 3})
-	fx := one.Explain("database software revenue")
+	fx, err := one.Explain("database software revenue")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ft, err := one.SearchTrees("database software", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n, e := range many {
-		if sx := e.Explain("database software revenue"); !reflect.DeepEqual(fx, sx) {
-			t.Fatalf("shards=%d: Explain diverges: %+v vs %+v", n, fx, sx)
+		if sx, err := e.Explain("database software revenue"); err != nil || !reflect.DeepEqual(fx, sx) {
+			t.Fatalf("shards=%d: Explain diverges: %+v vs %+v (err %v)", n, fx, sx, err)
 		}
 		if !reflect.DeepEqual(one.QueryWords("Databases SOFTWARE"), e.QueryWords("Databases SOFTWARE")) {
 			t.Fatalf("shards=%d: QueryWords diverges", n)

@@ -135,6 +135,9 @@ func (e *Engine) Prepare(query string, opts SearchOptions) (*PreparedQuery, erro
 
 // PrepareContext is Prepare with cancellation.
 func (e *Engine) PrepareContext(ctx context.Context, query string, opts SearchOptions) (*PreparedQuery, error) {
+	if !e.sh.Complete() {
+		return nil, ErrPartialEngine
+	}
 	algo, err := searchAlgo(opts.Algorithm)
 	if err != nil {
 		return nil, err
