@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench benchmark-module index-procs fmt vet check cover fuzz golden loc serve clean ci-local cold-start snapshot-fixture load-soak cluster-soak
+.PHONY: build test race alloc bench benchmark-module index-procs fmt vet check cover fuzz golden loc serve clean ci-local cold-start snapshot-fixture load-soak cluster-soak
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The enumerate stage's allocation budgets sit behind !race (the race
+# detector changes allocation counts), so `race` alone never runs them.
+alloc:
+	$(GO) test -count=1 -run Alloc ./internal/search ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
@@ -35,7 +40,7 @@ index-procs:
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/index/
 	GOMAXPROCS=4 $(GO) test -count=1 ./internal/index/
 
-check: vet build race bench benchmark-module index-procs
+check: vet build race alloc bench benchmark-module index-procs
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@echo "all checks passed"
 
@@ -55,8 +60,8 @@ fuzz:
 # Mirror of the GitHub `test` + `coverage` jobs, step for step, so a CI
 # failure can be reproduced (and fixed) without pushing: gofmt, vet,
 # build, examples, race tests (incl. the snapshot format gate), the
-# index tests at two core counts, the benchmark module, bench smoke,
-# coverage floor.
+# allocation budgets without race, the index tests at two core counts, the
+# benchmark module, bench smoke, coverage floor.
 ci-local:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
@@ -64,7 +69,7 @@ ci-local:
 	$(GO) build ./examples/...
 	$(GO) test -race ./...
 	$(GO) test -run TestSnapshotFixture -v .
-	$(MAKE) index-procs benchmark-module
+	$(MAKE) alloc index-procs benchmark-module
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 	$(GO) test -coverprofile=cover.out -coverpkg=./internal/index,./internal/kg ./...
 	@total=$$($(GO) tool cover -func=cover.out | tail -1 | awk '{print $$3}' | tr -d '%'); \

@@ -175,6 +175,7 @@ func BenchmarkQueryPETopK(b *testing.B) {
 	e := env()
 	ix := e.WikiIndex(3)
 	qs := benchQueries(e)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := search.PETopK(ix, qs[i%len(qs)], search.Options{K: 100, SkipTrees: true})
@@ -254,6 +255,7 @@ func BenchmarkQueryLETopK(b *testing.B) {
 	e := env()
 	ix := e.WikiIndex(3)
 	qs := benchQueries(e)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := search.LETopK(ix, qs[i%len(qs)], search.Options{K: 100, SkipTrees: true})
@@ -265,6 +267,7 @@ func BenchmarkQueryLETopKSampled(b *testing.B) {
 	e := env()
 	ix := e.WikiIndex(3)
 	qs := benchQueries(e)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := search.LETopK(ix, qs[i%len(qs)], search.Options{

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"kbtable/internal/kg"
 )
@@ -75,17 +76,35 @@ func (p PathPattern) Render(g *kg.Graph) string {
 }
 
 // PatternTable interns path patterns to dense PatternIDs. It is safe for
-// concurrent use so that parallel index construction can intern patterns
-// from multiple workers.
+// concurrent use: Intern serializes writers behind a mutex (parallel index
+// construction and the baseline's online search intern from several
+// workers), while Get, Len, Snapshot and TreePattern.ContentKey are
+// lock-free reads of an append-only slice that Intern republishes
+// atomically — a reader sees a prefix of the table, never a torn entry, and
+// an ID it already holds stays readable while others intern.
+//
+// A published index's table is never interned into (index.ApplyDelta copies
+// it; the shard gather and the baseline intern into tables of their own),
+// so on the query path the table is immutable and every read is two plain
+// loads with no shared cache line written.
 type PatternTable struct {
-	mu    sync.RWMutex
+	mu    sync.RWMutex // guards byKey and serializes publication of pats
 	byKey map[string]PatternID
-	pats  []PathPattern
+	pats  atomic.Pointer[[]tableEntry]
+}
+
+// tableEntry is one interned pattern with its Key, computed once at Intern
+// so content-derived ranking keys are concatenations of stored strings.
+type tableEntry struct {
+	pat PathPattern
+	key string
 }
 
 // NewPatternTable returns an empty table.
 func NewPatternTable() *PatternTable {
-	return &PatternTable{byKey: make(map[string]PatternID)}
+	t := &PatternTable{byKey: make(map[string]PatternID)}
+	t.pats.Store(new([]tableEntry))
+	return t
 }
 
 // Intern returns the ID for p, registering it if new. The caller must not
@@ -103,34 +122,31 @@ func (t *PatternTable) Intern(p PathPattern) PatternID {
 	if id, ok := t.byKey[key]; ok {
 		return id
 	}
-	id = PatternID(len(t.pats))
+	// Appending never rewrites an element a reader can reach: a reader
+	// holding the previous header only indexes below its length.
+	pats := append(*t.pats.Load(), tableEntry{pat: p, key: key})
+	id = PatternID(len(pats) - 1)
 	t.byKey[key] = id
-	t.pats = append(t.pats, p)
+	t.pats.Store(&pats)
 	return id
 }
 
 // Get returns the pattern for id. The returned value shares slices with the
 // table and must be treated as read-only.
 func (t *PatternTable) Get(id PatternID) PathPattern {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.pats[id]
+	return (*t.pats.Load())[id].pat
 }
 
 // Len returns the number of interned patterns.
-func (t *PatternTable) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.pats)
-}
+func (t *PatternTable) Len() int { return len(*t.pats.Load()) }
 
 // Snapshot returns a copy of all interned patterns in ID order (for index
 // persistence).
 func (t *PatternTable) Snapshot() []PathPattern {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]PathPattern, len(t.pats))
-	for i, p := range t.pats {
+	pats := *t.pats.Load()
+	out := make([]PathPattern, len(pats))
+	for i := range pats {
+		p := &pats[i].pat
 		out[i] = PathPattern{
 			Types:   append([]kg.TypeID(nil), p.Types...),
 			Attrs:   append([]kg.AttrID(nil), p.Attrs...),
@@ -172,14 +188,19 @@ func (tp TreePattern) Key() string {
 // ContentKey returns a key derived from the path patterns' contents rather
 // than their interned IDs. Interning order depends on construction
 // parallelism, so ranking tie-breaks use this key to stay reproducible
-// across runs.
+// across runs. It concatenates the keys the table stored at Intern.
 func (tp TreePattern) ContentKey(t *PatternTable) string {
-	var sb strings.Builder
+	pats := *t.pats.Load()
+	n := 0
 	for _, p := range tp.Paths {
-		k := t.Get(p).Key()
-		var buf [2]byte
-		binary.LittleEndian.PutUint16(buf[:], uint16(len(k)))
-		sb.Write(buf[:])
+		n += 2 + len(pats[p].key)
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for _, p := range tp.Paths {
+		k := pats[p].key
+		sb.WriteByte(byte(len(k)))
+		sb.WriteByte(byte(len(k) >> 8))
 		sb.WriteString(k)
 	}
 	return sb.String()

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"kbtable/internal/kg"
@@ -241,5 +242,86 @@ func TestPathNodes(t *testing.T) {
 	want := []kg.NodeID{ids["sqlserver"], ids["microsoft"], ids["msrev"]}
 	if len(nodes) != 3 || nodes[0] != want[0] || nodes[1] != want[1] || nodes[2] != want[2] {
 		t.Errorf("Nodes = %v, want %v", nodes, want)
+	}
+}
+
+// TestPatternTableReadWhileInterning pins the lock-free read side: readers
+// Get and ContentKey IDs they already hold while a writer keeps interning
+// new patterns (growing, and so republishing, the table). Under -race this
+// fails on any read that is not ordered after the entry's publication; the
+// values must stay the ones interned.
+func TestPatternTableReadWhileInterning(t *testing.T) {
+	mk := func(i int) PathPattern {
+		return PathPattern{Types: []kg.TypeID{kg.TypeID(i % 7), kg.TypeID(i)}, Attrs: []kg.AttrID{kg.AttrID(i / 7)}}
+	}
+	pt := NewPatternTable()
+	const held = 16
+	want := make([]string, held)
+	for i := 0; i < held; i++ {
+		if id := pt.Intern(mk(i)); int(id) != i {
+			t.Fatalf("Intern(%d) = %d", i, id)
+		}
+		want[i] = mk(i).Key()
+	}
+	tp := TreePattern{Paths: []PatternID{3, 0, 15}}
+	wantKey := tp.ContentKey(pt)
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; !stop.Load(); i++ {
+				id := PatternID(i % held)
+				if got := pt.Get(id).Key(); got != want[id] {
+					t.Errorf("Get(%d) changed while interning", id)
+					return
+				}
+				if tp.ContentKey(pt) != wantKey {
+					t.Errorf("ContentKey changed while interning")
+					return
+				}
+				if pt.Len() < held {
+					t.Errorf("Len shrank to %d", pt.Len())
+					return
+				}
+			}
+		}(r)
+	}
+	for i := held; i < held+5000; i++ {
+		if id := pt.Intern(mk(i)); int(id) != i {
+			t.Errorf("Intern(%d) = %d", i, id)
+			break
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if got := pt.Snapshot(); len(got) != pt.Len() || got[held].Key() != mk(held).Key() {
+		t.Errorf("Snapshot disagrees with the table")
+	}
+}
+
+// TestContentKeyMatchesPatternKeys pins ContentKey's format — each path
+// pattern's Key, length-prefixed — now that it is assembled from keys
+// stored at Intern rather than recomputed: shard gathers and goldens
+// depend on these bytes.
+func TestContentKeyMatchesPatternKeys(t *testing.T) {
+	pt := NewPatternTable()
+	var tp TreePattern
+	var want strings.Builder
+	for i := 0; i < 5; i++ {
+		p := PathPattern{Types: make([]kg.TypeID, i+1), Attrs: make([]kg.AttrID, i), EdgeEnd: i%2 == 1}
+		if p.EdgeEnd {
+			p.Attrs = append(p.Attrs, kg.AttrID(i))
+		}
+		tp.Paths = append(tp.Paths, pt.Intern(p))
+		k := p.Key()
+		want.WriteByte(byte(len(k)))
+		want.WriteByte(byte(len(k) >> 8))
+		want.WriteString(k)
+	}
+	if got := tp.ContentKey(pt); got != want.String() {
+		t.Errorf("ContentKey = %q, want %q", got, want.String())
 	}
 }

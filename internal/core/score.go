@@ -37,6 +37,13 @@ func (s Scorer) Tree(terms []ScoreTerms) float64 {
 		sumPR += t.PR
 		sumSim += t.Sim
 	}
+	return s.FromSums(sumLen, sumPR, sumSim)
+}
+
+// FromSums is Equation 3 over already-summed terms: Tree's last step, for
+// callers that carry the sums themselves. Adding the terms left to right
+// from zero and calling FromSums yields exactly Tree's bits.
+func (s Scorer) FromSums(sumLen int, sumPR, sumSim float64) float64 {
 	return pow(float64(sumLen), s.Z1) * pow(sumPR, s.Z2) * pow(sumSim, s.Z3)
 }
 

@@ -1,17 +1,22 @@
 package core
 
-import (
-	"container/heap"
-	"sort"
-)
+import "sort"
 
 // TopK keeps the k highest-scoring items seen so far. Ranking is by score
 // descending with ties broken by key ascending, so results are
 // deterministic across runs regardless of insertion order. Insertion is
 // O(log k) per the paper's Exp-IV analysis.
+//
+// The key is only ever read to order items of equal score, so an item that
+// loses on score alone never needs one: OfferFunc takes the key as a
+// function and calls it only when the score reaches the current k-th score
+// (the queue is not full yet, the item displaces the worst, or it ties with
+// it). Offer is the form for callers that already hold the key.
 type TopK[T any] struct {
-	k     int
-	items topkHeap[T]
+	k int
+	// items is a min-heap sifted in place: items[0] is the *worst*
+	// retained item.
+	items []topkItem[T]
 }
 
 type topkItem[T any] struct {
@@ -20,24 +25,13 @@ type topkItem[T any] struct {
 	val   T
 }
 
-// topkHeap is a min-heap: the root is the *worst* retained item.
-type topkHeap[T any] []topkItem[T]
-
-func (h topkHeap[T]) Len() int { return len(h) }
-func (h topkHeap[T]) Less(i, j int) bool {
-	if h[i].score != h[j].score {
-		return h[i].score < h[j].score
+// worse reports whether a ranks below b: lower score, or on a tie the
+// larger key.
+func (a *topkItem[T]) worse(b *topkItem[T]) bool {
+	if a.score != b.score {
+		return a.score < b.score
 	}
-	return h[i].key > h[j].key // larger key = worse on ties
-}
-func (h topkHeap[T]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *topkHeap[T]) Push(x any)   { *h = append(*h, x.(topkItem[T])) }
-func (h *topkHeap[T]) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	return a.key > b.key
 }
 
 // NewTopK returns a TopK retaining at most k items; k <= 0 retains none.
@@ -52,16 +46,59 @@ func (t *TopK[T]) Offer(score float64, key string, val T) bool {
 	}
 	it := topkItem[T]{score: score, key: key, val: val}
 	if len(t.items) < t.k {
-		heap.Push(&t.items, it)
+		t.items = append(t.items, it)
+		t.up(len(t.items) - 1)
 		return true
 	}
-	worst := t.items[0]
-	if worst.score > score || (worst.score == score && worst.key <= key) {
+	if !t.items[0].worse(&it) {
 		return false
 	}
 	t.items[0] = it
-	heap.Fix(&t.items, 0)
+	t.down(0)
 	return true
+}
+
+// OfferFunc is Offer with the tie-break key computed on demand: key runs
+// at most once, and only when score reaches the current k-th score — never
+// for an item a full queue rejects on score alone.
+func (t *TopK[T]) OfferFunc(score float64, key func() string, val T) bool {
+	if !t.WouldAccept(score) {
+		return false
+	}
+	return t.Offer(score, key(), val)
+}
+
+// up restores the heap after items[j] was appended.
+func (t *TopK[T]) up(j int) {
+	h := t.items
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !h[j].worse(&h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// down restores the heap after items[i] was replaced.
+func (t *TopK[T]) down(i int) {
+	h := t.items
+	n := len(h)
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			return
+		}
+		if r := j + 1; r < n && h[r].worse(&h[j]) {
+			j = r
+		}
+		if !h[j].worse(&h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // Reset empties the queue in place, retaining capacity. The streaming
@@ -70,10 +107,7 @@ func (t *TopK[T]) Offer(score float64, key string, val T) bool {
 // own enumeration prefix (never on which worker ran the preceding shards)
 // while the heap's backing array is allocated once.
 func (t *TopK[T]) Reset() {
-	var zero topkItem[T]
-	for i := range t.items {
-		t.items[i] = zero // drop value references so the GC can reclaim them
-	}
+	clear(t.items) // drop value references so the GC can reclaim them
 	t.items = t.items[:0]
 }
 
@@ -102,19 +136,20 @@ func (t *TopK[T]) WouldAccept(score float64) bool {
 // Len returns the number of retained items.
 func (t *TopK[T]) Len() int { return len(t.items) }
 
+// sorted returns a best-first copy of the retained items.
+func (t *TopK[T]) sorted() []topkItem[T] {
+	s := make([]topkItem[T], len(t.items))
+	copy(s, t.items)
+	sort.Slice(s, func(i, j int) bool { return s[j].worse(&s[i]) })
+	return s
+}
+
 // Results returns the retained items sorted best-first.
 func (t *TopK[T]) Results() []T {
-	sorted := make([]topkItem[T], len(t.items))
-	copy(sorted, t.items)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].score != sorted[j].score {
-			return sorted[i].score > sorted[j].score
-		}
-		return sorted[i].key < sorted[j].key
-	})
-	out := make([]T, len(sorted))
-	for i, it := range sorted {
-		out[i] = it.val
+	s := t.sorted()
+	out := make([]T, len(s))
+	for i := range s {
+		out[i] = s[i].val
 	}
 	return out
 }
@@ -122,17 +157,10 @@ func (t *TopK[T]) Results() []T {
 // ResultScores returns the retained scores sorted best-first, parallel to
 // Results.
 func (t *TopK[T]) ResultScores() []float64 {
-	sorted := make([]topkItem[T], len(t.items))
-	copy(sorted, t.items)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].score != sorted[j].score {
-			return sorted[i].score > sorted[j].score
-		}
-		return sorted[i].key < sorted[j].key
-	})
-	out := make([]float64, len(sorted))
-	for i, it := range sorted {
-		out[i] = it.score
+	s := t.sorted()
+	out := make([]float64, len(s))
+	for i := range s {
+		out[i] = s[i].score
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -122,5 +123,49 @@ func TestTopKMatchesSort(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTopKOfferFuncMatchesOffer runs adversarial streams through the eager
+// and the lazy-key form: both must retain exactly the same items in the
+// same order, and the lazy form may compute a key only for an item whose
+// score reaches the k-th score at the time it is offered.
+func TestTopKOfferFuncMatchesOffer(t *testing.T) {
+	type item struct {
+		score float64
+		key   string
+	}
+	rng := rand.New(rand.NewSource(9))
+	streams := map[string][]item{}
+	for i := 0; i < 40; i++ {
+		key := fmt.Sprintf("k%02d", (i*17)%40) // distinct, scrambled
+		streams["all scores equal"] = append(streams["all scores equal"], item{1, key})
+		streams["ascending"] = append(streams["ascending"], item{float64(i), key})
+		streams["descending"] = append(streams["descending"], item{float64(-i), key})
+		streams["ties at the k-th"] = append(streams["ties at the k-th"], item{float64(i % 3), key})
+		streams["random"] = append(streams["random"], item{float64(rng.Intn(6)), key})
+	}
+	for name, stream := range streams {
+		for _, k := range []int{1, 5, len(stream), len(stream) + 7} {
+			eager, lazy := NewTopK[string](k), NewTopK[string](k)
+			for i, it := range stream {
+				kth, full := math.Inf(-1), lazy.Len() == k
+				if full {
+					kth = lazy.ResultScores()[k-1]
+				}
+				called := false
+				got := lazy.OfferFunc(it.score, func() string { called = true; return it.key }, it.key)
+				want := eager.Offer(it.score, it.key, it.key)
+				if got != want {
+					t.Fatalf("%s k=%d item %d: OfferFunc retained=%v, Offer retained=%v", name, k, i, got, want)
+				}
+				if reaches := !full || it.score >= kth; called != reaches {
+					t.Fatalf("%s k=%d item %d (score %v, k-th %v): key computed=%v, want %v", name, k, i, it.score, kth, called, reaches)
+				}
+			}
+			if !reflect.DeepEqual(lazy.Results(), eager.Results()) || !reflect.DeepEqual(lazy.ResultScores(), eager.ResultScores()) {
+				t.Fatalf("%s k=%d: lazy %v != eager %v", name, k, lazy.Results(), eager.Results())
+			}
+		}
 	}
 }

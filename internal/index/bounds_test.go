@@ -33,12 +33,11 @@ func TestPatternBoundsCoverEntries(t *testing.T) {
 					t.Fatalf("%s: nonempty group has MaxRun %d", name, b.MaxRun)
 				}
 				for _, r := range ix.RootsOf(w, p) {
-					es := ix.PathsPF(w, p, r)
-					if len(es) == 0 || len(es) > b.MaxRun {
-						t.Fatalf("%s: run length %d outside (0, MaxRun=%d]", name, len(es), b.MaxRun)
+					ps := runPF(ix, w, p, r)
+					if ps.Len() == 0 || ps.Len() > b.MaxRun {
+						t.Fatalf("%s: run length %d outside (0, MaxRun=%d]", name, ps.Len(), b.MaxRun)
 					}
-					for i := range es {
-						terms := es[i].Terms
+					for _, terms := range ps.AppendTerms(nil) {
 						if terms.Len < b.MinLen || terms.Len > b.MaxLen {
 							t.Fatalf("%s: Len %d outside [%d, %d]", name, terms.Len, b.MinLen, b.MaxLen)
 						}

@@ -12,20 +12,24 @@
 // sim(w,f(w)) so that online scoring is a constant-time fold per path
 // (Section 3, last paragraph before Theorem 2).
 //
-// Storage is columnar (struct-of-arrays): instead of an []Entry slice the
-// posting lists are parallel per-entry arrays — a term-pool reference, a
-// cumulative edge offset, and an edge-end bit — plus per-(pattern, root)
-// run tables whose roots are delta-varint compressed per pattern group.
+// Storage is columnar (struct-of-arrays): instead of a slice of entry
+// structs the posting lists are parallel per-entry arrays — a term-pool
+// reference, a cumulative edge offset, and an edge-end bit — plus
+// per-(pattern, root) run tables whose roots are delta-varint compressed
+// per pattern group.
 // The score terms (|T(w)|, PR, sim) repeat heavily (PR is per-node, sim is
 // per-text), so each word stores the distinct triples once in a value pool
 // and entries hold a 4-byte reference. Both views iterate over cache-dense
 // arrays and the resident cost is ~12 bytes per posting instead of the ~48
-// of the former array-of-structs layout.
+// of the former array-of-structs layout. A posting run — Paths(w,P,r) or
+// Paths(w,r,P) — is read through a borrowed PathSet: score terms for
+// scoring, concrete paths only for what consumes them.
 package index
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -67,20 +71,6 @@ type Options struct {
 	// instead of once per shard. Ignored by Build. nil means ApplyDelta
 	// computes it.
 	DirtyRoots []kg.NodeID
-}
-
-// Entry is one indexed path for one word, materialized from the columnar
-// storage: the path from Root following Pattern to a node/edge containing
-// the word, plus precomputed score terms. Accessors fill a caller- or
-// iterator-owned Entry per posting; the edge slice aliases the immutable
-// per-word edge arena, so a Path derived from it stays valid after the
-// Entry is reused.
-type Entry struct {
-	Pattern core.PatternID
-	Root    kg.NodeID
-	Terms   core.ScoreTerms
-	edges   []kg.EdgeID
-	edgeEnd bool
 }
 
 // patGroup is a run of entries with the same pattern (pattern-first order).
@@ -200,17 +190,6 @@ func (wi *wordIndex) edgeEndBit(idx int32) bool {
 	return wi.edgeEnds[idx>>6]&(1<<uint(idx&63)) != 0
 }
 
-// fill materializes entry idx into e. pat and root come from the run the
-// caller is iterating (they are not stored per entry).
-func (wi *wordIndex) fill(e *Entry, idx int32, pat core.PatternID, root kg.NodeID) {
-	lo, hi := wi.edgeStart[idx], wi.edgeStart[idx+1]
-	e.Pattern = pat
-	e.Root = root
-	e.Terms = wi.termPool[wi.termRef[idx]]
-	e.edges = wi.edgeBuf[lo:hi:hi]
-	e.edgeEnd = wi.edgeEndBit(idx)
-}
-
 // decodeRootDelta reads one delta-varint from b, advancing prev. The first
 // delta of a group is encoded against prev = -1, so deltas are always >= 1.
 func decodeRootDelta(b []byte, off int32, prev kg.NodeID) (kg.NodeID, int32) {
@@ -226,34 +205,6 @@ func decodeRootDelta(b []byte, off int32, prev kg.NodeID) (kg.NodeID, int32) {
 		shift += 7
 	}
 	return prev + kg.NodeID(d), off
-}
-
-// groupRoot locates root r's run within pattern group pg: binary search the
-// skip table, then decode forward at most rootSkipInterval-1 deltas.
-// Returns the global run index, or false when no run for r exists.
-func (wi *wordIndex) groupRoot(pg *patGroup, r kg.NodeID) (int32, bool) {
-	skips := wi.skipRoots[pg.SkipStart:pg.SkipEnd]
-	// Last skip point with root <= r.
-	i := sort.Search(len(skips), func(i int) bool { return skips[i] > r }) - 1
-	if i < 0 {
-		return 0, false
-	}
-	si := pg.SkipStart + int32(i)
-	if wi.skipRoots[si] == r {
-		return wi.skipRun[si], true
-	}
-	prev := wi.skipRoots[si]
-	off := wi.skipOffs[si]
-	for k := wi.skipRun[si] + 1; k < pg.RunEnd; k++ {
-		prev, off = decodeRootDelta(wi.rootBytes, off, prev)
-		if prev == r {
-			return k, true
-		}
-		if prev > r {
-			return 0, false
-		}
-	}
-	return 0, false
 }
 
 // Index is the pair of path-pattern indexes over a knowledge graph.
@@ -304,11 +255,6 @@ func (ix *Index) PatternTable() *core.PatternTable { return ix.pt }
 
 // Stats returns construction statistics.
 func (ix *Index) Stats() Stats { return ix.stats }
-
-// Path materializes the concrete path of an entry.
-func (ix *Index) Path(w text.WordID, e *Entry) core.Path {
-	return core.Path{Root: e.Root, Edges: e.edges, EdgeEnd: e.edgeEnd}
-}
 
 // word returns the posting structure for w, or nil when w has no postings.
 func (ix *Index) word(w text.WordID) *wordIndex {
@@ -370,74 +316,158 @@ func (ix *Index) RootTypes(w text.WordID) []kg.TypeID {
 
 // RootsOf returns the sorted distinct roots that reach w through pattern p.
 func (ix *Index) RootsOf(w text.WordID, p core.PatternID) []kg.NodeID {
-	wi := ix.word(w)
-	if wi == nil {
-		return nil
-	}
-	pg, ok := findPatGroup(wi.patGroups, ix.pt, p)
+	g, ok := ix.Group(w, p)
 	if !ok {
 		return nil
 	}
-	out := make([]kg.NodeID, 0, pg.RunEnd-pg.RunStart)
+	return g.Roots()
+}
+
+// Group is a borrowed handle on one (word, pattern) posting group of the
+// pattern-first view: resolving it costs one binary search over the word's
+// group table, after which roots, bounds and per-root runs are read without
+// searching again. Valid as long as the index is.
+type Group struct {
+	wi *wordIndex
+	pg *patGroup
+}
+
+// Group resolves the posting group of (w, p); ok is false when w has no
+// postings under p.
+func (ix *Index) Group(w text.WordID, p core.PatternID) (Group, bool) {
+	wi := ix.word(w)
+	if wi == nil {
+		return Group{}, false
+	}
+	pg := findPatGroup(wi.patGroups, ix.pt, p)
+	if pg == nil {
+		return Group{}, false
+	}
+	return Group{wi: wi, pg: pg}, true
+}
+
+// Roots decodes the group's sorted distinct roots (pattern-first
+// Roots(w, P)) into a fresh slice.
+func (g Group) Roots() []kg.NodeID {
+	out := make([]kg.NodeID, 0, g.pg.RunEnd-g.pg.RunStart)
 	prev := kg.NodeID(-1)
-	off := pg.RootOff
-	for k := pg.RunStart; k < pg.RunEnd; k++ {
-		prev, off = decodeRootDelta(wi.rootBytes, off, prev)
+	off := g.pg.RootOff
+	for k := g.pg.RunStart; k < g.pg.RunEnd; k++ {
+		prev, off = decodeRootDelta(g.wi.rootBytes, off, prev)
 		out = append(out, prev)
 	}
 	return out
 }
 
-// PathSet is a borrowed view of one (word, pattern, root) posting run. It
-// is valid as long as the index is; At fills a caller-owned Entry so hot
-// loops iterate without allocating.
+// Bounds returns the group's posting envelope.
+func (g Group) Bounds() PatternBounds {
+	b := &g.pg.bounds
+	return PatternBounds{
+		MinLen: int(b.minLen), MaxLen: int(b.maxLen),
+		MinPR: b.minPR, MaxPR: b.maxPR,
+		MinSim: b.minSim, MaxSim: b.maxSim,
+		MaxRun: int(b.maxRun),
+	}
+}
+
+// Cursor returns a run cursor positioned before the group's first root.
+func (g Group) Cursor() RunCursor {
+	return RunCursor{g: g, k: g.pg.RunStart - 1, root: -1, off: g.pg.RootOff}
+}
+
+// RunCursor walks one group's delta-varint root list forward. A caller
+// visiting roots in ascending order (PATTERNENUM aggregates a combination
+// over its ascending root intersection) pays one decode per run passed, or
+// one skip-table search per rootSkipInterval-run block jumped, instead of a
+// group search plus a skip search per root.
+type RunCursor struct {
+	g    Group
+	k    int32     // global run index the cursor stands on
+	root kg.NodeID // root of run k; -1 before the first run
+	off  int32     // offset in rootBytes just after run k's delta
+}
+
+// Seek moves to root r and returns its run; ok is false when the group has
+// no run for r. Seeking backwards restarts from the group's first run.
+func (c *RunCursor) Seek(r kg.NodeID) (PathSet, bool) {
+	wi, pg := c.g.wi, c.g.pg
+	if r < c.root {
+		*c = c.g.Cursor()
+	}
+	if r > c.root {
+		// Jump to the last skip point at or before r when one lies ahead.
+		si := pg.SkipStart + (c.k+1-pg.RunStart+rootSkipInterval-1)/rootSkipInterval
+		if si < pg.SkipEnd && wi.skipRoots[si] <= r {
+			j, found := slices.BinarySearch(wi.skipRoots[si:pg.SkipEnd], r)
+			if !found {
+				j-- // the last skip root below r; there is one, skipRoots[si]
+			}
+			si += int32(j)
+			c.k, c.root, c.off = wi.skipRun[si], wi.skipRoots[si], wi.skipOffs[si]
+		}
+		for c.root < r && c.k+1 < pg.RunEnd {
+			c.root, c.off = decodeRootDelta(wi.rootBytes, c.off, c.root)
+			c.k++
+		}
+	}
+	if c.root != r {
+		return PathSet{}, false
+	}
+	return PathSet{wi: wi, pat: pg.Pattern, root: r, lo: wi.runStart(c.k), hi: wi.runEnd[c.k]}, true
+}
+
+// PathSet is a borrowed view of one (word, pattern, root) posting run of
+// either index view. It is valid as long as the index is; its accessors
+// read the columnar arrays in place so hot loops iterate without
+// allocating.
 type PathSet struct {
 	wi   *wordIndex
 	pat  core.PatternID
 	root kg.NodeID
 	lo   int32
 	hi   int32
+	// order is nil for a pattern-first run (entries lo..hi are contiguous)
+	// and the root-first permutation for a root-first run (entries are
+	// order[lo..hi]).
+	order []int32
 }
 
 // Len returns the number of paths in the run.
 func (ps *PathSet) Len() int { return int(ps.hi - ps.lo) }
 
-// At materializes the k-th path of the run into e.
-func (ps *PathSet) At(k int, e *Entry) {
-	ps.wi.fill(e, ps.lo+int32(k), ps.pat, ps.root)
+// Pattern returns the run's path pattern.
+func (ps *PathSet) Pattern() core.PatternID { return ps.pat }
+
+// entry maps the run's k-th position to its entry index.
+func (ps *PathSet) entry(k int) int32 {
+	if ps.order != nil {
+		return ps.order[ps.lo+int32(k)]
+	}
+	return ps.lo + int32(k)
 }
 
-// FindPathsPF locates the run of entries with pattern p starting at root r
-// (pattern-first Paths(w, P, r)). ok is false when the run is empty.
-func (ix *Index) FindPathsPF(w text.WordID, p core.PatternID, r kg.NodeID) (PathSet, bool) {
-	wi := ix.word(w)
-	if wi == nil {
-		return PathSet{}, false
-	}
-	pg, ok := findPatGroup(wi.patGroups, ix.pt, p)
-	if !ok {
-		return PathSet{}, false
-	}
-	k, ok := wi.groupRoot(&pg, r)
-	if !ok {
-		return PathSet{}, false
-	}
-	return PathSet{wi: wi, pat: p, root: r, lo: wi.runStart(k), hi: wi.runEnd[k]}, true
+// Path returns the k-th concrete path of the run.
+func (ps *PathSet) Path(k int) core.Path {
+	idx := ps.entry(k)
+	lo, hi := ps.wi.edgeStart[idx], ps.wi.edgeStart[idx+1]
+	return core.Path{Root: ps.root, Edges: ps.wi.edgeBuf[lo:hi:hi], EdgeEnd: ps.wi.edgeEndBit(idx)}
 }
 
-// PathsPF materializes the entries with pattern p starting at root r into a
-// fresh slice. Prefer FindPathsPF on hot paths; this is the convenience
-// form.
-func (ix *Index) PathsPF(w text.WordID, p core.PatternID, r kg.NodeID) []Entry {
-	ps, ok := ix.FindPathsPF(w, p, r)
-	if !ok {
-		return nil
+// AppendTerms appends the run's score terms, in posting order, to dst:
+// scoring reads only these, so the executor copies them out of the term
+// pool once per run and never touches edges or patterns.
+func (ps *PathSet) AppendTerms(dst []core.ScoreTerms) []core.ScoreTerms {
+	wi := ps.wi
+	if ps.order != nil {
+		for _, idx := range ps.order[ps.lo:ps.hi] {
+			dst = append(dst, wi.termPool[wi.termRef[idx]])
+		}
+		return dst
 	}
-	out := make([]Entry, ps.Len())
-	for k := range out {
-		ps.At(k, &out[k])
+	for _, ref := range wi.termRef[ps.lo:ps.hi] {
+		dst = append(dst, wi.termPool[ref])
 	}
-	return out
+	return dst
 }
 
 // PatternBounds summarizes one (word, pattern) posting group: the closed
@@ -459,21 +489,11 @@ type PatternBounds struct {
 // PatternBounds returns the posting-group summary for (w, p), or false
 // when the word has no postings under that pattern.
 func (ix *Index) PatternBounds(w text.WordID, p core.PatternID) (PatternBounds, bool) {
-	wi := ix.word(w)
-	if wi == nil {
-		return PatternBounds{}, false
-	}
-	pg, ok := findPatGroup(wi.patGroups, ix.pt, p)
+	g, ok := ix.Group(w, p)
 	if !ok {
 		return PatternBounds{}, false
 	}
-	b := pg.bounds
-	return PatternBounds{
-		MinLen: int(b.minLen), MaxLen: int(b.maxLen),
-		MinPR: b.minPR, MaxPR: b.maxPR,
-		MinSim: b.minSim, MaxSim: b.maxSim,
-		MaxRun: int(b.maxRun),
-	}, true
+	return g.Bounds(), true
 }
 
 // --- Root-first access methods (Figure 4b) ---
@@ -518,69 +538,27 @@ func (ix *Index) NumPathsAt(w text.WordID, r kg.NodeID) int {
 	return int(wi.rgEnd[gi] - wi.rgStart(gi))
 }
 
-// PathsAt invokes fn for every entry rooted at r (root-first Paths(w, r)),
-// in (pattern, path) order. The *Entry passed to fn is reused across
-// invocations; callers must copy what they keep (paths derived via Path
-// stay valid — their edge slice aliases the immutable edge arena).
-func (ix *Index) PathsAt(w text.WordID, r kg.NodeID, fn func(*Entry)) {
+// RunsAt appends to dst one PathSet per pattern under which root r reaches
+// w (root-first Patterns(w, r) with their Paths(w, r, P)), in pattern
+// order. Nothing is appended when r does not reach w.
+func (ix *Index) RunsAt(dst []PathSet, w text.WordID, r kg.NodeID) []PathSet {
 	wi := ix.word(w)
 	if wi == nil {
-		return
+		return dst
 	}
 	gi, ok := findRoot(wi.roots, r)
 	if !ok {
-		return
+		return dst
 	}
-	var e Entry
 	for k := wi.rgRunStart(gi); k < wi.rgRunEnd[gi]; k++ {
-		pat := wi.rfPat[k]
-		for i := wi.rfStart(k); i < wi.rfEnd[k]; i++ {
-			wi.fill(&e, wi.rootOrder[i], pat, r)
-			fn(&e)
-		}
+		dst = append(dst, wi.rfRun(k, r))
 	}
+	return dst
 }
 
-// PathsRF invokes fn for every entry rooted at r with pattern p (root-first
-// Paths(w, r, P)). The *Entry is reused across invocations, as in PathsAt.
-func (ix *Index) PathsRF(w text.WordID, r kg.NodeID, p core.PatternID, fn func(*Entry)) {
-	wi, k, ok := ix.findRF(w, r, p)
-	if !ok {
-		return
-	}
-	var e Entry
-	for i := wi.rfStart(k); i < wi.rfEnd[k]; i++ {
-		wi.fill(&e, wi.rootOrder[i], p, r)
-		fn(&e)
-	}
-}
-
-// CountPathsRF returns |Paths(w, r, P)|.
-func (ix *Index) CountPathsRF(w text.WordID, r kg.NodeID, p core.PatternID) int {
-	wi, k, ok := ix.findRF(w, r, p)
-	if !ok {
-		return 0
-	}
-	return int(wi.rfEnd[k] - wi.rfStart(k))
-}
-
-// findRF locates the root-first run for (w, r, p).
-func (ix *Index) findRF(w text.WordID, r kg.NodeID, p core.PatternID) (*wordIndex, int32, bool) {
-	wi := ix.word(w)
-	if wi == nil {
-		return nil, 0, false
-	}
-	gi, ok := findRoot(wi.roots, r)
-	if !ok {
-		return nil, 0, false
-	}
-	lo, hi := wi.rgRunStart(gi), wi.rgRunEnd[gi]
-	runs := wi.rfPat[lo:hi]
-	i := sort.Search(len(runs), func(i int) bool { return runs[i] >= p })
-	if i == len(runs) || runs[i] != p {
-		return nil, 0, false
-	}
-	return wi, lo + int32(i), true
+// rfRun is the PathSet of root-first run k, which belongs to root r.
+func (wi *wordIndex) rfRun(k int32, r kg.NodeID) PathSet {
+	return PathSet{wi: wi, pat: wi.rfPat[k], root: r, lo: wi.rfStart(k), hi: wi.rfEnd[k], order: wi.rootOrder}
 }
 
 // --- binary searches over the group tables ---
@@ -593,9 +571,10 @@ func findTypeGroup(tgs []typeGroup, c kg.TypeID) (typeGroup, bool) {
 	return tgs[i], true
 }
 
-// findPatGroup locates the group for pattern p. Groups are sorted by
-// (root type, pattern id), so the root type is recovered from the pattern.
-func findPatGroup(pgs []patGroup, pt *core.PatternTable, p core.PatternID) (patGroup, bool) {
+// findPatGroup locates the group for pattern p, or nil. Groups are sorted
+// by (root type, pattern id), so the root type is recovered from the
+// pattern.
+func findPatGroup(pgs []patGroup, pt *core.PatternTable, p core.PatternID) *patGroup {
 	rt := pt.Get(p).RootType()
 	i := sort.Search(len(pgs), func(i int) bool {
 		if pgs[i].RootType != rt {
@@ -604,9 +583,9 @@ func findPatGroup(pgs []patGroup, pt *core.PatternTable, p core.PatternID) (patG
 		return pgs[i].Pattern >= p
 	})
 	if i == len(pgs) || pgs[i].Pattern != p {
-		return patGroup{}, false
+		return nil
 	}
-	return pgs[i], true
+	return &pgs[i]
 }
 
 // findRoot locates r in the sorted distinct-root list.

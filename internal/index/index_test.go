@@ -33,6 +33,27 @@ func wordID(t testing.TB, ix *Index, w string) text.WordID {
 }
 
 // renderPatterns renders pattern IDs for readable assertions.
+// runPF is the pattern-first posting run Paths(w, P, r), empty when absent.
+func runPF(ix *Index, w text.WordID, p core.PatternID, r kg.NodeID) PathSet {
+	g, ok := ix.Group(w, p)
+	if !ok {
+		return PathSet{}
+	}
+	c := g.Cursor()
+	ps, _ := c.Seek(r)
+	return ps
+}
+
+// termsAt collects the score terms of root-first Paths(w, r) in (pattern,
+// path) order.
+func termsAt(ix *Index, w text.WordID, r kg.NodeID) []core.ScoreTerms {
+	var out []core.ScoreTerms
+	for _, ps := range ix.RunsAt(nil, w, r) {
+		out = ps.AppendTerms(out)
+	}
+	return out
+}
+
 func renderPatterns(ix *Index, ids []core.PatternID) []string {
 	out := make([]string, len(ids))
 	for i, id := range ids {
@@ -116,13 +137,18 @@ func TestFigure5RootsAndPaths(t *testing.T) {
 			renderPatterns(ix, ix.PatternsAt(w, nodes.SQLServer)))
 	}
 	count := 0
-	ix.PathsRF(w, nodes.SQLServer, genreModel, func(e *Entry) {
-		count++
-		p := ix.Path(w, e)
-		if p.Root != nodes.SQLServer || p.Leaf(g) != nodes.RelDB {
-			t.Errorf("path wrong: %+v", p)
+	for _, ps := range ix.RunsAt(nil, w, nodes.SQLServer) {
+		if ps.Pattern() != genreModel {
+			continue
 		}
-	})
+		for k := 0; k < ps.Len(); k++ {
+			count++
+			p := ps.Path(k)
+			if p.Root != nodes.SQLServer || p.Leaf(g) != nodes.RelDB {
+				t.Errorf("path wrong: %+v", p)
+			}
+		}
+	}
 	if count != 1 {
 		t.Errorf("Paths(database, v1, genre-model) = %d paths, want 1", count)
 	}
@@ -158,14 +184,14 @@ func TestEdgeMatchIndexed(t *testing.T) {
 	}
 	// Entry score terms: Len counts the literal target (3 nodes per
 	// Example 2.4), Sim = 1 (single-token attribute "Revenue").
-	es := ix.PathsPF(w, target, nodes.SQLServer)
-	if len(es) != 1 {
-		t.Fatalf("paths = %d, want 1", len(es))
+	ps := runPF(ix, w, target, nodes.SQLServer)
+	if ps.Len() != 1 {
+		t.Fatalf("paths = %d, want 1", ps.Len())
 	}
-	if es[0].Terms.Len != 3 || es[0].Terms.Sim != 1 || es[0].Terms.PR != 1 {
-		t.Errorf("terms = %+v", es[0].Terms)
+	if terms := ps.AppendTerms(nil)[0]; terms.Len != 3 || terms.Sim != 1 || terms.PR != 1 {
+		t.Errorf("terms = %+v", terms)
 	}
-	p := ix.Path(w, &es[0])
+	p := ps.Path(0)
 	if !p.EdgeEnd || p.MatchNode(g) != nodes.Microsoft || p.Leaf(g) != nodes.MSRevenue {
 		t.Errorf("edge path wrong: %+v", p)
 	}
@@ -243,22 +269,22 @@ func TestTypeVsTextSimMax(t *testing.T) {
 	ix, _, nodes := buildFig1(t, 1)
 	w := wordID(t, ix, "software")
 	found := false
-	ix.PathsAt(w, nodes.SQLServer, func(e *Entry) {
+	for _, terms := range termsAt(ix, w, nodes.SQLServer) {
 		found = true
-		if e.Terms.Sim != 1 {
-			t.Errorf("sim for type-matched 'software' = %v, want 1", e.Terms.Sim)
+		if terms.Sim != 1 {
+			t.Errorf("sim for type-matched 'software' = %v, want 1", terms.Sim)
 		}
-	})
+	}
 	if !found {
 		t.Errorf("no root-only entry for software at SQL Server")
 	}
 	// "server" appears only in the node text "SQL Server" (2 tokens): 1/2.
 	ws := wordID(t, ix, "server")
-	ix.PathsAt(ws, nodes.SQLServer, func(e *Entry) {
-		if e.Terms.Sim != 0.5 {
-			t.Errorf("sim for text-matched 'server' = %v, want 0.5", e.Terms.Sim)
+	for _, terms := range termsAt(ix, ws, nodes.SQLServer) {
+		if terms.Sim != 0.5 {
+			t.Errorf("sim for text-matched 'server' = %v, want 0.5", terms.Sim)
 		}
-	})
+	}
 }
 
 func TestStemmedQueryReachesPostings(t *testing.T) {
@@ -342,8 +368,7 @@ func TestNumPathsAtMatchesEnumeration(t *testing.T) {
 	ix, _, _ := buildFig1(t, 3)
 	w := wordID(t, ix, "database")
 	for _, r := range ix.Roots(w) {
-		n := 0
-		ix.PathsAt(w, r, func(*Entry) { n++ })
+		n := len(termsAt(ix, w, r))
 		if got := ix.NumPathsAt(w, r); got != n {
 			t.Errorf("NumPathsAt(%d) = %d, enumeration = %d", r, got, n)
 		}

@@ -68,12 +68,12 @@ func TestIndexEncodeLoadRoundTrip(t *testing.T) {
 	// Score terms survive.
 	w, _ := ix2.Dict().QueryTokens("revenue")
 	found := false
-	ix2.PathsAt(w[0], nodes.SQLServer, func(e *Entry) {
+	for _, terms := range termsAt(ix2, w[0], nodes.SQLServer) {
 		found = true
-		if e.Terms.Sim != 1 || e.Terms.Len != 3 {
-			t.Errorf("terms wrong after load: %+v", e.Terms)
+		if terms.Sim != 1 || terms.Len != 3 {
+			t.Errorf("terms wrong after load: %+v", terms)
 		}
-	})
+	}
 	if !found {
 		t.Errorf("no revenue path at SQL Server after load")
 	}

@@ -91,10 +91,12 @@ func indexedPaths(ix *Index) map[string][]string {
 		}
 		var recs []string
 		for _, r := range ix.Roots(id) {
-			ix.PathsAt(id, r, func(e *Entry) {
-				p := ix.Path(id, e)
-				recs = append(recs, fmt.Sprintf("r%d|%s|%v|%v", r, p.Pattern(g).Key(), p.Edges, p.EdgeEnd))
-			})
+			for _, ps := range ix.RunsAt(nil, id, r) {
+				for k := 0; k < ps.Len(); k++ {
+					p := ps.Path(k)
+					recs = append(recs, fmt.Sprintf("r%d|%s|%v|%v", r, p.Pattern(g).Key(), p.Edges, p.EdgeEnd))
+				}
+			}
 		}
 		if len(recs) > 0 {
 			sort.Strings(recs)

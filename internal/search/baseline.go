@@ -271,7 +271,7 @@ func (b *BaselineIndex) SearchCtx(ctx context.Context, query string, opts Option
 		st.PatternsFound += len(treeDict)
 		for _, de := range treeDict {
 			st.TreesFound += int64(de.agg.Count)
-			ws[worker].top.Offer(de.agg.Value(o.Agg), de.tp.ContentKey(pt), de)
+			ws[worker].top.OfferFunc(de.agg.Value(o.Agg), func() string { return de.tp.ContentKey(pt) }, de)
 		}
 	})
 	stats.Stages.Enumerate = time.Since(tEnum)
@@ -403,8 +403,7 @@ func (b *BaselineIndex) onlinePaths(words []text.WordID, r kg.NodeID, pt *core.P
 			if sim, ok := nodeSim[i][v]; ok {
 				p, pid := snapshot(false)
 				out[i] = append(out[i], patternedPath{
-					pt:  pathTerm{path: p, terms: core.ScoreTerms{Len: len(edges) + 1, PR: b.pr[v], Sim: sim}},
-					pid: pid,
+					path: p, terms: core.ScoreTerms{Len: len(edges) + 1, PR: b.pr[v], Sim: sim}, pid: pid,
 				})
 			}
 		}
@@ -432,8 +431,7 @@ func (b *BaselineIndex) onlinePaths(words []text.WordID, r kg.NodeID, pt *core.P
 					if sim, ok := attrSim[i][e.Attr]; ok {
 						p, pid := snapshot(true)
 						out[i] = append(out[i], patternedPath{
-							pt:  pathTerm{path: p, terms: core.ScoreTerms{Len: len(edges) + 1, PR: b.pr[v], Sim: sim}},
-							pid: pid,
+							path: p, terms: core.ScoreTerms{Len: len(edges) + 1, PR: b.pr[v], Sim: sim}, pid: pid,
 						})
 					}
 				}
@@ -455,10 +453,12 @@ func (b *BaselineIndex) onlinePaths(words []text.WordID, r kg.NodeID, pt *core.P
 	return out
 }
 
-// patternedPath is a concrete path with its online-interned pattern.
+// patternedPath is a concrete path with its score terms and its
+// online-interned pattern.
 type patternedPath struct {
-	pt  pathTerm
-	pid core.PatternID
+	path  core.Path
+	terms core.ScoreTerms
+	pid   core.PatternID
 }
 
 // expandOnline products the per-keyword path lists of one root and folds
@@ -506,8 +506,8 @@ func (b *BaselineIndex) expandOnline(words []text.WordID, r kg.NodeID, lists [][
 		}
 		for _, pp := range lists[i] {
 			choice[i] = pp.pid
-			paths[i] = pp.pt.path
-			terms[i] = pp.pt.terms
+			paths[i] = pp.path
+			terms[i] = pp.terms
 			rec(i + 1)
 		}
 	}

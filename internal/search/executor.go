@@ -338,7 +338,7 @@ func prepare(ctx context.Context, ix *index.Index, words []text.WordID, surfaces
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p.candidates = intersectSorted(p.rootLists)
+		p.candidates = intersectSorted(nil, p.rootLists...)
 		p.stats.CandidateRoots = len(p.candidates)
 		p.byType = map[kg.TypeID][]kg.NodeID{}
 		for _, r := range p.candidates {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -53,7 +54,7 @@ func TestIntersectSortedProperty(t *testing.T) {
 			}
 			sort.Slice(lists[i], func(a, b int) bool { return lists[i][a] < lists[i][b] })
 		}
-		got := intersectSorted(lists)
+		got := intersectSorted(nil, lists...)
 		want := refIntersect(lists)
 		if len(got) == 0 && len(want) == 0 {
 			return true
@@ -65,14 +66,63 @@ func TestIntersectSortedProperty(t *testing.T) {
 	}
 }
 
+// TestGallopMatchesBinarySearch: from any cursor, gallop lands where a
+// binary search over the rest of the list would — including targets before
+// the cursor's element, past the end, and brackets that overshoot the list.
+func TestGallopMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 2000; trial++ {
+		l := make([]kg.NodeID, rng.Intn(300))
+		v := kg.NodeID(0)
+		for i := range l {
+			v += kg.NodeID(1 + rng.Intn(4))
+			l[i] = v
+		}
+		c := rng.Intn(len(l) + 2) // may sit at or past the end
+		target := kg.NodeID(rng.Intn(int(v) + 5))
+		want := c
+		if c < len(l) {
+			want = c + sort.Search(len(l)-c, func(i int) bool { return l[c+i] >= target })
+		}
+		if got := gallop(l, c, target); got != want {
+			t.Fatalf("gallop(len %d, c=%d, v=%d) = %d, want %d", len(l), c, target, got, want)
+		}
+	}
+}
+
+// TestIntersectSortedIntoScratch: the scratch form reuses dst's backing
+// array, leaves the inputs untouched, and agrees with the fresh form when a
+// short prefix meets a long posting list (the PATTERNENUM walk's shape).
+func TestIntersectSortedIntoScratch(t *testing.T) {
+	long := make([]kg.NodeID, 10000)
+	for i := range long {
+		long[i] = kg.NodeID(3 * i)
+	}
+	short := []kg.NodeID{3, 2999, 3000, 29997, 40000}
+	want := []kg.NodeID{3, 3000, 29997}
+	scratch := make([]kg.NodeID, 0, 8)
+	for _, lists := range [][][]kg.NodeID{{short, long}, {long, short}, {long, short, long}} {
+		got := intersectSorted(scratch, lists...)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+		if &got[0] != &scratch[:1][0] {
+			t.Errorf("result does not reuse the scratch buffer")
+		}
+	}
+	if short[1] != 2999 || long[1] != 3 {
+		t.Errorf("inputs were modified")
+	}
+}
+
 func TestIntersectSortedEdgeCases(t *testing.T) {
 	if got := intersectSorted(nil); got != nil {
 		t.Errorf("nil input should give nil")
 	}
-	if got := intersectSorted([][]kg.NodeID{{}, {1}}); len(got) != 0 {
+	if got := intersectSorted(nil, []kg.NodeID{}, []kg.NodeID{1}); len(got) != 0 {
 		t.Errorf("empty member list gives empty intersection")
 	}
-	single := intersectSorted([][]kg.NodeID{{3, 5, 9}})
+	single := intersectSorted(nil, []kg.NodeID{3, 5, 9})
 	if !reflect.DeepEqual(single, []kg.NodeID{3, 5, 9}) {
 		t.Errorf("single-list intersection should be the list itself, got %v", single)
 	}

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"math"
+	"math/rand"
 
 	"kbtable/internal/core"
 	"kbtable/internal/index"
@@ -30,13 +31,6 @@ func LETopKCtx(ctx context.Context, ix *index.Index, query string, opts Options)
 	return Execute(ctx, ix, query, AlgoLE, opts)
 }
 
-// dictEntry is one tree pattern accumulating in TreeDict.
-type dictEntry struct {
-	tp       core.TreePattern
-	agg      core.PatternScore
-	rootAggs []RootAgg // per-root partials, kept under CollectRootAggs
-}
-
 // leEnumerate is LINEARENUM-TOPK's enumerate stage over the prepared
 // candidate roots (Algorithm 3 line 1 ran in prepare; lines 2-3's by-type
 // partition too). Root types are sharded across the worker pool configured
@@ -50,10 +44,10 @@ func leEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 	pt := ix.PatternTable()
 	workers := resolveWorkers(o.Workers)
 	ws := newWorkerStates[RankedPattern](workers, o.K)
-	// Roots expand through per-worker arena scratch with the keyword
-	// predicate pushed below pattern expansion (leScratch.fetch);
-	// LINEARENUM gets no score pruning — its per-root partials are lower
-	// bounds, so no mid-type cut is sound (stream.go).
+	// Roots expand through per-worker scratch with the keyword predicate
+	// pushed below pattern expansion (leScratch.fetch); LINEARENUM gets no
+	// score pruning — its per-root partials are lower bounds, so no
+	// mid-type cut is sound (stream.go).
 	scratches := make([]leScratch, workers)
 	err := runShards(ctx, workers, len(prep.types), func(worker, ti int) {
 		c := prep.types[ti]
@@ -63,16 +57,18 @@ func leEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 		pc := &pollCancel{ctx: ctx}
 		sc := &scratches[worker]
 
-		// Line 4: NR = Σ_r Π_i |Paths(wi, r)| without enumeration.
-		nr := prep.typeNR(ix, ti)
+		// Line 4: NR = Σ_r Π_i |Paths(wi, r)| without enumeration — and,
+		// like the sampling source, only when sampling can activate.
 		rate := 1.0
-		if o.samplingEnabled() && nr >= o.Lambda {
+		var rng *rand.Rand
+		if o.samplingEnabled() && prep.typeNR(ix, ti) >= o.Lambda {
 			rate = o.Rho
+			rng = typeRNG(o.Seed, c)
 		}
-		rng := typeRNG(o.Seed, c)
 
 		// Lines 6-8: expand (a sample of) the roots of this type.
-		treeDict := map[string]*dictEntry{}
+		dict := &sc.dict
+		dict.reset()
 		for _, r := range rc {
 			if pc.hit() {
 				return
@@ -81,12 +77,12 @@ func leEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 				continue
 			}
 			st.SampledRoots++
-			expandRoot(ix, words, r, o, treeDict, pc, sc)
+			expandRoot(ix, words, r, &o, pc, sc, dict, nil)
 		}
 
-		st.PatternsFound += len(treeDict)
-		for _, de := range treeDict {
-			st.TreesFound += int64(de.agg.Count)
+		st.PatternsFound += len(dict.entries)
+		for i := range dict.entries {
+			st.TreesFound += int64(dict.entries[i].agg.Count)
 		}
 
 		if rate < 1 {
@@ -99,24 +95,21 @@ func leEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 				selK = o.K
 			}
 			local := core.NewTopK[*dictEntry](selK)
-			for _, de := range treeDict {
+			for i := range dict.entries {
+				de := &dict.entries[i]
 				est := de.agg.Scale(1 / rate).Value(o.Agg)
-				local.Offer(est, de.tp.ContentKey(pt), de)
+				local.OfferFunc(est, func() string { return de.tp.ContentKey(pt) }, de)
 			}
-			selected := local.Results()
-			exacts := aggregateSelected(ix, words, selected, rc, o, pc)
-			for _, de := range selected {
-				exact, ok := exacts[de.tp.Key()]
-				if !ok || exact.agg.Count == 0 {
-					continue
+			exacts := aggregateSelected(ix, words, local.Results(), rc, &o, pc, sc)
+			for i := range exacts.entries {
+				if exact := &exacts.entries[i]; exact.agg.Count > 0 {
+					offerPattern(ltop, pt, &o, exact.tp.Paths, exact.agg, exact.rootAggs)
 				}
-				ltop.Offer(exact.agg.Value(o.Agg), de.tp.ContentKey(pt),
-					RankedPattern{Pattern: de.tp, Agg: exact.agg, Score: exact.agg.Value(o.Agg), RootAggs: exact.rootAggs})
 			}
 		} else {
-			for _, de := range treeDict {
-				ltop.Offer(de.agg.Value(o.Agg), de.tp.ContentKey(pt),
-					RankedPattern{Pattern: de.tp, Agg: de.agg, Score: de.agg.Value(o.Agg), RootAggs: de.rootAggs})
+			for i := range dict.entries {
+				de := &dict.entries[i]
+				offerPattern(ltop, pt, &o, de.tp.Paths, de.agg, de.rootAggs)
 			}
 		}
 	})
@@ -135,7 +128,7 @@ func NumCandidateRoots(ix *index.Index, query string) int {
 	for i, w := range words {
 		rootLists[i] = ix.Roots(w)
 	}
-	return len(intersectSorted(rootLists))
+	return len(intersectSorted(nil, rootLists...))
 }
 
 // SubtreeCount returns the query's total valid-subtree count
@@ -151,7 +144,7 @@ func SubtreeCount(ix *index.Index, query string) int64 {
 	for i, w := range words {
 		rootLists[i] = ix.Roots(w)
 	}
-	return subtreeCount(ix, words, intersectSorted(rootLists))
+	return subtreeCount(ix, words, intersectSorted(nil, rootLists...))
 }
 
 // subtreeCount computes NR = Σ_r Π_i |Paths(wi, r)|, saturating at
@@ -183,163 +176,69 @@ func subtreeCountPoll(ix *index.Index, words []text.WordID, roots []kg.NodeID, p
 // expandRoot is subroutine EXPANDROOT of Algorithm 3: the product of
 // Patterns(wi, r) gives the (necessarily non-empty) tree patterns under r;
 // for each, the product of Paths(wi, r, Pi) gives its valid subtrees, which
-// are folded into TreeDict.
+// are folded into dict.
 //
-// sc evaluates the keyword predicate from the run table before anything
-// is materialized, and pulls each keyword's paths in one root-first arena
-// walk, in the (pattern, path) posting order per-pattern PathsRF fetches
-// would produce.
-func expandRoot(ix *index.Index, words []text.WordID, r kg.NodeID, o Options, treeDict map[string]*dictEntry, pc *pollCancel, sc *leScratch) {
-	m := len(words)
-	patLists, pathLists := sc.fetch(ix, words, r)
-	if patLists == nil {
+// only == nil is the expansion proper: every combination with a surviving
+// subtree gets (or finds) its dictionary entry. only != nil is the exact
+// re-scoring pass over a dictionary pre-filled with the selected patterns:
+// per keyword just the listed patterns are fetched, and a combination
+// that is not in dict is skipped before any subtree is scored.
+//
+// Two-level fold (see aggregatePattern): this root's subtrees fold into a
+// local partial that merges into the dictionary entry, so LE produces the
+// same bits as PE and as the re-folded shard gather.
+func expandRoot(ix *index.Index, words []text.WordID, r kg.NodeID, o *Options, pc *pollCancel, sc *leScratch, dict *leDict, only []map[core.PatternID]bool) {
+	if !sc.fetch(ix, words, r, only) {
 		return // some keyword has no path at r: predicate pushdown
 	}
-	choice, chosenPaths := sc.choice[:m], sc.chosen[:m]
-
-	var rec func(i int)
-	rec = func(i int) {
-		if i == m {
-			// Two-level fold (see aggregatePattern): this root's subtrees
-			// fold into a local partial that merges into the dictionary
-			// entry, so LE produces the same bits as PE and as the
-			// re-folded shard gather.
-			var local core.PatternScore
-			productPaths(ix.Graph(), chosenPaths, o.RequireTreeShape, r, pc, &sc.agg, func(_ []core.Path, terms []core.ScoreTerms) {
-				local.Add(o.Scorer.Tree(terms))
-			})
-			if local.Count == 0 {
-				return // every tuple filtered out (RequireTreeShape)
+	for ok := sc.firstCombo(); ok; ok = sc.nextCombo() {
+		var de *dictEntry
+		if only != nil {
+			if de = dict.find(sc.choice); de == nil {
+				continue // combination exists but was not selected
 			}
-			tp := core.TreePattern{Paths: choice}
-			key := tp.Key()
-			de, ok := treeDict[key]
-			if !ok {
-				de = &dictEntry{tp: core.TreePattern{Paths: append([]core.PatternID(nil), choice...)}}
-				treeDict[key] = de
-			}
-			de.agg.Merge(local)
-			if o.CollectRootAggs {
-				de.rootAggs = append(de.rootAggs, RootAgg{Root: r, Agg: local})
-			}
-			return
 		}
-		for j, p := range patLists[i] {
-			choice[i] = p
-			chosenPaths[i] = pathLists[i][j]
-			rec(i + 1)
+		local := sc.agg.foldRoot(ix.Graph(), r, o, pc)
+		if local.Count == 0 {
+			continue // every tuple filtered out (RequireTreeShape)
+		}
+		if de == nil {
+			de = dict.entry(sc.choice)
+		}
+		de.agg.Merge(local)
+		if o.CollectRootAggs {
+			de.rootAggs = append(de.rootAggs, RootAgg{Root: r, Agg: local})
 		}
 	}
-	rec(0)
-}
-
-// aggregatePatternRF exactly scores pattern tp over the given roots using
-// the root-first index (used by tests as the re-scoring reference). The
-// fold is two-level like every aggregation site (see aggregatePattern).
-func aggregatePatternRF(ix *index.Index, words []text.WordID, tp core.TreePattern, roots []kg.NodeID, o Options) core.PatternScore {
-	var agg core.PatternScore
-	lists := make([][]pathTerm, len(words))
-	for _, r := range roots {
-		ok := true
-		for i, w := range words {
-			lists[i] = pathsRF(ix, w, r, tp.Paths[i])
-			if len(lists[i]) == 0 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		var local core.PatternScore
-		productPaths(ix.Graph(), lists, o.RequireTreeShape, r, nil, nil, func(_ []core.Path, terms []core.ScoreTerms) {
-			local.Add(o.Scorer.Tree(terms))
-		})
-		if local.Count > 0 {
-			agg.Merge(local)
-		}
-	}
-	return agg
-}
-
-// selAgg is one selected pattern's exact re-score with its per-root
-// decomposition.
-type selAgg struct {
-	agg      core.PatternScore
-	rootAggs []RootAgg
 }
 
 // aggregateSelected exactly scores a set of selected tree patterns over
 // the given roots in one pass: per root, each keyword's pattern list is
 // intersected with the patterns the selection uses at that position, and
 // only surviving combinations are expanded. Roots containing none of the
-// selected patterns are skipped after m sorted intersections. A hit on pc
-// returns early with partial scores; the caller is aborting anyway.
-func aggregateSelected(ix *index.Index, words []text.WordID, selected []*dictEntry, roots []kg.NodeID, o Options, pc *pollCancel) map[string]*selAgg {
-	m := len(words)
-	out := make(map[string]*selAgg, len(selected))
-	pos := make([]map[core.PatternID]bool, m)
-	for i := range pos {
-		pos[i] = map[core.PatternID]bool{}
+// selected patterns are skipped after m filtered run lookups. The result
+// is sc.sel, one entry per selected pattern in selection order. A hit on
+// pc returns early with partial scores; the caller is aborting anyway.
+func aggregateSelected(ix *index.Index, words []text.WordID, selected []*dictEntry, roots []kg.NodeID, o *Options, pc *pollCancel, sc *leScratch) *leDict {
+	sel := &sc.sel
+	sel.reset()
+	only := make([]map[core.PatternID]bool, len(words))
+	for i := range only {
+		only[i] = map[core.PatternID]bool{}
 	}
 	for _, de := range selected {
-		out[de.tp.Key()] = &selAgg{}
+		sel.entry(de.tp.Paths)
 		for i, p := range de.tp.Paths {
-			pos[i][p] = true
+			only[i][p] = true
 		}
 	}
-	cand := make([][]core.PatternID, m)
-	chosen := make([][]pathTerm, m)
-	choice := make([]core.PatternID, m)
 	for _, r := range roots {
 		if pc.hit() {
 			break
 		}
-		ok := true
-		for i, w := range words {
-			cand[i] = cand[i][:0]
-			for _, p := range ix.PatternsAt(w, r) {
-				if pos[i][p] {
-					cand[i] = append(cand[i], p)
-				}
-			}
-			if len(cand[i]) == 0 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		var rec func(i int)
-		rec = func(i int) {
-			if i == m {
-				sa, hit := out[core.TreePattern{Paths: choice}.Key()]
-				if !hit {
-					return // combination exists but was not selected
-				}
-				var local core.PatternScore
-				productPaths(ix.Graph(), chosen, o.RequireTreeShape, r, pc, nil, func(_ []core.Path, terms []core.ScoreTerms) {
-					local.Add(o.Scorer.Tree(terms))
-				})
-				if local.Count == 0 {
-					return
-				}
-				sa.agg.Merge(local)
-				if o.CollectRootAggs {
-					sa.rootAggs = append(sa.rootAggs, RootAgg{Root: r, Agg: local})
-				}
-				return
-			}
-			for _, p := range cand[i] {
-				choice[i] = p
-				chosen[i] = pathsRF(ix, words[i], r, p)
-				rec(i + 1)
-			}
-		}
-		rec(0)
+		expandRoot(ix, words, r, o, pc, sc, sel, only)
 	}
-	return out
+	return sel
 }
 
 // CountAll reports, for grouping queries in the experiments of Section 5,
@@ -385,7 +284,7 @@ func countAllKeyed(ix *index.Index, query string, budget int64, keyFn func(core.
 	for i, w := range words {
 		rootLists[i] = ix.Roots(w)
 	}
-	candidates := intersectSorted(rootLists)
+	candidates := intersectSorted(nil, rootLists...)
 	trees := subtreeCount(ix, words, candidates)
 	if budget > 0 && trees > budget {
 		return nil, trees, true

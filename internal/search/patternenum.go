@@ -26,14 +26,15 @@ func PETopKCtx(ctx context.Context, ix *index.Index, query string, opts Options)
 }
 
 // peType is the per-root-type precomputation of Algorithm 2 line 3:
-// PatternsC(wi) and the cached root list per pattern, plus the keyword
-// enumeration order (selective first, so empty prefixes prune the
-// combination tree as early as possible; choice[] stays indexed by the
-// original keyword position, so the output is unchanged). bounds carries
-// the per-pattern posting envelopes the top-k bound pushdown reads; it is
-// only populated when pruning is enabled.
+// PatternsC(wi) with, per pattern, its resolved posting group and cached
+// root list, plus the keyword enumeration order (selective first, so empty
+// prefixes prune the combination tree as early as possible; choice[] stays
+// indexed by the original keyword position, so the output is unchanged).
+// bounds carries the per-pattern posting envelopes the top-k bound
+// pushdown reads; it is only populated when pruning is enabled.
 type peType struct {
 	pats   [][]core.PatternID
+	groups [][]index.Group
 	roots  [][][]kg.NodeID
 	bounds [][]index.PatternBounds
 	order  []int
@@ -52,11 +53,12 @@ type peTables struct {
 	shards []peShard
 }
 
-// pePrelude fetches the per-type pattern and root lists (cheap index
-// lookups) and cuts the enumeration into shards. One shard is the
-// subtree of combinations under one choice of the most selective
-// keyword's pattern — disjoint by construction, and fine-grained enough
-// to balance a skewed type distribution across workers.
+// pePrelude resolves the per-type pattern groups and root lists (one
+// group search per (word, pattern) for the whole query) and cuts the
+// enumeration into shards. One shard is the subtree of combinations under
+// one choice of the most selective keyword's pattern — disjoint by
+// construction, and fine-grained enough to balance a skewed type
+// distribution across workers.
 func pePrelude(ix *index.Index, prep *prepared, pruneOK bool) *peTables {
 	words := prep.words
 	m := len(words)
@@ -64,20 +66,24 @@ func pePrelude(ix *index.Index, prep *prepared, pruneOK bool) *peTables {
 	for ti, c := range prep.rootTypes {
 		tt := &tb.types[ti]
 		tt.pats = make([][]core.PatternID, m)
+		tt.groups = make([][]index.Group, m)
 		tt.roots = make([][][]kg.NodeID, m)
 		if pruneOK {
 			tt.bounds = make([][]index.PatternBounds, m)
 		}
 		for i, w := range words {
 			tt.pats[i] = ix.PatternsOfType(w, c)
+			tt.groups[i] = make([]index.Group, len(tt.pats[i]))
 			tt.roots[i] = make([][]kg.NodeID, len(tt.pats[i]))
 			if pruneOK {
 				tt.bounds[i] = make([]index.PatternBounds, len(tt.pats[i]))
 			}
 			for j, p := range tt.pats[i] {
-				tt.roots[i][j] = ix.RootsOf(w, p)
+				grp, _ := ix.Group(w, p) // p came from w's group table
+				tt.groups[i][j] = grp
+				tt.roots[i][j] = grp.Roots()
 				if pruneOK {
-					tt.bounds[i][j], _ = ix.PatternBounds(w, p)
+					tt.bounds[i][j] = grp.Bounds()
 				}
 			}
 		}
@@ -111,107 +117,137 @@ func pePrelude(ix *index.Index, prep *prepared, pruneOK bool) *peTables {
 // empty-intersection pruning, so EmptyChecked counts exactly the
 // combinations an unpruned walk counts.
 func peEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options) ([]workerState[RankedPattern], error) {
-	words := prep.words
-	m := len(words)
-	pt := ix.PatternTable()
+	m := len(prep.words)
 	pruneOK := !o.CollectRootAggs
 	tb := prep.peTables(ix, pruneOK)
-	types, shards := tb.types, tb.shards
-
-	// Lines 4-8 per shard: enumerate the tree-pattern product. The root
-	// intersection of line 5 is computed incrementally along the
-	// combination prefix, so a prefix with an empty intersection prunes
-	// its whole subtree of combinations at once (the wasted
-	// set-intersections on empty patterns are PATTERNENUM's worst case,
-	// Section 4.1; the pruning does not change the output).
 	workers := resolveWorkers(o.Workers)
 	ws := newWorkerStates[RankedPattern](workers, o.K)
-	scratches := make([]aggScratch, workers)
-	var locals []*core.TopK[RankedPattern]
-	if pruneOK {
-		locals = make([]*core.TopK[RankedPattern], workers)
-		for i := range locals {
-			locals[i] = core.NewTopK[RankedPattern](o.K)
-		}
-	}
-	err := runShards(ctx, workers, len(shards), func(worker, si int) {
-		sh := shards[si]
-		tt := &types[sh.t]
-		st := &ws[worker].stats
-		sink := ws[worker].top
-		sc := &scratches[worker]
-		if pruneOK {
-			// Score into a fresh shard-local heap (backing array reused
-			// across the worker's shards) so the pruning bound depends only
-			// on this shard's own enumeration prefix — never on which
-			// worker ran the preceding shards — keeping serial and parallel
-			// runs, and their counters, identical.
-			sink = locals[worker]
-			sink.Reset()
-		}
-		pc := &pollCancel{ctx: ctx}
-		w0 := tt.order[0]
-		r0 := tt.roots[w0][sh.j]
-		if len(r0) == 0 {
-			st.EmptyChecked++
-			return
-		}
-		choice := make([]core.PatternID, m)
-		choice[w0] = tt.pats[w0][sh.j]
-		var chosenB []index.PatternBounds
-		if pruneOK {
-			chosenB = make([]index.PatternBounds, m)
-			chosenB[w0] = tt.bounds[w0][sh.j]
-		}
-		var rec func(i int, r []kg.NodeID)
-		rec = func(i int, r []kg.NodeID) {
-			if i == m {
-				// Top-k bound pushdown: bound the combination's best
-				// possible aggregate from the posting envelopes before
-				// paying for the path-product aggregation.
-				if pruneOK && sink.Len() >= o.K && !sink.WouldAccept(peLeafUB(chosenB, len(r), o)) {
-					st.BoundPruned++
-					return
-				}
-				tp := core.TreePattern{Paths: append([]core.PatternID(nil), choice...)}
-				agg, n, rootAggs := aggregatePattern(ix, words, tp, r, o, pc, sc)
-				if pc.hit() {
-					return // partial aggregate; the query is aborting
-				}
-				if agg.Count == 0 {
-					// All tuples filtered out (RequireTreeShape).
-					st.EmptyChecked++
-					return
-				}
-				st.PatternsFound++
-				st.TreesFound += n
-				sink.Offer(agg.Value(o.Agg), tp.ContentKey(pt),
-					RankedPattern{Pattern: tp, Agg: agg, Score: agg.Value(o.Agg), RootAggs: rootAggs})
-				return
+	walkers := make([]peWalker, workers)
+	err := runShards(ctx, workers, len(tb.shards), func(worker, si int) {
+		w := &walkers[worker]
+		if w.choice == nil {
+			*w = peWalker{
+				g: ix.Graph(), pt: ix.PatternTable(), o: &o, pruneOK: pruneOK,
+				st: &ws[worker].stats, sink: ws[worker].top, choice: make([]core.PatternID, m),
+				groups: make([]index.Group, m), bounds: make([]index.PatternBounds, m), inter: make([][]kg.NodeID, m),
 			}
-			w := tt.order[i]
-			for j, p := range tt.pats[w] {
-				if pc.hit() {
-					return
-				}
-				next := intersectSorted([][]kg.NodeID{r, tt.roots[w][j]})
-				if len(next) == 0 {
-					st.EmptyChecked++
-					continue
-				}
-				choice[w] = p
-				if pruneOK {
-					chosenB[w] = tt.bounds[w][j]
-				}
-				rec(i+1, next)
+			if pruneOK {
+				// Score into a shard-local heap (reset per shard, backing
+				// array reused) so the pruning bound depends only on the
+				// shard's own enumeration prefix — never on which worker
+				// ran the preceding shards — keeping serial and parallel
+				// runs, and their counters, identical.
+				w.sink = core.NewTopK[RankedPattern](o.K)
 			}
 		}
-		rec(1, r0)
+		sh := tb.shards[si]
+		w.tt, w.pc = &tb.types[sh.t], pollCancel{ctx: ctx}
 		if pruneOK {
-			ws[worker].top.Merge(sink)
+			w.sink.Reset()
+		}
+		kw := w.tt.order[0]
+		if r0 := w.tt.roots[kw][sh.j]; len(r0) == 0 {
+			w.st.EmptyChecked++
+		} else {
+			w.choose(kw, sh.j)
+			w.walk(1, r0)
+		}
+		if pruneOK {
+			ws[worker].top.Merge(w.sink)
 		}
 	})
 	return ws, err
+}
+
+// peWalker is one worker's state for the combination walk of Algorithm 2
+// lines 4-8: the current combination (choice, with each chosen pattern's
+// group and envelope), one root-intersection buffer per depth, and the
+// aggregation scratch — allocated once per worker, so a shard, a
+// combination and a (pattern, root) allocate nothing.
+type peWalker struct {
+	g       *kg.Graph
+	pt      *core.PatternTable
+	o       *Options
+	pruneOK bool
+	st      *QueryStats
+	sink    *core.TopK[RankedPattern]
+	tt      *peType // the shard's root type
+	pc      pollCancel
+	choice  []core.PatternID
+	groups  []index.Group
+	bounds  []index.PatternBounds
+	inter   [][]kg.NodeID
+	agg     aggScratch
+}
+
+// choose fixes keyword kw's pattern to its j-th.
+func (w *peWalker) choose(kw, j int) {
+	w.choice[kw] = w.tt.pats[kw][j]
+	w.groups[kw] = w.tt.groups[kw][j]
+	if w.pruneOK {
+		w.bounds[kw] = w.tt.bounds[kw][j]
+	}
+}
+
+// walk extends the combination at depth i, whose prefix has the nonempty
+// root intersection r. The root intersection of line 5 is computed
+// incrementally along the prefix, so a prefix with an empty intersection
+// prunes its whole subtree of combinations at once (the wasted
+// set-intersections on empty patterns are PATTERNENUM's worst case,
+// Section 4.1; the pruning does not change the output).
+func (w *peWalker) walk(i int, r []kg.NodeID) {
+	if i == len(w.choice) {
+		w.leaf(r)
+		return
+	}
+	kw := w.tt.order[i]
+	for j := range w.tt.pats[kw] {
+		if w.pc.hit() {
+			return
+		}
+		w.inter[i] = intersectSorted(w.inter[i], r, w.tt.roots[kw][j])
+		if len(w.inter[i]) == 0 {
+			w.st.EmptyChecked++
+			continue
+		}
+		w.choose(kw, j)
+		w.walk(i+1, w.inter[i])
+	}
+}
+
+// leaf scores one complete combination over its root intersection r.
+func (w *peWalker) leaf(r []kg.NodeID) {
+	// Top-k bound pushdown: bound the combination's best possible
+	// aggregate from the posting envelopes before paying for the
+	// path-product aggregation.
+	if w.pruneOK && w.sink.Len() >= w.o.K && !w.sink.WouldAccept(peLeafUB(w.bounds, len(r), w.o)) {
+		w.st.BoundPruned++
+		return
+	}
+	agg, rootAggs := aggregatePattern(w.g, w.groups, r, w.o, &w.pc, &w.agg)
+	if w.pc.hit() {
+		return // partial aggregate; the query is aborting
+	}
+	if agg.Count == 0 {
+		w.st.EmptyChecked++ // all tuples filtered out (RequireTreeShape)
+		return
+	}
+	w.st.PatternsFound++
+	w.st.TreesFound += int64(agg.Count)
+	offerPattern(w.sink, w.pt, w.o, w.choice, agg, rootAggs)
+}
+
+// offerPattern offers a scored tree pattern to a worker's queue. paths is
+// walk-owned scratch: it is copied, and the content key built, only when
+// the score can enter the queue.
+func offerPattern(top *core.TopK[RankedPattern], pt *core.PatternTable, o *Options, paths []core.PatternID, agg core.PatternScore, rootAggs []RootAgg) {
+	score := agg.Value(o.Agg)
+	if !top.WouldAccept(score) {
+		return
+	}
+	tp := core.TreePattern{Paths: append([]core.PatternID(nil), paths...)}
+	top.OfferFunc(score, func() string { return tp.ContentKey(pt) },
+		RankedPattern{Pattern: tp, Agg: agg, Score: score, RootAggs: rootAggs})
 }
 
 // intersectTypes intersects sorted TypeID lists.

@@ -16,6 +16,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"kbtable/internal/core"
@@ -185,10 +186,13 @@ func queryable(ix *index.Index, words []text.WordID) bool {
 	return true
 }
 
-// intersectSorted intersects sorted NodeID lists, smallest-first with
-// binary probing, the root-intersection primitive of Algorithm 2 line 5 and
-// Algorithm 3 line 1.
-func intersectSorted(lists [][]kg.NodeID) []kg.NodeID {
+// intersectSorted intersects sorted NodeID lists into dst[:0] (pass nil for
+// a fresh slice), the root-intersection primitive of Algorithm 2 line 5 and
+// Algorithm 3 line 1. It starts from the smallest list and filters it
+// against each other list by galloping, so the cost is
+// O(|smallest| · log(|other| / |smallest|)) per list rather than a scan of
+// the longest. dst must not alias any input.
+func intersectSorted(dst []kg.NodeID, lists ...[]kg.NodeID) []kg.NodeID {
 	if len(lists) == 0 {
 		return nil
 	}
@@ -198,138 +202,51 @@ func intersectSorted(lists [][]kg.NodeID) []kg.NodeID {
 			smallest = i
 		}
 	}
-	if len(lists[smallest]) == 0 {
-		return nil
-	}
-	out := make([]kg.NodeID, 0, len(lists[smallest]))
-	cursors := make([]int, len(lists))
-outer:
-	for _, v := range lists[smallest] {
-		for i, l := range lists {
-			if i == smallest {
-				continue
+	dst = append(dst[:0], lists[smallest]...)
+	for i, l := range lists {
+		if i == smallest {
+			continue
+		}
+		// Keep, in place, the elements of dst that l contains.
+		kept, c := 0, 0
+		for _, v := range dst {
+			if c = gallop(l, c, v); c == len(l) {
+				break
 			}
-			c := cursors[i]
-			// Gallop forward: candidate lists are sorted ascending.
-			for c < len(l) && l[c] < v {
-				c++
-			}
-			cursors[i] = c
-			if c == len(l) {
-				if len(out) == 0 {
-					return nil
-				}
-				break outer
-			}
-			if l[c] != v {
-				continue outer
+			if l[c] == v {
+				dst[kept] = v
+				kept++
 			}
 		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// tupleVisitor receives each valid subtree enumerated from a path product.
-type tupleVisitor func(paths []core.Path, terms []core.ScoreTerms)
-
-// productPaths enumerates the cartesian product of per-keyword path lists
-// rooted at the same node (Algorithm 2 line 7 / Algorithm 3 line 9): each
-// combination is one valid subtree. The visitor's arguments are reused
-// across calls; it must copy what it keeps. pc is polled once per tuple so
-// a canceled query stops inside a huge single-root product rather than
-// only at the next root or pattern boundary — on a hit the recursion
-// unwinds the whole product immediately (every frame returns false) and
-// the remaining tuples are never visited. sc, when non-nil, lends the
-// tuple buffers so the hot path allocates nothing per (pattern, root).
-func productPaths(g *kg.Graph, lists [][]pathTerm, requireTree bool, root kg.NodeID, pc *pollCancel, sc *aggScratch, visit tupleVisitor) {
-	m := len(lists)
-	var paths []core.Path
-	var terms []core.ScoreTerms
-	if sc != nil {
-		paths, terms = sc.tuple(m)
-	} else {
-		paths = make([]core.Path, m)
-		terms = make([]core.ScoreTerms, m)
-	}
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == m {
-			if pc.hit() {
-				return false
-			}
-			if requireTree {
-				st := core.Subtree{Root: root, Paths: paths}
-				if !st.IsTreeShaped(g) {
-					return true
-				}
-			}
-			visit(paths, terms)
-			return true
+		if dst = dst[:kept]; kept == 0 {
+			break
 		}
-		for _, pt := range lists[i] {
-			paths[i] = pt.path
-			terms[i] = pt.terms
-			if !rec(i + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0)
-}
-
-// pathTerm pairs a concrete path with its precomputed score terms.
-type pathTerm struct {
-	path  core.Path
-	terms core.ScoreTerms
-}
-
-// pathsPF fetches Paths(w, P, r) from the pattern-first index as pathTerms.
-func pathsPF(ix *index.Index, w text.WordID, p core.PatternID, r kg.NodeID) []pathTerm {
-	ps, ok := ix.FindPathsPF(w, p, r)
-	if !ok {
-		return nil
-	}
-	out := make([]pathTerm, ps.Len())
-	var e index.Entry
-	for k := range out {
-		ps.At(k, &e)
-		out[k] = pathTerm{path: ix.Path(w, &e), terms: e.Terms}
-	}
-	return out
-}
-
-// appendPathsPF is pathsPF into a caller-owned buffer: the streaming
-// executor fetches every (pattern, root) run into per-worker scratch that
-// is truncated and refilled instead of reallocated. The PathSet cursor
-// materializes postings one at a time from the columnar arrays, so the
-// run itself is never allocated.
-func appendPathsPF(dst []pathTerm, ix *index.Index, w text.WordID, p core.PatternID, r kg.NodeID) []pathTerm {
-	ps, ok := ix.FindPathsPF(w, p, r)
-	if !ok {
-		return dst
-	}
-	var e index.Entry
-	for k, n := 0, ps.Len(); k < n; k++ {
-		ps.At(k, &e)
-		dst = append(dst, pathTerm{path: ix.Path(w, &e), terms: e.Terms})
 	}
 	return dst
 }
 
-// pathsRF fetches Paths(w, r, P) from the root-first index as pathTerms.
-func pathsRF(ix *index.Index, w text.WordID, r kg.NodeID, p core.PatternID) []pathTerm {
-	var out []pathTerm
-	ix.PathsRF(w, r, p, func(e *index.Entry) {
-		out = append(out, pathTerm{path: ix.Path(w, e), terms: e.Terms})
-	})
-	return out
+// gallop returns the smallest i >= c with l[i] >= v (len(l) when there is
+// none) for ascending l: an exponential probe forward from c brackets the
+// answer, a binary search inside the bracket finds it.
+func gallop(l []kg.NodeID, c int, v kg.NodeID) int {
+	if c >= len(l) || l[c] >= v {
+		return c
+	}
+	lo, step := c, 1 // l[lo] < v
+	hi := c + 1
+	for hi < len(l) && l[hi] < v {
+		lo = hi
+		step <<= 1
+		hi += step
+	}
+	i, _ := slices.BinarySearch(l[lo+1:min(hi, len(l))], v) // l[lo] < v; l[hi] >= v or hi is past the end
+	return lo + 1 + i
 }
 
-// aggregatePattern scores every subtree of tree pattern tp across the given
-// roots using the pattern-first index, without materializing trees. A hit
-// on pc returns early with a partial score; the caller is aborting anyway.
+// aggregatePattern scores every subtree of the tree pattern whose
+// per-keyword posting groups are given, across the given ascending roots,
+// using the pattern-first index, without materializing trees. A hit on pc
+// returns early with a partial score; the caller is aborting anyway.
 //
 // The fold is canonically two-level — subtree scores fold into a per-root
 // partial, per-root partials Merge in ascending root order — so that the
@@ -338,33 +255,24 @@ func pathsRF(ix *index.Index, w text.WordID, r kg.NodeID, p core.PatternID) []pa
 // CollectRootAggs). Every aggregation site in this package uses the same
 // shape.
 //
-// sc lends the per-keyword list and tuple buffers, so the hot path
-// performs zero allocations per (pattern, root).
-func aggregatePattern(ix *index.Index, words []text.WordID, tp core.TreePattern, roots []kg.NodeID, o Options, pc *pollCancel, sc *aggScratch) (core.PatternScore, int64, []RootAgg) {
+// sc walks each group with one monotone run cursor and lends the term
+// lists and the kernel, so nothing is searched or allocated per
+// (pattern, root).
+func aggregatePattern(g *kg.Graph, groups []index.Group, roots []kg.NodeID, o *Options, pc *pollCancel, sc *aggScratch) (core.PatternScore, []RootAgg) {
 	var agg core.PatternScore
-	var n int64
 	var rootAggs []RootAgg
-	lists := sc.listsFor(len(words))
+	if o.CollectRootAggs {
+		rootAggs = make([]RootAgg, 0, len(roots))
+	}
+	sc.open(groups)
 	for _, r := range roots {
 		if pc.hit() {
 			break
 		}
-		ok := true
-		for i, w := range words {
-			lists[i] = appendPathsPF(lists[i][:0], ix, w, tp.Paths[i], r)
-			if len(lists[i]) == 0 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !sc.seek(r) {
 			continue
 		}
-		var local core.PatternScore
-		productPaths(ix.Graph(), lists, o.RequireTreeShape, r, pc, sc, func(_ []core.Path, terms []core.ScoreTerms) {
-			local.Add(o.Scorer.Tree(terms))
-			n++
-		})
+		local := sc.foldRoot(g, r, o, pc)
 		if local.Count == 0 {
 			continue // every tuple filtered out (RequireTreeShape)
 		}
@@ -373,47 +281,38 @@ func aggregatePattern(ix *index.Index, words []text.WordID, tp core.TreePattern,
 			rootAggs = append(rootAggs, RootAgg{Root: r, Agg: local})
 		}
 	}
-	return agg, n, rootAggs
+	return agg, rootAggs
 }
 
 // materializeTrees collects the valid subtrees of tp (up to the per-pattern
-// cap) across all roots where it is nonempty, via the pattern-first index.
+// cap) across all roots where it is nonempty, in (root, tuple) order, via
+// the pattern-first index — the one place whole paths are built, for the
+// final k patterns only.
 func materializeTrees(ix *index.Index, words []text.WordID, tp core.TreePattern, o Options, pc *pollCancel) []core.Subtree {
+	groups := make([]index.Group, len(words))
 	rootLists := make([][]kg.NodeID, len(words))
 	for i, w := range words {
-		rootLists[i] = ix.RootsOf(w, tp.Paths[i])
-	}
-	roots := intersectSorted(rootLists)
-	var out []core.Subtree
-	lists := make([][]pathTerm, len(words))
-	for _, r := range roots {
-		if pc.hit() {
-			break
-		}
-		ok := true
-		for i, w := range words {
-			lists[i] = pathsPF(ix, w, tp.Paths[i], r)
-			if len(lists[i]) == 0 {
-				ok = false
-				break
-			}
-		}
+		grp, ok := ix.Group(w, tp.Paths[i])
 		if !ok {
+			return nil
+		}
+		groups[i], rootLists[i] = grp, grp.Roots()
+	}
+	var out []core.Subtree
+	var sc aggScratch
+	sc.open(groups)
+	for _, r := range intersectSorted(nil, rootLists...) {
+		if !sc.seek(r) {
 			continue
 		}
-		productPaths(ix.Graph(), lists, o.RequireTreeShape, r, pc, nil, func(paths []core.Path, terms []core.ScoreTerms) {
-			if o.MaxTreesPerPattern > 0 && len(out) >= o.MaxTreesPerPattern {
-				return
+		for ok := sc.tw.start(sc.lists); ok; ok = sc.tw.next() {
+			if pc.hit() || (o.MaxTreesPerPattern > 0 && len(out) >= o.MaxTreesPerPattern) {
+				return out
 			}
-			st := core.Subtree{
-				Root:  r,
-				Paths: append([]core.Path(nil), paths...),
-				Terms: append([]core.ScoreTerms(nil), terms...),
+			if o.RequireTreeShape && !sc.treeShaped(ix.Graph(), r, sc.tw.idx) {
+				continue
 			}
-			out = append(out, st)
-		})
-		if o.MaxTreesPerPattern > 0 && len(out) >= o.MaxTreesPerPattern {
-			break
+			out = append(out, sc.tree(r, sc.tw.idx))
 		}
 	}
 	return out

@@ -8,6 +8,7 @@ import (
 	"kbtable/internal/core"
 	"kbtable/internal/index"
 	"kbtable/internal/kg"
+	"kbtable/internal/text"
 )
 
 // TestAggregateSelectedMatchesPerPatternRescoring checks that the batched
@@ -33,24 +34,25 @@ func TestAggregateSelectedMatchesPerPatternRescoring(t *testing.T) {
 		for i, w := range words {
 			rootLists[i] = ix.Roots(w)
 		}
-		roots := intersectSorted(rootLists)
-		treeDict := map[string]*dictEntry{}
+		roots := intersectSorted(nil, rootLists...)
+		sc := &leScratch{}
+		sc.dict.reset()
 		for _, r := range roots {
-			expandRoot(ix, words, r, o, treeDict, nil, &leScratch{})
+			expandRoot(ix, words, r, &o, nil, sc, &sc.dict, nil)
 		}
-		if len(treeDict) == 0 {
+		if len(sc.dict.entries) == 0 {
 			continue
 		}
 		var selected []*dictEntry
-		for _, de := range treeDict {
-			selected = append(selected, de)
+		for i := range sc.dict.entries {
+			selected = append(selected, &sc.dict.entries[i])
 		}
 
-		batched := aggregateSelected(ix, words, selected, roots, o, nil)
+		batched := aggregateSelected(ix, words, selected, roots, &o, nil, sc)
 		for _, de := range selected {
-			ref := aggregatePatternRF(ix, words, de.tp, roots, o)
-			got, ok := batched[de.tp.Key()]
-			if !ok {
+			ref := aggregatePatternRF(ix, words, de.tp, roots, &o)
+			got := batched.find(de.tp.Paths)
+			if got == nil {
 				t.Fatalf("seed %d: pattern missing from batched result", seed)
 			}
 			if got.agg.Count != ref.Count || math.Abs(got.agg.Sum-ref.Sum) > 1e-9 || got.agg.Max != ref.Max {
@@ -115,4 +117,32 @@ func TestSamplingAggModes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// aggregatePatternRF exactly scores pattern tp over the given roots using
+// the root-first index — the per-pattern re-scoring reference. The
+// fold is two-level like every aggregation site (see aggregatePattern).
+func aggregatePatternRF(ix *index.Index, words []text.WordID, tp core.TreePattern, roots []kg.NodeID, o *Options) core.PatternScore {
+	var agg core.PatternScore
+	var sc aggScratch
+	sc.size(len(words))
+nextRoot:
+	for _, r := range roots {
+		for i, w := range words {
+			sc.lists[i] = sc.lists[i][:0]
+			for _, ps := range ix.RunsAt(nil, w, r) { // root-first Paths(w, r, P)
+				if ps.Pattern() == tp.Paths[i] {
+					sc.sets[i] = ps
+					sc.lists[i] = ps.AppendTerms(sc.lists[i])
+				}
+			}
+			if len(sc.lists[i]) == 0 {
+				continue nextRoot
+			}
+		}
+		if local := sc.foldRoot(ix.Graph(), r, o, nil); local.Count > 0 {
+			agg.Merge(local)
+		}
+	}
+	return agg
 }

@@ -195,7 +195,7 @@ func TestStreamingPruningFires(t *testing.T) {
 // candidate root, ONE pattern combination, and fan^3 valid subtrees — all
 // cancellation opportunities the pre-streaming executor had (between
 // shards, roots and patterns) collapse, leaving only the per-tuple poll
-// inside productPaths.
+// inside the product kernel (tupleWalk.fold).
 func starGraph(fan int) *kg.Graph {
 	b := kg.NewBuilder()
 	hub := b.Entity("Hub", "hub")
@@ -253,7 +253,7 @@ func TestPeLeafUBIsSound(t *testing.T) {
 				bounds[i] = b
 			}
 			nRoots := len(rp.RootAggs)
-			if ub := peLeafUB(bounds, nRoots, o); ub < rp.Score {
+			if ub := peLeafUB(bounds, nRoots, &o); ub < rp.Score {
 				t.Errorf("agg=%v: peLeafUB=%v < exact score %v", agg, ub, rp.Score)
 			}
 		}

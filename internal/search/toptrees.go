@@ -37,21 +37,23 @@ func TopTrees(ix *index.Index, query string, k int, opts Options) ([]RankedTree,
 	for i, w := range words {
 		rootLists[i] = ix.Roots(w)
 	}
-	candidates := intersectSorted(rootLists)
+	candidates := intersectSorted(nil, rootLists...)
 	stats.CandidateRoots = len(candidates)
 
 	// Each root is pulled through the arena fetch (leScratch) and, once
 	// the heap is full, whole roots whose posting-envelope bound cannot
-	// displace the current k-th tree score are skipped — before any path
-	// is fetched. A pruned root credits TreesFound with its exact subtree
-	// count (Π NumPathsAt), so the counter still reports the full frontier
-	// an unpruned run enumerates; that bookkeeping is only exact without
-	// the tree-shape filter, so RequireTreeShape disables the pruning. The
-	// heap is the single serial top-k, so pruning decisions are
-	// deterministic, and soundness follows as in stream.go: every tree
-	// under a pruned root scores strictly below k retained trees.
+	// displace the current k-th tree score are skipped — before any
+	// posting is read. A pruned root credits TreesFound with its exact
+	// subtree count (Π NumPathsAt), so the counter still reports the full
+	// frontier an unpruned run enumerates; that bookkeeping is only exact
+	// without the tree-shape filter, so RequireTreeShape disables the
+	// pruning. The heap is the single serial top-k, so pruning decisions
+	// are deterministic, and soundness follows as in stream.go: every tree
+	// under a pruned root scores strictly below k retained trees. Tuples
+	// are scored on the terms-only kernel; a tuple's paths are built only
+	// once its score can enter the heap.
 	pruneRoots := !o.RequireTreeShape
-	m := len(words)
+	pt := ix.PatternTable()
 	sc := &leScratch{}
 	for _, r := range candidates {
 		if pruneRoots && top.Len() >= k {
@@ -61,37 +63,25 @@ func TopTrees(ix *index.Index, query string, k int, opts Options) ([]RankedTree,
 				continue
 			}
 		}
-		patLists, pathLists := sc.fetch(ix, words, r)
-		if patLists == nil {
+		if !sc.fetch(ix, words, r, nil) {
 			continue // some keyword has no path at r
 		}
-		choice, chosen := sc.choice[:m], sc.chosen[:m]
-		var rec func(i int)
-		rec = func(i int) {
-			if i == m {
-				productPaths(ix.Graph(), chosen, o.RequireTreeShape, r, nil, &sc.agg, func(paths []core.Path, terms []core.ScoreTerms) {
-					stats.TreesFound++
-					score := o.Scorer.Tree(terms)
-					if !top.WouldAccept(score) {
-						return
-					}
-					st := core.Subtree{
-						Root:  r,
-						Paths: append([]core.Path(nil), paths...),
-						Terms: append([]core.ScoreTerms(nil), terms...),
-					}
-					tp := core.TreePattern{Paths: append([]core.PatternID(nil), choice...)}
-					top.Offer(score, treeKey(ix.PatternTable(), tp, st), RankedTree{Tree: st, Pattern: tp, Score: score})
-				})
-				return
-			}
-			for j, p := range patLists[i] {
-				choice[i] = p
-				chosen[i] = pathLists[i][j]
-				rec(i + 1)
+		for ok := sc.firstCombo(); ok; ok = sc.nextCombo() {
+			tw := &sc.agg.tw
+			for ok := tw.start(sc.agg.lists); ok; ok = tw.next() {
+				if o.RequireTreeShape && !sc.agg.treeShaped(ix.Graph(), r, tw.idx) {
+					continue
+				}
+				stats.TreesFound++
+				score := tw.score(o.Scorer)
+				if !top.WouldAccept(score) {
+					continue
+				}
+				st := sc.agg.tree(r, tw.idx)
+				tp := core.TreePattern{Paths: append([]core.PatternID(nil), sc.choice...)}
+				top.OfferFunc(score, func() string { return treeKey(pt, tp, st) }, RankedTree{Tree: st, Pattern: tp, Score: score})
 			}
 		}
-		rec(0)
 	}
 	stats.Elapsed = time.Since(start)
 	return top.Results(), stats
