@@ -8,6 +8,9 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"kbtable/internal/kg"
+	"kbtable/internal/shard"
 )
 
 // The cluster facade's exactness contract: scattering per-shard legs to
@@ -20,13 +23,25 @@ import (
 // wireExec routes shard legs to partial owner engines through a JSON
 // encode/decode of every wire value, like the HTTP transport does.
 type wireExec struct {
-	owners map[int]*Engine // shard -> owner engine
-	failed map[int]bool    // shards whose owner is "down"
-	calls  atomic.Int64    // legs run concurrently
+	owners  map[int]*Engine          // shard -> owner engine
+	failed  map[int]bool             // shards whose owner is "down"
+	fail    failLegs                 // which legs of a failed shard fail
+	corrupt func(*ShardPartial) bool // rewrites a decoded partial; reports a change
+	calls   atomic.Int64             // legs run concurrently
+	altered atomic.Int64             // partials corrupt changed
 }
 
-func (x *wireExec) ownerFor(si int) (*Engine, error) {
-	if x.failed[si] {
+// failLegs selects the legs a down owner fails: both, or only one kind.
+type failLegs int
+
+const (
+	failBoth failLegs = iota
+	failProbe
+	failScatter
+)
+
+func (x *wireExec) ownerFor(si int, leg failLegs) (*Engine, error) {
+	if x.failed[si] && (x.fail == failBoth || x.fail == leg) {
 		return nil, errors.New("owner down")
 	}
 	e, ok := x.owners[si]
@@ -38,7 +53,7 @@ func (x *wireExec) ownerFor(si int) (*Engine, error) {
 
 func (x *wireExec) ProbeShard(ctx context.Context, si int, query string, opts SearchOptions) (ShardPlanStats, error) {
 	x.calls.Add(1)
-	e, err := x.ownerFor(si)
+	e, err := x.ownerFor(si, failProbe)
 	if err != nil {
 		return ShardPlanStats{}, err
 	}
@@ -52,7 +67,7 @@ func (x *wireExec) ProbeShard(ctx context.Context, si int, query string, opts Se
 
 func (x *wireExec) ScatterShard(ctx context.Context, si int, algorithm Algorithm, query string, opts SearchOptions) (*ShardPartial, error) {
 	x.calls.Add(1)
-	e, err := x.ownerFor(si)
+	e, err := x.ownerFor(si, failScatter)
 	if err != nil {
 		return nil, err
 	}
@@ -63,6 +78,9 @@ func (x *wireExec) ScatterShard(ctx context.Context, si int, algorithm Algorithm
 	var rt ShardPartial
 	if err := roundTrip(p, &rt); err != nil {
 		return nil, err
+	}
+	if x.corrupt != nil && x.corrupt(&rt) {
+		x.altered.Add(1)
 	}
 	return &rt, nil
 }
@@ -141,35 +159,155 @@ func TestSearchDistributedMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestSearchDistributedFallback fails every non-empty subset of shard
+// owners — both legs, the probe only, the scatter only — at 2 and 3
+// shards: every failed leg re-runs on the coordinator and no byte of any
+// answer changes.
 func TestSearchDistributedFallback(t *testing.T) {
-	const shards = 3
 	g := loadCorpus(t, "testdata/corpus/imdb.txt")
-	coord, err := NewEngine(g, EngineOptions{D: 3, Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner, err := NewEngine(g, EngineOptions{D: 3, Shards: shards, OwnedShards: []int{0, 1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shard 1's owner is down: its probe and scatter legs must fall back
-	// to the coordinator's local execution without changing any byte.
-	exec := &wireExec{
-		owners: map[int]*Engine{0: owner, 1: owner, 2: owner},
-		failed: map[int]bool{1: true},
-	}
-	for _, q := range goldenCorpora()[1].queries {
-		opts := SearchOptions{K: goldenK, Algorithm: Auto, MaxRowsPerTable: goldenRows}
-		want, _, err := coord.SearchPlan(context.Background(), q, opts)
+	ctx := context.Background()
+	opts := SearchOptions{K: goldenK, Algorithm: Auto, MaxRowsPerTable: goldenRows}
+	queries := goldenCorpora()[1].queries
+	for _, shards := range []int{2, 3} {
+		coord, err := NewEngine(g, EngineOptions{D: 3, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := coord.SearchDistributed(context.Background(), exec, q, opts)
+		coord.plans = nil // every Auto query probes, so probe legs run (and fail) too
+		owner, err := NewEngine(g, EngineOptions{D: 3, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lw, lg := renderGolden(q, want), renderGolden(q, got); lw != lg {
-			t.Fatalf("%q: fallback answers differ\nlocal:\n%s\ndistributed:\n%s", q, lw, lg)
+		want := make([][]Answer, len(queries))
+		for i, q := range queries {
+			if want[i], _, err = coord.SearchPlan(ctx, q, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for mask := 1; mask < 1<<shards; mask++ {
+			for _, fail := range []failLegs{failBoth, failProbe, failScatter} {
+				exec := &wireExec{owners: map[int]*Engine{}, failed: map[int]bool{}, fail: fail}
+				for si := 0; si < shards; si++ {
+					exec.owners[si] = owner
+					exec.failed[si] = mask&(1<<si) != 0
+				}
+				for i, q := range queries {
+					got, _, err := coord.SearchDistributed(ctx, exec, q, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(want[i], got) {
+						t.Fatalf("shards=%d failed=%b legs=%d %q: fallback answers differ\nlocal:\n%s\ndistributed:\n%s",
+							shards, mask, fail, q, renderGolden(q, want[i]), renderGolden(q, got))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSearchDistributedRejectsCorruptPartials feeds the gather partials
+// corrupted after the wire round-trip. Each is rejected and its leg re-run
+// locally: the answers stay SearchPlan's, nothing panics, and no wire path
+// is interned into the coordinator's pattern tables.
+func TestSearchDistributedRejectsCorruptPartials(t *testing.T) {
+	g := loadCorpus(t, "testdata/corpus/wiki.txt")
+	ctx := context.Background()
+	const q = "software company revenue"
+	opts := SearchOptions{K: goldenK, Algorithm: PatternEnum, MaxRowsPerTable: goldenRows}
+	coord, err := NewEngine(g, EngineOptions{D: 3, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := NewEngine(g, EngineOptions{D: 3, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := coord.SearchPlan(ctx, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tableLens := func() []int {
+		return []int{coord.sh.Index(0).PatternTable().Len(), coord.sh.Index(1).PatternTable().Len()}
+	}
+	lens := tableLens()
+
+	// foreign returns the smallest node above after that another shard
+	// owns, or -1.
+	foreign := func(si int, after int64) int64 {
+		for v := after + 1; v < int64(coord.sh.Graph().NumNodes()); v++ {
+			if coord.sh.Owner(kg.NodeID(v)) != si {
+				return v
+			}
+		}
+		return -1
+	}
+	// onPattern applies f to the first pattern with at least minRoots roots.
+	onPattern := func(minRoots int, f func(p *ShardPartial, wp *shard.WirePattern) bool) func(*ShardPartial) bool {
+		return func(p *ShardPartial) bool {
+			for i := range p.Patterns {
+				if len(p.Patterns[i].RootAggs) >= minRoots {
+					return f(p, &p.Patterns[i])
+				}
+			}
+			return false
+		}
+	}
+	corruptions := map[string]func(*ShardPartial) bool{
+		"mislabeled shard": func(p *ShardPartial) bool { p.Shard = 1 - p.Shard; return true },
+		"unknown type": onPattern(1, func(_ *ShardPartial, wp *shard.WirePattern) bool {
+			wp.Paths[0].Types[0] = 9999
+			return true
+		}),
+		"empty types": onPattern(1, func(_ *ShardPartial, wp *shard.WirePattern) bool {
+			wp.Paths[0].Types = nil
+			return true
+		}),
+		"missing path": onPattern(1, func(_ *ShardPartial, wp *shard.WirePattern) bool {
+			wp.Paths = wp.Paths[1:]
+			return true
+		}),
+		"extra path": onPattern(1, func(_ *ShardPartial, wp *shard.WirePattern) bool {
+			wp.Paths = append(wp.Paths, wp.Paths[0])
+			return true
+		}),
+		"descending roots": onPattern(2, func(_ *ShardPartial, wp *shard.WirePattern) bool {
+			wp.RootAggs[0], wp.RootAggs[1] = wp.RootAggs[1], wp.RootAggs[0]
+			return true
+		}),
+		"repeated root": onPattern(2, func(_ *ShardPartial, wp *shard.WirePattern) bool {
+			wp.RootAggs[1].Root = wp.RootAggs[0].Root
+			return true
+		}),
+		"foreign root": onPattern(1, func(p *ShardPartial, wp *shard.WirePattern) bool {
+			last := len(wp.RootAggs) - 1
+			prev := int64(-1)
+			if last > 0 {
+				prev = wp.RootAggs[last-1].Root
+			}
+			v := foreign(p.Shard, prev)
+			wp.RootAggs[last].Root = v
+			return v >= 0
+		}),
+		"root past the graph": onPattern(1, func(_ *ShardPartial, wp *shard.WirePattern) bool {
+			wp.RootAggs[len(wp.RootAggs)-1].Root = int64(coord.sh.Graph().NumNodes())
+			return true
+		}),
+	}
+	for name, corrupt := range corruptions {
+		exec := &wireExec{owners: map[int]*Engine{0: owner, 1: owner}, corrupt: corrupt}
+		got, _, err := coord.SearchDistributed(ctx, exec, q, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if exec.altered.Load() == 0 {
+			t.Fatalf("%s: no partial was corrupted", name)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: answers differ from SearchPlan\nlocal:\n%s\ndistributed:\n%s", name, renderGolden(q, want), renderGolden(q, got))
+		}
+		if got := tableLens(); !reflect.DeepEqual(got, lens) {
+			t.Fatalf("%s: coordinator pattern tables grew from %v to %v", name, lens, got)
 		}
 	}
 }

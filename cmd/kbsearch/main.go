@@ -136,7 +136,7 @@ func main() {
 
 	run := func(q string) {
 		opts := search.Options{K: *k, Lambda: *lambda, Rho: *rho, MaxTreesPerPattern: *rows, AutoBias: *autoBias}
-		res, err := se.Search(context.Background(), salgo, q, opts)
+		res, err := se.Search(context.Background(), search.Plan{Algo: salgo}, q, opts, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

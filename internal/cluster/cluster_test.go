@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -137,6 +138,7 @@ type testCluster struct {
 	router  *Router
 	nodes   []*Node
 	cl      *client.Client
+	eng     *kbtable.Engine // the coordinator's full engine
 }
 
 // startCluster partitions g into 3 shards: owner n0 hosts shards 0-1,
@@ -173,8 +175,9 @@ func startCluster(t *testing.T, g *kbtable.Graph) *testCluster {
 		t.Fatal(err)
 	}
 	tc.router = NewRouter("c0", members)
+	tc.eng = build(nil)
 	coordSrv := serve.New(serve.Config{
-		Engine: build(nil), D: 3, CacheSize: -1,
+		Engine: tc.eng, D: 3, CacheSize: -1,
 		Distributor: tc.router, Cluster: tc.router.Health,
 	})
 	tc.coord = httptest.NewServer(coordSrv.Handler())
@@ -248,6 +251,31 @@ func TestClusterGoldenByteIdentical(t *testing.T) {
 				t.Fatal("expected local fallbacks after killing shard 2's owners")
 			}
 		})
+	}
+}
+
+// TestClusterSampledMatchesCoordinator pins that a sampled LinearEnum
+// query answers through the router exactly as through the coordinator's
+// own SearchPlan. The leg wire carries no Λ/ρ/seed, so an owner would
+// run its leg exact while a local leg samples; sampled legs therefore
+// never leave the coordinator.
+func TestClusterSampledMatchesCoordinator(t *testing.T) {
+	g := loadCorpus(t, filepath.Join("..", "..", "testdata", "corpus", "wiki.txt"))
+	tc := startCluster(t, g)
+	ctx := context.Background()
+	for _, q := range goldenQueries["wiki"] {
+		opts := kbtable.SearchOptions{K: goldenK, MaxRowsPerTable: goldenRows, Algorithm: kbtable.LinearEnum, Lambda: 1, Rho: 0.3, Seed: 7}
+		want, _, err := tc.eng.SearchPlan(ctx, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := tc.eng.SearchDistributed(ctx, tc.router, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%q: sampled answers through the router differ from SearchPlan", q)
+		}
 	}
 }
 

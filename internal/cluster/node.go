@@ -137,7 +137,8 @@ func (n *Node) handleScatter(w http.ResponseWriter, r *http.Request) {
 // legOptions reconstructs the options a leg runs under. Only the
 // fields the wire carries cross the cluster; both sides' engines fill
 // in identical defaults for the rest, which is what keeps a remote leg
-// bit-identical to the coordinator-local one.
+// bit-identical to the coordinator-local one. Sampling options are not
+// among them, so a coordinator never sends a sampled query's legs.
 func legOptions(k, maxRows int, autoBias float64) kbtable.SearchOptions {
 	return kbtable.SearchOptions{K: k, MaxRowsPerTable: maxRows, AutoBias: autoBias}
 }

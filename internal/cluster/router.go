@@ -15,8 +15,10 @@ import (
 // shard's probe and scatter leg to a remote owner (then any replica)
 // over the /v1 cluster API. A leg whose every candidate fails returns
 // an error, which makes the engine re-run that leg on the
-// coordinator's own resident shard — the router only ever has to be
-// fast, never correct. Requests carry the WAL sequence the serving
+// coordinator's own resident shard; the engine also re-runs any leg
+// whose partial fails its checks — the router only ever has to be
+// fast, never correct. Its local_fallback counter therefore counts
+// transport failures only. Requests carry the WAL sequence the serving
 // layer pinned (api.SeqFrom), so a node that has not applied exactly
 // that state refuses the leg (409 stale_epoch) rather than answer from
 // a different snapshot.

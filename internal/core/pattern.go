@@ -84,7 +84,8 @@ func (p PathPattern) Render(g *kg.Graph) string {
 // an ID it already holds stays readable while others intern.
 //
 // A published index's table is never interned into (index.ApplyDelta copies
-// it; the shard gather and the baseline intern into tables of their own),
+// it, the baseline interns into a table of its own, and the shard gather
+// resolves remote patterns with Lookup),
 // so on the query path the table is immutable and every read is two plain
 // loads with no shared cache line written.
 type PatternTable struct {
@@ -129,6 +130,15 @@ func (t *PatternTable) Intern(p PathPattern) PatternID {
 	t.byKey[key] = id
 	t.pats.Store(&pats)
 	return id
+}
+
+// Lookup returns the ID of an already interned pattern with p's content,
+// and false when there is none; it never registers p.
+func (t *PatternTable) Lookup(p PathPattern) (PatternID, bool) {
+	t.mu.RLock()
+	id, ok := t.byKey[p.Key()]
+	t.mu.RUnlock()
+	return id, ok
 }
 
 // Get returns the pattern for id. The returned value shares slices with the

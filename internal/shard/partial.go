@@ -20,10 +20,10 @@ import (
 // its per-pattern per-root partial aggregates (search.RootAgg) keyed by
 // pattern CONTENT (the path patterns' type/attr sequences), never by
 // shard-local interned PatternIDs. A coordinator holding content-identical
-// per-shard indexes interns the wire paths into its own tables and re-runs
-// the canonical gather fold — answers are bit-identical to a single-node
-// run. Scores travel as float64 and Go's encoding/json round-trips float64
-// exactly, so serialization adds no drift.
+// per-shard indexes resolves the wire paths in its own tables (fromWire)
+// and runs the canonical gather fold — answers are bit-identical to a
+// single-node run. Scores travel as float64 and Go's encoding/json
+// round-trips float64 exactly, so serialization adds no drift.
 
 // WirePath is one root-to-keyword path pattern in content form
 // (core.PathPattern without the interning table).
@@ -94,8 +94,8 @@ func toWirePlanStats(st search.PlanStats) WirePlanStats {
 	}
 }
 
-// FromWirePlanStats restores planner-probe statistics from wire form.
-func FromWirePlanStats(w WirePlanStats) search.PlanStats {
+// fromWirePlanStats restores planner-probe statistics from wire form.
+func fromWirePlanStats(w WirePlanStats) search.PlanStats {
 	return search.PlanStats{
 		CandidateRoots: w.CandidateRoots,
 		RootTypes:      w.RootTypes,
@@ -103,21 +103,6 @@ func FromWirePlanStats(w WirePlanStats) search.PlanStats {
 		Frontier:       w.Frontier,
 		PostingRoots:   w.PostingRoots,
 	}
-}
-
-// MergeWirePlanStats folds per-shard probe statistics in ascending shard
-// order — the exact merge PlanStats performs in process, so a plan chosen
-// from scattered probes equals the local planner's choice.
-func MergeWirePlanStats(parts []WirePlanStats) WirePlanStats {
-	var merged search.PlanStats
-	for i, p := range parts {
-		if i == 0 {
-			merged = FromWirePlanStats(p)
-			continue
-		}
-		merged.Merge(FromWirePlanStats(p))
-	}
-	return toWirePlanStats(merged)
 }
 
 // resident returns shard si's unit or an error when this engine does not
@@ -216,29 +201,29 @@ func (e *Engine) ScatterShard(ctx context.Context, si int, algo search.Algo, que
 	if _, err := e.resident(si); err != nil {
 		return nil, err
 	}
-	so := e.scatterOptions(algo, opts)
-	out := e.searchShard(ctx, si, algo, query, so)
-	if out.err != nil {
-		return nil, out.err
+	res, err := e.searchShard(ctx, si, algo, query, e.scatterOptions(algo, opts))
+	if err != nil {
+		return nil, err
 	}
+	table := e.units[si].ix.PatternTable()
 	p := &WirePartial{
 		Shard:          si,
-		Patterns:       make([]WirePattern, 0, len(out.patterns)),
-		CandidateRoots: out.stats.CandidateRoots,
-		SampledRoots:   out.stats.SampledRoots,
-		TreesFound:     out.stats.TreesFound,
-		EmptyChecked:   out.stats.EmptyChecked,
-		BoundPruned:    out.stats.BoundPruned,
-		PrepareNS:      int64(out.stats.Stages.Prepare),
-		PlanStats:      toWirePlanStats(out.plan.Stats),
+		Patterns:       make([]WirePattern, 0, len(res.Patterns)),
+		CandidateRoots: res.Stats.CandidateRoots,
+		SampledRoots:   res.Stats.SampledRoots,
+		TreesFound:     res.Stats.TreesFound,
+		EmptyChecked:   res.Stats.EmptyChecked,
+		BoundPruned:    res.Stats.BoundPruned,
+		PrepareNS:      int64(res.Stats.Stages.Prepare),
+		PlanStats:      toWirePlanStats(res.Plan.Stats),
 	}
-	for _, rp := range out.patterns {
+	for _, rp := range res.Patterns {
 		wp := WirePattern{
 			Paths:    make([]WirePath, len(rp.Pattern.Paths)),
 			RootAggs: make([]WireRootAgg, len(rp.RootAggs)),
 		}
 		for i, pid := range rp.Pattern.Paths {
-			pp := out.table.Get(pid)
+			pp := table.Get(pid)
 			w := WirePath{EdgeEnd: pp.EdgeEnd, Types: make([]int32, len(pp.Types))}
 			for j, t := range pp.Types {
 				w.Types[j] = int32(t)
@@ -259,74 +244,66 @@ func (e *Engine) ScatterShard(ctx context.Context, si int, algo search.Algo, que
 	return p, nil
 }
 
-// GatherPartials reassembles per-shard wire partials — one per shard, in
-// any mix of remote and locally produced — and runs the canonical gather
-// fold plus the local tree-materialization pass. The receiver must be a
-// complete engine whose per-shard indexes are content-identical to the
-// producers' (same graph snapshot, same shard count): wire paths are
-// interned into the coordinator's own per-shard pattern tables, and
-// winner trees come from the coordinator's indexes. plan must already be
-// resolved (never Auto); start/probed bound the stage accounting.
-func (e *Engine) GatherPartials(ctx context.Context, start, probed time.Time, plan search.Plan, query string, partials []*WirePartial, opts search.Options) (*Result, error) {
-	if plan.Algo != search.AlgoPE && plan.Algo != search.AlgoLE {
-		return nil, fmt.Errorf("shard: gather requires a resolved non-baseline plan")
+// fromWire checks a remote partial for resident shard si and decodes it
+// into scatter form. Its producer holds an index content-identical to the
+// shard's, so every path it names is already interned in the shard's
+// pattern table and resolves by Lookup; nothing from the network is ever
+// interned into a published table. The partial is rejected — and the
+// caller runs the leg locally — when it is labeled for another shard,
+// names a path the table does not hold, has a pattern whose path count is
+// not the query's keyword count, or lists roots that do not strictly
+// ascend or that another shard owns.
+func (e *Engine) fromWire(si int, query string, p *WirePartial) (shardOut, error) {
+	if p == nil || p.Shard != si {
+		return shardOut{}, fmt.Errorf("shard: partial for shard %d is missing or mislabeled", si)
 	}
-	if len(partials) != e.n {
-		return nil, fmt.Errorf("shard: gather needs %d partials, got %d", e.n, len(partials))
-	}
-	outs := make([]shardOut, e.n)
-	for si := 0; si < e.n; si++ {
-		p := partials[si]
-		if p == nil {
-			return nil, fmt.Errorf("shard: missing partial for shard %d", si)
+	ix := e.units[si].ix
+	table := ix.PatternTable()
+	words, surfaces := search.ResolveQuery(ix, query)
+	var pp core.PathPattern // Lookup scratch; the table never retains it
+	patterns := make([]search.RankedPattern, len(p.Patterns))
+	for i, wp := range p.Patterns {
+		if len(wp.Paths) != len(words) {
+			return shardOut{}, fmt.Errorf("shard: shard %d pattern %d has %d paths for %d keywords", si, i, len(wp.Paths), len(words))
 		}
-		if p.Shard != si {
-			return nil, fmt.Errorf("shard: partial %d labeled shard %d", si, p.Shard)
-		}
-		u, err := e.resident(si)
-		if err != nil {
-			return nil, err
-		}
-		table := u.ix.PatternTable()
-		patterns := make([]search.RankedPattern, len(p.Patterns))
-		for i, wp := range p.Patterns {
-			tp := core.TreePattern{Paths: make([]core.PatternID, len(wp.Paths))}
-			for j, w := range wp.Paths {
-				pp := core.PathPattern{EdgeEnd: w.EdgeEnd, Types: make([]kg.TypeID, len(w.Types))}
-				for x, t := range w.Types {
-					pp.Types[x] = kg.TypeID(t)
-				}
-				if len(w.Attrs) > 0 {
-					pp.Attrs = make([]kg.AttrID, len(w.Attrs))
-					for x, a := range w.Attrs {
-						pp.Attrs[x] = kg.AttrID(a)
-					}
-				}
-				tp.Paths[j] = table.Intern(pp)
+		tp := core.TreePattern{Paths: make([]core.PatternID, len(wp.Paths))}
+		for j, w := range wp.Paths {
+			pp.EdgeEnd, pp.Types, pp.Attrs = w.EdgeEnd, pp.Types[:0], pp.Attrs[:0]
+			for _, t := range w.Types {
+				pp.Types = append(pp.Types, kg.TypeID(t))
 			}
-			aggs := make([]search.RootAgg, len(wp.RootAggs))
-			for x, ra := range wp.RootAggs {
-				aggs[x] = search.RootAgg{Root: kg.NodeID(ra.Root), Agg: core.PatternScore{Sum: ra.Sum, Max: ra.Max, Count: ra.Count}}
+			for _, a := range w.Attrs {
+				pp.Attrs = append(pp.Attrs, kg.AttrID(a))
 			}
-			patterns[i] = search.RankedPattern{Pattern: tp, RootAggs: aggs}
+			id, ok := table.Lookup(pp)
+			if !ok {
+				return shardOut{}, fmt.Errorf("shard: shard %d pattern %d names a path pattern the shard does not hold", si, i)
+			}
+			tp.Paths[j] = id
 		}
-		words, surfaces := search.ResolveQuery(u.ix, query)
-		outs[si] = shardOut{
-			patterns: patterns,
-			table:    table,
-			stats: search.QueryStats{
-				Surfaces:       surfaces,
-				Words:          words,
-				CandidateRoots: p.CandidateRoots,
-				SampledRoots:   p.SampledRoots,
-				TreesFound:     p.TreesFound,
-				EmptyChecked:   p.EmptyChecked,
-				BoundPruned:    p.BoundPruned,
-				Stages:         search.StageTimings{Prepare: time.Duration(p.PrepareNS)},
-			},
-			plan:  search.Plan{Algo: plan.Algo, Stats: FromWirePlanStats(p.PlanStats)},
-			words: words,
+		aggs := make([]search.RootAgg, len(wp.RootAggs))
+		for x, ra := range wp.RootAggs {
+			if ra.Root < 0 || ra.Root >= int64(len(e.owner)) || int(e.owner[ra.Root]) != si || x > 0 && ra.Root <= wp.RootAggs[x-1].Root {
+				return shardOut{}, fmt.Errorf("shard: shard %d pattern %d lists root %d out of order or outside the shard", si, i, ra.Root)
+			}
+			aggs[x] = search.RootAgg{Root: kg.NodeID(ra.Root), Agg: core.PatternScore{Sum: ra.Sum, Max: ra.Max, Count: ra.Count}}
 		}
+		patterns[i] = search.RankedPattern{Pattern: tp, RootAggs: aggs}
 	}
-	return e.gather(ctx, start, probed, plan, outs, opts)
+	return shardOut{
+		patterns: patterns,
+		table:    table,
+		stats: search.QueryStats{
+			Surfaces:       surfaces,
+			Words:          words,
+			CandidateRoots: p.CandidateRoots,
+			SampledRoots:   p.SampledRoots,
+			TreesFound:     p.TreesFound,
+			EmptyChecked:   p.EmptyChecked,
+			BoundPruned:    p.BoundPruned,
+			Stages:         search.StageTimings{Prepare: time.Duration(p.PrepareNS)},
+		},
+		plan:  search.Plan{Stats: fromWirePlanStats(p.PlanStats)},
+		words: words,
+	}, nil
 }

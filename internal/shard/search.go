@@ -21,8 +21,12 @@ import (
 // pattern/root answer set, not to k (the same regime as LINEARENUM's
 // aggregation dictionary); explosion queries should be fenced with
 // Engine.CountAllContent / kbtable.Explain before execution, exactly as
-// the paper fences exact enumeration. A bounded two-phase gather with
-// score upper bounds is the known follow-up if this bites in production.
+// the paper fences exact enumeration. The known follow-up is a bounded
+// two-phase gather with score upper bounds: the probe reports per-pattern
+// bounds, their sum over shards yields a global k-th-score threshold, and
+// every leg prunes against it. Every leg — resident, remote or fallback —
+// runs through PlanStats and scatterGather, so that change lands in those
+// two functions.
 //
 // For the same reason the streaming executor's top-k bound pushdown must
 // not fire inside a shard — a locally dominated pattern can win globally —
@@ -30,8 +34,9 @@ import (
 // which every scatter sets. Per-shard runs still get streaming's
 // predicate pushdown and scratch reuse; only the score cut is disabled.
 //
-// None of this applies to a one-shard engine: nothing merges after its
-// executor, so Search hands it the caller's K and the bound prunes.
+// None of this applies to a one-shard engine queried without legs:
+// nothing merges after its executor, so Search hands it the caller's K
+// and the bound prunes.
 const allK = 1 << 30
 
 // RankedPattern is one globally ranked pattern. Pattern's IDs resolve in
@@ -66,15 +71,35 @@ type shardOut struct {
 	err      error
 }
 
-// PlanStats scatters the prepare-only probe to every shard and merges the
-// per-shard statistics: candidate roots, frontier and posting lengths sum
-// exactly (root partitions are disjoint); the pattern space sums too,
-// over-counting patterns whose roots span shards — acceptable for a cost
-// estimate and deterministic for a given engine.
-func (e *Engine) PlanStats(ctx context.Context, query string, opts search.Options) (search.PlanStats, error) {
+// Legs runs shard legs away from the resident shards — a cluster
+// coordinator's owner nodes — with the query and its options bound in.
+// PlanStats and Search call it once per shard, concurrently. A leg that
+// returns an error, or a partial that fails fromWire's checks, runs on
+// the resident shard instead, so an implementation never has to be
+// correct, only fast.
+type Legs interface {
+	Probe(ctx context.Context, si int) (WirePlanStats, error)
+	Scatter(ctx context.Context, si int, algo search.Algo) (*WirePartial, error)
+}
+
+// PlanStats runs the prepare-only planner probe on every shard — through
+// legs when given, on the resident shard when legs is nil or a leg fails —
+// and merges the statistics in ascending shard order: candidate roots,
+// frontier and posting lengths sum exactly (root partitions are
+// disjoint); the pattern space sums too, over-counting patterns whose
+// roots span shards — acceptable for a cost estimate and deterministic
+// for a given engine. Statistics only steer Auto between two algorithms
+// with identical answers, so remote ones are taken as given.
+func (e *Engine) PlanStats(ctx context.Context, query string, opts search.Options, legs Legs) (search.PlanStats, error) {
 	stats := make([]search.PlanStats, e.n)
 	errs := make([]error, e.n)
 	e.scatter(func(si int) {
+		if legs != nil {
+			if w, err := legs.Probe(ctx, si); err == nil {
+				stats[si] = fromWirePlanStats(w)
+				return
+			}
+		}
 		stats[si], errs[si] = search.PlanProbe(ctx, e.units[si].ix, query, opts)
 	})
 	var merged search.PlanStats
@@ -89,18 +114,6 @@ func (e *Engine) PlanStats(ctx context.Context, query string, opts search.Option
 		merged.Merge(stats[si])
 	}
 	return merged, nil
-}
-
-// Plan resolves the execution plan for a query without running it: for
-// Auto, the planner's decision over the merged per-shard statistics. Every
-// shard of a subsequent Search(ctx, resolved, …) executes exactly this
-// plan.
-func (e *Engine) Plan(ctx context.Context, algo search.Algo, query string, opts search.Options) (search.Plan, error) {
-	st, err := e.PlanStats(ctx, query, opts)
-	if err != nil {
-		return search.Plan{}, err
-	}
-	return search.ChoosePlan(algo, st, opts), nil
 }
 
 // mergedPat accumulates one pattern signature across shards.
@@ -120,80 +133,66 @@ type contribRef struct {
 	pattern core.TreePattern
 }
 
-// Search answers a query. A one-shard engine runs its executor directly;
-// a partition scatters the query across every shard, merges same-signature
-// patterns exactly, and returns the global top-k.
+// Search answers a query under plan. plan.Algo may be Auto, resolved here
+// by one planner decision over the merged per-shard probe; a plan
+// resolved earlier (the facade's plan-cache hit) executes and is reported
+// as given, with answers bit-identical to resolving it here (the
+// Auto-equivalence property). A one-shard engine without legs runs its
+// executor directly; otherwise every shard runs one leg — through legs
+// when given — and scatterGather merges same-signature patterns exactly
+// into the global top-k.
 //
 // Exactness: every valid subtree roots at exactly one shard, so per-shard
 // per-root partial aggregates (search.RootAgg) partition the one-shard
 // engine's two-level fold; re-folding them in ascending root order yields
 // bit-identical scores, and the (score, content-key) total order makes the
-// global top-k independent of gather order. LinearEnum's Λ/ρ sampling is
-// the one shard-local behavior: per-type subtree counts and sample draws
-// happen within each shard, so a sampled run over N > 1 shards is a
-// different (still unbiased) estimate than a sampled one-shard run; exact
-// mode (Lambda <= 0) is identical at every N.
-func (e *Engine) Search(ctx context.Context, algo search.Algo, query string, opts search.Options) (*Result, error) {
-	if e.n == 1 {
-		return e.searchOne(ctx, algo, query, opts)
+// global top-k independent of gather order — and of where each leg ran.
+// LinearEnum's Λ/ρ sampling is the one shard-local behavior: per-type
+// subtree counts and sample draws happen within each shard, so a sampled
+// run over N > 1 shards is a different (still unbiased) estimate than a
+// sampled one-shard run; exact mode (Lambda <= 0) is identical at every N.
+func (e *Engine) Search(ctx context.Context, plan search.Plan, query string, opts search.Options, legs Legs) (*Result, error) {
+	// The baseline gathers trees rather than per-root aggregates, and a
+	// sampled leg draws under Λ/ρ/seed, which the leg wire does not carry:
+	// both always run in process.
+	if plan.Algo == search.AlgoBaseline || opts.Lambda > 0 {
+		legs = nil
+	}
+	if e.n == 1 && legs == nil {
+		return e.searchOne(ctx, plan, query, opts)
 	}
 	start := time.Now()
-
-	// Auto: one planner decision over merged per-shard statistics; the
-	// scatter below carries the resolved algorithm so every shard agrees.
-	plan := search.Plan{Algo: algo}
-	if algo == search.AlgoAuto {
-		p, err := e.Plan(ctx, algo, query, opts)
+	if plan.Algo == search.AlgoAuto {
+		st, err := e.PlanStats(ctx, query, opts, legs)
 		if err != nil {
 			return nil, err
 		}
-		plan = p
+		plan = search.ChoosePlan(search.AlgoAuto, st, opts)
 	}
-	return e.searchResolved(ctx, start, plan, query, opts)
-}
-
-// SearchWithPlan executes query under a pre-resolved plan — the facade's
-// plan-cache hit path for Auto queries: the cached statistics already fed
-// ChoosePlan, so the planner probe is skipped and every shard executes
-// plan.Algo. An Auto plan is reported as given. Answers are bit-identical
-// to Search(ctx, AlgoAuto, …) resolving to the same algorithm (the
-// Auto-equivalence property).
-func (e *Engine) SearchWithPlan(ctx context.Context, plan search.Plan, query string, opts search.Options) (*Result, error) {
-	if e.n == 1 {
-		res, err := e.searchOne(ctx, plan.Algo, query, opts)
-		if err == nil && plan.Auto {
-			res.Plan = plan
-		}
-		return res, err
-	}
-	return e.searchResolved(ctx, time.Now(), plan, query, opts)
+	return e.scatterGather(ctx, start, plan, query, opts, legs, func(si int, so search.Options) (*search.Result, error) {
+		return e.searchShard(ctx, si, plan.Algo, query, so)
+	})
 }
 
 // searchOne is the one-shard engine's query: the resident unit's executor
 // with the caller's options untouched, so top-k pruning, stage timings,
-// plan statistics and sampling are the executor's own. algo may be Auto
-// (one prepare serves both the planner and the execution).
-func (e *Engine) searchOne(ctx context.Context, algo search.Algo, query string, opts search.Options) (*Result, error) {
-	ex := search.Executor{Ix: e.units[0].ix}
-	if algo == search.AlgoBaseline {
-		var err error
-		if ex.BL, err = e.baseline(0); err != nil {
-			return nil, err
-		}
-	}
-	res, err := ex.Search(ctx, query, algo, opts)
+// plan statistics and sampling are the executor's own. plan.Algo may be
+// Auto (one prepare serves both the planner and the execution).
+func (e *Engine) searchOne(ctx context.Context, plan search.Plan, query string, opts search.Options) (*Result, error) {
+	res, err := e.searchShard(ctx, 0, plan.Algo, query, opts)
 	if err != nil {
 		return nil, err
 	}
-	return e.oneResult(res), nil
+	out := e.oneResult(res)
+	if plan.Auto {
+		out.Plan = plan
+	}
+	return out, nil
 }
 
 // oneResult lifts a one-shard executor result into the engine's form.
 func (e *Engine) oneResult(res *search.Result) *Result {
-	pt := res.Table // the baseline interns its own patterns per query
-	if pt == nil {
-		pt = e.units[0].ix.PatternTable()
-	}
+	pt := e.table(0, res)
 	out := &Result{Patterns: make([]RankedPattern, len(res.Patterns)), Stats: res.Stats, Plan: res.Plan}
 	for i, rp := range res.Patterns {
 		out.Patterns[i] = RankedPattern{Pattern: rp.Pattern, Table: pt, Agg: rp.Agg, Score: rp.Score, Trees: rp.Trees}
@@ -201,17 +200,25 @@ func (e *Engine) oneResult(res *search.Result) *Result {
 	return out
 }
 
-// searchResolved is the scatter-gather body shared by Search and
-// SearchWithPlan: plan.Algo is already resolved (never Auto) and probe
-// time, if any, is already spent.
-func (e *Engine) searchResolved(ctx context.Context, start time.Time, plan search.Plan, query string, opts search.Options) (*Result, error) {
-	probed := time.Now()
-	so := e.scatterOptions(plan.Algo, opts)
-	outs := make([]shardOut, e.n)
-	e.scatter(func(si int) {
-		outs[si] = e.searchShard(ctx, si, plan.Algo, query, so)
-	})
-	return e.gather(ctx, start, probed, plan, outs, opts)
+// table returns the pattern table a shard executor's result resolves in:
+// the baseline interns its own per query, the others use the index's.
+func (e *Engine) table(si int, res *search.Result) *core.PatternTable {
+	if res.Table != nil {
+		return res.Table
+	}
+	return e.units[si].ix.PatternTable()
+}
+
+// searchShard runs one resident shard's executor.
+func (e *Engine) searchShard(ctx context.Context, si int, algo search.Algo, query string, so search.Options) (*search.Result, error) {
+	ex := search.Executor{Ix: e.units[si].ix}
+	if algo == search.AlgoBaseline {
+		var err error
+		if ex.BL, err = e.baseline(si); err != nil {
+			return nil, err
+		}
+	}
+	return ex.Search(ctx, query, algo, so)
 }
 
 // scatterOptions lowers the caller's options into the per-shard scatter
@@ -245,10 +252,35 @@ func (e *Engine) scatterOptions(algo search.Algo, opts search.Options) search.Op
 	return so
 }
 
-// gather merges the scatter's per-shard outputs into the global top-k:
-// the exact cross-shard fold shared by Search, SearchWithPlan and
-// SearchPrepared.
-func (e *Engine) gather(ctx context.Context, start, probed time.Time, plan search.Plan, outs []shardOut, opts search.Options) (*Result, error) {
+// scatterGather is the one scatter-gather body, under Search and
+// SearchPrepared alike. plan.Algo is resolved (never Auto), and start
+// anchors the stage accounting so probe time already spent counts as
+// prepare. Each shard's leg runs in its own goroutine: through legs when
+// given, its partial checked and decoded in that goroutine, and through
+// local — the resident shard's executor — when legs is nil or the remote
+// leg fails. The gather then folds the legs into the global top-k.
+func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search.Plan, query string, opts search.Options, legs Legs, local func(si int, so search.Options) (*search.Result, error)) (*Result, error) {
+	probed := time.Now()
+	so := e.scatterOptions(plan.Algo, opts)
+	outs := make([]shardOut, e.n)
+	e.scatter(func(si int) {
+		if legs != nil {
+			if p, err := legs.Scatter(ctx, si, plan.Algo); err == nil {
+				if out, err := e.fromWire(si, query, p); err == nil {
+					outs[si] = out
+					return
+				}
+			}
+		}
+		res, err := local(si, so)
+		if err != nil {
+			outs[si].err = err
+			return
+		}
+		// Stats.Words is this shard's resolution of the query; keep it for
+		// the tree-materialization pass instead of resolving again.
+		outs[si] = shardOut{patterns: res.Patterns, table: e.table(si, res), stats: res.Stats, plan: res.Plan, words: res.Stats.Words}
+	})
 	scattered := time.Now()
 	for si := range outs {
 		if outs[si].err != nil {
@@ -348,31 +380,6 @@ func (e *Engine) gather(ctx context.Context, start, probed time.Time, plan searc
 	return res, nil
 }
 
-// searchShard runs one shard's local query.
-func (e *Engine) searchShard(ctx context.Context, si int, algo search.Algo, query string, so search.Options) shardOut {
-	switch algo {
-	case search.AlgoPE, search.AlgoLE:
-		ix := e.units[si].ix
-		res, err := search.Execute(ctx, ix, query, algo, so)
-		if err != nil {
-			return shardOut{err: err}
-		}
-		// Stats.Words is this shard's resolution of the query; keep it for
-		// the tree-materialization pass instead of resolving again.
-		return shardOut{patterns: res.Patterns, table: ix.PatternTable(), stats: res.Stats, plan: res.Plan, words: res.Stats.Words}
-	default:
-		bl, err := e.baseline(si)
-		if err != nil {
-			return shardOut{err: err}
-		}
-		res, err := bl.SearchCtx(ctx, query, so)
-		if err != nil {
-			return shardOut{err: err}
-		}
-		return shardOut{patterns: res.Patterns, table: res.Table, stats: res.Stats, plan: res.Plan}
-	}
-}
-
 // Prepared retains one query's prepare-stage output on every shard plus
 // the merged planner statistics, bound to the engine snapshot it was
 // built from. Executions run only enumerate→aggregate→rank per shard;
@@ -383,9 +390,6 @@ type Prepared struct {
 	units []*search.Prepared
 	stats search.PlanStats
 }
-
-// Stats returns the merged prepare-stage statistics.
-func (p *Prepared) Stats() search.PlanStats { return p.stats }
 
 // Plan resolves the plan the prepared query would execute under opts.
 func (p *Prepared) Plan(opts search.Options) search.Plan {
@@ -429,20 +433,10 @@ func (e *Engine) SearchPrepared(ctx context.Context, p *Prepared, opts search.Op
 	}
 	start := time.Now()
 	plan := search.ChoosePlan(p.algo, p.stats, opts)
-	probed := time.Now()
-	so := e.scatterOptions(plan.Algo, opts)
-
-	outs := make([]shardOut, e.n)
-	e.scatter(func(si int) {
-		ix := e.units[si].ix
-		res, err := search.ExecutePrepared(ctx, ix, p.units[si], plan.Algo, so)
-		if err != nil {
-			outs[si] = shardOut{err: err}
-			return
-		}
-		outs[si] = shardOut{patterns: res.Patterns, table: ix.PatternTable(), stats: res.Stats, plan: res.Plan, words: res.Stats.Words}
+	// Prepared legs run only in process, so no query text is needed.
+	return e.scatterGather(ctx, start, plan, "", opts, nil, func(si int, so search.Options) (*search.Result, error) {
+		return search.ExecutePrepared(ctx, e.units[si].ix, p.units[si], plan.Algo, so)
 	})
-	return e.gather(ctx, start, probed, plan, outs, opts)
 }
 
 // mergeStats folds the per-shard counters. Candidate-root partitions are

@@ -24,11 +24,19 @@
 // owning dirty roots; untouched shards rebind to the new snapshot without
 // copying postings, and each shard keeps its own epoch counter.
 //
-// Shards currently share the immutable *kg.Graph in process; because every
-// shard is a self-contained index (own dictionary, own pattern table) and
-// the gather protocol only exchanges per-root aggregates, trees, and
-// content keys, shards can move behind process or machine boundaries
-// without changing the merge.
+// One probe (PlanStats) and one scatter-gather body (scatterGather, under
+// Search and SearchPrepared) serve every query that is not a one-shard
+// engine's direct execution. A leg runs either on the resident shard or,
+// given Legs, on a cluster owner node. A remote partial crosses the wire
+// in content form (WirePartial) and is checked before the gather. A
+// failed or rejected leg re-runs on the resident shard. The gather adds
+// per-root partials under the same fold wherever each leg ran, so a
+// cluster answers bit-identically to a single process.
+//
+// Shards share the immutable *kg.Graph in process; because every shard
+// is a self-contained index (own dictionary, own pattern table) and the
+// gather protocol only exchanges per-root aggregates, trees, and content
+// keys, the same merge serves legs behind process or machine boundaries.
 package shard
 
 import (

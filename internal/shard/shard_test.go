@@ -96,7 +96,7 @@ func referenceResult(t testing.TB, g *kg.Graph, ix *index.Index, bl *search.Base
 // engineResult runs the engine at the same fidelity.
 func engineResult(t testing.TB, e *Engine, algo search.Algo, query string, opts search.Options) []string {
 	t.Helper()
-	res, err := e.Search(context.Background(), algo, query, opts)
+	res, err := e.Search(context.Background(), search.Plan{Algo: algo}, query, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -463,6 +463,12 @@ func (e *Engine) searchOptions(opts SearchOptions) search.Options {
 // bit-identical to requesting that algorithm explicitly), the statistics
 // the decision was based on, and per-stage timings.
 func (e *Engine) SearchPlan(ctx context.Context, query string, opts SearchOptions) ([]Answer, PlanInfo, error) {
+	return e.search(ctx, nil, query, opts)
+}
+
+// search is the one body under SearchPlan and SearchDistributed: exec,
+// when non-nil, runs the shard legs (see ShardExecutor).
+func (e *Engine) search(ctx context.Context, exec ShardExecutor, query string, opts SearchOptions) ([]Answer, PlanInfo, error) {
 	if !e.sh.Complete() {
 		return nil, PlanInfo{}, ErrPartialEngine
 	}
@@ -471,21 +477,20 @@ func (e *Engine) SearchPlan(ctx context.Context, query string, opts SearchOption
 		return nil, PlanInfo{}, err
 	}
 	so := e.searchOptions(opts)
-	var res *shard.Result
-	if plan, hit := e.cachedAutoPlan(query, so, algo == search.AlgoAuto); hit {
-		// Plan-cache hit: skip the planner probe and execute the resolved
-		// algorithm directly (answers are bit-identical — the
-		// Auto-equivalence property).
-		res, err = e.sh.SearchWithPlan(ctx, plan, query, so)
-	} else {
-		res, err = e.sh.Search(ctx, algo, query, so)
-		if err == nil && algo == search.AlgoAuto {
-			// An Auto execution's plan statistics are exactly a probe's.
-			e.rememberPlanStats(query, res.Plan.Stats)
-		}
+	// A plan-cache hit skips the planner probe and executes the resolved
+	// algorithm directly (answers are bit-identical — the Auto-equivalence
+	// property).
+	plan, hit := e.cachedAutoPlan(query, so, algo == search.AlgoAuto)
+	if !hit {
+		plan = search.Plan{Algo: algo}
 	}
+	res, err := e.sh.Search(ctx, plan, query, so, e.legs(exec, query, opts))
 	if err != nil {
 		return nil, PlanInfo{}, fmt.Errorf("kbtable: %w", err)
+	}
+	if !hit && algo == search.AlgoAuto {
+		// An Auto execution's plan statistics are exactly a probe's.
+		e.rememberPlanStats(query, res.Plan.Stats)
 	}
 	return e.answers(res), planInfo(res.Plan, res.Stats), nil
 }
@@ -495,6 +500,14 @@ func (e *Engine) SearchPlan(ctx context.Context, query string, opts SearchOption
 // subsequent search with the returned PlanInfo.Algorithm produces exactly
 // the answers Auto would. Stage timings are zero (nothing executed).
 func (e *Engine) Plan(ctx context.Context, query string, opts SearchOptions) (PlanInfo, error) {
+	return e.plan(ctx, nil, query, opts)
+}
+
+// plan is the one body under Plan and PlanDistributed: exec, when
+// non-nil, runs the probe legs. A plan-cache hit for the query's word set
+// skips the probe; a miss populates the cache, so the search that follows
+// reuses the statistics instead of probing again.
+func (e *Engine) plan(ctx context.Context, exec ShardExecutor, query string, opts SearchOptions) (PlanInfo, error) {
 	if !e.sh.Complete() {
 		return PlanInfo{}, ErrPartialEngine
 	}
@@ -503,9 +516,7 @@ func (e *Engine) Plan(ctx context.Context, query string, opts SearchOptions) (Pl
 	if err != nil {
 		return PlanInfo{}, err
 	}
-	st, err := e.planStats(query, func() (search.PlanStats, error) {
-		return e.sh.PlanStats(ctx, query, so)
-	})
+	st, err := e.planStats(ctx, query, so, e.legs(exec, query, opts))
 	if err != nil {
 		return PlanInfo{}, fmt.Errorf("kbtable: %w", err)
 	}

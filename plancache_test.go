@@ -41,7 +41,7 @@ func TestNormalizeQuery(t *testing.T) {
 // cached path must always agree with.
 func probePlanStats(t *testing.T, e *Engine, q string, opts SearchOptions) search.PlanStats {
 	t.Helper()
-	st, err := e.sh.PlanStats(context.Background(), q, e.searchOptions(opts))
+	st, err := e.sh.PlanStats(context.Background(), q, e.searchOptions(opts), nil)
 	if err != nil {
 		t.Fatalf("probe %q: %v", q, err)
 	}
@@ -51,8 +51,7 @@ func probePlanStats(t *testing.T, e *Engine, q string, opts SearchOptions) searc
 // cachedPlanStats is the lookup Engine.Plan makes: the plan cache first,
 // the in-process probe on a miss.
 func cachedPlanStats(ctx context.Context, e *Engine, q string, opts SearchOptions) (search.PlanStats, error) {
-	so := e.searchOptions(opts)
-	return e.planStats(q, func() (search.PlanStats, error) { return e.sh.PlanStats(ctx, q, so) })
+	return e.planStats(ctx, q, e.searchOptions(opts), nil)
 }
 
 func corpusQueries(name string) []string {

@@ -52,14 +52,13 @@ func (ne *Engine) carryPlanCache(e *Engine, touched []string, flush bool) {
 }
 
 // planStats returns the merged prepare-stage statistics for query,
-// consulting the plan cache and running probe — the in-process probe or
-// one scattered through a ShardExecutor; both merge to the same
-// statistics — only on a miss. The cache key is the resolved canonical
-// word set alone: PlanStats depend only on those words and the index
-// contents — never on Options — and the plan itself is re-derived per
-// request by ChoosePlan, so bias changes (including the adaptive learned
-// bias) need no invalidation.
-func (e *Engine) planStats(query string, probe func() (search.PlanStats, error)) (search.PlanStats, error) {
+// consulting the plan cache and probing — every shard through legs or
+// in process; both merge to the same statistics — only on a miss. The
+// cache key is the resolved canonical word set alone: PlanStats depend
+// only on those words and the index contents — never on Options — and
+// the plan itself is re-derived per request by ChoosePlan, so bias
+// changes (including the adaptive learned bias) need no invalidation.
+func (e *Engine) planStats(ctx context.Context, query string, so search.Options, legs shard.Legs) (search.PlanStats, error) {
 	words := e.QueryWords(query)
 	key := search.PlanCacheKey(words)
 	if e.plans != nil {
@@ -67,7 +66,7 @@ func (e *Engine) planStats(query string, probe func() (search.PlanStats, error))
 			return st, nil
 		}
 	}
-	st, err := probe()
+	st, err := e.sh.PlanStats(ctx, query, so, legs)
 	if err != nil {
 		return search.PlanStats{}, err
 	}
