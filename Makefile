@@ -44,10 +44,10 @@ check: vet build race alloc bench benchmark-module index-procs
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@echo "all checks passed"
 
-# Coverage with the CI floor over the mutation + maintenance layers and
-# the shard scatter-gather.
+# Coverage with the CI floor over the mutation + maintenance layers, the
+# shard scatter-gather and the query executor.
 cover:
-	$(GO) test -coverprofile=cover.out -coverpkg=./internal/index,./internal/kg,./internal/shard ./...
+	$(GO) test -coverprofile=cover.out -coverpkg=./internal/index,./internal/kg,./internal/shard,./internal/search ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
 # The same short fuzz bursts CI runs.
@@ -72,7 +72,7 @@ ci-local:
 	$(GO) test -run TestSnapshotFixture -v .
 	$(MAKE) alloc index-procs benchmark-module
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-	$(GO) test -coverprofile=cover.out -coverpkg=./internal/index,./internal/kg,./internal/shard ./...
+	$(GO) test -coverprofile=cover.out -coverpkg=./internal/index,./internal/kg,./internal/shard,./internal/search ./...
 	@total=$$($(GO) tool cover -func=cover.out | tail -1 | awk '{print $$3}' | tr -d '%'); \
 	  echo "coverage: $${total}% (floor 85%)"; \
 	  awk -v t="$$total" 'BEGIN { exit (t+0 < 85) ? 1 : 0 }'

@@ -60,7 +60,7 @@ func renderAPISchema() string {
 		api.PrepareRequest{}, api.PrepareResponse{},
 		api.UpdateRequest{}, api.UpdateResponse{},
 		api.CacheStats{}, api.ShardHealth{}, api.IndexHealth{},
-		api.PlannerHealth{}, api.PlanCacheHealth{}, api.AdaptiveBiasHealth{},
+		api.PlannerHealth{}, api.PlanCacheHealth{},
 		api.PreparedHealth{}, api.DurabilityHealth{}, api.ServingHealth{},
 		api.HealthResponse{},
 		api.ShardsResponse{}, api.WALSegmentsResponse{},

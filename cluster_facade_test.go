@@ -329,7 +329,7 @@ func TestPartialEngineGuards(t *testing.T) {
 	ctx := context.Background()
 	_, searchErr := part.Search("taylor", 5)
 	_, planErr := part.Plan(ctx, "taylor", SearchOptions{Algorithm: Auto})
-	_, prepErr := part.Prepare("taylor", SearchOptions{K: 5})
+	_, prepErr := part.PrepareContext(context.Background(), "taylor", SearchOptions{K: 5})
 	_, treesErr := part.SearchTrees("taylor", 5)
 	_, explainErr := part.Explain("taylor")
 	for name, err := range map[string]error{

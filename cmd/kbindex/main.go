@@ -75,7 +75,7 @@ func emitSnapshot(kbPath, ds, dir string, shards, workers int, uniformPR bool) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, err := kbtable.OpenStore(dir)
+	st, err := kbtable.OpenStoreOpts(dir, kbtable.StoreOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -49,13 +49,12 @@ func main() {
 	format := flag.String("format", "table", "output format: table, csv, json, md")
 	lambda := flag.Int64("lambda", 0, "LETopK sampling threshold Λ (0 = exact)")
 	rho := flag.Float64("rho", 0.1, "LETopK sampling rate ρ")
-	autoBias := flag.Float64("auto-bias", 0, "-algo auto: planner PE preference multiplier (0 = default 1; larger favors PE)")
 	repeat := flag.Int("repeat", 1, "re-execute each query this many times through a prepared handle (prepare once, run enumerate/aggregate/rank per iteration) and report cold vs prepared timings")
 	server := flag.String("server", "", "query a running kbserve at this base URL over the /v1 API instead of building a local engine")
 	flag.Parse()
 
 	if *server != "" {
-		runRemote(*server, *k, *algo, *rows, *autoBias, *explain)
+		runRemote(*server, *k, *algo, *rows, *explain)
 		return
 	}
 
@@ -104,12 +103,13 @@ func main() {
 		log.Fatalf("unknown -algo %q (want pe, le, baseline or auto)", *algo)
 	}
 
+	opts := search.Options{K: *k, Lambda: *lambda, Rho: *rho, MaxTreesPerPattern: *rows}
+
 	// runPrepared re-executes q through a prepared handle: the prepare
 	// stage (keyword resolution, posting lookups, planner probe) runs
 	// once, each iteration runs only enumerate → aggregate → rank. The
 	// report compares against the cold end-to-end elapsed time.
 	runPrepared := func(q string, n int, cold time.Duration) {
-		opts := search.Options{K: *k, Lambda: *lambda, Rho: *rho, MaxTreesPerPattern: *rows, AutoBias: *autoBias}
 		ctx := context.Background()
 		p, err := se.Prepare(ctx, salgo, q, opts)
 		if err != nil {
@@ -135,7 +135,6 @@ func main() {
 	}
 
 	run := func(q string) {
-		opts := search.Options{K: *k, Lambda: *lambda, Rho: *rho, MaxTreesPerPattern: *rows, AutoBias: *autoBias}
 		res, err := se.Search(context.Background(), search.Plan{Algo: salgo}, q, opts, nil)
 		if err != nil {
 			log.Fatal(err)
@@ -198,7 +197,7 @@ func main() {
 
 // runRemote drives queries through the typed /v1 client against a
 // running server, one-shot or interactively.
-func runRemote(base string, k int, algo string, rows int, autoBias float64, explain bool) {
+func runRemote(base string, k int, algo string, rows int, explain bool) {
 	cl := client.New(base)
 	wireAlgo := map[string]string{"pe": "patternenum", "le": "linearenum"}[algo]
 	if wireAlgo == "" {
@@ -206,7 +205,7 @@ func runRemote(base string, k int, algo string, rows int, autoBias float64, expl
 	}
 	run := func(q string) {
 		resp, err := cl.Search(context.Background(), &api.SearchRequest{
-			Query: q, K: k, Algorithm: wireAlgo, MaxRows: rows, AutoBias: autoBias,
+			Query: q, K: k, Algorithm: wireAlgo, MaxRows: rows,
 		})
 		if err != nil {
 			log.Fatal(err)

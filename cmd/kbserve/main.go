@@ -88,7 +88,6 @@ func main() {
 	queueTimeout := flag.Duration("queue-timeout", 0, "admission control: longest a search may wait for an execution slot (0 = -timeout)")
 	gcBatch := flag.Int("group-commit-batch", 0, "WAL group commit: records per fsync batch (0 = default 128)")
 	gcDelay := flag.Duration("group-commit-delay", 0, "WAL group commit: hold a non-full batch open this long for stragglers (0 = commit immediately)")
-	adaptiveBias := flag.Bool("adaptive-bias", false, "learn the auto planner's PE/LE crossover bias from observed stage timings (applies to auto requests without an explicit auto_bias; answers are unchanged)")
 	role := flag.String("role", "standalone", "cluster role: standalone, coordinator (scatter legs to owners, ship WAL), node (host -shard-range, serve legs), or replica (full engine fed by WAL shipping)")
 	nodeID := flag.String("node-id", "", "this process's member id in cluster mode")
 	shardRange := flag.String("shard-range", "", "shards a node role hosts: lo-hi or a,b,c (requires -shards for the partition size)")
@@ -232,7 +231,6 @@ func main() {
 		MaxConcurrent:    *maxConcurrent,
 		MaxQueue:         *maxQueue,
 		QueueTimeout:     *queueTimeout,
-		AdaptiveBias:     *adaptiveBias,
 	}
 	var srv *serve.Server
 	switch *role {

@@ -16,8 +16,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"kbtable/internal/index"
 )
 
 // The cold-start matrix (the CI job of the same name): build a snapshot
@@ -80,23 +78,8 @@ func runColdStart(t *testing.T, bin string, spec corpusSpec, shards int) {
 	}
 	crash.kill() // SIGKILL: no drain, no final checkpoint
 
-	// The restart below recovers from whichever snapshot the checkpointer
-	// left last; every index file in the data dir must carry the current
-	// binary wire format (v2), not legacy gob.
-	idxFiles, err := filepath.Glob(filepath.Join(dataDir, "snap-*", "shard-*.idx"))
-	if err != nil || len(idxFiles) == 0 {
-		t.Fatalf("no snapshot index files under %s (glob error: %v)", dataDir, err)
-	}
-	for _, p := range idxFiles {
-		v, err := index.FileWireVersion(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != index.WireVersion {
-			t.Fatalf("%s: snapshot index is wire version %d, want %d", p, v, index.WireVersion)
-		}
-	}
-
+	// The restart recovers from whichever snapshot the checkpointer left
+	// last, through index.Load, which reads only the current wire format.
 	restarted := startKBServe(t, bin, "-data-dir", dataDir, "-checkpoint-every", "4")
 	defer restarted.kill()
 	hz := restarted.healthz(t)

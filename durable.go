@@ -26,7 +26,7 @@ import (
 //   - Engine.ApplyLogged applies an update batch and, on success,
 //     appends it to the WAL (fsync) before returning; the batch is
 //     durable when ApplyLogged returns.
-//   - OpenDir / Store.Recover loads the newest snapshot and replays the
+//   - OpenDirOpts / Store.Recover loads the newest snapshot and replays the
 //     WAL suffix through the same ApplyUpdate code path the live engine
 //     ran, arriving at a bit-identical engine: searches over the
 //     recovered engine produce byte-identical answers. A torn final WAL
@@ -74,14 +74,10 @@ func (o StoreOptions) storeOpts() []store.Option {
 	return opts
 }
 
-// OpenStore opens (creating if needed) a durable data directory. The
-// WAL tail is scanned and any torn suffix truncated, so the store is
-// immediately ready for appends.
-func OpenStore(dir string) (*Store, error) {
-	return OpenStoreOpts(dir, StoreOptions{})
-}
-
-// OpenStoreOpts is OpenStore with explicit durable-layer tuning.
+// OpenStoreOpts opens (creating if needed) a durable data directory; so
+// tunes the durable layer (the zero value is the default). The WAL tail
+// is scanned and any torn suffix truncated, so the store is immediately
+// ready for appends.
 func OpenStoreOpts(dir string, so StoreOptions) (*Store, error) {
 	s, err := store.Open(dir, so.storeOpts()...)
 	if err != nil {
@@ -500,25 +496,21 @@ func loadSnapshot(sn *store.Snapshot, opts EngineOptions) (*Engine, error) {
 	return &Engine{g: &Graph{g: g}, sh: sh, o: opts, seq: m.Seq, plans: search.NewPlanCache(0)}, nil
 }
 
-// OpenDir opens a data directory and recovers its engine in one step:
-// load the newest snapshot, replay the WAL suffix, return the engine
-// ready to serve plus the store for further ApplyLogged/Checkpoint
-// calls. For a fresh directory it returns ErrNoSnapshot (wrapped) with
-// a nil engine and the store still OPEN, so the caller seeds without
-// re-scanning the directory:
+// OpenDirOpts opens a data directory and recovers its engine in one
+// step: load the newest snapshot, replay the WAL suffix, return the
+// engine ready to serve plus the store for further
+// ApplyLogged/Checkpoint calls. so tunes the durable layer (the zero
+// value is the default). For a fresh directory it returns ErrNoSnapshot
+// (wrapped) with a nil engine and the store still OPEN, so the caller
+// seeds without re-scanning the directory:
 //
-//	eng, st, rs, err := kbtable.OpenDir(dir, opts)
+//	eng, st, rs, err := kbtable.OpenDirOpts(dir, opts, kbtable.StoreOptions{})
 //	if errors.Is(err, kbtable.ErrNoSnapshot) {
 //		eng, _ = kbtable.NewEngine(g, opts)
 //		_, err = eng.Checkpoint(st)
 //	}
 //
 // Any other error closes the store before returning.
-func OpenDir(dir string, opts EngineOptions) (*Engine, *Store, RecoverStats, error) {
-	return OpenDirOpts(dir, opts, StoreOptions{})
-}
-
-// OpenDirOpts is OpenDir with explicit durable-layer tuning.
 func OpenDirOpts(dir string, opts EngineOptions, so StoreOptions) (*Engine, *Store, RecoverStats, error) {
 	s, err := OpenStoreOpts(dir, so)
 	if err != nil {

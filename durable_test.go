@@ -88,7 +88,7 @@ func TestDurableRecoveryEquivalence(t *testing.T) {
 				opts := EngineOptions{D: 3, Shards: shards}
 				dir := t.TempDir()
 
-				st, err := OpenStore(dir)
+				st, err := OpenStoreOpts(dir, StoreOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +162,7 @@ func TestDurableRecoveryEquivalence(t *testing.T) {
 				st.Close()
 				chopWALTail(t, dir, 5)
 
-				rec2, st2, rs2, err := OpenDir(dir, EngineOptions{})
+				rec2, st2, rs2, err := OpenDirOpts(dir, EngineOptions{}, StoreOptions{})
 				if err != nil {
 					t.Fatalf("recover after torn tail: %v", err)
 				}
@@ -225,12 +225,12 @@ func chopWALTail(t *testing.T, dir string, n int64) {
 
 func TestOpenDirFreshDirectory(t *testing.T) {
 	dir := t.TempDir()
-	_, st, _, err := OpenDir(dir, EngineOptions{})
+	_, st, _, err := OpenDirOpts(dir, EngineOptions{}, StoreOptions{})
 	if !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("fresh dir: want ErrNoSnapshot, got %v", err)
 	}
 	if st == nil {
-		t.Fatal("fresh dir: OpenDir should hand back the open store for seeding")
+		t.Fatal("fresh dir: OpenDirOpts should hand back the open store for seeding")
 	}
 
 	// Seeding: build, checkpoint into the returned store, reopen.
@@ -252,7 +252,7 @@ func TestOpenDirFreshDirectory(t *testing.T) {
 	}
 	st.Close()
 
-	rec, st2, rs, err := OpenDir(dir, EngineOptions{Workers: 2})
+	rec, st2, rs, err := OpenDirOpts(dir, EngineOptions{Workers: 2}, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestRecoverOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := OpenStore(dir)
+	st, err := OpenStoreOpts(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestApplyLoggedRequiresStore(t *testing.T) {
 	}
 	// A rejected batch must not reach the WAL.
 	dir := t.TempDir()
-	st, err := OpenStore(dir)
+	st, err := OpenStoreOpts(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

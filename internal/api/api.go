@@ -95,11 +95,6 @@ type SearchRequest struct {
 	D int `json:"d,omitempty"`
 	// MaxRows caps materialized rows per answer; default server-side.
 	MaxRows int `json:"max_rows,omitempty"`
-	// AutoBias overrides the planner's PATTERNENUM preference for "auto"
-	// requests (0 = default; larger favors patternenum). It steers only
-	// the choice, never the answer bytes, so it does not participate in
-	// the cache key — the resolved algorithm it influenced does.
-	AutoBias float64 `json:"auto_bias,omitempty"`
 	// Priority is the admission-control class: "high", "normal"
 	// (default), or "low". The X-KB-Priority header takes precedence.
 	// Priority orders only queue admission under load; it never changes
@@ -107,9 +102,9 @@ type SearchRequest struct {
 	Priority string `json:"priority,omitempty"`
 	// PreparedID executes a handle from POST /v1/prepare instead of
 	// planning from scratch: query/k/algorithm/d/max_rows come from the
-	// prepare-time request (and must be omitted here), only auto_bias
-	// and priority may be set per execution. A handle whose epoch has
-	// been superseded by an update answers 410 prepared_gone — re-prepare.
+	// prepare-time request (and must be omitted here); only priority may
+	// accompany it. A handle whose epoch has been superseded by an update
+	// answers 410 prepared_gone — re-prepare.
 	PreparedID string `json:"prepared_id,omitempty"`
 }
 
@@ -181,16 +176,14 @@ type PlanOut struct {
 }
 
 // PrepareRequest is the POST /v1/prepare body: the search shape to
-// retain. The fields mirror SearchRequest (auto_bias here becomes the
-// handle's default bias; baseline cannot be prepared — it has no
-// prepare stage).
+// retain. The fields mirror SearchRequest (baseline cannot be prepared —
+// it has no prepare stage).
 type PrepareRequest struct {
-	Query     string  `json:"query"`
-	K         int     `json:"k,omitempty"`
-	Algorithm string  `json:"algorithm,omitempty"`
-	D         int     `json:"d,omitempty"`
-	MaxRows   int     `json:"max_rows,omitempty"`
-	AutoBias  float64 `json:"auto_bias,omitempty"`
+	Query     string `json:"query"`
+	K         int    `json:"k,omitempty"`
+	Algorithm string `json:"algorithm,omitempty"`
+	D         int    `json:"d,omitempty"`
+	MaxRows   int    `json:"max_rows,omitempty"`
 }
 
 // PrepareResponse is the POST /v1/prepare reply: the handle to pass as
@@ -204,10 +197,8 @@ type PrepareResponse struct {
 	Algorithm string `json:"algorithm"`
 	D         int    `json:"d"`
 	MaxRows   int    `json:"max_rows"`
-	// Plan is the plan the handle would execute right now (stage
-	// timings zero — nothing has run). An "auto" handle re-resolves it
-	// per execution, so a later search may legally run the other
-	// algorithm if the adaptive bias drifted across the crossover.
+	// Plan is the plan the handle executes (stage timings zero — nothing
+	// has run).
 	Plan *PlanOut `json:"plan,omitempty"`
 }
 
@@ -280,9 +271,6 @@ type PlannerHealth struct {
 	// shapes resolve their Auto plan from cached statistics instead of
 	// re-probing.
 	PlanCache *PlanCacheHealth `json:"plan_cache,omitempty"`
-	// AdaptiveBias reports the learned planner bias (absent when
-	// adaptive feedback is off).
-	AdaptiveBias *AdaptiveBiasHealth `json:"adaptive_bias,omitempty"`
 	// Prepared reports prepared-query traffic.
 	Prepared PreparedHealth `json:"prepared"`
 }
@@ -297,22 +285,6 @@ type PlanCacheHealth struct {
 	Hits        uint64 `json:"hits"`
 	Misses      uint64 `json:"misses"`
 	Invalidated uint64 `json:"invalidated"`
-}
-
-// AdaptiveBiasHealth is the /v1/healthz view of the adaptive planner
-// feedback accumulator.
-type AdaptiveBiasHealth struct {
-	// Base is the static bias the learned scale applies to; Effective
-	// is the bias "auto" requests without an explicit auto_bias run
-	// under right now (== Base until both algorithms were observed).
-	Base      float64 `json:"base"`
-	Effective float64 `json:"effective"`
-	// PEObservations / LEObservations count folded executions, and the
-	// NsPerUnit pair is the learned cost-model exchange rate.
-	PEObservations uint64  `json:"pe_observations"`
-	LEObservations uint64  `json:"le_observations"`
-	PENsPerUnit    float64 `json:"pe_ns_per_unit"`
-	LENsPerUnit    float64 `json:"le_ns_per_unit"`
 }
 
 // PreparedHealth is the /v1/healthz view of the prepared-query registry.
@@ -436,11 +408,10 @@ type WALSegmentsResponse struct {
 // ClusterProbeRequest is the coordinator→node POST /v1/cluster/probe
 // body: run the prepare-only planner probe for one resident shard.
 type ClusterProbeRequest struct {
-	Shard    int     `json:"shard"`
-	Query    string  `json:"query"`
-	K        int     `json:"k,omitempty"`
-	MaxRows  int     `json:"max_rows,omitempty"`
-	AutoBias float64 `json:"auto_bias,omitempty"`
+	Shard   int    `json:"shard"`
+	Query   string `json:"query"`
+	K       int    `json:"k,omitempty"`
+	MaxRows int    `json:"max_rows,omitempty"`
 	// Seq pins the coordinator's WAL position: a node whose applied
 	// cursor differs answers 409 stale_epoch instead of computing a
 	// probe on a different snapshot.
@@ -461,12 +432,11 @@ type ClusterProbeResponse struct {
 // the coordinator resolves plans — and never "baseline", which stays
 // in-process).
 type ClusterScatterRequest struct {
-	Shard     int     `json:"shard"`
-	Query     string  `json:"query"`
-	Algorithm string  `json:"algorithm"`
-	K         int     `json:"k,omitempty"`
-	MaxRows   int     `json:"max_rows,omitempty"`
-	AutoBias  float64 `json:"auto_bias,omitempty"`
+	Shard     int    `json:"shard"`
+	Query     string `json:"query"`
+	Algorithm string `json:"algorithm"`
+	K         int    `json:"k,omitempty"`
+	MaxRows   int    `json:"max_rows,omitempty"`
 	// Seq pins the coordinator's WAL position, as in ClusterProbeRequest.
 	Seq uint64 `json:"seq"`
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -37,6 +38,31 @@ func TestRunFig6(t *testing.T) {
 	}
 }
 
+// checkRegretColumn pins the shape of a bucket table's last column: Auto's
+// regret, a ratio that is at least 1 by construction (the pick can never
+// beat the faster algorithm's own time) or "-" for an empty bucket, plus
+// the all-buckets note. Its size is timing, so it is not asserted.
+func checkRegretColumn(t *testing.T, tab Table) {
+	t.Helper()
+	last := len(tab.Header) - 1
+	if tab.Header[last] != "Auto regret" {
+		t.Fatalf("%s: last column %q, want Auto regret", tab.Title, tab.Header[last])
+	}
+	for _, row := range tab.Rows {
+		if len(row) != len(tab.Header) {
+			t.Fatalf("%s: row %v does not match header %v", tab.Title, row, tab.Header)
+		}
+		if cell := row[last]; cell != "-" {
+			if r, err := strconv.ParseFloat(cell, 64); err != nil || r < 1 {
+				t.Errorf("%s: regret cell %q is not a ratio >= 1", tab.Title, cell)
+			}
+		}
+	}
+	if len(tab.Notes) == 0 || !strings.Contains(tab.Notes[len(tab.Notes)-1], "all buckets: ") {
+		t.Errorf("%s: missing the all-buckets regret note: %v", tab.Title, tab.Notes)
+	}
+}
+
 func TestRunFig7And9Buckets(t *testing.T) {
 	e := tinyEnv()
 	tabs := RunFig7(e)
@@ -52,6 +78,7 @@ func TestRunFig7And9Buckets(t *testing.T) {
 				t.Errorf("bucket label %q", row[0])
 			}
 		}
+		checkRegretColumn(t, tab)
 	}
 	t9 := RunFig9(e)
 	if len(t9) != 2 {
@@ -59,6 +86,9 @@ func TestRunFig7And9Buckets(t *testing.T) {
 	}
 	if len(t9[0].Rows) == 0 {
 		t.Errorf("Fig9(a) empty")
+	}
+	for _, tab := range t9 {
+		checkRegretColumn(t, tab)
 	}
 }
 

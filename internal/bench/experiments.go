@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -78,9 +79,19 @@ func RunFig6(e *Env) Table {
 	return t
 }
 
+// autoPick is the algorithm the Auto planner resolves q to on ix.
+func autoPick(ix *index.Index, q string) search.Algo {
+	st, err := search.PlanProbe(context.Background(), ix, q, search.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return search.ChoosePlan(search.AlgoAuto, st).Algo
+}
+
 // timeByBucket is the shared engine of Figures 7, 8 and 9: run the three
 // algorithms on every query, group by the decade bucket of the chosen
-// count, and report min/geo-avg/max execution time per group.
+// count, and report min/geo-avg/max execution time per group, plus the
+// Auto planner's regret against the faster of PE and LE.
 func (e *Env) timeByBucket(ix *index.Index, bl *search.BaselineIndex, cs []queryCost, by func(queryCost) int64) map[int64]*algoSet {
 	groups := map[int64]*algoSet{}
 	for _, c := range cs {
@@ -99,8 +110,11 @@ func (e *Env) timeByBucket(ix *index.Index, bl *search.BaselineIndex, cs []query
 		if c.trees <= e.Cfg.SkipBaselineOver {
 			gset.baseline.add(e.timedRun(ix, bl, "Baseline", c.q.Text))
 		}
-		gset.letopk.add(e.timedRun(ix, bl, "LETopK", c.q.Text))
-		gset.petopk.add(e.timedRun(ix, bl, "PETopK", c.q.Text))
+		le := e.timedRun(ix, bl, "LETopK", c.q.Text)
+		pe := e.timedRun(ix, bl, "PETopK", c.q.Text)
+		gset.letopk.add(le)
+		gset.petopk.add(pe)
+		gset.auto.add(autoPick(ix, c.q.Text), le, pe)
 	}
 	return groups
 }
@@ -108,8 +122,9 @@ func (e *Env) timeByBucket(ix *index.Index, bl *search.BaselineIndex, cs []query
 func bucketTable(title string, xlabel string, groups map[int64]*algoSet) Table {
 	t := Table{
 		Title:  title,
-		Header: []string{xlabel, "queries", "Baseline (min/geo/max)", "LETopK (min/geo/max)", "PETopK (min/geo/max)"},
+		Header: []string{xlabel, "queries", "Baseline (min/geo/max)", "LETopK (min/geo/max)", "PETopK (min/geo/max)", "Auto regret"},
 	}
+	var total regret
 	for _, b := range sortedBuckets(groups) {
 		gset := groups[b]
 		t.Rows = append(t.Rows, []string{
@@ -118,8 +133,12 @@ func bucketTable(title string, xlabel string, groups map[int64]*algoSet) Table {
 			gset.baseline.minGeoMax(),
 			gset.letopk.minGeoMax(),
 			gset.petopk.minGeoMax(),
+			gset.auto.String(),
 		})
+		total.picked += gset.auto.picked
+		total.best += gset.auto.best
 	}
+	t.Notes = append(t.Notes, "Auto regret = Σ t(Auto's pick) / Σ min(t_PE, t_LE); all buckets: "+total.String())
 	return t
 }
 

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"kbtable/internal/search"
 )
 
 // Table is one experiment artifact, formatted like the paper's tables with
@@ -165,4 +167,28 @@ type algoSet struct {
 	baseline timing
 	letopk   timing
 	petopk   timing
+	auto     regret
+}
+
+// regret accumulates the Auto planner's regret over a query group:
+// Σ t(pick) / Σ min(t_PE, t_LE), where t(pick) is the time of the
+// algorithm Auto resolves to. 1 means Auto always picked the faster one.
+type regret struct {
+	picked, best time.Duration
+}
+
+func (r *regret) add(pick search.Algo, le, pe time.Duration) {
+	t := le
+	if pick == search.AlgoPE {
+		t = pe
+	}
+	r.picked += t
+	r.best += min(le, pe)
+}
+
+func (r regret) String() string {
+	if r.best <= 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.3f", float64(r.picked)/float64(r.best))
 }

@@ -239,7 +239,7 @@ func TestWALSegmentsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	var store *kbtable.Store
 	cl, _ := demoServer(t, func(c *serve.Config) {
-		st, err := kbtable.OpenStore(dir)
+		st, err := kbtable.OpenStoreOpts(dir, kbtable.StoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +296,7 @@ func TestWALSegmentsRoundTrip(t *testing.T) {
 	gapDir := t.TempDir()
 	var gapStore *kbtable.Store
 	gapCl, _ := demoServer(t, func(c *serve.Config) {
-		st, err := kbtable.OpenStore(gapDir)
+		st, err := kbtable.OpenStoreOpts(gapDir, kbtable.StoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -300,7 +300,7 @@ func TestClusterReplicationAndFailover(t *testing.T) {
 	// full history stays shippable.
 	dir := t.TempDir()
 	coordEng := build(nil)
-	store, err := kbtable.OpenStore(dir)
+	store, err := kbtable.OpenStoreOpts(dir, kbtable.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

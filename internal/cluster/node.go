@@ -102,7 +102,7 @@ func (n *Node) handleProbe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	eng, _ := n.srv.CurrentEngine()
-	stats, err := eng.ProbeShard(r.Context(), req.Shard, req.Query, legOptions(req.K, req.MaxRows, req.AutoBias))
+	stats, err := eng.ProbeShard(r.Context(), req.Shard, req.Query, legOptions(req.K, req.MaxRows))
 	if err != nil {
 		serve.WriteError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
 		return
@@ -126,7 +126,7 @@ func (n *Node) handleScatter(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	eng, _ := n.srv.CurrentEngine()
-	partial, err := eng.ScatterShard(r.Context(), req.Shard, algo, req.Query, legOptions(req.K, req.MaxRows, req.AutoBias))
+	partial, err := eng.ScatterShard(r.Context(), req.Shard, algo, req.Query, legOptions(req.K, req.MaxRows))
 	if err != nil {
 		serve.WriteError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
 		return
@@ -139,8 +139,8 @@ func (n *Node) handleScatter(w http.ResponseWriter, r *http.Request) {
 // in identical defaults for the rest, which is what keeps a remote leg
 // bit-identical to the coordinator-local one. Sampling options are not
 // among them, so a coordinator never sends a sampled query's legs.
-func legOptions(k, maxRows int, autoBias float64) kbtable.SearchOptions {
-	return kbtable.SearchOptions{K: k, MaxRowsPerTable: maxRows, AutoBias: autoBias}
+func legOptions(k, maxRows int) kbtable.SearchOptions {
+	return kbtable.SearchOptions{K: k, MaxRowsPerTable: maxRows}
 }
 
 // Apply replays one shipped WAL record through the server's full

@@ -64,7 +64,7 @@ func (r *Router) ProbeShard(ctx context.Context, si int, query string, opts kbta
 	seq, _ := api.SeqFrom(ctx)
 	req := &api.ClusterProbeRequest{
 		Shard: si, Query: query, Seq: seq,
-		K: opts.K, MaxRows: opts.MaxRowsPerTable, AutoBias: opts.AutoBias,
+		K: opts.K, MaxRows: opts.MaxRowsPerTable,
 	}
 	var out kbtable.ShardPlanStats
 	err := r.leg(ctx, si, func(cl *client.Client) error {
@@ -84,7 +84,7 @@ func (r *Router) ScatterShard(ctx context.Context, si int, algorithm kbtable.Alg
 	seq, _ := api.SeqFrom(ctx)
 	req := &api.ClusterScatterRequest{
 		Shard: si, Query: query, Algorithm: api.AlgorithmName(algorithm), Seq: seq,
-		K: opts.K, MaxRows: opts.MaxRowsPerTable, AutoBias: opts.AutoBias,
+		K: opts.K, MaxRows: opts.MaxRowsPerTable,
 	}
 	var out *kbtable.ShardPartial
 	err := r.leg(ctx, si, func(cl *client.Client) error {

@@ -59,29 +59,6 @@ func Load(r io.Reader, g *kg.Graph) (*Index, error) {
 	return loadV2(br, g)
 }
 
-// SniffWireVersion reports the wire version of an encoded index stream
-// from its first bytes: WireVersion for the binary container, an error
-// for anything else. It consumes nothing beyond the magic. Used by
-// cold-start harnesses to assert which format a recovery actually read.
-func SniffWireVersion(r io.Reader) (int, error) {
-	head := make([]byte, len(wireMagic))
-	n, err := io.ReadFull(r, head)
-	if err := checkMagic(head[:n], err); err != nil {
-		return 0, err
-	}
-	return WireVersion, nil
-}
-
-// FileWireVersion is SniffWireVersion over a file.
-func FileWireVersion(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("index: open %s: %w", path, err)
-	}
-	defer f.Close()
-	return SniffWireVersion(f)
-}
-
 // SaveFile writes the index to path.
 func (ix *Index) SaveFile(path string) error {
 	f, err := os.Create(path)

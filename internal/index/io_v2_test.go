@@ -92,9 +92,6 @@ func TestWireV2RoundTripShards(t *testing.T) {
 					t.Fatalf("%s: encode: %v", label, err)
 				}
 				wire := append([]byte(nil), buf.Bytes()...)
-				if v, err := SniffWireVersion(bytes.NewReader(wire)); err != nil || v != WireVersion {
-					t.Fatalf("%s: sniffed version %d (%v), want %d", label, v, err, WireVersion)
-				}
 				loaded, err := Load(bytes.NewReader(wire), c.g)
 				if err != nil {
 					t.Fatalf("%s: load: %v", label, err)
@@ -235,9 +232,9 @@ const v1FixturePath = "testdata/index-v1.gob"
 
 // TestWireV1GobFixture pins what happens to a stream without the wire-v2
 // magic — an old gob snapshot, an empty file, a stream cut inside the
-// magic, a v2 stream with a damaged magic: Load and SniffWireVersion
-// refuse it with the one error that names the expected magic and the
-// remedy, and no decoder runs on the bytes.
+// magic, a v2 stream with a damaged magic: Load refuses it with the one
+// error that names the expected magic and the remedy, and no decoder
+// runs on the bytes.
 func TestWireV1GobFixture(t *testing.T) {
 	g, _ := dataset.Fig1()
 	ix, err := Build(g, Options{D: 3, UniformPR: true})
@@ -267,9 +264,6 @@ func TestWireV1GobFixture(t *testing.T) {
 	} {
 		if _, err := Load(bytes.NewReader(c.data), g); !errors.Is(err, errNotWireV2) {
 			t.Errorf("%s: Load error = %v, want errNotWireV2", c.name, err)
-		}
-		if v, err := SniffWireVersion(bytes.NewReader(c.data)); !errors.Is(err, errNotWireV2) {
-			t.Errorf("%s: SniffWireVersion = %d, %v, want errNotWireV2", c.name, v, err)
 		}
 	}
 	for _, want := range []string{wireMagic, "kbindex"} {

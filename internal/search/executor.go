@@ -39,7 +39,7 @@ import (
 // The planner (ChoosePlan) sits between prepare and enumerate: given the
 // prepare-stage statistics it resolves AlgoAuto to PATTERNENUM or
 // LINEARENUM-TOPK per query. Resolution is pure — a deterministic function
-// of (PlanStats, Options) — and execution after resolution is exactly the
+// of PlanStats alone — and execution after resolution is exactly the
 // explicit algorithm's, so an Auto answer is bit-identical to the answer
 // of the algorithm the plan names.
 
@@ -160,10 +160,6 @@ type StageTimings struct {
 	Rank      time.Duration
 }
 
-// DefaultAutoBias is the planner's default PE-preference multiplier; see
-// Options.AutoBias.
-const DefaultAutoBias = 1.0
-
 // ChoosePlan resolves algo against prepare-stage statistics. Explicit
 // algorithms pass through untouched; AlgoAuto is resolved by the cost
 // model:
@@ -177,23 +173,21 @@ const DefaultAutoBias = 1.0
 //
 // (both algorithms score every valid subtree once, so the shared Frontier
 // term cancels; only LE's dictionary constant survives). PE is chosen iff
-// cost(PE) <= bias·cost(LE). The decision is a pure function of
-// (PlanStats, Options), so any engine holding the same merged statistics
-// — in particular every shard of a scatter — resolves identically.
+// PatternSpace <= CandidateRoots + Frontier/2 + 1, the one rule with no
+// parameters. The decision is a pure function of the PlanStats,
+// so any engine holding the same merged statistics — in particular every
+// shard of a scatter — resolves identically. internal/bench's "Auto
+// regret" column measures how close the rule comes to the faster
+// algorithm per query.
 //
-// The comparison is saturation-safe: cost terms saturate at MaxInt64
-// (never wrap negative — an overflowed LE cost would otherwise force
-// LINEARENUM on precisely the explosive queries PE exists for), and the
-// default bias compares costs in integer space, where float64 would
-// collapse distinct values near 2^63 onto the same rounding bucket and
-// flip decisions between near-saturated plans.
-func ChoosePlan(algo Algo, st PlanStats, o Options) Plan {
+// The comparison is exact and saturation-safe: it is made in int64, where
+// float64 would collapse distinct values near 2^63 onto one rounding
+// bucket, and the cost terms saturate at MaxInt64 instead of wrapping
+// negative (an overflowed LE cost would otherwise force LINEARENUM on
+// precisely the explosive queries PE exists for).
+func ChoosePlan(algo Algo, st PlanStats) Plan {
 	if algo != AlgoAuto {
 		return Plan{Algo: algo, Stats: st}
-	}
-	bias := o.AutoBias
-	if bias <= 0 {
-		bias = DefaultAutoBias
 	}
 	cand := int64(0)
 	if st.CandidateRoots > 0 {
@@ -202,20 +196,14 @@ func ChoosePlan(algo Algo, st PlanStats, o Options) Plan {
 	peCost := st.PatternSpace
 	leCost := satAdd(satAdd(cand, st.Frontier/2), 1)
 	p := Plan{Auto: true, Stats: st}
-	var pePreferred bool
-	if bias == 1 {
-		pePreferred = peCost <= leCost
-	} else {
-		pePreferred = float64(peCost) <= bias*float64(leCost)
-	}
-	if pePreferred {
+	if peCost <= leCost {
 		p.Algo = AlgoPE
-		p.Reason = fmt.Sprintf("pattern space %d <= %.3g x linear cost %d (roots %d + frontier %d / 2): PATTERNENUM",
-			peCost, bias, leCost, cand, st.Frontier)
+		p.Reason = fmt.Sprintf("pattern space %d <= linear cost %d (roots %d + frontier %d / 2): PATTERNENUM",
+			peCost, leCost, cand, st.Frontier)
 	} else {
 		p.Algo = AlgoLE
-		p.Reason = fmt.Sprintf("pattern space %d > %.3g x linear cost %d (roots %d + frontier %d / 2): LINEARENUM-TOPK",
-			peCost, bias, leCost, cand, st.Frontier)
+		p.Reason = fmt.Sprintf("pattern space %d > linear cost %d (roots %d + frontier %d / 2): LINEARENUM-TOPK",
+			peCost, leCost, cand, st.Frontier)
 	}
 	return p
 }
@@ -433,7 +421,7 @@ func ExecuteWords(ctx context.Context, ix *index.Index, words []text.WordID, sur
 // anchors Stages.Prepare and Elapsed: for a retained prepared it is the
 // execution start, so Prepare reports (approximately) zero.
 func runStages(ctx context.Context, ix *index.Index, prep *prepared, algo Algo, o Options, start time.Time) (*Result, error) {
-	plan := ChoosePlan(algo, prep.stats, o)
+	plan := ChoosePlan(algo, prep.stats)
 	stats := QueryStats{Surfaces: prep.surfaces, Words: prep.words}
 	stats.CandidateRoots = prep.stats.CandidateRoots
 	stats.Stages.Prepare = time.Since(start)

@@ -10,11 +10,9 @@ import (
 // keyed on the normalized query words. Repeat query shapes skip the
 // planner probe (a full needCost prepare — on a sharded engine, one per
 // shard): the cached PlanStats feed ChoosePlan directly, which is a pure
-// function of (PlanStats, Options), so the resolved Plan is re-derived
-// per request with the live bias. That keeps AutoBias — including the
-// adaptive learned bias — out of the key entirely: bias changes never
-// need invalidation, because cached statistics are Options-independent
-// (they depend only on the word set and the index contents).
+// function of them, so the resolved Plan is re-derived per request.
+// Cached statistics are Options-independent (they depend only on the
+// word set and the index contents), so no option enters the key.
 //
 // Invalidation is word-precise and epoch-fenced. The facade owns one
 // PlanCache per engine chain; ApplyUpdate calls Invalidate with the

@@ -25,10 +25,9 @@ type Prepared struct {
 
 // PrepareQuery runs stage 1 (keyword resolution + posting lookups +
 // statistics) for query and retains the output. algo may be AlgoAuto —
-// the prepare then gathers the planner's cost statistics too, and each
-// execution re-resolves the plan with its own Options (so AutoBias
-// changes between executions take effect without re-preparing). The
-// baseline has no prepare stage and is rejected.
+// the prepare then gathers the planner's cost statistics too, and every
+// execution resolves the same plan from them. The baseline has no
+// prepare stage and is rejected.
 func PrepareQuery(ctx context.Context, ix *index.Index, query string, algo Algo, opts Options) (*Prepared, error) {
 	if algo == AlgoBaseline {
 		return nil, fmt.Errorf("search: the baseline has no prepare stage")
@@ -48,19 +47,12 @@ func (p *Prepared) Algo() Algo { return p.algo }
 // Stats returns the prepare-stage statistics.
 func (p *Prepared) Stats() PlanStats { return p.prep.stats }
 
-// Plan resolves the execution plan the prepared query would run under
-// opts, without executing.
-func (p *Prepared) Plan(opts Options) Plan {
-	return ChoosePlan(p.algo, p.prep.stats, opts.withDefaults())
-}
-
 // ExecutePrepared runs stages 2-4 — enumerate, aggregate, rank — over a
 // retained prepare. algo must be the algorithm the query was prepared
 // for, or, when it was prepared for AlgoAuto, any algorithm the planner
 // can resolve to (the shard scatter resolves Auto once from the merged
 // statistics and executes every shard's prepared under the resolved
-// algorithm). Passing AlgoAuto re-resolves from the retained statistics
-// with opts' bias.
+// algorithm). Passing AlgoAuto resolves from the retained statistics.
 func ExecutePrepared(ctx context.Context, ix *index.Index, p *Prepared, algo Algo, opts Options) (*Result, error) {
 	start := time.Now()
 	o := opts.withDefaults()

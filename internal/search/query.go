@@ -75,13 +75,6 @@ type Options struct {
 	// keep sampling's work bound at the caller's k. Ignored when sampling
 	// is off.
 	SampleSelectK int
-	// AutoBias scales the planner's PATTERNENUM preference when the
-	// executor resolves AlgoAuto: PE is chosen iff its estimated cost
-	// (the pattern-combination space) is at most AutoBias times
-	// LINEARENUM's (candidate roots + half the subtree frontier). 0 means
-	// DefaultAutoBias; values > 1 favor PE, values < 1 favor LE. Ignored
-	// for explicit algorithms.
-	AutoBias float64
 }
 
 func (o Options) withDefaults() Options {

@@ -80,7 +80,7 @@ func addSoftwareOp(name string) map[string]any {
 func TestServeDurableUpdateAndRecovery(t *testing.T) {
 	dir := t.TempDir()
 	eng := demoEngine(t, 0)
-	st, err := kbtable.OpenStore(dir)
+	st, err := kbtable.OpenStoreOpts(dir, kbtable.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestServeDurableUpdateAndRecovery(t *testing.T) {
 
 	// Crash: no shutdown, no final checkpoint. Recover from the dir.
 	st.Close()
-	rec, st2, rs, err := kbtable.OpenDir(dir, kbtable.EngineOptions{})
+	rec, st2, rs, err := kbtable.OpenDirOpts(dir, kbtable.EngineOptions{}, kbtable.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestServeDurableUpdateAndRecovery(t *testing.T) {
 func TestServeBackgroundCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	eng := demoEngine(t, 2) // sharded: checkpoint covers per-shard files
-	st, err := kbtable.OpenStore(dir)
+	st, err := kbtable.OpenStoreOpts(dir, kbtable.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestServeBackgroundCheckpoint(t *testing.T) {
 // More tells the follower to pull again.
 func TestWALSegmentsMaxIsCapped(t *testing.T) {
 	eng := demoEngine(t, 0)
-	st, err := kbtable.OpenStore(t.TempDir())
+	st, err := kbtable.OpenStoreOpts(t.TempDir(), kbtable.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

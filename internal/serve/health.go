@@ -61,17 +61,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Invalidated: cs.Invalidated,
 		}
 	}
-	if s.abias != nil {
-		bs := s.abias.Stats()
-		resp.Planner.AdaptiveBias = &AdaptiveBiasHealth{
-			Base:           bs.Base,
-			Effective:      bs.Effective,
-			PEObservations: bs.PEObservations,
-			LEObservations: bs.LEObservations,
-			PENsPerUnit:    bs.PENsPerUnit,
-			LENsPerUnit:    bs.LENsPerUnit,
-		}
-	}
 	if s.gate != nil {
 		resp.Serving.MaxConcurrent = s.cfg.MaxConcurrent
 		resp.Serving.InFlight, resp.Serving.QueueDepth = s.gate.depth()

@@ -215,17 +215,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# TYPE kbserve_prepared_live gauge\n")
 	fmt.Fprintf(&b, "kbserve_prepared_live %d\n", s.preparedLive())
 
-	if s.abias != nil {
-		bs := s.abias.Stats()
-		fmt.Fprintf(&b, "# HELP kbserve_planner_effective_bias Learned Auto-planner bias applied to auto requests without an explicit auto_bias.\n")
-		fmt.Fprintf(&b, "# TYPE kbserve_planner_effective_bias gauge\n")
-		fmt.Fprintf(&b, "kbserve_planner_effective_bias %g\n", bs.Effective)
-		fmt.Fprintf(&b, "# HELP kbserve_planner_bias_observations_total Executions folded into the adaptive bias, by algorithm.\n")
-		fmt.Fprintf(&b, "# TYPE kbserve_planner_bias_observations_total counter\n")
-		fmt.Fprintf(&b, "kbserve_planner_bias_observations_total{algo=\"patternenum\"} %d\n", bs.PEObservations)
-		fmt.Fprintf(&b, "kbserve_planner_bias_observations_total{algo=\"linearenum\"} %d\n", bs.LEObservations)
-	}
-
 	fmt.Fprintf(&b, "# HELP kbserve_epoch Currently published KB epoch.\n")
 	fmt.Fprintf(&b, "# TYPE kbserve_epoch gauge\n")
 	fmt.Fprintf(&b, "kbserve_epoch %d\n", s.cur.Load().epoch)

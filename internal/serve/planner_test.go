@@ -110,21 +110,6 @@ func TestAutoSharesCacheWithExplicit(t *testing.T) {
 	}
 }
 
-// TestAutoBiasOnWire: the auto_bias request field steers the planner
-// (tiny bias forces linearenum) without changing the answers.
-func TestAutoBiasOnWire(t *testing.T) {
-	_, ts := newTestServer(t)
-	q := "database software company revenue"
-	_, forced := postSearch(t, ts.URL, SearchRequest{Query: q, Algorithm: "auto", AutoBias: 1e-12})
-	if forced.Algorithm != "linearenum" {
-		t.Fatalf("bias 1e-12 resolved to %q, want linearenum", forced.Algorithm)
-	}
-	_, def := postSearch(t, ts.URL, SearchRequest{Query: q, Algorithm: "auto"})
-	if !reflect.DeepEqual(forced.Answers, def.Answers) {
-		t.Error("auto_bias changed the answers, not just the plan")
-	}
-}
-
 // TestCacheKeyNormalization pins the normalization satellite: requests
 // that differ only in defaulted fields or query spelling share an entry.
 func TestCacheKeyNormalization(t *testing.T) {

@@ -19,7 +19,6 @@ type preparedHandle struct {
 	id    string
 	epoch uint64
 	req   SearchRequest // normalized at prepare time
-	auto  bool          // the prepare-time request asked for "auto"
 	pq    *kbtable.PreparedQuery
 }
 
@@ -37,7 +36,6 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		Algorithm: preq.Algorithm,
 		D:         preq.D,
 		MaxRows:   preq.MaxRows,
-		AutoBias:  preq.AutoBias,
 	}
 	algo, err := s.normalizeRequest(&req)
 	if err != nil {
@@ -56,7 +54,6 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		K:               req.K,
 		Algorithm:       algo,
 		MaxRowsPerTable: req.MaxRows,
-		AutoBias:        req.AutoBias,
 	})
 	if err != nil {
 		writeSearchError(w, err)
@@ -78,7 +75,6 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		id:    fmt.Sprintf("p%d-%d", st.epoch, s.preparedSeq),
 		epoch: st.epoch,
 		req:   req,
-		auto:  algo == kbtable.Auto,
 		pq:    pq,
 	}
 	s.preparedByID[h.id] = h
@@ -103,11 +99,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 // (the execution IS the fast path). Admission control still applies.
 func (s *Server) servePrepared(w http.ResponseWriter, r *http.Request, req *SearchRequest) {
 	if req.Query != "" || req.Algorithm != "" || req.K != 0 || req.D != 0 || req.MaxRows != 0 {
-		WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "prepared_id fixes query/k/algorithm/d/max_rows at prepare time; only auto_bias and priority may accompany it")
-		return
-	}
-	if err := checkAutoBias(req.AutoBias); err != nil {
-		WriteError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "prepared_id fixes query/k/algorithm/d/max_rows at prepare time; only priority may accompany it")
 		return
 	}
 	release, ok := s.admit(w, r, req.Priority)
@@ -124,23 +116,15 @@ func (s *Server) servePrepared(w http.ResponseWriter, r *http.Request, req *Sear
 		return
 	}
 
-	bias := h.req.AutoBias
-	if req.AutoBias != 0 {
-		bias = req.AutoBias
-	}
-	if h.auto && bias == 0 && s.abias != nil {
-		bias = s.abias.Effective()
-	}
-
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
 	t0 := time.Now()
-	answers, pi, err := h.pq.SearchBias(ctx, bias)
+	answers, pi, err := h.pq.Search(ctx)
 	if err != nil {
 		writeSearchError(w, err)
 		return
 	}
-	s.observePlan(pi)
+	s.boundPruned.Add(pi.BoundPruned)
 	s.preparedSearches.Add(1)
 	WriteJSON(w, http.StatusOK, &SearchResponse{
 		Query:      h.req.Query,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -100,37 +99,6 @@ func TestPunctuationSharesCacheEntry(t *testing.T) {
 	}
 	if st := srv.cache.Stats(); st.Hits == 0 {
 		t.Fatalf("no cache hit recorded: %+v", st)
-	}
-}
-
-// TestAutoBiasValidation pins the 400 on invalid auto_bias. NaN and
-// ±Inf cannot cross the JSON decoder (it rejects them earlier, also as
-// 400), so the checkAutoBias unit cases cover them directly.
-func TestAutoBiasValidation(t *testing.T) {
-	_, ts := newTestServer(t)
-	resp, _ := postSearch(t, ts.URL, SearchRequest{Query: "software", Algorithm: "auto", AutoBias: -1})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("auto_bias=-1: status %d, want 400", resp.StatusCode)
-	}
-	for _, b := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.001} {
-		if checkAutoBias(b) == nil {
-			t.Errorf("checkAutoBias(%v) accepted an invalid bias", b)
-		}
-	}
-	for _, b := range []float64{0, 0.5, 1, 8} {
-		if err := checkAutoBias(b); err != nil {
-			t.Errorf("checkAutoBias(%v) rejected a valid bias: %v", b, err)
-		}
-	}
-	// A raw NaN in the body is malformed JSON: still a 400, never a 500.
-	resp2, err := http.Post(ts.URL+"/v1/search", "application/json",
-		bytes.NewReader([]byte(`{"query":"software","algorithm":"auto","auto_bias":NaN}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("NaN body: status %d, want 400", resp2.StatusCode)
 	}
 }
 
@@ -239,65 +207,13 @@ func TestPreparedExpiresOnUpdate(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBiasServer exercises the feedback loop end to end: with
-// AdaptiveBias on, executed searches feed the accumulator, /healthz
-// exposes the learned state, and auto answers stay byte-identical to
-// explicit requests at the learned bias.
-func TestAdaptiveBiasServer(t *testing.T) {
-	srv := New(Config{Engine: fig1Engine(t), D: 3, AdaptiveBias: true})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	const query = "database software company revenue"
-
-	// Feed both algorithms so the accumulator can learn an exchange rate.
-	for i := 0; i < 4; i++ {
-		for _, algo := range []string{"patternenum", "linearenum"} {
-			if resp, sr := postSearch(t, ts.URL, SearchRequest{Query: query, K: 2 + i, Algorithm: algo}); sr == nil {
-				t.Fatalf("%s: %v", algo, resp.Status)
-			}
-		}
-	}
-	bs := srv.abias.Stats()
-	if bs.PEObservations == 0 || bs.LEObservations == 0 {
-		t.Fatalf("executions were not observed: %+v", bs)
-	}
-	if bs.Effective <= 0 {
-		t.Fatalf("learned bias must stay positive: %+v", bs)
-	}
-
-	// The learned bias steers only the choice: an auto request answers
-	// byte-identically to the explicit algorithm it resolves to.
-	_, auto := postSearch(t, ts.URL, SearchRequest{Query: query, K: 7, Algorithm: "auto"})
-	if auto == nil || auto.Plan == nil || !auto.Plan.Auto {
-		t.Fatalf("auto response: %+v", auto)
-	}
-	_, explicit := postSearch(t, ts.URL, SearchRequest{Query: query, K: 7, Algorithm: auto.Algorithm})
-	if explicit == nil || !reflect.DeepEqual(auto.Answers, explicit.Answers) {
-		t.Fatalf("auto at learned bias diverges from explicit %s", auto.Algorithm)
-	}
-
-	hr, err := http.Get(ts.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hr.Body.Close()
-	var h HealthResponse
-	if err := json.NewDecoder(hr.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	ab := h.Planner.AdaptiveBias
-	if ab == nil || ab.Effective <= 0 || ab.PEObservations < bs.PEObservations || ab.LEObservations < bs.LEObservations {
-		t.Fatalf("healthz adaptive bias: %+v (earlier snapshot %+v)", ab, bs)
-	}
-}
-
 // TestPreparedConcurrentWithUpdates hammers prepared handles from many
 // goroutines while updates swap epochs underneath — the -race guard for
 // the registry and for shared Prepared executions. Every outcome must be
 // a clean 200, 409 (prepare lost the race to a swap) or 410 (handle
 // expired); anything else is a correctness failure.
 func TestPreparedConcurrentWithUpdates(t *testing.T) {
-	srv := New(Config{Engine: fig1Engine(t), D: 3, AdaptiveBias: true})
+	srv := New(Config{Engine: fig1Engine(t), D: 3})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

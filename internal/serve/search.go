@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"time"
 
@@ -118,26 +117,12 @@ func (s *Server) normalizeRequest(req *SearchRequest) (kbtable.Algorithm, error)
 	if req.Algorithm == "" {
 		req.Algorithm = s.cfg.DefaultAlgorithm
 	}
-	if err := checkAutoBias(req.AutoBias); err != nil {
-		return 0, err
-	}
 	algo, err := api.ParseAlgorithm(req.Algorithm)
 	if err != nil {
 		return 0, err
 	}
 	req.Algorithm = api.AlgorithmName(algo)
 	return algo, nil
-}
-
-// checkAutoBias validates the auto_bias request field: 0 means "planner
-// default", any positive finite value is a legal crossover override, and
-// everything else (negative, NaN, ±Inf) would silently corrupt the
-// planner's comparison, so it is rejected up front.
-func checkAutoBias(b float64) error {
-	if b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
-		return fmt.Errorf("auto_bias must be a finite non-negative number, got %v", b)
-	}
-	return nil
 }
 
 // cacheKey identifies one (query, options) result in the LRU. algo is the
@@ -242,7 +227,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		K:               req.K,
 		Algorithm:       algo,
 		MaxRowsPerTable: req.MaxRows,
-		AutoBias:        req.AutoBias,
 	}
 
 	// Resolve "auto" before touching the cache: the planner names the
@@ -257,13 +241,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var chosen *kbtable.PlanInfo
 	if algo == kbtable.Auto {
 		s.autoRequests.Add(1)
-		if s.abias != nil && opts.AutoBias == 0 {
-			// Adaptive feedback: requests without an explicit bias run
-			// under the learned crossover. The bias steers only the PE/LE
-			// choice — the resolved algorithm still keys the cache, so a
-			// drifting bias can never serve mismatched bytes.
-			opts.AutoBias = s.abias.Effective()
-		}
 		pi, err := plan(ctx, req.Query, opts)
 		if err != nil {
 			writeSearchError(w, err)
@@ -306,7 +283,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		pi = planFor(pi, chosen)
-		s.observePlan(pi)
+		s.boundPruned.Add(pi.BoundPruned)
 		ent := &cacheEntry{
 			resp: &SearchResponse{
 				Query:     req.Query,
@@ -335,17 +312,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		resp.Coalesced = true
 	}
 	WriteJSON(w, http.StatusOK, resp)
-}
-
-// observePlan folds one executed query's plan into the server's
-// execution-side accounting: the bound-pruned counter and, when enabled,
-// the adaptive-bias accumulator. Only runs that actually enumerated call
-// it — cache hits and coalesced followers carry another run's timings.
-func (s *Server) observePlan(pi kbtable.PlanInfo) {
-	s.boundPruned.Add(pi.BoundPruned)
-	if s.abias != nil {
-		s.abias.Observe(pi)
-	}
 }
 
 // writeSearchError maps a search failure onto an HTTP status.

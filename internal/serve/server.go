@@ -89,12 +89,6 @@ type Config struct {
 	// QueueTimeout bounds one search's wait for an execution slot
 	// (shed with 429 beyond it); default Timeout.
 	QueueTimeout time.Duration
-	// AdaptiveBias enables the planner feedback loop: observed
-	// enumerate-stage timings, per resolved algorithm, are folded into
-	// the effective AutoBias applied to "auto" requests that do not set
-	// an explicit auto_bias. Off by default; the learned bias steers
-	// only the PE/LE choice, never the answer bytes.
-	AdaptiveBias bool
 	// Distributor, when non-nil, turns leader executions into cluster
 	// scatter-gather: each shard's planner probe and enumerate→aggregate
 	// leg is routed through the executor (internal/cluster's Router) to
@@ -172,12 +166,6 @@ type Server struct {
 	// coalesced followers did no enumeration).
 	boundPruned atomic.Int64
 
-	// abias is the adaptive planner-feedback accumulator (nil = off):
-	// leader and prepared executions feed their stage timings in, and
-	// "auto" requests without an explicit auto_bias read the learned
-	// effective bias out.
-	abias *kbtable.AdaptiveBias
-
 	// Prepared-query registry. Handles live exactly one epoch: the
 	// publish path drops every handle bound to a superseded epoch, and
 	// registration re-checks the published epoch under preparedMu so a
@@ -232,9 +220,6 @@ func New(cfg Config) *Server {
 		preparedByID: make(map[string]*preparedHandle),
 	}
 	s.pubCond = sync.NewCond(&s.pubMu)
-	if cfg.AdaptiveBias {
-		s.abias = kbtable.NewAdaptiveBias(0)
-	}
 	if cfg.MaxConcurrent > 0 {
 		s.gate = newGate(cfg.MaxConcurrent, cfg.MaxQueue)
 	}
@@ -318,14 +303,13 @@ type (
 	UpdateRequest   = api.UpdateRequest
 	UpdateResponse  = api.UpdateResponse
 
-	CacheStats         = api.CacheStats
-	ShardHealth        = api.ShardHealth
-	IndexHealth        = api.IndexHealth
-	PlannerHealth      = api.PlannerHealth
-	PlanCacheHealth    = api.PlanCacheHealth
-	AdaptiveBiasHealth = api.AdaptiveBiasHealth
-	PreparedHealth     = api.PreparedHealth
-	DurabilityHealth   = api.DurabilityHealth
-	ServingHealth      = api.ServingHealth
-	HealthResponse     = api.HealthResponse
+	CacheStats       = api.CacheStats
+	ShardHealth      = api.ShardHealth
+	IndexHealth      = api.IndexHealth
+	PlannerHealth    = api.PlannerHealth
+	PlanCacheHealth  = api.PlanCacheHealth
+	PreparedHealth   = api.PreparedHealth
+	DurabilityHealth = api.DurabilityHealth
+	ServingHealth    = api.ServingHealth
+	HealthResponse   = api.HealthResponse
 )

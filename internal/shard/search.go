@@ -167,7 +167,7 @@ func (e *Engine) Search(ctx context.Context, plan search.Plan, query string, opt
 		if err != nil {
 			return nil, err
 		}
-		plan = search.ChoosePlan(search.AlgoAuto, st, opts)
+		plan = search.ChoosePlan(search.AlgoAuto, st)
 	}
 	return e.scatterGather(ctx, start, plan, query, opts, legs, func(si int, so search.Options) (*search.Result, error) {
 		return e.searchShard(ctx, si, plan.Algo, query, so)
@@ -383,17 +383,17 @@ func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search
 // Prepared retains one query's prepare-stage output on every shard plus
 // the merged planner statistics, bound to the engine snapshot it was
 // built from. Executions run only enumerate→aggregate→rank per shard;
-// Auto resolves once per execution from the merged statistics (with that
-// execution's bias), exactly as Search resolves from a probe.
+// Auto resolves from the merged statistics, exactly as Search resolves
+// from a probe.
 type Prepared struct {
 	algo  search.Algo
 	units []*search.Prepared
 	stats search.PlanStats
 }
 
-// Plan resolves the plan the prepared query would execute under opts.
-func (p *Prepared) Plan(opts search.Options) search.Plan {
-	return search.ChoosePlan(p.algo, p.stats, opts)
+// Plan resolves the plan the prepared query executes.
+func (p *Prepared) Plan() search.Plan {
+	return search.ChoosePlan(p.algo, p.stats)
 }
 
 // Prepare runs the prepare stage on every shard and retains the per-shard
@@ -432,7 +432,7 @@ func (e *Engine) SearchPrepared(ctx context.Context, p *Prepared, opts search.Op
 		return e.oneResult(res), nil
 	}
 	start := time.Now()
-	plan := search.ChoosePlan(p.algo, p.stats, opts)
+	plan := p.Plan()
 	// Prepared legs run only in process, so no query text is needed.
 	return e.scatterGather(ctx, start, plan, "", opts, nil, func(si int, so search.Options) (*search.Result, error) {
 		return search.ExecutePrepared(ctx, e.units[si].ix, p.units[si], plan.Algo, so)

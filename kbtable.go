@@ -241,12 +241,6 @@ type SearchOptions struct {
 	Seed int64
 	// MaxRowsPerTable caps materialized rows per answer (0 = all).
 	MaxRowsPerTable int
-	// AutoBias overrides the Auto planner's PatternEnum preference: PE is
-	// chosen iff its estimated cost (pattern-combination space) is at most
-	// AutoBias times LinearEnum's (candidate roots + half the subtree
-	// frontier). 0 means the default (search.DefaultAutoBias); larger
-	// values favor PatternEnum.
-	AutoBias float64
 }
 
 // PlanInfo reports how a query executed (or, from Plan, would execute):
@@ -453,7 +447,6 @@ func (e *Engine) searchOptions(opts SearchOptions) search.Options {
 		Seed:               opts.Seed,
 		MaxTreesPerPattern: opts.MaxRowsPerTable,
 		Workers:            e.o.Workers,
-		AutoBias:           opts.AutoBias,
 	}
 }
 
@@ -480,7 +473,7 @@ func (e *Engine) search(ctx context.Context, exec ShardExecutor, query string, o
 	// A plan-cache hit skips the planner probe and executes the resolved
 	// algorithm directly (answers are bit-identical — the Auto-equivalence
 	// property).
-	plan, hit := e.cachedAutoPlan(query, so, algo == search.AlgoAuto)
+	plan, hit := e.cachedAutoPlan(query, algo == search.AlgoAuto)
 	if !hit {
 		plan = search.Plan{Algo: algo}
 	}
@@ -520,7 +513,7 @@ func (e *Engine) plan(ctx context.Context, exec ShardExecutor, query string, opt
 	if err != nil {
 		return PlanInfo{}, fmt.Errorf("kbtable: %w", err)
 	}
-	return planInfo(search.ChoosePlan(algo, st, so), search.QueryStats{}), nil
+	return planInfo(search.ChoosePlan(algo, st), search.QueryStats{}), nil
 }
 
 func (e *Engine) answers(res *shard.Result) []Answer {

@@ -65,7 +65,7 @@ func TestShardCountInvisibleInSearch(t *testing.T) {
 					if algo == Baseline {
 						continue // no prepare stage
 					}
-					pq, err := e.Prepare(q, opts)
+					pq, err := e.PrepareContext(context.Background(), q, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -231,7 +231,7 @@ func TestShardCountInvisibleInRecovery(t *testing.T) {
 
 	for _, n := range append([]int{1}, shardWidths...) {
 		dir := t.TempDir()
-		st, err := OpenStore(dir)
+		st, err := OpenStoreOpts(dir, StoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func TestShardCountInvisibleInRecovery(t *testing.T) {
 			}
 		}
 		st.Close()
-		rec, st2, rs, err := OpenDir(dir, EngineOptions{})
+		rec, st2, rs, err := OpenDirOpts(dir, EngineOptions{}, StoreOptions{})
 		if err != nil {
 			t.Fatalf("shards=%d: recover: %v", n, err)
 		}
@@ -373,7 +373,7 @@ func TestOneShardCheckpointLayout(t *testing.T) {
 	g := buildFig1Public(t)
 	for _, shards := range []int{0, 1} {
 		dir := t.TempDir()
-		st, err := OpenStore(dir)
+		st, err := OpenStoreOpts(dir, StoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

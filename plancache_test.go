@@ -101,7 +101,7 @@ func TestPlanCacheInvalidationProperty(t *testing.T) {
 						t.Fatal(err)
 					}
 					oldBytes[q] = renderGolden(q, ans)
-					p, err := e.Prepare(q, opts)
+					p, err := e.PrepareContext(context.Background(), q, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -165,7 +165,7 @@ func TestPlanCacheInvalidationProperty(t *testing.T) {
 					}
 					// A handle re-prepared on the successor answers the
 					// new bytes — never the pre-update plan or answer.
-					np, err := ne.Prepare(q, opts)
+					np, err := ne.PrepareContext(context.Background(), q, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -329,7 +329,7 @@ func TestPreparedMatchesFreshProperty(t *testing.T) {
 			for _, algo := range []Algorithm{PatternEnum, LinearEnum, Auto} {
 				for _, q := range queries {
 					opts := SearchOptions{K: 10, Algorithm: algo, MaxRowsPerTable: 6}
-					p, err := e.Prepare(q, opts)
+					p, err := e.PrepareContext(context.Background(), q, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -354,7 +354,7 @@ func TestPreparedMatchesFreshProperty(t *testing.T) {
 					}
 				}
 			}
-			if _, err := e.Prepare(queries[0], SearchOptions{K: 5, Algorithm: Baseline}); err == nil {
+			if _, err := e.PrepareContext(context.Background(), queries[0], SearchOptions{K: 5, Algorithm: Baseline}); err == nil {
 				t.Fatalf("%s: Prepare accepted Baseline, which has no prepare stage", label)
 			}
 		}

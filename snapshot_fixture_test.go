@@ -70,7 +70,7 @@ func regenerateFixture(t *testing.T) {
 	if err := os.MkdirAll(fixtureDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	st, err := OpenStore(fixtureDir)
+	st, err := OpenStoreOpts(fixtureDir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,20 +122,10 @@ func TestSnapshotFixture(t *testing.T) {
 		t.Fatalf("fixture snapshot carries index wire version %d, this build writes %d — regenerate with `make snapshot-fixture`",
 			sn.Manifest.IndexWireVersion, index.WireVersion)
 	}
-	// The manifest claim must match the bytes on disk: every index file
-	// in the fixture snapshot must sniff as the current wire format.
-	for si := 0; si < max(sn.Manifest.Shards, 1); si++ {
-		v, err := index.FileWireVersion(filepath.Join(sn.Dir, store.IndexFileName(si)))
-		if err != nil {
-			t.Fatalf("sniff fixture index %d: %v", si, err)
-		}
-		if v != index.WireVersion {
-			t.Fatalf("fixture index file %d is wire version %d, want %d — regenerate with `make snapshot-fixture`",
-				si, v, index.WireVersion)
-		}
-	}
-
-	eng, st, rs, err := OpenDir(fixtureDir, EngineOptions{})
+	// The manifest claim must match the bytes on disk: recovery loads
+	// every index file through index.Load, which refuses anything but the
+	// current wire format.
+	eng, st, rs, err := OpenDirOpts(fixtureDir, EngineOptions{}, StoreOptions{})
 	if err != nil {
 		t.Fatalf("this build can no longer load the checked-in snapshot fixture: %v\n"+
 			"If the format change is intentional, bump store.FormatVersion (and/or index.WireVersion) and run `make snapshot-fixture`.", err)
