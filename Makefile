@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race alloc bench benchmark-module index-procs fmt vet check cover fuzz golden loc serve clean ci-local cold-start snapshot-fixture load-soak cluster-soak
+.PHONY: build test race alloc bench benchmark-module index-procs fma fmt vet check cover fuzz golden loc serve clean ci-local cold-start snapshot-fixture load-soak cluster-soak
 
 build:
 	$(GO) build ./...
@@ -40,14 +40,27 @@ index-procs:
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/index/
 	GOMAXPROCS=4 $(GO) test -count=1 ./internal/index/
 
-check: vet build race alloc bench benchmark-module index-procs
+# Off amd64, Go may fuse x*y + z into one FMA instruction, whose single
+# rounding changes float bits (scores, PageRank); an explicit float64(x*y)
+# forbids the fusion. Cross-compile the packages that compute scores for
+# arm64 and fail on any fused multiply-add in their assembly.
+FMA_PKGS = ./internal/core ./internal/rank ./internal/search ./internal/index ./internal/kg ./internal/shard .
+fma:
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$out"; exit 1; }; \
+	  fused=$$(echo "$$out" | grep -E '\bFN?M(ADD|SUB)D\b'); \
+	  if [ -n "$$fused" ]; then echo "fused multiply-adds on arm64 (wrap the product in float64()):"; echo "$$fused"; exit 1; fi; \
+	  echo "no fused multiply-adds on arm64"
+
+check: vet build race alloc bench benchmark-module index-procs fma
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@echo "all checks passed"
 
 # Coverage with the CI floor over the mutation + maintenance layers, the
-# shard scatter-gather and the query executor.
+# shard scatter-gather, the query executor, the durable store and the
+# cluster transport.
+COVER_PKGS = ./internal/index,./internal/kg,./internal/shard,./internal/search,./internal/store,./internal/cluster
 cover:
-	$(GO) test -coverprofile=cover.out -coverpkg=./internal/index,./internal/kg,./internal/shard,./internal/search ./...
+	$(GO) test -coverprofile=cover.out -coverpkg=$(COVER_PKGS) ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
 # The same short fuzz bursts CI runs.
@@ -62,7 +75,8 @@ fuzz:
 # failure can be reproduced (and fixed) without pushing: gofmt, vet,
 # build, examples, race tests (incl. the snapshot format gate), the
 # allocation budgets without race, the index tests at two core counts, the
-# benchmark module, bench smoke, coverage floor.
+# benchmark module, the arm64 fused-multiply-add check, bench smoke,
+# coverage floor.
 ci-local:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
@@ -70,9 +84,9 @@ ci-local:
 	$(GO) build ./examples/...
 	$(GO) test -race ./...
 	$(GO) test -run TestSnapshotFixture -v .
-	$(MAKE) alloc index-procs benchmark-module
+	$(MAKE) alloc index-procs benchmark-module fma
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-	$(GO) test -coverprofile=cover.out -coverpkg=./internal/index,./internal/kg,./internal/shard,./internal/search ./...
+	$(GO) test -coverprofile=cover.out -coverpkg=$(COVER_PKGS) ./...
 	@total=$$($(GO) tool cover -func=cover.out | tail -1 | awk '{print $$3}' | tr -d '%'); \
 	  echo "coverage: $${total}% (floor 85%)"; \
 	  awk -v t="$$total" 'BEGIN { exit (t+0 < 85) ? 1 : 0 }'
@@ -121,7 +135,8 @@ snapshot-fixture:
 	$(GO) test -run TestSnapshotFixture -update .
 
 # Refresh the golden-corpus answer files after an intentional behavior
-# change (regenerates testdata/corpus and testdata/golden).
+# change (regenerates testdata/corpus, testdata/golden and the deep
+# reference dump in testdata/deep).
 golden:
 	$(GO) test -run TestGoldenCorpus -update .
 

@@ -161,7 +161,7 @@ func benchQueries(e *bench.Env) []string {
 	ix := e.WikiIndex(3)
 	var out []string
 	for _, q := range e.WikiQueries() {
-		if p, _ := search.CountAll(ix, q.Text); p > 0 {
+		if p, _, _ := search.CountAllCapped(ix, q.Text, 0); p > 0 {
 			out = append(out, q.Text)
 		}
 		if len(out) == 8 {
@@ -196,7 +196,7 @@ func benchHeavyQueries(e *bench.Env, n int) []string {
 	}
 	var hqs []hq
 	for _, q := range e.WikiQueries() {
-		if p, tr := search.CountAll(ix, q.Text); p > 0 && tr < 2_000_000 {
+		if p, tr, _ := search.CountAllCapped(ix, q.Text, 0); p > 0 && tr < 2_000_000 {
 			hqs = append(hqs, hq{q: q.Text, trees: tr})
 		}
 	}

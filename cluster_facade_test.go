@@ -13,12 +13,12 @@ import (
 	"kbtable/internal/shard"
 )
 
-// The cluster facade's exactness contract: scattering per-shard legs to
-// owner engines (through a JSON wire round-trip, as internal/cluster
-// does over HTTP) and gathering the partials on a full coordinator
-// engine reproduces SearchPlan's answers — the coordinator's own and a
-// one-shard engine's — bit for bit, including when some legs fail and
-// fall back to local execution.
+// The cluster facade under failure: scattering per-shard legs to owner
+// engines (through a JSON wire round-trip, as internal/cluster does over
+// HTTP) and gathering the partials on a full coordinator engine
+// reproduces SearchPlan's answers bit for bit when legs fail, or return
+// corrupt partials, and fall back to local execution. Healthy legs are
+// the equivalence matrix's cluster axis (equivalence_test.go).
 
 // wireExec routes shard legs to partial owner engines through a JSON
 // encode/decode of every wire value, like the HTTP transport does.
@@ -27,7 +27,6 @@ type wireExec struct {
 	failed  map[int]bool             // shards whose owner is "down"
 	fail    failLegs                 // which legs of a failed shard fail
 	corrupt func(*ShardPartial) bool // rewrites a decoded partial; reports a change
-	calls   atomic.Int64             // legs run concurrently
 	altered atomic.Int64             // partials corrupt changed
 }
 
@@ -52,7 +51,6 @@ func (x *wireExec) ownerFor(si int, leg failLegs) (*Engine, error) {
 }
 
 func (x *wireExec) ProbeShard(ctx context.Context, si int, query string, opts SearchOptions) (ShardPlanStats, error) {
-	x.calls.Add(1)
 	e, err := x.ownerFor(si, failProbe)
 	if err != nil {
 		return ShardPlanStats{}, err
@@ -66,7 +64,6 @@ func (x *wireExec) ProbeShard(ctx context.Context, si int, query string, opts Se
 }
 
 func (x *wireExec) ScatterShard(ctx context.Context, si int, algorithm Algorithm, query string, opts SearchOptions) (*ShardPartial, error) {
-	x.calls.Add(1)
 	e, err := x.ownerFor(si, failScatter)
 	if err != nil {
 		return nil, err
@@ -91,72 +88,6 @@ func roundTrip(in, out any) error {
 		return err
 	}
 	return json.Unmarshal(b, out)
-}
-
-func TestSearchDistributedMatchesLocal(t *testing.T) {
-	g := loadCorpus(t, "testdata/corpus/wiki.txt")
-	one, err := NewEngine(g, EngineOptions{D: 3, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range shardWidths {
-		coord, err := NewEngine(g, EngineOptions{D: 3, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Two owners: all shards but the last, and the last.
-		var head []int
-		exec := &wireExec{owners: map[int]*Engine{}}
-		for si := 0; si < shards-1; si++ {
-			head = append(head, si)
-		}
-		ownerA, err := NewEngine(g, EngineOptions{D: 3, Shards: shards, OwnedShards: head})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ownerB, err := NewEngine(g, EngineOptions{D: 3, Shards: shards, OwnedShards: []int{shards - 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, si := range head {
-			exec.owners[si] = ownerA
-		}
-		exec.owners[shards-1] = ownerB
-
-		queries := goldenCorpora()[0].queries
-		for _, algo := range []Algorithm{PatternEnum, LinearEnum, Auto} {
-			for _, q := range queries {
-				opts := SearchOptions{K: goldenK, Algorithm: algo, MaxRowsPerTable: goldenRows}
-				want, _, err := one.SearchPlan(context.Background(), q, opts)
-				if err != nil {
-					t.Fatalf("%v %q one shard: %v", algo, q, err)
-				}
-				local, localPlan, err := coord.SearchPlan(context.Background(), q, opts)
-				if err != nil {
-					t.Fatalf("%v %q shards=%d local: %v", algo, q, shards, err)
-				}
-				got, gotPlan, err := coord.SearchDistributed(context.Background(), exec, q, opts)
-				if err != nil {
-					t.Fatalf("%v %q shards=%d distributed: %v", algo, q, shards, err)
-				}
-				if lw, lg := renderGolden(q, want), renderGolden(q, got); lw != lg {
-					t.Fatalf("%v %q shards=%d: distributed answers differ\none shard:\n%s\ndistributed:\n%s", algo, q, shards, lw, lg)
-				}
-				if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(want, local) {
-					t.Fatalf("%v %q shards=%d: answer structs differ", algo, q, shards)
-				}
-				// The planner's merged statistics depend on the partition
-				// (pattern space over-counts across shards), so the resolved
-				// algorithm is compared at equal shard count only.
-				if gotPlan.Algorithm != localPlan.Algorithm {
-					t.Fatalf("%v %q shards=%d: resolved %v distributed vs %v local", algo, q, shards, gotPlan.Algorithm, localPlan.Algorithm)
-				}
-			}
-		}
-		if exec.calls.Load() == 0 {
-			t.Fatal("executor never consulted")
-		}
-	}
 }
 
 // TestSearchDistributedFallback fails every non-empty subset of shard

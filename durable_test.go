@@ -81,10 +81,9 @@ func answersFingerprint(t *testing.T, e *Engine, queries []string) string {
 func TestDurableRecoveryEquivalence(t *testing.T) {
 	for _, spec := range goldenCorpora() {
 		for _, shards := range []int{0, 3} {
-			spec, shards := spec, shards
 			t.Run(fmt.Sprintf("%s-shards%d", spec.name, shards), func(t *testing.T) {
 				t.Parallel()
-				g := loadCorpus(t, filepath.Join("testdata", "corpus", spec.name+".txt"))
+				g := spec.graph(t)
 				opts := EngineOptions{D: 3, Shards: shards}
 				dir := t.TempDir()
 

@@ -16,17 +16,18 @@ import (
 // The golden-corpus regression suite pins end-to-end behavior — keyword
 // resolution, enumeration, scoring, ranking, tie-breaks, table
 // composition, rendering — against checked-in answer files over small
-// fixed corpora. Every execution mode the engine offers (PATTERNENUM,
-// LINEARENUM-TOPK, baseline × serial, parallel, sharded) must reproduce
-// the same bytes: the engine's equivalence claims are not "close", they
-// are exact, so the goldens hold for all of them.
+// fixed corpora, as the facade renders them for the default algorithm on
+// one serial shard. That every other execution mode reproduces the same
+// answers, and far more than the rendered tables, is the equivalence
+// matrix's job (equivalence_test.go).
 //
 // Regenerate (after an intentional behavior change) with:
 //
 //	go test -run TestGoldenCorpus -update
 //
-// which rewrites both the corpus dumps (testdata/corpus) and the answer
-// files (testdata/golden) deterministically.
+// which rewrites the corpus dumps (testdata/corpus), the answer files
+// (testdata/golden) and the deep reference dump the matrix checks
+// (testdata/deep) deterministically.
 
 var updateGolden = flag.Bool("update", false, "rewrite golden corpus and answer files")
 
@@ -84,6 +85,11 @@ func goldenCorpora() []corpusSpec {
 	}
 }
 
+// graph loads the spec's checked-in corpus.
+func (c corpusSpec) graph(t *testing.T) *Graph {
+	return loadCorpus(t, filepath.Join("testdata", "corpus", c.name+".txt"))
+}
+
 // dumpCorpus writes g in the line-oriented corpus format:
 //
 //	E <id> <Type> <entity text>
@@ -128,41 +134,23 @@ func loadCorpus(t *testing.T, path string) *Graph {
 			continue
 		}
 		parts := strings.SplitN(line, " ", 4)
-		bad := func() { t.Fatalf("corpus line %d malformed: %q", ln+1, line) }
-		if len(parts) < 3 {
-			bad()
+		var src, dst int64
+		var err1, err2 error
+		if len(parts) == 4 {
+			src, err1 = strconv.ParseInt(parts[1], 10, 64)
+			dst, err2 = strconv.ParseInt(parts[3], 10, 64)
 		}
-		switch parts[0] {
-		case "E":
-			if len(parts) != 4 {
-				bad()
-			}
-			id, err := strconv.ParseInt(parts[1], 10, 64)
-			if err != nil {
-				bad()
-			}
-			ids[id] = b.Entity(parts[2], parts[3])
-		case "A":
-			if len(parts) != 4 {
-				bad()
-			}
-			src, err1 := strconv.ParseInt(parts[1], 10, 64)
-			dst, err2 := strconv.ParseInt(parts[3], 10, 64)
-			if err1 != nil || err2 != nil {
-				bad()
-			}
+		switch {
+		case len(parts) != 4 || err1 != nil || parts[0] == "A" && err2 != nil:
+			t.Fatalf("corpus line %d malformed: %q", ln+1, line)
+		case parts[0] == "E":
+			ids[src] = b.Entity(parts[2], parts[3])
+		case parts[0] == "A":
 			b.Attr(ids[src], parts[2], ids[dst])
-		case "T":
-			if len(parts) != 4 {
-				bad()
-			}
-			src, err := strconv.ParseInt(parts[1], 10, 64)
-			if err != nil {
-				bad()
-			}
+		case parts[0] == "T":
 			b.TextAttr(ids[src], parts[2], parts[3])
 		default:
-			bad()
+			t.Fatalf("corpus line %d malformed: %q", ln+1, line)
 		}
 	}
 	g, err := b.Build()
@@ -189,103 +177,53 @@ func renderGolden(query string, answers []Answer) string {
 	return sb.String()
 }
 
-// goldenVariants are the execution modes that must reproduce the golden
-// bytes exactly. Workers=1 vs 4 pins serial/parallel; Shards pins the
-// scatter-gather engine; all three algorithms are exercised for each.
-type goldenVariant struct {
-	label   string
-	workers int
-	shards  int
-	algo    Algorithm
-}
-
-func goldenVariants() []goldenVariant {
-	return []goldenVariant{
-		{"pe-serial", 1, 0, PatternEnum}, // the reference that writes the goldens
-		{"pe-parallel", 4, 0, PatternEnum},
-		{"le-serial", 1, 0, LinearEnum},
-		{"le-parallel", 4, 0, LinearEnum},
-		{"baseline-serial", 1, 0, Baseline},
-		{"baseline-parallel", 4, 0, Baseline},
-		{"pe-sharded2", 0, 2, PatternEnum},
-		{"pe-sharded5", 0, 5, PatternEnum},
-		{"le-sharded3", 0, 3, LinearEnum},
-		{"baseline-sharded4", 0, 4, Baseline},
-		// The planner may pick either algorithm per query; whatever it
-		// picks must reproduce the same golden bytes.
-		{"auto-serial", 1, 0, Auto},
-		{"auto-parallel", 4, 0, Auto},
-		{"auto-sharded3", 0, 3, Auto},
-	}
-}
-
 func TestGoldenCorpus(t *testing.T) {
 	for _, spec := range goldenCorpora() {
-		spec := spec
 		t.Run(spec.name, func(t *testing.T) {
-			corpusPath := filepath.Join("testdata", "corpus", spec.name+".txt")
 			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(corpusPath), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(corpusPath, []byte(dumpCorpus(spec.gen())), 0o644); err != nil {
-					t.Fatal(err)
-				}
+				writeFile(t, filepath.Join("testdata", "corpus", spec.name+".txt"), dumpCorpus(spec.gen()))
 			}
-			g := loadCorpus(t, corpusPath)
-
-			// One engine per (workers, shards) configuration, shared
-			// across queries and algorithms.
-			engines := map[string]*Engine{}
-			engineFor := func(v goldenVariant) *Engine {
-				key := fmt.Sprintf("w%d-s%d", v.workers, v.shards)
-				if e, ok := engines[key]; ok {
-					return e
-				}
-				e, err := NewEngine(g, EngineOptions{D: 3, Workers: v.workers, Shards: v.shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				engines[key] = e
-				return e
+			g := spec.graph(t)
+			if *updateGolden {
+				writeDeep(t, spec, g)
 			}
-
+			e, err := NewEngine(g, EngineOptions{D: 3, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for qi, q := range spec.queries {
 				goldenPath := filepath.Join("testdata", "golden",
 					fmt.Sprintf("%s_%02d_%s.golden", spec.name, qi+1, strings.ReplaceAll(q, " ", "-")))
-				var want string
-				for _, v := range goldenVariants() {
-					answers, err := engineFor(v).SearchOpts(q, SearchOptions{
-						K: goldenK, Algorithm: v.algo, MaxRowsPerTable: goldenRows,
-					})
-					if err != nil {
-						t.Fatal(err)
+				answers, err := e.SearchOpts(q, SearchOptions{K: goldenK, MaxRowsPerTable: goldenRows})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := renderGolden(q, answers)
+				if *updateGolden {
+					if len(answers) == 0 {
+						t.Fatalf("query %q has no answers; pick a different golden query", q)
 					}
-					got := renderGolden(q, answers)
-					if v.label == "pe-serial" {
-						if *updateGolden {
-							if len(answers) == 0 {
-								t.Fatalf("query %q has no answers; pick a different golden query", q)
-							}
-							if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-								t.Fatal(err)
-							}
-							if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-								t.Fatal(err)
-							}
-						}
-						data, err := os.ReadFile(goldenPath)
-						if err != nil {
-							t.Fatalf("read golden: %v (regenerate with -update)", err)
-						}
-						want = string(data)
-					}
-					if got != want {
-						t.Errorf("%s diverges from golden %s:\n%s", v.label, goldenPath, diffHint(want, got))
-					}
+					writeFile(t, goldenPath, got)
+				}
+				data, err := os.ReadFile(goldenPath)
+				if err != nil {
+					t.Fatalf("read golden: %v (regenerate with -update)", err)
+				}
+				if want := string(data); got != want {
+					t.Errorf("diverges from golden %s:\n%s", goldenPath, diffHint(want, got))
 				}
 			}
 		})
+	}
+}
+
+// writeFile writes a regenerated fixture, creating its directory.
+func writeFile(t *testing.T, path, data string) {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

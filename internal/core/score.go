@@ -171,10 +171,13 @@ func (p PatternScore) Value(a Agg) float64 {
 // scaled, used to turn a ρ-sample accumulator into an unbiased estimate
 // ŝ = (1/ρ)·Σ_{r∈R+} s(r) (Section 4.2.2). Max is left unscaled (max of a
 // sample is already an estimate of max) and Count is scaled and rounded.
+// The explicit float64 conversion rounds the product before the addition,
+// which keeps Go from fusing them into one FMA instruction on the
+// architectures that have one: the bits are amd64's everywhere.
 func (p PatternScore) Scale(f float64) PatternScore {
 	return PatternScore{
 		Sum:   p.Sum * f,
 		Max:   p.Max,
-		Count: int(float64(p.Count)*f + 0.5),
+		Count: int(float64(float64(p.Count)*f) + 0.5),
 	}
 }

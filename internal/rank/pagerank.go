@@ -45,8 +45,11 @@ func PageRank(g *kg.Graph, opts Options) []float64 {
 		cur[i] = inv
 	}
 
+	// The explicit float64 conversions below round each product before it
+	// is added, so no architecture fuses them into an FMA and the scores
+	// are bit-identical everywhere.
 	for iter := 0; iter < o.MaxIter; iter++ {
-		base := (1 - o.Damping) * inv
+		base := float64((1 - o.Damping) * inv)
 		// Dangling mass is re-distributed uniformly.
 		dangling := 0.0
 		for v := 0; v < n; v++ {
@@ -54,7 +57,7 @@ func PageRank(g *kg.Graph, opts Options) []float64 {
 				dangling += cur[v]
 			}
 		}
-		base += o.Damping * dangling * inv
+		base += float64(o.Damping * dangling * inv)
 		for i := range next {
 			next[i] = base
 		}

@@ -113,15 +113,15 @@ func (s *PlanStats) Merge(o PlanStats) {
 	s.Frontier = satAdd(s.Frontier, o.Frontier)
 	// Sum PostingRoots positionally over the longer of the two vectors: a
 	// shard that resolved fewer keywords (or probed first) must not
-	// silently truncate the other partition's posting counts.
-	if len(o.PostingRoots) > len(s.PostingRoots) {
-		grown := make([]int, len(o.PostingRoots))
-		copy(grown, s.PostingRoots)
-		s.PostingRoots = grown
-	}
+	// silently truncate the other partition's posting counts. The sum is a
+	// new slice: the receiver's may be shared with a retained prepare,
+	// which executions must not write through.
+	sum := make([]int, max(len(s.PostingRoots), len(o.PostingRoots)))
+	copy(sum, s.PostingRoots)
 	for i, n := range o.PostingRoots {
-		s.PostingRoots[i] += n
+		sum[i] += n
 	}
+	s.PostingRoots = sum
 }
 
 // satAdd adds non-negative int64s saturating at MaxInt64.
@@ -294,6 +294,9 @@ func prepare(ctx context.Context, ix *index.Index, words []text.WordID, surfaces
 	if len(words) == 0 {
 		return p, nil
 	}
+	// Every keyword's posting length is recorded, even past an empty one:
+	// a shard's PostingRoots are summed with its siblings', which may hold
+	// roots for the keywords this shard lacks.
 	p.ok = true
 	p.rootLists = make([][]kg.NodeID, len(words))
 	p.stats.PostingRoots = make([]int, len(words))
@@ -301,16 +304,15 @@ func prepare(ctx context.Context, ix *index.Index, words []text.WordID, surfaces
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if w == text.NoWord {
-			p.ok = false
-			return p, nil
+		if w != text.NoWord {
+			p.rootLists[i] = ix.Roots(w)
 		}
-		p.rootLists[i] = ix.Roots(w)
 		p.stats.PostingRoots[i] = len(p.rootLists[i])
-		if len(p.rootLists[i]) == 0 {
-			p.ok = false
-			return p, nil
-		}
+		p.ok = p.ok && len(p.rootLists[i]) > 0
+	}
+	if !p.ok {
+		p.rootLists = nil
+		return p, nil
 	}
 	p.stats.CandidateRoots = -1
 
@@ -393,19 +395,14 @@ func PlanProbe(ctx context.Context, ix *index.Index, query string, opts Options)
 // AlgoBaseline — the baseline needs its own index; use Executor for a
 // surface that dispatches all three.
 func Execute(ctx context.Context, ix *index.Index, query string, algo Algo, opts Options) (*Result, error) {
-	words, surfaces := ResolveQuery(ix, query)
-	return ExecuteWords(ctx, ix, words, surfaces, algo, opts)
-}
-
-// ExecuteWords is Execute on pre-resolved keywords.
-func ExecuteWords(ctx context.Context, ix *index.Index, words []text.WordID, surfaces []string, algo Algo, opts Options) (*Result, error) {
 	start := time.Now()
 	o := opts.withDefaults()
 	if algo == AlgoBaseline {
 		return nil, fmt.Errorf("search: the baseline needs a BaselineIndex; use Executor")
 	}
 
-	// Stage 1: prepare (posting lookups + statistics).
+	// Stage 1: prepare (keyword resolution, posting lookups, statistics).
+	words, surfaces := ResolveQuery(ix, query)
 	prep, err := prepare(ctx, ix, words, surfaces, needFor(algo))
 	if err != nil {
 		return nil, err
@@ -415,7 +412,7 @@ func ExecuteWords(ctx context.Context, ix *index.Index, words []text.WordID, sur
 
 // runStages runs stages 2-4 of the pipeline over prepare-stage output:
 // resolve the plan, enumerate, fold the per-worker accumulators, rank.
-// The prepare output may be freshly computed (ExecuteWords) or retained
+// The prepare output may be freshly computed (Execute) or retained
 // from an earlier request (ExecutePrepared) — enumeration only reads it,
 // so one prepared may back any number of concurrent executions. start
 // anchors Stages.Prepare and Elapsed: for a retained prepared it is the

@@ -21,14 +21,8 @@ import (
 // patterns are then re-scored exactly before entering the global queue
 // (Section 4.2.2).
 func LETopK(ix *index.Index, query string, opts Options) *Result {
-	res, _ := LETopKCtx(context.Background(), ix, query, opts)
+	res, _ := Execute(context.Background(), ix, query, AlgoLE, opts)
 	return res
-}
-
-// LETopKCtx is LETopK with cancellation: a canceled or expired context
-// stops the expansion between root types and returns the context's error.
-func LETopKCtx(ctx context.Context, ix *index.Index, query string, opts Options) (*Result, error) {
-	return Execute(ctx, ix, query, AlgoLE, opts)
 }
 
 // leEnumerate is LINEARENUM-TOPK's enumerate stage over the prepared
@@ -241,17 +235,12 @@ func aggregateSelected(ix *index.Index, words []text.WordID, selected []*dictEnt
 	return sel
 }
 
-// CountAll reports, for grouping queries in the experiments of Section 5,
-// the total number of (non-empty) tree patterns and valid subtrees of a
-// query, without ranking. Subtrees are counted as Σ_r Π_i |Paths(wi, r)|;
-// patterns by enumerating the pattern products of every candidate root.
-func CountAll(ix *index.Index, query string) (patterns int, trees int64) {
-	patterns, trees, _ = CountAllCapped(ix, query, 0)
-	return patterns, trees
-}
-
-// CountAllCapped is CountAll with a work budget: when the query has more
-// than cap valid subtrees (cap > 0), pattern enumeration — whose cost is
+// CountAllCapped reports, for grouping queries in the experiments of
+// Section 5, the total number of (non-empty) tree patterns and valid
+// subtrees of a query, without ranking. Subtrees are counted as
+// Σ_r Π_i |Paths(wi, r)|; patterns by enumerating the pattern products of
+// every candidate root. budget caps the work: when the query has more than
+// budget valid subtrees (budget > 0), pattern enumeration — whose cost is
 // bounded by the subtree count — is skipped and exceeded is true with
 // patterns = -1. The experiment harness uses this to identify explosion
 // queries cheaply.

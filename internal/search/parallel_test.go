@@ -2,93 +2,26 @@ package search
 
 import (
 	"context"
-	"fmt"
-	"reflect"
 	"testing"
 
 	"kbtable/internal/dataset"
-	"kbtable/internal/index"
 	"kbtable/internal/kg"
 )
 
-// equalResults asserts that two query results are identical: same ranked
-// patterns (content, not interned IDs), bit-identical scores and
-// aggregates, same materialized trees, and the same work counters.
-func equalResults(t *testing.T, label string, ix *index.Index, serial, parallel *Result) {
-	t.Helper()
-	if len(serial.Patterns) != len(parallel.Patterns) {
-		t.Fatalf("%s: serial returned %d patterns, parallel %d", label, len(serial.Patterns), len(parallel.Patterns))
-	}
-	pt := ix.PatternTable()
-	for i := range serial.Patterns {
-		sp, pp := serial.Patterns[i], parallel.Patterns[i]
-		if sp.Score != pp.Score {
-			t.Errorf("%s: rank %d score %v != %v", label, i, sp.Score, pp.Score)
-		}
-		if sp.Pattern.ContentKey(pt) != pp.Pattern.ContentKey(pt) {
-			t.Errorf("%s: rank %d pattern content differs", label, i)
-		}
-		if sp.Agg != pp.Agg {
-			t.Errorf("%s: rank %d aggregate %+v != %+v", label, i, sp.Agg, pp.Agg)
-		}
-		if !reflect.DeepEqual(sp.Trees, pp.Trees) {
-			t.Errorf("%s: rank %d materialized trees differ", label, i)
-		}
-	}
-	ss, ps := serial.Stats, parallel.Stats
-	if ss.CandidateRoots != ps.CandidateRoots || ss.SampledRoots != ps.SampledRoots ||
-		ss.PatternsFound != ps.PatternsFound || ss.TreesFound != ps.TreesFound ||
-		ss.EmptyChecked != ps.EmptyChecked {
-		t.Errorf("%s: stats diverge: serial %+v parallel %+v", label, ss, ps)
-	}
-}
-
-// equalBaselineResults compares baseline runs at the content level (the
-// baseline interns patterns online, so IDs differ across runs by design).
-func equalBaselineResults(t *testing.T, label string, serial, parallel *BaselineResult) {
-	t.Helper()
-	if len(serial.Patterns) != len(parallel.Patterns) {
-		t.Fatalf("%s: serial returned %d patterns, parallel %d", label, len(serial.Patterns), len(parallel.Patterns))
-	}
-	for i := range serial.Patterns {
-		sp, pp := serial.Patterns[i], parallel.Patterns[i]
-		if sp.Score != pp.Score {
-			t.Errorf("%s: rank %d score %v != %v", label, i, sp.Score, pp.Score)
-		}
-		if sp.Pattern.ContentKey(serial.Table) != pp.Pattern.ContentKey(parallel.Table) {
-			t.Errorf("%s: rank %d pattern content differs", label, i)
-		}
-		if sp.Agg != pp.Agg {
-			t.Errorf("%s: rank %d aggregate %+v != %+v", label, i, sp.Agg, pp.Agg)
-		}
-		if len(sp.Trees) != len(pp.Trees) {
-			t.Errorf("%s: rank %d tree count %d != %d", label, i, len(sp.Trees), len(pp.Trees))
-		}
-	}
-	if serial.Stats.CandidateRoots != parallel.Stats.CandidateRoots ||
-		serial.Stats.PatternsFound != parallel.Stats.PatternsFound ||
-		serial.Stats.TreesFound != parallel.Stats.TreesFound {
-		t.Errorf("%s: stats diverge: serial %+v parallel %+v", label, serial.Stats, parallel.Stats)
-	}
+// synthCase is a reduced-scale synthetic dataset with its query workload.
+type synthCase struct {
+	name    string
+	g       *kg.Graph
+	queries []string
 }
 
 // synthCases builds the reduced-scale synthetic IMDB and Wiki datasets the
 // paper evaluates on, with a workload spanning 1..4 keywords.
-func synthCases(t *testing.T) []struct {
-	name    string
-	g       *kg.Graph
-	queries []string
-} {
+func synthCases(t *testing.T) []synthCase {
 	t.Helper()
-	wiki := dataset.SynthWiki(dataset.WikiConfig{Entities: 1500, Types: 40})
-	imdb := dataset.SynthIMDB(dataset.IMDBConfig{Movies: 400})
-	cases := []struct {
-		name    string
-		g       *kg.Graph
-		queries []string
-	}{
-		{name: "wiki", g: wiki},
-		{name: "imdb", g: imdb},
+	cases := []synthCase{
+		{name: "wiki", g: dataset.SynthWiki(dataset.WikiConfig{Entities: 1500, Types: 40})},
+		{name: "imdb", g: dataset.SynthIMDB(dataset.IMDBConfig{Movies: 400})},
 	}
 	for i := range cases {
 		for _, q := range dataset.Workload(cases[i].g, dataset.WorkloadConfig{PerM: 3, MaxM: 4}) {
@@ -98,99 +31,16 @@ func synthCases(t *testing.T) []struct {
 	return cases
 }
 
-// TestParallelEquivalenceExact drives PATTERNENUM and exact
-// LINEARENUM-TOPK over synthetic IMDB and Wiki workloads and asserts the
-// parallel path (Workers=4 and GOMAXPROCS) reproduces the serial path
-// (Workers=1) exactly — scores bit-identical, not approximately equal.
-func TestParallelEquivalenceExact(t *testing.T) {
-	for _, tc := range synthCases(t) {
-		ix, err := index.Build(tc.g, index.Options{D: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, 0} {
-			for _, q := range tc.queries {
-				serialPE := PETopK(ix, q, Options{K: 20, Workers: 1})
-				parallelPE := PETopK(ix, q, Options{K: 20, Workers: workers})
-				equalResults(t, fmt.Sprintf("%s/PE/w=%d/%q", tc.name, workers, q), ix, serialPE, parallelPE)
-
-				serialLE := LETopK(ix, q, Options{K: 20, Workers: 1})
-				parallelLE := LETopK(ix, q, Options{K: 20, Workers: workers})
-				equalResults(t, fmt.Sprintf("%s/LE/w=%d/%q", tc.name, workers, q), ix, serialLE, parallelLE)
-			}
-		}
-	}
-}
-
-// TestParallelEquivalenceSampling repeats the check for sampled
-// LINEARENUM-TOPK: sampling is seeded per root type, so the sampled root
-// set — and therefore every estimated and re-scored pattern — must not
-// depend on worker scheduling.
-func TestParallelEquivalenceSampling(t *testing.T) {
-	for _, tc := range synthCases(t) {
-		ix, err := index.Build(tc.g, index.Options{D: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range tc.queries {
-			opts := Options{K: 10, Lambda: 4, Rho: 0.5, Seed: 7}
-			opts.Workers = 1
-			serial := LETopK(ix, q, opts)
-			opts.Workers = 4
-			parallel := LETopK(ix, q, opts)
-			equalResults(t, fmt.Sprintf("%s/LE-sampled/%q", tc.name, q), ix, serial, parallel)
-		}
-	}
-}
-
-// TestParallelEquivalenceBaseline covers the third algorithm. The baseline
-// is orders slower, so it runs on the Figure 1 graph plus a slice of the
-// IMDB workload.
-func TestParallelEquivalenceBaseline(t *testing.T) {
-	ixg, _ := buildFig1Index(t, 3)
-	cases := []struct {
-		name    string
-		g       *kg.Graph
-		queries []string
-	}{
-		{name: "fig1", g: ixg.Graph(), queries: []string{fig1Query, "database software", "company revenue"}},
-	}
-	imdb := dataset.SynthIMDB(dataset.IMDBConfig{Movies: 120})
-	qs := dataset.Workload(imdb, dataset.WorkloadConfig{PerM: 2, MaxM: 3})
-	tc := struct {
-		name    string
-		g       *kg.Graph
-		queries []string
-	}{name: "imdb", g: imdb}
-	for _, q := range qs {
-		tc.queries = append(tc.queries, q.Text)
-	}
-	cases = append(cases, tc)
-
-	for _, c := range cases {
-		bl, err := NewBaseline(c.g, BaselineOptions{D: 3, UniformPR: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range c.queries {
-			serial := bl.Search(q, Options{K: 10, Workers: 1})
-			parallel := bl.Search(q, Options{K: 10, Workers: 4})
-			equalBaselineResults(t, fmt.Sprintf("%s/baseline/%q", c.name, q), serial, parallel)
-		}
-	}
-}
-
 // TestParallelCancellation verifies a canceled context aborts the query
 // with the context's error instead of returning a partial result.
 func TestParallelCancellation(t *testing.T) {
 	ix, _ := buildFig1Index(t, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if res, err := PETopKCtx(ctx, ix, fig1Query, Options{K: 10}); err == nil || res != nil {
-		t.Errorf("PETopKCtx on canceled ctx: res=%v err=%v, want nil result and error", res, err)
-	}
-	if res, err := LETopKCtx(ctx, ix, fig1Query, Options{K: 10}); err == nil || res != nil {
-		t.Errorf("LETopKCtx on canceled ctx: res=%v err=%v, want nil result and error", res, err)
+	for _, algo := range []Algo{AlgoPE, AlgoLE} {
+		if res, err := Execute(ctx, ix, fig1Query, algo, Options{K: 10}); err == nil || res != nil {
+			t.Errorf("%v on canceled ctx: res=%v err=%v, want nil result and error", algo, res, err)
+		}
 	}
 	bl, err := NewBaseline(ix.Graph(), BaselineOptions{D: 3, UniformPR: true})
 	if err != nil {

@@ -15,14 +15,8 @@ import (
 // and scores the non-empty tree patterns. Valid subtrees of a pattern are
 // generated at one time, so no online aggregation dictionary is needed.
 func PETopK(ix *index.Index, query string, opts Options) *Result {
-	res, _ := PETopKCtx(context.Background(), ix, query, opts)
+	res, _ := Execute(context.Background(), ix, query, AlgoPE, opts)
 	return res
-}
-
-// PETopKCtx is PETopK with cancellation: a canceled or expired context
-// stops the enumeration between shards and returns the context's error.
-func PETopKCtx(ctx context.Context, ix *index.Index, query string, opts Options) (*Result, error) {
-	return Execute(ctx, ix, query, AlgoPE, opts)
 }
 
 // peType is the per-root-type precomputation of Algorithm 2 line 3:

@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -11,39 +10,6 @@ import (
 	"kbtable/internal/dataset"
 	"kbtable/internal/index"
 )
-
-// equalAnswers asserts two results rank identical patterns with
-// bit-identical scores, aggregates and trees. Unlike equalResults it does
-// not compare QueryStats.CandidateRoots: an Auto run computes the
-// candidate intersection for the planner even when it resolves to
-// PATTERNENUM, which reports -1 when run explicitly.
-func equalAnswers(t *testing.T, label string, ix *index.Index, a, b *Result) {
-	t.Helper()
-	if len(a.Patterns) != len(b.Patterns) {
-		t.Fatalf("%s: %d patterns vs %d", label, len(a.Patterns), len(b.Patterns))
-	}
-	pt := ix.PatternTable()
-	for i := range a.Patterns {
-		ap, bp := a.Patterns[i], b.Patterns[i]
-		if ap.Score != bp.Score {
-			t.Errorf("%s: rank %d score %v != %v", label, i, ap.Score, bp.Score)
-		}
-		if ap.Pattern.ContentKey(pt) != bp.Pattern.ContentKey(pt) {
-			t.Errorf("%s: rank %d pattern content differs", label, i)
-		}
-		if ap.Agg != bp.Agg {
-			t.Errorf("%s: rank %d aggregate %+v != %+v", label, i, ap.Agg, bp.Agg)
-		}
-		if !reflect.DeepEqual(ap.Trees, bp.Trees) {
-			t.Errorf("%s: rank %d materialized trees differ", label, i)
-		}
-	}
-	as, bs := a.Stats, b.Stats
-	if as.SampledRoots != bs.SampledRoots || as.PatternsFound != bs.PatternsFound ||
-		as.TreesFound != bs.TreesFound || as.EmptyChecked != bs.EmptyChecked {
-		t.Errorf("%s: work counters diverge: %+v vs %+v", label, as, bs)
-	}
-}
 
 // TestPlanProbeStats pins the prepare-stage statistics against the
 // independent counting entry points.
@@ -68,46 +34,6 @@ func TestPlanProbeStats(t *testing.T) {
 				t.Errorf("%s/%q: answerable query has PatternSpace = %d", tc.name, q, st.PatternSpace)
 			}
 		}
-	}
-}
-
-// TestAutoEquivalence is the planner's core guarantee at the executor
-// level: AlgoAuto answers are bit-identical to explicitly requesting the
-// algorithm the plan names. The cases must resolve to both algorithms at
-// least once, or the property would hold for only one planner branch.
-func TestAutoEquivalence(t *testing.T) {
-	resolved := map[Algo]int{}
-	for _, tc := range synthCases(t) {
-		ix, err := index.Build(tc.g, index.Options{D: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range tc.queries {
-			opts := Options{K: 20}
-			auto, err := Execute(context.Background(), ix, q, AlgoAuto, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !auto.Plan.Auto {
-				t.Fatalf("%s/%q: Auto result not marked planner-chosen", tc.name, q)
-			}
-			if auto.Plan.Algo != AlgoPE && auto.Plan.Algo != AlgoLE {
-				t.Fatalf("%s/%q: Auto resolved to %v", tc.name, q, auto.Plan.Algo)
-			}
-			if auto.Plan.Reason == "" {
-				t.Fatalf("%s/%q: Auto plan has no reason", tc.name, q)
-			}
-			resolved[auto.Plan.Algo]++
-			explicit, err := Execute(context.Background(), ix, q, auto.Plan.Algo, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("%s/%q -> %v", tc.name, q, auto.Plan.Algo)
-			equalAnswers(t, label, ix, explicit, auto)
-		}
-	}
-	if resolved[AlgoPE] == 0 || resolved[AlgoLE] == 0 {
-		t.Fatalf("the cases must resolve Auto to both algorithms, got %v", resolved)
 	}
 }
 

@@ -84,10 +84,10 @@ func TestAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 					}
 				}
 			}
-			// CountAll must agree with the exhaustive run.
-			np, nt := CountAll(ix, q)
+			// CountAllCapped must agree with the exhaustive run.
+			np, nt, _ := CountAllCapped(ix, q, 0)
 			if np != pe.Stats.PatternsFound || nt != pe.Stats.TreesFound {
-				t.Errorf("%s: CountAll (%d,%d) != PETopK (%d,%d)", label, np, nt, pe.Stats.PatternsFound, pe.Stats.TreesFound)
+				t.Errorf("%s: CountAllCapped (%d,%d) != PETopK (%d,%d)", label, np, nt, pe.Stats.PatternsFound, pe.Stats.TreesFound)
 			}
 		}
 	}

@@ -256,16 +256,16 @@ func TestDuplicateKeywordsCollapse(t *testing.T) {
 
 func TestCountAll(t *testing.T) {
 	ix, _ := buildFig1Index(t, 3)
-	patterns, trees := CountAll(ix, fig1Query)
+	patterns, trees, _ := CountAllCapped(ix, fig1Query, 0)
 	// Exhaustive run must agree.
 	res := PETopK(ix, fig1Query, Options{K: 100000})
 	if patterns != res.Stats.PatternsFound {
-		t.Errorf("CountAll patterns = %d, PETopK found %d", patterns, res.Stats.PatternsFound)
+		t.Errorf("CountAllCapped patterns = %d, PETopK found %d", patterns, res.Stats.PatternsFound)
 	}
 	if trees != res.Stats.TreesFound {
-		t.Errorf("CountAll trees = %d, PETopK found %d", trees, res.Stats.TreesFound)
+		t.Errorf("CountAllCapped trees = %d, PETopK found %d", trees, res.Stats.TreesFound)
 	}
-	if p, tr := CountAll(ix, "zebra"); p != 0 || tr != 0 {
+	if p, tr, _ := CountAllCapped(ix, "zebra", 0); p != 0 || tr != 0 {
 		t.Errorf("unknown word should count zero")
 	}
 }

@@ -70,7 +70,7 @@ func TestTheorem1Reduction(t *testing.T) {
 		}
 		// Query: the texts of the two copies of t.
 		q := fmt.Sprintf("nodex%d nodey%d", tt, tt)
-		got, trees := CountAll(ix, q)
+		got, trees, _ := CountAllCapped(ix, q, 0)
 		want := nPaths * nPaths
 		if int64(got) != want {
 			t.Errorf("seed %d: COUNTPAT = %d, want N^2 = %d (N=%d s-t paths)", seed, got, want, nPaths)

@@ -19,10 +19,10 @@ func TestTopTreesRanksIndividuals(t *testing.T) {
 			t.Errorf("trees not sorted at %d", i)
 		}
 	}
-	// Total enumerated must match CountAll.
-	_, wantTrees := CountAll(ix, fig1Query)
+	// Total enumerated must match CountAllCapped.
+	_, wantTrees, _ := CountAllCapped(ix, fig1Query, 0)
 	if stats.TreesFound != wantTrees {
-		t.Errorf("TreesFound = %d, CountAll = %d", stats.TreesFound, wantTrees)
+		t.Errorf("TreesFound = %d, CountAllCapped = %d", stats.TreesFound, wantTrees)
 	}
 	// Every returned tree's per-path patterns must match its Pattern.
 	g := ix.Graph()

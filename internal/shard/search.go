@@ -506,17 +506,8 @@ type RankedTree struct {
 // TopTrees ranks individual valid subtrees across all shards. A subtree
 // lives wholly on the shard owning its root, so per-shard top-k lists
 // merge exactly under the same (score, content key) order a single index
-// uses; with one shard its list is the answer.
+// uses.
 func (e *Engine) TopTrees(query string, k int, opts search.Options) ([]RankedTree, search.QueryStats) {
-	if e.n == 1 {
-		ix := e.units[0].ix
-		trees, stats := search.TopTrees(ix, query, k, opts)
-		out := make([]RankedTree, len(trees))
-		for i, rt := range trees {
-			out[i] = RankedTree{RankedTree: rt, Table: ix.PatternTable()}
-		}
-		return out, stats
-	}
 	type out struct {
 		trees []search.RankedTree
 		keys  []string
@@ -562,9 +553,6 @@ func (e *Engine) NumCandidateRoots(query string) int {
 // computed first across all shards, and only when it fits the budget is
 // pattern enumeration (whose cost the subtree count bounds) attempted.
 func (e *Engine) CountAllContent(query string, budget int64) (patterns int, trees int64, exceeded bool) {
-	if e.n == 1 { // nothing to union: shard-local PatternIDs identify patterns
-		return search.CountAllCapped(e.units[0].ix, query, budget)
-	}
 	for si := 0; si < e.n; si++ {
 		t := search.SubtreeCount(e.units[si].ix, query)
 		if t > math.MaxInt64-trees { // per-shard counts saturate; so does the sum

@@ -1,11 +1,14 @@
 package shard
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"kbtable/internal/core"
 	"kbtable/internal/dataset"
 	"kbtable/internal/index"
 	"kbtable/internal/kg"
@@ -66,6 +69,71 @@ func randomUpdate(rng *rand.Rand, g *kg.Graph) (*kg.Changed, error) {
 	return d.Apply()
 }
 
+// shardCounts are the widths the update chain runs at: the one-shard
+// engine (direct execution) and partitions including a prime that never
+// divides the synthetic type counts.
+var shardCounts = []int{1, 2, 3, 8}
+
+// testQueries derives a deterministic workload from the graph's texts:
+// its first three distinct words longer than two letters.
+func testQueries(g *kg.Graph) []string {
+	var words []string
+	seen := map[string]bool{}
+	for v := 0; v < g.NumNodes() && len(words) < 3; v++ {
+		for _, f := range strings.Fields(strings.ToLower(g.Text(kg.NodeID(v)))) {
+			if len(f) > 2 && !seen[f] && len(words) < 3 {
+				seen[f] = true
+				words = append(words, f)
+			}
+		}
+	}
+	return words
+}
+
+// renderPattern snapshots one ranked pattern at full user-visible
+// fidelity: exact score bits, aggregate, pattern text and composed table.
+func renderPattern(g *kg.Graph, pt *core.PatternTable, p core.TreePattern, score float64, agg core.PatternScore, trees []core.Subtree, surfaces []string) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "score=%.17g sum=%.17g max=%.17g count=%d\n", score, agg.Sum, agg.Max, agg.Count)
+	sb.WriteString(p.Render(g, pt, surfaces))
+	sb.WriteByte('\n')
+	sb.WriteString(core.ComposeTable(g, pt, p, trees).Render(-1))
+	return sb.String()
+}
+
+// referenceResult runs the reference below the engine: the search
+// executor on one unfiltered index.
+func referenceResult(t testing.TB, g *kg.Graph, ix *index.Index, bl *search.BaselineIndex, algo search.Algo, query string, opts search.Options) []string {
+	t.Helper()
+	res, err := search.Executor{Ix: ix, BL: bl}.Search(context.Background(), query, algo, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := res.Table // the baseline's per-query table
+	if pt == nil {
+		pt = ix.PatternTable()
+	}
+	var out []string
+	for _, rp := range res.Patterns {
+		out = append(out, renderPattern(g, pt, rp.Pattern, rp.Score, rp.Agg, rp.Trees, res.Stats.Surfaces))
+	}
+	return out
+}
+
+// engineResult runs the engine at the same fidelity.
+func engineResult(t testing.TB, e *Engine, algo search.Algo, query string, opts search.Options) []string {
+	t.Helper()
+	res, err := e.Search(context.Background(), search.Plan{Algo: algo}, query, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, 0, len(res.Patterns))
+	for _, rp := range res.Patterns {
+		out = append(out, renderPattern(e.Graph(), rp.Table, rp.Pattern, rp.Score, rp.Agg, rp.Trees, res.Stats.Surfaces))
+	}
+	return out
+}
+
 // TestShardUpdateEquivalence drives one reference index and an engine at
 // every shard count through the same randomized delta chain; after every
 // batch the engine's top-k (scores, signatures, composed tables) must equal
@@ -89,7 +157,7 @@ func TestShardUpdateEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		queries := testQueries(base)[:3]
+		queries := testQueries(base)
 		opts := search.Options{K: 8, MaxTreesPerPattern: 4}
 
 		rng := rand.New(rand.NewSource(99))

@@ -67,38 +67,6 @@ func TestEngineQuickstart(t *testing.T) {
 	}
 }
 
-func TestEngineAlgorithmsAgree(t *testing.T) {
-	g := buildFig1Public(t)
-	eng, err := NewEngine(g, EngineOptions{D: 3, UniformPageRank: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := "database software company revenue"
-	pe, err := eng.SearchOpts(q, SearchOptions{K: 50, Algorithm: PatternEnum})
-	if err != nil {
-		t.Fatal(err)
-	}
-	le, err := eng.SearchOpts(q, SearchOptions{K: 50, Algorithm: LinearEnum})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bl, err := eng.SearchOpts(q, SearchOptions{K: 50, Algorithm: Baseline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pe) != len(le) || len(pe) != len(bl) {
-		t.Fatalf("answer counts differ: %d %d %d", len(pe), len(le), len(bl))
-	}
-	for i := range pe {
-		if pe[i].Score != le[i].Score {
-			t.Errorf("rank %d: PE score %v != LE score %v", i, pe[i].Score, le[i].Score)
-		}
-		if pe[i].Score != bl[i].Score {
-			t.Errorf("rank %d: PE score %v != BL score %v", i, pe[i].Score, bl[i].Score)
-		}
-	}
-}
-
 func TestEngineUnknownKeyword(t *testing.T) {
 	g := buildFig1Public(t)
 	eng, err := NewEngine(g, EngineOptions{UniformPageRank: true})

@@ -54,15 +54,6 @@ func cachedPlanStats(ctx context.Context, e *Engine, q string, opts SearchOption
 	return e.planStats(ctx, q, e.searchOptions(opts), nil)
 }
 
-func corpusQueries(name string) []string {
-	for _, spec := range goldenCorpora() {
-		if spec.name == name {
-			return spec.queries
-		}
-	}
-	return nil
-}
-
 // TestPlanCacheInvalidationProperty drives random accepted update batches
 // through engine chains and asserts, after every update: (a) the cached
 // statistics for every query equal a cache-bypassing probe of the new
@@ -72,8 +63,8 @@ func corpusQueries(name string) []string {
 // handles re-prepared on the successor answer the new bytes.
 func TestPlanCacheInvalidationProperty(t *testing.T) {
 	ctx := context.Background()
-	for name, g := range autoCorpora(t) {
-		queries := corpusQueries(name)
+	for _, spec := range goldenCorpora() {
+		g, name, queries := spec.graph(t), spec.name, spec.queries
 		for _, shards := range []int{1, 2, 4} {
 			label := fmt.Sprintf("%s/shards=%d", name, shards)
 			rng := rand.New(rand.NewSource(int64(1000*len(name) + shards)))
@@ -308,55 +299,5 @@ func TestPlanCacheFlushOnScoreRefresh(t *testing.T) {
 	}
 	if post := ne.PlanCacheStats(); post.Misses <= st.Misses {
 		t.Fatalf("post-flush lookup did not re-probe (misses %d -> %d)", st.Misses, post.Misses)
-	}
-}
-
-// TestPreparedMatchesFreshProperty: executing a prepared handle
-// repeatedly yields answers byte-identical to a fresh end-to-end search
-// with the same options, for every corpus, shard width, and preparable
-// algorithm — and the resolved plan names the same algorithm. Baseline
-// has no prepare stage and is rejected.
-func TestPreparedMatchesFreshProperty(t *testing.T) {
-	ctx := context.Background()
-	for name, g := range autoCorpora(t) {
-		queries := corpusQueries(name)
-		for _, shards := range []int{1, 2, 4} {
-			label := fmt.Sprintf("%s/shards=%d", name, shards)
-			e, err := NewEngine(g, EngineOptions{D: 3, Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, algo := range []Algorithm{PatternEnum, LinearEnum, Auto} {
-				for _, q := range queries {
-					opts := SearchOptions{K: 10, Algorithm: algo, MaxRowsPerTable: 6}
-					p, err := e.PrepareContext(context.Background(), q, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fresh, fpi, err := e.SearchPlan(ctx, q, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := renderGolden(q, fresh)
-					for i := 0; i < 3; i++ {
-						ans, pi, err := p.Search(ctx)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if pi.Algorithm != fpi.Algorithm {
-							t.Fatalf("%s/%v/%q: prepared ran %v, fresh ran %v",
-								label, algo, q, pi.Algorithm, fpi.Algorithm)
-						}
-						if got := renderGolden(q, ans); got != want {
-							t.Errorf("%s/%v/%q execution %d: prepared diverges from fresh:\n%s",
-								label, algo, q, i, diffHint(want, got))
-						}
-					}
-				}
-			}
-			if _, err := e.PrepareContext(context.Background(), queries[0], SearchOptions{K: 5, Algorithm: Baseline}); err == nil {
-				t.Fatalf("%s: Prepare accepted Baseline, which has no prepare stage", label)
-			}
-		}
 	}
 }
