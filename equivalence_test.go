@@ -476,7 +476,7 @@ func matrixEngine(t *testing.T, g *Graph, n int, owned ...int) *Engine {
 // (Theorem 5), load ≡ build, cluster ≡ single node, incremental ≡ rebuild —
 // over the deep dump, one axis at a time so that a break specific to one
 // regime cannot hide behind a passing one. Against the committed
-// reference: workers4, shards{1,2,3,8}, prepared{1,3} (shard.Prepare then
+// reference: workers{2,4}, shards{1,2,3,8}, prepared{1,3} (shard.Prepare then
 // SearchPrepared), recovered{1,3} (Checkpoint then Store.Recover) and
 // cluster{2,3} (every leg on a partial owner engine through a JSON round
 // trip, with zero local fallbacks). After one fixed ApplyUpdate chain: the
@@ -531,6 +531,7 @@ func testMatrix(t *testing.T, spec corpusSpec, resolved *[2]atomic.Int64) {
 		want map[deepCell][]string
 	}{
 		{"reference", nil, executorRunner(t, g, 1), fixture},
+		{"workers2", nil, executorRunner(t, g, 2), fixture},
 		{"workers4", nil, executorRunner(t, g, 4), fixture},
 		{"shards1", engine, engineRunner(engines[1].sh, false, nil), fixture},
 		{"shards2", sharded, engineRunner(engines[2].sh, false, nil), fixture},
