@@ -56,9 +56,9 @@ check: vet build race alloc bench benchmark-module index-procs fma
 	@echo "all checks passed"
 
 # Coverage with the CI floor over the mutation + maintenance layers, the
-# shard scatter-gather, the query executor, the durable store and the
-# cluster transport.
-COVER_PKGS = ./internal/index,./internal/kg,./internal/shard,./internal/search,./internal/store,./internal/cluster
+# shard scatter-gather, the query executor, the durable store, the
+# cluster transport and the shared epoch-fenced cache.
+COVER_PKGS = ./internal/index,./internal/kg,./internal/shard,./internal/search,./internal/store,./internal/cluster,./internal/cache
 cover:
 	$(GO) test -coverprofile=cover.out -coverpkg=$(COVER_PKGS) ./...
 	$(GO) tool cover -func=cover.out | tail -1

@@ -9,7 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"kbtable/internal/cache"
 	"kbtable/internal/kg"
+	"kbtable/internal/search"
 	"kbtable/internal/shard"
 )
 
@@ -104,7 +106,7 @@ func TestSearchDistributedFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coord.plans = nil // every Auto query probes, so probe legs run (and fail) too
+		coord.plans = cache.New[search.PlanStats](0) // every Auto query probes, so probe legs run (and fail) too
 		owner, err := NewEngine(g, EngineOptions{D: 3, Shards: shards})
 		if err != nil {
 			t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"kbtable/internal/cache"
 	"kbtable/internal/index"
 	"kbtable/internal/kg"
 	"kbtable/internal/search"
@@ -493,7 +494,7 @@ func loadSnapshot(sn *store.Snapshot, opts EngineOptions) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kbtable: %w", err)
 	}
-	return &Engine{g: &Graph{g: g}, sh: sh, o: opts, seq: m.Seq, plans: search.NewPlanCache(0)}, nil
+	return &Engine{g: &Graph{g: g}, sh: sh, o: opts, seq: m.Seq, plans: cache.New[search.PlanStats](planCacheSize)}, nil
 }
 
 // OpenDirOpts opens a data directory and recovers its engine in one

@@ -35,8 +35,10 @@ const (
 	// or WAL sequence the request pinned (cluster scatter legs, or a
 	// prepare racing an update). Retry against the current state.
 	CodeStaleEpoch = "stale_epoch"
-	// CodePreparedGone: the prepared_id is unknown or its epoch was
-	// superseded by an update. Re-prepare and retry.
+	// CodePreparedGone: the prepared_id is unknown, or its handle was
+	// expired (an update superseded its epoch) or evicted (the bounded
+	// registry dropped its least recently used handle). Re-prepare and
+	// retry.
 	CodePreparedGone = "prepared_gone"
 	// CodeDurability: the update could not be made durable (WAL append
 	// or fsync failed); the server refuses further updates.
@@ -103,8 +105,8 @@ type SearchRequest struct {
 	// PreparedID executes a handle from POST /v1/prepare instead of
 	// planning from scratch: query/k/algorithm/d/max_rows come from the
 	// prepare-time request (and must be omitted here); only priority may
-	// accompany it. A handle whose epoch has been superseded by an update
-	// answers 410 prepared_gone — re-prepare.
+	// accompany it. A handle expired by an update or evicted from the
+	// bounded registry answers 410 prepared_gone — re-prepare.
 	PreparedID string `json:"prepared_id,omitempty"`
 }
 
@@ -188,7 +190,9 @@ type PrepareRequest struct {
 
 // PrepareResponse is the POST /v1/prepare reply: the handle to pass as
 // prepared_id to POST /v1/search. Handles are bound to the epoch that
-// prepared them and expire on the next update (410 prepared_gone).
+// prepared them and answer 410 prepared_gone once expired (by the next
+// update) or evicted (from the bounded registry, least recently used
+// first).
 type PrepareResponse struct {
 	ID        string `json:"id"`
 	Epoch     uint64 `json:"epoch"`
@@ -289,10 +293,12 @@ type PlanCacheHealth struct {
 
 // PreparedHealth is the /v1/healthz view of the prepared-query registry.
 type PreparedHealth struct {
-	// Live counts handles valid on the current epoch.
+	// Live counts handles valid on the current epoch; the registry is
+	// bounded, so it never exceeds the server's fixed capacity.
 	Live int `json:"live"`
 	// Prepares / Searches / Expired count handles created, prepared
-	// executions served, and handles invalidated by epoch swaps.
+	// executions served, and handles invalidated by epoch swaps
+	// (capacity evictions are not counted).
 	Prepares uint64 `json:"prepares"`
 	Searches uint64 `json:"searches"`
 	Expired  uint64 `json:"expired"`

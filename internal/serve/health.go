@@ -17,6 +17,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.cur.Load()
 	ixs, info := st.eng.IndexStats(), st.eng.ShardInfo()
+	cs, ps := s.cache.Stats(), s.prepared.Stats()
 	resp := &HealthResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -24,16 +25,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Epoch:         st.epoch,
 		Updates:       s.updates.Load(),
 		Updatable:     !s.cfg.ReadOnly,
-		Cache:         s.cache.Stats(),
+		Cache:         CacheStats{Size: cs.Size, Capacity: cs.Capacity, Hits: cs.Hits, Misses: cs.Misses},
 		Planner: PlannerHealth{
 			AutoRequests:     s.autoRequests.Load(),
 			ChosePatternEnum: s.autoChosePE.Load(),
 			ChoseLinearEnum:  s.autoChoseLE.Load(),
 			Prepared: PreparedHealth{
-				Live:     s.preparedLive(),
+				Live:     ps.Size,
 				Prepares: s.prepares.Load(),
 				Searches: s.preparedSearches.Load(),
-				Expired:  s.preparedExpired.Load(),
+				Expired:  ps.Invalidated,
 			},
 		},
 		Serving: ServingHealth{Coalesced: s.metrics.coalesced.Load()},
@@ -51,15 +52,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Entries: info.Entries,
 		},
 	}
-	if cs := st.eng.PlanCacheStats(); cs.Capacity > 0 {
-		resp.Planner.PlanCache = &PlanCacheHealth{
-			Size:        cs.Size,
-			Capacity:    cs.Capacity,
-			Epoch:       cs.Epoch,
-			Hits:        cs.Hits,
-			Misses:      cs.Misses,
-			Invalidated: cs.Invalidated,
-		}
+	if pc := PlanCacheHealth(st.eng.PlanCacheStats()); pc.Capacity > 0 {
+		resp.Planner.PlanCache = &pc
 	}
 	if s.gate != nil {
 		resp.Serving.MaxConcurrent = s.cfg.MaxConcurrent

@@ -14,7 +14,9 @@ import (
 // request captured at prepare time, the engine-level handle, and the
 // epoch it is bound to. Handles are invalidated wholesale on every epoch
 // swap — a prepared execution must answer from the snapshot the client
-// prepared against or not at all (410 Gone, re-prepare).
+// prepared against or not at all (410 Gone, re-prepare) — and the
+// registry holds at most maxPrepared of them, evicting the least
+// recently used.
 type preparedHandle struct {
 	id    string
 	epoch uint64
@@ -60,25 +62,19 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Register under preparedMu, re-checking the published epoch inside
-	// the same critical section the invalidation pass uses: if an update
-	// published while we prepared, the handle answers from a superseded
-	// snapshot and must not be handed out.
-	s.preparedMu.Lock()
-	if s.cur.Load().epoch != st.epoch {
-		s.preparedMu.Unlock()
-		WriteError(w, http.StatusConflict, api.CodeStaleEpoch, "knowledge base updated during prepare; retry")
-		return
-	}
-	s.preparedSeq++
+	// Register at the pinned epoch: if an update published while we
+	// prepared, the handle answers from a superseded snapshot, the
+	// registry refuses it and it is never handed out.
 	h := &preparedHandle{
-		id:    fmt.Sprintf("p%d-%d", st.epoch, s.preparedSeq),
+		id:    fmt.Sprintf("p%d-%d", st.epoch, s.preparedSeq.Add(1)),
 		epoch: st.epoch,
 		req:   req,
 		pq:    pq,
 	}
-	s.preparedByID[h.id] = h
-	s.preparedMu.Unlock()
+	if !s.prepared.Put(h.id, st.epoch, h, nil) {
+		WriteError(w, http.StatusConflict, api.CodeStaleEpoch, "knowledge base updated during prepare; retry")
+		return
+	}
 	s.prepares.Add(1)
 
 	WriteJSON(w, http.StatusOK, &PrepareResponse{
@@ -108,11 +104,9 @@ func (s *Server) servePrepared(w http.ResponseWriter, r *http.Request, req *Sear
 	}
 	defer release()
 
-	s.preparedMu.Lock()
-	h := s.preparedByID[req.PreparedID]
-	s.preparedMu.Unlock()
-	if h == nil {
-		WriteError(w, http.StatusGone, api.CodePreparedGone, fmt.Sprintf("unknown or expired prepared query %q: POST /%s/prepare again on the current epoch", req.PreparedID, api.Version))
+	h, ok := s.prepared.Get(req.PreparedID, s.cur.Load().epoch)
+	if !ok {
+		WriteError(w, http.StatusGone, api.CodePreparedGone, fmt.Sprintf("unknown, expired or evicted prepared query %q: POST /%s/prepare again on the current epoch", req.PreparedID, api.Version))
 		return
 	}
 
@@ -137,27 +131,4 @@ func (s *Server) servePrepared(w http.ResponseWriter, r *http.Request, req *Sear
 		Plan:       planOut(pi),
 		Answers:    wireAnswers(answers),
 	})
-}
-
-// dropPrepared expires every prepared handle bound to a superseded
-// epoch. Called after each epoch publish; a prepare racing the publish
-// either registered before (and is dropped here) or re-checks the epoch
-// under the same mutex and refuses to register.
-func (s *Server) dropPrepared() {
-	cur := s.cur.Load().epoch
-	s.preparedMu.Lock()
-	for id, h := range s.preparedByID {
-		if h.epoch != cur {
-			delete(s.preparedByID, id)
-			s.preparedExpired.Add(1)
-		}
-	}
-	s.preparedMu.Unlock()
-}
-
-// preparedLive counts the currently registered prepared handles.
-func (s *Server) preparedLive() int {
-	s.preparedMu.Lock()
-	defer s.preparedMu.Unlock()
-	return len(s.preparedByID)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"kbtable"
+	"kbtable/internal/api"
 )
 
 // postPrepare POSTs /prepare and decodes the reply (nil on non-200).
@@ -204,6 +205,35 @@ func TestPreparedExpiresOnUpdate(t *testing.T) {
 	}
 	if h.Planner.PlanCache == nil {
 		t.Fatal("healthz omits the plan cache on a real engine")
+	}
+}
+
+// TestPreparedRegistryBounded: prepares past the registry's capacity on
+// one epoch evict the least recently used handle instead of growing the
+// registry. Live stays at the bound, the oldest id answers 410
+// prepared_gone, and the newest still executes.
+func TestPreparedRegistryBounded(t *testing.T) {
+	h := New(Config{Engine: fig1Engine(t), D: 3}).Handler()
+	var first, last PrepareResponse
+	for i := 0; i <= maxPrepared; i++ {
+		if w := postJSON(t, h, "/v1/prepare", PrepareRequest{Query: "database software", K: 3}, &last); w.Code != http.StatusOK {
+			t.Fatalf("prepare %d: status %d", i, w.Code)
+		}
+		if i == 0 {
+			first = last
+		}
+	}
+	if p := getHealth(t, h).Planner.Prepared; p.Live > maxPrepared || p.Prepares != maxPrepared+1 || p.Expired != 0 {
+		t.Fatalf("prepared health after %d prepares: %+v (capacity %d)", maxPrepared+1, p, maxPrepared)
+	}
+	w := postJSON(t, h, "/v1/search", SearchRequest{PreparedID: first.ID}, nil)
+	var gone api.ErrorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &gone); err != nil || w.Code != http.StatusGone || gone.Error.Code != api.CodePreparedGone {
+		t.Fatalf("oldest handle %s: status %d, body %s", first.ID, w.Code, w.Body.String())
+	}
+	var sr SearchResponse
+	if w := postJSON(t, h, "/v1/search", SearchRequest{PreparedID: last.ID}, &sr); w.Code != http.StatusOK || sr.PreparedID != last.ID || len(sr.Answers) == 0 {
+		t.Fatalf("newest handle %s: status %d, response %+v", last.ID, w.Code, sr)
 	}
 }
 

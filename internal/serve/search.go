@@ -13,12 +13,10 @@ import (
 
 // cacheEntry is one computed response, shared read-only by the result
 // cache, the flight that computed it and every request it answers. plan
-// is the plan the computing request reported; words are the canonical
-// words the query resolved to, for word-precise invalidation.
+// is the plan the computing request reported.
 type cacheEntry struct {
-	resp  *SearchResponse
-	plan  kbtable.PlanInfo
-	words []string
+	resp *SearchResponse
+	plan kbtable.PlanInfo
 }
 
 // shared returns a copy of the entry's response for a request that did
@@ -258,7 +256,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	algoName := api.AlgorithmName(algo)
 
 	key := cacheKey(req.Query, algoName, req.K, req.D, req.MaxRows)
-	if hit, ok := s.cache.Get(key); ok {
+	if hit, ok := s.cache.Get(key, st.epoch); ok {
 		resp := hit.shared(chosen)
 		resp.Cached = true
 		WriteJSON(w, http.StatusOK, resp)
@@ -295,10 +293,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 				Plan:      planOut(pi),
 				Answers:   wireAnswers(answers),
 			},
-			plan:  pi,
-			words: st.eng.QueryWords(req.Query),
+			plan: pi,
 		}
-		s.cachePut(st.epoch, key, ent)
+		// Tagged with the query's canonical words for word-precise
+		// invalidation; refused if an update published since st.
+		s.cache.Put(key, st.epoch, ent, st.eng.QueryWords(req.Query))
 		return ent, nil
 	})
 	if err != nil {
@@ -327,19 +326,5 @@ func writeSearchError(w http.ResponseWriter, err error) {
 		WriteError(w, http.StatusNotImplemented, api.CodeNotImplemented, err.Error())
 	default:
 		WriteError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-	}
-}
-
-// cachePut inserts a computed result unless its epoch has been superseded.
-// The read-lock excludes the invalidate-and-publish critical section: if
-// the published epoch still equals the computing epoch, the next update's
-// invalidation pass has not run yet and will see (and judge) this entry;
-// if it no longer does, the invalidation already ran and inserting would
-// smuggle a stale result past it, so the insert is dropped.
-func (s *Server) cachePut(epoch uint64, key string, ent *cacheEntry) {
-	s.swapMu.RLock()
-	defer s.swapMu.RUnlock()
-	if s.cur.Load().epoch == epoch {
-		s.cache.Put(key, ent)
 	}
 }

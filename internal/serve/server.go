@@ -1,3 +1,11 @@
+// Package serve turns a kbtable engine into a long-running HTTP search
+// service: a JSON POST /v1/search endpoint with per-request timeouts, a
+// POST /v1/update endpoint that applies live knowledge-base mutations with an
+// atomic epoch swap (in-flight searches finish on their snapshot), a
+// GET /v1/healthz endpoint, a result cache over normalized queries and a
+// bounded prepared-handle registry (both the one epoch-fenced, word-tagged
+// cache of internal/cache), and graceful shutdown. cmd/kbserve is the
+// daemon entry point.
 package serve
 
 import (
@@ -11,6 +19,7 @@ import (
 
 	"kbtable"
 	"kbtable/internal/api"
+	"kbtable/internal/cache"
 )
 
 // Engine is the engine surface the HTTP layer runs on: exactly the facade
@@ -146,10 +155,17 @@ type engineState struct {
 	epoch uint64
 }
 
+// maxPrepared bounds the prepared-handle registry; past it the least
+// recently used handle is evicted and answers 410 like an expired one.
+const maxPrepared = 512
+
 // Server is the HTTP search daemon behind the /v1 API.
 type Server struct {
-	cfg      Config
-	cache    *LRU[*cacheEntry]
+	cfg Config
+	// cache holds computed results, tagged with their query words. Both
+	// caches advance one epoch per publish, in step with cur, so a
+	// request passes its pinned epoch and a superseded one is refused.
+	cache    *cache.Cache[*cacheEntry]
 	start    time.Time
 	requests atomic.Uint64
 	updates  atomic.Uint64
@@ -166,16 +182,13 @@ type Server struct {
 	// coalesced followers did no enumeration).
 	boundPruned atomic.Int64
 
-	// Prepared-query registry. Handles live exactly one epoch: the
-	// publish path drops every handle bound to a superseded epoch, and
-	// registration re-checks the published epoch under preparedMu so a
-	// prepare racing an update can never leave a stale handle behind.
-	preparedMu       sync.Mutex
-	preparedByID     map[string]*preparedHandle
-	preparedSeq      uint64
+	// Prepared-query registry, keyed by handle id. Handles live exactly
+	// one epoch: every publish flushes it, and a prepare racing an update
+	// has its registration refused.
+	prepared         *cache.Cache[*preparedHandle]
+	preparedSeq      atomic.Uint64
 	prepares         atomic.Uint64
 	preparedSearches atomic.Uint64
-	preparedExpired  atomic.Uint64
 
 	// Durability counters: completed background/explicit checkpoints,
 	// failures, the busy latch that keeps at most one background
@@ -187,10 +200,7 @@ type Server struct {
 	ckptRunMu    sync.Mutex
 	lastCkptUnix atomic.Int64
 
-	// cur is the published epoch. swapMu fences cache writes against the
-	// invalidate-then-publish sequence so a result computed on epoch N
-	// can never enter the cache after the invalidation pass for epoch
-	// N+1 ran (which would leak a stale answer into the new epoch).
+	// cur is the published epoch.
 	//
 	// Updates are pipelined: applyMu serializes the in-memory apply
 	// chain (tail is the newest applied-but-unpublished engine), the
@@ -202,7 +212,6 @@ type Server struct {
 	tail    *engineState // nil = no unpublished state; rebase off cur
 	pubMu   sync.Mutex
 	pubCond *sync.Cond
-	swapMu  sync.RWMutex
 
 	// Serving-path machinery: read coalescing and admission control.
 	flights flightGroup
@@ -214,10 +223,10 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:          cfg,
-		cache:        NewLRU[*cacheEntry](cfg.CacheSize),
-		start:        time.Now(),
-		preparedByID: make(map[string]*preparedHandle),
+		cfg:      cfg,
+		cache:    cache.New[*cacheEntry](cfg.CacheSize),
+		start:    time.Now(),
+		prepared: cache.New[*preparedHandle](maxPrepared),
 	}
 	s.pubCond = sync.NewCond(&s.pubMu)
 	if cfg.MaxConcurrent > 0 {

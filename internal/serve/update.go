@@ -113,10 +113,6 @@ func (s *Server) applyUpdate(u kbtable.Update) (*UpdateResponse, error) {
 		}
 	}
 
-	touched := make(map[string]bool, len(res.TouchedWords))
-	for _, wd := range res.TouchedWords {
-		touched[wd] = true
-	}
 	// Publish strictly in epoch order: a handler whose predecessor is
 	// still fsyncing parks here until that epoch lands, so searches
 	// observe epochs 1, 2, 3, … with no gaps and every response's epoch
@@ -125,27 +121,17 @@ func (s *Server) applyUpdate(u kbtable.Update) (*UpdateResponse, error) {
 	for s.cur.Load().epoch+1 != next.epoch {
 		s.pubCond.Wait()
 	}
-	s.swapMu.Lock()
-	invalidated := s.cache.DeleteFunc(func(_ string, ent *cacheEntry) bool {
-		if res.ScoresRefreshed {
-			// PageRank moved globally: no cached answer is provably
-			// unchanged, word precision does not apply.
-			return true
-		}
-		for _, wd := range ent.words {
-			if touched[wd] {
-				return true
-			}
-		}
-		return false
-	})
+	// Both caches move to the next epoch before it is published, so a
+	// result or handle computed on the superseded epoch is either judged
+	// by this pass or refused by Put. Results whose words the update
+	// touched are dropped (all of them when PageRank moved globally);
+	// prepared handles are bound to their snapshot, so every one is
+	// dropped and answers 410 until the client re-prepares.
+	_, invalidated := s.cache.Invalidate(res.TouchedWords, res.ScoresRefreshed)
+	s.prepared.Invalidate(nil, true)
 	s.cur.Store(next)
-	s.swapMu.Unlock()
 	s.pubCond.Broadcast()
 	s.pubMu.Unlock()
-	// Prepared handles are bound to their snapshot: every one from a
-	// superseded epoch now answers 410 and the client re-prepares.
-	s.dropPrepared()
 	s.updates.Add(1)
 	s.maybeCheckpoint()
 

@@ -35,6 +35,7 @@ import (
 	"strings"
 	"time"
 
+	"kbtable/internal/cache"
 	"kbtable/internal/core"
 	"kbtable/internal/index"
 	"kbtable/internal/kg"
@@ -317,8 +318,8 @@ type Engine struct {
 	// cache epoch this snapshot was created at. A superseded snapshot's
 	// epoch is stale, so its lookups miss and its puts are dropped — a
 	// slow request racing an update can never install pre-update
-	// statistics. See search.PlanCache.
-	plans     *search.PlanCache
+	// statistics. See internal/cache.
+	plans     *cache.Cache[search.PlanStats]
 	planEpoch uint64
 }
 
@@ -342,7 +343,7 @@ func NewEngine(g *Graph, opts EngineOptions) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kbtable: %w", err)
 	}
-	return &Engine{g: g, sh: sh, o: opts, plans: search.NewPlanCache(0)}, nil
+	return &Engine{g: g, sh: sh, o: opts, plans: cache.New[search.PlanStats](planCacheSize)}, nil
 }
 
 // IndexStats describe the built index (the quantities of Figure 6).
@@ -470,20 +471,26 @@ func (e *Engine) search(ctx context.Context, exec ShardExecutor, query string, o
 		return nil, PlanInfo{}, err
 	}
 	so := e.searchOptions(opts)
-	// A plan-cache hit skips the planner probe and executes the resolved
-	// algorithm directly (answers are bit-identical — the Auto-equivalence
-	// property).
-	plan, hit := e.cachedAutoPlan(query, algo == search.AlgoAuto)
-	if !hit {
-		plan = search.Plan{Algo: algo}
+	// An Auto query resolves its plan-cache key once. A hit skips the
+	// planner probe and executes the resolved algorithm directly (answers
+	// are bit-identical — the Auto-equivalence property); a miss caches
+	// the execution's plan statistics, which are exactly a probe's.
+	plan, hit := search.Plan{Algo: algo}, false
+	var key string
+	var words []string
+	if algo == search.AlgoAuto {
+		key, words = e.planKey(query)
+		var st search.PlanStats
+		if st, hit = e.plans.Get(key, e.planEpoch); hit {
+			plan = search.ChoosePlan(search.AlgoAuto, st)
+		}
 	}
 	res, err := e.sh.Search(ctx, plan, query, so, e.legs(exec, query, opts))
 	if err != nil {
 		return nil, PlanInfo{}, fmt.Errorf("kbtable: %w", err)
 	}
-	if !hit && algo == search.AlgoAuto {
-		// An Auto execution's plan statistics are exactly a probe's.
-		e.rememberPlanStats(query, res.Plan.Stats)
+	if algo == search.AlgoAuto && !hit {
+		e.plans.Put(key, e.planEpoch, res.Plan.Stats, words)
 	}
 	return e.answers(res), planInfo(res.Plan, res.Stats), nil
 }
@@ -569,7 +576,7 @@ func NewEngineFromIndex(g *Graph, path string, opts EngineOptions) (*Engine, err
 	if err != nil {
 		return nil, fmt.Errorf("kbtable: %w", err)
 	}
-	return &Engine{g: g, sh: sh, o: opts, plans: search.NewPlanCache(0)}, nil
+	return &Engine{g: g, sh: sh, o: opts, plans: cache.New[search.PlanStats](planCacheSize)}, nil
 }
 
 // Graph returns the engine's knowledge-graph snapshot.
@@ -820,8 +827,11 @@ func (e *Engine) ApplyUpdate(u Update) (*Engine, UpdateResult, error) {
 	if err != nil {
 		return nil, res, fmt.Errorf("kbtable: %w", err)
 	}
-	ne := &Engine{g: &Graph{g: ch.New}, sh: nsh, o: e.o, seq: e.seq}
-	ne.carryPlanCache(e, us.TouchedWords, us.ScoresRefreshed)
+	// The successor carries the chain's plan cache forward, invalidated
+	// word-precisely (a PageRank refresh flushes it); the epoch bump
+	// fences the predecessor out of it entirely.
+	ne := &Engine{g: &Graph{g: ch.New}, sh: nsh, o: e.o, seq: e.seq, plans: e.plans}
+	ne.planEpoch, _ = e.plans.Invalidate(us.TouchedWords, us.ScoresRefreshed)
 	res.DirtyRoots = us.DirtyRoots
 	res.EntriesRemoved = us.EntriesRemoved
 	res.EntriesAdded = us.EntriesAdded

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"kbtable/internal/cache"
 	"kbtable/internal/search"
 	"kbtable/internal/shard"
 	"kbtable/internal/text"
@@ -25,78 +26,41 @@ func NormalizeQuery(q string) string {
 	return strings.Join(text.Tokenize(q), " ")
 }
 
+// planCacheSize bounds the plan cache each engine chain owns.
+const planCacheSize = 512
+
 // PlanCacheStats snapshots the engine chain's plan-cache effectiveness.
-type PlanCacheStats = search.PlanCacheStats
+type PlanCacheStats = cache.Stats
 
 // PlanCacheStats reports the plan cache shared along this engine's
-// update chain (zeros when the engine predates the cache, e.g. a
-// zero-value Engine).
-func (e *Engine) PlanCacheStats() PlanCacheStats {
-	if e.plans == nil {
-		return PlanCacheStats{}
-	}
-	return e.plans.Stats()
-}
+// update chain.
+func (e *Engine) PlanCacheStats() PlanCacheStats { return e.plans.Stats() }
 
-// carryPlanCache hands the predecessor's plan cache to a successor
-// snapshot, invalidating word-precisely: entries depending on a touched
-// word are evicted, a structural PageRank refresh flushes everything,
-// and the epoch bump fences the predecessor out of the cache entirely.
-func (ne *Engine) carryPlanCache(e *Engine, touched []string, flush bool) {
-	if e.plans == nil {
-		return
-	}
-	ne.plans = e.plans
-	ne.planEpoch = ne.plans.Invalidate(touched, flush)
+// planKey resolves a query's plan-cache key and invalidation tags: its
+// sorted canonical words (PlanStats are set-valued, so word order cannot
+// matter), joined by a separator no token contains, so the key is
+// injective. No option enters the key: PlanStats depend only on the words
+// and the index contents, and the plan is re-derived per request by
+// ChoosePlan.
+func (e *Engine) planKey(query string) (string, []string) {
+	words := e.QueryWords(query)
+	return strings.Join(words, "\x1f"), words
 }
 
 // planStats returns the merged prepare-stage statistics for query,
 // consulting the plan cache and probing — every shard through legs or
-// in process; both merge to the same statistics — only on a miss. The
-// cache key is the resolved canonical word set alone: PlanStats depend
-// only on those words and the index contents — never on Options — and
-// the plan itself is re-derived per request by ChoosePlan.
+// in process; both merge to the same statistics — only on a miss.
 func (e *Engine) planStats(ctx context.Context, query string, so search.Options, legs shard.Legs) (search.PlanStats, error) {
-	words := e.QueryWords(query)
-	key := search.PlanCacheKey(words)
-	if e.plans != nil {
-		if st, ok := e.plans.Get(key, e.planEpoch); ok {
-			return st, nil
-		}
+	key, words := e.planKey(query)
+	if st, ok := e.plans.Get(key, e.planEpoch); ok {
+		return st, nil
 	}
 	st, err := e.sh.PlanStats(ctx, query, so, legs)
 	if err != nil {
 		return search.PlanStats{}, err
 	}
-	if e.plans != nil {
-		e.plans.Put(key, e.planEpoch, st, words)
-	}
+	e.plans.Put(key, e.planEpoch, st, words)
 	return st, nil
-}
-
-// cachedAutoPlan resolves an Auto query's plan from cached statistics
-// without probing. auto gates it (explicit algorithms have nothing to
-// resolve); a cache miss returns hit=false and the caller probes.
-func (e *Engine) cachedAutoPlan(query string, auto bool) (search.Plan, bool) {
-	if !auto || e.plans == nil {
-		return search.Plan{}, false
-	}
-	words := e.QueryWords(query)
-	st, ok := e.plans.Get(search.PlanCacheKey(words), e.planEpoch)
-	if !ok {
-		return search.Plan{}, false
-	}
-	return search.ChoosePlan(search.AlgoAuto, st), true
-}
-
-// rememberPlanStats caches an executed Auto query's probe statistics for
-// the next request of the same shape.
-func (e *Engine) rememberPlanStats(query string, st search.PlanStats) {
-	if e.plans == nil {
-		return
-	}
-	words := e.QueryWords(query)
-	e.plans.Put(search.PlanCacheKey(words), e.planEpoch, st, words)
 }
 
 // --- Prepared queries -------------------------------------------------
