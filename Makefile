@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race alloc bench benchmark-module index-procs fma fmt vet check cover fuzz golden loc serve clean ci-local cold-start snapshot-fixture load-soak cluster-soak
+.PHONY: build test race alloc bench benchmark-module index-procs fma one-baseline fmt vet check cover fuzz golden loc serve clean ci-local cold-start snapshot-fixture load-soak cluster-soak
 
 build:
 	$(GO) build ./...
@@ -51,7 +51,15 @@ fma:
 	  if [ -n "$$fused" ]; then echo "fused multiply-adds on arm64 (wrap the product in float64()):"; echo "$$fused"; exit 1; fi; \
 	  echo "no fused multiply-adds on arm64"
 
-check: vet build race alloc bench benchmark-module index-procs fma
+# The paper's baseline is an oracle, run by the kbtable facade alone over
+# one whole-graph BaselineIndex: fail if a serving layer names it again.
+BASELINE_FREE = internal/shard internal/cluster internal/serve internal/api cmd/kbsearch
+one-baseline:
+	@hits=$$(grep -rnE 'AlgoBaseline|BaselineIndex|kbtable\.Baseline' --include='*.go' --exclude='*_test.go' $(BASELINE_FREE)); \
+	  if [ -n "$$hits" ]; then echo "baseline paths outside the facade:"; echo "$$hits"; exit 1; fi; \
+	  echo "one baseline path"
+
+check: vet build race alloc bench benchmark-module index-procs fma one-baseline
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@echo "all checks passed"
 
@@ -84,7 +92,7 @@ ci-local:
 	$(GO) build ./examples/...
 	$(GO) test -race ./...
 	$(GO) test -run TestSnapshotFixture -v .
-	$(MAKE) alloc index-procs benchmark-module fma
+	$(MAKE) alloc index-procs benchmark-module fma one-baseline
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 	$(GO) test -coverprofile=cover.out -coverpkg=$(COVER_PKGS) ./...
 	@total=$$($(GO) tool cover -func=cover.out | tail -1 | awk '{print $$3}' | tr -d '%'); \

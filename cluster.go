@@ -60,8 +60,8 @@ func (e *Engine) ProbeShard(ctx context.Context, si int, query string, opts Sear
 }
 
 // ScatterShard runs one resident shard's scatter leg under an already
-// resolved algorithm (never Auto; Baseline stays in process) and returns
-// the wire partial an exact cluster gather consumes.
+// resolved algorithm (PatternEnum or LinearEnum) and returns the wire
+// partial an exact cluster gather consumes.
 func (e *Engine) ScatterShard(ctx context.Context, si int, algorithm Algorithm, query string, opts SearchOptions) (*ShardPartial, error) {
 	algo, err := searchAlgo(algorithm)
 	if err != nil {
@@ -79,9 +79,10 @@ func (e *Engine) ScatterShard(ctx context.Context, si int, algorithm Algorithm, 
 // its own resident shard when either method returns an error, and also
 // when a returned partial fails its checks: a wrong shard label, a path
 // pattern the coordinator's shard does not hold, a pattern without one
-// path per keyword, or roots that do not ascend within the shard. So a
-// transport-level executor never has to be correct — only fast. Baseline
-// and sampled (Lambda > 0) queries never reach it: they run in process.
+// path per keyword, a pattern listed twice or without roots, or roots
+// that do not ascend within the shard. So a transport-level executor
+// never has to be correct — only fast. Baseline and sampled (Lambda > 0)
+// queries never reach it: they run on the coordinator.
 type ShardExecutor interface {
 	ProbeShard(ctx context.Context, si int, query string, opts SearchOptions) (ShardPlanStats, error)
 	ScatterShard(ctx context.Context, si int, algorithm Algorithm, query string, opts SearchOptions) (*ShardPartial, error)

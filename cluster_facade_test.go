@@ -188,6 +188,18 @@ func TestSearchDistributedRejectsCorruptPartials(t *testing.T) {
 	}
 	corruptions := map[string]func(*ShardPartial) bool{
 		"mislabeled shard": func(p *ShardPartial) bool { p.Shard = 1 - p.Shard; return true },
+		// Patterns[0] is the leg's highest-scoring pattern.
+		"duplicated pattern": func(p *ShardPartial) bool {
+			p.Patterns = append(p.Patterns, p.Patterns[0])
+			return len(p.Patterns) > 1
+		},
+		"rootless pattern": func(p *ShardPartial) bool {
+			if len(p.Patterns) == 0 {
+				return false
+			}
+			p.Patterns[0].RootAggs = nil
+			return true
+		},
 		"unknown type": onPattern(1, func(_ *ShardPartial, wp *shard.WirePattern) bool {
 			wp.Paths[0].Types[0] = 9999
 			return true

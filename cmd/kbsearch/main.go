@@ -42,7 +42,7 @@ func main() {
 	kind := flag.String("kind", "", "generate instead of loading: wiki, imdb, or fig1")
 	d := flag.Int("d", 3, "height threshold for tree patterns")
 	k := flag.Int("k", 5, "number of table answers")
-	algo := flag.String("algo", "pe", "algorithm: pe (PATTERNENUM), le (LINEARENUM), baseline, auto (cost-based planner)")
+	algo := flag.String("algo", "pe", "algorithm: pe (PATTERNENUM), le (LINEARENUM), auto (cost-based planner)")
 	explain := flag.Bool("explain", false, "print the resolved plan and per-stage timings for each query")
 	rows := flag.Int("rows", 8, "max table rows to print per answer")
 	shards := flag.Int("shards", 1, "number of index shards candidate roots are partitioned across (1 = one index, queried directly; more = scatter-gather)")
@@ -95,12 +95,10 @@ func main() {
 		salgo = search.AlgoPE
 	case "le":
 		salgo = search.AlgoLE
-	case "baseline":
-		salgo = search.AlgoBaseline
 	case "auto":
 		salgo = search.AlgoAuto
 	default:
-		log.Fatalf("unknown -algo %q (want pe, le, baseline or auto)", *algo)
+		log.Fatalf("unknown -algo %q (want pe, le or auto)", *algo)
 	}
 
 	opts := search.Options{K: *k, Lambda: *lambda, Rho: *rho, MaxTreesPerPattern: *rows}
@@ -153,7 +151,7 @@ func main() {
 				stages.Prepare.Round(time.Microsecond), stages.Enumerate.Round(time.Microsecond),
 				stages.Aggregate.Round(time.Microsecond), stages.Rank.Round(time.Microsecond))
 		}
-		if *repeat > 1 && salgo != search.AlgoBaseline {
+		if *repeat > 1 {
 			runPrepared(q, *repeat, elapsed)
 		}
 		for i, rp := range res.Patterns {

@@ -80,7 +80,7 @@ func main() {
 	maxK := flag.Int("max-k", 1000, "largest k a request may ask for")
 	maxRows := flag.Int("max-rows", 50, "default cap on table rows per answer")
 	readOnly := flag.Bool("readonly", false, "disable POST /v1/update (serve a frozen snapshot)")
-	defaultAlgo := flag.String("default-algo", "patternenum", "algorithm for requests that omit one: patternenum, linearenum, baseline, or auto (cost-based planner)")
+	defaultAlgo := flag.String("default-algo", "patternenum", "algorithm for requests that omit one: patternenum, linearenum, or auto (cost-based planner)")
 	dataDir := flag.String("data-dir", "", "durable data directory: WAL-log updates, checkpoint snapshots, recover on restart")
 	ckptEvery := flag.Int("checkpoint-every", 64, "background-checkpoint after this many WAL records accumulate past the last snapshot (negative disables)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "admission control: concurrently executing searches (0 = max(8, 4*GOMAXPROCS), negative disables)")

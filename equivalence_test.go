@@ -24,7 +24,7 @@ import (
 // QueryStats counter, per ranked pattern its score, aggregate, content
 // key, per-root partials and materialized trees, per query the individual
 // top trees and the answer counts. The reference's (one shard, one worker,
-// search.Executor on one index) is committed as testdata/deep/<corpus>.txt
+// search.Execute on one index, the baseline on its own) is committed as testdata/deep/<corpus>.txt
 // and rewritten with the goldens (`make golden`). Floats print in the
 // shortest form that parses back to the same float64, so equal text means
 // equal bits; wall-clock timings are never dumped.
@@ -95,8 +95,8 @@ type deepRunner struct {
 	trees  func(q string) (top []shard.RankedTree, st search.QueryStats, patterns int, subtrees int64)
 }
 
-// executorRunner runs search.Executor on one index built from g — at one
-// worker, the reference.
+// executorRunner runs search.Execute on one index built from g, and the
+// baseline on a BaselineIndex built from g — at one worker, the reference.
 func executorRunner(t *testing.T, g *Graph, workers int) deepRunner {
 	ix, err := index.Build(g.g, index.Options{D: 3, Workers: 1})
 	if err != nil {
@@ -109,16 +109,22 @@ func executorRunner(t *testing.T, g *Graph, workers int) deepRunner {
 	return deepRunner{
 		search: func(q string, algo search.Algo, o search.Options) (deepResult, error) {
 			o.Workers = workers
-			res, err := search.Executor{Ix: ix, BL: bl}.Search(context.Background(), q, algo, o)
-			if err != nil {
-				return deepResult{}, err
-			}
+			var out deepResult
 			pt := ix.PatternTable()
-			if res.Table != nil {
-				pt = res.Table // the baseline interns its own
+			if algo == search.AlgoBaseline {
+				res, err := bl.SearchCtx(context.Background(), q, o)
+				if err != nil {
+					return deepResult{}, err
+				}
+				out, pt = deepResult{plan: res.Plan, stats: res.Stats, patterns: res.Patterns}, res.Table // the baseline interns its own
+			} else {
+				res, err := search.Execute(context.Background(), ix, q, algo, o)
+				if err != nil {
+					return deepResult{}, err
+				}
+				out = deepResult{plan: res.Plan, stats: res.Stats, patterns: res.Patterns}
 			}
-			out := deepResult{plan: res.Plan, stats: res.Stats, patterns: res.Patterns}
-			for range res.Patterns {
+			for range out.patterns {
 				out.tables = append(out.tables, pt)
 			}
 			return out, nil
@@ -135,17 +141,20 @@ func executorRunner(t *testing.T, g *Graph, workers int) deepRunner {
 	}
 }
 
-// engineRunner runs the engine's shard layer at one worker through legs
-// (nil: every leg in process), or through shard.Prepare then
-// SearchPrepared.
-func engineRunner(sh *shard.Engine, prepared bool, legs func(q string, o search.Options) shard.Legs) deepRunner {
+// engineRunner runs the engine at one worker: Baseline on its whole-graph
+// baseline, the others on the shard layer through legs (nil: every leg in
+// process), or through shard.Prepare then SearchPrepared.
+func engineRunner(e *Engine, prepared bool, legs func(q string, o search.Options) shard.Legs) deepRunner {
 	ctx := context.Background()
+	sh := e.sh
 	return deepRunner{
 		search: func(q string, algo search.Algo, o search.Options) (deepResult, error) {
 			o.Workers = 1
 			var res *shard.Result
 			var err error
-			if prepared {
+			if algo == search.AlgoBaseline {
+				res, err = e.searchBaseline(ctx, q, o)
+			} else if prepared {
 				var p *shard.Prepared
 				if p, err = sh.Prepare(ctx, algo, q, o); err == nil {
 					res, err = sh.SearchPrepared(ctx, p, o)
@@ -338,7 +347,7 @@ var knownDiffs = []knownDiff{
 	{"sharded", "PETopK", "stats.empty", "empty combinations count per shard: one can be empty on one shard and not on another"},
 	{"sharded", "trees", "stats.pruned", "each shard prunes roots against its own top-k heap"},
 	{"cluster", "max avg count rootaggs k3all", "-", "a leg's partial holds the same patterns and root partials whatever the Agg, K or row cap, so the default set's legs already send these over the wire"},
-	{"prepared", "Baseline", "-", "the baseline has no prepare stage"},
+	{"prepared", "Baseline", "-", "the baseline has no prepare stage to retain: it resolves keywords against its own index and finds roots by backward search per query"},
 	{"updated", "PETopK", "stats.pruned", "PATTERNENUM meets combinations in PatternID order, which ApplyDelta (old IDs kept, new ones appended) and a build (first-seen order) assign differently, so its bound fires at other points"},
 	{"updated", "PETopK", "stats.patterns", "combinations one side pruned never reached its pattern count"},
 	{"updated", "PETopK", "stats.trees", "combinations one side pruned never reached its tree count"},
@@ -449,7 +458,7 @@ func (l wireLegs) Scatter(ctx context.Context, si int, algo search.Algo) (*shard
 // adding each leg that fell back to its own shard to fallbacks.
 func clusterRunner(coord *Engine, owners []*Engine, fallbacks *atomic.Int64) deepRunner {
 	var scattered atomic.Int64
-	r := engineRunner(coord.sh, false, func(q string, o search.Options) shard.Legs {
+	r := engineRunner(coord, false, func(q string, o search.Options) shard.Legs {
 		return wireLegs{owners, q, o, &scattered, fallbacks}
 	})
 	run := r.search
@@ -518,7 +527,7 @@ func testMatrix(t *testing.T, spec corpusSpec, resolved *[2]atomic.Int64) {
 	}
 	rebuilt := map[int]map[deepCell][]string{}
 	for _, n := range []int{1, 3} {
-		rebuilt[n] = deepDump(t, spec.queries, engineRunner(matrixEngine(t, final.Graph(), n).sh, false, nil), nil)
+		rebuilt[n] = deepDump(t, spec.queries, engineRunner(matrixEngine(t, final.Graph(), n), false, nil), nil)
 	}
 
 	fixture := readDeep(t, spec)
@@ -533,18 +542,18 @@ func testMatrix(t *testing.T, spec corpusSpec, resolved *[2]atomic.Int64) {
 		{"reference", nil, executorRunner(t, g, 1), fixture},
 		{"workers2", nil, executorRunner(t, g, 2), fixture},
 		{"workers4", nil, executorRunner(t, g, 4), fixture},
-		{"shards1", engine, engineRunner(engines[1].sh, false, nil), fixture},
-		{"shards2", sharded, engineRunner(engines[2].sh, false, nil), fixture},
-		{"shards3", sharded, engineRunner(engines[3].sh, false, nil), fixture},
-		{"shards8", sharded, engineRunner(engines[8].sh, false, nil), fixture},
-		{"prepared1", []string{"engine", "prepared"}, engineRunner(engines[1].sh, true, nil), fixture},
-		{"prepared3", []string{"engine", "sharded", "prepared"}, engineRunner(engines[3].sh, true, nil), fixture},
-		{"recovered1", engine, engineRunner(recovered(t, engines[1]).sh, false, nil), fixture},
-		{"recovered3", sharded, engineRunner(recovered(t, engines[3]).sh, false, nil), fixture},
+		{"shards1", engine, engineRunner(engines[1], false, nil), fixture},
+		{"shards2", sharded, engineRunner(engines[2], false, nil), fixture},
+		{"shards3", sharded, engineRunner(engines[3], false, nil), fixture},
+		{"shards8", sharded, engineRunner(engines[8], false, nil), fixture},
+		{"prepared1", []string{"engine", "prepared"}, engineRunner(engines[1], true, nil), fixture},
+		{"prepared3", []string{"engine", "sharded", "prepared"}, engineRunner(engines[3], true, nil), fixture},
+		{"recovered1", engine, engineRunner(recovered(t, engines[1]), false, nil), fixture},
+		{"recovered3", sharded, engineRunner(recovered(t, engines[3]), false, nil), fixture},
 		{"cluster2", cluster, clusterRunner(engines[2], owners[2], &fallbacks), fixture},
 		{"cluster3", cluster, clusterRunner(engines[3], owners[3], &fallbacks), fixture},
-		{"updated1", []string{"updated"}, engineRunner(updated[1].sh, false, nil), rebuilt[1]},
-		{"updated3", []string{"updated"}, engineRunner(updated[3].sh, false, nil), rebuilt[3]},
+		{"updated1", []string{"updated"}, engineRunner(updated[1], false, nil), rebuilt[1]},
+		{"updated3", []string{"updated"}, engineRunner(updated[3], false, nil), rebuilt[3]},
 		{"updated-cluster2", cluster, clusterRunner(updated[2], updatedOwners[2], &fallbacks), rebuilt[1]},
 		{"updated-cluster3", cluster, clusterRunner(updated[3], updatedOwners[3], &fallbacks), rebuilt[1]},
 	}

@@ -88,10 +88,11 @@ type SearchRequest struct {
 	Query string `json:"query"`
 	// K is the number of table answers; default 10.
 	K int `json:"k,omitempty"`
-	// Algorithm is "patternenum"/"pe" (default), "linearenum"/"le",
-	// "baseline", or "auto" (the cost-based planner picks patternenum or
-	// linearenum per query; answers are bit-identical to requesting the
-	// resolved algorithm explicitly).
+	// Algorithm is "patternenum"/"pe" (default), "linearenum"/"le", or
+	// "auto" (the cost-based planner picks patternenum or linearenum per
+	// query; answers are bit-identical to requesting the resolved
+	// algorithm explicitly). Anything else, "baseline" included, is 400
+	// bad_request: the paper's baseline runs in the library only.
 	Algorithm string `json:"algorithm,omitempty"`
 	// D must be 0 or the engine's height threshold.
 	D int `json:"d,omitempty"`
@@ -178,8 +179,7 @@ type PlanOut struct {
 }
 
 // PrepareRequest is the POST /v1/prepare body: the search shape to
-// retain. The fields mirror SearchRequest (baseline cannot be prepared —
-// it has no prepare stage).
+// retain. The fields and their values mirror SearchRequest.
 type PrepareRequest struct {
 	Query     string `json:"query"`
 	K         int    `json:"k,omitempty"`
@@ -434,9 +434,8 @@ type ClusterProbeResponse struct {
 
 // ClusterScatterRequest is the coordinator→node POST /v1/cluster/scatter
 // body: run one shard's enumerate→aggregate leg under an already
-// resolved algorithm ("patternenum" or "linearenum"; never "auto" —
-// the coordinator resolves plans — and never "baseline", which stays
-// in-process).
+// resolved algorithm, "patternenum" or "linearenum" ("auto" is 400
+// bad_request: the coordinator resolves plans).
 type ClusterScatterRequest struct {
 	Shard     int    `json:"shard"`
 	Query     string `json:"query"`
@@ -510,8 +509,6 @@ func AlgorithmName(a kbtable.Algorithm) string {
 	switch a {
 	case kbtable.LinearEnum:
 		return "linearenum"
-	case kbtable.Baseline:
-		return "baseline"
 	case kbtable.Auto:
 		return "auto"
 	default:
@@ -527,12 +524,10 @@ func ParseAlgorithm(s string) (kbtable.Algorithm, error) {
 		return kbtable.PatternEnum, nil
 	case "le", "linearenum":
 		return kbtable.LinearEnum, nil
-	case "baseline":
-		return kbtable.Baseline, nil
 	case "auto":
 		return kbtable.Auto, nil
 	}
-	return 0, fmt.Errorf("unknown algorithm %q (want patternenum, linearenum, baseline or auto)", s)
+	return 0, fmt.Errorf("unknown algorithm %q (want patternenum, linearenum or auto)", s)
 }
 
 // seqKey carries a pinned WAL sequence through a context from the

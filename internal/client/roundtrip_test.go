@@ -148,7 +148,7 @@ func TestRoundTripErrorCodes(t *testing.T) {
 	_, err = cl.Search(ctx, &api.SearchRequest{Query: "software", Algorithm: "bogus"})
 	wantCode(t, err, http.StatusBadRequest, api.CodeBadRequest)
 
-	// 400 bad_request: prepare of baseline.
+	// 400 bad_request: prepare of baseline, which the wire does not serve.
 	_, err = cl.Prepare(ctx, &api.PrepareRequest{Query: "software", Algorithm: "baseline"})
 	wantCode(t, err, http.StatusBadRequest, api.CodeBadRequest)
 

@@ -205,7 +205,7 @@ func TestClusterGoldenByteIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, algo := range []string{"patternenum", "linearenum", "auto", "baseline"} {
+					for _, algo := range []string{"patternenum", "linearenum", "auto"} {
 						resp, err := tc.cl.Search(context.Background(), &api.SearchRequest{
 							Query: q, K: goldenK, MaxRows: goldenRows, Algorithm: algo,
 						})
@@ -447,6 +447,47 @@ func TestStaleSeqRefused(t *testing.T) {
 		Shard: 0, Query: "software", K: 5, Seq: 0,
 	}); err != nil {
 		t.Fatalf("matching seq refused: %v", err)
+	}
+}
+
+// TestMalformedLegIsBadRequest pins that a leg the caller got wrong — an
+// algorithm no leg runs, or a shard the node does not host — answers 400
+// bad_request on both leg endpoints, leaving 500 internal to execution
+// failures, and that the node keeps serving its resident shard.
+func TestMalformedLegIsBadRequest(t *testing.T) {
+	eng, err := kbtable.NewEngine(demoGraph(t), kbtable.EngineOptions{D: 3, Shards: 2, OwnedShards: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewNode(serve.Config{Engine: eng, D: 3, ReadOnly: true}, "node", "n0").Handler())
+	t.Cleanup(ts.Close)
+	cl := client.New(ts.URL)
+	ctx := context.Background()
+	scatter := func(si int, algo string) error {
+		_, err := cl.ScatterShard(ctx, &api.ClusterScatterRequest{Shard: si, Query: "software revenue", Algorithm: algo})
+		return err
+	}
+	probe := func(si int) error {
+		_, err := cl.ProbeShard(ctx, &api.ClusterProbeRequest{Shard: si, Query: "software revenue"})
+		return err
+	}
+	for name, err := range map[string]error{
+		"scatter baseline":           scatter(0, "baseline"),
+		"scatter auto":               scatter(0, "auto"),
+		"scatter unhosted shard":     scatter(1, "patternenum"),
+		"scatter out-of-range shard": scatter(7, "linearenum"),
+		"probe unhosted shard":       probe(1),
+		"probe negative shard":       probe(-1),
+	} {
+		if ae, ok := err.(*client.APIError); !ok || ae.Status != http.StatusBadRequest || ae.Code != api.CodeBadRequest {
+			t.Errorf("%s: %v, want 400 bad_request", name, err)
+		}
+	}
+	if err := scatter(0, "linearenum"); err != nil {
+		t.Fatalf("resident shard scatter after refused legs: %v", err)
+	}
+	if err := probe(0); err != nil {
+		t.Fatalf("resident shard probe after refused legs: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,17 +79,25 @@ func (n *Node) Handler() http.Handler {
 	return mux
 }
 
-// pinned reports whether the node's applied cursor is exactly the WAL
-// sequence a leg is pinned to, answering 409 stale_epoch when it is not:
-// a leg must never compute on a different snapshot than the coordinator
-// gathers on. Callers hold n.mu.
-func (n *Node) pinned(w http.ResponseWriter, seq uint64) bool {
-	if seq != n.cursor {
+// admit returns the engine a leg for shard si pinned to WAL sequence seq
+// runs on. It answers 409 stale_epoch when the node's applied cursor is
+// not seq — a leg must never compute on a different snapshot than the
+// coordinator gathers on — and 400 bad_request when the node does not
+// host si, which is the caller's mistake, not a failure to execute.
+// Callers hold n.mu.
+func (n *Node) admit(w http.ResponseWriter, seq uint64, si int) (serve.Engine, bool) {
+	eng, _ := n.srv.CurrentEngine()
+	switch owned := eng.OwnedShards(); {
+	case seq != n.cursor:
 		serve.WriteError(w, http.StatusConflict, api.CodeStaleEpoch,
 			fmt.Sprintf("node is at seq %d, leg pinned seq %d", n.cursor, seq))
-		return false
+	case !slices.Contains(owned, si):
+		serve.WriteError(w, http.StatusBadRequest, api.CodeBadRequest,
+			fmt.Sprintf("node does not host shard %d (hosts %v)", si, owned))
+	default:
+		return eng, true
 	}
-	return true
+	return nil, false
 }
 
 func (n *Node) handleProbe(w http.ResponseWriter, r *http.Request) {
@@ -98,10 +107,10 @@ func (n *Node) handleProbe(w http.ResponseWriter, r *http.Request) {
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	if !n.pinned(w, req.Seq) {
+	eng, ok := n.admit(w, req.Seq, req.Shard)
+	if !ok {
 		return
 	}
-	eng, _ := n.srv.CurrentEngine()
 	stats, err := eng.ProbeShard(r.Context(), req.Shard, req.Query, legOptions(req.K, req.MaxRows))
 	if err != nil {
 		serve.WriteError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
@@ -116,16 +125,19 @@ func (n *Node) handleScatter(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	algo, err := api.ParseAlgorithm(req.Algorithm)
+	if err == nil && algo == kbtable.Auto {
+		err = fmt.Errorf("a scatter leg runs a resolved algorithm, not %q", req.Algorithm)
+	}
 	if err != nil {
 		serve.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 		return
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	if !n.pinned(w, req.Seq) {
+	eng, ok := n.admit(w, req.Seq, req.Shard)
+	if !ok {
 		return
 	}
-	eng, _ := n.srv.CurrentEngine()
 	partial, err := eng.ScatterShard(r.Context(), req.Shard, algo, req.Query, legOptions(req.K, req.MaxRows))
 	if err != nil {
 		serve.WriteError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())

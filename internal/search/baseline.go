@@ -26,8 +26,6 @@ type BaselineIndex struct {
 	nodeMatches [][]nodeMatch // per canonical word
 	attrMatches [][]attrMatch // per canonical word
 	edgesByAttr [][]kg.EdgeID // attr -> edges carrying it
-
-	rootFilter func(kg.NodeID) bool // nil = every node may root answers
 }
 
 type nodeMatch struct {
@@ -49,11 +47,6 @@ type BaselineOptions struct {
 	UniformPR bool
 	// Synonyms as in index.Options.
 	Synonyms map[string]string
-	// RootFilter, when non-nil, restricts candidate roots to nodes it
-	// accepts (the shard layer passes its partition's ownership test).
-	// Keyword matches anywhere in the graph still count — only the roots
-	// of answers are filtered.
-	RootFilter func(kg.NodeID) bool
 }
 
 // NewBaseline builds the baseline's keyword-match index.
@@ -72,7 +65,7 @@ func NewBaseline(g *kg.Graph, opts BaselineOptions) (*BaselineIndex, error) {
 	if len(pr) != g.NumNodes() {
 		return nil, fmt.Errorf("search: PageRank vector has %d entries for %d nodes", len(pr), g.NumNodes())
 	}
-	b := &BaselineIndex{g: g, d: opts.D, dict: text.NewDict(), pr: pr, rootFilter: opts.RootFilter}
+	b := &BaselineIndex{g: g, d: opts.D, dict: text.NewDict(), pr: pr}
 	for alias, canon := range opts.Synonyms {
 		b.dict.AddSynonym(alias, canon)
 	}
@@ -145,12 +138,6 @@ func wordSimPairs(d *text.Dict, s string) []wordSimPair {
 	}
 	return out
 }
-
-// D returns the baseline's height threshold.
-func (b *BaselineIndex) D() int { return b.d }
-
-// Graph returns the underlying graph.
-func (b *BaselineIndex) Graph() *kg.Graph { return b.g }
 
 // BaselineResult mirrors Result but against the baseline's own pattern
 // table (it interns patterns online).
@@ -284,7 +271,7 @@ func (b *BaselineIndex) SearchCtx(ctx context.Context, query string, opts Option
 	tRank := time.Now()
 	var patterns []RankedPattern
 	for _, de := range top.Results() {
-		rp := RankedPattern{Pattern: de.tp, Agg: de.agg, Score: de.agg.Value(o.Agg), RootAggs: de.rootAggs}
+		rp := RankedPattern{Pattern: de.tp, Agg: de.agg, Score: de.agg.Value(o.Agg)}
 		if !o.SkipTrees {
 			rp.Trees = de.trees
 		}
@@ -298,10 +285,9 @@ func (b *BaselineIndex) SearchCtx(ctx context.Context, query string, opts Option
 // baselineEntry is a TreeDict slot: the paper's baseline keeps every valid
 // subtree of every pattern in memory, which is exactly its bottleneck.
 type baselineEntry struct {
-	tp       core.TreePattern
-	agg      core.PatternScore
-	trees    []core.Subtree
-	rootAggs []RootAgg // per-root partials, kept under CollectRootAggs
+	tp    core.TreePattern
+	agg   core.PatternScore
+	trees []core.Subtree
 }
 
 // backward runs one multi-source reverse BFS per keyword and intersects
@@ -356,7 +342,7 @@ func (b *BaselineIndex) backward(words []text.WordID) []kg.NodeID {
 	all := uint16(1)<<uint(len(words)) - 1
 	var out []kg.NodeID
 	for v := 0; v < n; v++ {
-		if reach[v] == all && (b.rootFilter == nil || b.rootFilter(kg.NodeID(v))) {
+		if reach[v] == all {
 			out = append(out, kg.NodeID(v))
 		}
 	}
@@ -465,8 +451,7 @@ type patternedPath struct {
 // each tuple into the dictionary under its tree pattern. Subtree scores
 // fold into per-(pattern, root) partials that merge into the dictionary at
 // the end of the root's expansion — the same two-level fold as
-// aggregatePattern, so baseline scores are bit-identical to PE/LE and to
-// the re-folded shard gather.
+// aggregatePattern, so baseline scores are bit-identical to PE/LE.
 func (b *BaselineIndex) expandOnline(words []text.WordID, r kg.NodeID, lists [][]patternedPath, o Options, pt *core.PatternTable, treeDict map[string]*baselineEntry) {
 	m := len(words)
 	choice := make([]core.PatternID, m)
@@ -513,10 +498,6 @@ func (b *BaselineIndex) expandOnline(words []text.WordID, r kg.NodeID, lists [][
 	}
 	rec(0)
 	for key, local := range locals {
-		de := treeDict[key]
-		de.agg.Merge(*local)
-		if o.CollectRootAggs {
-			de.rootAggs = append(de.rootAggs, RootAgg{Root: r, Agg: *local})
-		}
+		treeDict[key].agg.Merge(*local)
 	}
 }

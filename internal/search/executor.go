@@ -54,7 +54,7 @@ const (
 	// AlgoLE is LINEARENUM-TOPK (Section 4.2).
 	AlgoLE
 	// AlgoBaseline is the enumeration–aggregation baseline (Section 2.3);
-	// executing it requires an Executor with a BaselineIndex.
+	// it runs on a BaselineIndex, never through Execute.
 	AlgoBaseline
 	// AlgoAuto defers the PE/LE choice to the cost-based planner.
 	AlgoAuto
@@ -392,13 +392,12 @@ func PlanProbe(ctx context.Context, ix *index.Index, query string, opts Options)
 
 // Execute runs one query through the staged pipeline on a path index.
 // algo may be AlgoAuto (resolved by the planner after prepare) but not
-// AlgoBaseline — the baseline needs its own index; use Executor for a
-// surface that dispatches all three.
+// AlgoBaseline, which runs on its own index (BaselineIndex.SearchCtx).
 func Execute(ctx context.Context, ix *index.Index, query string, algo Algo, opts Options) (*Result, error) {
 	start := time.Now()
 	o := opts.withDefaults()
 	if algo == AlgoBaseline {
-		return nil, fmt.Errorf("search: the baseline needs a BaselineIndex; use Executor")
+		return nil, fmt.Errorf("search: the baseline runs on a BaselineIndex, not a path index")
 	}
 
 	// Stage 1: prepare (keyword resolution, posting lookups, statistics).
@@ -463,33 +462,6 @@ func runStages(ctx context.Context, ix *index.Index, prep *prepared, algo Algo, 
 	stats.Stages.Rank = time.Since(t3)
 	stats.Elapsed = time.Since(start)
 	return &Result{Patterns: patterns, Stats: stats, Plan: plan}, nil
-}
-
-// Executor is the front door of the staged pipeline when all three
-// strategies must be dispatchable: a path index plus (optionally) the
-// baseline's keyword-match index.
-type Executor struct {
-	Ix *index.Index
-	// BL enables AlgoBaseline; nil executors reject it. The planner never
-	// resolves Auto to the baseline (it exists for comparison, not
-	// production), so Auto works on executors without one.
-	BL *BaselineIndex
-}
-
-// Search runs one query through the staged pipeline, dispatching any
-// strategy including AlgoBaseline and AlgoAuto.
-func (ex Executor) Search(ctx context.Context, query string, algo Algo, opts Options) (*Result, error) {
-	if algo != AlgoBaseline {
-		return Execute(ctx, ex.Ix, query, algo, opts)
-	}
-	if ex.BL == nil {
-		return nil, fmt.Errorf("search: executor has no baseline index")
-	}
-	res, err := ex.BL.SearchCtx(ctx, query, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Patterns: res.Patterns, Stats: res.Stats, Plan: res.Plan, Table: res.Table}, nil
 }
 
 // sortTypes sorts TypeIDs ascending (the deterministic per-type iteration

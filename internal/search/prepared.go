@@ -56,9 +56,6 @@ func (p *Prepared) Stats() PlanStats { return p.prep.stats }
 func ExecutePrepared(ctx context.Context, ix *index.Index, p *Prepared, algo Algo, opts Options) (*Result, error) {
 	start := time.Now()
 	o := opts.withDefaults()
-	if algo == AlgoBaseline {
-		return nil, fmt.Errorf("search: the baseline has no prepared execution")
-	}
 	if algo != p.algo && p.algo != AlgoAuto {
 		return nil, fmt.Errorf("search: prepared for %v, cannot execute as %v", p.algo, algo)
 	}

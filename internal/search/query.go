@@ -141,9 +141,6 @@ type Result struct {
 	Stats    QueryStats
 	// Plan records the resolved algorithm and the planner's statistics.
 	Plan Plan
-	// Table resolves Pattern IDs when the executing algorithm interned
-	// its own pattern table (the baseline); nil means the index's table.
-	Table *core.PatternTable
 }
 
 // ResolveQuery tokenizes q against the index dictionary and returns the

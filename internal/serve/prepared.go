@@ -44,10 +44,6 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 		return
 	}
-	if algo == kbtable.Baseline {
-		WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "baseline has no prepare stage and cannot be prepared")
-		return
-	}
 
 	st := s.cur.Load()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)

@@ -149,7 +149,7 @@ func TestPrepareAndExecute(t *testing.T) {
 	if respGone.StatusCode != http.StatusGone {
 		t.Fatalf("unknown prepared_id: status %d, want 410", respGone.StatusCode)
 	}
-	// Baseline has no prepare stage.
+	// The baseline is not a wire algorithm, so it cannot be prepared.
 	respBase, _ := postPrepare(t, ts.URL, PrepareRequest{Query: query, Algorithm: "baseline"})
 	if respBase.StatusCode != http.StatusBadRequest {
 		t.Fatalf("baseline prepare: status %d, want 400", respBase.StatusCode)

@@ -82,7 +82,7 @@ func postSearch(t *testing.T, url string, req SearchRequest) (*http.Response, *S
 
 func TestSearchEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	for _, algo := range []string{"patternenum", "linearenum", "baseline"} {
+	for _, algo := range []string{"patternenum", "linearenum"} {
 		resp, sr := postSearch(t, ts.URL, SearchRequest{Query: "database software company revenue", K: 3, Algorithm: algo})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", algo, resp.StatusCode)
@@ -136,6 +136,7 @@ func TestSearchValidation(t *testing.T) {
 	}{
 		{"empty query", SearchRequest{}, http.StatusBadRequest},
 		{"bad algorithm", SearchRequest{Query: "software", Algorithm: "dijkstra"}, http.StatusBadRequest},
+		{"baseline is not served", SearchRequest{Query: "software", Algorithm: "baseline"}, http.StatusBadRequest},
 		{"wrong d", SearchRequest{Query: "software", D: 5}, http.StatusBadRequest},
 		{"k too large", SearchRequest{Query: "software", K: 100000}, http.StatusBadRequest},
 	}
@@ -216,7 +217,7 @@ func TestConcurrentStress(t *testing.T) {
 		"software company",
 		"microsoft founder",
 	}
-	algos := []string{"patternenum", "linearenum", "baseline"}
+	algos := []string{"patternenum", "linearenum", "auto"}
 	want := map[string]int{}
 	for _, q := range queries {
 		answers, err := eng.Search(q, 5)
@@ -244,12 +245,18 @@ func TestConcurrentStress(t *testing.T) {
 					if len(answers) != want[q] {
 						errs <- fmt.Errorf("engine diverged on %q: %d != %d", q, len(answers), want[q])
 					}
-				case 1: // engine call with context and explicit algorithm
-					_, err := eng.SearchContext(context.Background(), q, kbtable.SearchOptions{
-						K: 5, Algorithm: kbtable.LinearEnum,
+				case 1: // engine call with context and explicit algorithm; the
+					// baseline is library-only, and its index is built by
+					// whichever call comes first
+					answers, err := eng.SearchContext(context.Background(), q, kbtable.SearchOptions{
+						K: 5, Algorithm: []kbtable.Algorithm{kbtable.LinearEnum, kbtable.Baseline}[w%2],
 					})
 					if err != nil {
 						errs <- err
+						continue
+					}
+					if len(answers) != want[q] {
+						errs <- fmt.Errorf("engine diverged on %q: %d != %d", q, len(answers), want[q])
 					}
 				default: // full HTTP round trip, exercising the cache
 					body, _ := json.Marshal(SearchRequest{Query: q, K: 5, Algorithm: algos[(w+i)%len(algos)]})

@@ -37,7 +37,7 @@ func TestShardedServerMatchesUnsharded(t *testing.T) {
 	for _, req := range []SearchRequest{
 		{Query: "database software", K: 10},
 		{Query: "database software", K: 10, Algorithm: "linearenum"},
-		{Query: "software company revenue", K: 10, Algorithm: "baseline"},
+		{Query: "software company revenue", K: 10, Algorithm: "auto"},
 	} {
 		_, want := postSearch(t, flat.URL, req)
 		_, got := postSearch(t, sharded.URL, req)

@@ -188,24 +188,21 @@ func (e *Engine) ProbeShard(ctx context.Context, si int, query string, opts sear
 // scatter and returns it in wire form. The options lowering is exactly
 // the in-process scatter's (unbounded retention, CollectRootAggs, split
 // worker budget), so the partial a remote owner produces is the partial
-// the coordinator's own scatter would have produced for that shard.
-// Baseline queries gather concrete trees, not per-root aggregates, and
-// stay in-process; Auto must be resolved by the coordinator first.
+// the coordinator's own scatter would have produced for that shard. Auto
+// must be resolved by the coordinator first.
 func (e *Engine) ScatterShard(ctx context.Context, si int, algo search.Algo, query string, opts search.Options) (*WirePartial, error) {
 	if algo == search.AlgoAuto {
 		return nil, fmt.Errorf("shard: scatter requires a resolved algorithm, not Auto")
 	}
-	if algo == search.AlgoBaseline {
-		return nil, fmt.Errorf("shard: the baseline gathers trees in process and cannot scatter over the wire")
-	}
-	if _, err := e.resident(si); err != nil {
-		return nil, err
-	}
-	res, err := e.searchShard(ctx, si, algo, query, e.scatterOptions(algo, opts))
+	u, err := e.resident(si)
 	if err != nil {
 		return nil, err
 	}
-	table := e.units[si].ix.PatternTable()
+	res, err := search.Execute(ctx, u.ix, query, algo, e.scatterOptions(opts))
+	if err != nil {
+		return nil, err
+	}
+	table := u.ix.PatternTable()
 	p := &WirePartial{
 		Shard:          si,
 		Patterns:       make([]WirePattern, 0, len(res.Patterns)),
@@ -251,8 +248,9 @@ func (e *Engine) ScatterShard(ctx context.Context, si int, algo search.Algo, que
 // interned into a published table. The partial is rejected — and the
 // caller runs the leg locally — when it is labeled for another shard,
 // names a path the table does not hold, has a pattern whose path count is
-// not the query's keyword count, or lists roots that do not strictly
-// ascend or that another shard owns.
+// not the query's keyword count, lists a pattern twice (its roots would
+// fold twice) or without root partials (its share would vanish), or lists
+// roots that do not strictly ascend or that another shard owns.
 func (e *Engine) fromWire(si int, query string, p *WirePartial) (shardOut, error) {
 	if p == nil || p.Shard != si {
 		return shardOut{}, fmt.Errorf("shard: partial for shard %d is missing or mislabeled", si)
@@ -262,6 +260,7 @@ func (e *Engine) fromWire(si int, query string, p *WirePartial) (shardOut, error
 	words, surfaces := search.ResolveQuery(ix, query)
 	var pp core.PathPattern // Lookup scratch; the table never retains it
 	patterns := make([]search.RankedPattern, len(p.Patterns))
+	seen := make(map[string]bool, len(p.Patterns))
 	for i, wp := range p.Patterns {
 		if len(wp.Paths) != len(words) {
 			return shardOut{}, fmt.Errorf("shard: shard %d pattern %d has %d paths for %d keywords", si, i, len(wp.Paths), len(words))
@@ -281,6 +280,14 @@ func (e *Engine) fromWire(si int, query string, p *WirePartial) (shardOut, error
 			}
 			tp.Paths[j] = id
 		}
+		key := tp.Key() // paths resolve in one table: equal IDs, equal content
+		if seen[key] {
+			return shardOut{}, fmt.Errorf("shard: shard %d pattern %d is listed twice", si, i)
+		}
+		seen[key] = true
+		if len(wp.RootAggs) == 0 {
+			return shardOut{}, fmt.Errorf("shard: shard %d pattern %d has no root partials", si, i)
+		}
 		aggs := make([]search.RootAgg, len(wp.RootAggs))
 		for x, ra := range wp.RootAggs {
 			if ra.Root < 0 || ra.Root >= int64(len(e.owner)) || int(e.owner[ra.Root]) != si || x > 0 && ra.Root <= wp.RootAggs[x-1].Root {
@@ -292,7 +299,6 @@ func (e *Engine) fromWire(si int, query string, p *WirePartial) (shardOut, error
 	}
 	return shardOut{
 		patterns: patterns,
-		table:    table,
 		stats: search.QueryStats{
 			Surfaces:       surfaces,
 			Words:          words,
@@ -303,7 +309,6 @@ func (e *Engine) fromWire(si int, query string, p *WirePartial) (shardOut, error
 			BoundPruned:    p.BoundPruned,
 			Stages:         search.StageTimings{Prepare: time.Duration(p.PrepareNS)},
 		},
-		plan:  search.Plan{Stats: fromWirePlanStats(p.PlanStats)},
-		words: words,
+		plan: search.Plan{Stats: fromWirePlanStats(p.PlanStats)},
 	}, nil
 }

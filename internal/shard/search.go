@@ -9,7 +9,6 @@ import (
 
 	"kbtable/internal/core"
 	"kbtable/internal/search"
-	"kbtable/internal/text"
 )
 
 // allK makes per-shard executors retain every pattern they find. Local
@@ -40,9 +39,8 @@ import (
 const allK = 1 << 30
 
 // RankedPattern is one globally ranked pattern. Pattern's IDs resolve in
-// Table — the pattern table of the lowest-numbered contributing shard (for
-// the baseline, that shard's per-query online table); Trees are merged
-// across all contributing shards in ascending root order.
+// Table — the pattern table of the lowest-numbered contributing shard;
+// Trees are merged across all contributing shards in ascending root order.
 type RankedPattern struct {
 	Pattern core.TreePattern
 	Table   *core.PatternTable
@@ -61,13 +59,12 @@ type Result struct {
 	Plan search.Plan
 }
 
-// shardOut is one shard's scatter result in algorithm-neutral form.
+// shardOut is one shard's scatter result; its patterns resolve in the
+// shard's own pattern table.
 type shardOut struct {
 	patterns []search.RankedPattern
-	table    *core.PatternTable
 	stats    search.QueryStats
 	plan     search.Plan
-	words    []text.WordID // the shard's resolution of the query
 	err      error
 }
 
@@ -116,14 +113,12 @@ func (e *Engine) PlanStats(ctx context.Context, query string, opts search.Option
 	return merged, nil
 }
 
-// mergedPat accumulates one pattern signature across shards.
+// mergedPat accumulates one pattern signature across shards, contributors
+// in ascending shard order.
 type mergedPat struct {
-	pattern  core.TreePattern
-	table    *core.PatternTable
 	rootAggs []search.RootAgg
 	agg      core.PatternScore // fold of rootAggs in ascending root order
 	contrib  []contribRef
-	trees    []core.Subtree // baseline only: gathered during the scatter
 }
 
 // contribRef names a contributing shard and the pattern's local identity
@@ -152,10 +147,9 @@ type contribRef struct {
 // run over N > 1 shards is a different (still unbiased) estimate than a
 // sampled one-shard run; exact mode (Lambda <= 0) is identical at every N.
 func (e *Engine) Search(ctx context.Context, plan search.Plan, query string, opts search.Options, legs Legs) (*Result, error) {
-	// The baseline gathers trees rather than per-root aggregates, and a
-	// sampled leg draws under Λ/ρ/seed, which the leg wire does not carry:
-	// both always run in process.
-	if plan.Algo == search.AlgoBaseline || opts.Lambda > 0 {
+	// A sampled leg draws under Λ/ρ/seed, which the leg wire does not
+	// carry: sampled queries always run in process.
+	if opts.Lambda > 0 {
 		legs = nil
 	}
 	if e.n == 1 && legs == nil {
@@ -170,7 +164,7 @@ func (e *Engine) Search(ctx context.Context, plan search.Plan, query string, opt
 		plan = search.ChoosePlan(search.AlgoAuto, st)
 	}
 	return e.scatterGather(ctx, start, plan, query, opts, legs, func(si int, so search.Options) (*search.Result, error) {
-		return e.searchShard(ctx, si, plan.Algo, query, so)
+		return search.Execute(ctx, e.units[si].ix, query, plan.Algo, so)
 	})
 }
 
@@ -179,7 +173,7 @@ func (e *Engine) Search(ctx context.Context, plan search.Plan, query string, opt
 // plan statistics and sampling are the executor's own. plan.Algo may be
 // Auto (one prepare serves both the planner and the execution).
 func (e *Engine) searchOne(ctx context.Context, plan search.Plan, query string, opts search.Options) (*Result, error) {
-	res, err := e.searchShard(ctx, 0, plan.Algo, query, opts)
+	res, err := search.Execute(ctx, e.units[0].ix, query, plan.Algo, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +186,7 @@ func (e *Engine) searchOne(ctx context.Context, plan search.Plan, query string, 
 
 // oneResult lifts a one-shard executor result into the engine's form.
 func (e *Engine) oneResult(res *search.Result) *Result {
-	pt := e.table(0, res)
+	pt := e.units[0].ix.PatternTable()
 	out := &Result{Patterns: make([]RankedPattern, len(res.Patterns)), Stats: res.Stats, Plan: res.Plan}
 	for i, rp := range res.Patterns {
 		out.Patterns[i] = RankedPattern{Pattern: rp.Pattern, Table: pt, Agg: rp.Agg, Score: rp.Score, Trees: rp.Trees}
@@ -200,30 +194,9 @@ func (e *Engine) oneResult(res *search.Result) *Result {
 	return out
 }
 
-// table returns the pattern table a shard executor's result resolves in:
-// the baseline interns its own per query, the others use the index's.
-func (e *Engine) table(si int, res *search.Result) *core.PatternTable {
-	if res.Table != nil {
-		return res.Table
-	}
-	return e.units[si].ix.PatternTable()
-}
-
-// searchShard runs one resident shard's executor.
-func (e *Engine) searchShard(ctx context.Context, si int, algo search.Algo, query string, so search.Options) (*search.Result, error) {
-	ex := search.Executor{Ix: e.units[si].ix}
-	if algo == search.AlgoBaseline {
-		var err error
-		if ex.BL, err = e.baseline(si); err != nil {
-			return nil, err
-		}
-	}
-	return ex.Search(ctx, query, algo, so)
-}
-
 // scatterOptions lowers the caller's options into the per-shard scatter
 // options shared by every execution path.
-func (e *Engine) scatterOptions(algo search.Algo, opts search.Options) search.Options {
+func (e *Engine) scatterOptions(opts search.Options) search.Options {
 	so := opts
 	so.K = allK
 	so.CollectRootAggs = true
@@ -245,10 +218,8 @@ func (e *Engine) scatterOptions(algo search.Algo, opts search.Options) search.Op
 			so.SampleSelectK = 100
 		}
 	}
-	// Trees for PE/LE are materialized after the global cut; the baseline
-	// necessarily collects trees while enumerating (its dictionary IS the
-	// materialization), so its per-shard caps are merged instead.
-	so.SkipTrees = algo != search.AlgoBaseline
+	// Trees are materialized after the global cut, for the winners only.
+	so.SkipTrees = true
 	return so
 }
 
@@ -261,7 +232,7 @@ func (e *Engine) scatterOptions(algo search.Algo, opts search.Options) search.Op
 // leg fails. The gather then folds the legs into the global top-k.
 func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search.Plan, query string, opts search.Options, legs Legs, local func(si int, so search.Options) (*search.Result, error)) (*Result, error) {
 	probed := time.Now()
-	so := e.scatterOptions(plan.Algo, opts)
+	so := e.scatterOptions(opts)
 	outs := make([]shardOut, e.n)
 	e.scatter(func(si int) {
 		if legs != nil {
@@ -277,9 +248,7 @@ func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search
 			outs[si].err = err
 			return
 		}
-		// Stats.Words is this shard's resolution of the query; keep it for
-		// the tree-materialization pass instead of resolving again.
-		outs[si] = shardOut{patterns: res.Patterns, table: e.table(si, res), stats: res.Stats, plan: res.Plan, words: res.Stats.Words}
+		outs[si] = shardOut{patterns: res.Patterns, stats: res.Stats, plan: res.Plan}
 	})
 	scattered := time.Now()
 	for si := range outs {
@@ -321,16 +290,16 @@ func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search
 	tAgg := time.Now()
 	byKey := map[string]*mergedPat{}
 	for si := range outs {
+		pt := e.units[si].ix.PatternTable()
 		for _, rp := range outs[si].patterns {
-			key := rp.Pattern.ContentKey(outs[si].table)
+			key := rp.Pattern.ContentKey(pt)
 			mp, ok := byKey[key]
 			if !ok {
-				mp = &mergedPat{pattern: rp.Pattern, table: outs[si].table}
+				mp = &mergedPat{}
 				byKey[key] = mp
 			}
 			mp.rootAggs = append(mp.rootAggs, rp.RootAggs...)
 			mp.contrib = append(mp.contrib, contribRef{shard: si, pattern: rp.Pattern})
-			mp.trees = append(mp.trees, rp.Trees...)
 		}
 	}
 
@@ -358,18 +327,17 @@ func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search
 	res := &Result{Patterns: make([]RankedPattern, 0, top.Len()), Plan: plan}
 	for _, mp := range top.Results() {
 		res.Patterns = append(res.Patterns, RankedPattern{
-			Pattern: mp.pattern,
-			Table:   mp.table,
+			Pattern: mp.contrib[0].pattern,
+			Table:   e.units[mp.contrib[0].shard].ix.PatternTable(),
 			Agg:     mp.agg,
 			Score:   mp.agg.Value(opts.Agg),
 		})
 	}
 
-	// Materialize tables for the winners only. Baseline trees were
-	// gathered above; PE/LE trees come from each contributing shard's
-	// pattern-first index now.
+	// Materialize tables for the winners only, from each contributing
+	// shard's pattern-first index.
 	if !opts.SkipTrees {
-		if err := e.fillTrees(ctx, plan.Algo, outs, top.Results(), res.Patterns, opts); err != nil {
+		if err := e.fillTrees(ctx, outs, top.Results(), res.Patterns, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -399,7 +367,7 @@ func (p *Prepared) Plan() search.Plan {
 // Prepare runs the prepare stage on every shard and retains the per-shard
 // output. The merged statistics are identical to PlanStats' (same
 // per-shard probes, same merge order), so a prepared Auto query resolves
-// exactly as Search would. The baseline has no prepare stage.
+// exactly as Search would.
 func (e *Engine) Prepare(ctx context.Context, algo search.Algo, query string, opts search.Options) (*Prepared, error) {
 	p := &Prepared{algo: algo, units: make([]*search.Prepared, e.n)}
 	errs := make([]error, e.n)
@@ -465,21 +433,8 @@ func (e *Engine) mergeStats(algo search.Algo, outs []shardOut) search.QueryStats
 // contributing shards in ascending root order, truncated to the
 // per-pattern cap — exactly the rows a one-shard materialization pass
 // produces, which walks roots ascending and stops at the cap.
-func (e *Engine) fillTrees(ctx context.Context, algo search.Algo, outs []shardOut, winners []*mergedPat, patterns []RankedPattern, opts search.Options) error {
+func (e *Engine) fillTrees(ctx context.Context, outs []shardOut, winners []*mergedPat, patterns []RankedPattern, opts search.Options) error {
 	maxTrees := opts.MaxTreesPerPattern
-	finish := func(trees []core.Subtree) []core.Subtree {
-		sort.SliceStable(trees, func(i, j int) bool { return trees[i].Root < trees[j].Root })
-		if maxTrees > 0 && len(trees) > maxTrees {
-			trees = trees[:maxTrees]
-		}
-		return trees
-	}
-	if algo == search.AlgoBaseline {
-		for i, mp := range winners {
-			patterns[i].Trees = finish(mp.trees)
-		}
-		return nil
-	}
 	var wg sync.WaitGroup
 	for i, mp := range winners {
 		wg.Add(1)
@@ -487,9 +442,13 @@ func (e *Engine) fillTrees(ctx context.Context, algo search.Algo, outs []shardOu
 			defer wg.Done()
 			var trees []core.Subtree
 			for _, c := range mp.contrib {
-				trees = append(trees, search.MaterializeTrees(ctx, e.units[c.shard].ix, outs[c.shard].words, c.pattern, opts)...)
+				trees = append(trees, search.MaterializeTrees(ctx, e.units[c.shard].ix, outs[c.shard].stats.Words, c.pattern, opts)...)
 			}
-			patterns[i].Trees = finish(trees)
+			sort.SliceStable(trees, func(i, j int) bool { return trees[i].Root < trees[j].Root })
+			if maxTrees > 0 && len(trees) > maxTrees {
+				trees = trees[:maxTrees]
+			}
+			patterns[i].Trees = trees
 		}(i, mp)
 	}
 	wg.Wait()

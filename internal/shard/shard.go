@@ -35,8 +35,8 @@
 //
 // Shards share the immutable *kg.Graph in process; because every shard
 // is a self-contained index (own dictionary, own pattern table) and the
-// gather protocol only exchanges per-root aggregates, trees, and content
-// keys, the same merge serves legs behind process or machine boundaries.
+// gather protocol only exchanges per-root aggregates and content keys,
+// the same merge serves legs behind process or machine boundaries.
 package shard
 
 import (
@@ -47,7 +47,6 @@ import (
 	"kbtable/internal/index"
 	"kbtable/internal/kg"
 	"kbtable/internal/rank"
-	"kbtable/internal/search"
 )
 
 // MaxShards bounds the shard count (ownership is stored in one byte per
@@ -68,16 +67,11 @@ func ownerOf(t kg.TypeID, v kg.NodeID, n int) uint8 {
 	return uint8(x % uint64(n))
 }
 
-// unit is one shard: a root-filtered path index plus the lazily built
-// root-filtered baseline, and the shard's epoch (bumped whenever an update
-// splices this shard's postings).
+// unit is one shard: a root-filtered path index and the shard's epoch
+// (bumped whenever an update splices this shard's postings).
 type unit struct {
 	ix    *index.Index
 	epoch uint64
-
-	blOnce sync.Once
-	bl     *search.BaselineIndex
-	blErr  error
 }
 
 // Engine is a sharded knowledge-base engine over one graph snapshot.
@@ -88,7 +82,7 @@ type Engine struct {
 	n     int
 	opts  index.Options // base build options; RootFilter/DirtyRoots/PageRank are per-call
 	owner []uint8       // node -> shard, fixed at node creation
-	pr    []float64     // PageRank of g, shared by shards and baselines (nil under UniformPR)
+	pr    []float64     // PageRank of g, shared by every shard (nil under UniformPR)
 	units []*unit
 }
 
@@ -211,6 +205,10 @@ func (e *Engine) Graph() *kg.Graph { return e.g }
 // D returns the height threshold shared by every shard.
 func (e *Engine) D() int { return e.opts.D }
 
+// PageRank returns the PageRank vector every shard scores with (nil under
+// UniformPR); callers must not modify it.
+func (e *Engine) PageRank() []float64 { return e.pr }
+
 // Index returns shard si's path index (read-only), or nil when the
 // shard is not resident on this engine (partial engines).
 func (e *Engine) Index(si int) *index.Index {
@@ -258,22 +256,4 @@ func (e *Engine) Stats() []ShardStat {
 		}
 	}
 	return out
-}
-
-// baseline returns shard si's lazily built baseline index.
-func (e *Engine) baseline(si int) (*search.BaselineIndex, error) {
-	u := e.units[si]
-	if u == nil {
-		return nil, fmt.Errorf("shard: shard %d is not resident on this engine", si)
-	}
-	u.blOnce.Do(func() {
-		u.bl, u.blErr = search.NewBaseline(e.g, search.BaselineOptions{
-			D:          e.opts.D,
-			UniformPR:  e.opts.UniformPR,
-			PageRank:   e.pr,
-			Synonyms:   e.opts.Synonyms,
-			RootFilter: e.filter(si),
-		})
-	})
-	return u.bl, u.blErr
 }

@@ -103,19 +103,15 @@ func renderPattern(g *kg.Graph, pt *core.PatternTable, p core.TreePattern, score
 
 // referenceResult runs the reference below the engine: the search
 // executor on one unfiltered index.
-func referenceResult(t testing.TB, g *kg.Graph, ix *index.Index, bl *search.BaselineIndex, algo search.Algo, query string, opts search.Options) []string {
+func referenceResult(t testing.TB, g *kg.Graph, ix *index.Index, algo search.Algo, query string, opts search.Options) []string {
 	t.Helper()
-	res, err := search.Executor{Ix: ix, BL: bl}.Search(context.Background(), query, algo, opts)
+	res, err := search.Execute(context.Background(), ix, query, algo, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := res.Table // the baseline's per-query table
-	if pt == nil {
-		pt = ix.PatternTable()
-	}
 	var out []string
 	for _, rp := range res.Patterns {
-		out = append(out, renderPattern(g, pt, rp.Pattern, rp.Score, rp.Agg, rp.Trees, res.Stats.Surfaces))
+		out = append(out, renderPattern(g, ix.PatternTable(), rp.Pattern, rp.Score, rp.Agg, rp.Trees, res.Stats.Surfaces))
 	}
 	return out
 }
@@ -137,9 +133,7 @@ func engineResult(t testing.TB, e *Engine, algo search.Algo, query string, opts 
 // TestShardUpdateEquivalence drives one reference index and an engine at
 // every shard count through the same randomized delta chain; after every
 // batch the engine's top-k (scores, signatures, composed tables) must equal
-// the incrementally maintained reference index's for PE and LE, and for the
-// baseline on a sampling of the chain (it is rebuilt from the graph, so
-// it also vouches for the shared snapshot itself).
+// the incrementally maintained reference index's for PE and LE.
 func TestShardUpdateEquivalence(t *testing.T) {
 	datasets := map[string]*kg.Graph{
 		"wiki": dataset.SynthWiki(dataset.WikiConfig{Entities: 260, Types: 14, Seed: 3}),
@@ -183,20 +177,10 @@ func TestShardUpdateEquivalence(t *testing.T) {
 				engines[i] = ne
 			}
 
-			algos := []search.Algo{search.AlgoPE, search.AlgoLE}
-			if seq%10 == 9 {
-				algos = append(algos, search.AlgoBaseline)
-			}
 			g := cur.Graph()
-			for _, algo := range algos {
-				var bl *search.BaselineIndex
-				if algo == search.AlgoBaseline {
-					if bl, err = search.NewBaseline(g, search.BaselineOptions{D: iopts.D, UniformPR: iopts.UniformPR}); err != nil {
-						t.Fatal(err)
-					}
-				}
+			for _, algo := range []search.Algo{search.AlgoPE, search.AlgoLE} {
 				for _, q := range queries {
-					want := referenceResult(t, g, cur, bl, algo, q, opts)
+					want := referenceResult(t, g, cur, algo, q, opts)
 					for i, e := range engines {
 						got := engineResult(t, e, algo, q, opts)
 						if !reflect.DeepEqual(want, got) {

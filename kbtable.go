@@ -24,7 +24,7 @@
 // PATTERNENUM, default, fastest in practice), LinearEnum (LINEARENUM-TOPK,
 // linear in index + answer size, with optional root sampling), and
 // Baseline (the enumeration–aggregation adaption of prior subtree search,
-// for comparison).
+// an oracle the library alone runs, for comparison).
 package kbtable
 
 import (
@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"kbtable/internal/cache"
@@ -116,7 +117,8 @@ const (
 	// answer size; supports sampling via SearchOptions.Lambda/Rho.
 	LinearEnum
 	// Baseline is the enumeration-aggregation adaption of prior subtree
-	// search (Section 2.3); built lazily on first use.
+	// search (Section 2.3): one whole-graph index per engine snapshot,
+	// whatever the shard count, built lazily on first use; /v1 refuses it.
 	Baseline
 	// Auto defers the PatternEnum/LinearEnum choice to the cost-based
 	// planner: the prepare stage's statistics (pattern-combination space,
@@ -321,6 +323,11 @@ type Engine struct {
 	// statistics. See internal/cache.
 	plans     *cache.Cache[search.PlanStats]
 	planEpoch uint64
+
+	// bl is the Baseline's index, built by searchBaseline on first use.
+	blOnce sync.Once
+	bl     *search.BaselineIndex
+	blErr  error
 }
 
 // NewEngine builds the path-pattern indexes (Section 3) for g. Building
@@ -471,6 +478,13 @@ func (e *Engine) search(ctx context.Context, exec ShardExecutor, query string, o
 		return nil, PlanInfo{}, err
 	}
 	so := e.searchOptions(opts)
+	if algo == search.AlgoBaseline {
+		res, err := e.searchBaseline(ctx, query, so)
+		if err != nil {
+			return nil, PlanInfo{}, fmt.Errorf("kbtable: %w", err)
+		}
+		return e.answers(res), planInfo(res.Plan, res.Stats), nil
+	}
 	// An Auto query resolves its plan-cache key once. A hit skips the
 	// planner probe and executes the resolved algorithm directly (answers
 	// are bit-identical — the Auto-equivalence property); a miss caches
@@ -521,6 +535,28 @@ func (e *Engine) plan(ctx context.Context, exec ShardExecutor, query string, opt
 		return PlanInfo{}, fmt.Errorf("kbtable: %w", err)
 	}
 	return planInfo(search.ChoosePlan(algo, st), search.QueryStats{}), nil
+}
+
+// searchBaseline runs a Baseline query on the snapshot's whole-graph
+// BaselineIndex, building it on first use. The index scores with the
+// shard engine's PageRank vector, so no second PageRank runs and scores
+// keep the bits PE and LE produce, at every shard count.
+func (e *Engine) searchBaseline(ctx context.Context, query string, so search.Options) (*shard.Result, error) {
+	e.blOnce.Do(func() {
+		e.bl, e.blErr = search.NewBaseline(e.g.g, search.BaselineOptions{D: e.sh.D(), PageRank: e.sh.PageRank(), UniformPR: e.o.UniformPageRank, Synonyms: e.o.Synonyms})
+	})
+	if e.blErr != nil {
+		return nil, e.blErr
+	}
+	res, err := e.bl.SearchCtx(ctx, query, so)
+	if err != nil {
+		return nil, err
+	}
+	out := &shard.Result{Patterns: make([]shard.RankedPattern, len(res.Patterns)), Stats: res.Stats, Plan: res.Plan}
+	for i, rp := range res.Patterns {
+		out.Patterns[i] = shard.RankedPattern{Pattern: rp.Pattern, Table: res.Table, Agg: rp.Agg, Score: rp.Score, Trees: rp.Trees}
+	}
+	return out, nil
 }
 
 func (e *Engine) answers(res *shard.Result) []Answer {

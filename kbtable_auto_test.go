@@ -8,11 +8,13 @@ import (
 
 // TestTopKMatchesBaselineProperty is the facade-level half of the
 // streaming executor's guarantee: on both golden corpora, at every shard
-// count and for every index-backed algorithm, the answers are
-// BYTE-identical — via the same full-fidelity rendering the golden suite
-// pins — to the independent Baseline's at the same K on a one-shard
-// engine. Small K makes the top-k bound pushdown actually fire on the
-// one-shard engine (scatters over more shards disable it by design).
+// count and for every algorithm, the answers are BYTE-identical — via the
+// same full-fidelity rendering the golden suite pins — to the independent
+// Baseline's at the same K on a one-shard engine. Baseline itself runs on
+// each engine's whole-graph index, so at every shard count it must match
+// the one-shard oracle too. Small K makes the top-k bound pushdown
+// actually fire on the one-shard engine (scatters over more shards
+// disable it by design).
 func TestTopKMatchesBaselineProperty(t *testing.T) {
 	for _, spec := range goldenCorpora() {
 		g := spec.graph(t)
@@ -34,7 +36,7 @@ func TestTopKMatchesBaselineProperty(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := renderGolden(q, baseline)
-					for _, algo := range []Algorithm{PatternEnum, LinearEnum, Auto} {
+					for _, algo := range []Algorithm{PatternEnum, LinearEnum, Auto, Baseline} {
 						opts.Algorithm = algo
 						answers, err := e.SearchContext(context.Background(), q, opts)
 						if err != nil {
