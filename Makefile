@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race alloc bench benchmark-module index-procs fma one-baseline fmt vet check cover fuzz golden loc serve clean ci-local cold-start snapshot-fixture load-soak cluster-soak
+.PHONY: build test race alloc bench benchmark-module index-procs fma one-path fmt vet check cover fuzz golden loc serve clean ci-local cold-start snapshot-fixture load-soak cluster-soak
 
 build:
 	$(GO) build ./...
@@ -51,15 +51,20 @@ fma:
 	  if [ -n "$$fused" ]; then echo "fused multiply-adds on arm64 (wrap the product in float64()):"; echo "$$fused"; exit 1; fi; \
 	  echo "no fused multiply-adds on arm64"
 
-# The paper's baseline is an oracle, run by the kbtable facade alone over
-# one whole-graph BaselineIndex: fail if a serving layer names it again.
+# One path per job. The paper's baseline is an oracle, run by the kbtable
+# facade alone over one whole-graph BaselineIndex: fail if a serving layer
+# names it again. A prepared query is a plan pinned over the ordinary
+# search: fail if any non-test Go grows a second executor for it again.
 BASELINE_FREE = internal/shard internal/cluster internal/serve internal/api cmd/kbsearch
-one-baseline:
+EXECUTOR_FORK = PrepareQuery|ExecutePrepared|SearchPrepared|(shard|search)\.Prepared\b|NumCandidateRoots|SubtreeCount
+one-path:
 	@hits=$$(grep -rnE 'AlgoBaseline|BaselineIndex|kbtable\.Baseline' --include='*.go' --exclude='*_test.go' $(BASELINE_FREE)); \
 	  if [ -n "$$hits" ]; then echo "baseline paths outside the facade:"; echo "$$hits"; exit 1; fi; \
-	  echo "one baseline path"
+	  hits=$$(grep -rnE '$(EXECUTOR_FORK)' --include='*.go' --exclude='*_test.go' .); \
+	  if [ -n "$$hits" ]; then echo "a second executor for prepared queries:"; echo "$$hits"; exit 1; fi; \
+	  echo "one baseline path, one execution path"
 
-check: vet build race alloc bench benchmark-module index-procs fma one-baseline
+check: vet build race alloc bench benchmark-module index-procs fma one-path
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@echo "all checks passed"
 
@@ -92,7 +97,7 @@ ci-local:
 	$(GO) build ./examples/...
 	$(GO) test -race ./...
 	$(GO) test -run TestSnapshotFixture -v .
-	$(MAKE) alloc index-procs benchmark-module fma one-baseline
+	$(MAKE) alloc index-procs benchmark-module fma one-path
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 	$(GO) test -coverprofile=cover.out -coverpkg=$(COVER_PKGS) ./...
 	@total=$$($(GO) tool cover -func=cover.out | tail -1 | awk '{print $$3}' | tr -d '%'); \

@@ -49,7 +49,7 @@ func main() {
 	format := flag.String("format", "table", "output format: table, csv, json, md")
 	lambda := flag.Int64("lambda", 0, "LETopK sampling threshold Λ (0 = exact)")
 	rho := flag.Float64("rho", 0.1, "LETopK sampling rate ρ")
-	repeat := flag.Int("repeat", 1, "re-execute each query this many times through a prepared handle (prepare once, run enumerate/aggregate/rank per iteration) and report cold vs prepared timings")
+	repeat := flag.Int("repeat", 1, "re-run each query this many times and report the average and fastest elapsed time")
 	server := flag.String("server", "", "query a running kbserve at this base URL over the /v1 API instead of building a local engine")
 	flag.Parse()
 
@@ -103,40 +103,16 @@ func main() {
 
 	opts := search.Options{K: *k, Lambda: *lambda, Rho: *rho, MaxTreesPerPattern: *rows}
 
-	// runPrepared re-executes q through a prepared handle: the prepare
-	// stage (keyword resolution, posting lookups, planner probe) runs
-	// once, each iteration runs only enumerate → aggregate → rank. The
-	// report compares against the cold end-to-end elapsed time.
-	runPrepared := func(q string, n int, cold time.Duration) {
-		ctx := context.Background()
-		p, err := se.Prepare(ctx, salgo, q, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var total, min time.Duration
-		for i := 0; i < n; i++ {
-			res, err := se.SearchPrepared(ctx, p, opts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			d := res.Stats.Elapsed
-			total += d
-			if i == 0 || d < min {
-				min = d
-			}
-		}
-		avg := total / time.Duration(n)
-		speedup := float64(cold) / float64(avg)
-		fmt.Printf("prepared: %d executions, avg=%v min=%v (cold=%v, %.1fx)\n",
-			n, avg.Round(time.Microsecond), min.Round(time.Microsecond),
-			cold.Round(time.Microsecond), speedup)
-	}
-
-	run := func(q string) {
+	exec := func(q string) *shard.Result {
 		res, err := se.Search(context.Background(), search.Plan{Algo: salgo}, q, opts, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
+		return res
+	}
+
+	run := func(q string) {
+		res := exec(q)
 		elapsed := res.Stats.Elapsed
 		plan, stages := res.Plan, res.Stats.Stages
 		fmt.Printf("\n%d pattern answers in %v\n", len(res.Patterns), elapsed.Round(time.Microsecond))
@@ -152,7 +128,16 @@ func main() {
 				stages.Aggregate.Round(time.Microsecond), stages.Rank.Round(time.Microsecond))
 		}
 		if *repeat > 1 {
-			runPrepared(q, *repeat, elapsed)
+			var total, fastest time.Duration
+			for i := 0; i < *repeat; i++ {
+				d := exec(q).Stats.Elapsed
+				total += d
+				if i == 0 || d < fastest {
+					fastest = d
+				}
+			}
+			fmt.Printf("repeat: %d executions, avg=%v min=%v\n", *repeat,
+				(total / time.Duration(*repeat)).Round(time.Microsecond), fastest.Round(time.Microsecond))
 		}
 		for i, rp := range res.Patterns {
 			// Pattern IDs resolve in rp.Table, which is per shard.

@@ -143,8 +143,11 @@ func executorRunner(t *testing.T, g *Graph, workers int) deepRunner {
 
 // engineRunner runs the engine at one worker: Baseline on its whole-graph
 // baseline, the others on the shard layer through legs (nil: every leg in
-// process), or through shard.Prepare then SearchPrepared.
-func engineRunner(e *Engine, prepared bool, legs func(q string, o search.Options) shard.Legs) deepRunner {
+// process). planned runs the planner probe first and hands shard.Search
+// the plan ChoosePlan resolves from it, the path a facade plan-cache hit
+// takes. The answer counts are the probe's subtree count and the
+// content-keyed pattern union.
+func engineRunner(e *Engine, planned bool, legs func(q string, o search.Options) shard.Legs) deepRunner {
 	ctx := context.Background()
 	sh := e.sh
 	return deepRunner{
@@ -154,10 +157,10 @@ func engineRunner(e *Engine, prepared bool, legs func(q string, o search.Options
 			var err error
 			if algo == search.AlgoBaseline {
 				res, err = e.searchBaseline(ctx, q, o)
-			} else if prepared {
-				var p *shard.Prepared
-				if p, err = sh.Prepare(ctx, algo, q, o); err == nil {
-					res, err = sh.SearchPrepared(ctx, p, o)
+			} else if planned {
+				var st search.PlanStats
+				if st, err = sh.PlanStats(ctx, q, o, nil); err == nil {
+					res, err = sh.Search(ctx, search.ChoosePlan(algo, st), q, o, nil)
 				}
 			} else {
 				var l shard.Legs
@@ -178,8 +181,8 @@ func engineRunner(e *Engine, prepared bool, legs func(q string, o search.Options
 		},
 		trees: func(q string) ([]shard.RankedTree, search.QueryStats, int, int64) {
 			top, st := sh.TopTrees(q, goldenK, search.Options{})
-			p, n, _ := sh.CountAllContent(q, 0)
-			return top, st, p, n
+			probe, _ := sh.PlanStats(ctx, q, search.Options{}, nil) // a failed probe counts 0 and fails the comparison
+			return top, st, sh.CountAllContent(q), probe.Frontier
 		},
 	}
 }
@@ -332,8 +335,8 @@ type knownDiff struct{ axis, cells, field, reason string }
 
 // knownDiffs is every difference the matrix tolerates, on the axes
 // "engine" (the shard layer's gathered result, not the executor's),
-// "sharded" (N > 1), "cluster" (legs on owner engines), "prepared" and
-// "updated" (ApplyUpdate against a build over the final graph).
+// "sharded" (N > 1), "cluster" (legs on owner engines) and "updated"
+// (ApplyUpdate against a build over the final graph).
 var knownDiffs = []knownDiff{
 	{"engine", "", "root", "the engine's ranked patterns carry no per-root partials; the gather folds them into Agg"},
 	{"sharded", "sampled1 sampled2", "-", "Λ/ρ sampling draws per shard: a different, still unbiased, estimate"},
@@ -347,7 +350,6 @@ var knownDiffs = []knownDiff{
 	{"sharded", "PETopK", "stats.empty", "empty combinations count per shard: one can be empty on one shard and not on another"},
 	{"sharded", "trees", "stats.pruned", "each shard prunes roots against its own top-k heap"},
 	{"cluster", "max avg count rootaggs k3all", "-", "a leg's partial holds the same patterns and root partials whatever the Agg, K or row cap, so the default set's legs already send these over the wire"},
-	{"prepared", "Baseline", "-", "the baseline has no prepare stage to retain: it resolves keywords against its own index and finds roots by backward search per query"},
 	{"updated", "PETopK", "stats.pruned", "PATTERNENUM meets combinations in PatternID order, which ApplyDelta (old IDs kept, new ones appended) and a build (first-seen order) assign differently, so its bound fires at other points"},
 	{"updated", "PETopK", "stats.patterns", "combinations one side pruned never reached its pattern count"},
 	{"updated", "PETopK", "stats.trees", "combinations one side pruned never reached its tree count"},
@@ -485,10 +487,10 @@ func matrixEngine(t *testing.T, g *Graph, n int, owned ...int) *Engine {
 // (Theorem 5), load ≡ build, cluster ≡ single node, incremental ≡ rebuild —
 // over the deep dump, one axis at a time so that a break specific to one
 // regime cannot hide behind a passing one. Against the committed
-// reference: workers{2,4}, shards{1,2,3,8}, prepared{1,3} (shard.Prepare then
-// SearchPrepared), recovered{1,3} (Checkpoint then Store.Recover) and
-// cluster{2,3} (every leg on a partial owner engine through a JSON round
-// trip, with zero local fallbacks). After one fixed ApplyUpdate chain: the
+// reference: workers{2,4}, shards{1,2,3,8}, prepared{1,3} (a plan
+// resolved from the probe, then shard.Search), recovered{1,3} (Checkpoint
+// then Store.Recover) and cluster{2,3} (every leg on a partial owner
+// engine through a JSON round trip, with zero local fallbacks). After one fixed ApplyUpdate chain: the
 // engine it maintained at shards {1, 3} against NewEngine over the final
 // graph at the same count, and the cluster legs against that rebuild at
 // one shard. The shards axis dumps the engines the chain superseded, so
@@ -546,8 +548,8 @@ func testMatrix(t *testing.T, spec corpusSpec, resolved *[2]atomic.Int64) {
 		{"shards2", sharded, engineRunner(engines[2], false, nil), fixture},
 		{"shards3", sharded, engineRunner(engines[3], false, nil), fixture},
 		{"shards8", sharded, engineRunner(engines[8], false, nil), fixture},
-		{"prepared1", []string{"engine", "prepared"}, engineRunner(engines[1], true, nil), fixture},
-		{"prepared3", []string{"engine", "sharded", "prepared"}, engineRunner(engines[3], true, nil), fixture},
+		{"prepared1", engine, engineRunner(engines[1], true, nil), fixture},
+		{"prepared3", sharded, engineRunner(engines[3], true, nil), fixture},
 		{"recovered1", engine, engineRunner(recovered(t, engines[1]), false, nil), fixture},
 		{"recovered3", sharded, engineRunner(recovered(t, engines[3]), false, nil), fixture},
 		{"cluster2", cluster, clusterRunner(engines[2], owners[2], &fallbacks), fixture},

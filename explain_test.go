@@ -1,6 +1,9 @@
 package kbtable
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestExplain(t *testing.T) {
 	g := buildFig1Public(t)
@@ -35,6 +38,20 @@ func TestExplain(t *testing.T) {
 	}
 	if len(answers) != ex.Patterns {
 		t.Errorf("Explain patterns %d != search answers %d", ex.Patterns, len(answers))
+	}
+
+	// The shards partition the candidate roots: counts sum and patterns
+	// union to the one-shard explanation.
+	sharded, err := NewEngine(g, EngineOptions{D: 3, UniformPageRank: true, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sex, err := sharded.Explain("database software company revenue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sex, ex) {
+		t.Errorf("3-shard explanation %+v, one shard %+v", sex, ex)
 	}
 }
 

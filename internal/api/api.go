@@ -106,8 +106,11 @@ type SearchRequest struct {
 	// PreparedID executes a handle from POST /v1/prepare instead of
 	// planning from scratch: query/k/algorithm/d/max_rows come from the
 	// prepare-time request (and must be omitted here); only priority may
-	// accompany it. A handle expired by an update or evicted from the
-	// bounded registry answers 410 prepared_gone — re-prepare.
+	// accompany it. The execution is an ordinary search with that request
+	// and the handle's plan: it shares the result cache and coalescing
+	// with plain searches of the same shape. A handle expired by an
+	// update or evicted from the bounded registry answers 410
+	// prepared_gone — re-prepare.
 	PreparedID string `json:"prepared_id,omitempty"`
 }
 
@@ -143,8 +146,9 @@ type SearchResponse struct {
 	// identical concurrent request (same normalized query, options, and
 	// epoch) instead of having run the search itself.
 	Coalesced bool `json:"coalesced,omitempty"`
-	// PreparedID echoes the handle a prepared execution ran (prepared
-	// searches bypass the result cache; Epoch is the handle's).
+	// PreparedID echoes the handle a prepared execution ran (Epoch is the
+	// handle's). The rest of the response is the plain search's, a cache
+	// hit included, so plan.prepare_ms is that run's prepare stage.
 	PreparedID string  `json:"prepared_id,omitempty"`
 	ElapsedMS  float64 `json:"elapsed_ms"`
 	// Plan reports the resolved execution plan and per-stage timings.
@@ -179,7 +183,7 @@ type PlanOut struct {
 }
 
 // PrepareRequest is the POST /v1/prepare body: the search shape to
-// retain. The fields and their values mirror SearchRequest.
+// plan once and pin. The fields and their values mirror SearchRequest.
 type PrepareRequest struct {
 	Query     string `json:"query"`
 	K         int    `json:"k,omitempty"`

@@ -254,6 +254,53 @@ func TestClusterGoldenByteIdentical(t *testing.T) {
 	}
 }
 
+// TestPreparedExecutionScattersToOwners: a prepared execution on a
+// coordinator takes the path every search takes, so its shard legs run on
+// the owner nodes. Its answers equal a fresh search's, every owner's
+// remote-leg counter rises across the execution alone, and no leg falls
+// back to the coordinator's own shards.
+func TestPreparedExecutionScattersToOwners(t *testing.T) {
+	g := loadCorpus(t, filepath.Join("..", "..", "testdata", "corpus", "wiki.txt"))
+	tc := startCluster(t, g)
+	ctx := context.Background()
+	remote := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for _, n := range tc.router.Health().Nodes {
+			if n.LocalFallback != 0 {
+				t.Fatalf("member %s fell back locally %d times", n.ID, n.LocalFallback)
+			}
+			if n.Role == "node" {
+				out[n.ID] = n.Remote
+			}
+		}
+		return out
+	}
+	const q = "software company revenue"
+	for _, algo := range []string{"patternenum", "linearenum", "auto"} {
+		pr, err := tc.cl.Prepare(ctx, &api.PrepareRequest{Query: q, K: goldenK, MaxRows: goldenRows, Algorithm: algo})
+		if err != nil {
+			t.Fatalf("%s: prepare: %v", algo, err)
+		}
+		before := remote()
+		got, err := tc.cl.Search(ctx, &api.SearchRequest{PreparedID: pr.ID})
+		if err != nil {
+			t.Fatalf("%s: prepared execution: %v", algo, err)
+		}
+		for id, n := range remote() {
+			if n <= before[id] {
+				t.Errorf("%s: owner %s ran no leg of the prepared execution (remote %d → %d)", algo, id, before[id], n)
+			}
+		}
+		fresh, err := tc.cl.Search(ctx, &api.SearchRequest{Query: q, K: goldenK, MaxRows: goldenRows, Algorithm: algo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Answers) == 0 || !reflect.DeepEqual(got.Answers, fresh.Answers) {
+			t.Errorf("%s: prepared answers %d differ from a fresh search's %d", algo, len(got.Answers), len(fresh.Answers))
+		}
+	}
+}
+
 // TestClusterSampledMatchesCoordinator pins that a sampled LinearEnum
 // query answers through the router exactly as through the coordinator's
 // own SearchPlan. The leg wire carries no Λ/ρ/seed, so an owner would

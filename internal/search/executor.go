@@ -11,7 +11,6 @@ import (
 	"kbtable/internal/index"
 	"kbtable/internal/kg"
 	"kbtable/internal/text"
-	"sync"
 )
 
 // This file is the streaming query executor: every query — whichever
@@ -114,8 +113,8 @@ func (s *PlanStats) Merge(o PlanStats) {
 	// Sum PostingRoots positionally over the longer of the two vectors: a
 	// shard that resolved fewer keywords (or probed first) must not
 	// silently truncate the other partition's posting counts. The sum is a
-	// new slice: the receiver's may be shared with a retained prepare,
-	// which executions must not write through.
+	// new slice: the receiver's may be shared with a plan-cache entry,
+	// which a merge must not write through.
 	sum := make([]int, max(len(s.PostingRoots), len(o.PostingRoots)))
 	copy(sum, s.PostingRoots)
 	for i, n := range o.PostingRoots {
@@ -239,41 +238,6 @@ type prepared struct {
 	types      []kg.TypeID // needRoots: sorted keys of byType
 
 	stats PlanStats
-
-	// peTabs memoizes PATTERNENUM's serial prelude per pruning mode
-	// (index 1 = pruneOK). The tables depend only on this prepare and
-	// the immutable index, so a retained Prepared computes them once
-	// and repeat executions go straight to the combination walk.
-	peOnce [2]sync.Once
-	peTabs [2]*peTables
-
-	// leNR memoizes LINEARENUM's per-type subtree count NR (Algorithm 3
-	// line 4) — like peTabs a pure function of the prepare and the
-	// index. One Once per type keeps the fresh path's per-type
-	// parallelism: each worker computes only the types it shards.
-	leNROnce []sync.Once
-	leNR     []int64
-}
-
-// typeNR returns the memoized subtree count for prep.types[ti],
-// computing it on first use.
-func (p *prepared) typeNR(ix *index.Index, ti int) int64 {
-	p.leNROnce[ti].Do(func() {
-		p.leNR[ti] = subtreeCount(ix, p.words, p.byType[p.types[ti]])
-	})
-	return p.leNR[ti]
-}
-
-// peTables returns the memoized PATTERNENUM prelude tables for the given
-// pruning mode, computing them on first use. Safe for concurrent
-// executions of one Prepared: the walk only reads the tables.
-func (p *prepared) peTables(ix *index.Index, pruneOK bool) *peTables {
-	idx := 0
-	if pruneOK {
-		idx = 1
-	}
-	p.peOnce[idx].Do(func() { p.peTabs[idx] = pePrelude(ix, p, pruneOK) })
-	return p.peTabs[idx]
 }
 
 // prepare runs the shared prepare stage: posting lookups and statistics,
@@ -340,8 +304,6 @@ func prepare(ctx context.Context, ix *index.Index, words []text.WordID, surfaces
 			p.types = append(p.types, t)
 		}
 		sortTypes(p.types)
-		p.leNROnce = make([]sync.Once, len(p.types))
-		p.leNR = make([]int64, len(p.types))
 	}
 	if need&needCost != 0 {
 		pc := &pollCancel{ctx: ctx}
@@ -406,17 +368,6 @@ func Execute(ctx context.Context, ix *index.Index, query string, algo Algo, opts
 	if err != nil {
 		return nil, err
 	}
-	return runStages(ctx, ix, prep, algo, o, start)
-}
-
-// runStages runs stages 2-4 of the pipeline over prepare-stage output:
-// resolve the plan, enumerate, fold the per-worker accumulators, rank.
-// The prepare output may be freshly computed (Execute) or retained
-// from an earlier request (ExecutePrepared) — enumeration only reads it,
-// so one prepared may back any number of concurrent executions. start
-// anchors Stages.Prepare and Elapsed: for a retained prepared it is the
-// execution start, so Prepare reports (approximately) zero.
-func runStages(ctx context.Context, ix *index.Index, prep *prepared, algo Algo, o Options, start time.Time) (*Result, error) {
 	plan := ChoosePlan(algo, prep.stats)
 	stats := QueryStats{Surfaces: prep.surfaces, Words: prep.words}
 	stats.CandidateRoots = prep.stats.CandidateRoots
@@ -427,7 +378,6 @@ func runStages(ctx context.Context, ix *index.Index, prep *prepared, algo Algo, 
 	t1 := time.Now()
 	top := core.NewTopK[RankedPattern](o.K)
 	var ws []workerState[RankedPattern]
-	var err error
 	if prep.ok {
 		switch plan.Algo {
 		case AlgoPE:

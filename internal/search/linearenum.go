@@ -55,7 +55,7 @@ func leEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 		// like the sampling source, only when sampling can activate.
 		rate := 1.0
 		var rng *rand.Rand
-		if o.samplingEnabled() && prep.typeNR(ix, ti) >= o.Lambda {
+		if o.samplingEnabled() && subtreeCount(ix, words, rc) >= o.Lambda {
 			rate = o.Rho
 			rng = typeRNG(o.Seed, c)
 		}
@@ -108,37 +108,6 @@ func leEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 		}
 	})
 	return ws, err
-}
-
-// NumCandidateRoots returns |∩_i Roots(wi)| for a query: the number of
-// nodes that can root a valid subtree (Algorithm 3 line 1), without any
-// expansion. Used by query explanation.
-func NumCandidateRoots(ix *index.Index, query string) int {
-	words, _ := ResolveQuery(ix, query)
-	if !queryable(ix, words) {
-		return 0
-	}
-	rootLists := make([][]kg.NodeID, len(words))
-	for i, w := range words {
-		rootLists[i] = ix.Roots(w)
-	}
-	return len(intersectSorted(nil, rootLists...))
-}
-
-// SubtreeCount returns the query's total valid-subtree count
-// Σ_r Π_i |Paths(wi, r)| over the candidate roots, without enumerating
-// anything (index lookups only). The sharded Explain sums this across
-// shards before deciding whether pattern enumeration fits its budget.
-func SubtreeCount(ix *index.Index, query string) int64 {
-	words, _ := ResolveQuery(ix, query)
-	if !queryable(ix, words) {
-		return 0
-	}
-	rootLists := make([][]kg.NodeID, len(words))
-	for i, w := range words {
-		rootLists[i] = ix.Roots(w)
-	}
-	return subtreeCount(ix, words, intersectSorted(nil, rootLists...))
 }
 
 // subtreeCount computes NR = Σ_r Π_i |Paths(wi, r)|, saturating at
@@ -252,14 +221,14 @@ func CountAllCapped(ix *index.Index, query string, budget int64) (patterns int, 
 	return len(seen), trees, false
 }
 
-// CountAllContent is CountAllCapped with content-derived pattern keys: the
-// returned set identifies tree patterns by their path-pattern contents, so
+// CountAllContent is CountAllCapped's pattern set with content-derived
+// keys: it identifies tree patterns by their path-pattern contents, so
 // sets computed over indexes with independently interned PatternIDs (the
-// per-shard indexes of a scatter-gather engine) union correctly. A nil set
-// with exceeded=true means the budget was hit.
-func CountAllContent(ix *index.Index, query string, budget int64) (patterns map[string]struct{}, trees int64, exceeded bool) {
+// per-shard indexes of a scatter-gather engine) union correctly.
+func CountAllContent(ix *index.Index, query string) map[string]struct{} {
 	pt := ix.PatternTable()
-	return countAllKeyed(ix, query, budget, func(tp core.TreePattern) string { return tp.ContentKey(pt) })
+	seen, _, _ := countAllKeyed(ix, query, 0, func(tp core.TreePattern) string { return tp.ContentKey(pt) })
+	return seen
 }
 
 // countAllKeyed enumerates the candidate roots' pattern products, filing

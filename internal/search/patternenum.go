@@ -39,9 +39,7 @@ type peType struct {
 type peShard struct{ t, j int }
 
 // peTables is the serial prelude's output — everything the combination
-// walk reads but never writes. It depends only on the retained prepare,
-// the immutable index, and whether pruning is enabled, so a Prepared
-// caches one per pruning mode and repeat executions skip the prelude.
+// walk reads but never writes.
 type peTables struct {
 	types  []peType
 	shards []peShard
@@ -113,7 +111,7 @@ func pePrelude(ix *index.Index, prep *prepared, pruneOK bool) *peTables {
 func peEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options) ([]workerState[RankedPattern], error) {
 	m := len(prep.words)
 	pruneOK := !o.CollectRootAggs
-	tb := prep.peTables(ix, pruneOK)
+	tb := pePrelude(ix, prep, pruneOK)
 	workers := resolveWorkers(o.Workers)
 	ws := newWorkerStates[RankedPattern](workers, o.K)
 	walkers := make([]peWalker, workers)

@@ -11,8 +11,9 @@ import (
 	"kbtable/internal/index"
 )
 
-// TestPlanProbeStats pins the prepare-stage statistics against the
-// independent counting entry points.
+// TestPlanProbeStats pins the prepare-stage statistics against an exact
+// LINEARENUM run, which expands every candidate root and counts every
+// valid subtree it scores.
 func TestPlanProbeStats(t *testing.T) {
 	for _, tc := range synthCases(t) {
 		ix, err := index.Build(tc.g, index.Options{D: 3})
@@ -24,11 +25,15 @@ func TestPlanProbeStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := NumCandidateRoots(ix, q); st.CandidateRoots != want {
-				t.Errorf("%s/%q: CandidateRoots = %d, NumCandidateRoots = %d", tc.name, q, st.CandidateRoots, want)
+			le, err := Execute(context.Background(), ix, q, AlgoLE, Options{SkipTrees: true})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if want := SubtreeCount(ix, q); st.Frontier != want {
-				t.Errorf("%s/%q: Frontier = %d, SubtreeCount = %d", tc.name, q, st.Frontier, want)
+			if want := le.Stats.CandidateRoots; st.CandidateRoots != want {
+				t.Errorf("%s/%q: CandidateRoots = %d, LINEARENUM expanded %d", tc.name, q, st.CandidateRoots, want)
+			}
+			if want := le.Stats.TreesFound; st.Frontier != want {
+				t.Errorf("%s/%q: Frontier = %d, LINEARENUM scored %d subtrees", tc.name, q, st.Frontier, want)
 			}
 			if st.CandidateRoots > 0 && st.PatternSpace <= 0 {
 				t.Errorf("%s/%q: answerable query has PatternSpace = %d", tc.name, q, st.PatternSpace)

@@ -104,11 +104,12 @@ func TestPunctuationSharesCacheEntry(t *testing.T) {
 }
 
 // TestPrepareAndExecute drives the full prepared-query flow: prepare,
-// execute by handle, byte-identical answers vs a fresh search, and the
-// request-shape validation around prepared_id.
+// execute by handle — after an identical fresh search, a byte-identical
+// hit on its cache entry — and the request-shape validation around
+// prepared_id.
 func TestPrepareAndExecute(t *testing.T) {
 	const query = "database software company revenue"
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 
 	resp, pr := postPrepare(t, ts.URL, PrepareRequest{Query: query, K: 3, Algorithm: "auto"})
 	if pr == nil {
@@ -128,15 +129,28 @@ func TestPrepareAndExecute(t *testing.T) {
 		if prep == nil {
 			t.Fatalf("prepared execution %d failed", i)
 		}
-		if prep.PreparedID != pr.ID || prep.Cached || prep.Epoch != 0 {
+		if prep.PreparedID != pr.ID || !prep.Cached || prep.Epoch != 0 {
 			t.Fatalf("prepared response %d: %+v", i, prep)
 		}
-		if !reflect.DeepEqual(prep.Answers, fresh.Answers) {
-			t.Fatalf("prepared answers diverge from fresh search:\nprepared: %+v\nfresh:    %+v", prep.Answers, fresh.Answers)
+		prep.PreparedID, prep.Cached = "", false
+		if !reflect.DeepEqual(prep, fresh) {
+			t.Fatalf("prepared response diverges from the fresh search it hit:\nprepared: %+v\nfresh:    %+v", prep, fresh)
 		}
-		if prep.Plan == nil || prep.Plan.Algorithm != fresh.Plan.Algorithm {
-			t.Fatalf("prepared plan %+v vs fresh %+v", prep.Plan, fresh.Plan)
-		}
+	}
+	// A prepared execution that misses computes the cache entry, and
+	// echoes its handle id on a copy: the entry itself carries none.
+	_, pr2 := postPrepare(t, ts.URL, PrepareRequest{Query: query, K: 2})
+	_, lead := postSearch(t, ts.URL, SearchRequest{PreparedID: pr2.ID})
+	if lead == nil || lead.Cached || lead.PreparedID != pr2.ID {
+		t.Fatalf("first execution of %s: %+v", pr2.ID, lead)
+	}
+	if ent, ok := srv.cache.Get(cacheKey(lead.Query, lead.Algorithm, lead.K, lead.D, srv.cfg.MaxRows), lead.Epoch); !ok {
+		t.Fatalf("%s computed no cache entry", pr2.ID)
+	} else if ent.resp.PreparedID != "" {
+		t.Fatalf("the cache entry %s computed carries prepared_id %q", pr2.ID, ent.resp.PreparedID)
+	}
+	if _, hit := postSearch(t, ts.URL, SearchRequest{Query: query, K: 2}); hit == nil || !hit.Cached || hit.PreparedID != "" {
+		t.Fatalf("fresh search after a prepared execution: %+v", hit)
 	}
 
 	// prepared_id fixes the shape: combining it with a query is an error.

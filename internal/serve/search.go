@@ -217,15 +217,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// Pin this request to the currently published snapshot: even if an
 	// update lands mid-query, we keep searching (and report) this epoch.
 	st := s.cur.Load()
-	plan, search := s.runner(st)
-
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
-	opts := kbtable.SearchOptions{
-		K:               req.K,
-		Algorithm:       algo,
-		MaxRowsPerTable: req.MaxRows,
-	}
 
 	// Resolve "auto" before touching the cache: the planner names the
 	// algorithm the query would run as, the cache is keyed under that
@@ -239,26 +232,42 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var chosen *kbtable.PlanInfo
 	if algo == kbtable.Auto {
 		s.autoRequests.Add(1)
-		pi, err := plan(ctx, req.Query, opts)
+		plan, _ := s.runner(st)
+		pi, err := plan(ctx, req.Query, searchOptions(&req, algo))
 		if err != nil {
 			writeSearchError(w, err)
 			return
 		}
 		chosen = &pi
 		algo = pi.Algorithm
-		opts.Algorithm = algo
 		if algo == kbtable.LinearEnum {
 			s.autoChoseLE.Add(1)
 		} else {
 			s.autoChosePE.Add(1)
 		}
 	}
+	s.serveResolved(ctx, w, st, &req, algo, chosen, "")
+}
+
+// searchOptions lowers a normalized request onto the facade's options.
+func searchOptions(req *SearchRequest, algo kbtable.Algorithm) kbtable.SearchOptions {
+	return kbtable.SearchOptions{K: req.K, Algorithm: algo, MaxRowsPerTable: req.MaxRows}
+}
+
+// serveResolved answers a normalized request pinned to st whose plan is
+// resolved: algo is explicit, and chosen, non-nil, is the planner decision
+// of an auto request. It is the one execution path under /v1/search,
+// plain or prepared: the result cache, then read coalescing, then the
+// engine (scattered through the cluster legs on a coordinator).
+// preparedID, when set, is echoed on the caller's own copy of the
+// response, never on a shared entry.
+func (s *Server) serveResolved(ctx context.Context, w http.ResponseWriter, st *engineState, req *SearchRequest, algo kbtable.Algorithm, chosen *kbtable.PlanInfo, preparedID string) {
 	algoName := api.AlgorithmName(algo)
 
 	key := cacheKey(req.Query, algoName, req.K, req.D, req.MaxRows)
 	if hit, ok := s.cache.Get(key, st.epoch); ok {
 		resp := hit.shared(chosen)
-		resp.Cached = true
+		resp.Cached, resp.PreparedID = true, preparedID
 		WriteJSON(w, http.StatusOK, resp)
 		return
 	}
@@ -276,7 +285,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		defer lcancel()
 
 		t0 := time.Now()
-		answers, pi, err := search(lctx, req.Query, opts)
+		_, search := s.runner(st)
+		answers, pi, err := search(lctx, req.Query, searchOptions(req, algo))
 		if err != nil {
 			return nil, err
 		}
@@ -309,6 +319,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.metrics.coalesced.Add(1)
 		resp = ent.shared(chosen)
 		resp.Coalesced = true
+	}
+	if preparedID != "" {
+		own := *resp
+		own.PreparedID = preparedID
+		resp = &own
 	}
 	WriteJSON(w, http.StatusOK, resp)
 }

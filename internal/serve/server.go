@@ -34,7 +34,6 @@ type Engine interface {
 	Plan(ctx context.Context, query string, opts kbtable.SearchOptions) (kbtable.PlanInfo, error)
 	SearchDistributed(ctx context.Context, exec kbtable.ShardExecutor, query string, opts kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error)
 	PlanDistributed(ctx context.Context, exec kbtable.ShardExecutor, query string, opts kbtable.SearchOptions) (kbtable.PlanInfo, error)
-	PrepareContext(ctx context.Context, query string, opts kbtable.SearchOptions) (*kbtable.PreparedQuery, error)
 	QueryWords(query string) []string
 
 	ApplyUpdate(u kbtable.Update) (*kbtable.Engine, kbtable.UpdateResult, error)
@@ -178,8 +177,8 @@ type Server struct {
 	autoChoseLE  atomic.Uint64
 
 	// boundPruned accumulates PlanInfo.BoundPruned across executed
-	// searches (leader runs and prepared executions; cache hits and
-	// coalesced followers did no enumeration).
+	// searches (leader runs; cache hits and coalesced followers did no
+	// enumeration).
 	boundPruned atomic.Int64
 
 	// Prepared-query registry, keyed by handle id. Handles live exactly

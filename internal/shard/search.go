@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -18,12 +17,12 @@ import (
 // pattern and the cut happens only after the gather. The flip side is
 // that a sharded query's transient memory is proportional to the full
 // pattern/root answer set, not to k (the same regime as LINEARENUM's
-// aggregation dictionary); explosion queries should be fenced with
-// Engine.CountAllContent / kbtable.Explain before execution, exactly as
-// the paper fences exact enumeration. The known follow-up is a bounded
-// two-phase gather with score upper bounds: the probe reports per-pattern
-// bounds, their sum over shards yields a global k-th-score threshold, and
-// every leg prunes against it. Every leg — resident, remote or fallback —
+// aggregation dictionary); explosion queries should be fenced with the
+// planner probe's subtree count (PlanStats.Frontier, kbtable.Explain)
+// before execution, exactly as the paper fences exact enumeration. The
+// known follow-up is a bounded two-phase gather with score upper bounds:
+// the probe reports per-pattern bounds, their sum over shards yields a
+// global k-th-score threshold, and every leg prunes against it. Every leg — resident, remote or fallback —
 // runs through PlanStats and scatterGather, so that change lands in those
 // two functions.
 //
@@ -163,35 +162,31 @@ func (e *Engine) Search(ctx context.Context, plan search.Plan, query string, opt
 		}
 		plan = search.ChoosePlan(search.AlgoAuto, st)
 	}
-	return e.scatterGather(ctx, start, plan, query, opts, legs, func(si int, so search.Options) (*search.Result, error) {
-		return search.Execute(ctx, e.units[si].ix, query, plan.Algo, so)
-	})
+	return e.scatterGather(ctx, start, plan, query, opts, legs)
 }
 
 // searchOne is the one-shard engine's query: the resident unit's executor
 // with the caller's options untouched, so top-k pruning, stage timings,
 // plan statistics and sampling are the executor's own. plan.Algo may be
-// Auto (one prepare serves both the planner and the execution).
+// Auto (one prepare serves both the planner and the execution). A plan
+// the planner resolved earlier is reported as given, candidate-root count
+// included: the resolved algorithm's own prepare may skip the
+// intersection (explicit PATTERNENUM reports -1) that an Auto run counts.
 func (e *Engine) searchOne(ctx context.Context, plan search.Plan, query string, opts search.Options) (*Result, error) {
 	res, err := search.Execute(ctx, e.units[0].ix, query, plan.Algo, opts)
 	if err != nil {
 		return nil, err
 	}
-	out := e.oneResult(res)
-	if plan.Auto {
-		out.Plan = plan
-	}
-	return out, nil
-}
-
-// oneResult lifts a one-shard executor result into the engine's form.
-func (e *Engine) oneResult(res *search.Result) *Result {
 	pt := e.units[0].ix.PatternTable()
 	out := &Result{Patterns: make([]RankedPattern, len(res.Patterns)), Stats: res.Stats, Plan: res.Plan}
 	for i, rp := range res.Patterns {
 		out.Patterns[i] = RankedPattern{Pattern: rp.Pattern, Table: pt, Agg: rp.Agg, Score: rp.Score, Trees: rp.Trees}
 	}
-	return out
+	if plan.Auto {
+		out.Plan = plan
+		out.Stats.CandidateRoots = plan.Stats.CandidateRoots
+	}
+	return out, nil
 }
 
 // scatterOptions lowers the caller's options into the per-shard scatter
@@ -223,14 +218,14 @@ func (e *Engine) scatterOptions(opts search.Options) search.Options {
 	return so
 }
 
-// scatterGather is the one scatter-gather body, under Search and
-// SearchPrepared alike. plan.Algo is resolved (never Auto), and start
-// anchors the stage accounting so probe time already spent counts as
-// prepare. Each shard's leg runs in its own goroutine: through legs when
-// given, its partial checked and decoded in that goroutine, and through
-// local — the resident shard's executor — when legs is nil or the remote
-// leg fails. The gather then folds the legs into the global top-k.
-func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search.Plan, query string, opts search.Options, legs Legs, local func(si int, so search.Options) (*search.Result, error)) (*Result, error) {
+// scatterGather is Search's scatter-gather body. plan.Algo is resolved
+// (never Auto), and start anchors the stage accounting so probe time
+// already spent counts as prepare. Each shard's leg runs in its own
+// goroutine: through legs when given, its partial checked and decoded in
+// that goroutine, and on the resident shard's executor when legs is nil
+// or the remote leg fails. The gather then folds the legs into the global
+// top-k.
+func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search.Plan, query string, opts search.Options, legs Legs) (*Result, error) {
 	probed := time.Now()
 	so := e.scatterOptions(opts)
 	outs := make([]shardOut, e.n)
@@ -243,7 +238,7 @@ func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search
 				}
 			}
 		}
-		res, err := local(si, so)
+		res, err := search.Execute(ctx, e.units[si].ix, query, plan.Algo, so)
 		if err != nil {
 			outs[si].err = err
 			return
@@ -348,65 +343,6 @@ func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search
 	return res, nil
 }
 
-// Prepared retains one query's prepare-stage output on every shard plus
-// the merged planner statistics, bound to the engine snapshot it was
-// built from. Executions run only enumerate→aggregate→rank per shard;
-// Auto resolves from the merged statistics, exactly as Search resolves
-// from a probe.
-type Prepared struct {
-	algo  search.Algo
-	units []*search.Prepared
-	stats search.PlanStats
-}
-
-// Plan resolves the plan the prepared query executes.
-func (p *Prepared) Plan() search.Plan {
-	return search.ChoosePlan(p.algo, p.stats)
-}
-
-// Prepare runs the prepare stage on every shard and retains the per-shard
-// output. The merged statistics are identical to PlanStats' (same
-// per-shard probes, same merge order), so a prepared Auto query resolves
-// exactly as Search would.
-func (e *Engine) Prepare(ctx context.Context, algo search.Algo, query string, opts search.Options) (*Prepared, error) {
-	p := &Prepared{algo: algo, units: make([]*search.Prepared, e.n)}
-	errs := make([]error, e.n)
-	e.scatter(func(si int) {
-		p.units[si], errs[si] = search.PrepareQuery(ctx, e.units[si].ix, query, algo, opts)
-	})
-	for si := range errs {
-		if errs[si] != nil {
-			return nil, errs[si]
-		}
-		if si == 0 {
-			p.stats = p.units[si].Stats()
-			continue
-		}
-		p.stats.Merge(p.units[si].Stats())
-	}
-	return p, nil
-}
-
-// SearchPrepared executes a prepared query: stages 2-4 of the pipeline
-// over each shard's retained prepare, Auto resolved once per execution
-// from the retained statistics. Answers are bit-identical to a fresh
-// Search of the same query on the same engine snapshot.
-func (e *Engine) SearchPrepared(ctx context.Context, p *Prepared, opts search.Options) (*Result, error) {
-	if e.n == 1 {
-		res, err := search.ExecutePrepared(ctx, e.units[0].ix, p.units[0], p.algo, opts)
-		if err != nil {
-			return nil, err
-		}
-		return e.oneResult(res), nil
-	}
-	start := time.Now()
-	plan := p.Plan()
-	// Prepared legs run only in process, so no query text is needed.
-	return e.scatterGather(ctx, start, plan, "", opts, nil, func(si int, so search.Options) (*search.Result, error) {
-		return search.ExecutePrepared(ctx, e.units[si].ix, p.units[si], plan.Algo, so)
-	})
-}
-
 // mergeStats folds the per-shard counters. Candidate-root partitions are
 // disjoint, so counts add; EmptyChecked is the summed per-shard waste (a
 // combination can be empty on one shard and populated on another, so it is
@@ -496,39 +432,16 @@ func (e *Engine) TopTrees(query string, k int, opts search.Options) ([]RankedTre
 	return top.Results(), stats
 }
 
-// NumCandidateRoots sums the per-shard candidate-root counts (the shards
-// partition the candidate set).
-func (e *Engine) NumCandidateRoots(query string) int {
-	n := 0
-	for si := 0; si < e.n; si++ {
-		n += search.NumCandidateRoots(e.units[si].ix, query)
-	}
-	return n
-}
-
-// CountAllContent unions the per-shard pattern content-key sets and sums
-// subtree counts (for query explanation), with search.CountAllCapped's
-// budget semantics: the full subtree count — cheap, no enumeration — is
-// computed first across all shards, and only when it fits the budget is
-// pattern enumeration (whose cost the subtree count bounds) attempted.
-func (e *Engine) CountAllContent(query string, budget int64) (patterns int, trees int64, exceeded bool) {
-	for si := 0; si < e.n; si++ {
-		t := search.SubtreeCount(e.units[si].ix, query)
-		if t > math.MaxInt64-trees { // per-shard counts saturate; so does the sum
-			trees = math.MaxInt64
-			break
-		}
-		trees += t
-	}
-	if budget > 0 && trees > budget {
-		return -1, trees, true
-	}
+// CountAllContent counts a query's distinct tree patterns across all
+// shards (for query explanation): the per-shard pattern sets union by
+// content key, since per-shard pattern tables intern IDs independently.
+// The caller bounds the work with the planner probe's subtree count.
+func (e *Engine) CountAllContent(query string) int {
 	seen := map[string]struct{}{}
 	for si := 0; si < e.n; si++ {
-		keys, _, _ := search.CountAllContent(e.units[si].ix, query, 0)
-		for k := range keys {
+		for k := range search.CountAllContent(e.units[si].ix, query) {
 			seen[k] = struct{}{}
 		}
 	}
-	return len(seen), trees, false
+	return len(seen)
 }

@@ -25,7 +25,7 @@
 // copying postings, and each shard keeps its own epoch counter.
 //
 // One probe (PlanStats) and one scatter-gather body (scatterGather, under
-// Search and SearchPrepared) serve every query that is not a one-shard
+// Search) serve every query that is not a one-shard
 // engine's direct execution. A leg runs either on the resident shard or,
 // given Legs, on a cluster owner node. A remote partial crosses the wire
 // in content form (WirePartial) and is checked before the gather. A

@@ -962,13 +962,18 @@ type Explanation struct {
 const ExplainBudget = 5_000_000
 
 // Explain analyzes a query without ranking answers. Candidate roots and
-// subtrees sum across the shards' disjoint root partitions and patterns
-// are unioned by content. A partial engine cannot count across the whole
-// partition and returns ErrPartialEngine.
+// subtrees are the planner probe's (plan-cached; they sum across the
+// shards' disjoint root partitions) and patterns are unioned by content.
+// A partial engine cannot count across the whole partition and returns
+// ErrPartialEngine.
 func (e *Engine) Explain(query string) (Explanation, error) {
 	ex := Explanation{}
 	if !e.sh.Complete() {
 		return ex, ErrPartialEngine
+	}
+	st, err := e.planStats(context.Background(), query, search.Options{}, nil)
+	if err != nil {
+		return ex, fmt.Errorf("kbtable: %w", err)
 	}
 	words, surfaces := search.ResolveQuery(e.sh.AnyIndex(), query)
 	for i, w := range words {
@@ -978,8 +983,12 @@ func (e *Engine) Explain(query string) (Explanation, error) {
 			ex.Keywords = append(ex.Keywords, surfaces[i])
 		}
 	}
-	ex.CandidateRoots = e.sh.NumCandidateRoots(query)
-	ex.Patterns, ex.Subtrees, ex.Capped = e.sh.CountAllContent(query, ExplainBudget)
+	ex.CandidateRoots, ex.Subtrees = st.CandidateRoots, st.Frontier
+	if ex.Capped = ex.Subtrees > ExplainBudget; ex.Capped {
+		ex.Patterns = -1
+	} else {
+		ex.Patterns = e.sh.CountAllContent(query)
+	}
 	return ex, nil
 }
 

@@ -12,8 +12,8 @@ import (
 )
 
 // This file is the facade's planner surface: the plan cache (repeat
-// query shapes skip the planner probe) and prepared queries (repeat
-// executions skip the whole prepare stage).
+// query shapes skip the planner probe) and prepared queries (a plan
+// resolved once, executed on the ordinary search path).
 
 // NormalizeQuery canonicalizes a query string exactly as the engine's
 // tokenizer will: lowercased maximal letter/digit runs joined by single
@@ -65,11 +65,11 @@ func (e *Engine) planStats(ctx context.Context, query string, so search.Options,
 
 // --- Prepared queries -------------------------------------------------
 
-// PreparedQuery retains one query's prepare-stage output — resolved
-// words, posting handles, planner statistics — bound to the engine
-// snapshot that prepared it. Executions run only enumerate → aggregate →
-// rank, skipping keyword resolution and every posting lookup, and return
-// answers byte-identical to a fresh search on the same snapshot.
+// PreparedQuery is one query with its options and its plan, resolved once
+// and pinned to the engine snapshot that prepared it. Executions run the
+// ordinary search path: an Auto query finds its statistics in the plan
+// cache (the prepare filled it), so it skips the planner probe, and its
+// answers are byte-identical to a fresh search on the same snapshot.
 //
 // Engines are immutable, so the handle stays consistent forever; after
 // an ApplyUpdate the handle still answers from the pre-update snapshot,
@@ -80,47 +80,31 @@ func (e *Engine) planStats(ctx context.Context, query string, so search.Options,
 type PreparedQuery struct {
 	eng   *Engine
 	query string
-	so    search.Options
-	prep  *shard.Prepared
+	opts  SearchOptions
+	plan  PlanInfo
 }
 
-// PrepareContext runs the prepare stage for query and retains its output
-// for repeated execution. Algorithm may be Auto — the plan is then
-// resolved from the retained statistics. Baseline has no prepare stage
-// and is rejected.
+// PrepareContext resolves query's plan and retains it for repeated
+// execution. Algorithm may be Auto: the planner's choice is then part of
+// the retained plan. Baseline has no plan and is rejected, as is a partial
+// engine.
 func (e *Engine) PrepareContext(ctx context.Context, query string, opts SearchOptions) (*PreparedQuery, error) {
-	if !e.sh.Complete() {
-		return nil, ErrPartialEngine
+	if opts.Algorithm == Baseline {
+		return nil, fmt.Errorf("kbtable: the baseline has no plan to prepare")
 	}
-	algo, err := searchAlgo(opts.Algorithm)
+	plan, err := e.plan(ctx, nil, query, opts)
 	if err != nil {
 		return nil, err
 	}
-	pq := &PreparedQuery{eng: e, query: query, so: e.searchOptions(opts)}
-	if pq.prep, err = e.sh.Prepare(ctx, algo, query, pq.so); err != nil {
-		return nil, fmt.Errorf("kbtable: %w", err)
-	}
-	return pq, nil
+	return &PreparedQuery{eng: e, query: query, opts: opts, plan: plan}, nil
 }
 
-// Query returns the prepared query text.
-func (p *PreparedQuery) Query() string { return p.query }
-
-// Engine returns the snapshot the handle is bound to.
-func (p *PreparedQuery) Engine() *Engine { return p.eng }
-
-// Plan resolves the plan the prepared query executes, without executing
-// (stage timings are zero).
-func (p *PreparedQuery) Plan() PlanInfo {
-	return planInfo(p.prep.Plan(), search.QueryStats{})
-}
+// Plan returns the plan the prepared query executes (stage timings are
+// zero).
+func (p *PreparedQuery) Plan() PlanInfo { return p.plan }
 
 // Search executes the prepared query with the options captured at
 // prepare time.
 func (p *PreparedQuery) Search(ctx context.Context) ([]Answer, PlanInfo, error) {
-	res, err := p.eng.sh.SearchPrepared(ctx, p.prep, p.so)
-	if err != nil {
-		return nil, PlanInfo{}, fmt.Errorf("kbtable: %w", err)
-	}
-	return p.eng.answers(res), planInfo(res.Plan, res.Stats), nil
+	return p.eng.SearchPlan(ctx, p.query, p.opts)
 }
