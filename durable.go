@@ -336,6 +336,12 @@ func (e *Engine) Checkpoint(s *Store) (CheckpointStats, error) {
 			return err
 		}
 	}
+	// files is the store's only reference to e, and nothing reads it after
+	// the call, so e can be collected once the snapshot is written. The
+	// store then removes the superseded snapshot, which can take longer
+	// than the write; a background checkpoint of an engine that updates
+	// have since replaced must not keep that epoch's index alive meanwhile.
+	nfiles := len(files)
 	n, err := s.s.Checkpoint(m, files)
 	if errors.Is(err, store.ErrSnapshotCurrent) {
 		// A concurrent checkpoint covering the same sequence won the
@@ -346,8 +352,7 @@ func (e *Engine) Checkpoint(s *Store) (CheckpointStats, error) {
 	if err != nil {
 		return cs, fmt.Errorf("kbtable: checkpoint: %w", err)
 	}
-	cs.Bytes = n
-	cs.Files = len(files)
+	cs.Bytes, cs.Files = n, nfiles
 	cs.Elapsed = time.Since(start)
 	return cs, nil
 }
