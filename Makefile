@@ -55,14 +55,19 @@ fma:
 # facade alone over one whole-graph BaselineIndex: fail if a serving layer
 # names it again. A prepared query is a plan pinned over the ordinary
 # search: fail if any non-test Go grows a second executor for it again.
+# Every keyword query over HTTP is a plain /v1/search: fail if any
+# non-test Go grows a prepared-query route, handle or error code again.
 BASELINE_FREE = internal/shard internal/cluster internal/serve internal/api cmd/kbsearch
 EXECUTOR_FORK = PrepareQuery|ExecutePrepared|SearchPrepared|(shard|search)\.Prepared\b|NumCandidateRoots|SubtreeCount
+PREPARED_ROUTE = PreparedID|CodePreparedGone|handlePrepare|"/prepare"
 one-path:
 	@hits=$$(grep -rnE 'AlgoBaseline|BaselineIndex|kbtable\.Baseline' --include='*.go' --exclude='*_test.go' $(BASELINE_FREE)); \
 	  if [ -n "$$hits" ]; then echo "baseline paths outside the facade:"; echo "$$hits"; exit 1; fi; \
 	  hits=$$(grep -rnE '$(EXECUTOR_FORK)' --include='*.go' --exclude='*_test.go' .); \
 	  if [ -n "$$hits" ]; then echo "a second executor for prepared queries:"; echo "$$hits"; exit 1; fi; \
-	  echo "one baseline path, one execution path"
+	  hits=$$(grep -rnE '$(PREPARED_ROUTE)' --include='*.go' --exclude='*_test.go' .); \
+	  if [ -n "$$hits" ]; then echo "a prepared-query route beside /v1/search:"; echo "$$hits"; exit 1; fi; \
+	  echo "one baseline path, one execution path, one search route"
 
 check: vet build race alloc bench benchmark-module index-procs fma one-path
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -28,7 +28,7 @@ func renderAPISchema() string {
 	sb.WriteString("\nerror codes:\n")
 	codes := []string{
 		api.CodeBadRequest, api.CodeShed, api.CodeStaleEpoch,
-		api.CodePreparedGone, api.CodeDurability, api.CodeMethodNotAllowed,
+		api.CodeDurability, api.CodeMethodNotAllowed,
 		api.CodeNotFound, api.CodeCanceled, api.CodeTimeout,
 		api.CodeReadOnly, api.CodeNotImplemented, api.CodeWALGap,
 		api.CodeInternal,
@@ -41,7 +41,6 @@ func renderAPISchema() string {
 	sb.WriteString("\nendpoints (served under /v1 only; any other path answers 404 not_found):\n")
 	for _, ep := range []string{
 		"POST /v1/search",
-		"POST /v1/prepare",
 		"POST /v1/update",
 		"GET  /v1/healthz",
 		"GET  /v1/metrics",
@@ -57,11 +56,10 @@ func renderAPISchema() string {
 		api.ErrorBody{}, api.ErrorResponse{},
 		api.SearchRequest{}, api.SearchAnswer{}, api.SearchResponse{},
 		api.PlanOut{},
-		api.PrepareRequest{}, api.PrepareResponse{},
 		api.UpdateRequest{}, api.UpdateResponse{},
 		api.CacheStats{}, api.ShardHealth{}, api.IndexHealth{},
 		api.PlannerHealth{}, api.PlanCacheHealth{},
-		api.PreparedHealth{}, api.DurabilityHealth{}, api.ServingHealth{},
+		api.DurabilityHealth{}, api.ServingHealth{},
 		api.HealthResponse{},
 		api.ShardsResponse{}, api.WALSegmentsResponse{},
 		api.ClusterProbeRequest{}, api.ClusterProbeResponse{},

@@ -32,14 +32,9 @@ const (
 	// header, in seconds).
 	CodeShed = "shed"
 	// CodeStaleEpoch: the node's applied state does not match the epoch
-	// or WAL sequence the request pinned (cluster scatter legs, or a
-	// prepare racing an update). Retry against the current state.
+	// or WAL sequence a cluster leg pinned. Retry against the current
+	// state.
 	CodeStaleEpoch = "stale_epoch"
-	// CodePreparedGone: the prepared_id is unknown, or its handle was
-	// expired (an update superseded its epoch) or evicted (the bounded
-	// registry dropped its least recently used handle). Re-prepare and
-	// retry.
-	CodePreparedGone = "prepared_gone"
 	// CodeDurability: the update could not be made durable (WAL append
 	// or fsync failed); the server refuses further updates.
 	CodeDurability = "durability"
@@ -54,8 +49,8 @@ const (
 	// or -readonly).
 	CodeReadOnly = "read_only"
 	// CodeNotImplemented: this server cannot do what was asked: a whole
-	// query (search, prepare) on an owner node hosting only a slice of the
-	// shard partition, or WAL shipping from a server without a WAL.
+	// query on an owner node hosting only a slice of the shard partition,
+	// or WAL shipping from a server without a WAL.
 	CodeNotImplemented = "not_implemented"
 	// CodeWALGap: the requested WAL cursor precedes the oldest retained
 	// record (a checkpoint truncated history). The follower must reseed
@@ -103,15 +98,6 @@ type SearchRequest struct {
 	// Priority orders only queue admission under load; it never changes
 	// the answer bytes and does not participate in the cache key.
 	Priority string `json:"priority,omitempty"`
-	// PreparedID executes a handle from POST /v1/prepare instead of
-	// planning from scratch: query/k/algorithm/d/max_rows come from the
-	// prepare-time request (and must be omitted here); only priority may
-	// accompany it. The execution is an ordinary search with that request
-	// and the handle's plan: it shares the result cache and coalescing
-	// with plain searches of the same shape. A handle expired by an
-	// update or evicted from the bounded registry answers 410
-	// prepared_gone — re-prepare.
-	PreparedID string `json:"prepared_id,omitempty"`
 }
 
 // SearchAnswer is one ranked table answer on the wire.
@@ -145,12 +131,8 @@ type SearchResponse struct {
 	// Coalesced reports that this response shares an execution with an
 	// identical concurrent request (same normalized query, options, and
 	// epoch) instead of having run the search itself.
-	Coalesced bool `json:"coalesced,omitempty"`
-	// PreparedID echoes the handle a prepared execution ran (Epoch is the
-	// handle's). The rest of the response is the plain search's, a cache
-	// hit included, so plan.prepare_ms is that run's prepare stage.
-	PreparedID string  `json:"prepared_id,omitempty"`
-	ElapsedMS  float64 `json:"elapsed_ms"`
+	Coalesced bool    `json:"coalesced,omitempty"`
+	ElapsedMS float64 `json:"elapsed_ms"`
 	// Plan reports the resolved execution plan and per-stage timings.
 	// On cache hits the stage timings are those of the run that populated
 	// the entry.
@@ -180,34 +162,6 @@ type PlanOut struct {
 	// pushdown cut before materialization (0 when pruning was off or
 	// never fired).
 	BoundPruned int64 `json:"bound_pruned"`
-}
-
-// PrepareRequest is the POST /v1/prepare body: the search shape to
-// plan once and pin. The fields and their values mirror SearchRequest.
-type PrepareRequest struct {
-	Query     string `json:"query"`
-	K         int    `json:"k,omitempty"`
-	Algorithm string `json:"algorithm,omitempty"`
-	D         int    `json:"d,omitempty"`
-	MaxRows   int    `json:"max_rows,omitempty"`
-}
-
-// PrepareResponse is the POST /v1/prepare reply: the handle to pass as
-// prepared_id to POST /v1/search. Handles are bound to the epoch that
-// prepared them and answer 410 prepared_gone once expired (by the next
-// update) or evicted (from the bounded registry, least recently used
-// first).
-type PrepareResponse struct {
-	ID        string `json:"id"`
-	Epoch     uint64 `json:"epoch"`
-	Query     string `json:"query"`
-	K         int    `json:"k"`
-	Algorithm string `json:"algorithm"`
-	D         int    `json:"d"`
-	MaxRows   int    `json:"max_rows"`
-	// Plan is the plan the handle executes (stage timings zero — nothing
-	// has run).
-	Plan *PlanOut `json:"plan,omitempty"`
 }
 
 // UpdateRequest is the POST /v1/update body: an atomic batch of
@@ -279,8 +233,6 @@ type PlannerHealth struct {
 	// shapes resolve their Auto plan from cached statistics instead of
 	// re-probing.
 	PlanCache *PlanCacheHealth `json:"plan_cache,omitempty"`
-	// Prepared reports prepared-query traffic.
-	Prepared PreparedHealth `json:"prepared"`
 }
 
 // PlanCacheHealth is the /v1/healthz view of the engine's plan cache.
@@ -293,19 +245,6 @@ type PlanCacheHealth struct {
 	Hits        uint64 `json:"hits"`
 	Misses      uint64 `json:"misses"`
 	Invalidated uint64 `json:"invalidated"`
-}
-
-// PreparedHealth is the /v1/healthz view of the prepared-query registry.
-type PreparedHealth struct {
-	// Live counts handles valid on the current epoch; the registry is
-	// bounded, so it never exceeds the server's fixed capacity.
-	Live int `json:"live"`
-	// Prepares / Searches / Expired count handles created, prepared
-	// executions served, and handles invalidated by epoch swaps
-	// (capacity evictions are not counted).
-	Prepares uint64 `json:"prepares"`
-	Searches uint64 `json:"searches"`
-	Expired  uint64 `json:"expired"`
 }
 
 // DurabilityHealth is the /v1/healthz view of the snapshot + WAL store.

@@ -1,9 +1,10 @@
 // Package client is the typed Go client for the kbtable /v1 HTTP API.
 // Every binary and the cluster router speak the API through it: requests
 // and responses are the internal/api structs, non-2xx replies surface as
-// *APIError carrying the envelope's stable machine code, and retries
-// (opt-in) honor the server's Retry-After. The client pins the API
-// version — it only ever calls /v1 paths.
+// *APIError carrying the envelope's stable machine code (a shed carries
+// the server's Retry-After; the caller decides whether to back off and
+// retry). The client pins the API version — it only ever calls /v1
+// paths.
 package client
 
 import (
@@ -58,24 +59,15 @@ func Code(err error) string {
 // caller should back off (see *APIError.RetryAfter) and retry.
 func IsShed(err error) bool { return Code(err) == api.CodeShed }
 
-// IsStaleEpoch reports a pinned-state mismatch (cluster leg or prepare
-// racing an update): retry against current state.
+// IsStaleEpoch reports a pinned-state mismatch (a cluster leg racing an
+// update): retry against current state.
 func IsStaleEpoch(err error) bool { return Code(err) == api.CodeStaleEpoch }
-
-// IsPreparedGone reports an expired prepared handle: re-prepare.
-func IsPreparedGone(err error) bool { return Code(err) == api.CodePreparedGone }
 
 // Config tunes a Client beyond its base URL.
 type Config struct {
 	// HTTPClient overrides the transport (default: a dedicated client
 	// with a 30s overall timeout; per-request contexts still apply).
 	HTTPClient *http.Client
-	// MaxRetries enables retrying shed (429) responses and transport
-	// errors up to this many times, sleeping the server's Retry-After
-	// (or a doubling backoff from 50ms when absent) between attempts.
-	// Zero — the default — performs no retries: load generators and the
-	// cluster router want to see every shed themselves.
-	MaxRetries int
 }
 
 // Client speaks the /v1 API against one base URL. It is safe for
@@ -83,7 +75,6 @@ type Config struct {
 type Client struct {
 	base string
 	http *http.Client
-	cfg  Config
 }
 
 // New returns a client for the server at base (e.g.
@@ -91,9 +82,8 @@ type Client struct {
 func New(base string, cfg ...Config) *Client {
 	c := &Client{base: strings.TrimRight(base, "/")}
 	if len(cfg) > 0 {
-		c.cfg = cfg[0]
+		c.http = cfg[0].HTTPClient
 	}
-	c.http = c.cfg.HTTPClient
 	if c.http == nil {
 		c.http = &http.Client{Timeout: 30 * time.Second}
 	}
@@ -107,15 +97,6 @@ func (c *Client) Base() string { return c.base }
 func (c *Client) Search(ctx context.Context, req *api.SearchRequest) (*api.SearchResponse, error) {
 	var out api.SearchResponse
 	if err := c.post(ctx, "/search", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Prepare runs POST /v1/prepare.
-func (c *Client) Prepare(ctx context.Context, req *api.PrepareRequest) (*api.PrepareResponse, error) {
-	var out api.PrepareResponse
-	if err := c.post(ctx, "/prepare", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -216,40 +197,9 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	return c.do(ctx, http.MethodPost, path, body, out)
 }
 
-// do performs one API call with the retry policy. Only sheds (which
-// carry an explicit server backoff) and transport-level failures are
-// retried; every other *APIError is a definitive answer.
+// do performs one API call; a non-2xx reply is an *APIError.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
 	u := c.base + "/" + api.Version + path
-	backoff := 50 * time.Millisecond
-	for attempt := 0; ; attempt++ {
-		err := c.once(ctx, method, u, body, out)
-		if err == nil {
-			return nil
-		}
-		if attempt >= c.cfg.MaxRetries {
-			return err
-		}
-		wait := backoff
-		var ae *APIError
-		if errors.As(err, &ae) {
-			if ae.Code != api.CodeShed {
-				return err
-			}
-			if ae.RetryAfter > 0 {
-				wait = ae.RetryAfter
-			}
-		}
-		backoff *= 2
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(wait):
-		}
-	}
-}
-
-func (c *Client) once(ctx context.Context, method, u string, body []byte, out any) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)

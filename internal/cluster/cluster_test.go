@@ -254,12 +254,12 @@ func TestClusterGoldenByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPreparedExecutionScattersToOwners: a prepared execution on a
-// coordinator takes the path every search takes, so its shard legs run on
-// the owner nodes. Its answers equal a fresh search's, every owner's
-// remote-leg counter rises across the execution alone, and no leg falls
-// back to the coordinator's own shards.
-func TestPreparedExecutionScattersToOwners(t *testing.T) {
+// TestSearchScattersToOwners: a search on a coordinator runs its shard
+// legs on the owner nodes. Every owner's remote-leg counter rises across
+// each search alone, for every wire algorithm, and no leg falls back to
+// the coordinator's own shards. An auto search answers exactly like the
+// explicit search of the algorithm it resolved to.
+func TestSearchScattersToOwners(t *testing.T) {
 	g := loadCorpus(t, filepath.Join("..", "..", "testdata", "corpus", "wiki.txt"))
 	tc := startCluster(t, g)
 	ctx := context.Background()
@@ -276,28 +276,25 @@ func TestPreparedExecutionScattersToOwners(t *testing.T) {
 		return out
 	}
 	const q = "software company revenue"
+	answers := map[string][]api.SearchAnswer{}
 	for _, algo := range []string{"patternenum", "linearenum", "auto"} {
-		pr, err := tc.cl.Prepare(ctx, &api.PrepareRequest{Query: q, K: goldenK, MaxRows: goldenRows, Algorithm: algo})
-		if err != nil {
-			t.Fatalf("%s: prepare: %v", algo, err)
-		}
 		before := remote()
-		got, err := tc.cl.Search(ctx, &api.SearchRequest{PreparedID: pr.ID})
+		got, err := tc.cl.Search(ctx, &api.SearchRequest{Query: q, K: goldenK, MaxRows: goldenRows, Algorithm: algo})
 		if err != nil {
-			t.Fatalf("%s: prepared execution: %v", algo, err)
+			t.Fatalf("%s: search: %v", algo, err)
 		}
 		for id, n := range remote() {
 			if n <= before[id] {
-				t.Errorf("%s: owner %s ran no leg of the prepared execution (remote %d → %d)", algo, id, before[id], n)
+				t.Errorf("%s: owner %s ran no leg of the search (remote %d → %d)", algo, id, before[id], n)
 			}
 		}
-		fresh, err := tc.cl.Search(ctx, &api.SearchRequest{Query: q, K: goldenK, MaxRows: goldenRows, Algorithm: algo})
-		if err != nil {
-			t.Fatal(err)
+		if len(got.Answers) == 0 {
+			t.Fatalf("%s: no answers", algo)
 		}
-		if len(got.Answers) == 0 || !reflect.DeepEqual(got.Answers, fresh.Answers) {
-			t.Errorf("%s: prepared answers %d differ from a fresh search's %d", algo, len(got.Answers), len(fresh.Answers))
+		if want, ok := answers[got.Algorithm]; ok && !reflect.DeepEqual(got.Answers, want) {
+			t.Errorf("%s resolved to %s but its answers differ from the explicit search's", algo, got.Algorithm)
 		}
+		answers[got.Algorithm] = got.Answers
 	}
 }
 
@@ -541,8 +538,8 @@ func TestMalformedLegIsBadRequest(t *testing.T) {
 // TestPartialNodeRefusesWholeQueries pins that an owner node — a partial
 // engine hosting one shard of two — answers whole-query requests with the
 // 501 not_implemented envelope and keeps serving afterwards. Before the
-// guard, "auto" and prepare dereferenced the non-resident shard 1 inside
-// a scatter goroutine, which net/http cannot recover: the process died.
+// guard, "auto" dereferenced the non-resident shard 1 inside a scatter
+// goroutine, which net/http cannot recover: the process died.
 func TestPartialNodeRefusesWholeQueries(t *testing.T) {
 	eng, err := kbtable.NewEngine(demoGraph(t), kbtable.EngineOptions{D: 3, Shards: 2, OwnedShards: []int{0}})
 	if err != nil {
@@ -559,10 +556,6 @@ func TestPartialNodeRefusesWholeQueries(t *testing.T) {
 		if ae, ok := err.(*client.APIError); !ok || ae.Status != 501 || ae.Code != api.CodeNotImplemented {
 			t.Errorf("search %s on a partial node: %v, want 501 not_implemented", algo, err)
 		}
-	}
-	_, err = cl.Prepare(ctx, &api.PrepareRequest{Query: "software revenue", Algorithm: "auto"})
-	if ae, ok := err.(*client.APIError); !ok || ae.Status != 501 || ae.Code != api.CodeNotImplemented {
-		t.Errorf("prepare on a partial node: %v, want 501 not_implemented", err)
 	}
 	h, err := cl.Health(ctx)
 	if err != nil || h.Status != "ok" {
@@ -591,8 +584,8 @@ func TestRouteTable(t *testing.T) {
 		path, _, _ := strings.Cut(f[1], "?")
 		endpoints = append(endpoints, [2]string{f[0], path})
 	}
-	if len(endpoints) != 9 {
-		t.Fatalf("parsed %d endpoints from the golden, want 9: %v", len(endpoints), endpoints)
+	if len(endpoints) != 8 {
+		t.Fatalf("parsed %d endpoints from the golden, want 8: %v", len(endpoints), endpoints)
 	}
 
 	eng, err := kbtable.NewEngine(demoGraph(t), kbtable.EngineOptions{D: 3})

@@ -17,7 +17,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.cur.Load()
 	ixs, info := st.eng.IndexStats(), st.eng.ShardInfo()
-	cs, ps := s.cache.Stats(), s.prepared.Stats()
+	cs := s.cache.Stats()
 	resp := &HealthResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -30,12 +30,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			AutoRequests:     s.autoRequests.Load(),
 			ChosePatternEnum: s.autoChosePE.Load(),
 			ChoseLinearEnum:  s.autoChoseLE.Load(),
-			Prepared: PreparedHealth{
-				Live:     ps.Size,
-				Prepares: s.prepares.Load(),
-				Searches: s.preparedSearches.Load(),
-				Expired:  ps.Invalidated,
-			},
 		},
 		Serving: ServingHealth{Coalesced: s.metrics.coalesced.Load()},
 		Index: &IndexHealth{

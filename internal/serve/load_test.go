@@ -440,8 +440,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"kbserve_bound_pruned_total",
 		"kbserve_plan_cache_hits_total",
 		"kbserve_plan_cache_misses_total",
-		"kbserve_prepared_total",
-		"kbserve_prepared_live",
 		"kbserve_epoch",
 	} {
 		if !families[want] {

@@ -206,16 +206,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "kbserve_plan_cache_size %d\n", pc.Size)
 	}
 
-	ps := s.prepared.Stats()
-	fmt.Fprintf(&b, "# HELP kbserve_prepared_total Prepared-query events: handles created, executions served, handles expired by epoch swaps.\n")
-	fmt.Fprintf(&b, "# TYPE kbserve_prepared_total counter\n")
-	fmt.Fprintf(&b, "kbserve_prepared_total{event=\"prepare\"} %d\n", s.prepares.Load())
-	fmt.Fprintf(&b, "kbserve_prepared_total{event=\"search\"} %d\n", s.preparedSearches.Load())
-	fmt.Fprintf(&b, "kbserve_prepared_total{event=\"expired\"} %d\n", ps.Invalidated)
-	fmt.Fprintf(&b, "# HELP kbserve_prepared_live Prepared handles valid on the current epoch.\n")
-	fmt.Fprintf(&b, "# TYPE kbserve_prepared_live gauge\n")
-	fmt.Fprintf(&b, "kbserve_prepared_live %d\n", ps.Size)
-
 	fmt.Fprintf(&b, "# HELP kbserve_epoch Currently published KB epoch.\n")
 	fmt.Fprintf(&b, "# TYPE kbserve_epoch gauge\n")
 	fmt.Fprintf(&b, "kbserve_epoch %d\n", s.cur.Load().epoch)

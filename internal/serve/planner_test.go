@@ -81,6 +81,16 @@ func TestAutoSharesCacheWithExplicit(t *testing.T) {
 	if !reflect.DeepEqual(first.Answers, second.Answers) {
 		t.Error("cached answers differ from auto answers")
 	}
+	// A repeated auto request hits the same entry, byte-identical to the
+	// response that computed it but for the cached flag.
+	_, again := postSearch(t, ts.URL, SearchRequest{Query: q, Algorithm: "auto"})
+	if again == nil || !again.Cached {
+		t.Fatalf("repeated auto request missed the cache: %+v", again)
+	}
+	again.Cached = false
+	if !reflect.DeepEqual(again, first) {
+		t.Errorf("auto hit diverges from the auto miss it hit:\nhit:  %+v\nmiss: %+v", again, first)
+	}
 	// The explicit request did not ask the planner, even though the entry
 	// was populated by one that did: its plan must not claim auto.
 	if second.Plan == nil || second.Plan.Auto || second.Plan.Reason != "" {
@@ -141,6 +151,76 @@ func TestCacheKeyNormalization(t *testing.T) {
 	}
 }
 
+// TestCacheKeyInjective pins the non-forgeable key encoding: under the
+// old plain "|" join, a query containing the separator re-parsed as a
+// different (query, algo) split — cacheKey("a|b","c",...) and
+// cacheKey("a","b|c",...) were the SAME string — so two different
+// request shapes shared one result entry. The length-prefixed encoding
+// keeps every field boundary explicit.
+func TestCacheKeyInjective(t *testing.T) {
+	pairs := [][2]string{
+		{cacheKey("a|b", "c", 1, 2, 3), cacheKey("a", "b|c", 1, 2, 3)},
+		{cacheKey("x|patternenum", "patternenum", 10, 3, 50), cacheKey("x", "patternenum|patternenum", 10, 3, 50)},
+		{cacheKey("q", "patternenum", 10, 3, 50), cacheKey("q", "patternenum", 1, 3, 50)},
+		{cacheKey("", "patternenum", 1, 1, 1), cacheKey("patternenum", "", 1, 1, 1)},
+	}
+	for i, p := range pairs {
+		if p[0] == p[1] {
+			t.Errorf("pair %d: distinct inputs encode to the same key %q", i, p[0])
+		}
+	}
+	// Identical inputs still share an entry.
+	if cacheKey("software", "patternenum", 5, 3, 50) != cacheKey("software", "patternenum", 5, 3, 50) {
+		t.Error("identical inputs must encode identically")
+	}
+}
+
+// TestCacheKeyNoForgery is the behavioral half: the adversarial query
+// from the key-forgery report and the innocent request it aimed to
+// impersonate must never serve each other's bytes.
+func TestCacheKeyNoForgery(t *testing.T) {
+	_, ts := newTestServer(t)
+	_, adv := postSearch(t, ts.URL, SearchRequest{Query: "x|patternenum"})
+	if adv == nil {
+		t.Fatal("adversarial query rejected")
+	}
+	resp, innocent := postSearch(t, ts.URL, SearchRequest{Query: "x", Algorithm: "patternenum"})
+	if innocent == nil {
+		t.Fatalf("innocent query rejected: %v", resp.Status)
+	}
+	if innocent.Cached {
+		t.Fatalf("innocent request served from the adversarial query's cache entry: %+v", innocent)
+	}
+	if innocent.Query == adv.Query {
+		t.Fatalf("both requests normalized onto one query %q", adv.Query)
+	}
+}
+
+// TestPunctuationSharesCacheEntry pins the tokenized normalization fix:
+// the engine drops punctuation during keyword resolution, so "foo," and
+// "foo" produce byte-identical answers and must occupy ONE cache entry
+// instead of fragmenting the result cache.
+func TestPunctuationSharesCacheEntry(t *testing.T) {
+	srv, ts := newTestServer(t)
+	_, first := postSearch(t, ts.URL, SearchRequest{Query: "database, software; company (revenue)!"})
+	if first == nil || first.Cached {
+		t.Fatalf("first spelling: %+v", first)
+	}
+	if first.Query != "database software company revenue" {
+		t.Fatalf("normalized query = %q, want the engine's token form", first.Query)
+	}
+	_, second := postSearch(t, ts.URL, SearchRequest{Query: "database software company revenue"})
+	if second == nil || !second.Cached {
+		t.Fatalf("punctuation-free spelling missed the shared entry: %+v", second)
+	}
+	if len(second.Answers) != len(first.Answers) {
+		t.Fatalf("answers differ across spellings: %d vs %d", len(second.Answers), len(first.Answers))
+	}
+	if st := srv.cache.Stats(); st.Hits == 0 {
+		t.Fatalf("no cache hit recorded: %+v", st)
+	}
+}
+
 // TestHealthzPlannerCounters: /healthz aggregates auto traffic and the
 // planner's decisions.
 func TestHealthzPlannerCounters(t *testing.T) {
@@ -163,6 +243,9 @@ func TestHealthzPlannerCounters(t *testing.T) {
 	if hr.Planner.ChosePatternEnum+hr.Planner.ChoseLinearEnum != 3 {
 		t.Errorf("planner decisions %d + %d don't sum to 3",
 			hr.Planner.ChosePatternEnum, hr.Planner.ChoseLinearEnum)
+	}
+	if hr.Planner.PlanCache == nil {
+		t.Error("healthz omits the plan cache on a real engine")
 	}
 }
 

@@ -199,10 +199,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !DecodePost(w, r, 1<<20, &req) {
 		return
 	}
-	if req.PreparedID != "" {
-		s.servePrepared(w, r, &req)
-		return
-	}
 	algo, err := s.normalizeRequest(&req)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
@@ -246,28 +242,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			s.autoChosePE.Add(1)
 		}
 	}
-	s.serveResolved(ctx, w, st, &req, algo, chosen, "")
-}
-
-// searchOptions lowers a normalized request onto the facade's options.
-func searchOptions(req *SearchRequest, algo kbtable.Algorithm) kbtable.SearchOptions {
-	return kbtable.SearchOptions{K: req.K, Algorithm: algo, MaxRowsPerTable: req.MaxRows}
-}
-
-// serveResolved answers a normalized request pinned to st whose plan is
-// resolved: algo is explicit, and chosen, non-nil, is the planner decision
-// of an auto request. It is the one execution path under /v1/search,
-// plain or prepared: the result cache, then read coalescing, then the
-// engine (scattered through the cluster legs on a coordinator).
-// preparedID, when set, is echoed on the caller's own copy of the
-// response, never on a shared entry.
-func (s *Server) serveResolved(ctx context.Context, w http.ResponseWriter, st *engineState, req *SearchRequest, algo kbtable.Algorithm, chosen *kbtable.PlanInfo, preparedID string) {
 	algoName := api.AlgorithmName(algo)
 
 	key := cacheKey(req.Query, algoName, req.K, req.D, req.MaxRows)
 	if hit, ok := s.cache.Get(key, st.epoch); ok {
 		resp := hit.shared(chosen)
-		resp.Cached, resp.PreparedID = true, preparedID
+		resp.Cached = true
 		WriteJSON(w, http.StatusOK, resp)
 		return
 	}
@@ -286,7 +266,7 @@ func (s *Server) serveResolved(ctx context.Context, w http.ResponseWriter, st *e
 
 		t0 := time.Now()
 		_, search := s.runner(st)
-		answers, pi, err := search(lctx, req.Query, searchOptions(req, algo))
+		answers, pi, err := search(lctx, req.Query, searchOptions(&req, algo))
 		if err != nil {
 			return nil, err
 		}
@@ -320,12 +300,12 @@ func (s *Server) serveResolved(ctx context.Context, w http.ResponseWriter, st *e
 		resp = ent.shared(chosen)
 		resp.Coalesced = true
 	}
-	if preparedID != "" {
-		own := *resp
-		own.PreparedID = preparedID
-		resp = &own
-	}
 	WriteJSON(w, http.StatusOK, resp)
+}
+
+// searchOptions lowers a normalized request onto the facade's options.
+func searchOptions(req *SearchRequest, algo kbtable.Algorithm) kbtable.SearchOptions {
+	return kbtable.SearchOptions{K: req.K, Algorithm: algo, MaxRowsPerTable: req.MaxRows}
 }
 
 // writeSearchError maps a search failure onto an HTTP status.

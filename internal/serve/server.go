@@ -2,10 +2,9 @@
 // service: a JSON POST /v1/search endpoint with per-request timeouts, a
 // POST /v1/update endpoint that applies live knowledge-base mutations with an
 // atomic epoch swap (in-flight searches finish on their snapshot), a
-// GET /v1/healthz endpoint, a result cache over normalized queries and a
-// bounded prepared-handle registry (both the one epoch-fenced, word-tagged
-// cache of internal/cache), and graceful shutdown. cmd/kbserve is the
-// daemon entry point.
+// GET /v1/healthz endpoint, a result cache over normalized queries (the
+// epoch-fenced, word-tagged cache of internal/cache), and graceful
+// shutdown. cmd/kbserve is the daemon entry point.
 package serve
 
 import (
@@ -154,16 +153,12 @@ type engineState struct {
 	epoch uint64
 }
 
-// maxPrepared bounds the prepared-handle registry; past it the least
-// recently used handle is evicted and answers 410 like an expired one.
-const maxPrepared = 512
-
 // Server is the HTTP search daemon behind the /v1 API.
 type Server struct {
 	cfg Config
-	// cache holds computed results, tagged with their query words. Both
-	// caches advance one epoch per publish, in step with cur, so a
-	// request passes its pinned epoch and a superseded one is refused.
+	// cache holds computed results, tagged with their query words. It
+	// advances one epoch per publish, in step with cur, so a request
+	// passes its pinned epoch and a superseded one is refused.
 	cache    *cache.Cache[*cacheEntry]
 	start    time.Time
 	requests atomic.Uint64
@@ -180,14 +175,6 @@ type Server struct {
 	// searches (leader runs; cache hits and coalesced followers did no
 	// enumeration).
 	boundPruned atomic.Int64
-
-	// Prepared-query registry, keyed by handle id. Handles live exactly
-	// one epoch: every publish flushes it, and a prepare racing an update
-	// has its registration refused.
-	prepared         *cache.Cache[*preparedHandle]
-	preparedSeq      atomic.Uint64
-	prepares         atomic.Uint64
-	preparedSearches atomic.Uint64
 
 	// Durability counters: completed background/explicit checkpoints,
 	// failures, the busy latch that keeps at most one background
@@ -222,10 +209,9 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		cache:    cache.New[*cacheEntry](cfg.CacheSize),
-		start:    time.Now(),
-		prepared: cache.New[*preparedHandle](maxPrepared),
+		cfg:   cfg,
+		cache: cache.New[*cacheEntry](cfg.CacheSize),
+		start: time.Now(),
 	}
 	s.pubCond = sync.NewCond(&s.pubMu)
 	if cfg.MaxConcurrent > 0 {
@@ -254,7 +240,6 @@ func (s *Server) Handler() http.Handler {
 		mux.Handle("/"+api.Version+path, s.instrument(name, h))
 	}
 	route("/search", "search", s.handleSearch)
-	route("/prepare", "prepare", s.handlePrepare)
 	route("/update", "update", s.handleUpdate)
 	route("/healthz", "healthz", s.handleHealthz)
 	route("/metrics", "metrics", s.handleMetrics)
@@ -302,21 +287,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // shared with internal/client and internal/cluster — and are aliased
 // here so server code (and its tests) keep their historical names.
 type (
-	SearchRequest   = api.SearchRequest
-	SearchAnswer    = api.SearchAnswer
-	SearchResponse  = api.SearchResponse
-	PlanOut         = api.PlanOut
-	PrepareRequest  = api.PrepareRequest
-	PrepareResponse = api.PrepareResponse
-	UpdateRequest   = api.UpdateRequest
-	UpdateResponse  = api.UpdateResponse
+	SearchRequest  = api.SearchRequest
+	SearchAnswer   = api.SearchAnswer
+	SearchResponse = api.SearchResponse
+	PlanOut        = api.PlanOut
+	UpdateRequest  = api.UpdateRequest
+	UpdateResponse = api.UpdateResponse
 
 	CacheStats       = api.CacheStats
 	ShardHealth      = api.ShardHealth
 	IndexHealth      = api.IndexHealth
 	PlannerHealth    = api.PlannerHealth
 	PlanCacheHealth  = api.PlanCacheHealth
-	PreparedHealth   = api.PreparedHealth
 	DurabilityHealth = api.DurabilityHealth
 	ServingHealth    = api.ServingHealth
 	HealthResponse   = api.HealthResponse

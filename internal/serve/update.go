@@ -50,8 +50,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 // Apply applies one update batch through the full serving pipeline —
-// in-order epoch publish, word-precise cache invalidation, prepared
-// handle expiry, durability when configured — exactly like POST
+// in-order epoch publish, word-precise cache invalidation, durability
+// when configured — exactly like POST
 // /v1/update, and returns the newly published epoch. It is the
 // replication entry point: a follower node replays WAL records shipped
 // from its coordinator through Apply so every serving invariant holds
@@ -121,14 +121,11 @@ func (s *Server) applyUpdate(u kbtable.Update) (*UpdateResponse, error) {
 	for s.cur.Load().epoch+1 != next.epoch {
 		s.pubCond.Wait()
 	}
-	// Both caches move to the next epoch before it is published, so a
-	// result or handle computed on the superseded epoch is either judged
-	// by this pass or refused by Put. Results whose words the update
-	// touched are dropped (all of them when PageRank moved globally);
-	// prepared handles are bound to their snapshot, so every one is
-	// dropped and answers 410 until the client re-prepares.
+	// The cache moves to the next epoch before it is published, so a
+	// result computed on the superseded epoch is either judged by this
+	// pass or refused by Put. Results whose words the update touched are
+	// dropped (all of them when PageRank moved globally).
 	_, invalidated := s.cache.Invalidate(res.TouchedWords, res.ScoresRefreshed)
-	s.prepared.Invalidate(nil, true)
 	s.cur.Store(next)
 	s.pubCond.Broadcast()
 	s.pubMu.Unlock()

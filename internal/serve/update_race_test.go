@@ -14,28 +14,24 @@ import (
 	"kbtable/internal/api"
 )
 
-// epochUpdates builds the deterministic update sequence the consistency
-// test replays: each update adds a software entity wired to the Figure 1
-// graph, so the "database software" answer set grows epoch by epoch.
-func epochUpdates(n int) []kbtable.Update {
-	out := make([]kbtable.Update, n)
-	for i := range out {
-		var u kbtable.Update
-		sw := u.AddEntity("Software", fmt.Sprintf("DBMS mark%d", i))
-		u.AddAttr(sw, "Genre", 1)     // Relational database
-		u.AddAttr(sw, "Developer", 2) // Microsoft
-		out[i] = u
+// TestConcurrentSearchAndUpdateConsistency is the epoch-consistency
+// hammer, over one shard and three: many goroutines POST /search while
+// POST /update publishes a known sequence of epochs, each adding a
+// software entity wired to the Figure 1 graph. Under -race, every single
+// response must be byte-identical to the precomputed ground truth of the
+// epoch it claims to belong to: no torn reads, no half-applied updates,
+// no stale cache entries leaking across an invalidation. On three shards,
+// each update must route to the shards it touched, and per-shard epochs
+// must reflect that routed work.
+func TestConcurrentSearchAndUpdateConsistency(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testSearchUpdateConsistency(t, shards)
+		})
 	}
-	return out
 }
 
-// TestConcurrentSearchAndUpdateConsistency hammers POST /search from many
-// goroutines while POST /update publishes a known sequence of epochs, and
-// checks — under -race — that every single response is byte-identical to
-// the precomputed ground truth of the epoch it claims to belong to: no
-// torn reads, no half-applied updates, no stale cache entries leaking
-// across an invalidation.
-func TestConcurrentSearchAndUpdateConsistency(t *testing.T) {
+func testSearchUpdateConsistency(t *testing.T, shards int) {
 	const (
 		numUpdates   = 6
 		numSearchers = 8
@@ -47,18 +43,22 @@ func TestConcurrentSearchAndUpdateConsistency(t *testing.T) {
 		{Query: "software company revenue", K: 10},
 		{Query: "founder person", K: 10},
 	}
-	updates := epochUpdates(numUpdates)
+	updates := make([]kbtable.Update, numUpdates)
+	for i := range updates {
+		sw := updates[i].AddEntity("Software", fmt.Sprintf("DBMS mark%d", i))
+		updates[i].AddAttr(sw, "Genre", 1)     // Relational database
+		updates[i].AddAttr(sw, "Developer", 2) // Microsoft
+	}
 
-	// Ground truth: replay the same update chain offline. ApplyUpdate is
-	// deterministic and copy-on-write, so engine i here is bit-identical
-	// to the server's engine at epoch i.
-	base := fig1Engine(t)
+	// Ground truth: replay the same update chain offline on an identical
+	// engine. ApplyUpdate is deterministic and copy-on-write, so engine i
+	// here is bit-identical to the server's engine at epoch i.
+	base := fig1Sharded(t, shards)
 	expected := make([]map[string][]SearchAnswer, numUpdates+1)
 	eng := base
 	for ep := 0; ep <= numUpdates; ep++ {
 		expected[ep] = make(map[string][]SearchAnswer)
 		for _, q := range queries {
-			key := q.Query + "|" + q.Algorithm
 			algo, err := api.ParseAlgorithm(q.Algorithm)
 			if err != nil {
 				t.Fatal(err)
@@ -76,7 +76,7 @@ func TestConcurrentSearchAndUpdateConsistency(t *testing.T) {
 					Pattern: a.Pattern, Columns: a.Columns, FullColumns: a.FullColumns, Rows: a.Rows,
 				})
 			}
-			expected[ep][key] = was
+			expected[ep][q.Query+"|"+q.Algorithm] = was
 		}
 		if ep < numUpdates {
 			next, _, err := eng.ApplyUpdate(updates[ep])
@@ -117,6 +117,10 @@ func TestConcurrentSearchAndUpdateConsistency(t *testing.T) {
 				errc <- fmt.Errorf("update %d published epoch %d", i, ur.Epoch)
 				return
 			}
+			if shards > 1 && (ur.AffectedShards < 1 || ur.AffectedShards > shards) {
+				errc <- fmt.Errorf("update %d touched %d shards", i, ur.AffectedShards)
+				return
+			}
 			published.Store(ur.Epoch)
 		}
 	}()
@@ -145,8 +149,7 @@ func TestConcurrentSearchAndUpdateConsistency(t *testing.T) {
 					errc <- fmt.Errorf("response names unpublished epoch %d", sr.Epoch)
 					return
 				}
-				key := q.Query + "|" + q.Algorithm
-				want := expected[sr.Epoch][key]
+				want := expected[sr.Epoch][q.Query+"|"+q.Algorithm]
 				if !reflect.DeepEqual(sr.Answers, want) {
 					errc <- fmt.Errorf("worker %d: %q@epoch %d: answers diverge from ground truth (%d vs %d answers)",
 						worker, q.Query, sr.Epoch, len(sr.Answers), len(want))
@@ -177,6 +180,22 @@ func TestConcurrentSearchAndUpdateConsistency(t *testing.T) {
 	_, sr := postSearch(t, ts.URL, SearchRequest{Query: "mark0 mark1 database", K: 5})
 	if sr.Epoch != numUpdates {
 		t.Fatalf("fresh query on epoch %d", sr.Epoch)
+	}
+	if shards == 1 {
+		return
+	}
+	// The update chain only ever touched the Figure 1 software cluster;
+	// per-shard epochs must reflect routed work, not blanket rebuilds.
+	hr := getHealth(t, srv.Handler())
+	if hr.Shards == nil || hr.Shards.Count != shards {
+		t.Fatalf("healthz shard info = %+v", hr.Shards)
+	}
+	var bumps uint64
+	for _, e := range hr.Shards.Epochs {
+		bumps += e
+	}
+	if bumps == 0 {
+		t.Fatalf("no shard epoch ever advanced across %d updates", numUpdates)
 	}
 }
 

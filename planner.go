@@ -74,9 +74,8 @@ func (e *Engine) planStats(ctx context.Context, query string, so search.Options,
 // Engines are immutable, so the handle stays consistent forever; after
 // an ApplyUpdate the handle still answers from the pre-update snapshot,
 // exactly like an in-flight search. Callers serving live traffic should
-// re-prepare on the new engine (kbserve invalidates prepared handles on
-// every epoch swap). A PreparedQuery is safe for concurrent Search
-// calls.
+// re-prepare on the new engine. A PreparedQuery is safe for concurrent
+// Search calls.
 type PreparedQuery struct {
 	eng   *Engine
 	query string
