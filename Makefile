@@ -14,10 +14,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The enumerate stage's allocation budgets sit behind !race (the race
-# detector changes allocation counts), so `race` alone never runs them.
+# The allocation budgets (the enumerate stage; a cache-hit write and the
+# client's decode of a search reply) sit behind !race (the race detector
+# changes allocation counts), so `race` alone never runs them.
 alloc:
-	$(GO) test -count=1 -run Alloc ./internal/search ./internal/core
+	$(GO) test -count=1 -run Alloc ./internal/search ./internal/core ./internal/serve ./internal/api
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
@@ -57,6 +58,9 @@ fma:
 # search: fail if any non-test Go grows a second executor for it again.
 # Every keyword query over HTTP is a plain /v1/search: fail if any
 # non-test Go grows a prepared-query route, handle or error code again.
+# A search reply is written by one encoder, the api codec splicing the
+# answers encoded once per result: fail if internal/serve/search.go hands
+# a reply to the reflective WriteJSON again.
 BASELINE_FREE = internal/shard internal/cluster internal/serve internal/api cmd/kbsearch
 EXECUTOR_FORK = PrepareQuery|ExecutePrepared|SearchPrepared|(shard|search)\.Prepared\b|NumCandidateRoots|SubtreeCount
 PREPARED_ROUTE = PreparedID|CodePreparedGone|handlePrepare|"/prepare"
@@ -67,7 +71,9 @@ one-path:
 	  if [ -n "$$hits" ]; then echo "a second executor for prepared queries:"; echo "$$hits"; exit 1; fi; \
 	  hits=$$(grep -rnE '$(PREPARED_ROUTE)' --include='*.go' --exclude='*_test.go' .); \
 	  if [ -n "$$hits" ]; then echo "a prepared-query route beside /v1/search:"; echo "$$hits"; exit 1; fi; \
-	  echo "one baseline path, one execution path, one search route"
+	  hits=$$(grep -nE 'WriteJSON' internal/serve/search.go); \
+	  if [ -n "$$hits" ]; then echo "a search reply encoded by reflection beside the api codec:"; echo "$$hits"; exit 1; fi; \
+	  echo "one baseline path, one execution path, one search route, one search encoder"
 
 check: vet build race alloc bench benchmark-module index-procs fma one-path
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -88,6 +94,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzIndexRoundTrip$$' -fuzztime=10s -run='^$$' .
 	$(GO) test -fuzz='^FuzzWALReplay$$' -fuzztime=10s -run='^$$' ./internal/store
 	$(GO) test -fuzz='^FuzzDictQueryTokens$$' -fuzztime=10s -run='^$$' ./internal/text
+	$(GO) test -fuzz='^FuzzSearchResponseDecode$$' -fuzztime=10s -run='^$$' ./internal/api
 
 # Mirror of the GitHub `test` + `coverage` jobs, step for step, so a CI
 # failure can be reproduced (and fixed) without pushing: gofmt, vet,

@@ -5,6 +5,11 @@
 // the server's Retry-After; the caller decides whether to back off and
 // retry). The client pins the API version — it only ever calls /v1
 // paths.
+//
+// Search decodes its reply without reflection (api.DecodeSearchResponse):
+// the strings of one response — query, patterns, column names, cells —
+// share one backing string, the reply body. Holding a single cell keeps
+// the whole body alive; copy it (strings.Clone) to keep it alone.
 package client
 
 import (
@@ -93,13 +98,23 @@ func New(base string, cfg ...Config) *Client {
 // Base returns the base URL the client targets.
 func (c *Client) Base() string { return c.base }
 
-// Search runs POST /v1/search.
+// Search runs POST /v1/search. The reply is decoded by the api
+// package's search codec, not by reflection (see the package comment for
+// what that means for the decoded strings).
 func (c *Client) Search(ctx context.Context, req *api.SearchRequest) (*api.SearchResponse, error) {
-	var out api.SearchResponse
-	if err := c.post(ctx, "/search", req, &out); err != nil {
+	body, err := json.Marshal(req)
+	if err != nil {
 		return nil, err
 	}
-	return &out, nil
+	raw, err := c.call(ctx, http.MethodPost, "/search", body)
+	if err != nil {
+		return nil, err
+	}
+	out, err := api.DecodeSearchResponse(raw)
+	if err != nil {
+		return nil, c.replyError("/search", err)
+	}
+	return out, nil
 }
 
 // Update runs POST /v1/update.
@@ -166,23 +181,8 @@ func (c *Client) ScatterShard(ctx context.Context, req *api.ClusterScatterReques
 
 // Metrics fetches the Prometheus text exposition from GET /v1/metrics.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/"+api.Version+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", decodeError(resp, body)
-	}
-	return string(body), nil
+	raw, err := c.call(ctx, http.MethodGet, "/metrics", nil)
+	return string(raw), err
 }
 
 func (c *Client) get(ctx context.Context, path string, out any) error {
@@ -197,39 +197,52 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	return c.do(ctx, http.MethodPost, path, body, out)
 }
 
-// do performs one API call; a non-2xx reply is an *APIError.
+// do performs one API call and decodes its reply into out (nil: the
+// reply is not read); a non-2xx reply is an *APIError.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
-	u := c.base + "/" + api.Version + path
+	raw, err := c.call(ctx, method, path, body)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return c.replyError(path, err)
+	}
+	return nil
+}
+
+// call performs one API call and returns its 2xx reply body.
+func (c *Client) call(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, u, rd)
+	req, err := http.NewRequestWithContext(ctx, method, c.url(path), rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return decodeError(resp, raw)
+		return nil, decodeError(resp, raw)
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return fmt.Errorf("kbtable api: decoding %s reply: %w", urlPath(u), err)
-	}
-	return nil
+	return raw, nil
+}
+
+func (c *Client) url(path string) string { return c.base + "/" + api.Version + path }
+
+// replyError wraps a failure to decode a 2xx reply from path.
+func (c *Client) replyError(path string, err error) error {
+	return fmt.Errorf("kbtable api: decoding %s reply: %w", urlPath(c.url(path)), err)
 }
 
 // decodeError turns a non-2xx response into *APIError, preferring the

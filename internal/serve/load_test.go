@@ -22,11 +22,13 @@ import (
 // blockingEngine is a real engine whose searches park on release,
 // counting how many times SearchPlan actually ran — the probe for
 // coalescing (it should run once for N identical concurrent queries)
-// and admission control (it holds slots occupied at will).
+// and admission control (it holds slots occupied at will). Released, a
+// search runs for real, except that the first panics searches panic.
 type blockingEngine struct {
 	*kbtable.Engine
 	executions atomic.Int64
 	release    chan struct{}
+	panics     atomic.Int64
 
 	mu      sync.Mutex
 	started []string // queries in execution-start order
@@ -46,10 +48,10 @@ func (e *blockingEngine) SearchPlan(ctx context.Context, query string, opts kbta
 	case <-ctx.Done():
 		return nil, kbtable.PlanInfo{}, ctx.Err()
 	}
-	return []kbtable.Answer{{
-		Rank: 1, Score: 0.5, NumRows: 1, Pattern: "p",
-		Columns: []string{"c"}, Rows: [][]string{{query}},
-	}}, kbtable.PlanInfo{Algorithm: opts.Algorithm}, nil
+	if e.panics.Add(-1) >= 0 {
+		panic("injected search failure")
+	}
+	return e.Engine.SearchPlan(ctx, query, opts)
 }
 
 // waitFor polls cond until it holds or the deadline passes.

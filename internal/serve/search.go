@@ -11,24 +11,36 @@ import (
 	"kbtable/internal/api"
 )
 
-// cacheEntry is one computed response, shared read-only by the result
-// cache, the flight that computed it and every request it answers. plan
-// is the plan the computing request reported.
+// cacheEntry is one computed result, shared read-only by the result
+// cache, the flight that computed it and every request it answers. It
+// holds the answers encoded once, as the JSON array every reply splices
+// in, and not the answer structs: a cached table costs its bytes alone.
+// head carries the reply fields the entry fixes (query, k, algorithm, d,
+// epoch, elapsed_ms); plan is the plan the computing request reported.
 type cacheEntry struct {
-	resp *SearchResponse
-	plan kbtable.PlanInfo
+	head    SearchResponse
+	plan    kbtable.PlanInfo
+	answers []byte
 }
 
-// shared returns a copy of the entry's response for a request that did
-// not compute it (a cache hit or a coalesced follower). The plan must
-// reflect THAT request, not whichever request populated the entry: an
-// auto request carries its own planner decision and probe statistics, an
-// explicit request carries no decision, even when the entry was computed
-// the other way around. Stage timings stay those of the computing run.
-func (e *cacheEntry) shared(chosen *kbtable.PlanInfo) *SearchResponse {
-	resp := *e.resp // shallow copy: answers are shared read-only
+// write answers one request from the entry: a freshly encoded head,
+// then the cached answer bytes, in one Write. The plan must reflect THIS
+// request, not whichever request populated the entry: an auto request
+// carries its own planner decision and probe statistics, an explicit
+// request carries no decision, even when the entry was computed the
+// other way around. Stage timings stay those of the computing run.
+func (e *cacheEntry) write(w http.ResponseWriter, chosen *kbtable.PlanInfo, cached, coalesced bool) {
+	resp := e.head
+	resp.Cached, resp.Coalesced = cached, coalesced
 	resp.Plan = planOut(planFor(e.plan, chosen))
-	return &resp
+	body, err := api.AppendSearchResponse(make([]byte, 0, len(e.answers)+len(resp.Query)+512), &resp, e.answers)
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // planFor returns run — the plan of an execution under an explicitly
@@ -66,21 +78,14 @@ func planOut(pi kbtable.PlanInfo) *PlanOut {
 	}
 }
 
-// wireAnswers converts engine answers to the wire form.
-func wireAnswers(answers []kbtable.Answer) []SearchAnswer {
-	out := make([]SearchAnswer, 0, len(answers))
-	for _, a := range answers {
-		out = append(out, SearchAnswer{
-			Rank:        a.Rank,
-			Score:       a.Score,
-			NumRows:     a.NumRows,
-			Pattern:     a.Pattern,
-			Columns:     a.Columns,
-			FullColumns: a.FullColumns,
-			Rows:        a.Rows,
-		})
+// encodeAnswers converts engine answers to the wire form and encodes
+// them, once per computed result.
+func encodeAnswers(answers []kbtable.Answer) ([]byte, error) {
+	wire := make([]SearchAnswer, len(answers))
+	for i, a := range answers {
+		wire[i] = SearchAnswer(a)
 	}
-	return out
+	return api.AppendAnswers(nil, wire)
 }
 
 // normalizeRequest canonicalizes a request before it reaches the cache
@@ -246,9 +251,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	key := cacheKey(req.Query, algoName, req.K, req.D, req.MaxRows)
 	if hit, ok := s.cache.Get(key, st.epoch); ok {
-		resp := hit.shared(chosen)
-		resp.Cached = true
-		WriteJSON(w, http.StatusOK, resp)
+		hit.write(w, chosen, true, false)
 		return
 	}
 
@@ -270,20 +273,23 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		pi = planFor(pi, chosen)
+		elapsed := time.Since(t0)
 		s.boundPruned.Add(pi.BoundPruned)
+		encoded, err := encodeAnswers(answers)
+		if err != nil {
+			return nil, err
+		}
 		ent := &cacheEntry{
-			resp: &SearchResponse{
+			head: SearchResponse{
 				Query:     req.Query,
 				K:         req.K,
 				Algorithm: algoName,
 				D:         req.D,
 				Epoch:     st.epoch,
-				ElapsedMS: float64(time.Since(t0).Microseconds()) / 1000,
-				Plan:      planOut(pi),
-				Answers:   wireAnswers(answers),
+				ElapsedMS: float64(elapsed.Microseconds()) / 1000,
 			},
-			plan: pi,
+			plan:    planFor(pi, chosen),
+			answers: encoded,
 		}
 		// Tagged with the query's canonical words for word-precise
 		// invalidation; refused if an update published since st.
@@ -294,13 +300,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeSearchError(w, err)
 		return
 	}
-	resp := ent.resp
 	if joined {
 		s.metrics.coalesced.Add(1)
-		resp = ent.shared(chosen)
-		resp.Coalesced = true
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	ent.write(w, chosen, false, joined)
 }
 
 // searchOptions lowers a normalized request onto the facade's options.

@@ -2,6 +2,9 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"log"
+	"runtime/debug"
 	"sync"
 )
 
@@ -34,7 +37,8 @@ type flightGroup struct {
 // key among concurrent callers. The second return reports whether this
 // caller was a follower (joined an existing flight). A follower whose
 // own ctx expires stops waiting and returns the ctx error; the flight
-// itself continues for the remaining callers.
+// itself continues for the remaining callers. A panicking fn fails the
+// flight with an error like any other, so the key is always released.
 func (g *flightGroup) do(ctx context.Context, key string, fn func() (*cacheEntry, error)) (*cacheEntry, bool, error) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -53,10 +57,22 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (*cacheEntry
 	g.m[key] = f
 	g.mu.Unlock()
 
-	f.ent, f.err = fn()
+	f.ent, f.err = run(fn)
 	g.mu.Lock()
 	delete(g.m, key) // remove before close: later arrivals start fresh
 	g.mu.Unlock()
 	close(f.done)
 	return f.ent, false, f.err
+}
+
+// run calls fn, turning a panic into its error. The stack goes to the
+// log, as net/http logs a handler's panic; the client sees a 500.
+func run(fn func() (*cacheEntry, error)) (ent *cacheEntry, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("serve: search panicked: %v\n%s", p, debug.Stack())
+			ent, err = nil, fmt.Errorf("search panicked: %v", p)
+		}
+	}()
+	return fn()
 }
