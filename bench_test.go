@@ -7,7 +7,9 @@ package kbtable
 // DESIGN.md calls out. cmd/kbbench runs the full-scale suite.
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"kbtable/internal/core"
 	"kbtable/internal/dataset"
 	"kbtable/internal/index"
+	"kbtable/internal/kg"
 	"kbtable/internal/rank"
 	"kbtable/internal/search"
 )
@@ -417,6 +420,74 @@ func BenchmarkEndToEndEngine(b *testing.B) {
 		answers, err := eng.Search("software company revenue", 5)
 		if err != nil || len(answers) == 0 {
 			b.Fatal("no answers")
+		}
+	}
+}
+
+// BenchmarkApplyUpdate measures the write path of one engine (graph delta,
+// affected roots, index splice, PageRank refresh) per update, with updates
+// shaped like the benchmark module's WAL tail: "structural" adds an entity
+// with a text attribute and an edge to an existing entity, "text" re-texts
+// an existing entity. Words, types and attributes come from the corpus, so
+// the spliced posting lists are the large ones. Every iteration applies
+// one update to the same base engine.
+func BenchmarkApplyUpdate(b *testing.B) {
+	kgr := env().Wiki()
+	eng, err := NewEngine(&Graph{g: kgr}, EngineOptions{D: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var entities []int64
+	for v := 0; v < kgr.NumNodes(); v++ {
+		if kgr.Type(kg.NodeID(v)) != kg.LiteralType {
+			entities = append(entities, int64(v))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	entity := func() int64 { return entities[rng.Intn(len(entities))] }
+	text := func() string { return kgr.Text(kg.NodeID(entity())) }
+	attr := func() string { return kgr.AttrName(kg.AttrID(rng.Intn(kgr.NumAttrs()))) }
+	for _, bc := range []struct {
+		name   string
+		update func() Update
+	}{
+		{"structural", func() Update {
+			var u Update
+			ref := u.AddEntity(kgr.TypeName(kgr.Type(kg.NodeID(entity()))), text())
+			u.AddTextAttr(ref, attr(), text())
+			u.AddAttr(ref, attr(), entity())
+			return u
+		}},
+		{"text", func() Update {
+			var u Update
+			u.SetText(entity(), text())
+			return u
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				u := bc.update()
+				if _, _, err := eng.ApplyUpdate(u); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkIndexLoadV2 measures decoding a wire-v2 index: validating each
+// word block and re-deriving both views.
+func BenchmarkIndexLoadV2(b *testing.B) {
+	e := env()
+	var buf bytes.Buffer
+	if err := e.WikiIndex(3).Encode(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := index.Load(bytes.NewReader(buf.Bytes()), e.Wiki()); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -3,8 +3,7 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
-	"sort"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,8 +22,8 @@ type wordSim struct {
 }
 
 // flatEntry is the row-oriented construction form of one posting: the DFS
-// emits these, finishWord sorts them and transposes into the columnar
-// wordIndex layout. flatten reverses the transform for delta splicing.
+// emits these, finishWord transposes them in pattern-first order into the
+// columnar wordIndex layout. flatten reverses the transform for splicing.
 type flatEntry struct {
 	pattern core.PatternID
 	root    kg.NodeID
@@ -105,9 +104,10 @@ func Build(g *kg.Graph, opts Options) (*Index, error) {
 
 	// Phase 3 (parallel per word): merge worker outputs (worker ranges are
 	// in root order, so concatenation keeps entries root-ordered), then
-	// sort and transpose into the two columnar views.
+	// order and transpose into the two columnar views.
 	ix.words = make([]wordIndex, nWords)
 	patRootType := patternRootTypes(ix.pt)
+	rank := patternRanks(patRootType)
 	var entries int64
 	parallelWords(nWords, workers, func(w int) {
 		var total, totalEdges int
@@ -139,7 +139,7 @@ func Build(g *kg.Graph, opts Options) (*Index, error) {
 			p.entries = nil
 			p.edgeBuf = nil
 		}
-		finishWord(&ix.words[w], flat, buf, patRootType)
+		finishWord(&ix.words[w], flat, patternOrder(flat, rank), buf, patRootType)
 		atomicAdd(&entries, int64(total))
 	})
 	ix.stats.NumEntries = entries
@@ -447,28 +447,80 @@ func patternRootTypes(pt *core.PatternTable) []kg.TypeID {
 	return out
 }
 
-// finishWord sorts one word's flat postings into the pattern-first order
-// and transposes them into the columnar layout, deriving both views' run
-// and group tables. buf backs the flat entries' edge ranges.
-func finishWord(wi *wordIndex, flat []flatEntry, buf []kg.EdgeID, patRootType []kg.TypeID) {
-	// Pattern-first order: (root type, pattern, root); the pre-sort root
-	// order within equal keys is preserved by stability, keeping path
-	// enumeration deterministic.
-	sort.SliceStable(flat, func(i, j int) bool {
-		a, b := &flat[i], &flat[j]
-		at, bt := patRootType[a.pattern], patRootType[b.pattern]
-		if at != bt {
-			return at < bt
-		}
-		if a.pattern != b.pattern {
-			return a.pattern < b.pattern
-		}
-		return a.root < b.root
-	})
+// patternRanks maps each PatternID to its dense rank in pattern-first
+// order: by root type, then PatternID. A rank fits 32 bits whatever the
+// ID values are, so it is the radix key of an entry's pattern.
+func patternRanks(patRootType []kg.TypeID) []uint32 {
+	keys := make([]uint32, len(patRootType))
+	for p, rt := range patRootType {
+		keys[p] = radixKey(int32(rt))
+	}
+	rank := make([]uint32, len(keys))
+	for r, p := range stableOrder(keys) {
+		rank[p] = uint32(r)
+	}
+	return rank
+}
 
+// radixKey maps an int32 to a uint32 of the same order.
+func radixKey(v int32) uint32 { return uint32(v) ^ 1<<31 }
+
+// patternOrder returns the permutation listing flat in pattern-first order
+// (root type, pattern, root), flat being DFS output over ascending roots
+// as Build and ApplyDelta generate it. It sorts by pattern rank stably:
+// within one pattern the input index then orders the roots, and one
+// root's paths keep their DFS order.
+func patternOrder(flat []flatEntry, rank []uint32) []int32 {
+	keys := make([]uint32, len(flat))
+	for i := range flat {
+		keys[i] = rank[flat[i].pattern]
+	}
+	return stableOrder(keys)
+}
+
+// stableOrder returns the permutation that sorts keys stably: order[i] is
+// the index of the i-th smallest key, equal keys in input order. It is an
+// LSD radix sort over the low bytes in which the keys differ.
+func stableOrder(keys []uint32) []int32 {
+	n := len(keys)
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	lo, hi := ^uint32(0), uint32(0)
+	for _, k := range keys {
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	// Every key lies in [lo, hi], so all share the bits above lo^hi's top.
+	tmp := make([]int32, n)
+	for shift := 0; shift < bits.Len32(lo^hi); shift += 8 {
+		var start [256]int32
+		for _, k := range keys {
+			start[byte(k>>shift)]++
+		}
+		sum := int32(0)
+		for d, c := range start {
+			start[d] = sum
+			sum += c
+		}
+		for _, i := range order {
+			d := byte(keys[i] >> shift)
+			tmp[start[d]] = i
+			start[d]++
+		}
+		order, tmp = tmp, order
+	}
+	return order
+}
+
+// finishWord transposes one word's flat postings into the columnar layout
+// and derives both views' run and group tables. order must list flat in
+// pattern-first order (patternOrder, or ApplyDelta's splice merge); the
+// entries themselves are never moved. buf backs their edge ranges.
+func finishWord(wi *wordIndex, flat []flatEntry, order []int32, buf []kg.EdgeID, patRootType []kg.TypeID) {
 	// Transpose into per-entry columns; keep the per-entry pattern/root
 	// keys in transient arrays for the run scan and the root-first sort.
-	n := len(flat)
+	n := len(order)
 	wi.n = int32(n)
 	wi.termRef = make([]uint32, n)
 	wi.edgeStart = make([]int32, n+1)
@@ -481,8 +533,8 @@ func finishWord(wi *wordIndex, flat []flatEntry, buf []kg.EdgeID, patRootType []
 	pats := make([]core.PatternID, n)
 	roots := make([]kg.NodeID, n)
 	pool := make(map[core.ScoreTerms]uint32)
-	for i := range flat {
-		fe := &flat[i]
+	for i, k := range order {
+		fe := &flat[k]
 		wi.edgeStart[i] = int32(len(wi.edgeBuf))
 		wi.edgeBuf = append(wi.edgeBuf, buf[fe.edgeOff:fe.edgeOff+fe.edgeLen]...)
 		if fe.edgeEnd {
@@ -617,29 +669,17 @@ func buildGroupTables(wi *wordIndex, groupPats []core.PatternID, groupRuns []int
 // buildRootFirst derives the root-first view: the permutation sorted by
 // (root, pattern, position) and its per-root / per-(root, pattern) run
 // tables. runPats/runRoots are the per-run keys of the pattern-first run
-// partition. Because (root, pattern) is unique per run and entries within
-// a run already sit in pattern-first position order, an unstable sort of
-// the RUNS reproduces the stable per-entry permutation at a fraction of
-// the cost of sorting entries (this is the hot half of a v2 snapshot
-// load).
+// partition. (root, pattern) is unique per run and entries within a run
+// already sit in position order, so ordering the RUNS suffices; and all
+// of one root's patterns share its type, so its runs arrive in pattern
+// order and a stable sort by root alone yields (root, pattern) order.
 func buildRootFirst(wi *wordIndex, runPats []core.PatternID, runRoots []kg.NodeID) {
 	nRuns := len(runRoots)
-	order := make([]int32, nRuns)
-	for i := range order {
-		order[i] = int32(i)
+	keys := make([]uint32, nRuns)
+	for k, r := range runRoots {
+		keys[k] = radixKey(int32(r))
 	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if runRoots[a] != runRoots[b] {
-			if runRoots[a] < runRoots[b] {
-				return -1
-			}
-			return 1
-		}
-		if runPats[a] < runPats[b] {
-			return -1
-		}
-		return 1
-	})
+	order := stableOrder(keys)
 	wi.rootOrder = make([]int32, wi.n)
 	wi.rfPat = make([]core.PatternID, 0, nRuns)
 	wi.rfEnd = make([]int32, 0, nRuns)

@@ -8,17 +8,25 @@
 //
 // Why splicing reproduces a full rebuild exactly: Build's per-word entry
 // order is the stable sort of (root type, pattern, root) over entries
-// generated in ascending-root DFS order. Surviving entries of untouched
-// roots keep that relative order; freshly enumerated dirty-root entries
-// are generated the same way; a root is never both (a root either is in
-// the dirty set or not), so re-running the stable sort over the
-// concatenation yields exactly the order a from-scratch Build produces —
-// modulo PatternID numbering, which search never depends on (ranking
-// tie-breaks use content keys, see core.TreePattern.ContentKey).
+// generated in ascending-root DFS order. flatten returns the survivors of
+// untouched roots in that order; the fresh entries of dirty roots are
+// generated the same way and ordered alone; a root is never both, so one
+// linear merge (spliceOrder) yields the order Build produces. finishWord
+// only transposes: its input must come ordered.
+//
+// PatternIDs are the exception: a splice appends new patterns to the
+// cloned table, a rebuild numbers them by first encounter, and
+// pattern-first order sorts by ID within a root type. Ranking breaks ties
+// on content keys (core.TreePattern.ContentKey), so answers agree; but
+// PatternEnum meets pattern combinations in PatternID order, so its top-k
+// bound fires elsewhere and its pruned/patterns/trees counters can differ
+// from a rebuild's (the "updated" rows of the equivalence matrix's
+// knownDiffs).
 package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -111,6 +119,9 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 	if dirty == nil {
 		dirty = kg.AffectedRoots(ch, ix.d-1)
 	}
+	if !slices.IsSorted(dirty) {
+		return nil, ds, fmt.Errorf("index: dirty roots are not ascending")
+	}
 	if opts.RootFilter != nil {
 		owned := make([]kg.NodeID, 0, len(dirty))
 		for _, r := range dirty {
@@ -141,6 +152,7 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 	nWords := dict.Len()
 	identityEdges := ch.EdgeMap == nil
 	patRootType := patternRootTypes(pt)
+	rank := patternRanks(patRootType)
 	words := make([]wordIndex, nWords)
 	for w := 0; w < nWords; w++ {
 		var old *wordIndex
@@ -220,7 +232,7 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 				refreshFlatPR(newG, flat, buf, pr)
 			}
 			if len(flat) > 0 {
-				finishWord(wi, flat, buf, patRootType)
+				finishWord(wi, flat, spliceOrder(flat, surv, rank), buf, patRootType)
 			}
 			// A word that vanished from the corpus leaves an empty slot
 			// (lookups treat it as no postings).
@@ -242,6 +254,31 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 	nix.stats.BuildTime = time.Since(start)
 	ds.Elapsed = nix.stats.BuildTime
 	return nix, ds, nil
+}
+
+// spliceOrder lists flat in pattern-first order, flat being a spliced
+// word: the survivors flat[:surv] as flatten returns them, then the dirty
+// roots' fresh DFS output. Only the fresh entries are sorted; one linear
+// pass merges them in. A survivor and a fresh entry never share a root,
+// so no comparison ties and the merge equals the stable sort of the whole.
+func spliceOrder(flat []flatEntry, surv int, rank []uint32) []int32 {
+	fresh := patternOrder(flat[surv:], rank)
+	order := make([]int32, 0, len(flat))
+	before := func(i int, f *flatEntry) bool {
+		ri, rf := rank[flat[i].pattern], rank[f.pattern]
+		return ri < rf || ri == rf && flat[i].root < f.root
+	}
+	i := 0
+	for _, f := range fresh {
+		for ; i < surv && before(i, &flat[surv+int(f)]); i++ {
+			order = append(order, int32(i))
+		}
+		order = append(order, int32(surv)+f)
+	}
+	for ; i < surv; i++ {
+		order = append(order, int32(i))
+	}
+	return order
 }
 
 // Rebind returns an index identical to ix but reading node texts, types

@@ -165,7 +165,8 @@ func randomDelta(rng *rand.Rand, g *kg.Graph) *kg.Delta {
 // chain of random updates, the incrementally maintained index must be
 // content-identical to a from-scratch Build of the final snapshot — same
 // posting lists, same paths, same precomputed score terms — under both
-// uniform-PR and PageRank scoring.
+// uniform-PR and PageRank scoring. Every step's columns must also be the
+// ones the comparator reference derives (requireReferenceColumns).
 func TestApplyDeltaMatchesRebuild(t *testing.T) {
 	seqs := int64(60)
 	if testing.Short() {
@@ -197,6 +198,7 @@ func TestApplyDeltaMatchesRebuild(t *testing.T) {
 			if ds.DirtyRoots == 0 {
 				t.Fatalf("seed %d step %d: change with no dirty roots", seed, s)
 			}
+			requireReferenceColumns(t, fmt.Sprintf("seed %d step %d", seed, s), next)
 			cur = next
 		}
 
@@ -260,6 +262,11 @@ func TestApplyDeltaValidation(t *testing.T) {
 	other, _ := Build(randomMutGraph(rand.New(rand.NewSource(2))), Options{D: 3, UniformPR: true})
 	if _, _, err := other.ApplyDelta(ch, Options{D: 3, UniformPR: true}); err == nil {
 		t.Fatal("change against foreign graph accepted")
+	}
+	// Injected dirty roots must come ascending, as AffectedRoots returns
+	// them: the splice merge relies on root-ordered fresh postings.
+	if _, _, err := ix.ApplyDelta(ch, Options{D: 3, UniformPR: true, DirtyRoots: []kg.NodeID{1, 0}}); err == nil {
+		t.Fatal("descending dirty roots accepted")
 	}
 	// And the happy path still works after all those rejections.
 	if _, _, err := ix.ApplyDelta(ch, Options{D: 3, UniformPR: true}); err != nil {

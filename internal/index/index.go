@@ -69,7 +69,8 @@ type Options struct {
 	// into ApplyDelta (before RootFilter is applied), so an engine applying
 	// one delta to many shard indexes runs the affected-roots BFS once
 	// instead of once per shard. Ignored by Build. nil means ApplyDelta
-	// computes it.
+	// computes it. The roots must be ascending, as AffectedRoots returns
+	// them: the splice merge relies on fresh postings arriving root-ordered.
 	DirtyRoots []kg.NodeID
 }
 
