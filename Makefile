@@ -60,7 +60,9 @@ fma:
 # non-test Go grows a prepared-query route, handle or error code again.
 # A search reply is written by one encoder, the api codec splicing the
 # answers encoded once per result: fail if internal/serve/search.go hands
-# a reply to the reflective WriteJSON again.
+# a reply to the reflective WriteJSON again. Load is driven by one driver,
+# the soak in soak_test.go beside the benchmark: fail if cmd/kbload
+# returns.
 BASELINE_FREE = internal/shard internal/cluster internal/serve internal/api cmd/kbsearch
 EXECUTOR_FORK = PrepareQuery|ExecutePrepared|SearchPrepared|(shard|search)\.Prepared\b|NumCandidateRoots|SubtreeCount
 PREPARED_ROUTE = PreparedID|CodePreparedGone|handlePrepare|"/prepare"
@@ -73,7 +75,8 @@ one-path:
 	  if [ -n "$$hits" ]; then echo "a prepared-query route beside /v1/search:"; echo "$$hits"; exit 1; fi; \
 	  hits=$$(grep -nE 'WriteJSON' internal/serve/search.go); \
 	  if [ -n "$$hits" ]; then echo "a search reply encoded by reflection beside the api codec:"; echo "$$hits"; exit 1; fi; \
-	  echo "one baseline path, one execution path, one search route, one search encoder"
+	  if [ -e cmd/kbload ]; then echo "a second load generator beside benchmark/ and the soak: cmd/kbload"; exit 1; fi; \
+	  echo "one baseline path, one execution path, one search route, one search encoder, one load driver"
 
 check: vet build race alloc bench benchmark-module index-procs fma one-path
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -125,28 +128,17 @@ ci-local:
 cold-start:
 	KBTABLE_COLDSTART=1 $(GO) test -run 'TestColdStart' -v -timeout 15m .
 
-# The serving-path soak (the CI `load-soak` job, shortened): a real
-# kbserve (2 shards, durable, group commit) under ~10s of mixed
-# search/update load from kbload, which prints its table and fails the
-# target on any error or a p99 over 5s. CI runs the same recipe at 30s.
-LOAD_SOAK_DURATION ?= 10s
+# The serving-path soak (the CI `load-soak` job): the group-commit
+# throughput floor, then TestServeSoak: a real kbserve (2 shards, durable,
+# group commit) under 30s of mixed search/update load, then a real cluster
+# (coordinator, 2 owners, replica) under 30s of reads; it fails on any
+# error, a p99 over 5s, or a soak that answered no search with a table.
 load-soak:
 	KBTABLE_PERF=1 $(GO) test -run TestGroupCommitThroughput -v ./internal/store
-	$(GO) build -o bin/ ./cmd/kbgen ./cmd/kbserve ./cmd/kbload
-	./bin/kbgen -kind wiki -entities 4000 -types 60 -seed 1 -o /tmp/kbload-wiki.kb
-	rm -rf /tmp/kbload-soak-data
-	./bin/kbserve -kb /tmp/kbload-wiki.kb -shards 2 -data-dir /tmp/kbload-soak-data \
-	  -addr 127.0.0.1:18080 -group-commit-delay 1ms >/tmp/kbload-serve.log 2>&1 & \
-	echo $$! > /tmp/kbload-serve.pid
-	@for i in $$(seq 1 120); do \
-	  curl -fsS http://127.0.0.1:18080/v1/healthz >/dev/null 2>&1 && break; sleep 0.5; done
-	./bin/kbload -addr http://127.0.0.1:18080 -duration $(LOAD_SOAK_DURATION) \
-	  -concurrency 16 -read-ratio 0.85 -entities 4000 -types 60 -seed 1 \
-	  -out kbload-report.json -max-error-rate 0 -max-p99 5s; \
-	status=$$?; kill -TERM $$(cat /tmp/kbload-serve.pid) 2>/dev/null; exit $$status
+	KBTABLE_SOAK=1 $(GO) test -run TestServeSoak -v -timeout 15m .
 
 # The multi-node cluster soak (the CI `cluster-soak` job): coordinator +
-# 2 shard owners + WAL-shipped replica as real processes, kbload through
+# 2 shard owners + WAL-shipped replica as real processes, a soak through
 # the coordinator, all 20 golden answer files byte-diffed against the
 # single-node goldens, one owner SIGKILLed (answers must not change),
 # then the coordinator killed with the replica required to keep serving.
@@ -176,4 +168,4 @@ serve:
 
 clean:
 	$(GO) clean ./...
-	rm -rf bin cover.out kbload-report.json
+	rm -rf bin cover.out

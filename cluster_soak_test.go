@@ -1,12 +1,12 @@
 package kbtable
 
 // Multi-process cluster soak: a real coordinator, two shard owners, and
-// a WAL-shipped replica as separate kbserve processes, a kbload soak
-// through the coordinator, the full golden workload byte-diffed against
-// the single-node answer files, then a SIGKILL of one owner (answers
-// must not change) and of the coordinator (the replica must keep
-// serving). The harness execs and SIGKILLs real processes, so it is
-// opt-in like the cold-start matrix:
+// a WAL-shipped replica as separate kbserve processes, a soak (the
+// driver in soak_test.go) through the coordinator, the full golden
+// workload byte-diffed against the single-node answer files, then a
+// SIGKILL of one owner (answers must not change) and of the coordinator
+// (the replica must keep serving). The harness execs and SIGKILLs real
+// processes, so it is opt-in like the cold-start matrix:
 //
 //	KBTABLE_CLUSTER=1 go test -run TestClusterSoak -v .
 
@@ -16,8 +16,8 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,29 +25,18 @@ import (
 
 func TestClusterSoak(t *testing.T) {
 	if os.Getenv("KBTABLE_CLUSTER") == "" {
-		t.Skip("set KBTABLE_CLUSTER=1 to run the cluster soak (execs 4 kbserve processes plus kbload, SIGKILLs members)")
+		t.Skip("set KBTABLE_CLUSTER=1 to run the cluster soak (execs 4 kbserve processes, SIGKILLs members)")
 	}
 	serveBin := buildKBServe(t)
-	loadBin := buildTool(t, "kbload")
 	for _, spec := range goldenCorpora() {
 		spec := spec
 		t.Run(spec.name, func(t *testing.T) {
-			runClusterSoak(t, serveBin, loadBin, spec)
+			runClusterSoak(t, serveBin, spec)
 		})
 	}
 }
 
-func buildTool(t *testing.T, name string) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), name)
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build %s: %v\n%s", name, err, out)
-	}
-	return bin
-}
-
-func runClusterSoak(t *testing.T, serveBin, loadBin string, spec corpusSpec) {
+func runClusterSoak(t *testing.T, serveBin string, spec corpusSpec) {
 	work := t.TempDir()
 	g := loadCorpus(t, filepath.Join("testdata", "corpus", spec.name+".txt"))
 	kbPath := filepath.Join(work, spec.name+".kb")
@@ -55,48 +44,15 @@ func runClusterSoak(t *testing.T, serveBin, loadBin string, spec corpusSpec) {
 		t.Fatal(err)
 	}
 
-	// Pick every member's address up front so the coordinator's
-	// membership file can name followers that start later.
-	coordAddr, n0Addr, n1Addr, r0Addr := freeAddr(t), freeAddr(t), freeAddr(t), freeAddr(t)
-	memberFile := filepath.Join(work, "members")
-	membership := fmt.Sprintf("n0 http://%s shards=0-1\nn1 http://%s shards=2\nr0 http://%s replica\n",
-		n0Addr, n1Addr, r0Addr)
-	if err := os.WriteFile(memberFile, []byte(membership), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// The result caches are disabled so every post-kill rerun actually
+	// re-executes the scatter instead of replaying the cache.
+	coord, fs := startCluster(t, serveBin, kbPath, 3, []string{"-pull-interval", "50ms"},
+		"n0 shards=0-1", "n1 shards=2", "r0 replica")
+	n1, r0 := fs[1], fs[2]
 
-	// The coordinator result cache is disabled so every post-kill rerun
-	// actually re-executes the scatter instead of replaying the cache.
-	coord := startKBServeAt(t, serveBin, coordAddr,
-		"-kb", kbPath, "-shards", "3", "-cache", "-1",
-		"-role", "coordinator", "-node-id", "c0", "-cluster", memberFile,
-		"-data-dir", filepath.Join(work, "coord-data"))
-	defer coord.kill()
-	n0 := startKBServeAt(t, serveBin, n0Addr,
-		"-kb", kbPath, "-shards", "3", "-cache", "-1",
-		"-role", "node", "-node-id", "n0", "-shard-range", "0-1",
-		"-source", coord.base, "-pull-interval", "50ms")
-	defer n0.kill()
-	n1 := startKBServeAt(t, serveBin, n1Addr,
-		"-kb", kbPath, "-shards", "3", "-cache", "-1",
-		"-role", "node", "-node-id", "n1", "-shard-range", "2",
-		"-source", coord.base, "-pull-interval", "50ms")
-	defer n1.kill()
-	r0 := startKBServeAt(t, serveBin, r0Addr,
-		"-kb", kbPath, "-shards", "3", "-cache", "-1",
-		"-role", "replica", "-node-id", "r0",
-		"-source", coord.base, "-pull-interval", "50ms")
-	defer r0.kill()
-
-	// kbload soak through the coordinator: search-only (the golden
-	// byte-diff below needs the corpus unmodified).
-	soak := exec.Command(loadBin,
-		"-addr", coord.base, "-duration", "3s", "-concurrency", "8",
-		"-read-ratio", "1", "-entities", "160", "-types", "12", "-seed", "42",
-		"-k", "5", "-max-error-rate", "0.01")
-	if out, err := soak.CombinedOutput(); err != nil {
-		t.Fatalf("kbload soak: %v\n%s", err, out)
-	}
+	// Soak through the coordinator: search-only (the golden byte-diff
+	// below needs the corpus unmodified).
+	soak(t, coord.base, g, 8, 1, 3*time.Second, 0.01)
 
 	// Full golden workload through the scattering coordinator: the
 	// answers must be byte-identical to the checked-in single-node
@@ -153,6 +109,44 @@ func runClusterSoak(t *testing.T, serveBin, loadBin string, spec corpusSpec) {
 	if sh := shardsV1(t, r0.base); sh.Role != "replica" || !sh.Complete {
 		t.Fatalf("replica /v1/shards after failover: %+v", sh)
 	}
+}
+
+// startCluster starts a coordinator over kbPath, split into shards index
+// shards, and then one follower per member spec: "n0 shards=0-1" is an
+// owner node, "r0 replica" a replica. Every process runs with -cache -1,
+// the followers also with followerFlags. It returns the coordinator and
+// the followers in spec order; t's cleanup kills them all.
+func startCluster(t *testing.T, bin, kbPath string, shards int, followerFlags []string, specs ...string) (*kbProc, []*kbProc) {
+	t.Helper()
+	work := t.TempDir()
+	addrs := make([]string, len(specs))
+	var members strings.Builder
+	for i, spec := range specs {
+		addrs[i] = freeAddr(t)
+		id, role, _ := strings.Cut(spec, " ")
+		fmt.Fprintf(&members, "%s http://%s %s\n", id, addrs[i], role)
+	}
+	memberFile := filepath.Join(work, "members")
+	if err := os.WriteFile(memberFile, []byte(members.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	common := []string{"-kb", kbPath, "-shards", fmt.Sprint(shards), "-cache", "-1"}
+	coord := startKBServe(t, bin, append(slices.Clip(common), "-role", "coordinator", "-node-id", "c0",
+		"-cluster", memberFile, "-data-dir", filepath.Join(work, "coord-data"))...)
+	t.Cleanup(coord.kill)
+	followers := make([]*kbProc, len(specs))
+	for i, spec := range specs {
+		id, role, _ := strings.Cut(spec, " ")
+		args := append(slices.Concat(common, followerFlags), "-node-id", id, "-source", coord.base)
+		if r, ok := strings.CutPrefix(role, "shards="); ok {
+			args = append(args, "-role", "node", "-shard-range", r)
+		} else {
+			args = append(args, "-role", "replica")
+		}
+		followers[i] = startKBServeAt(t, bin, addrs[i], args...)
+		t.Cleanup(followers[i].kill)
+	}
+	return coord, followers
 }
 
 type v1SearchResponse struct {

@@ -18,7 +18,6 @@
 //
 //	kbserve -kb wiki.kb -addr :8080          # serve a kbgen-built KB
 //	kbserve -kb wiki.kb -shards 4            # partitioned indexes, scatter-gather
-//	kbserve -kb wiki.kb -index wiki.ix       # skip index construction
 //	kbserve -kb wiki.kb -data-dir ./data     # durable: WAL + snapshots
 //	kbserve -data-dir ./data                 # restart: recover, no -kb needed
 //	kbserve -demo                            # built-in Figure 1 KB
@@ -70,7 +69,6 @@ func main() {
 	log.SetPrefix("kbserve: ")
 	addr := flag.String("addr", ":8080", "listen address")
 	kbPath := flag.String("kb", "", "knowledge base file written by kbgen")
-	ixPath := flag.String("index", "", "prebuilt index file written by kbindex (optional)")
 	demo := flag.Bool("demo", false, "serve the built-in Figure 1 mini knowledge base")
 	d := flag.Int("d", 3, "height threshold for tree patterns")
 	shards := flag.Int("shards", 1, "number of index shards candidate roots are partitioned across (1 = one index, queried directly; more = scatter-gather queries, per-shard update routing)")
@@ -149,9 +147,6 @@ func main() {
 	}
 
 	if *dataDir != "" {
-		if *ixPath != "" {
-			log.Fatal("-index is incompatible with -data-dir (snapshots carry their own indexes)")
-		}
 		ropts := opts
 		if !explicit["d"] {
 			ropts.D = 0
@@ -193,13 +188,7 @@ func main() {
 		}
 		defer store.Close()
 	} else {
-		g := mustGraph(*kbPath, *demo)
-		if *ixPath != "" {
-			eng, err = kbtable.NewEngineFromIndex(g, *ixPath, opts)
-		} else {
-			eng, err = kbtable.NewEngine(g, opts)
-		}
-		if err != nil {
+		if eng, err = kbtable.NewEngine(mustGraph(*kbPath, *demo), opts); err != nil {
 			log.Fatal(err)
 		}
 	}

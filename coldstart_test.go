@@ -399,6 +399,10 @@ func (p *kbProc) healthz(t *testing.T) healthResp {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("/v1/healthz: %d %s", resp.StatusCode, body)
+	}
 	var hr healthResp
 	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
 		t.Fatal(err)
