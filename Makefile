@@ -35,8 +35,9 @@ vet:
 benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# index.Build's output must not depend on the core count (PatternID
-# numbering, snapshot bytes): run its tests serial and parallel.
+# Neither index.Build's output nor index.ApplyDelta's may depend on the
+# core count (PatternID numbering, snapshot bytes, DeltaStats): run the
+# package's tests serial and parallel.
 index-procs:
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/index/
 	GOMAXPROCS=4 $(GO) test -count=1 ./internal/index/

@@ -519,7 +519,8 @@ func stableOrder(keys []uint32) []int32 {
 // entries themselves are never moved. buf backs their edge ranges.
 func finishWord(wi *wordIndex, flat []flatEntry, order []int32, buf []kg.EdgeID, patRootType []kg.TypeID) {
 	// Transpose into per-entry columns; keep the per-entry pattern/root
-	// keys in transient arrays for the run scan and the root-first sort.
+	// keys in transient arrays for the run scan and the root-first sort,
+	// and count the (pattern, root) runs and pattern groups on the way.
 	n := len(order)
 	wi.n = int32(n)
 	wi.termRef = make([]uint32, n)
@@ -532,7 +533,8 @@ func finishWord(wi *wordIndex, flat []flatEntry, order []int32, buf []kg.EdgeID,
 	wi.edgeBuf = make([]kg.EdgeID, 0, totalEdges)
 	pats := make([]core.PatternID, n)
 	roots := make([]kg.NodeID, n)
-	pool := make(map[core.ScoreTerms]uint32)
+	terms := newTermInterner(n)
+	nRuns, nGroups := 0, 0
 	for i, k := range order {
 		fe := &flat[k]
 		wi.edgeStart[i] = int32(len(wi.edgeBuf))
@@ -540,24 +542,25 @@ func finishWord(wi *wordIndex, flat []flatEntry, order []int32, buf []kg.EdgeID,
 		if fe.edgeEnd {
 			wi.edgeEnds[i>>6] |= 1 << (uint(i) & 63)
 		}
-		ref, ok := pool[fe.terms]
-		if !ok {
-			ref = uint32(len(wi.termPool))
-			pool[fe.terms] = ref
-			wi.termPool = append(wi.termPool, fe.terms)
-		}
-		wi.termRef[i] = ref
+		wi.termRef[i] = terms.intern(fe.terms)
 		pats[i] = fe.pattern
 		roots[i] = fe.root
+		if i == 0 || pats[i] != pats[i-1] {
+			nGroups++
+			nRuns++
+		} else if roots[i] != roots[i-1] {
+			nRuns++
+		}
 	}
 	wi.edgeStart[n] = int32(len(wi.edgeBuf))
-	wi.termPool = compact(wi.termPool)
+	wi.termPool = compact(terms.pool)
 
 	// Scan out the (pattern, root) runs and pattern groups.
-	var groupPats []core.PatternID
-	var groupRuns []int32 // run count per group
-	var runPats []core.PatternID
-	var runRoots []kg.NodeID
+	groupPats := make([]core.PatternID, 0, nGroups)
+	groupRuns := make([]int32, 0, nGroups) // run count per group
+	runPats := make([]core.PatternID, 0, nRuns)
+	runRoots := make([]kg.NodeID, 0, nRuns)
+	wi.runEnd = make([]int32, 0, nRuns)
 	for i := 0; i < n; {
 		j := i
 		pat := pats[i]
@@ -589,8 +592,30 @@ func finishWord(wi *wordIndex, flat []flatEntry, order []int32, buf []kg.EdgeID,
 // score-term bounds, and the type groups. Shared by finishWord and the
 // wire-v2 decoder.
 func buildGroupTables(wi *wordIndex, groupPats []core.PatternID, groupRuns []int32, runRoots []kg.NodeID, patRootType []kg.TypeID) {
-	wi.patGroups = make([]patGroup, 0, len(groupPats))
+	// Size every table exactly up front: the varint bytes of each group's
+	// root deltas, one skip point per rootSkipInterval runs, one type
+	// group per root-type change.
+	nBytes, nSkips, nTypes := 0, 0, 0
 	run := int32(0)
+	for gi, pat := range groupPats {
+		prev := kg.NodeID(-1)
+		for _, root := range runRoots[run : run+groupRuns[gi]] {
+			nBytes += uvarintLen(uint64(root - prev))
+			prev = root
+		}
+		run += groupRuns[gi]
+		nSkips += int((groupRuns[gi] + rootSkipInterval - 1) / rootSkipInterval)
+		if gi == 0 || patRootType[pat] != patRootType[groupPats[gi-1]] {
+			nTypes++
+		}
+	}
+	wi.rootBytes = make([]byte, 0, nBytes)
+	wi.skipRoots = make([]kg.NodeID, 0, nSkips)
+	wi.skipOffs = make([]int32, 0, nSkips)
+	wi.skipRun = make([]int32, 0, nSkips)
+	wi.typeGroups = make([]typeGroup, 0, nTypes)
+	wi.patGroups = make([]patGroup, 0, len(groupPats))
+	run = 0
 	for gi, pat := range groupPats {
 		pg := patGroup{
 			Pattern:   pat,
@@ -666,6 +691,9 @@ func buildGroupTables(wi *wordIndex, groupPats []core.PatternID, groupRuns []int
 	}
 }
 
+// uvarintLen is the length of x's binary.AppendUvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
 // buildRootFirst derives the root-first view: the permutation sorted by
 // (root, pattern, position) and its per-root / per-(root, pattern) run
 // tables. runPats/runRoots are the per-run keys of the pattern-first run
@@ -680,7 +708,16 @@ func buildRootFirst(wi *wordIndex, runPats []core.PatternID, runRoots []kg.NodeI
 		keys[k] = radixKey(int32(r))
 	}
 	order := stableOrder(keys)
+	nRoots := 0
+	for idx, k := range order {
+		if idx == 0 || runRoots[k] != runRoots[order[idx-1]] {
+			nRoots++
+		}
+	}
 	wi.rootOrder = make([]int32, wi.n)
+	wi.roots = make([]kg.NodeID, 0, nRoots)
+	wi.rgEnd = make([]int32, 0, nRoots)
+	wi.rgRunEnd = make([]int32, 0, nRoots)
 	wi.rfPat = make([]core.PatternID, 0, nRuns)
 	wi.rfEnd = make([]int32, 0, nRuns)
 	pos := int32(0)

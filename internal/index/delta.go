@@ -14,6 +14,13 @@
 // linear merge (spliceOrder) yields the order Build produces. finishWord
 // only transposes: its input must come ordered.
 //
+// The DFS from dirty roots runs serially, because it interns the WordIDs
+// of words it meets first, and ascending root order keeps those IDs the
+// same on every replica. The per-word splice that follows fans out over
+// Options.Workers like Build's last phase: a word's posting list depends
+// on no other word's, and the stats are gathered after the loop, so the
+// new index and DeltaStats do not depend on the worker count.
+//
 // PatternIDs are the exception: a splice appends new patterns to the
 // cloned table, a rebuild numbers them by first encounter, and
 // pattern-first order sorts by ID within a root type. Ranking breaks ties
@@ -28,6 +35,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"kbtable/internal/core"
@@ -65,6 +73,10 @@ type DeltaStats struct {
 // must describe how the receiver was built: D (0 means "same"), the
 // PageRank mode, and Workers. Synonyms are already baked into the cloned
 // dictionary and are ignored here.
+//
+// The DFS from dirty roots is serial, for deterministic WordIDs; the
+// per-word splice runs on up to Workers goroutines, and its output does
+// not depend on Workers.
 //
 // Scoring terms stay exact: with UniformPR every node scores 1 and nothing
 // needs refreshing; otherwise PageRank is recomputed on the new snapshot
@@ -149,12 +161,17 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 		st.dfsRoot(r)
 	}
 
+	// Splice per word in parallel: the DFS above interned every WordID, so
+	// each call writes only its own word's slots; the touched words are
+	// listed after the loop, in WordID order whatever the schedule.
 	nWords := dict.Len()
 	identityEdges := ch.EdgeMap == nil
 	patRootType := patternRootTypes(pt)
 	rank := patternRanks(patRootType)
 	words := make([]wordIndex, nWords)
-	for w := 0; w < nWords; w++ {
+	touched := make([]bool, nWords)
+	var removed, added atomic.Int64
+	parallelWords(nWords, defaultWorkers(opts.Workers), func(w int) {
 		var old *wordIndex
 		if w < len(ix.words) && ix.words[w].n > 0 {
 			old = &ix.words[w]
@@ -164,20 +181,14 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 			fresh = &st.postings[w]
 		}
 
-		// Count the old postings rooted at dirty roots off the root-first
-		// group table — no per-entry scan needed.
 		dirtyOld := 0
 		if old != nil {
-			for gi, r := range old.roots {
-				if dirtySet[r] {
-					dirtyOld += int(old.rgEnd[gi] - old.rgStart(gi))
-				}
-			}
+			dirtyOld = old.countDirty(dirty, dirtySet)
 		}
 
 		switch {
 		case old == nil && fresh == nil:
-			continue
+			return
 		case fresh == nil && dirtyOld == 0:
 			// Untouched posting list: carry it over. The edge arena may
 			// still need a mechanical rewrite (edge IDs shifted) and the
@@ -236,8 +247,14 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 			}
 			// A word that vanished from the corpus leaves an empty slot
 			// (lookups treat it as no postings).
-			ds.EntriesRemoved += int64(dirtyOld)
-			ds.EntriesAdded += int64(frn)
+			removed.Add(int64(dirtyOld))
+			added.Add(int64(frn))
+			touched[w] = true
+		}
+	})
+	ds.EntriesRemoved, ds.EntriesAdded = removed.Load(), added.Load()
+	for w, t := range touched {
+		if t {
 			ds.WordsTouched++
 			ds.TouchedWords = append(ds.TouchedWords, dict.Word(text.WordID(w)))
 		}
@@ -254,6 +271,28 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 	nix.stats.BuildTime = time.Since(start)
 	ds.Elapsed = nix.stats.BuildTime
 	return nix, ds, nil
+}
+
+// countDirty counts the postings rooted at dirty roots off the root-first
+// group table, with no per-entry scan: a lookup per dirty root when the
+// dirty list is the shorter one, else a pass over the word's roots.
+// dirtySet is dirty as a membership vector.
+func (wi *wordIndex) countDirty(dirty []kg.NodeID, dirtySet []bool) int {
+	n := 0
+	if len(dirty) < len(wi.roots) {
+		for _, r := range dirty {
+			if gi, ok := findRoot(wi.roots, r); ok {
+				n += int(wi.rgEnd[gi] - wi.rgStart(gi))
+			}
+		}
+		return n
+	}
+	for gi, r := range wi.roots {
+		if dirtySet[r] {
+			n += int(wi.rgEnd[gi] - wi.rgStart(gi))
+		}
+	}
+	return n
 }
 
 // spliceOrder lists flat in pattern-first order, flat being a spliced
@@ -338,8 +377,7 @@ func matchNodeOf(g *kg.Graph, root kg.NodeID, edges []kg.EdgeID, edgeEnd bool) k
 func refreshWordPR(g *kg.Graph, wi *wordIndex, pr []float64) {
 	n := int(wi.n)
 	newRef := make([]uint32, n)
-	var newPool []core.ScoreTerms
-	pool := make(map[core.ScoreTerms]uint32)
+	terms := newTermInterner(len(wi.termPool))
 	groups := make([]patGroup, len(wi.patGroups))
 	copy(groups, wi.patGroups)
 	for gi := range groups {
@@ -354,13 +392,7 @@ func refreshWordPR(g *kg.Graph, wi *wordIndex, pr []float64) {
 				t := wi.termPool[wi.termRef[i]]
 				lo, hi := wi.edgeStart[i], wi.edgeStart[i+1]
 				t.PR = pr[matchNodeOf(g, prev, wi.edgeBuf[lo:hi], wi.edgeEndBit(i))]
-				ref, ok := pool[t]
-				if !ok {
-					ref = uint32(len(newPool))
-					pool[t] = ref
-					newPool = append(newPool, t)
-				}
-				newRef[i] = ref
+				newRef[i] = terms.intern(t)
 				if first || t.PR < minPR {
 					minPR = t.PR
 				}
@@ -373,7 +405,7 @@ func refreshWordPR(g *kg.Graph, wi *wordIndex, pr []float64) {
 		pg.bounds.minPR, pg.bounds.maxPR = minPR, maxPR
 	}
 	wi.termRef = newRef
-	wi.termPool = compact(newPool)
+	wi.termPool = compact(terms.pool)
 	wi.patGroups = groups
 }
 

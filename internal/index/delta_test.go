@@ -313,3 +313,151 @@ func TestApplyDeltaLocality(t *testing.T) {
 	}
 	diffCanonical(t, "chain", canonical(next), canonical(reb))
 }
+
+// requireSameIndex fails unless two indexes hold the same pattern table
+// and, word by word, the same columns, positions included.
+func requireSameIndex(t *testing.T, label string, got, want *Index) {
+	t.Helper()
+	if !reflect.DeepEqual(got.pt.Snapshot(), want.pt.Snapshot()) {
+		t.Fatalf("%s: pattern tables differ", label)
+	}
+	if len(got.words) != len(want.words) {
+		t.Fatalf("%s: %d words, want %d", label, len(got.words), len(want.words))
+	}
+	for w := range got.words {
+		requireSameColumns(t, fmt.Sprintf("%s: word %q", label, want.dict.Word(text.WordID(w))), &got.words[w], &want.words[w])
+	}
+}
+
+// hubDelta removes the hub of a star whose spokes each carry one word of
+// their own: the removal dirties every node, far more roots than a spoke
+// word's posting list holds, so the splice counts dirty postings by
+// scanning the word's roots rather than looking each dirty root up.
+func hubDelta(t *testing.T) (*kg.Graph, *kg.Delta) {
+	t.Helper()
+	b := kg.NewBuilder()
+	hub := b.Entity("Company", "hub alpha")
+	vocab := []string{"beta", "gamma", "delta", "omega", "sigma"}
+	for i := 0; i < 40; i++ {
+		s := b.Entity("Person", "spoke alpha "+vocab[i%len(vocab)])
+		b.Attr(hub, "employs", s)
+		b.Attr(s, "worksfor", hub)
+	}
+	g := b.MustFreeze()
+	d := kg.NewDelta(g)
+	if err := d.RemoveEntity(hub); err != nil {
+		t.Fatal(err)
+	}
+	return g, d
+}
+
+// TestApplyDeltaWorkersAgree: the parallel splice is schedule-free.
+// TestApplyDeltaMatchesRebuild's delta chains, plus a hub removal, replay
+// at one and at four workers; after every step the two indexes must agree
+// column by column and report the same DeltaStats but for Elapsed.
+func TestApplyDeltaWorkersAgree(t *testing.T) {
+	type chain struct {
+		label string
+		opts  Options
+		g     *kg.Graph
+		delta func(g *kg.Graph) *kg.Delta
+		n     int
+	}
+	var chains []chain
+	seqs := int64(60)
+	if testing.Short() {
+		seqs = 12
+	}
+	for seed := int64(0); seed < seqs; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		uniform := seed%2 == 0
+		d := 2 + rng.Intn(2)
+		g := randomMutGraph(rng)
+		chains = append(chains, chain{
+			label: fmt.Sprintf("seed=%d", seed),
+			opts:  Options{D: d, UniformPR: uniform},
+			g:     g,
+			delta: func(g *kg.Graph) *kg.Delta { return randomDelta(rng, g) },
+			n:     1 + rng.Intn(3),
+		})
+	}
+	hubG, hub := hubDelta(t)
+	for _, uniform := range []bool{true, false} {
+		for _, d := range []int{2, 3} {
+			chains = append(chains, chain{
+				label: fmt.Sprintf("hub d=%d uniform=%v", d, uniform),
+				opts:  Options{D: d, UniformPR: uniform},
+				g:     hubG,
+				delta: func(*kg.Graph) *kg.Delta { return hub },
+				n:     1,
+			})
+		}
+	}
+	for _, c := range chains {
+		serial, parallel := c.opts, c.opts
+		serial.Workers, parallel.Workers = 1, 4
+		ix, err := Build(c.g, serial)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		a, b := ix, ix
+		for s := 0; s < c.n; s++ {
+			label := fmt.Sprintf("%s step %d", c.label, s)
+			ch, err := c.delta(a.Graph()).Apply()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			na, dsA, err := a.ApplyDelta(ch, serial)
+			if err != nil {
+				t.Fatalf("%s: serial: %v", label, err)
+			}
+			nb, dsB, err := b.ApplyDelta(ch, parallel)
+			if err != nil {
+				t.Fatalf("%s: parallel: %v", label, err)
+			}
+			dsA.Elapsed, dsB.Elapsed = 0, 0
+			if !reflect.DeepEqual(dsA, dsB) {
+				t.Fatalf("%s: stats differ:\n workers=1 %+v\n workers=4 %+v", label, dsA, dsB)
+			}
+			requireSameIndex(t, label, nb, na)
+			a, b = na, nb
+		}
+	}
+}
+
+// TestCountDirty: both ways of counting a word's dirty postings, a lookup
+// per dirty root and a scan of the word's roots, agree with a per-entry
+// count, over dirty sets from empty to every node.
+func TestCountDirty(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := randomMutGraph(rng)
+	ix, err := Build(g, Options{D: 3, UniformPR: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 40; trial++ {
+		dirtySet := make([]bool, g.NumNodes())
+		var dirty []kg.NodeID
+		keep := trial % 5 // 0: none, 4: three in four
+		for v := range dirtySet {
+			if rng.Intn(4) < keep {
+				dirtySet[v] = true
+				dirty = append(dirty, kg.NodeID(v))
+			}
+		}
+		for w := range ix.words {
+			wi := &ix.words[w]
+			want := 0
+			flat, _ := wi.flatten()
+			for _, e := range flat {
+				if dirtySet[e.root] {
+					want++
+				}
+			}
+			if got := wi.countDirty(dirty, dirtySet); got != want {
+				t.Fatalf("trial %d word %d: %d dirty postings (%d dirty roots, %d word roots), want %d",
+					trial, w, got, len(dirty), len(wi.roots), want)
+			}
+		}
+	}
+}

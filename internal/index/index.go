@@ -54,7 +54,9 @@ type Options struct {
 	// posting list (Section 3: "every word has its stemmed version and
 	// synonyms in our index pointing to the same path-pattern entry").
 	Synonyms map[string]string
-	// Workers bounds construction parallelism; defaults to GOMAXPROCS.
+	// Workers bounds the parallelism of construction and of maintenance
+	// (ApplyDelta's per-word splice); defaults to GOMAXPROCS. Neither
+	// output depends on it.
 	Workers int
 	// RootFilter, when non-nil, restricts the index to paths ROOTED at
 	// accepted nodes: Build only DFSes from accepted roots, and ApplyDelta

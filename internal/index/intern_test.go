@@ -1,0 +1,63 @@
+package index
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"kbtable/internal/core"
+)
+
+// sameTermBits reports whether two triples are the same bits, so a -0 is
+// told from a +0 and a NaN matches itself.
+func sameTermBits(a, b core.ScoreTerms) bool {
+	return a.Len == b.Len && math.Float64bits(a.PR) == math.Float64bits(b.PR) &&
+		math.Float64bits(a.Sim) == math.Float64bits(b.Sim)
+}
+
+// TestTermInternerMatchesMap: termInterner hands out the references and
+// builds the pool, in order, that the map[core.ScoreTerms]uint32 it
+// replaced does: over random triples drawn from a small alphabet (heavy
+// duplication) that holds +0, -0 and NaN, with hints from zero to the
+// input length, so the table grows well past its hint.
+func TestTermInternerMatchesMap(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), 1, -1, 0.5, 1.0 / 3, math.Inf(1), math.SmallestNonzeroFloat64, math.MaxFloat64}
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 7, 100, 5000} {
+		for _, hint := range []int{0, 1, n / 8, n} {
+			for trial := 0; trial < 3; trial++ {
+				label := fmt.Sprintf("n=%d hint=%d trial=%d", n, hint, trial)
+				pick := func() float64 {
+					if rng.Intn(4) == 0 {
+						return rng.Float64() // mostly distinct: forces growth
+					}
+					return floats[rng.Intn(len(floats))]
+				}
+				ti := newTermInterner(hint)
+				ref := map[core.ScoreTerms]uint32{}
+				var pool []core.ScoreTerms
+				for i := 0; i < n; i++ {
+					term := core.ScoreTerms{Len: 1 + rng.Intn(3), PR: pick(), Sim: pick()}
+					want, ok := ref[term]
+					if !ok {
+						want = uint32(len(pool))
+						ref[term] = want
+						pool = append(pool, term)
+					}
+					if got := ti.intern(term); got != want {
+						t.Fatalf("%s: entry %d %+v: ref %d, map gives %d", label, i, term, got, want)
+					}
+				}
+				if len(ti.pool) != len(pool) {
+					t.Fatalf("%s: pool has %d terms, map pool %d", label, len(ti.pool), len(pool))
+				}
+				for i := range pool {
+					if !sameTermBits(ti.pool[i], pool[i]) {
+						t.Fatalf("%s: pool[%d] = %+v, map pool %+v", label, i, ti.pool[i], pool[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -89,6 +89,11 @@ func (e *Engine) ApplyDelta(ch *kg.Changed) (*Engine, UpdateStats, error) {
 			ne.units[si] = &unit{ix: u.ix.Rebind(ch.New), epoch: u.epoch}
 			return
 		}
+		// Each shard's splice gets the whole worker budget, not a 1/N
+		// split as Build does: one update's splices are unbalanced (the
+		// shard owning the change re-enumerates, the others mostly
+		// carry words over), and the shared word queue of each splice
+		// lets a busy shard use the cores an idle one leaves.
 		so := e.opts
 		so.RootFilter = ne.filter(si)
 		so.DirtyRoots = dirty
