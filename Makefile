@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race alloc bench benchmark-module index-procs fma one-path fmt vet check cover fuzz golden loc serve clean ci-local cold-start snapshot-fixture load-soak cluster-soak
+.PHONY: build test race alloc bench benchmark-module index-procs api-procs fma one-path fmt vet check cover fuzz golden loc serve clean ci-local cold-start snapshot-fixture load-soak cluster-soak
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,12 @@ index-procs:
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/index/
 	GOMAXPROCS=4 $(GO) test -count=1 ./internal/index/
 
+# The /v1 transcript (testdata/api/transcript.txt) pins every healthz and
+# metrics value, and none may depend on the core count: replay it on one
+# core too, beside the race run on all of them.
+api-procs:
+	GOMAXPROCS=1 $(GO) test -count=1 -run '^TestAPITranscript$$' .
+
 # Off amd64, Go may fuse x*y + z into one FMA instruction, whose single
 # rounding changes float bits (scores, PageRank); an explicit float64(x*y)
 # forbids the fusion. Cross-compile the packages that compute scores for
@@ -63,10 +69,12 @@ fma:
 # answers encoded once per result: fail if internal/serve/search.go hands
 # a reply to the reflective WriteJSON again. Load is driven by one driver,
 # the soak in soak_test.go beside the benchmark: fail if cmd/kbload
-# returns.
+# returns. The wire types have one name, internal/api's: fail if
+# internal/serve binds an exported name to an api type again.
 BASELINE_FREE = internal/shard internal/cluster internal/serve internal/api cmd/kbsearch
 EXECUTOR_FORK = PrepareQuery|ExecutePrepared|SearchPrepared|(shard|search)\.Prepared\b|NumCandidateRoots|SubtreeCount
 PREPARED_ROUTE = PreparedID|CodePreparedGone|handlePrepare|"/prepare"
+API_ALIAS = ^[[:space:]]*(type[[:space:]]+[A-Z][[:alnum:]_]*[[:space:]]+=?|[A-Z][[:alnum:]_]*[[:space:]]*=)[[:space:]]*api\.[A-Z]
 one-path:
 	@hits=$$(grep -rnE 'AlgoBaseline|BaselineIndex|kbtable\.Baseline' --include='*.go' --exclude='*_test.go' $(BASELINE_FREE)); \
 	  if [ -n "$$hits" ]; then echo "baseline paths outside the facade:"; echo "$$hits"; exit 1; fi; \
@@ -77,9 +85,11 @@ one-path:
 	  hits=$$(grep -nE 'WriteJSON' internal/serve/search.go); \
 	  if [ -n "$$hits" ]; then echo "a search reply encoded by reflection beside the api codec:"; echo "$$hits"; exit 1; fi; \
 	  if [ -e cmd/kbload ]; then echo "a second load generator beside benchmark/ and the soak: cmd/kbload"; exit 1; fi; \
-	  echo "one baseline path, one execution path, one search route, one search encoder, one load driver"
+	  hits=$$(grep -rnE '$(API_ALIAS)' --include='*.go' --exclude='*_test.go' internal/serve); \
+	  if [ -n "$$hits" ]; then echo "a second name for a wire type beside internal/api's:"; echo "$$hits"; exit 1; fi; \
+	  echo "one baseline path, one execution path, one search route, one search encoder, one load driver, one name per wire type"
 
-check: vet build race alloc bench benchmark-module index-procs fma one-path
+check: vet build race api-procs alloc bench benchmark-module index-procs fma one-path
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@echo "all checks passed"
 
@@ -102,8 +112,8 @@ fuzz:
 
 # Mirror of the GitHub `test` + `coverage` jobs, step for step, so a CI
 # failure can be reproduced (and fixed) without pushing: gofmt, vet,
-# build, examples, race tests (incl. the snapshot format gate), the
-# allocation budgets without race, the index tests at two core counts, the
+# build, examples, race tests (incl. the snapshot format gate), the API
+# transcript on one core, the allocation budgets without race, the index tests at two core counts, the
 # benchmark module, the arm64 fused-multiply-add check, bench smoke,
 # coverage floor.
 ci-local:
@@ -112,6 +122,7 @@ ci-local:
 	$(GO) build ./...
 	$(GO) build ./examples/...
 	$(GO) test -race ./...
+	$(MAKE) api-procs
 	$(GO) test -run TestSnapshotFixture -v .
 	$(MAKE) alloc index-procs benchmark-module fma one-path
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...

@@ -63,11 +63,10 @@ func (e *Engine) ProbeShard(ctx context.Context, si int, query string, opts Sear
 // resolved algorithm (PatternEnum or LinearEnum) and returns the wire
 // partial an exact cluster gather consumes.
 func (e *Engine) ScatterShard(ctx context.Context, si int, algorithm Algorithm, query string, opts SearchOptions) (*ShardPartial, error) {
-	algo, err := searchAlgo(algorithm)
-	if err != nil {
+	if err := checkAlgorithm(algorithm); err != nil {
 		return nil, err
 	}
-	p, err := e.sh.ScatterShard(ctx, si, algo, query, e.searchOptions(opts))
+	p, err := e.sh.ScatterShard(ctx, si, algorithm, query, e.searchOptions(opts))
 	if err != nil {
 		return nil, fmt.Errorf("kbtable: %w", err)
 	}
@@ -100,7 +99,7 @@ func (l execLegs) Probe(ctx context.Context, si int) (ShardPlanStats, error) {
 }
 
 func (l execLegs) Scatter(ctx context.Context, si int, algo search.Algo) (*ShardPartial, error) {
-	return l.exec.ScatterShard(ctx, si, facadeAlgo(algo), l.query, l.opts)
+	return l.exec.ScatterShard(ctx, si, algo, l.query, l.opts)
 }
 
 // legs returns the shard legs exec runs for query, or nil — every leg in

@@ -42,7 +42,7 @@ func main() {
 	kind := flag.String("kind", "", "generate instead of loading: wiki, imdb, or fig1")
 	d := flag.Int("d", 3, "height threshold for tree patterns")
 	k := flag.Int("k", 5, "number of table answers")
-	algo := flag.String("algo", "pe", "algorithm: pe (PATTERNENUM), le (LINEARENUM), auto (cost-based planner)")
+	algoName := flag.String("algo", "pe", "algorithm: pe (PATTERNENUM), le (LINEARENUM), auto (cost-based planner); the wire names patternenum and linearenum work too")
 	explain := flag.Bool("explain", false, "print the resolved plan and per-stage timings for each query")
 	rows := flag.Int("rows", 8, "max table rows to print per answer")
 	shards := flag.Int("shards", 1, "number of index shards candidate roots are partitioned across (1 = one index, queried directly; more = scatter-gather)")
@@ -53,13 +53,16 @@ func main() {
 	server := flag.String("server", "", "query a running kbserve at this base URL over the /v1 API instead of building a local engine")
 	flag.Parse()
 
+	algo, err := api.ParseAlgorithm(*algoName)
+	if err != nil {
+		log.Fatalf("-algo: %v", err)
+	}
 	if *server != "" {
-		runRemote(*server, *k, *algo, *rows, *explain)
+		runRemote(*server, *k, api.AlgorithmName(algo), *rows, *explain)
 		return
 	}
 
 	var g *kg.Graph
-	var err error
 	switch {
 	case *kbPath != "":
 		g, err = kg.LoadFile(*kbPath)
@@ -89,22 +92,10 @@ func main() {
 	}
 	fmt.Printf("index: %d shard(s), %d entries, built in %v\n", *shards, entries, time.Since(t0).Round(time.Millisecond))
 
-	var salgo search.Algo
-	switch *algo {
-	case "pe":
-		salgo = search.AlgoPE
-	case "le":
-		salgo = search.AlgoLE
-	case "auto":
-		salgo = search.AlgoAuto
-	default:
-		log.Fatalf("unknown -algo %q (want pe, le or auto)", *algo)
-	}
-
 	opts := search.Options{K: *k, Lambda: *lambda, Rho: *rho, MaxTreesPerPattern: *rows}
 
 	exec := func(q string) *shard.Result {
-		res, err := se.Search(context.Background(), search.Plan{Algo: salgo}, q, opts, nil)
+		res, err := se.Search(context.Background(), search.Plan{Algo: algo}, q, opts, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -179,16 +170,12 @@ func main() {
 }
 
 // runRemote drives queries through the typed /v1 client against a
-// running server, one-shot or interactively.
+// running server, one-shot or interactively; algo is a wire name.
 func runRemote(base string, k int, algo string, rows int, explain bool) {
 	cl := client.New(base)
-	wireAlgo := map[string]string{"pe": "patternenum", "le": "linearenum"}[algo]
-	if wireAlgo == "" {
-		wireAlgo = algo
-	}
 	run := func(q string) {
 		resp, err := cl.Search(context.Background(), &api.SearchRequest{
-			Query: q, K: k, Algorithm: wireAlgo, MaxRows: rows,
+			Query: q, K: k, Algorithm: algo, MaxRows: rows,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -95,9 +95,6 @@ func New(base string, cfg ...Config) *Client {
 	return c
 }
 
-// Base returns the base URL the client targets.
-func (c *Client) Base() string { return c.base }
-
 // Search runs POST /v1/search. The reply is decoded by the api
 // package's search codec, not by reflection (see the package comment for
 // what that means for the decoded strings).

@@ -299,6 +299,36 @@ func TestStemmedQueryReachesPostings(t *testing.T) {
 	}
 }
 
+// TestWordSimsPaperExamples pins score3's sim(w, text) as the index
+// computes it: 1/|token set| for every distinct canonical word of the
+// text (Example 2.4: sim("database", "Relational database") = 1/2), with
+// repeated tokens and words sharing a stem counted once.
+func TestWordSimsPaperExamples(t *testing.T) {
+	d := text.NewDict()
+	sims := func(s string) map[string]float64 {
+		out := map[string]float64{}
+		for _, ws := range wordSims(d, s) {
+			out[d.Word(ws.Word)] = ws.Sim
+		}
+		return out
+	}
+	if got := sims("Relational database"); len(got) != 2 || got[text.Stem("database")] != 0.5 {
+		t.Errorf("sims(Relational database) = %v, want 2 words at 1/2", got)
+	}
+	if got := sims("Handbook of Database Systems and Applications x"); len(got) != 7 || got[text.Stem("database")] != 1.0/7 {
+		t.Errorf("sims of a seven-token text = %v, want 7 words at 1/7", got)
+	}
+	if got := sims("Software"); got[text.Stem("software")] != 1 {
+		t.Errorf("sims(Software) = %v, want software at 1", got)
+	}
+	if got := wordSims(d, "Movies and movie"); len(got) != 2 {
+		t.Errorf("wordSims(Movies and movie) = %v, want 2 ids (movies and movie share a stem)", got)
+	}
+	if got := wordSims(d, " ,; "); got != nil {
+		t.Errorf("wordSims of a text without tokens = %v, want nil", got)
+	}
+}
+
 func TestSynonyms(t *testing.T) {
 	g, _ := dataset.Fig1()
 	ix, err := Build(g, Options{D: 2, UniformPR: true, Synonyms: map[string]string{"corporation": "company"}})

@@ -157,21 +157,6 @@ func (g *Graph) LookupAttr(name string) AttrID {
 	return -1
 }
 
-// FindEntity returns the first node with the exact text and type name, or
-// -1. Intended for tests and examples, not hot paths.
-func (g *Graph) FindEntity(text, typeName string) NodeID {
-	t := g.LookupType(typeName)
-	if t < 0 {
-		return -1
-	}
-	for _, v := range g.nodesByType[t] {
-		if g.nodeText[v] == text {
-			return v
-		}
-	}
-	return -1
-}
-
 // Stats summarizes the graph for logging and experiment reports.
 type Stats struct {
 	Nodes int

@@ -103,21 +103,12 @@ func TestNodesByType(t *testing.T) {
 }
 
 func TestLookupHelpers(t *testing.T) {
-	g, s, _, _, _ := buildTiny(t)
+	g, _, _, _, _ := buildTiny(t)
 	if g.LookupType("Software") < 0 || g.LookupType("Nope") != -1 {
 		t.Errorf("LookupType wrong")
 	}
 	if g.LookupAttr("Developer") < 0 || g.LookupAttr("Nope") != -1 {
 		t.Errorf("LookupAttr wrong")
-	}
-	if got := g.FindEntity("SQL Server", "Software"); got != s {
-		t.Errorf("FindEntity = %d, want %d", got, s)
-	}
-	if got := g.FindEntity("SQL Server", "Company"); got != -1 {
-		t.Errorf("FindEntity with wrong type should be -1, got %d", got)
-	}
-	if got := g.FindEntity("X", "NoType"); got != -1 {
-		t.Errorf("FindEntity with unknown type should be -1")
 	}
 }
 

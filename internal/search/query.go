@@ -15,7 +15,6 @@ package search
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"time"
 
@@ -321,10 +320,4 @@ func MaterializeTrees(ctx context.Context, ix *index.Index, words []text.WordID,
 // Table renders a ranked pattern as a table answer.
 func (rp RankedPattern) Table(ix *index.Index) core.Table {
 	return core.ComposeTable(ix.Graph(), ix.PatternTable(), rp.Pattern, rp.Trees)
-}
-
-// Describe renders the pattern for humans.
-func (rp RankedPattern) Describe(ix *index.Index, surfaces []string) string {
-	return fmt.Sprintf("score=%.4f trees=%d\n%s", rp.Score, rp.Agg.Count,
-		rp.Pattern.Render(ix.Graph(), ix.PatternTable(), surfaces))
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"kbtable"
+	"kbtable/internal/api"
 )
 
 // discardWriter is a ResponseWriter that keeps nothing.
@@ -35,7 +36,7 @@ func TestCacheHitWriteAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &cacheEntry{head: SearchResponse{Query: "q", K: 10, Algorithm: "patternenum", D: 3, ElapsedMS: 1.5}, answers: answers}
+		e := &cacheEntry{head: api.SearchResponse{Query: "q", K: 10, Algorithm: "patternenum", D: 3, ElapsedMS: 1.5}, answers: answers}
 		w := &discardWriter{h: http.Header{}}
 		n := testing.AllocsPerRun(50, func() { e.write(w, chosen, true, false) })
 		if n > budget {

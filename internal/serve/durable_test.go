@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -13,140 +12,12 @@ import (
 	"kbtable/internal/api"
 )
 
-// demoEngine builds a small engine over the Figure 1 knowledge base.
-func demoEngine(t *testing.T, shards int) *kbtable.Engine {
-	t.Helper()
-	b := kbtable.NewBuilder()
-	sql := b.Entity("Software", "SQL Server")
-	ms := b.Entity("Company", "Microsoft")
-	or := b.Entity("Company", "Oracle Corp")
-	odb := b.Entity("Software", "Oracle DB")
-	b.Attr(sql, "Developer", ms)
-	b.Attr(odb, "Developer", or)
-	b.TextAttr(ms, "Revenue", "US$ 77 billion")
-	b.TextAttr(or, "Revenue", "US$ 37 billion")
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := kbtable.NewEngine(g, kbtable.EngineOptions{D: 3, Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
-}
-
-// post round-trips a JSON request against a handler.
-func postJSON(t *testing.T, h http.Handler, path string, body any, out any) *httptest.ResponseRecorder {
-	t.Helper()
-	data, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data))
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	if out != nil && w.Code == http.StatusOK {
-		if err := json.Unmarshal(w.Body.Bytes(), out); err != nil {
-			t.Fatalf("decode %s response: %v (%s)", path, err, w.Body.String())
-		}
-	}
-	return w
-}
-
-func getHealth(t *testing.T, h http.Handler) HealthResponse {
-	t.Helper()
-	req := httptest.NewRequest(http.MethodGet, "/v1/healthz", nil)
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	var hr HealthResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &hr); err != nil {
-		t.Fatal(err)
-	}
-	return hr
-}
-
-func addSoftwareOp(name string) map[string]any {
-	return map[string]any{"ops": []map[string]any{
-		{"op": "add_entity", "type": "Software", "text": name},
-		{"op": "add_attr", "src": -1, "attr": "Developer", "dst": 1},
-	}}
-}
-
-// TestServeDurableUpdateAndRecovery drives a durable server through
-// updates, then "crashes" it (drops it on the floor) and recovers a
-// second server from the data directory: answers must match, and the
-// healthz durability block must account for the WAL.
-func TestServeDurableUpdateAndRecovery(t *testing.T) {
-	dir := t.TempDir()
-	eng := demoEngine(t, 0)
-	st, err := kbtable.OpenStoreOpts(dir, kbtable.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Checkpoint(st); err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Config{Engine: eng, D: 3, Store: st, CheckpointEvery: 1000})
-	h := srv.Handler()
-
-	hr := getHealth(t, h)
-	if hr.Durability == nil || hr.Durability.DataDir != dir {
-		t.Fatalf("healthz durability block missing: %+v", hr.Durability)
-	}
-	if hr.Index == nil || hr.Index.Bytes <= 0 || hr.Index.Entries <= 0 ||
-		hr.Index.BytesPerEntry <= 0 || hr.Index.BytesPerEntry > 1024 {
-		t.Fatalf("healthz index footprint block missing or implausible: %+v", hr.Index)
-	}
-	if hr.Durability.WALSeq != 0 || hr.Durability.SnapshotSeq != 0 {
-		t.Fatalf("fresh store healthz: %+v", hr.Durability)
-	}
-
-	const updates = 5
-	for i := 0; i < updates; i++ {
-		var ur UpdateResponse
-		if w := postJSON(t, h, "/v1/update", addSoftwareOp(fmt.Sprintf("Postgres %d", i)), &ur); w.Code != http.StatusOK {
-			t.Fatalf("update %d: %d %s", i, w.Code, w.Body.String())
-		}
-	}
-	hr = getHealth(t, h)
-	if hr.Durability.WALSeq != updates || hr.Durability.PendingRecords != updates {
-		t.Fatalf("after %d updates: %+v", updates, hr.Durability)
-	}
-
-	var live SearchResponse
-	if w := postJSON(t, h, "/v1/search", map[string]any{"query": "software company revenue"}, &live); w.Code != http.StatusOK {
-		t.Fatalf("search: %d %s", w.Code, w.Body.String())
-	}
-
-	// Crash: no shutdown, no final checkpoint. Recover from the dir.
-	st.Close()
-	rec, st2, rs, err := kbtable.OpenDirOpts(dir, kbtable.EngineOptions{}, kbtable.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if rs.Replayed != updates || rs.TornTail {
-		t.Fatalf("recovery stats: %+v", rs)
-	}
-	srv2 := New(Config{Engine: rec, D: 3, Store: st2})
-	var recovered SearchResponse
-	if w := postJSON(t, srv2.Handler(), "/v1/search", map[string]any{"query": "software company revenue"}, &recovered); w.Code != http.StatusOK {
-		t.Fatalf("recovered search: %d %s", w.Code, w.Body.String())
-	}
-	la, _ := json.Marshal(live.Answers)
-	ra, _ := json.Marshal(recovered.Answers)
-	if !bytes.Equal(la, ra) {
-		t.Fatalf("recovered answers diverge:\nlive: %s\nrecovered: %s", la, ra)
-	}
-}
-
 // TestServeBackgroundCheckpoint pins the WAL-lag trigger: with
 // CheckpointEvery=2, the third update must eventually produce a
 // snapshot that truncates the log.
 func TestServeBackgroundCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	eng := demoEngine(t, 2) // sharded: checkpoint covers per-shard files
+	eng := fig1Engine(t, 2) // sharded: checkpoint covers per-shard files
 	st, err := kbtable.OpenStoreOpts(dir, kbtable.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -159,8 +30,10 @@ func TestServeBackgroundCheckpoint(t *testing.T) {
 	h := srv.Handler()
 
 	for i := 0; i < 4; i++ {
-		if w := postJSON(t, h, "/v1/update", addSoftwareOp(fmt.Sprintf("DB %d", i)), nil); w.Code != http.StatusOK {
-			t.Fatalf("update %d: %d %s", i, w.Code, w.Body.String())
+		var u kbtable.Update
+		u.AddAttr(u.AddEntity("Software", fmt.Sprintf("DB %d", i)), "Developer", 2) // Microsoft
+		if _, err := srv.Apply(u); err != nil {
+			t.Fatalf("update %d: %v", i, err)
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -203,7 +76,7 @@ func TestServeBackgroundCheckpoint(t *testing.T) {
 // make one response carry all of it. The reply is cut at the ceiling and
 // More tells the follower to pull again.
 func TestWALSegmentsMaxIsCapped(t *testing.T) {
-	eng := demoEngine(t, 0)
+	eng := fig1Engine(t, 0)
 	st, err := kbtable.OpenStoreOpts(t.TempDir(), kbtable.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)

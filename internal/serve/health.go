@@ -18,35 +18,35 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.cur.Load()
 	ixs, info := st.eng.IndexStats(), st.eng.ShardInfo()
 	cs := s.cache.Stats()
-	resp := &HealthResponse{
+	resp := &api.HealthResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Requests:      s.requests.Load(),
 		Epoch:         st.epoch,
 		Updates:       s.updates.Load(),
 		Updatable:     !s.cfg.ReadOnly,
-		Cache:         CacheStats{Size: cs.Size, Capacity: cs.Capacity, Hits: cs.Hits, Misses: cs.Misses},
-		Planner: PlannerHealth{
+		Cache:         api.CacheStats{Size: cs.Size, Capacity: cs.Capacity, Hits: cs.Hits, Misses: cs.Misses},
+		Planner: api.PlannerHealth{
 			AutoRequests:     s.autoRequests.Load(),
 			ChosePatternEnum: s.autoChosePE.Load(),
 			ChoseLinearEnum:  s.autoChoseLE.Load(),
 		},
-		Serving: ServingHealth{Coalesced: s.metrics.coalesced.Load()},
-		Index: &IndexHealth{
+		Serving: api.ServingHealth{Coalesced: s.metrics.coalesced.Load()},
+		Index: &api.IndexHealth{
 			Bytes:         ixs.Bytes,
 			BytesPerEntry: ixs.BytesPerEntry,
 			Entries:       ixs.Entries,
 			Patterns:      ixs.Patterns,
 			D:             ixs.D,
 		},
-		Shards: &ShardHealth{
+		Shards: &api.ShardHealth{
 			Count:   info.Count,
 			Epochs:  info.Epochs,
 			Roots:   info.Roots,
 			Entries: info.Entries,
 		},
 	}
-	if pc := PlanCacheHealth(st.eng.PlanCacheStats()); pc.Capacity > 0 {
+	if pc := api.PlanCacheHealth(st.eng.PlanCacheStats()); pc.Capacity > 0 {
 		resp.Planner.PlanCache = &pc
 	}
 	if s.gate != nil {
@@ -57,7 +57,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cfg.Store != nil {
 		ss := s.cfg.Store.Stats()
-		resp.Durability = &DurabilityHealth{
+		resp.Durability = &api.DurabilityHealth{
 			DataDir:             ss.Dir,
 			WALSeq:              ss.LastSeq,
 			SnapshotSeq:         ss.SnapshotSeq,

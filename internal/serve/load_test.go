@@ -8,15 +8,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"regexp"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"kbtable"
+	"kbtable/internal/api"
 )
 
 // blockingEngine is a real engine whose searches park on release,
@@ -35,7 +34,7 @@ type blockingEngine struct {
 }
 
 func newBlockingEngine(t *testing.T) *blockingEngine {
-	return &blockingEngine{Engine: fig1Engine(t), release: make(chan struct{})}
+	return &blockingEngine{Engine: fig1Engine(t, 0), release: make(chan struct{})}
 }
 
 func (e *blockingEngine) SearchPlan(ctx context.Context, query string, opts kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error) {
@@ -80,7 +79,7 @@ func TestCoalescingSharesExecution(t *testing.T) {
 	client := ts.Client()
 
 	type result struct {
-		sr   SearchResponse
+		sr   api.SearchResponse
 		code int
 	}
 	results := make(chan result, n)
@@ -89,14 +88,14 @@ func TestCoalescingSharesExecution(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, _ := json.Marshal(SearchRequest{Query: "database software", K: 5})
+			body, _ := json.Marshal(api.SearchRequest{Query: "database software", K: 5})
 			resp, err := client.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			defer resp.Body.Close()
-			var sr SearchResponse
+			var sr api.SearchResponse
 			if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 				t.Error(err)
 				return
@@ -123,7 +122,7 @@ func TestCoalescingSharesExecution(t *testing.T) {
 		t.Fatalf("%d executions, want 1", got)
 	}
 	var coalesced int
-	var first *SearchResponse
+	var first *api.SearchResponse
 	for r := range results {
 		if r.code != http.StatusOK {
 			t.Fatalf("status %d", r.code)
@@ -145,24 +144,9 @@ func TestCoalescingSharesExecution(t *testing.T) {
 	if coalesced != n-1 {
 		t.Fatalf("%d coalesced responses, want %d", coalesced, n-1)
 	}
-	if h := healthz(t, ts.URL); h.Serving.Coalesced != n-1 {
+	if h := getHealth(t, srv.Handler()); h.Serving.Coalesced != n-1 {
 		t.Fatalf("healthz coalesced = %d, want %d", h.Serving.Coalesced, n-1)
 	}
-}
-
-// healthz fetches and decodes GET /healthz.
-func healthz(t *testing.T, url string) *HealthResponse {
-	t.Helper()
-	resp, err := http.Get(url + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var h HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	return &h
 }
 
 // TestAdmissionShedsWithRetryAfter pins load shedding: with one
@@ -177,7 +161,7 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 	client := ts.Client()
 
 	post := func(query string) (*http.Response, error) {
-		body, _ := json.Marshal(SearchRequest{Query: query, K: 5})
+		body, _ := json.Marshal(api.SearchRequest{Query: query, K: 5})
 		return client.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 	}
 
@@ -222,7 +206,7 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 			t.Fatalf("blocked request finished with %d", code)
 		}
 	}
-	if h := healthz(t, ts.URL); h.Serving.ShedQueueFull != 1 {
+	if h := getHealth(t, srv.Handler()); h.Serving.ShedQueueFull != 1 {
 		t.Fatalf("healthz shed_queue_full = %d, want 1", h.Serving.ShedQueueFull)
 	}
 }
@@ -241,7 +225,7 @@ func TestAdmissionQueueTimeout(t *testing.T) {
 	client := ts.Client()
 
 	go func() {
-		body, _ := json.Marshal(SearchRequest{Query: "holds the slot", K: 5})
+		body, _ := json.Marshal(api.SearchRequest{Query: "holds the slot", K: 5})
 		resp, err := client.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 		if err == nil {
 			resp.Body.Close()
@@ -252,7 +236,7 @@ func TestAdmissionQueueTimeout(t *testing.T) {
 		return inFlight == 1
 	})
 
-	body, _ := json.Marshal(SearchRequest{Query: "times out in queue", K: 5})
+	body, _ := json.Marshal(api.SearchRequest{Query: "times out in queue", K: 5})
 	resp, err := client.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +262,7 @@ func TestPriorityOrdersQueue(t *testing.T) {
 	client := ts.Client()
 
 	post := func(query, prio string) (*http.Response, error) {
-		body, _ := json.Marshal(SearchRequest{Query: query, K: 5})
+		body, _ := json.Marshal(api.SearchRequest{Query: query, K: 5})
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/search", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		if prio != "" {
@@ -335,143 +319,5 @@ func TestPriorityOrdersQueue(t *testing.T) {
 	want := []string{"slot holder", "high priority probe", "low priority probe"}
 	if len(started) != len(want) || started[1] != want[1] || started[2] != want[2] {
 		t.Fatalf("execution start order = %q, want %q", started, want)
-	}
-}
-
-// TestMetricsEndpoint runs real traffic and then checks that /metrics
-// parses as Prometheus text: every sample line matches the exposition
-// grammar, required families are present, histogram buckets are
-// cumulative, and the +Inf bucket equals the count.
-func TestMetricsEndpoint(t *testing.T) {
-	srv := New(Config{Engine: fig1Engine(t), D: 3, CacheSize: 16})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	postSearch(t, ts.URL, SearchRequest{Query: "database software", K: 5})
-	postSearch(t, ts.URL, SearchRequest{Query: "database software", K: 5}) // cache hit
-	var u kbtable.Update
-	sw := u.AddEntity("Software", "metrics probe tool")
-	u.AddTextAttr(sw, "License", "MIT license")
-	postUpdate(t, ts.URL, UpdateRequest{Ops: u.Ops})
-
-	resp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("content type %q", ct)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-
-	sample := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{([a-zA-Z_][a-zA-Z0-9_]*="[^"]*",?)*\})? [0-9.eE+-]+( [0-9]+)?$`)
-	families := map[string]bool{}
-	type histState struct {
-		prev  uint64
-		inf   uint64
-		count uint64
-	}
-	hists := map[string]*histState{}
-	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !sample.MatchString(line) {
-			t.Fatalf("line does not parse as a Prometheus sample: %q", line)
-		}
-		name := line
-		if i := strings.IndexAny(line, "{ "); i >= 0 {
-			name = line[:i]
-		}
-		families[name] = true
-
-		// Histogram integrity: cumulative buckets, +Inf == count.
-		if strings.HasSuffix(name, "_bucket") {
-			base := strings.TrimSuffix(name, "_bucket")
-			// One series per label-set prefix before le=.
-			le := regexp.MustCompile(`le="([^"]*)"`).FindStringSubmatch(line)
-			series := base
-			if i := strings.Index(line, `le="`); i >= 0 {
-				series = line[:i]
-			}
-			h := hists[series]
-			if h == nil {
-				h = &histState{}
-				hists[series] = h
-			}
-			val, err := strconv.ParseUint(line[strings.LastIndex(line, " ")+1:], 10, 64)
-			if err != nil {
-				t.Fatalf("bucket value in %q: %v", line, err)
-			}
-			if val < h.prev {
-				t.Fatalf("non-cumulative histogram bucket: %q", line)
-			}
-			h.prev = val
-			if le != nil && le[1] == "+Inf" {
-				h.inf = val
-			}
-		}
-		if strings.HasSuffix(name, "_count") {
-			val, err := strconv.ParseUint(line[strings.LastIndex(line, " ")+1:], 10, 64)
-			if err == nil {
-				base := strings.TrimSuffix(name, "_count")
-				for series, h := range hists {
-					if strings.HasPrefix(series, base) && h.count == 0 {
-						h.count = val
-					}
-				}
-			}
-		}
-	}
-	for _, want := range []string{
-		"kbserve_requests_total",
-		"kbserve_request_duration_seconds_bucket",
-		"kbserve_request_duration_seconds_count",
-		"kbserve_searches_coalesced_total",
-		"kbserve_admission_in_flight",
-		"kbserve_admission_queue_depth",
-		"kbserve_admission_shed_total",
-		"kbserve_cache_hits_total",
-		"kbserve_bound_pruned_total",
-		"kbserve_plan_cache_hits_total",
-		"kbserve_plan_cache_misses_total",
-		"kbserve_epoch",
-	} {
-		if !families[want] {
-			t.Fatalf("metric family %q missing; got %v", want, families)
-		}
-	}
-	// The search histogram must have observed our two searches.
-	if !strings.Contains(text, `kbserve_request_duration_seconds_count{op="search"} 2`) {
-		t.Fatalf("search duration count missing or wrong:\n%s", text)
-	}
-	if !strings.Contains(text, `kbserve_request_duration_seconds_count{op="update"} 1`) {
-		t.Fatalf("update duration count missing or wrong:\n%s", text)
-	}
-	if !strings.Contains(text, "kbserve_cache_hits_total 1") {
-		t.Fatalf("cache hit count missing:\n%s", text)
-	}
-}
-
-// TestPriorityRejectsUnknown pins request validation for the new field.
-func TestPriorityRejectsUnknown(t *testing.T) {
-	srv := New(Config{Engine: fig1Engine(t), D: 3})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	body, _ := json.Marshal(SearchRequest{Query: "database", K: 5, Priority: "urgent"})
-	resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // head carries the reply fields the entry fixes (query, k, algorithm, d,
 // epoch, elapsed_ms); plan is the plan the computing request reported.
 type cacheEntry struct {
-	head    SearchResponse
+	head    api.SearchResponse
 	plan    kbtable.PlanInfo
 	answers []byte
 }
@@ -60,9 +60,9 @@ func planFor(run kbtable.PlanInfo, chosen *kbtable.PlanInfo) kbtable.PlanInfo {
 }
 
 // planOut converts a facade PlanInfo to the wire form.
-func planOut(pi kbtable.PlanInfo) *PlanOut {
+func planOut(pi kbtable.PlanInfo) *api.PlanOut {
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	return &PlanOut{
+	return &api.PlanOut{
 		Algorithm:      api.AlgorithmName(pi.Algorithm),
 		Auto:           pi.Auto,
 		Reason:         pi.Reason,
@@ -81,9 +81,9 @@ func planOut(pi kbtable.PlanInfo) *PlanOut {
 // encodeAnswers converts engine answers to the wire form and encodes
 // them, once per computed result.
 func encodeAnswers(answers []kbtable.Answer) ([]byte, error) {
-	wire := make([]SearchAnswer, len(answers))
+	wire := make([]api.SearchAnswer, len(answers))
 	for i, a := range answers {
-		wire[i] = SearchAnswer(a)
+		wire[i] = api.SearchAnswer(a)
 	}
 	return api.AppendAnswers(nil, wire)
 }
@@ -97,7 +97,7 @@ func encodeAnswers(answers []kbtable.Answer) ([]byte, error) {
 // "foo bar", "pe" and "patternenum" — occupy ONE cache entry. Validation
 // that depends on the normalized values (limits, the engine's d) happens
 // here too; an error is the client's (400).
-func (s *Server) normalizeRequest(req *SearchRequest) (kbtable.Algorithm, error) {
+func (s *Server) normalizeRequest(req *api.SearchRequest) (kbtable.Algorithm, error) {
 	req.Query = kbtable.NormalizeQuery(req.Query)
 	if req.Query == "" {
 		return 0, errors.New("query must not be empty")
@@ -200,7 +200,7 @@ func (s *Server) runner(st *engineState) (
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req SearchRequest
+	var req api.SearchRequest
 	if !DecodePost(w, r, 1<<20, &req) {
 		return
 	}
@@ -280,7 +280,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		ent := &cacheEntry{
-			head: SearchResponse{
+			head: api.SearchResponse{
 				Query:     req.Query,
 				K:         req.K,
 				Algorithm: algoName,
@@ -307,7 +307,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 // searchOptions lowers a normalized request onto the facade's options.
-func searchOptions(req *SearchRequest, algo kbtable.Algorithm) kbtable.SearchOptions {
+func searchOptions(req *api.SearchRequest, algo kbtable.Algorithm) kbtable.SearchOptions {
 	return kbtable.SearchOptions{K: req.K, Algorithm: algo, MaxRowsPerTable: req.MaxRows}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"regexp"
 	"runtime"
@@ -27,24 +26,6 @@ func waitJoined(t *testing.T, n int) {
 	})
 }
 
-// rawSearch posts req and returns the status and the raw body (0 and
-// nil when the connection failed).
-func rawSearch(t *testing.T, url string, req SearchRequest) (int, []byte) {
-	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/v1/search", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Errorf("search %+v: %v", req, err)
-		return 0, nil
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Error(err)
-	}
-	return resp.StatusCode, raw
-}
-
 // TestSearchPanicReleasesFlight pins that a search that panics fails
 // its flight like any other error: the leader and its follower answer
 // 500 internal at once, and the next identical request starts a fresh
@@ -55,7 +36,7 @@ func TestSearchPanicReleasesFlight(t *testing.T) {
 	eng.panics.Store(1)
 	srv := New(Config{Engine: eng, D: 3, Timeout: 3 * time.Second})
 	ts := newHTTPServer(t, srv)
-	req := SearchRequest{Query: "database software company revenue", K: 3}
+	req := api.SearchRequest{Query: "database software company revenue", K: 3}
 
 	var wg sync.WaitGroup
 	codes := make([]int, 2)
@@ -109,8 +90,8 @@ func TestHitMissCoalescedBodiesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit := SearchRequest{Query: q, Algorithm: api.AlgorithmName(resolved.Algorithm)}
-	auto := SearchRequest{Query: q, Algorithm: "auto"}
+	explicit := api.SearchRequest{Query: q, Algorithm: api.AlgorithmName(resolved.Algorithm)}
+	auto := api.SearchRequest{Query: q, Algorithm: "auto"}
 
 	// The explicit request leads; the auto one, resolving to the same
 	// algorithm, joins its flight.
@@ -126,8 +107,8 @@ func TestHitMissCoalescedBodiesAgree(t *testing.T) {
 	_, explicitHit := rawSearch(t, ts.URL, explicit)
 	_, autoHit := rawSearch(t, ts.URL, auto)
 
-	decode := func(name string, body []byte) SearchResponse {
-		var r SearchResponse
+	decode := func(name string, body []byte) api.SearchResponse {
+		var r api.SearchResponse
 		if err := json.Unmarshal(body, &r); err != nil {
 			t.Fatalf("%s: %v: %s", name, err, body)
 		}
@@ -152,5 +133,29 @@ func TestHitMissCoalescedBodiesAgree(t *testing.T) {
 	}
 	if f.Plan == nil || !f.Plan.Auto || f.Plan.Reason == "" || *ah.Plan != *f.Plan {
 		t.Errorf("auto plans: follower %+v, hit %+v; want the same, auto=true with a reason", f.Plan, ah.Plan)
+	}
+}
+
+// TestCacheKeyInjective pins the non-forgeable key encoding: under the
+// old plain "|" join, a query containing the separator re-parsed as a
+// different (query, algo) split — cacheKey("a|b","c",...) and
+// cacheKey("a","b|c",...) were the SAME string — so two different
+// request shapes shared one result entry. The length-prefixed encoding
+// keeps every field boundary explicit.
+func TestCacheKeyInjective(t *testing.T) {
+	pairs := [][2]string{
+		{cacheKey("a|b", "c", 1, 2, 3), cacheKey("a", "b|c", 1, 2, 3)},
+		{cacheKey("x|patternenum", "patternenum", 10, 3, 50), cacheKey("x", "patternenum|patternenum", 10, 3, 50)},
+		{cacheKey("q", "patternenum", 10, 3, 50), cacheKey("q", "patternenum", 1, 3, 50)},
+		{cacheKey("", "patternenum", 1, 1, 1), cacheKey("patternenum", "", 1, 1, 1)},
+	}
+	for i, p := range pairs {
+		if p[0] == p[1] {
+			t.Errorf("pair %d: distinct inputs encode to the same key %q", i, p[0])
+		}
+	}
+	// Identical inputs still share an entry.
+	if cacheKey("software", "patternenum", 5, 3, 50) != cacheKey("software", "patternenum", 5, 3, 50) {
+		t.Error("identical inputs must encode identically")
 	}
 }

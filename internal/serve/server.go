@@ -282,24 +282,3 @@ func (s *Server) ListenAndServe(addr string) error {
 func (s *Server) Shutdown(ctx context.Context) error {
 	return s.hs.Shutdown(ctx)
 }
-
-// The wire types live in internal/api — the versioned /v1 contract
-// shared with internal/client and internal/cluster — and are aliased
-// here so server code (and its tests) keep their historical names.
-type (
-	SearchRequest  = api.SearchRequest
-	SearchAnswer   = api.SearchAnswer
-	SearchResponse = api.SearchResponse
-	PlanOut        = api.PlanOut
-	UpdateRequest  = api.UpdateRequest
-	UpdateResponse = api.UpdateResponse
-
-	CacheStats       = api.CacheStats
-	ShardHealth      = api.ShardHealth
-	IndexHealth      = api.IndexHealth
-	PlannerHealth    = api.PlannerHealth
-	PlanCacheHealth  = api.PlanCacheHealth
-	DurabilityHealth = api.DurabilityHealth
-	ServingHealth    = api.ServingHealth
-	HealthResponse   = api.HealthResponse
-)

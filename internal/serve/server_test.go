@@ -5,20 +5,22 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"kbtable"
+	"kbtable/internal/api"
 )
 
-// fig1Engine builds an engine over the paper's Figure 1 knowledge base.
-func fig1Engine(t *testing.T) *kbtable.Engine {
+// fig1Engine builds an engine over the paper's Figure 1 knowledge base
+// at d 3 with the given index shard count (0 or 1: one index).
+func fig1Engine(t *testing.T, shards int) *kbtable.Engine {
 	t.Helper()
-	eng, err := kbtable.NewEngine(fig1Graph(t), kbtable.EngineOptions{D: 3})
+	eng, err := kbtable.NewEngine(fig1Graph(t), kbtable.EngineOptions{D: 3, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,128 +57,55 @@ func fig1Graph(t *testing.T) *kbtable.Graph {
 	return g
 }
 
-func newTestServer(t *testing.T) (*Server, *httptest.Server) {
+// newHTTPServer wraps a configured Server in an httptest listener.
+func newHTTPServer(t *testing.T, srv *Server) *httptest.Server {
 	t.Helper()
-	srv := New(Config{Engine: fig1Engine(t), D: 3})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return srv, ts
+	return ts
 }
 
-func postSearch(t *testing.T, url string, req SearchRequest) (*http.Response, *SearchResponse) {
+// getHealth fetches and decodes GET /v1/healthz from a handler.
+func getHealth(t *testing.T, h http.Handler) api.HealthResponse {
+	t.Helper()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
+	var hr api.HealthResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &hr); err != nil {
+		t.Fatal(err)
+	}
+	return hr
+}
+
+// rawSearch posts req and returns the status and body (0, nil: no reply).
+func rawSearch(t *testing.T, url string, req api.SearchRequest) (int, []byte) {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/v1/search", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		t.Errorf("search %+v: %v", req, err)
+		return 0, nil
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return resp, nil
-	}
-	var sr SearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	return resp, &sr
-}
-
-func TestSearchEndpoint(t *testing.T) {
-	_, ts := newTestServer(t)
-	for _, algo := range []string{"patternenum", "linearenum"} {
-		resp, sr := postSearch(t, ts.URL, SearchRequest{Query: "database software company revenue", K: 3, Algorithm: algo})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", algo, resp.StatusCode)
-		}
-		if len(sr.Answers) == 0 {
-			t.Fatalf("%s: no answers for the running example query", algo)
-		}
-		a := sr.Answers[0]
-		if a.Rank != 1 || a.Score == 0 || len(a.Columns) == 0 || len(a.Rows) == 0 {
-			t.Errorf("%s: malformed top answer %+v", algo, a)
-		}
-		if sr.Cached {
-			t.Errorf("%s: first run must not be cached", algo)
-		}
-	}
-}
-
-func TestSearchCacheHit(t *testing.T) {
-	srv, ts := newTestServer(t)
-	req := SearchRequest{Query: "Database  SOFTWARE company revenue", K: 2}
-	_, first := postSearch(t, ts.URL, req)
-	if first.Cached {
-		t.Fatal("first response claims cached")
-	}
-	// Same keyword set modulo case/whitespace must hit the cache.
-	req.Query = "database software company revenue"
-	_, second := postSearch(t, ts.URL, req)
-	if !second.Cached {
-		t.Fatal("identical normalized query missed the cache")
-	}
-	// A hit is the computing response byte for byte, but for the flag.
-	second.Cached = false
-	if !reflect.DeepEqual(second, first) {
-		t.Fatalf("cache hit diverges from the miss it hit:\nhit:  %+v\nmiss: %+v", second, first)
-	}
-	if st := srv.cache.Stats(); st.Hits == 0 {
-		t.Fatalf("cache stats recorded no hit: %+v", st)
-	}
-	// Different k is a different result; must miss.
-	req.K = 3
-	_, third := postSearch(t, ts.URL, req)
-	if third.Cached {
-		t.Fatal("different k must not share a cache entry")
-	}
-}
-
-func TestSearchValidation(t *testing.T) {
-	_, ts := newTestServer(t)
-	cases := []struct {
-		name string
-		req  SearchRequest
-		want int
-	}{
-		{"empty query", SearchRequest{}, http.StatusBadRequest},
-		{"bad algorithm", SearchRequest{Query: "software", Algorithm: "dijkstra"}, http.StatusBadRequest},
-		{"baseline is not served", SearchRequest{Query: "software", Algorithm: "baseline"}, http.StatusBadRequest},
-		{"wrong d", SearchRequest{Query: "software", D: 5}, http.StatusBadRequest},
-		{"k too large", SearchRequest{Query: "software", K: 100000}, http.StatusBadRequest},
-	}
-	for _, c := range cases {
-		resp, _ := postSearch(t, ts.URL, c.req)
-		if resp.StatusCode != c.want {
-			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
-		}
-	}
-	// GET on /search is not allowed.
-	resp, err := http.Get(ts.URL + "/v1/search")
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/search: status %d, want 405", resp.StatusCode)
-	}
+	return resp.StatusCode, raw
 }
 
-func TestHealthz(t *testing.T) {
-	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/v1/healthz")
-	if err != nil {
+// postSearch posts req and decodes a 200 reply (nil for another status).
+func postSearch(t *testing.T, url string, req api.SearchRequest) (int, *api.SearchResponse) {
+	t.Helper()
+	code, body := rawSearch(t, url, req)
+	if code != http.StatusOK {
+		return code, nil
+	}
+	var sr api.SearchResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var h HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	if h.Status != "ok" {
-		t.Fatalf("health = %+v", h)
-	}
+	return code, &sr
 }
 
 // slowEngine is a real engine whose searches block until their context
@@ -190,17 +119,9 @@ func (slowEngine) SearchPlan(ctx context.Context, query string, opts kbtable.Sea
 }
 
 func TestSearchTimeout(t *testing.T) {
-	srv := New(Config{Engine: slowEngine{fig1Engine(t)}, D: 3, Timeout: 20 * time.Millisecond})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	body, _ := json.Marshal(SearchRequest{Query: "software"})
-	resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504", resp.StatusCode)
+	ts := newHTTPServer(t, New(Config{Engine: slowEngine{fig1Engine(t, 0)}, D: 3, Timeout: 20 * time.Millisecond}))
+	if code, _ := postSearch(t, ts.URL, api.SearchRequest{Query: "software"}); code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504", code)
 	}
 }
 
@@ -208,7 +129,7 @@ func TestSearchTimeout(t *testing.T) {
 // through the handler and LRU cache from many goroutines — the check the
 // daemon's concurrency claims rest on. Run with -race.
 func TestConcurrentStress(t *testing.T) {
-	eng := fig1Engine(t)
+	eng := fig1Engine(t, 0)
 	srv := New(Config{Engine: eng, D: 3, CacheSize: 8})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -262,13 +183,13 @@ func TestConcurrentStress(t *testing.T) {
 						errs <- fmt.Errorf("engine diverged on %q: %d != %d", q, len(answers), want[q])
 					}
 				default: // full HTTP round trip, exercising the cache
-					body, _ := json.Marshal(SearchRequest{Query: q, K: 5, Algorithm: algos[(w+i)%len(algos)]})
+					body, _ := json.Marshal(api.SearchRequest{Query: q, K: 5, Algorithm: algos[(w+i)%len(algos)]})
 					resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 					if err != nil {
 						errs <- err
 						continue
 					}
-					var sr SearchResponse
+					var sr api.SearchResponse
 					err = json.NewDecoder(resp.Body).Decode(&sr)
 					resp.Body.Close()
 					if err != nil {
@@ -300,7 +221,7 @@ func TestConcurrentStress(t *testing.T) {
 // TestGracefulShutdown starts a real listener, issues a request, then
 // shuts down and verifies the listener refuses further traffic.
 func TestGracefulShutdown(t *testing.T) {
-	srv := New(Config{Engine: fig1Engine(t), D: 3})
+	srv := New(Config{Engine: fig1Engine(t, 0), D: 3})
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe("127.0.0.1:0") }()
 	// The ephemeral port is not exposed; drive the handler directly and

@@ -23,7 +23,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotImplemented, api.CodeReadOnly, "this server is read-only")
 		return
 	}
-	var req UpdateRequest
+	var req api.UpdateRequest
 	if !decodeBody(w, r, 8<<20, &req) {
 		return
 	}
@@ -66,7 +66,7 @@ func (s *Server) Apply(u kbtable.Update) (uint64, error) {
 
 // applyUpdate is the shared update pipeline behind POST /v1/update and
 // Apply.
-func (s *Server) applyUpdate(u kbtable.Update) (*UpdateResponse, error) {
+func (s *Server) applyUpdate(u kbtable.Update) (*api.UpdateResponse, error) {
 	// Apply in memory on the newest state in the chain — published or
 	// not. applyMu serializes only the (fast, copy-on-write) apply and
 	// the WAL enqueue; the fsync happens after it is released, so
@@ -136,7 +136,7 @@ func (s *Server) applyUpdate(u kbtable.Update) (*UpdateResponse, error) {
 	for _, id := range res.NewEntities {
 		ids = append(ids, int64(id))
 	}
-	return &UpdateResponse{
+	return &api.UpdateResponse{
 		Epoch:            next.epoch,
 		NewEntities:      ids,
 		Entities:         res.Entities,

@@ -37,7 +37,7 @@ func testSearchUpdateConsistency(t *testing.T, shards int) {
 		numSearchers = 8
 		perSearcher  = 60
 	)
-	queries := []SearchRequest{
+	queries := []api.SearchRequest{
 		{Query: "database software", K: 10},
 		{Query: "database software", K: 10, Algorithm: "linearenum"},
 		{Query: "software company revenue", K: 10},
@@ -53,11 +53,11 @@ func testSearchUpdateConsistency(t *testing.T, shards int) {
 	// Ground truth: replay the same update chain offline on an identical
 	// engine. ApplyUpdate is deterministic and copy-on-write, so engine i
 	// here is bit-identical to the server's engine at epoch i.
-	base := fig1Sharded(t, shards)
-	expected := make([]map[string][]SearchAnswer, numUpdates+1)
+	base := fig1Engine(t, shards)
+	expected := make([]map[string][]api.SearchAnswer, numUpdates+1)
 	eng := base
 	for ep := 0; ep <= numUpdates; ep++ {
-		expected[ep] = make(map[string][]SearchAnswer)
+		expected[ep] = make(map[string][]api.SearchAnswer)
 		for _, q := range queries {
 			algo, err := api.ParseAlgorithm(q.Algorithm)
 			if err != nil {
@@ -69,9 +69,9 @@ func testSearchUpdateConsistency(t *testing.T, shards int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			was := make([]SearchAnswer, 0, len(answers))
+			was := make([]api.SearchAnswer, 0, len(answers))
 			for _, a := range answers {
-				was = append(was, SearchAnswer{
+				was = append(was, api.SearchAnswer{
 					Rank: a.Rank, Score: a.Score, NumRows: a.NumRows,
 					Pattern: a.Pattern, Columns: a.Columns, FullColumns: a.FullColumns, Rows: a.Rows,
 				})
@@ -100,13 +100,13 @@ func testSearchUpdateConsistency(t *testing.T, shards int) {
 	go func() {
 		defer wg.Done()
 		for i, u := range updates {
-			body, _ := json.Marshal(UpdateRequest{Ops: u.Ops})
+			body, _ := json.Marshal(api.UpdateRequest{Ops: u.Ops})
 			resp, err := client.Post(ts.URL+"/v1/update", "application/json", bytes.NewReader(body))
 			if err != nil {
 				errc <- err
 				return
 			}
-			var ur UpdateResponse
+			var ur api.UpdateResponse
 			err = json.NewDecoder(resp.Body).Decode(&ur)
 			resp.Body.Close()
 			if err != nil {
@@ -138,7 +138,7 @@ func testSearchUpdateConsistency(t *testing.T, shards int) {
 					errc <- err
 					return
 				}
-				var sr SearchResponse
+				var sr api.SearchResponse
 				err = json.NewDecoder(resp.Body).Decode(&sr)
 				resp.Body.Close()
 				if err != nil {
@@ -177,7 +177,7 @@ func testSearchUpdateConsistency(t *testing.T, shards int) {
 	if got := srv.Epoch(); got != numUpdates {
 		t.Fatalf("final epoch = %d, want %d", got, numUpdates)
 	}
-	_, sr := postSearch(t, ts.URL, SearchRequest{Query: "mark0 mark1 database", K: 5})
+	_, sr := postSearch(t, ts.URL, api.SearchRequest{Query: "mark0 mark1 database", K: 5})
 	if sr.Epoch != numUpdates {
 		t.Fatalf("fresh query on epoch %d", sr.Epoch)
 	}
@@ -205,7 +205,7 @@ func testSearchUpdateConsistency(t *testing.T, shards int) {
 // final epoch equals the number of updates applied.
 func TestConcurrentUpdatersDontCorrupt(t *testing.T) {
 	const writers, perWriter, readers = 4, 5, 4
-	srv := New(Config{Engine: fig1Engine(t), D: 3, CacheSize: 8})
+	srv := New(Config{Engine: fig1Engine(t, 0), D: 3, CacheSize: 8})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	client := ts.Client()
@@ -221,13 +221,13 @@ func TestConcurrentUpdatersDontCorrupt(t *testing.T) {
 				var u kbtable.Update
 				sw := u.AddEntity("Software", fmt.Sprintf("tool w%dn%d", wr, i))
 				u.AddTextAttr(sw, "License", "MIT license")
-				body, _ := json.Marshal(UpdateRequest{Ops: u.Ops})
+				body, _ := json.Marshal(api.UpdateRequest{Ops: u.Ops})
 				resp, err := client.Post(ts.URL+"/v1/update", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errc <- err
 					return
 				}
-				var ur UpdateResponse
+				var ur api.UpdateResponse
 				err = json.NewDecoder(resp.Body).Decode(&ur)
 				resp.Body.Close()
 				if err != nil {
@@ -243,13 +243,13 @@ func TestConcurrentUpdatersDontCorrupt(t *testing.T) {
 		go func(rd int) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				body, _ := json.Marshal(SearchRequest{Query: "software license", K: 5})
+				body, _ := json.Marshal(api.SearchRequest{Query: "software license", K: 5})
 				resp, err := client.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errc <- err
 					return
 				}
-				var sr SearchResponse
+				var sr api.SearchResponse
 				err = json.NewDecoder(resp.Body).Decode(&sr)
 				resp.Body.Close()
 				if err != nil {

@@ -1,9 +1,6 @@
 package text
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // WordID identifies a distinct surface word in a Dict. IDs are dense and
 // start at 0, so they can index into per-word slices (e.g. the path index
@@ -83,9 +80,6 @@ func (d *Dict) Lookup(w string) WordID {
 // Word returns the surface string for id.
 func (d *Dict) Word(id WordID) string { return d.words[id] }
 
-// Stemmed returns the WordID of id's stem (id itself if already a stem).
-func (d *Dict) Stemmed(id WordID) WordID { return d.stemOf[id] }
-
 // Canonical resolves id through synonym aliasing and stemming to the ID
 // under which postings are stored: synonyms first, then stem.
 func (d *Dict) Canonical(id WordID) WordID {
@@ -112,23 +106,6 @@ func (d *Dict) AddSynonym(alias, canonical string) {
 // Len returns the number of interned words.
 func (d *Dict) Len() int { return len(d.words) }
 
-// CanonicalTokens tokenizes s and maps each token to its canonical WordID,
-// interning unseen words. Used at index-build time.
-func (d *Dict) CanonicalTokens(s string) []WordID {
-	toks := TokenSet(s)
-	out := make([]WordID, 0, len(toks))
-	seen := make(map[WordID]struct{}, len(toks))
-	for _, t := range toks {
-		id := d.Canonical(d.Intern(t))
-		if _, ok := seen[id]; ok {
-			continue
-		}
-		seen[id] = struct{}{}
-		out = append(out, id)
-	}
-	return out
-}
-
 // QueryTokens tokenizes a query and maps tokens to canonical WordIDs without
 // interning: unknown words map to NoWord (the query then has no answers for
 // that keyword). The returned surface slice is parallel to the IDs.
@@ -147,15 +124,6 @@ func (d *Dict) QueryTokens(q string) (ids []WordID, surfaces []string) {
 		surfaces = append(surfaces, t)
 	}
 	return ids, surfaces
-}
-
-// SortedWords returns all interned surface words sorted lexicographically;
-// used by tooling and tests that need a stable vocabulary view.
-func (d *Dict) SortedWords() []string {
-	out := make([]string, len(d.words))
-	copy(out, d.words)
-	sort.Strings(out)
-	return out
 }
 
 // Snapshot is the serializable state of a Dict (for index persistence).

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestTokenize(t *testing.T) {
@@ -38,71 +37,6 @@ func TestTokenSetDeduplicates(t *testing.T) {
 	want := []string{"database", "systems"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("TokenSet = %v, want %v", got, want)
-	}
-}
-
-func TestJaccardWordPaperExamples(t *testing.T) {
-	// Example 2.4: sim("database", "Relational database") = 1/2.
-	if got := JaccardWord("database", TokenSet("Relational database")); got != 0.5 {
-		t.Errorf("sim(database, Relational database) = %v, want 0.5", got)
-	}
-	// T3's six-token book title gives 1/6.
-	toks := TokenSet("Handbook of Database Systems and Applications x")
-	if len(toks) != 7 {
-		t.Fatalf("fixture should have 7 tokens, got %v", toks)
-	}
-	if got := JaccardWord("database", toks); got != 1.0/7 {
-		t.Errorf("sim = %v, want 1/7", got)
-	}
-	if got := JaccardWord("zebra", toks); got != 0 {
-		t.Errorf("sim of absent word = %v, want 0", got)
-	}
-	if got := JaccardWord("software", TokenSet("Software")); got != 1 {
-		t.Errorf("sim(software, Software) = %v, want 1", got)
-	}
-}
-
-func TestJaccardWordEmpty(t *testing.T) {
-	if got := JaccardWord("x", nil); got != 0 {
-		t.Errorf("JaccardWord on empty tokens = %v, want 0", got)
-	}
-}
-
-func TestJaccard(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want float64
-	}{
-		{"a b c", "b c d", 0.5},
-		{"a", "a", 1},
-		{"a", "b", 0},
-		{"", "", 0},
-		{"a a b", "a b", 1}, // duplicates ignored
-	}
-	for _, c := range cases {
-		got := Jaccard(Tokenize(c.a), Tokenize(c.b))
-		if got != c.want {
-			t.Errorf("Jaccard(%q,%q) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestJaccardSymmetric(t *testing.T) {
-	f := func(a, b []string) bool {
-		return Jaccard(a, b) == Jaccard(b, a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestJaccardBounds(t *testing.T) {
-	f := func(a, b []string) bool {
-		j := Jaccard(a, b)
-		return j >= 0 && j <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -289,15 +223,6 @@ func TestDictSelfSynonymIgnored(t *testing.T) {
 	}
 }
 
-func TestCanonicalTokens(t *testing.T) {
-	d := NewDict()
-	ids := d.CanonicalTokens("Movies and movie")
-	// "movies" and "movie" share the stem "movi", "and" is separate.
-	if len(ids) != 2 {
-		t.Fatalf("CanonicalTokens = %v (len %d), want 2 distinct ids", ids, len(ids))
-	}
-}
-
 func TestQueryTokensUnknown(t *testing.T) {
 	d := NewDict()
 	d.Intern("database")
@@ -323,14 +248,13 @@ func TestQueryTokensStemsFallback(t *testing.T) {
 	}
 }
 
-func TestDictLenAndSortedWords(t *testing.T) {
+func TestDictLenAndWords(t *testing.T) {
 	d := NewDict()
-	d.Intern("b")
-	d.Intern("a")
+	b, a := d.Intern("b"), d.Intern("a")
 	if d.Len() != 2 {
 		t.Errorf("Len = %d, want 2", d.Len())
 	}
-	if got := d.SortedWords(); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Errorf("SortedWords = %v", got)
+	if d.Word(b) != "b" || d.Word(a) != "a" {
+		t.Errorf("Word(%d), Word(%d) = %q, %q; want b, a", b, a, d.Word(b), d.Word(a))
 	}
 }

@@ -1,6 +1,7 @@
 // Package text provides the text-processing substrate for the knowledge
-// graph: tokenization, Porter stemming, synonym expansion, a global word
-// dictionary, and the Jaccard similarity used by the paper's score3.
+// graph: tokenization, Porter stemming, synonym expansion and a global
+// word dictionary. The Jaccard similarity of the paper's score3 is computed
+// over TokenSet by the index builder (internal/index, wordSims).
 //
 // The paper (Section 3) stores, for every word, its stemmed version and
 // synonyms pointing at the same path-pattern entries; this package supplies
@@ -52,53 +53,4 @@ func TokenSet(s string) []string {
 		out = append(out, t)
 	}
 	return out
-}
-
-// JaccardWord computes the Jaccard similarity between the single-word set
-// {w} and the token set of description text. Per the paper's Example 2.4,
-// sim("database", "Relational database") = 1/2: the intersection is {w} when
-// w appears, and the union is the token set plus w if absent.
-func JaccardWord(w string, tokens []string) float64 {
-	if len(tokens) == 0 {
-		return 0
-	}
-	n := len(tokens)
-	found := false
-	for _, t := range tokens {
-		if t == w {
-			found = true
-			break
-		}
-	}
-	if found {
-		return 1.0 / float64(n)
-	}
-	return 0
-}
-
-// Jaccard computes the Jaccard similarity |A∩B| / |A∪B| of two token sets.
-// Inputs need not be deduplicated; duplicates are ignored.
-func Jaccard(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 0
-	}
-	sa := make(map[string]struct{}, len(a))
-	for _, t := range a {
-		sa[t] = struct{}{}
-	}
-	sb := make(map[string]struct{}, len(b))
-	for _, t := range b {
-		sb[t] = struct{}{}
-	}
-	inter := 0
-	for t := range sa {
-		if _, ok := sb[t]; ok {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
 }

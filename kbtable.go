@@ -105,69 +105,38 @@ func LoadGraph(path string) (*Graph, error) {
 	return &Graph{g: g}, nil
 }
 
-// Algorithm selects the query-processing strategy.
-type Algorithm int
+// Algorithm selects the query-processing strategy. It is the staged
+// executor's own enum, so the facade hands it through unchanged; its
+// String is "PETopK", "LETopK", "Baseline", "Auto" or "unknown".
+type Algorithm = search.Algo
 
 // Available algorithms.
 const (
 	// PatternEnum is PATTERNENUM (Section 4.1): usually fastest,
 	// exponential worst case on empty pattern combinations.
-	PatternEnum Algorithm = iota
+	PatternEnum = search.AlgoPE
 	// LinearEnum is LINEARENUM-TOPK (Section 4.2): linear in index and
 	// answer size; supports sampling via SearchOptions.Lambda/Rho.
-	LinearEnum
+	LinearEnum = search.AlgoLE
 	// Baseline is the enumeration-aggregation adaption of prior subtree
 	// search (Section 2.3): one whole-graph index per engine snapshot,
 	// whatever the shard count, built lazily on first use; /v1 refuses it.
-	Baseline
+	Baseline = search.AlgoBaseline
 	// Auto defers the PatternEnum/LinearEnum choice to the cost-based
 	// planner: the prepare stage's statistics (pattern-combination space,
 	// candidate-root frontier, valid-subtree count) pick the cheaper
 	// algorithm per query, and the answers are bit-identical to running
 	// that algorithm explicitly. The returned PlanInfo (SearchPlan, Plan)
 	// names the choice and why.
-	Auto
+	Auto = search.AlgoAuto
 )
 
-func (a Algorithm) String() string {
-	switch a {
-	case PatternEnum:
-		return "PETopK"
-	case LinearEnum:
-		return "LETopK"
-	case Baseline:
-		return "Baseline"
-	case Auto:
-		return "Auto"
+// checkAlgorithm refuses a value outside the four algorithms.
+func checkAlgorithm(a Algorithm) error {
+	if a < PatternEnum || a > Auto {
+		return fmt.Errorf("kbtable: unknown algorithm %d", a)
 	}
-	return "unknown"
-}
-
-// searchAlgo maps the facade algorithm onto the staged executor's.
-func searchAlgo(a Algorithm) (search.Algo, error) {
-	switch a {
-	case PatternEnum:
-		return search.AlgoPE, nil
-	case LinearEnum:
-		return search.AlgoLE, nil
-	case Baseline:
-		return search.AlgoBaseline, nil
-	case Auto:
-		return search.AlgoAuto, nil
-	}
-	return 0, fmt.Errorf("kbtable: unknown algorithm %d", a)
-}
-
-// facadeAlgo maps a resolved executor strategy back to the facade enum.
-func facadeAlgo(a search.Algo) Algorithm {
-	switch a {
-	case search.AlgoLE:
-		return LinearEnum
-	case search.AlgoBaseline:
-		return Baseline
-	default:
-		return PatternEnum
-	}
+	return nil
 }
 
 // EngineOptions configure index construction.
@@ -284,7 +253,7 @@ type PlanInfo struct {
 // facade view (pass a zero QueryStats when nothing executed).
 func planInfo(p search.Plan, qs search.QueryStats) PlanInfo {
 	return PlanInfo{
-		Algorithm:      facadeAlgo(p.Algo),
+		Algorithm:      p.Algo,
 		Auto:           p.Auto,
 		Reason:         p.Reason,
 		CandidateRoots: p.Stats.CandidateRoots,
@@ -473,12 +442,12 @@ func (e *Engine) search(ctx context.Context, exec ShardExecutor, query string, o
 	if !e.sh.Complete() {
 		return nil, PlanInfo{}, ErrPartialEngine
 	}
-	algo, err := searchAlgo(opts.Algorithm)
-	if err != nil {
+	algo := opts.Algorithm
+	if err := checkAlgorithm(algo); err != nil {
 		return nil, PlanInfo{}, err
 	}
 	so := e.searchOptions(opts)
-	if algo == search.AlgoBaseline {
+	if algo == Baseline {
 		res, err := e.searchBaseline(ctx, query, so)
 		if err != nil {
 			return nil, PlanInfo{}, fmt.Errorf("kbtable: %w", err)
@@ -492,18 +461,18 @@ func (e *Engine) search(ctx context.Context, exec ShardExecutor, query string, o
 	plan, hit := search.Plan{Algo: algo}, false
 	var key string
 	var words []string
-	if algo == search.AlgoAuto {
+	if algo == Auto {
 		key, words = e.planKey(query)
 		var st search.PlanStats
 		if st, hit = e.plans.Get(key, e.planEpoch); hit {
-			plan = search.ChoosePlan(search.AlgoAuto, st)
+			plan = search.ChoosePlan(Auto, st)
 		}
 	}
 	res, err := e.sh.Search(ctx, plan, query, so, e.legs(exec, query, opts))
 	if err != nil {
 		return nil, PlanInfo{}, fmt.Errorf("kbtable: %w", err)
 	}
-	if algo == search.AlgoAuto && !hit {
+	if algo == Auto && !hit {
 		e.plans.Put(key, e.planEpoch, res.Plan.Stats, words)
 	}
 	return e.answers(res), planInfo(res.Plan, res.Stats), nil
@@ -526,15 +495,14 @@ func (e *Engine) plan(ctx context.Context, exec ShardExecutor, query string, opt
 		return PlanInfo{}, ErrPartialEngine
 	}
 	so := e.searchOptions(opts)
-	algo, err := searchAlgo(opts.Algorithm)
-	if err != nil {
+	if err := checkAlgorithm(opts.Algorithm); err != nil {
 		return PlanInfo{}, err
 	}
 	st, err := e.planStats(ctx, query, so, e.legs(exec, query, opts))
 	if err != nil {
 		return PlanInfo{}, fmt.Errorf("kbtable: %w", err)
 	}
-	return planInfo(search.ChoosePlan(algo, st), search.QueryStats{}), nil
+	return planInfo(search.ChoosePlan(opts.Algorithm, st), search.QueryStats{}), nil
 }
 
 // searchBaseline runs a Baseline query on the snapshot's whole-graph
