@@ -109,6 +109,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzWALReplay$$' -fuzztime=10s -run='^$$' ./internal/store
 	$(GO) test -fuzz='^FuzzDictQueryTokens$$' -fuzztime=10s -run='^$$' ./internal/text
 	$(GO) test -fuzz='^FuzzSearchResponseDecode$$' -fuzztime=10s -run='^$$' ./internal/api
+	$(GO) test -fuzz='^FuzzScatterPartial$$' -fuzztime=10s -run='^$$' ./internal/shard
 
 # Mirror of the GitHub `test` + `coverage` jobs, step for step, so a CI
 # failure can be reproduced (and fixed) without pushing: gofmt, vet,

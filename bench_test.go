@@ -8,6 +8,7 @@ package kbtable
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -392,6 +393,36 @@ func BenchmarkAblationHeightThreshold(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := search.PETopK(ix, qs[i%len(qs)], search.Options{K: 100, SkipTrees: true})
 				_ = res.Stats.PatternsFound
+			}
+		})
+	}
+}
+
+// BenchmarkShardedSearch runs SearchPlan over the bench queries at one and
+// two shards: the one-shard engine's direct execution against the
+// scatter-gather, whose legs list every pattern in content order and whose
+// gather merges them. It is the sharded path's profile target
+// (-bench 'ShardedSearch/shards=2' -cpuprofile).
+func BenchmarkShardedSearch(b *testing.B) {
+	e := env()
+	qs := benchQueries(e)
+	opts := SearchOptions{K: 10, Algorithm: Auto, MaxRowsPerTable: 20}
+	for _, n := range []int{1, 2} {
+		var eng *Engine
+		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
+			if eng == nil {
+				var err error
+				if eng, err = NewEngine(&Graph{g: e.Wiki()}, EngineOptions{D: 3, Shards: n}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := eng.SearchPlan(ctx, qs[i%len(qs)], opts); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

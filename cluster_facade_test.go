@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -188,10 +189,31 @@ func TestSearchDistributedRejectsCorruptPartials(t *testing.T) {
 	}
 	corruptions := map[string]func(*ShardPartial) bool{
 		"mislabeled shard": func(p *ShardPartial) bool { p.Shard = 1 - p.Shard; return true },
-		// Patterns[0] is the leg's highest-scoring pattern.
+		// Patterns[0] is the leg's first pattern in content order.
 		"duplicated pattern": func(p *ShardPartial) bool {
 			p.Patterns = append(p.Patterns, p.Patterns[0])
 			return len(p.Patterns) > 1
+		},
+		"swapped patterns": func(p *ShardPartial) bool {
+			if len(p.Patterns) < 2 {
+				return false
+			}
+			last := len(p.Patterns) - 1
+			p.Patterns[0], p.Patterns[last] = p.Patterns[last], p.Patterns[0]
+			return true
+		},
+		// Every pattern's first root, so the leg's top patterns are hit.
+		"zero-count root": func(p *ShardPartial) bool {
+			for i := range p.Patterns {
+				p.Patterns[i].RootAggs[0].Count = 0
+			}
+			return len(p.Patterns) > 0
+		},
+		"NaN sum": func(p *ShardPartial) bool {
+			for i := range p.Patterns {
+				p.Patterns[i].RootAggs[0].Sum = math.NaN()
+			}
+			return len(p.Patterns) > 0
 		},
 		"rootless pattern": func(p *ShardPartial) bool {
 			if len(p.Patterns) == 0 {

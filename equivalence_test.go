@@ -631,3 +631,52 @@ func recovered(t *testing.T, e *Engine) *Engine {
 	}
 	return rec
 }
+
+// TestScatterLegContract holds search.Scatter, the shard leg every N > 1
+// search gathers, to its contract on each golden query under PE and LE:
+// the same output at one worker and at four; patterns strictly ascending
+// by ContentKey; and, pattern for pattern with root partials, Execute's
+// answer set under an unbounded K and CollectRootAggs, put in that order.
+func TestScatterLegContract(t *testing.T) {
+	ctx := context.Background()
+	for _, spec := range goldenCorpora() {
+		ix, err := index.Build(spec.graph(t).g, index.Options{D: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt := ix.PatternTable()
+		for _, q := range spec.queries {
+			for _, algo := range []search.Algo{search.AlgoPE, search.AlgoLE} {
+				var legs [2][]search.RankedPattern
+				for i, workers := range []int{1, 4} {
+					res, err := search.Scatter(ctx, ix, q, algo, search.Options{K: goldenK, Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					legs[i] = res.Patterns
+				}
+				if !reflect.DeepEqual(legs[0], legs[1]) {
+					t.Fatalf("%s %q %v: the leg differs between 1 and 4 workers", spec.name, q, algo)
+				}
+				for i := 1; i < len(legs[0]); i++ {
+					if legs[0][i-1].Pattern.ContentKey(pt) >= legs[0][i].Pattern.ContentKey(pt) {
+						t.Fatalf("%s %q %v: patterns %d and %d are not in strictly ascending content order", spec.name, q, algo, i-1, i)
+					}
+				}
+				ref, err := search.Execute(ctx, ix, q, algo, search.Options{K: 1 << 30, CollectRootAggs: true, SkipTrees: true, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				slices.SortFunc(ref.Patterns, func(a, b search.RankedPattern) int {
+					return strings.Compare(a.Pattern.ContentKey(pt), b.Pattern.ContentKey(pt))
+				})
+				if len(ref.Patterns) == 0 && len(legs[0]) == 0 {
+					continue
+				}
+				if !reflect.DeepEqual(legs[0], ref.Patterns) {
+					t.Fatalf("%s %q %v: the leg's %d patterns differ from Execute's %d in content order", spec.name, q, algo, len(legs[0]), len(ref.Patterns))
+				}
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"strings"
 	"sync"
@@ -214,6 +215,21 @@ func (tp TreePattern) ContentKey(t *PatternTable) string {
 		sb.WriteString(k)
 	}
 	return sb.String()
+}
+
+// CompareContent orders tp, interned in t, against o, interned in ot, as
+// their ContentKey strings compare, without building either: segment by
+// segment (segments are prefix-free), each by its little-endian length
+// prefix, low byte first, then by its path key.
+func (tp TreePattern) CompareContent(t *PatternTable, o TreePattern, ot *PatternTable) int {
+	pa, pb := *t.pats.Load(), *ot.pats.Load()
+	for i := range min(len(tp.Paths), len(o.Paths)) {
+		ka, kb := pa[tp.Paths[i]].key, pb[o.Paths[i]].key
+		if c := cmp.Or(cmp.Compare(byte(len(ka)), byte(len(kb))), cmp.Compare(byte(len(ka)>>8), byte(len(kb)>>8)), strings.Compare(ka, kb)); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(tp.Paths), len(o.Paths))
 }
 
 // RootType returns the shared root type of the pattern's paths.

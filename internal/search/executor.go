@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -356,8 +357,25 @@ func PlanProbe(ctx context.Context, ix *index.Index, query string, opts Options)
 // algo may be AlgoAuto (resolved by the planner after prepare) but not
 // AlgoBaseline, which runs on its own index (BaselineIndex.SearchCtx).
 func Execute(ctx context.Context, ix *index.Index, query string, algo Algo, opts Options) (*Result, error) {
-	start := time.Now()
+	return execute(ctx, ix, query, algo, opts.withDefaults(), true)
+}
+
+// Scatter is one shard's leg of a scatter-gather search: Execute without
+// the ranking. It returns every tree pattern the index holds for the
+// query, once, with its per-root partials and no trees, in ascending
+// content order (as ContentKey strings compare), so the gather merges
+// legs. A leg must not rank or prune, since a pattern split across shards
+// can rank below each shard's k-th score yet inside the global top-k;
+// opts.K only sizes LINEARENUM's sampled selection.
+func Scatter(ctx context.Context, ix *index.Index, query string, algo Algo, opts Options) (*Result, error) {
 	o := opts.withDefaults()
+	o.CollectRootAggs, o.SkipTrees = true, true
+	return execute(ctx, ix, query, algo, o, false)
+}
+
+// execute is the pipeline under Execute and, unranked, Scatter.
+func execute(ctx context.Context, ix *index.Index, query string, algo Algo, o Options, ranked bool) (*Result, error) {
+	start := time.Now()
 	if algo == AlgoBaseline {
 		return nil, fmt.Errorf("search: the baseline runs on a BaselineIndex, not a path index")
 	}
@@ -376,14 +394,19 @@ func Execute(ctx context.Context, ix *index.Index, query string, algo Algo, opts
 	// Stage 2: enumerate (the resolved algorithm's frontier walk, sharded
 	// across the worker pool with scoring fused in).
 	t1 := time.Now()
-	top := core.NewTopK[RankedPattern](o.K)
+	var top *core.TopK[RankedPattern]
+	k := 0 // a scatter leg's workers list every pattern
+	if ranked {
+		top, k = core.NewTopK[RankedPattern](o.K), o.K
+	}
 	var ws []workerState[RankedPattern]
 	if prep.ok {
+		ws = newWorkerStates[RankedPattern](resolveWorkers(o.Workers), k)
 		switch plan.Algo {
 		case AlgoPE:
-			ws, err = peEnumerate(ctx, ix, prep, o)
+			err = peEnumerate(ctx, ix, prep, o, ws)
 		case AlgoLE:
-			ws, err = leEnumerate(ctx, ix, prep, o)
+			err = leEnumerate(ctx, ix, prep, o, ws)
 		default:
 			return nil, fmt.Errorf("search: plan resolved to unexecutable algorithm %v", plan.Algo)
 		}
@@ -395,15 +418,20 @@ func Execute(ctx context.Context, ix *index.Index, query string, algo Algo, opts
 	// canceled query still pays for no extra work, matching the previous
 	// per-algorithm control flow.
 	t2 := time.Now()
-	mergeWorkerStates(ws, top, &stats)
+	patterns := mergeWorkerStates(ws, top, &stats)
 	stats.Stages.Aggregate = time.Since(t2)
 	if err != nil {
 		return nil, err
 	}
 
-	// Stage 4: rank (extract winners, materialize their subtrees).
+	// Stage 4: rank (extract winners, materialize their subtrees; a
+	// scatter leg puts its patterns in content order instead).
 	t3 := time.Now()
-	patterns := top.Results()
+	if ranked {
+		patterns = top.Results()
+	} else {
+		patterns = sortByContent(ix.PatternTable(), patterns)
+	}
 	if !o.SkipTrees {
 		if err := materializeAll(ctx, ix, prep.words, patterns, o); err != nil {
 			return nil, err
@@ -412,6 +440,21 @@ func Execute(ctx context.Context, ix *index.Index, query string, algo Algo, opts
 	stats.Stages.Rank = time.Since(t3)
 	stats.Elapsed = time.Since(start)
 	return &Result{Patterns: patterns, Stats: stats, Plan: plan}, nil
+}
+
+// sortByContent returns the patterns of one index ascending by ContentKey,
+// without building one: it sorts a permutation with CompareContent.
+func sortByContent(pt *core.PatternTable, pats []RankedPattern) []RankedPattern {
+	perm := make([]int32, len(pats))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int { return pats[a].Pattern.CompareContent(pt, pats[b].Pattern, pt) })
+	out := make([]RankedPattern, len(pats))
+	for i, j := range perm {
+		out[i] = pats[j]
+	}
+	return out
 }
 
 // sortTypes sorts TypeIDs ascending (the deterministic per-type iteration

@@ -31,19 +31,17 @@ func LETopK(ix *index.Index, query string, opts Options) *Result {
 // by Options.Workers; a type's whole pipeline — subtree counting,
 // sampling, expansion, estimation, exact re-scoring — runs inside one
 // shard, and sampling is seeded per type, so the parallel run returns
-// exactly the serial results. The caller folds the returned per-worker
-// accumulators in the aggregate stage.
-func leEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options) ([]workerState[RankedPattern], error) {
+// exactly the serial results. ws holds one accumulator per worker slot,
+// which the caller folds in the aggregate stage.
+func leEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options, ws []workerState[RankedPattern]) error {
 	words := prep.words
 	pt := ix.PatternTable()
-	workers := resolveWorkers(o.Workers)
-	ws := newWorkerStates[RankedPattern](workers, o.K)
 	// Roots expand through per-worker scratch with the keyword predicate
 	// pushed below pattern expansion (leScratch.fetch); LINEARENUM gets no
 	// score pruning — its per-root partials are lower bounds, so no
 	// mid-type cut is sound (stream.go).
-	scratches := make([]leScratch, workers)
-	err := runShards(ctx, workers, len(prep.types), func(worker, ti int) {
+	scratches := make([]leScratch, len(ws))
+	return runShards(ctx, len(ws), len(prep.types), func(worker, ti int) {
 		c := prep.types[ti]
 		rc := prep.byType[c]
 		st := &ws[worker].stats
@@ -84,11 +82,7 @@ func leEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 			// top-k exactly over all roots of this type in one filtered
 			// pass (each root only expands pattern combinations that can
 			// still hit a selected pattern).
-			selK := o.SampleSelectK
-			if selK <= 0 {
-				selK = o.K
-			}
-			local := core.NewTopK[*dictEntry](selK)
+			local := core.NewTopK[*dictEntry](o.K)
 			for i := range dict.entries {
 				de := &dict.entries[i]
 				est := de.agg.Scale(1 / rate).Value(o.Agg)
@@ -97,17 +91,16 @@ func leEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 			exacts := aggregateSelected(ix, words, local.Results(), rc, &o, pc, sc)
 			for i := range exacts.entries {
 				if exact := &exacts.entries[i]; exact.agg.Count > 0 {
-					offerPattern(ltop, pt, &o, exact.tp.Paths, exact.agg, exact.rootAggs)
+					offerPattern(&ws[worker], ltop, pt, &o, exact.tp.Paths, exact.agg, exact.rootAggs)
 				}
 			}
 		} else {
 			for i := range dict.entries {
 				de := &dict.entries[i]
-				offerPattern(ltop, pt, &o, de.tp.Paths, de.agg, de.rootAggs)
+				offerPattern(&ws[worker], ltop, pt, &o, de.tp.Paths, de.agg, de.rootAggs)
 			}
 		}
 	})
-	return ws, err
 }
 
 // subtreeCount computes NR = Σ_r Π_i |Paths(wi, r)|, saturating at

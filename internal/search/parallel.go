@@ -82,23 +82,33 @@ func runShards(ctx context.Context, workers, n int, shard func(worker, i int)) e
 // (distinct content keys, additive stats), so results stay deterministic.
 type workerState[T any] struct {
 	top   *core.TopK[T]
+	all   []T              // a scatter leg's items, unranked (top nil)
+	paths []core.PatternID // backing store of all's pattern vectors
 	stats QueryStats
 }
 
-// newWorkerStates allocates one accumulator per worker slot.
+// newWorkerStates allocates one accumulator per worker slot; k = 0
+// leaves every top nil (a scatter leg's workers).
 func newWorkerStates[T any](workers, k int) []workerState[T] {
 	ws := make([]workerState[T], workers)
 	for i := range ws {
-		ws[i].top = core.NewTopK[T](k)
+		if k != 0 {
+			ws[i].top = core.NewTopK[T](k)
+		}
 	}
 	return ws
 }
 
 // mergeWorkerStates folds every per-worker top-k and stat counter into the
-// global accumulators.
-func mergeWorkerStates[T any](ws []workerState[T], top *core.TopK[T], stats *QueryStats) {
+// global accumulators, and returns what the workers listed instead (top
+// nil).
+func mergeWorkerStates[T any](ws []workerState[T], top *core.TopK[T], stats *QueryStats) []T {
+	var all []T
 	for i := range ws {
-		top.Merge(ws[i].top)
+		if top != nil {
+			top.Merge(ws[i].top)
+		}
+		all = append(all, ws[i].all...)
 		stats.CandidateRoots += ws[i].stats.CandidateRoots
 		stats.SampledRoots += ws[i].stats.SampledRoots
 		stats.PatternsFound += ws[i].stats.PatternsFound
@@ -106,6 +116,7 @@ func mergeWorkerStates[T any](ws []workerState[T], top *core.TopK[T], stats *Que
 		stats.EmptyChecked += ws[i].stats.EmptyChecked
 		stats.BoundPruned += ws[i].stats.BoundPruned
 	}
+	return all
 }
 
 // pollCancel is a cheap in-shard cancellation probe: shards poll it inside

@@ -97,8 +97,8 @@ func pePrelude(ix *index.Index, prep *prepared, pruneOK bool) *peTables {
 // enumeration is sharded by (root type, first path-pattern choice) across
 // the worker pool configured by Options.Workers; every tree pattern is
 // scored entirely inside one shard, so the parallel run returns exactly
-// the serial results. The caller folds the returned per-worker
-// accumulators in the aggregate stage.
+// the serial results. ws holds one accumulator per worker slot, which the
+// caller folds in the aggregate stage.
 //
 // Each worker scores into a shard-local bounded heap and, once that heap
 // holds K patterns, prunes leaf combinations whose posting-envelope bound
@@ -108,19 +108,17 @@ func pePrelude(ix *index.Index, prep *prepared, pruneOK bool) *peTables {
 // Pruning applies only at leaves: interior prefixes keep the
 // empty-intersection pruning, so EmptyChecked counts exactly the
 // combinations an unpruned walk counts.
-func peEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options) ([]workerState[RankedPattern], error) {
+func peEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options, ws []workerState[RankedPattern]) error {
 	m := len(prep.words)
 	pruneOK := !o.CollectRootAggs
 	tb := pePrelude(ix, prep, pruneOK)
-	workers := resolveWorkers(o.Workers)
-	ws := newWorkerStates[RankedPattern](workers, o.K)
-	walkers := make([]peWalker, workers)
-	err := runShards(ctx, workers, len(tb.shards), func(worker, si int) {
+	walkers := make([]peWalker, len(ws))
+	return runShards(ctx, len(ws), len(tb.shards), func(worker, si int) {
 		w := &walkers[worker]
 		if w.choice == nil {
 			*w = peWalker{
 				g: ix.Graph(), pt: ix.PatternTable(), o: &o, pruneOK: pruneOK,
-				st: &ws[worker].stats, sink: ws[worker].top, choice: make([]core.PatternID, m),
+				out: &ws[worker], st: &ws[worker].stats, sink: ws[worker].top, choice: make([]core.PatternID, m),
 				groups: make([]index.Group, m), bounds: make([]index.PatternBounds, m), inter: make([][]kg.NodeID, m),
 			}
 			if pruneOK {
@@ -148,7 +146,6 @@ func peEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 			ws[worker].top.Merge(w.sink)
 		}
 	})
-	return ws, err
 }
 
 // peWalker is one worker's state for the combination walk of Algorithm 2
@@ -161,6 +158,7 @@ type peWalker struct {
 	pt      *core.PatternTable
 	o       *Options
 	pruneOK bool
+	out     *workerState[RankedPattern]
 	st      *QueryStats
 	sink    *core.TopK[RankedPattern]
 	tt      *peType // the shard's root type
@@ -226,14 +224,21 @@ func (w *peWalker) leaf(r []kg.NodeID) {
 	}
 	w.st.PatternsFound++
 	w.st.TreesFound += int64(agg.Count)
-	offerPattern(w.sink, w.pt, w.o, w.choice, agg, rootAggs)
+	offerPattern(w.out, w.sink, w.pt, w.o, w.choice, agg, rootAggs)
 }
 
-// offerPattern offers a scored tree pattern to a worker's queue. paths is
-// walk-owned scratch: it is copied, and the content key built, only when
-// the score can enter the queue.
-func offerPattern(top *core.TopK[RankedPattern], pt *core.PatternTable, o *Options, paths []core.PatternID, agg core.PatternScore, rootAggs []RootAgg) {
+// offerPattern hands a scored tree pattern to top or, if nil, to ws's list.
+// paths is walk-owned scratch: it is copied only for a kept pattern, and
+// the content key built only when the score can enter the queue.
+func offerPattern(ws *workerState[RankedPattern], top *core.TopK[RankedPattern], pt *core.PatternTable, o *Options, paths []core.PatternID, agg core.PatternScore, rootAggs []RootAgg) {
 	score := agg.Value(o.Agg)
+	if top == nil {
+		lo := len(ws.paths)
+		ws.paths = append(ws.paths, paths...)
+		tp := core.TreePattern{Paths: ws.paths[lo:len(ws.paths):len(ws.paths)]}
+		ws.all = append(ws.all, RankedPattern{Pattern: tp, Agg: agg, Score: score, RootAggs: rootAggs})
+		return
+	}
 	if !top.WouldAccept(score) {
 		return
 	}

@@ -67,13 +67,6 @@ type Options struct {
 	// merge the same tree pattern across shards bit-exactly: partials are
 	// re-folded in ascending root order, reproducing the one-index fold.
 	CollectRootAggs bool
-	// SampleSelectK decouples LINEARENUM's sampled-selection width from K
-	// (0 means "use K"): the estimated per-type local top-SampleSelectK
-	// is re-scored exactly, everything else is dropped. The shard layer
-	// retains every pattern (K is effectively unbounded there) but must
-	// keep sampling's work bound at the caller's k. Ignored when sampling
-	// is off.
-	SampleSelectK int
 }
 
 func (o Options) withDefaults() Options {

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"kbtable/internal/core"
@@ -62,9 +63,10 @@ type WirePlanStats struct {
 }
 
 // WirePartial is one shard's complete scatter output: every pattern the
-// shard discovered (retention is unbounded during a scatter — the global
-// cut happens at the gather) plus the per-shard statistics the gather
-// folds.
+// shard discovered (a leg ranks nothing — the global cut happens at the
+// gather) plus the per-shard statistics the gather folds. Patterns ascend
+// by content: in the order their core.TreePattern.ContentKey strings
+// compare, each listed once.
 type WirePartial struct {
 	Shard    int           `json:"shard"`
 	Patterns []WirePattern `json:"patterns"`
@@ -185,11 +187,11 @@ func (e *Engine) ProbeShard(ctx context.Context, si int, query string, opts sear
 }
 
 // ScatterShard runs one resident shard's leg of a resolved-algorithm
-// scatter and returns it in wire form. The options lowering is exactly
-// the in-process scatter's (unbounded retention, CollectRootAggs, split
-// worker budget), so the partial a remote owner produces is the partial
-// the coordinator's own scatter would have produced for that shard. Auto
-// must be resolved by the coordinator first.
+// scatter and returns it in wire form. It runs the in-process scatter's
+// leg (search.Scatter on a split worker budget), so the partial a remote
+// owner produces is the partial the coordinator's own scatter would have
+// produced for that shard, patterns in ascending content order. Auto must
+// be resolved by the coordinator first.
 func (e *Engine) ScatterShard(ctx context.Context, si int, algo search.Algo, query string, opts search.Options) (*WirePartial, error) {
 	if algo == search.AlgoAuto {
 		return nil, fmt.Errorf("shard: scatter requires a resolved algorithm, not Auto")
@@ -198,7 +200,7 @@ func (e *Engine) ScatterShard(ctx context.Context, si int, algo search.Algo, que
 	if err != nil {
 		return nil, err
 	}
-	res, err := search.Execute(ctx, u.ix, query, algo, e.scatterOptions(opts))
+	res, err := e.leg(ctx, si, query, algo, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -248,9 +250,11 @@ func (e *Engine) ScatterShard(ctx context.Context, si int, algo search.Algo, que
 // interned into a published table. The partial is rejected — and the
 // caller runs the leg locally — when it is labeled for another shard,
 // names a path the table does not hold, has a pattern whose path count is
-// not the query's keyword count, lists a pattern twice (its roots would
-// fold twice) or without root partials (its share would vanish), or lists
-// roots that do not strictly ascend or that another shard owns.
+// not the query's keyword count, lists patterns out of strictly ascending
+// content order (the gather's merge order; a repeat would fold twice) or
+// one without root partials (its share would vanish), lists roots that do
+// not strictly ascend or that another shard owns, or has a root partial
+// no leg produces: a count below one, or a negative or non-finite score.
 func (e *Engine) fromWire(si int, query string, p *WirePartial) (shardOut, error) {
 	if p == nil || p.Shard != si {
 		return shardOut{}, fmt.Errorf("shard: partial for shard %d is missing or mislabeled", si)
@@ -260,7 +264,6 @@ func (e *Engine) fromWire(si int, query string, p *WirePartial) (shardOut, error
 	words, surfaces := search.ResolveQuery(ix, query)
 	var pp core.PathPattern // Lookup scratch; the table never retains it
 	patterns := make([]search.RankedPattern, len(p.Patterns))
-	seen := make(map[string]bool, len(p.Patterns))
 	for i, wp := range p.Patterns {
 		if len(wp.Paths) != len(words) {
 			return shardOut{}, fmt.Errorf("shard: shard %d pattern %d has %d paths for %d keywords", si, i, len(wp.Paths), len(words))
@@ -280,11 +283,9 @@ func (e *Engine) fromWire(si int, query string, p *WirePartial) (shardOut, error
 			}
 			tp.Paths[j] = id
 		}
-		key := tp.Key() // paths resolve in one table: equal IDs, equal content
-		if seen[key] {
-			return shardOut{}, fmt.Errorf("shard: shard %d pattern %d is listed twice", si, i)
+		if i > 0 && patterns[i-1].Pattern.CompareContent(table, tp, table) >= 0 {
+			return shardOut{}, fmt.Errorf("shard: shard %d pattern %d is out of content order", si, i)
 		}
-		seen[key] = true
 		if len(wp.RootAggs) == 0 {
 			return shardOut{}, fmt.Errorf("shard: shard %d pattern %d has no root partials", si, i)
 		}
@@ -292,6 +293,9 @@ func (e *Engine) fromWire(si int, query string, p *WirePartial) (shardOut, error
 		for x, ra := range wp.RootAggs {
 			if ra.Root < 0 || ra.Root >= int64(len(e.owner)) || int(e.owner[ra.Root]) != si || x > 0 && ra.Root <= wp.RootAggs[x-1].Root {
 				return shardOut{}, fmt.Errorf("shard: shard %d pattern %d lists root %d out of order or outside the shard", si, i, ra.Root)
+			}
+			if ra.Count < 1 || !(ra.Sum >= 0 && ra.Max >= 0) || math.IsInf(ra.Sum, 0) || math.IsInf(ra.Max, 0) {
+				return shardOut{}, fmt.Errorf("shard: shard %d pattern %d has an impossible partial at root %d", si, i, ra.Root)
 			}
 			aggs[x] = search.RootAgg{Root: kg.NodeID(ra.Root), Agg: core.PatternScore{Sum: ra.Sum, Max: ra.Max, Count: ra.Count}}
 		}

@@ -2,40 +2,13 @@ package shard
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 
 	"kbtable/internal/core"
+	"kbtable/internal/kg"
 	"kbtable/internal/search"
 )
-
-// allK makes per-shard executors retain every pattern they find. Local
-// top-k pruning would be incorrect here: a pattern whose roots split
-// across shards can rank below each shard's k-th local score yet inside
-// the global top-k once its partials merge, so shards must surface every
-// pattern and the cut happens only after the gather. The flip side is
-// that a sharded query's transient memory is proportional to the full
-// pattern/root answer set, not to k (the same regime as LINEARENUM's
-// aggregation dictionary); explosion queries should be fenced with the
-// planner probe's subtree count (PlanStats.Frontier, kbtable.Explain)
-// before execution, exactly as the paper fences exact enumeration. The
-// known follow-up is a bounded two-phase gather with score upper bounds:
-// the probe reports per-pattern bounds, their sum over shards yields a
-// global k-th-score threshold, and every leg prunes against it. Every leg — resident, remote or fallback —
-// runs through PlanStats and scatterGather, so that change lands in those
-// two functions.
-//
-// For the same reason the streaming executor's top-k bound pushdown must
-// not fire inside a shard — a locally dominated pattern can win globally —
-// and it does not: search.peEnumerate gates pruning on !CollectRootAggs,
-// which every scatter sets. Per-shard runs still get streaming's
-// predicate pushdown and scratch reuse; only the score cut is disabled.
-//
-// None of this applies to a one-shard engine queried without legs:
-// nothing merges after its executor, so Search hands it the caller's K
-// and the bound prunes.
-const allK = 1 << 30
 
 // RankedPattern is one globally ranked pattern. Pattern's IDs resolve in
 // Table — the pattern table of the lowest-numbered contributing shard;
@@ -58,8 +31,9 @@ type Result struct {
 	Plan search.Plan
 }
 
-// shardOut is one shard's scatter result; its patterns resolve in the
-// shard's own pattern table.
+// shardOut is one shard's scatter result: every pattern the shard holds
+// for the query, in ascending content order (search.Scatter), resolving in
+// the shard's own pattern table.
 type shardOut struct {
 	patterns []search.RankedPattern
 	stats    search.QueryStats
@@ -112,12 +86,11 @@ func (e *Engine) PlanStats(ctx context.Context, query string, opts search.Option
 	return merged, nil
 }
 
-// mergedPat accumulates one pattern signature across shards, contributors
-// in ascending shard order.
-type mergedPat struct {
-	rootAggs []search.RootAgg
-	agg      core.PatternScore // fold of rootAggs in ascending root order
-	contrib  []contribRef
+// gathered is one pattern merged across shards: its aggregate and its
+// contributors in ascending shard order.
+type gathered struct {
+	agg     core.PatternScore // fold of every contributor's root partials in ascending root order
+	contrib []contribRef
 }
 
 // contribRef names a contributing shard and the pattern's local identity
@@ -189,45 +162,24 @@ func (e *Engine) searchOne(ctx context.Context, plan search.Plan, query string, 
 	return out, nil
 }
 
-// scatterOptions lowers the caller's options into the per-shard scatter
-// options shared by every execution path.
-func (e *Engine) scatterOptions(opts search.Options) search.Options {
-	so := opts
-	so.K = allK
-	so.CollectRootAggs = true
-	// The per-query worker budget is split across the shard scatter (like
-	// the build path): N shard goroutines each running a pool of
-	// Workers/N, not N full pools competing for the same cores. Parallel
-	// execution is result-identical at any pool size, so this is purely a
-	// scheduling choice.
-	so.Workers = e.splitWorkers(opts.Workers)
-	// LINEARENUM's sampled path selects its estimated local top-k for
-	// exact re-scoring; selection must stay at the caller's k (per shard,
-	// mirroring the one-shard per-type selection) rather than the
-	// unbounded retention heap, or sampling would re-score everything and
-	// stop saving work. Sharded sampling is shard-local and approximate
-	// either way.
-	if opts.Lambda > 0 {
-		so.SampleSelectK = opts.K
-		if so.SampleSelectK <= 0 {
-			so.SampleSelectK = 100
-		}
-	}
-	// Trees are materialized after the global cut, for the winners only.
-	so.SkipTrees = true
-	return so
+// leg runs shard si's scatter leg on the resident shard, on Workers/N of
+// the query's worker budget (like the build path): N pools of Workers/N,
+// not N full pools competing for the same cores, with identical results.
+func (e *Engine) leg(ctx context.Context, si int, query string, algo search.Algo, opts search.Options) (*search.Result, error) {
+	opts.Workers = e.splitWorkers(opts.Workers)
+	return search.Scatter(ctx, e.units[si].ix, query, algo, opts)
 }
 
 // scatterGather is Search's scatter-gather body. plan.Algo is resolved
 // (never Auto), and start anchors the stage accounting so probe time
 // already spent counts as prepare. Each shard's leg runs in its own
 // goroutine: through legs when given, its partial checked and decoded in
-// that goroutine, and on the resident shard's executor when legs is nil
-// or the remote leg fails. The gather then folds the legs into the global
-// top-k.
+// that goroutine, and on the resident shard when legs is nil or the
+// remote leg fails. Every leg lists all of its shard's patterns in
+// ascending content order, so the gather is a merge of the legs into the
+// global top-k.
 func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search.Plan, query string, opts search.Options, legs Legs) (*Result, error) {
 	probed := time.Now()
-	so := e.scatterOptions(opts)
 	outs := make([]shardOut, e.n)
 	e.scatter(func(si int) {
 		if legs != nil {
@@ -238,7 +190,7 @@ func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search
 				}
 			}
 		}
-		res, err := search.Execute(ctx, e.units[si].ix, query, plan.Algo, so)
+		res, err := e.leg(ctx, si, query, plan.Algo, opts)
 		if err != nil {
 			outs[si].err = err
 			return
@@ -254,8 +206,7 @@ func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search
 
 	// Stage accounting for the scatter: the planner probe plus the slowest
 	// shard's own prepare stage count as prepare; the rest of the scatter
-	// wall time is enumeration (each shard's aggregate/rank under
-	// SkipTrees is noise).
+	// wall time is enumeration (each leg's content sort is noise).
 	var shardPrep time.Duration
 	for si := range outs {
 		if p := outs[si].stats.Stages.Prepare; p > shardPrep {
@@ -281,58 +232,34 @@ func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search
 		stages.Enumerate = 0
 	}
 
-	// Gather: merge pattern signatures across shards by content key.
 	tAgg := time.Now()
-	byKey := map[string]*mergedPat{}
-	for si := range outs {
-		pt := e.units[si].ix.PatternTable()
-		for _, rp := range outs[si].patterns {
-			key := rp.Pattern.ContentKey(pt)
-			mp, ok := byKey[key]
-			if !ok {
-				mp = &mergedPat{}
-				byKey[key] = mp
-			}
-			mp.rootAggs = append(mp.rootAggs, rp.RootAggs...)
-			mp.contrib = append(mp.contrib, contribRef{shard: si, pattern: rp.Pattern})
-		}
-	}
-
-	// Fold each pattern's per-root partials in ascending root order — the
-	// exact sequence a one-shard engine folds — then cut to the global
-	// top-k.
 	k := opts.K
 	if k == 0 {
 		k = 100
 	}
-	top := core.NewTopK[*mergedPat](k)
-	for key, mp := range byKey {
-		sort.SliceStable(mp.rootAggs, func(i, j int) bool { return mp.rootAggs[i].Root < mp.rootAggs[j].Root })
-		for _, ra := range mp.rootAggs {
-			mp.agg.Merge(ra.Agg)
-		}
-		top.Offer(mp.agg.Value(opts.Agg), key, mp)
-	}
+	top, found := e.gather(outs, k, opts.Agg)
 	stages.Aggregate = time.Since(tAgg)
 
 	stats := e.mergeStats(plan.Algo, outs)
-	stats.PatternsFound = len(byKey)
+	stats.PatternsFound = found
 
 	tRank := time.Now()
-	res := &Result{Patterns: make([]RankedPattern, 0, top.Len()), Plan: plan}
-	for _, mp := range top.Results() {
-		res.Patterns = append(res.Patterns, RankedPattern{
-			Pattern: mp.contrib[0].pattern,
-			Table:   e.units[mp.contrib[0].shard].ix.PatternTable(),
-			Agg:     mp.agg,
-			Score:   mp.agg.Value(opts.Agg),
-		})
+	winners := top.Results()
+	res := &Result{Patterns: make([]RankedPattern, len(winners)), Plan: plan}
+	for i, g := range winners {
+		c := g.contrib[0]
+		res.Patterns[i] = RankedPattern{
+			Pattern: c.pattern,
+			Table:   e.units[c.shard].ix.PatternTable(),
+			Agg:     g.agg,
+			Score:   g.agg.Value(opts.Agg),
+		}
 	}
 
 	// Materialize tables for the winners only, from each contributing
 	// shard's pattern-first index.
 	if !opts.SkipTrees {
-		if err := e.fillTrees(ctx, outs, top.Results(), res.Patterns, opts); err != nil {
+		if err := e.fillTrees(ctx, outs, winners, res.Patterns, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -341,6 +268,74 @@ func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search
 	stats.Elapsed = time.Since(start)
 	res.Stats = stats
 	return res, nil
+}
+
+// gather merges the legs' content-ordered pattern lists, consuming them
+// (D4M's associative-array addition), and returns the global top-k and
+// the number of distinct patterns. Equal heads are one pattern: their root
+// partials merge into the ascending run a one-shard engine folds, so
+// scores keep their bits. A content key is built only to break a tie.
+func (e *Engine) gather(outs []shardOut, k int, agg core.Agg) (*core.TopK[gathered], int) {
+	table := func(si int) *core.PatternTable { return e.units[si].ix.PatternTable() }
+	head := func(si int) core.TreePattern { return outs[si].patterns[0].Pattern }
+	top := core.NewTopK[gathered](k)
+	var lead []int // the shards whose head is the least pattern, ascending
+	var runs [][]search.RootAgg
+	for found := 0; ; found++ {
+		lead, runs = lead[:0], runs[:0]
+		for si := range outs {
+			if len(outs[si].patterns) == 0 {
+				continue
+			}
+			c := -1
+			if len(lead) > 0 {
+				c = head(si).CompareContent(table(si), head(lead[0]), table(lead[0]))
+			}
+			if c < 0 {
+				lead = lead[:0]
+			}
+			if c <= 0 {
+				lead = append(lead, si)
+			}
+		}
+		if len(lead) == 0 {
+			return top, found
+		}
+		var g gathered
+		for _, si := range lead {
+			runs = append(runs, outs[si].patterns[0].RootAggs)
+		}
+		mergeByRoot(runs, func(ra *search.RootAgg) kg.NodeID { return ra.Root }, func(ra *search.RootAgg) bool {
+			g.agg.Merge(ra.Agg)
+			return true
+		})
+		if score := g.agg.Value(agg); top.WouldAccept(score) {
+			for _, si := range lead {
+				g.contrib = append(g.contrib, contribRef{shard: si, pattern: head(si)})
+			}
+			top.OfferFunc(score, func() string { return g.contrib[0].pattern.ContentKey(table(lead[0])) }, g)
+		}
+		for _, si := range lead {
+			outs[si].patterns = outs[si].patterns[1:]
+		}
+	}
+}
+
+// mergeByRoot visits the elements of runs (each ascending by root, no root
+// in two) in ascending root order until visit returns false.
+func mergeByRoot[T any](runs [][]T, root func(*T) kg.NodeID, visit func(*T) bool) {
+	for {
+		next := -1
+		for i, r := range runs {
+			if len(r) > 0 && (next < 0 || root(&r[0]) < root(&runs[next][0])) {
+				next = i
+			}
+		}
+		if next < 0 || !visit(&runs[next][0]) {
+			return
+		}
+		runs[next] = runs[next][1:]
+	}
 }
 
 // mergeStats folds the per-shard counters. Candidate-root partitions are
@@ -369,23 +364,22 @@ func (e *Engine) mergeStats(algo search.Algo, outs []shardOut) search.QueryStats
 // contributing shards in ascending root order, truncated to the
 // per-pattern cap — exactly the rows a one-shard materialization pass
 // produces, which walks roots ascending and stops at the cap.
-func (e *Engine) fillTrees(ctx context.Context, outs []shardOut, winners []*mergedPat, patterns []RankedPattern, opts search.Options) error {
+func (e *Engine) fillTrees(ctx context.Context, outs []shardOut, winners []gathered, patterns []RankedPattern, opts search.Options) error {
 	maxTrees := opts.MaxTreesPerPattern
 	var wg sync.WaitGroup
-	for i, mp := range winners {
+	for i, g := range winners {
 		wg.Add(1)
-		go func(i int, mp *mergedPat) {
+		go func(i int, g gathered) {
 			defer wg.Done()
-			var trees []core.Subtree
-			for _, c := range mp.contrib {
-				trees = append(trees, search.MaterializeTrees(ctx, e.units[c.shard].ix, outs[c.shard].stats.Words, c.pattern, opts)...)
+			runs := make([][]core.Subtree, len(g.contrib))
+			for j, c := range g.contrib {
+				runs[j] = search.MaterializeTrees(ctx, e.units[c.shard].ix, outs[c.shard].stats.Words, c.pattern, opts)
 			}
-			sort.SliceStable(trees, func(i, j int) bool { return trees[i].Root < trees[j].Root })
-			if maxTrees > 0 && len(trees) > maxTrees {
-				trees = trees[:maxTrees]
-			}
-			patterns[i].Trees = trees
-		}(i, mp)
+			mergeByRoot(runs, func(st *core.Subtree) kg.NodeID { return st.Root }, func(st *core.Subtree) bool {
+				patterns[i].Trees = append(patterns[i].Trees, *st)
+				return maxTrees <= 0 || len(patterns[i].Trees) < maxTrees
+			})
+		}(i, g)
 	}
 	wg.Wait()
 	return ctx.Err()

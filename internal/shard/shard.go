@@ -14,9 +14,9 @@
 // serial/parallel executors over a root-filtered index; the gather stage
 // re-folds per-root partial aggregates in ascending root order, which
 // reproduces the one-shard engine's two-level fold bit for bit (see
-// search.Options.CollectRootAggs). The same tree pattern discovered on two
-// shards — its roots hash apart — merges into ONE pattern (content-keyed:
-// per-shard pattern tables intern IDs independently) with one table.
+// search.Options.CollectRootAggs). Each shard's leg lists its patterns in
+// content order, and the same tree pattern found on two shards — its roots
+// hash apart — merges at the gather into ONE pattern with one table.
 //
 // Roots are assigned by a type-aware hash of (τ(v), v), fixed at node
 // creation time and never reassigned (removal retypes tombstones, so the
@@ -35,7 +35,7 @@
 //
 // Shards share the immutable *kg.Graph in process; because every shard
 // is a self-contained index (own dictionary, own pattern table) and the
-// gather protocol only exchanges per-root aggregates and content keys,
+// gather protocol only exchanges per-root aggregates and path contents,
 // the same merge serves legs behind process or machine boundaries.
 package shard
 
