@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race alloc bench benchmark-module index-procs api-procs fma one-path fmt vet check cover fuzz golden loc serve clean ci-local cold-start snapshot-fixture load-soak cluster-soak
+.PHONY: build test race alloc bench benchmark-module index-procs api-procs fma one-path fmt vet check cover fuzz golden loc serve clean ci-local cold-start snapshot-fixture load-soak cluster-soak profile-update
 
 build:
 	$(GO) build ./...
@@ -170,6 +170,13 @@ snapshot-fixture:
 golden:
 	$(GO) test -run TestGoldenCorpus -update .
 
+# CPU profile of the write path: BenchmarkApplyUpdate (structural, text
+# and isolated updates on the reduced-scale wiki engine). Writes
+# cpu-update.prof beside the test binary kbtable.test; read it with
+# `go tool pprof -top kbtable.test cpu-update.prof`.
+profile-update:
+	$(GO) test -run '^$$' -bench ApplyUpdate -benchmem -cpuprofile cpu-update.prof .
+
 # Non-test Go lines outside benchmark/ — the size every CHANGES.md entry
 # quotes (ROADMAP ground rule iv).
 loc:
@@ -181,4 +188,4 @@ serve:
 
 clean:
 	$(GO) clean ./...
-	rm -rf bin cover.out
+	rm -rf bin cover.out cpu-update.prof kbtable.test

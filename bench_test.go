@@ -458,10 +458,13 @@ func BenchmarkEndToEndEngine(b *testing.B) {
 // BenchmarkApplyUpdate measures the write path of one engine (graph delta,
 // affected roots, index splice, PageRank refresh) per update, with updates
 // shaped like the benchmark module's WAL tail: "structural" adds an entity
-// with a text attribute and an edge to an existing entity, "text" re-texts
-// an existing entity. Words, types and attributes come from the corpus, so
-// the spliced posting lists are the large ones. Every iteration applies
-// one update to the same base engine.
+// with a text attribute and an edge to an existing entity (it dirties that
+// entity's neighbourhood), "text" re-texts an existing entity, and
+// "isolated" adds an entity with two text attributes and no edge into the
+// graph (the shape of the live adds, whose cost is the PageRank change
+// alone). Words, types and attributes come from the corpus, so the spliced
+// posting lists are the large ones. Every iteration applies one update to
+// the same base engine.
 func BenchmarkApplyUpdate(b *testing.B) {
 	kgr := env().Wiki()
 	eng, err := NewEngine(&Graph{g: kgr}, EngineOptions{D: 3})
@@ -494,6 +497,13 @@ func BenchmarkApplyUpdate(b *testing.B) {
 			u.SetText(entity(), text())
 			return u
 		}},
+		{"isolated", func() Update {
+			var u Update
+			ref := u.AddEntity(kgr.TypeName(kgr.Type(kg.NodeID(entity()))), text())
+			u.AddTextAttr(ref, attr(), text())
+			u.AddTextAttr(ref, attr(), text())
+			return u
+		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -506,18 +516,21 @@ func BenchmarkApplyUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexLoadV2 measures decoding a wire-v2 index: validating each
-// word block and re-deriving both views.
+// BenchmarkIndexLoadV2 measures decoding a wire index (v3 since the term
+// pools key on nodes; the name is kept for comparable histories):
+// validating each word block and re-deriving both views under a
+// precomputed PageRank vector.
 func BenchmarkIndexLoadV2(b *testing.B) {
 	e := env()
 	var buf bytes.Buffer
 	if err := e.WikiIndex(3).Encode(&buf); err != nil {
 		b.Fatal(err)
 	}
+	pr := rank.PageRank(e.Wiki(), rank.Options{})
 	b.SetBytes(int64(buf.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := index.Load(bytes.NewReader(buf.Bytes()), e.Wiki()); err != nil {
+		if _, err := index.Load(bytes.NewReader(buf.Bytes()), e.Wiki(), pr); err != nil {
 			b.Fatal(err)
 		}
 	}

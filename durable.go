@@ -461,6 +461,8 @@ func loadSnapshot(sn *store.Snapshot, opts EngineOptions) (*Engine, error) {
 	}
 
 	// Every shard file is independent: read + verify + decode in parallel.
+	lo := opts.indexOptions()
+	lo.PageRank = shard.PageRankOf(g, lo)
 	ixs := make([]*index.Index, want)
 	errs := make([]error, want)
 	var wg sync.WaitGroup
@@ -473,7 +475,7 @@ func loadSnapshot(sn *store.Snapshot, opts EngineOptions) (*Engine, error) {
 				errs[si] = err
 				return
 			}
-			ixs[si], errs[si] = index.Load(bytes.NewReader(data), g)
+			ixs[si], errs[si] = index.Load(bytes.NewReader(data), g, lo.PageRank)
 		}(si)
 	}
 	wg.Wait()
@@ -495,7 +497,7 @@ func loadSnapshot(sn *store.Snapshot, opts EngineOptions) (*Engine, error) {
 			return nil, fmt.Errorf("kbtable: %w", err)
 		}
 	}
-	sh, err := shard.FromParts(g, owners, ixs, m.Epochs, opts.indexOptions())
+	sh, err := shard.FromParts(g, owners, ixs, m.Epochs, lo)
 	if err != nil {
 		return nil, fmt.Errorf("kbtable: %w", err)
 	}

@@ -3,12 +3,15 @@ package core
 import "math"
 
 // ScoreTerms are the per-(keyword, path) components of the paper's scoring
-// functions (Section 2.2.3), precomputed at index-construction time so that
-// online scoring is a cheap fold:
+// functions (Section 2.2.3), ready when a path run is read so that online
+// scoring is a cheap fold:
 //
 //	Len — |T(w)|, the number of nodes on the path (score1 term)
 //	PR  — PageRank of the node containing w (score2 term)
 //	Sim — Jaccard similarity between w and the matched text (score3 term)
+//
+// Len and Sim are precomputed at index construction; PR is joined from the
+// epoch's PageRank vector by node as the index copies a run's terms out.
 type ScoreTerms struct {
 	Len int
 	PR  float64

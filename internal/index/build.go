@@ -30,7 +30,7 @@ type flatEntry struct {
 	edgeOff int32
 	edgeLen int32
 	edgeEnd bool
-	terms   core.ScoreTerms
+	term    termEntry
 }
 
 // Build runs Algorithm 1: for every root r it enumerates all simple paths
@@ -45,9 +45,9 @@ func Build(g *kg.Graph, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("index: height threshold D must be >= 1, got %d", opts.D)
 	}
 	start := time.Now()
-	pr := resolvePageRank(g, opts)
-	if len(pr) != g.NumNodes() {
-		return nil, fmt.Errorf("index: PageRank vector has %d entries for %d nodes", len(pr), g.NumNodes())
+	pr, err := resolvePageRank(g, opts)
+	if err != nil {
+		return nil, err
 	}
 
 	ix := &Index{g: g, d: opts.D, dict: text.NewDict(), pt: core.NewPatternTable()}
@@ -76,7 +76,7 @@ func Build(g *kg.Graph, opts Options) (*Index, error) {
 	for w := 0; w < workers; w++ {
 		lo := n * w / workers
 		hi := n * (w + 1) / workers
-		st := newBuilderState(g, opts.D, core.NewPatternTable(), nWords, cw, pr)
+		st := newBuilderState(g, opts.D, core.NewPatternTable(), nWords, cw, opts.uniform())
 		outs[w] = st
 		wg.Add(1)
 		go func(lo, hi int) {
@@ -139,7 +139,7 @@ func Build(g *kg.Graph, opts Options) (*Index, error) {
 			p.entries = nil
 			p.edgeBuf = nil
 		}
-		finishWord(&ix.words[w], flat, patternOrder(flat, rank), buf, patRootType)
+		finishWord(&ix.words[w], flat, patternOrder(flat, rank), buf, patRootType, pr)
 		atomicAdd(&entries, int64(total))
 	})
 	ix.stats.NumEntries = entries
@@ -316,11 +316,11 @@ type postings struct {
 // splice generator of incremental maintenance: ApplyDelta runs the same DFS
 // from dirty roots only.
 type builderState struct {
-	g     *kg.Graph
-	d     int
-	pt    *core.PatternTable
-	words *corpusWords
-	pr    []float64
+	g       *kg.Graph
+	d       int
+	pt      *core.PatternTable
+	words   *corpusWords
+	uniform bool // key every posting on node 0 (Options.UniformPR)
 	// postings is indexed by WordID; emit grows it when the lazy word
 	// source interns words mid-DFS (never happens under fillAllNodes).
 	postings []postings
@@ -333,13 +333,13 @@ type builderState struct {
 	onPath map[kg.NodeID]bool
 }
 
-func newBuilderState(g *kg.Graph, d int, pt *core.PatternTable, nWords int, words *corpusWords, pr []float64) *builderState {
+func newBuilderState(g *kg.Graph, d int, pt *core.PatternTable, nWords int, words *corpusWords, uniform bool) *builderState {
 	return &builderState{
 		g:        g,
 		d:        d,
 		pt:       pt,
 		words:    words,
-		pr:       pr,
+		uniform:  uniform,
 		postings: make([]postings, nWords),
 		onPath:   make(map[kg.NodeID]bool, 16),
 	}
@@ -387,7 +387,7 @@ func (st *builderState) visit(v kg.NodeID) {
 			st.attrs = append(st.attrs, e.Attr)
 			pid := st.pt.Intern(st.snapshotPattern(true))
 			for _, ws := range words {
-				st.emit(ws, pid, true, v) // f(w) is the edge; PR uses source v
+				st.emit(ws, pid, true, v) // f(w) is the edge; its PR is source v's
 			}
 			st.edges = st.edges[:len(st.edges)-1]
 			st.attrs = st.attrs[:len(st.attrs)-1]
@@ -415,8 +415,12 @@ func (st *builderState) snapshotPattern(edgeEnd bool) core.PathPattern {
 }
 
 // emit files one posting. matchNode is the node carrying f(w) for PR
-// purposes: the end node for node matches, the edge source for edge matches.
+// purposes (and its key): the end node for node matches, the edge source
+// for edge matches.
 func (st *builderState) emit(ws wordSim, pid core.PatternID, edgeEnd bool, matchNode kg.NodeID) {
+	if st.uniform {
+		matchNode = 0
+	}
 	for int(ws.Word) >= len(st.postings) {
 		st.postings = append(st.postings, postings{})
 	}
@@ -429,11 +433,7 @@ func (st *builderState) emit(ws wordSim, pid core.PatternID, edgeEnd bool, match
 		edgeOff: off,
 		edgeLen: int32(len(st.edges)),
 		edgeEnd: edgeEnd,
-		terms: core.ScoreTerms{
-			Len: len(st.edges) + 1,
-			PR:  st.pr[matchNode],
-			Sim: ws.Sim,
-		},
+		term:    termEntry{len: int32(len(st.edges) + 1), node: matchNode, sim: ws.Sim},
 	})
 }
 
@@ -516,8 +516,9 @@ func stableOrder(keys []uint32) []int32 {
 // finishWord transposes one word's flat postings into the columnar layout
 // and derives both views' run and group tables. order must list flat in
 // pattern-first order (patternOrder, or ApplyDelta's splice merge); the
-// entries themselves are never moved. buf backs their edge ranges.
-func finishWord(wi *wordIndex, flat []flatEntry, order []int32, buf []kg.EdgeID, patRootType []kg.TypeID) {
+// entries themselves are never moved. buf backs their edge ranges; pr is
+// the index's PR vector.
+func finishWord(wi *wordIndex, flat []flatEntry, order []int32, buf []kg.EdgeID, patRootType []kg.TypeID, pr []float64) {
 	// Transpose into per-entry columns; keep the per-entry pattern/root
 	// keys in transient arrays for the run scan and the root-first sort,
 	// and count the (pattern, root) runs and pattern groups on the way.
@@ -542,7 +543,7 @@ func finishWord(wi *wordIndex, flat []flatEntry, order []int32, buf []kg.EdgeID,
 		if fe.edgeEnd {
 			wi.edgeEnds[i>>6] |= 1 << (uint(i) & 63)
 		}
-		wi.termRef[i] = terms.intern(fe.terms)
+		wi.termRef[i] = terms.intern(fe.term)
 		pats[i] = fe.pattern
 		roots[i] = fe.root
 		if i == 0 || pats[i] != pats[i-1] {
@@ -583,15 +584,15 @@ func finishWord(wi *wordIndex, flat []flatEntry, order []int32, buf []kg.EdgeID,
 	}
 	wi.runEnd = compact(wi.runEnd)
 
-	buildGroupTables(wi, groupPats, groupRuns, runRoots, patRootType)
+	buildGroupTables(wi, groupPats, groupRuns, runRoots, patRootType, pr)
 	buildRootFirst(wi, runPats, runRoots)
 }
 
 // buildGroupTables derives the pattern-first group tables from the run
 // partition: the delta-varint root arena with its skip table, the per-group
-// score-term bounds, and the type groups. Shared by finishWord and the
-// wire-v2 decoder.
-func buildGroupTables(wi *wordIndex, groupPats []core.PatternID, groupRuns []int32, runRoots []kg.NodeID, patRootType []kg.TypeID) {
+// score-term bounds (PR ones under pr), and the type groups. Shared by
+// finishWord and the wire decoder.
+func buildGroupTables(wi *wordIndex, groupPats []core.PatternID, groupRuns []int32, runRoots []kg.NodeID, patRootType []kg.TypeID, pr []float64) {
 	// Size every table exactly up front: the varint bytes of each group's
 	// root deltas, one skip point per rootSkipInterval runs, one type
 	// group per root-type change.
@@ -645,28 +646,21 @@ func buildGroupTables(wi *wordIndex, groupPats []core.PatternID, groupRuns []int
 			for i := lo; i < hi; i++ {
 				t := &wi.termPool[wi.termRef[i]]
 				if i == pg.Start {
-					b.minLen, b.maxLen = int32(t.Len), int32(t.Len)
-					b.minPR, b.maxPR = t.PR, t.PR
-					b.minSim, b.maxSim = t.Sim, t.Sim
+					b.minLen, b.maxLen = t.len, t.len
+					b.minSim, b.maxSim = t.sim, t.sim
 					continue
 				}
-				if int32(t.Len) < b.minLen {
-					b.minLen = int32(t.Len)
+				if t.len < b.minLen {
+					b.minLen = t.len
 				}
-				if int32(t.Len) > b.maxLen {
-					b.maxLen = int32(t.Len)
+				if t.len > b.maxLen {
+					b.maxLen = t.len
 				}
-				if t.PR < b.minPR {
-					b.minPR = t.PR
+				if t.sim < b.minSim {
+					b.minSim = t.sim
 				}
-				if t.PR > b.maxPR {
-					b.maxPR = t.PR
-				}
-				if t.Sim < b.minSim {
-					b.minSim = t.Sim
-				}
-				if t.Sim > b.maxSim {
-					b.maxSim = t.Sim
+				if t.sim > b.maxSim {
+					b.maxSim = t.sim
 				}
 			}
 		}
@@ -679,6 +673,7 @@ func buildGroupTables(wi *wordIndex, groupPats []core.PatternID, groupRuns []int
 	wi.skipRoots = compact(wi.skipRoots)
 	wi.skipOffs = compact(wi.skipOffs)
 	wi.skipRun = compact(wi.skipRun)
+	wi.bindPR(pr)
 
 	for i := 0; i < len(wi.patGroups); {
 		j := i
@@ -747,9 +742,9 @@ func buildRootFirst(wi *wordIndex, runPats []core.PatternID, runRoots []kg.NodeI
 	wi.rfEnd = compact(wi.rfEnd)
 }
 
-// flatten transposes the columnar word back into row form for splicing and
-// the legacy writer. The returned entries' edge ranges index wi.edgeBuf,
-// which is returned unchanged (callers copy when they rewrite edges).
+// flatten transposes the columnar word back into row form for splicing.
+// The returned entries' edge ranges index wi.edgeBuf, which is returned
+// unchanged (callers copy when they rewrite edges).
 func (wi *wordIndex) flatten() ([]flatEntry, []kg.EdgeID) {
 	flat := make([]flatEntry, 0, wi.n)
 	var e flatEntry
@@ -766,7 +761,7 @@ func (wi *wordIndex) flatten() ([]flatEntry, []kg.EdgeID) {
 					edgeOff: wi.edgeStart[i],
 					edgeLen: wi.edgeStart[i+1] - wi.edgeStart[i],
 					edgeEnd: wi.edgeEndBit(i),
-					terms:   wi.termPool[wi.termRef[i]],
+					term:    wi.termPool[wi.termRef[i]],
 				}
 				flat = append(flat, e)
 			}
@@ -804,13 +799,14 @@ func (wi *wordIndex) sizeBytes() int64 {
 	t += int64(len(wi.edgeStart)) * 4
 	t += int64(len(wi.edgeEnds)) * 8
 	t += int64(len(wi.edgeBuf)) * 4
-	t += int64(len(wi.termPool)) * int64(unsafe.Sizeof(core.ScoreTerms{}))
+	t += int64(len(wi.termPool)) * int64(unsafe.Sizeof(termEntry{}))
 	t += int64(len(wi.runEnd)) * 4
 	t += int64(len(wi.rootBytes))
 	t += int64(len(wi.skipRoots)) * 4
 	t += int64(len(wi.skipOffs)) * 4
 	t += int64(len(wi.skipRun)) * 4
 	t += int64(len(wi.patGroups)) * int64(unsafe.Sizeof(patGroup{}))
+	t += int64(len(wi.prBounds)) * int64(unsafe.Sizeof(prRange{}))
 	t += int64(len(wi.typeGroups)) * int64(unsafe.Sizeof(typeGroup{}))
 	t += int64(len(wi.rootOrder)) * 4
 	t += int64(len(wi.roots)) * 4

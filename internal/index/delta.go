@@ -58,9 +58,9 @@ type DeltaStats struct {
 	// posting lists, sorted; servers use it to invalidate exactly the
 	// cached queries whose answers could have changed.
 	TouchedWords []string
-	// ScoresRefreshed reports that the PageRank term of surviving entries
-	// was rewritten (PageRank is a global property, so a structural change
-	// anywhere shifts scores everywhere). When set, TouchedWords no longer
+	// ScoresRefreshed reports that the index scores with a new PageRank
+	// vector (a structural change anywhere shifts scores everywhere; only
+	// group PR bounds were recomputed). When set, TouchedWords no longer
 	// bounds the set of queries whose answers moved — caches must drop
 	// everything. Always false under UniformPR, and false for pure text
 	// edits (they cannot move PageRank).
@@ -80,10 +80,11 @@ type DeltaStats struct {
 //
 // Scoring terms stay exact: with UniformPR every node scores 1 and nothing
 // needs refreshing; otherwise PageRank is recomputed on the new snapshot
-// (it is a global property, so edits anywhere shift it everywhere) and the
-// PR term of every surviving entry is rewritten — the term pool and the
-// per-group PR bounds are rebuilt in the same pass, so PatternBounds stays
-// a sound envelope for the streaming executor's pruning.
+// (it is a global property, so edits anywhere shift it everywhere) and
+// becomes the new index's vector. Postings key on the stable node IDs
+// that carry f(w), so a carried-over word keeps its term columns and only
+// its per-group PR bounds are recomputed: PatternBounds stays a sound
+// envelope for the streaming executor's pruning.
 func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, error) {
 	start := time.Now()
 	var ds DeltaStats
@@ -100,18 +101,15 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 		return nil, ds, fmt.Errorf("index: built with D=%d, delta requests D=%d", ix.d, opts.D)
 	}
 	newG := ch.New
-	pr := resolvePageRank(newG, opts)
-	if len(pr) != newG.NumNodes() {
-		return nil, ds, fmt.Errorf("index: PageRank vector has %d entries for %d nodes", len(pr), newG.NumNodes())
+	pr, err := resolvePageRank(newG, opts)
+	if err != nil {
+		return nil, ds, err
 	}
-	refreshPR := !opts.UniformPR || opts.PageRank != nil
 	// Pure text edits keep the PR vector bit-identical (PageRank only sees
-	// structure), so refreshing would rewrite every term with its old
-	// value; skip it and keep invalidation word-precise.
+	// structure), so the old bounds stand; skip the refresh and keep
+	// invalidation word-precise.
 	structural := ch.AddedNodes > 0 || ch.RemovedNodes > 0 || ch.AddedEdges > 0 || ch.RemovedEdges > 0
-	if !structural {
-		refreshPR = false
-	}
+	refreshPR := structural && !opts.uniform()
 	ds.ScoresRefreshed = refreshPR
 
 	// Clone the dictionary and pattern table: the new index interns new
@@ -156,7 +154,7 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 	// small by construction; when an update devastates the whole graph a
 	// full Build is the right tool anyway.
 	cw := newCorpusWords(newG, dict)
-	st := newBuilderState(newG, ix.d, pt, dict.Len(), cw, pr)
+	st := newBuilderState(newG, ix.d, pt, dict.Len(), cw, opts.uniform())
 	for _, r := range dirty {
 		st.dfsRoot(r)
 	}
@@ -165,7 +163,6 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 	// each call writes only its own word's slots; the touched words are
 	// listed after the loop, in WordID order whatever the schedule.
 	nWords := dict.Len()
-	identityEdges := ch.EdgeMap == nil
 	patRootType := patternRootTypes(pt)
 	rank := patternRanks(patRootType)
 	words := make([]wordIndex, nWords)
@@ -192,15 +189,14 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 		case fresh == nil && dirtyOld == 0:
 			// Untouched posting list: carry it over. The edge arena may
 			// still need a mechanical rewrite (edge IDs shifted) and the
-			// term pool a PageRank refresh; the per-entry columns and run
-			// tables are positional and shared with the old index either
-			// way.
+			// group PR bounds a refresh; every other column is shared
+			// with the old index.
 			words[w] = *old
-			if !identityEdges {
+			if ch.EdgeMap != nil {
 				words[w].edgeBuf = remapEdges(old.edgeBuf, ch.EdgeMap)
 			}
 			if refreshPR {
-				refreshWordPR(newG, &words[w], pr)
+				words[w].bindPR(pr)
 			}
 		default:
 			// Spliced posting list: surviving entries (dirty roots cut
@@ -239,11 +235,8 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 					flat = append(flat, e)
 				}
 			}
-			if refreshPR {
-				refreshFlatPR(newG, flat, buf, pr)
-			}
 			if len(flat) > 0 {
-				finishWord(wi, flat, spliceOrder(flat, surv, rank), buf, patRootType)
+				finishWord(wi, flat, spliceOrder(flat, surv, rank), buf, patRootType, pr)
 			}
 			// A word that vanished from the corpus leaves an empty slot
 			// (lookups treat it as no postings).
@@ -322,15 +315,25 @@ func spliceOrder(flat []flatEntry, surv int, rank []uint32) []int32 {
 
 // Rebind returns an index identical to ix but reading node texts, types
 // and edges from g — the new snapshot of a delta that did not touch any of
-// ix's postings. It is the untouched-shard fast path of a sharded engine:
-// valid only when the delta had no dirty roots accepted by ix's
-// RootFilter, an identity edge map (ch.EdgeMap == nil), and no PageRank
-// refresh (DeltaStats.ScoresRefreshed false on the shards that did
-// splice). All posting storage is shared with the receiver; both indexes
-// stay valid.
-func (ix *Index) Rebind(g *kg.Graph) *Index {
+// ix's postings. It is the untouched-shard path of a sharded engine: valid
+// only when the delta had no dirty roots accepted by ix's RootFilter and
+// an identity edge map (ch.EdgeMap == nil). pr is g's PageRank vector when
+// the delta moved it (what ApplyDelta reports as ScoresRefreshed), nil
+// when it did not. A new vector recomputes each pattern group's PR bounds
+// and nothing else; every posting, the dictionary and the pattern table
+// are shared with the receiver. Both indexes stay valid.
+func (ix *Index) Rebind(g *kg.Graph, pr []float64) *Index {
 	nix := *ix
 	nix.g = g
+	if pr == nil {
+		return &nix
+	}
+	nix.words = slices.Clone(ix.words)
+	for w := range nix.words {
+		if nix.words[w].n > 0 {
+			nix.words[w].bindPR(pr)
+		}
+	}
 	return &nix
 }
 
@@ -342,79 +345,11 @@ func mapEdge(e kg.EdgeID, edgeMap []kg.EdgeID) kg.EdgeID {
 	return edgeMap[e]
 }
 
-// remapEdges translates a whole edge buffer (identity maps share it).
+// remapEdges translates a whole edge buffer through a non-nil edge map.
 func remapEdges(buf []kg.EdgeID, edgeMap []kg.EdgeID) []kg.EdgeID {
-	if edgeMap == nil {
-		return buf
-	}
 	out := make([]kg.EdgeID, len(buf))
 	for i, e := range buf {
 		out[i] = edgeMap[e]
 	}
 	return out
-}
-
-// matchNodeOf recovers the node carrying f(w) from a path: the end node
-// for node matches, the matched edge's source for edge matches, the root
-// for zero-edge paths.
-func matchNodeOf(g *kg.Graph, root kg.NodeID, edges []kg.EdgeID, edgeEnd bool) kg.NodeID {
-	if len(edges) == 0 {
-		return root
-	}
-	last := g.Edge(edges[len(edges)-1])
-	if edgeEnd {
-		return last.Src
-	}
-	return last.Dst
-}
-
-// refreshWordPR rewrites a carried-over word's PageRank terms against the
-// new snapshot's PR vector, without disturbing the shared positional
-// columns: the term pool and term references are rebuilt (copy-on-write),
-// and each pattern group's PR bounds are recomputed in the same pass so
-// PatternBounds never under-approximates the refreshed scores. wi must be
-// a shallow copy of the old word; its edgeBuf must already be remapped.
-func refreshWordPR(g *kg.Graph, wi *wordIndex, pr []float64) {
-	n := int(wi.n)
-	newRef := make([]uint32, n)
-	terms := newTermInterner(len(wi.termPool))
-	groups := make([]patGroup, len(wi.patGroups))
-	copy(groups, wi.patGroups)
-	for gi := range groups {
-		pg := &groups[gi]
-		prev := kg.NodeID(-1)
-		off := pg.RootOff
-		first := true
-		var minPR, maxPR float64
-		for k := pg.RunStart; k < pg.RunEnd; k++ {
-			prev, off = decodeRootDelta(wi.rootBytes, off, prev)
-			for i := wi.runStart(k); i < wi.runEnd[k]; i++ {
-				t := wi.termPool[wi.termRef[i]]
-				lo, hi := wi.edgeStart[i], wi.edgeStart[i+1]
-				t.PR = pr[matchNodeOf(g, prev, wi.edgeBuf[lo:hi], wi.edgeEndBit(i))]
-				newRef[i] = terms.intern(t)
-				if first || t.PR < minPR {
-					minPR = t.PR
-				}
-				if first || t.PR > maxPR {
-					maxPR = t.PR
-				}
-				first = false
-			}
-		}
-		pg.bounds.minPR, pg.bounds.maxPR = minPR, maxPR
-	}
-	wi.termRef = newRef
-	wi.termPool = compact(terms.pool)
-	wi.patGroups = groups
-}
-
-// refreshFlatPR rewrites every flat entry's PageRank term against the new
-// snapshot's PR vector before the splice re-derives the views.
-func refreshFlatPR(g *kg.Graph, flat []flatEntry, buf []kg.EdgeID, pr []float64) {
-	for i := range flat {
-		e := &flat[i]
-		edges := buf[e.edgeOff : e.edgeOff+e.edgeLen]
-		e.terms.PR = pr[matchNodeOf(g, e.root, edges, e.edgeEnd)]
-	}
 }

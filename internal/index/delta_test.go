@@ -7,7 +7,9 @@ import (
 	"sort"
 	"testing"
 
+	"kbtable/internal/dataset"
 	"kbtable/internal/kg"
+	"kbtable/internal/rank"
 	"kbtable/internal/text"
 )
 
@@ -47,9 +49,9 @@ func canonical(ix *Index) map[string][]entryDesc {
 				Root:    e.root,
 				Edges:   edges,
 				EdgeEnd: e.edgeEnd,
-				Len:     e.terms.Len,
-				PR:      e.terms.PR,
-				Sim:     e.terms.Sim,
+				Len:     int(e.term.len),
+				PR:      wi.pr[e.term.node],
+				Sim:     e.term.sim,
 			})
 		}
 		sort.Slice(descs, func(i, j int) bool {
@@ -459,5 +461,176 @@ func TestCountDirty(t *testing.T) {
 					trial, w, got, len(dirty), len(wi.roots), want)
 			}
 		}
+	}
+}
+
+// boundsByContent maps word surface -> pattern key -> PatternBounds, the
+// bounds of an index with PatternIDs replaced by pattern content.
+func boundsByContent(ix *Index) map[string]map[string]PatternBounds {
+	out := map[string]map[string]PatternBounds{}
+	for w := range ix.words {
+		if ix.words[w].n == 0 {
+			continue
+		}
+		m := map[string]PatternBounds{}
+		for _, p := range ix.Patterns(text.WordID(w)) {
+			b, _ := ix.PatternBounds(text.WordID(w), p)
+			m[ix.pt.Get(p).Key()] = b
+		}
+		out[ix.dict.Word(text.WordID(w))] = m
+	}
+	return out
+}
+
+// sameArray reports whether two non-empty slices share a backing array.
+func sameArray[T any](a, b []T) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
+// TestApplyDeltaSharesCarriedWords is the copy-on-write guard of the
+// PageRank refresh: along a chain of structural updates under PageRank,
+// every posting list the update did not touch shares its term references,
+// term pool and (under an identity edge map) edge arena with the old
+// epoch, so no posting is rewritten when PageRank moves. Its bounds must
+// still be exact: every PatternBounds equals a fresh Build's.
+func TestApplyDeltaSharesCarriedWords(t *testing.T) {
+	vocab := []string{"alpha", "beta", "gamma", "nu", "xi"}
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		opts := Options{D: 3}
+		cur, err := Build(dataset.SynthWiki(dataset.WikiConfig{Entities: 150, Types: 8, Seed: seed}), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		carried := 0
+		for step := 0; step < 4; step++ {
+			label := fmt.Sprintf("seed %d step %d", seed, step)
+			g := cur.Graph()
+			d := kg.NewDelta(g)
+			v, err := d.AddEntity("Startup", vocab[rng.Intn(len(vocab))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.AddTextAttr(v, "note", vocab[rng.Intn(len(vocab))]); err != nil {
+				t.Fatal(err)
+			}
+			var entities []kg.NodeID
+			for v := 0; v < g.NumNodes(); v++ {
+				if g.Type(kg.NodeID(v)) != kg.LiteralType {
+					entities = append(entities, kg.NodeID(v))
+				}
+			}
+			old := entities[rng.Intn(len(entities))]
+			if step%2 == 1 {
+				// An edge from an old node shifts later EdgeIDs.
+				err = d.AddAttr(old, "funds", v)
+			} else {
+				err = d.AddAttr(v, "funds", old)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch, err := d.Apply()
+			if err != nil {
+				t.Fatal(err)
+			}
+			next, ds, err := cur.ApplyDelta(ch, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ds.ScoresRefreshed {
+				t.Fatalf("%s: structural update under PageRank did not refresh scores", label)
+			}
+			touched := map[string]bool{}
+			for _, w := range ds.TouchedWords {
+				touched[w] = true
+			}
+			for w := range cur.words {
+				old, nu := &cur.words[w], &next.words[w]
+				if old.n == 0 || touched[cur.dict.Word(text.WordID(w))] {
+					continue
+				}
+				carried++
+				if !sameArray(old.termRef, nu.termRef) || !sameArray(old.termPool, nu.termPool) {
+					t.Fatalf("%s: carried word %q has its term columns rewritten", label, cur.dict.Word(text.WordID(w)))
+				}
+				if ch.EdgeMap == nil && len(old.edgeBuf) > 0 && !sameArray(old.edgeBuf, nu.edgeBuf) {
+					t.Fatalf("%s: carried word %q has its edge arena copied under an identity edge map", label, cur.dict.Word(text.WordID(w)))
+				}
+			}
+			reb, err := Build(ch.New, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := boundsByContent(next), boundsByContent(reb); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: PatternBounds differ from a rebuild's:\n got  %v\n want %v", label, got, want)
+			}
+			cur = next
+		}
+		if carried == 0 {
+			t.Fatalf("seed %d: no word was carried over", seed)
+		}
+	}
+}
+
+// TestRebindRefreshesBounds: on an index that owns none of a structural
+// delta's dirty roots, Rebind with the new PageRank vector is ApplyDelta
+// minus the dictionary clone: the same columns word for word (the
+// refreshed PR bounds included), postings shared with the receiver, and
+// bounds equal to a rebuild's.
+func TestRebindRefreshesBounds(t *testing.T) {
+	g := dataset.SynthWiki(dataset.WikiConfig{Entities: 150, Types: 8, Seed: 3})
+	d := kg.NewDelta(g)
+	v, err := d.AddEntity("Startup", "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddAttr(v, "funds", 0); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := d.Apply()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := make([]bool, ch.New.NumNodes())
+	for _, r := range kg.AffectedRoots(ch, 2) {
+		dirty[r] = true
+	}
+	opts := Options{D: 3, RootFilter: func(r kg.NodeID) bool { return !dirty[r] }}
+	ix, err := Build(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.PageRank = rank.PageRank(ch.New, rank.Options{})
+	applied, ds, err := ix.ApplyDelta(ch, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.DirtyRoots != 0 || ds.WordsTouched != 0 || !ds.ScoresRefreshed {
+		t.Fatalf("delta stats %+v, want no owned dirty root and a score refresh", ds)
+	}
+	rebound := ix.Rebind(ch.New, opts.PageRank)
+	for w := range applied.words {
+		if w >= len(rebound.words) {
+			if applied.words[w].n != 0 {
+				t.Fatalf("word %d has postings only after ApplyDelta", w)
+			}
+			continue
+		}
+		requireSameColumns(t, fmt.Sprintf("word %q", applied.dict.Word(text.WordID(w))), &rebound.words[w], &applied.words[w])
+		if old, nu := &ix.words[w], &rebound.words[w]; old.n > 0 && (!sameArray(old.termRef, nu.termRef) || !sameArray(old.termPool, nu.termPool)) {
+			t.Fatalf("word %d: Rebind copied the term columns", w)
+		}
+	}
+	opts.PageRank = nil
+	reb, err := Build(ch.New, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := boundsByContent(rebound), boundsByContent(reb); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rebound bounds differ from a rebuild's")
+	}
+	if same := ix.Rebind(ch.New, nil); !sameArray(same.words, ix.words) {
+		t.Fatal("Rebind without a new vector must share every word")
 	}
 }

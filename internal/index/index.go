@@ -8,18 +8,20 @@
 //	pattern-first: Patterns(w), Roots(w,P), Paths(w,P,r)   — used by PATTERNENUM
 //	root-first:    Roots(w), Patterns(w,r), Paths(w,r[,P]) — used by LINEARENUM
 //
-// Entries carry the precomputed score terms |T(w)|, PR(f(w)) and
-// sim(w,f(w)) so that online scoring is a constant-time fold per path
-// (Section 3, last paragraph before Theorem 2).
+// Entries carry the precomputed score terms |T(w)| and sim(w,f(w)) and the
+// node carrying f(w), whose PR(f(w)) is read from the index's PageRank
+// vector when a run's terms are copied out: online scoring is a
+// constant-time fold per path (Section 3, last paragraph before Theorem 2),
+// and a PageRank change (a whole-graph property) rewrites no posting.
 //
 // Storage is columnar (struct-of-arrays): instead of a slice of entry
 // structs the posting lists are parallel per-entry arrays — a term-pool
 // reference, a cumulative edge offset, and an edge-end bit — plus
 // per-(pattern, root) run tables whose roots are delta-varint compressed
 // per pattern group.
-// The score terms (|T(w)|, PR, sim) repeat heavily (PR is per-node, sim is
-// per-text), so each word stores the distinct triples once in a value pool
-// and entries hold a 4-byte reference. Both views iterate over cache-dense
+// The term keys (|T(w)|, node, sim) repeat heavily (the node is per match,
+// sim per text), so each word stores the distinct triples once in a value
+// pool and entries hold a 4-byte reference. Both views iterate over cache-dense
 // arrays and the resident cost is ~12 bytes per posting instead of the ~48
 // of the former array-of-structs layout. A posting run — Paths(w,P,r) or
 // Paths(w,r,P) — is read through a borrowed PathSet: score terms for
@@ -92,13 +94,29 @@ type patGroup struct {
 	bounds patBounds
 }
 
-// patBounds are the per-(word, pattern) score-term ranges and the largest
-// per-root path run, the raw material of PatternBounds.
+// patBounds are the per-(word, pattern) PR-independent score-term ranges
+// and the largest per-root path run; with prBounds, those of PatternBounds.
 type patBounds struct {
 	minLen, maxLen int32
-	minPR, maxPR   float64
 	minSim, maxSim float64
 	maxRun         int32
+}
+
+// prRange is one pattern group's PR(f(w)) range under the index's vector.
+type prRange struct{ min, max float64 }
+
+// termEntry is one distinct term key of a word's postings: |T(w)|, the
+// node carrying f(w) (the end node of a node match, the edge source of an
+// edge match; node 0 under UniformPR) and sim(w, f(w)).
+type termEntry struct {
+	len  int32
+	node kg.NodeID
+	sim  float64
+}
+
+// terms resolves the entry's score terms under the PR vector pr.
+func (t *termEntry) terms(pr []float64) core.ScoreTerms {
+	return core.ScoreTerms{Len: int(t.len), PR: pr[t.node], Sim: t.sim}
 }
 
 // typeGroup is a run of patGroups sharing a root type.
@@ -125,9 +143,9 @@ type wordIndex struct {
 	edgeEnds  []uint64    // bitset: entry i matched an edge's attribute type
 	edgeBuf   []kg.EdgeID // concatenated edge sequences, entry order
 
-	// termPool holds the distinct (Len, PR, Sim) triples of this word's
-	// entries, in first-seen entry order (deterministic).
-	termPool []core.ScoreTerms
+	// termPool holds the distinct term keys of this word's entries, in
+	// first-seen entry order (deterministic).
+	termPool []termEntry
 
 	// Pattern-first view. Entries partition into (pattern, root) runs that
 	// are contiguous across the whole word: run k spans
@@ -141,6 +159,8 @@ type wordIndex struct {
 	skipRun    []int32 // global run index of the skip point
 	patGroups  []patGroup
 	typeGroups []typeGroup
+	pr         []float64 // the index's PR vector (shared), which terms join
+	prBounds   []prRange // per patGroup under pr: what a PageRank change redoes
 
 	// Root-first view: a permutation of entries sorted by (root, pattern),
 	// partitioned per distinct root (rgEnd) into per-pattern runs
@@ -332,7 +352,7 @@ func (ix *Index) RootsOf(w text.WordID, p core.PatternID) []kg.NodeID {
 // searching again. Valid as long as the index is.
 type Group struct {
 	wi *wordIndex
-	pg *patGroup
+	gi int32
 }
 
 // Group resolves the posting group of (w, p); ok is false when w has no
@@ -342,20 +362,21 @@ func (ix *Index) Group(w text.WordID, p core.PatternID) (Group, bool) {
 	if wi == nil {
 		return Group{}, false
 	}
-	pg := findPatGroup(wi.patGroups, ix.pt, p)
-	if pg == nil {
+	gi := findPatGroup(wi.patGroups, ix.pt, p)
+	if gi < 0 {
 		return Group{}, false
 	}
-	return Group{wi: wi, pg: pg}, true
+	return Group{wi: wi, gi: int32(gi)}, true
 }
 
 // Roots decodes the group's sorted distinct roots (pattern-first
 // Roots(w, P)) into a fresh slice.
 func (g Group) Roots() []kg.NodeID {
-	out := make([]kg.NodeID, 0, g.pg.RunEnd-g.pg.RunStart)
+	pg := &g.wi.patGroups[g.gi]
+	out := make([]kg.NodeID, 0, pg.RunEnd-pg.RunStart)
 	prev := kg.NodeID(-1)
-	off := g.pg.RootOff
-	for k := g.pg.RunStart; k < g.pg.RunEnd; k++ {
+	off := pg.RootOff
+	for k := pg.RunStart; k < pg.RunEnd; k++ {
 		prev, off = decodeRootDelta(g.wi.rootBytes, off, prev)
 		out = append(out, prev)
 	}
@@ -364,10 +385,10 @@ func (g Group) Roots() []kg.NodeID {
 
 // Bounds returns the group's posting envelope.
 func (g Group) Bounds() PatternBounds {
-	b := &g.pg.bounds
+	b, pb := &g.wi.patGroups[g.gi].bounds, &g.wi.prBounds[g.gi]
 	return PatternBounds{
 		MinLen: int(b.minLen), MaxLen: int(b.maxLen),
-		MinPR: b.minPR, MaxPR: b.maxPR,
+		MinPR: pb.min, MaxPR: pb.max,
 		MinSim: b.minSim, MaxSim: b.maxSim,
 		MaxRun: int(b.maxRun),
 	}
@@ -375,7 +396,8 @@ func (g Group) Bounds() PatternBounds {
 
 // Cursor returns a run cursor positioned before the group's first root.
 func (g Group) Cursor() RunCursor {
-	return RunCursor{g: g, k: g.pg.RunStart - 1, root: -1, off: g.pg.RootOff}
+	pg := &g.wi.patGroups[g.gi]
+	return RunCursor{g: g, k: pg.RunStart - 1, root: -1, off: pg.RootOff}
 }
 
 // RunCursor walks one group's delta-varint root list forward. A caller
@@ -393,7 +415,8 @@ type RunCursor struct {
 // Seek moves to root r and returns its run; ok is false when the group has
 // no run for r. Seeking backwards restarts from the group's first run.
 func (c *RunCursor) Seek(r kg.NodeID) (PathSet, bool) {
-	wi, pg := c.g.wi, c.g.pg
+	wi := c.g.wi
+	pg := &wi.patGroups[c.g.gi]
 	if r < c.root {
 		*c = c.g.Cursor()
 	}
@@ -458,17 +481,18 @@ func (ps *PathSet) Path(k int) core.Path {
 
 // AppendTerms appends the run's score terms, in posting order, to dst:
 // scoring reads only these, so the executor copies them out of the term
-// pool once per run and never touches edges or patterns.
+// pool once per run, joining PR from the index's vector, and never touches
+// edges or patterns.
 func (ps *PathSet) AppendTerms(dst []core.ScoreTerms) []core.ScoreTerms {
-	wi := ps.wi
+	wi, pr := ps.wi, ps.wi.pr
 	if ps.order != nil {
 		for _, idx := range ps.order[ps.lo:ps.hi] {
-			dst = append(dst, wi.termPool[wi.termRef[idx]])
+			dst = append(dst, wi.termPool[wi.termRef[idx]].terms(pr))
 		}
 		return dst
 	}
 	for _, ref := range wi.termRef[ps.lo:ps.hi] {
-		dst = append(dst, wi.termPool[ref])
+		dst = append(dst, wi.termPool[ref].terms(pr))
 	}
 	return dst
 }
@@ -574,10 +598,10 @@ func findTypeGroup(tgs []typeGroup, c kg.TypeID) (typeGroup, bool) {
 	return tgs[i], true
 }
 
-// findPatGroup locates the group for pattern p, or nil. Groups are sorted
+// findPatGroup locates the group for pattern p, or -1. Groups are sorted
 // by (root type, pattern id), so the root type is recovered from the
 // pattern.
-func findPatGroup(pgs []patGroup, pt *core.PatternTable, p core.PatternID) *patGroup {
+func findPatGroup(pgs []patGroup, pt *core.PatternTable, p core.PatternID) int {
 	rt := pt.Get(p).RootType()
 	i := sort.Search(len(pgs), func(i int) bool {
 		if pgs[i].RootType != rt {
@@ -586,9 +610,9 @@ func findPatGroup(pgs []patGroup, pt *core.PatternTable, p core.PatternID) *patG
 		return pgs[i].Pattern >= p
 	})
 	if i == len(pgs) || pgs[i].Pattern != p {
-		return nil
+		return -1
 	}
-	return &pgs[i]
+	return i
 }
 
 // findRoot locates r in the sorted distinct-root list.
@@ -608,14 +632,42 @@ func defaultWorkers(w int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// resolvePageRank picks the PR vector per Options.
-func resolvePageRank(g *kg.Graph, o Options) []float64 {
+// uniformPR is the PR vector under Options.UniformPR: every posting keys
+// on node 0, which scores 1 (Example 2.4), so no term pool grows.
+var uniformPR = []float64{1}
+
+// uniform reports whether postings key on the constant node of uniformPR.
+func (o Options) uniform() bool { return o.PageRank == nil && o.UniformPR }
+
+// resolvePageRank picks g's PR vector per Options.
+func resolvePageRank(g *kg.Graph, o Options) ([]float64, error) {
 	switch {
 	case o.PageRank != nil:
-		return o.PageRank
+		if len(o.PageRank) != g.NumNodes() {
+			return nil, fmt.Errorf("index: PageRank vector has %d entries for %d nodes", len(o.PageRank), g.NumNodes())
+		}
+		return o.PageRank, nil
 	case o.UniformPR:
-		return rank.Uniform(g)
+		return uniformPR, nil
 	default:
-		return rank.PageRank(g, rank.Options{})
+		return rank.PageRank(g, rank.Options{}), nil
 	}
+}
+
+// bindPR points the word's terms at the PR vector pr and derives every
+// pattern group's PR range under it: one pass over the term references,
+// all a PageRank change costs an untouched word.
+func (wi *wordIndex) bindPR(pr []float64) {
+	out := make([]prRange, len(wi.patGroups))
+	for gi := range wi.patGroups {
+		pg := &wi.patGroups[gi]
+		v := pr[wi.termPool[wi.termRef[pg.Start]].node]
+		r := prRange{min: v, max: v}
+		for _, ref := range wi.termRef[pg.Start+1 : pg.End] {
+			v := pr[wi.termPool[ref].node]
+			r.min, r.max = min(r.min, v), max(r.max, v)
+		}
+		out[gi] = r
+	}
+	wi.pr, wi.prBounds = pr, out
 }

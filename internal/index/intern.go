@@ -2,19 +2,16 @@ package index
 
 import (
 	"math"
-	"math/bits"
-
-	"kbtable/internal/core"
 )
 
-// termInterner deduplicates score terms into a pool in first-seen order:
-// an open-addressing table of pool references (ref+1; 0 is empty) hashed
-// on the terms' bits. It agrees with a map[core.ScoreTerms]uint32 exactly:
-// keys compare with ==, so +0 and -0 are one key (the hash adds +0, which
-// turns -0 into +0), and a NaN never equals itself, so each NaN term gets
-// a pool entry of its own.
+// termInterner deduplicates term keys into a pool in first-seen order: an
+// open-addressing table of pool references (ref+1; 0 is empty) hashed on
+// the keys' bits. It agrees with a map[termEntry]uint32 exactly: keys
+// compare with ==, so a +0 and a -0 sim are one key (the hash adds +0,
+// which turns -0 into +0), and a NaN never equals itself, so each NaN
+// entry gets a pool entry of its own.
 type termInterner struct {
-	pool  []core.ScoreTerms
+	pool  []termEntry
 	slots []uint32
 }
 
@@ -28,16 +25,16 @@ func newTermInterner(hint int) termInterner {
 	return termInterner{slots: make([]uint32, n)}
 }
 
-// hashTerms mixes a triple's bits with splitmix64's finalizer.
-func hashTerms(t core.ScoreTerms) uint64 {
-	h := math.Float64bits(t.PR+0)*0x9e3779b97f4a7c15 ^ bits.RotateLeft64(math.Float64bits(t.Sim+0), 32) ^ uint64(t.Len)
+// hashTerms mixes a key's bits with splitmix64's finalizer.
+func hashTerms(t termEntry) uint64 {
+	h := math.Float64bits(t.sim+0)*0x9e3779b97f4a7c15 ^ uint64(uint32(t.node))<<32 ^ uint64(uint32(t.len))
 	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
 	h = (h ^ h>>27) * 0x94d049bb133111eb
 	return h ^ h>>31
 }
 
 // intern returns t's pool reference, appending t on first sight.
-func (ti *termInterner) intern(t core.ScoreTerms) uint32 {
+func (ti *termInterner) intern(t termEntry) uint32 {
 	mask := uint64(len(ti.slots) - 1)
 	for i := hashTerms(t) & mask; ; i = (i + 1) & mask {
 		if s := ti.slots[i]; s != 0 {

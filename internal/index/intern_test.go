@@ -6,21 +6,20 @@ import (
 	"math/rand"
 	"testing"
 
-	"kbtable/internal/core"
+	"kbtable/internal/kg"
 )
 
-// sameTermBits reports whether two triples are the same bits, so a -0 is
+// sameTermBits reports whether two keys are the same bits, so a -0 is
 // told from a +0 and a NaN matches itself.
-func sameTermBits(a, b core.ScoreTerms) bool {
-	return a.Len == b.Len && math.Float64bits(a.PR) == math.Float64bits(b.PR) &&
-		math.Float64bits(a.Sim) == math.Float64bits(b.Sim)
+func sameTermBits(a, b termEntry) bool {
+	return a.len == b.len && a.node == b.node && math.Float64bits(a.sim) == math.Float64bits(b.sim)
 }
 
 // TestTermInternerMatchesMap: termInterner hands out the references and
-// builds the pool, in order, that the map[core.ScoreTerms]uint32 it
-// replaced does: over random triples drawn from a small alphabet (heavy
-// duplication) that holds +0, -0 and NaN, with hints from zero to the
-// input length, so the table grows well past its hint.
+// builds the pool, in order, that a map[termEntry]uint32 does: over random
+// keys drawn from a small alphabet (heavy duplication) whose sims hold
+// +0, -0 and NaN, with hints from zero to the input length, so the table
+// grows well past its hint.
 func TestTermInternerMatchesMap(t *testing.T) {
 	floats := []float64{0, math.Copysign(0, -1), math.NaN(), 1, -1, 0.5, 1.0 / 3, math.Inf(1), math.SmallestNonzeroFloat64, math.MaxFloat64}
 	rng := rand.New(rand.NewSource(1))
@@ -35,10 +34,14 @@ func TestTermInternerMatchesMap(t *testing.T) {
 					return floats[rng.Intn(len(floats))]
 				}
 				ti := newTermInterner(hint)
-				ref := map[core.ScoreTerms]uint32{}
-				var pool []core.ScoreTerms
+				ref := map[termEntry]uint32{}
+				var pool []termEntry
 				for i := 0; i < n; i++ {
-					term := core.ScoreTerms{Len: 1 + rng.Intn(3), PR: pick(), Sim: pick()}
+					node := kg.NodeID(rng.Intn(8))
+					if rng.Intn(4) == 0 {
+						node = kg.NodeID(rng.Int31()) // mostly distinct: forces growth
+					}
+					term := termEntry{len: 1 + rng.Int31n(3), node: node, sim: pick()}
 					want, ok := ref[term]
 					if !ok {
 						want = uint32(len(pool))

@@ -19,7 +19,7 @@ func TestIndexEncodeLoadRoundTrip(t *testing.T) {
 	if err := ix.Encode(&buf); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	ix2, err := Load(&buf, g)
+	ix2, err := Load(&buf, g, nil)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -89,14 +89,14 @@ func TestIndexSaveLoadFile(t *testing.T) {
 	if err := ix.SaveFile(path); err != nil {
 		t.Fatalf("SaveFile: %v", err)
 	}
-	ix2, err := LoadFile(path, g)
+	ix2, err := LoadFile(path, g, nil)
 	if err != nil {
 		t.Fatalf("LoadFile: %v", err)
 	}
 	if ix2.Stats().NumEntries != ix.Stats().NumEntries {
 		t.Errorf("roundtrip changed entries")
 	}
-	if _, err := LoadFile(path+".missing", g); err == nil {
+	if _, err := LoadFile(path+".missing", g, nil); err == nil {
 		t.Errorf("missing file should error")
 	}
 }
@@ -114,14 +114,14 @@ func TestIndexLoadRejectsWrongGraph(t *testing.T) {
 	other := kg.NewBuilder()
 	other.Entity("T", "x")
 	g2 := other.MustFreeze()
-	if _, err := Load(&buf, g2); err == nil {
+	if _, err := Load(&buf, g2, nil); err == nil {
 		t.Errorf("loading against a different graph must fail")
 	}
 }
 
 func TestIndexLoadRejectsGarbage(t *testing.T) {
 	g, _ := dataset.Fig1()
-	if _, err := Load(bytes.NewReader([]byte("not an index stream")), g); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("not an index stream")), g, nil); err == nil {
 		t.Errorf("garbage input must fail")
 	}
 }
@@ -137,7 +137,7 @@ func TestLoadedIndexAnswersQueries(t *testing.T) {
 	if err := ix.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	ix2, err := Load(&buf, g)
+	ix2, err := Load(&buf, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

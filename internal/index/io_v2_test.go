@@ -13,6 +13,7 @@ import (
 
 	"kbtable/internal/dataset"
 	"kbtable/internal/kg"
+	"kbtable/internal/rank"
 	"kbtable/internal/text"
 )
 
@@ -92,7 +93,7 @@ func TestWireV2RoundTripShards(t *testing.T) {
 					t.Fatalf("%s: encode: %v", label, err)
 				}
 				wire := append([]byte(nil), buf.Bytes()...)
-				loaded, err := Load(bytes.NewReader(wire), c.g)
+				loaded, err := Load(bytes.NewReader(wire), c.g, nil)
 				if err != nil {
 					t.Fatalf("%s: load: %v", label, err)
 				}
@@ -181,9 +182,10 @@ func parseWireFrames(t *testing.T, data []byte) []wireFrame {
 	return frames
 }
 
-// TestWireV2CorruptionMatrix damages every section of a v2 stream in
+// TestWireV2CorruptionMatrix damages every section of a wire stream in
 // every way — truncation mid-payload, a flipped payload byte, a flipped
-// checksum byte — and requires Load to fail cleanly each time.
+// checksum byte — and a term pool with a node outside the graph or the
+// PR vector, and requires Load to fail cleanly each time.
 func TestWireV2CorruptionMatrix(t *testing.T) {
 	g, _ := dataset.Fig1()
 	ix, err := Build(g, Options{D: 3, UniformPR: true})
@@ -202,8 +204,38 @@ func TestWireV2CorruptionMatrix(t *testing.T) {
 
 	mustFail := func(label string, data []byte) {
 		t.Helper()
-		if _, err := Load(bytes.NewReader(data), g); err == nil {
+		if _, err := Load(bytes.NewReader(data), g, nil); err == nil {
 			t.Errorf("%s: corrupted snapshot loaded without error", label)
+		}
+	}
+
+	// A well-framed block whose pool entry names a node past the graph
+	// (under PageRank) or past the uniform vector's one node.
+	pr := rank.PageRank(g, rank.Options{})
+	for _, c := range []struct {
+		name string
+		node kg.NodeID
+		pr   []float64
+	}{
+		{"pool node past the graph", kg.NodeID(g.NumNodes()), pr},
+		{"pool node past the uniform vector", 1, nil},
+	} {
+		bad, err := Build(g, Options{D: 3, PageRank: c.pr, UniformPR: c.pr == nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := range bad.words {
+			if bad.words[w].n > 0 {
+				bad.words[w].termPool[0].node = c.node
+				break
+			}
+		}
+		var bbuf bytes.Buffer
+		if err := bad.Encode(&bbuf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bytes.NewReader(bbuf.Bytes()), g, c.pr); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: Load error = %v, want a node out of range", c.name, err)
 		}
 	}
 
@@ -230,11 +262,11 @@ func TestWireV2CorruptionMatrix(t *testing.T) {
 // the negative input of the refusal test below.
 const v1FixturePath = "testdata/index-v1.gob"
 
-// TestWireV1GobFixture pins what happens to a stream without the wire-v2
-// magic — an old gob snapshot, an empty file, a stream cut inside the
-// magic, a v2 stream with a damaged magic: Load refuses it with the one
-// error that names the expected magic and the remedy, and no decoder
-// runs on the bytes.
+// TestWireV1GobFixture pins what happens to a stream without the current
+// wire magic — an old gob snapshot, a wire-v2 stream, an empty file, a
+// stream cut inside the magic, a current stream with a damaged magic:
+// Load refuses it with the one error that names the expected magic and
+// the remedy, and no decoder runs on the bytes.
 func TestWireV1GobFixture(t *testing.T) {
 	g, _ := dataset.Fig1()
 	ix, err := Build(g, Options{D: 3, UniformPR: true})
@@ -252,33 +284,35 @@ func TestWireV1GobFixture(t *testing.T) {
 	}
 	flipped := append([]byte(nil), wire...)
 	flipped[0] ^= 0xFF
+	v2 := append([]byte("KBX2"), wire[len(wireMagic):]...)
 
 	for _, c := range []struct {
 		name string
 		data []byte
 	}{
 		{"v1 gob snapshot", gob},
+		{"wire-v2 stream", v2},
 		{"empty file", nil},
 		{"truncated magic", wire[:len(wireMagic)-1]},
 		{"flipped magic", flipped},
 	} {
-		if _, err := Load(bytes.NewReader(c.data), g); !errors.Is(err, errNotWireV2) {
-			t.Errorf("%s: Load error = %v, want errNotWireV2", c.name, err)
+		if _, err := Load(bytes.NewReader(c.data), g, nil); !errors.Is(err, errNotCurrentWire) {
+			t.Errorf("%s: Load error = %v, want errNotCurrentWire", c.name, err)
 		}
 	}
 	for _, want := range []string{wireMagic, "kbindex"} {
-		if !strings.Contains(errNotWireV2.Error(), want) {
-			t.Errorf("refusal %q does not mention %q", errNotWireV2, want)
+		if !strings.Contains(errNotCurrentWire.Error(), want) {
+			t.Errorf("refusal %q does not mention %q", errNotCurrentWire, want)
 		}
 	}
 	// A failed read is reported as itself, not as a foreign format.
 	boom := errors.New("boom")
-	if _, err := Load(iotest.ErrReader(boom), g); !errors.Is(err, boom) {
+	if _, err := Load(iotest.ErrReader(boom), g, nil); !errors.Is(err, boom) {
 		t.Errorf("failing reader: Load error = %v, want it to wrap the read error", err)
 	}
-	// A stream cut right after a sound magic is a v2 stream: it fails in
-	// the header frame's own checks, not as a foreign format.
-	if _, err := Load(bytes.NewReader(wire[:len(wireMagic)]), g); err == nil || errors.Is(err, errNotWireV2) {
-		t.Errorf("magic-only stream: Load error = %v, want a v2 header error", err)
+	// A stream cut right after a sound magic is a current stream: it fails
+	// in the header frame's own checks, not as a foreign format.
+	if _, err := Load(bytes.NewReader(wire[:len(wireMagic)]), g, nil); err == nil || errors.Is(err, errNotCurrentWire) {
+		t.Errorf("magic-only stream: Load error = %v, want a header error", err)
 	}
 }

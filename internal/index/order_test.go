@@ -12,6 +12,7 @@ import (
 
 	"kbtable/internal/core"
 	"kbtable/internal/kg"
+	"kbtable/internal/rank"
 	"kbtable/internal/text"
 )
 
@@ -20,8 +21,8 @@ import (
 // oracle of the radix ordering. It sorts one word's flat postings into the
 // pattern-first order and transposes them into the columnar layout,
 // deriving both views' run and group tables. buf backs the flat entries'
-// edge ranges.
-func referenceFinishWord(wi *wordIndex, flat []flatEntry, buf []kg.EdgeID, patRootType []kg.TypeID) {
+// edge ranges; pr is the index's PR vector.
+func referenceFinishWord(wi *wordIndex, flat []flatEntry, buf []kg.EdgeID, patRootType []kg.TypeID, pr []float64) {
 	// Pattern-first order: (root type, pattern, root); the pre-sort root
 	// order within equal keys is preserved by stability, keeping path
 	// enumeration deterministic.
@@ -51,7 +52,7 @@ func referenceFinishWord(wi *wordIndex, flat []flatEntry, buf []kg.EdgeID, patRo
 	wi.edgeBuf = make([]kg.EdgeID, 0, totalEdges)
 	pats := make([]core.PatternID, n)
 	roots := make([]kg.NodeID, n)
-	pool := make(map[core.ScoreTerms]uint32)
+	pool := make(map[termEntry]uint32)
 	for i := range flat {
 		fe := &flat[i]
 		wi.edgeStart[i] = int32(len(wi.edgeBuf))
@@ -59,11 +60,11 @@ func referenceFinishWord(wi *wordIndex, flat []flatEntry, buf []kg.EdgeID, patRo
 		if fe.edgeEnd {
 			wi.edgeEnds[i>>6] |= 1 << (uint(i) & 63)
 		}
-		ref, ok := pool[fe.terms]
+		ref, ok := pool[fe.term]
 		if !ok {
 			ref = uint32(len(wi.termPool))
-			pool[fe.terms] = ref
-			wi.termPool = append(wi.termPool, fe.terms)
+			pool[fe.term] = ref
+			wi.termPool = append(wi.termPool, fe.term)
 		}
 		wi.termRef[i] = ref
 		pats[i] = fe.pattern
@@ -99,7 +100,7 @@ func referenceFinishWord(wi *wordIndex, flat []flatEntry, buf []kg.EdgeID, patRo
 	}
 	wi.runEnd = compact(wi.runEnd)
 
-	buildGroupTables(wi, groupPats, groupRuns, runRoots, patRootType)
+	buildGroupTables(wi, groupPats, groupRuns, runRoots, patRootType, pr)
 	referenceBuildRootFirst(wi, runPats, runRoots)
 }
 
@@ -167,7 +168,7 @@ func wordColumns(wi *wordIndex) map[string]any {
 		"n": wi.n, "termRef": wi.termRef, "edgeStart": wi.edgeStart, "edgeEnds": wi.edgeEnds,
 		"edgeBuf": wi.edgeBuf, "termPool": wi.termPool, "runEnd": wi.runEnd, "rootBytes": wi.rootBytes,
 		"skipRoots": wi.skipRoots, "skipOffs": wi.skipOffs, "skipRun": wi.skipRun, "patGroups": wi.patGroups,
-		"typeGroups": wi.typeGroups, "rootOrder": wi.rootOrder, "roots": wi.roots, "rgEnd": wi.rgEnd,
+		"prBounds": wi.prBounds, "typeGroups": wi.typeGroups, "rootOrder": wi.rootOrder, "roots": wi.roots, "rgEnd": wi.rgEnd,
 		"rgRunEnd": wi.rgRunEnd, "rfPat": wi.rfPat, "rfEnd": wi.rfEnd,
 	}
 }
@@ -209,14 +210,14 @@ func requireReferenceColumns(t *testing.T, label string, ix *Index) {
 		}
 		flat, buf := wi.flatten()
 		var ref wordIndex
-		referenceFinishWord(&ref, flat, buf, patRootType)
+		referenceFinishWord(&ref, flat, buf, patRootType, wi.pr)
 		requireSameColumns(t, fmt.Sprintf("%s: word %q", label, ix.dict.Word(text.WordID(w))), wi, &ref)
 	}
 }
 
 // TestColumnsMatchComparatorReference runs the positional oracle over
 // Build at one and four workers, under uniform PR and PageRank, and over
-// the index a wire-v2 round trip loads. The delta chains of
+// the index a wire round trip loads. The delta chains of
 // TestApplyDeltaMatchesRebuild run it after every step.
 func TestColumnsMatchComparatorReference(t *testing.T) {
 	corpora := wireCorpora()
@@ -239,7 +240,11 @@ func TestColumnsMatchComparatorReference(t *testing.T) {
 				if err := ix.Encode(&buf); err != nil {
 					t.Fatalf("%s: encode: %v", label, err)
 				}
-				loaded, err := Load(&buf, c.g)
+				var pr []float64
+				if !uniform {
+					pr = rank.PageRank(c.g, rank.Options{})
+				}
+				loaded, err := Load(&buf, c.g, pr)
 				if err != nil {
 					t.Fatalf("%s: load: %v", label, err)
 				}
@@ -286,6 +291,9 @@ func TestPatternRanksExtremeTypes(t *testing.T) {
 	}
 }
 
+// syntheticPR is the PR vector of syntheticWord's term nodes.
+var syntheticPR = []float64{0, 1, 2}
+
 // syntheticWord emits n flat postings root by root in ascending order, as
 // the DFS does: roots end just below math.MaxInt32, root types are near
 // math.MaxInt32 and 0, each root is reached through several patterns of
@@ -314,7 +322,7 @@ func syntheticWord(rng *rand.Rand, n int, patRootType []kg.TypeID) ([]flatEntry,
 				edgeOff: int32(len(buf)),
 				edgeLen: int32(edges),
 				edgeEnd: rng.Intn(2) == 0,
-				terms:   core.ScoreTerms{Len: edges + 1, PR: float64(rng.Intn(3)), Sim: 0.5},
+				term:    termEntry{len: int32(edges + 1), node: kg.NodeID(rng.Intn(len(syntheticPR))), sim: 0.5},
 			})
 			for e := 0; e < edges; e++ {
 				buf = append(buf, kg.EdgeID(rng.Intn(1000)))
@@ -337,9 +345,9 @@ func TestOrderedFinishMatchesReference(t *testing.T) {
 			label := fmt.Sprintf("n=%d trial=%d", n, trial)
 			flat, buf := syntheticWord(rng, n, patRootType)
 			var want wordIndex
-			referenceFinishWord(&want, slices.Clone(flat), buf, patRootType)
+			referenceFinishWord(&want, slices.Clone(flat), buf, patRootType, syntheticPR)
 			var got wordIndex
-			finishWord(&got, flat, patternOrder(flat, rank), buf, patRootType)
+			finishWord(&got, flat, patternOrder(flat, rank), buf, patRootType, syntheticPR)
 			requireSameColumns(t, label+" build", &got, &want)
 
 			// Splice: the clean roots' postings come back from an old word
@@ -357,7 +365,7 @@ func TestOrderedFinishMatchesReference(t *testing.T) {
 			spliced, sbuf := []flatEntry(nil), []kg.EdgeID(nil)
 			if len(clean) > 0 {
 				var old wordIndex
-				referenceFinishWord(&old, clean, buf, patRootType)
+				referenceFinishWord(&old, clean, buf, patRootType, syntheticPR)
 				spliced, sbuf = old.flatten()
 				sbuf = slices.Clone(sbuf)
 			}
@@ -371,7 +379,7 @@ func TestOrderedFinishMatchesReference(t *testing.T) {
 				}
 			}
 			var sgot wordIndex
-			finishWord(&sgot, spliced, spliceOrder(spliced, surv, rank), sbuf, patRootType)
+			finishWord(&sgot, spliced, spliceOrder(spliced, surv, rank), sbuf, patRootType, syntheticPR)
 			requireSameColumns(t, label+" splice", &sgot, &want)
 		}
 	}

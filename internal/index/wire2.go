@@ -1,14 +1,15 @@
-// Wire format version 2: a binary columnar container. The file is a magic
+// Wire format version 3: a binary columnar container. The file is a magic
 // string followed by length-prefixed, CRC-32C-framed sections:
 //
-//	"KBX2"
+//	"KBX3"
 //	frame := [section id: 1 byte][payload length: uvarint][payload][CRC-32C(payload): 4 bytes LE]
 //	sections := header, dict, patterns, word*, end
 //
 // Every posting block is one self-contained frame per non-empty word:
 // group patterns, delta-varint run roots, run lengths, per-entry edge
 // counts, zigzag-delta edge IDs, the edge-end bitset, the deduplicated
-// score-term pool, and per-entry pool references. Blocks are encoded and
+// term-key pool ((uvarint len, uvarint node, float64 sim); no PageRank
+// value), and per-entry pool references. Blocks are encoded and
 // decoded with per-word parallelism; the group/run tables and the
 // root-first permutation are re-derived on load through the same
 // buildGroupTables/buildRootFirst paths construction uses, so a loaded
@@ -30,10 +31,10 @@ import (
 	"kbtable/internal/text"
 )
 
-// wireMagic identifies a v2 index stream; Load refuses anything else.
-const wireMagic = "KBX2"
+// wireMagic identifies a WireVersion index stream; Load refuses the rest.
+const wireMagic = "KBX3"
 
-// Section identifiers of the v2 container.
+// Section identifiers of the container.
 const (
 	secHeader byte = 1
 	secDict   byte = 2
@@ -181,9 +182,9 @@ func (r *wreader) done(what string) error {
 	return nil
 }
 
-// encodeV2 writes the v2 container. Word blocks are built concurrently
+// encodeWire writes the container. Word blocks are built concurrently
 // and written in word order, so the output is deterministic.
-func (ix *Index) encodeV2(w io.Writer) error {
+func (ix *Index) encodeWire(w io.Writer) error {
 	blocks := make([][]byte, len(ix.words))
 	parallelWords(len(ix.words), defaultWorkers(0), func(i int) {
 		wi := &ix.words[i]
@@ -352,7 +353,7 @@ func decodePatterns(payload []byte, g *kg.Graph, want int) ([]core.PathPattern, 
 // columnar layout.
 func encodeWordBlock(w int, wi *wordIndex) []byte {
 	n := int(wi.n)
-	b := make([]byte, 0, len(wi.rootBytes)+n*4+len(wi.edgeBuf)*2+len(wi.termPool)*17)
+	b := make([]byte, 0, len(wi.rootBytes)+n*4+len(wi.edgeBuf)*2+len(wi.termPool)*12)
 	b = binary.AppendUvarint(b, uint64(w))
 	b = binary.AppendUvarint(b, uint64(n))
 	b = binary.AppendUvarint(b, uint64(len(wi.patGroups)))
@@ -385,9 +386,9 @@ func encodeWordBlock(w int, wi *wordIndex) []byte {
 	b = append(b, bits...)
 	b = binary.AppendUvarint(b, uint64(len(wi.termPool)))
 	for _, t := range wi.termPool {
-		b = binary.AppendUvarint(b, uint64(t.Len))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.PR))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.Sim))
+		b = binary.AppendUvarint(b, uint64(t.len))
+		b = binary.AppendUvarint(b, uint64(t.node))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.sim))
 	}
 	for _, ref := range wi.termRef {
 		b = binary.AppendUvarint(b, uint64(ref))
@@ -396,9 +397,9 @@ func encodeWordBlock(w int, wi *wordIndex) []byte {
 }
 
 // decodeWordBlock rebuilds one word's columnar postings, validating every
-// reference against the graph and pattern table, and re-derives both
-// views. Returns the word id.
-func decodeWordBlock(payload []byte, wi *wordIndex, g *kg.Graph, patRootType []kg.TypeID) (int, error) {
+// reference against the graph, the pattern table and the PR vector pr,
+// and re-derives both views. Returns the word id.
+func decodeWordBlock(payload []byte, wi *wordIndex, g *kg.Graph, patRootType []kg.TypeID, pr []float64) (int, error) {
 	r := &wreader{b: payload}
 	w := r.count(1<<31, "word id")
 	n := r.count(1<<30, "entry")
@@ -501,18 +502,19 @@ func decodeWordBlock(payload []byte, wi *wordIndex, g *kg.Graph, patRootType []k
 		}
 	}
 
-	// Term pool + per-entry references.
+	// Term pool (each node indexes the graph and the PR vector) + per-entry
+	// references.
 	poolLen := r.count(n, "term pool")
 	if r.err == nil && poolLen < 1 {
 		return w, fmt.Errorf("index: word %d: empty term pool", w)
 	}
-	wi.termPool = make([]core.ScoreTerms, 0, max(poolLen, 0))
+	wi.termPool = make([]termEntry, 0, max(poolLen, 0))
 	for i := 0; i < poolLen && r.err == nil; i++ {
-		wi.termPool = append(wi.termPool, core.ScoreTerms{
-			Len: r.count(1<<20, "path length"),
-			PR:  r.float(),
-			Sim: r.float(),
-		})
+		l, node := r.count(1<<20, "path length"), r.uvarint()
+		if r.err == nil && (node >= uint64(g.NumNodes()) || node >= uint64(len(pr))) {
+			return w, fmt.Errorf("index: word %d: term pool references node %d out of range", w, node)
+		}
+		wi.termPool = append(wi.termPool, termEntry{len: int32(l), node: kg.NodeID(node), sim: r.float()})
 	}
 	wi.termRef = make([]uint32, n)
 	for i := 0; i < n && r.err == nil; i++ {
@@ -529,7 +531,7 @@ func decodeWordBlock(payload []byte, wi *wordIndex, g *kg.Graph, patRootType []k
 	// Re-derive the group tables (rootBytes, skip table, bounds, type
 	// groups) and the root-first view through the shared construction
 	// paths. The per-run keys come straight from the run partition.
-	buildGroupTables(wi, groupPats, groupRuns, runRoots, patRootType)
+	buildGroupTables(wi, groupPats, groupRuns, runRoots, patRootType, pr)
 	runPats := make([]core.PatternID, len(runRoots))
 	run := 0
 	for gi := 0; gi < nGroups; gi++ {
@@ -542,8 +544,8 @@ func decodeWordBlock(payload []byte, wi *wordIndex, g *kg.Graph, patRootType []k
 	return w, nil
 }
 
-// loadV2 reads the v2 container (magic still unconsumed in br).
-func loadV2(br *bufio.Reader, g *kg.Graph) (*Index, error) {
+// loadWire reads the container (magic still unconsumed in br).
+func loadWire(br *bufio.Reader, g *kg.Graph, pr []float64) (*Index, error) {
 	start := time.Now()
 	if _, err := br.Discard(len(wireMagic)); err != nil {
 		return nil, fmt.Errorf("index: %w", err)
@@ -565,11 +567,8 @@ func loadV2(br *bufio.Reader, g *kg.Graph) (*Index, error) {
 	if err := hr.done("header section"); err != nil {
 		return nil, err
 	}
-	if version > WireVersion {
-		return nil, fmt.Errorf("index: wire-format version %d not supported (this build reads up to %d)", version, WireVersion)
-	}
-	if version < 2 {
-		return nil, fmt.Errorf("index: binary container with implausible version %d", version)
+	if version != WireVersion {
+		return nil, fmt.Errorf("index: wire-format version %d not supported (this build reads %d)", version, WireVersion)
 	}
 	if nodes != g.NumNodes() || edges != g.NumEdges() {
 		return nil, fmt.Errorf("index: built for a graph with %d nodes/%d edges, got %d/%d",
@@ -627,7 +626,7 @@ func loadV2(br *bufio.Reader, g *kg.Graph) (*Index, error) {
 	errs := make([]error, len(blocks))
 	parallelWords(len(blocks), defaultWorkers(0), func(bi int) {
 		var wi wordIndex
-		w, err := decodeWordBlock(blocks[bi], &wi, g, patRootType)
+		w, err := decodeWordBlock(blocks[bi], &wi, g, patRootType, pr)
 		wordIDs[bi] = w
 		if err != nil {
 			errs[bi] = err

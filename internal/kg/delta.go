@@ -17,9 +17,10 @@ import (
 // NodeIDs; new nodes are appended after the base ID space; removed nodes
 // become inert tombstones (Literal type, empty text, no edges, excluded
 // from NodesOfType) rather than being compacted away, so that posting
-// lists of unaffected roots stay valid verbatim. EdgeIDs DO shift when
-// edges are added or removed (the CSR re-sorts by source); Changed.EdgeMap
-// records the old→new mapping so index maintenance can remap.
+// lists of unaffected roots stay valid verbatim. EdgeIDs shift when an
+// edge is removed or added before a surviving one (the CSR re-sorts by
+// source); Changed.EdgeMap records the old→new mapping so index
+// maintenance can remap.
 //
 // Every mutator validates eagerly and returns an error on a
 // type-inconsistent or dangling operation; a Delta that only ever returned
@@ -249,7 +250,8 @@ type Changed struct {
 	Old, New *Graph
 
 	// EdgeMap maps every old EdgeID to its new EdgeID, -1 if the edge was
-	// removed. nil means the edge list is unchanged (identity mapping).
+	// removed. nil means every old EdgeID keeps its ID: nothing was
+	// removed, and every added edge sorts after the surviving ones.
 	EdgeMap []EdgeID
 
 	// Touched lists (sorted, deduplicated, new-graph numbering) every node
@@ -307,7 +309,6 @@ func (d *Delta) Apply() (*Changed, error) {
 	// IDs) plus added ones, stably re-sorted by Src inside freezeGraph.
 	// Stability means per-source relative order is preserved, so the DFS
 	// enumeration order of any untouched root is byte-for-byte what it was.
-	identity := len(d.addedEdges) == 0 && len(d.removedEdges) == 0
 	type tagged struct {
 		e   Edge
 		old EdgeID
@@ -323,6 +324,11 @@ func (d *Delta) Apply() (*Changed, error) {
 		tag = append(tag, tagged{e: e, old: -1})
 	}
 	sort.SliceStable(tag, func(i, j int) bool { return tag[i].e.Src < tag[j].e.Src })
+	// Identity: nothing removed, and every added edge sorted after the rest.
+	identity := len(d.removedEdges) == 0
+	for newID := 0; identity && newID < len(base.edges); newID++ {
+		identity = tag[newID].old == EdgeID(newID)
+	}
 	g.edges = make([]Edge, len(tag))
 	var edgeMap []EdgeID
 	if !identity {

@@ -97,6 +97,66 @@ func TestDeltaAddAndRemove(t *testing.T) {
 	}
 }
 
+// TestDeltaEdgeMapNilWhenAppendOnly: a delta that removes nothing and
+// whose added edges all sort after the surviving ones keeps every old
+// EdgeID, and says so with a nil EdgeMap; an edge added from an existing
+// node that has later edges shifts those, and the map records the shift.
+func TestDeltaEdgeMapNilWhenAppendOnly(t *testing.T) {
+	b, ids := fig1Builder()
+	g := b.MustFreeze()
+
+	// Append-only: a new entity with a text attribute and an edge into the
+	// graph; every new edge leaves from the new node.
+	d := NewDelta(g)
+	oracle, err := d.AddEntity("Company", "Oracle Corp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.AddTextAttr(oracle, "Revenue", "US$ 37 billion"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddAttr(oracle, "Founder", ids["gates"]); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := d.Apply()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch.EdgeMap != nil {
+		t.Fatalf("append-only delta: EdgeMap = %v, want nil", ch.EdgeMap)
+	}
+	for id := 0; id < g.NumEdges(); id++ {
+		if oe, ne := g.Edge(EdgeID(id)), ch.New.Edge(EdgeID(id)); oe != ne {
+			t.Fatalf("append-only delta moved edge %d: %+v -> %+v", id, oe, ne)
+		}
+	}
+
+	// An edge from SQL Server (node 0) sorts before Microsoft's edges.
+	d = NewDelta(g)
+	if err := d.AddAttr(ids["sql"], "Reference", ids["gates"]); err != nil {
+		t.Fatal(err)
+	}
+	ch, err = d.Apply()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch.EdgeMap == nil {
+		t.Fatal("edge added from a low-ID node: EdgeMap is nil, want the shift")
+	}
+	moved := 0
+	for old, nu := range ch.EdgeMap {
+		if oe, ne := g.Edge(EdgeID(old)), ch.New.Edge(nu); oe.Src != ne.Src || oe.Dst != ne.Dst || oe.Attr != ne.Attr {
+			t.Fatalf("edge %d remapped to a different triple: %+v vs %+v", old, oe, ne)
+		}
+		if nu != EdgeID(old) {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("non-nil EdgeMap moves no edge")
+	}
+}
+
 func TestDeltaRemoveEntityCascades(t *testing.T) {
 	b, ids := fig1Builder()
 	g := b.MustFreeze()
@@ -371,6 +431,11 @@ func TestDeltaCSRInvariantsRandom(t *testing.T) {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 			verifyCSR(t, ch.New)
+			for id := 0; ch.EdgeMap == nil && id < g.NumEdges(); id++ {
+				if g.Edge(EdgeID(id)) != ch.New.Edge(EdgeID(id)) {
+					t.Fatalf("seed %d step %d: nil EdgeMap but edge %d moved", seed, step, id)
+				}
+			}
 			g = ch.New
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"kbtable/internal/index"
 	"kbtable/internal/kg"
-	"kbtable/internal/rank"
 )
 
 // Persistence hooks for the durable snapshot store (internal/store):
@@ -14,8 +13,8 @@ import (
 // table (which for N > 1 CANNOT be recomputed from the graph — a
 // tombstoned node is retyped, so its recorded assignment is the only
 // witness of its owner), the per-shard indexes, and the per-shard
-// epochs. PageRank is a pure function of the graph and is recomputed on
-// load.
+// epochs. PageRank is a pure function of the graph: the loader computes
+// it once for every shard's index.Load and FromParts.
 
 // Owners returns a copy of the node → shard ownership table, or nil for a
 // one-shard engine: its table is all zeros, so nothing needs persisting
@@ -45,7 +44,8 @@ func (e *Engine) EncodeShard(si int, w io.Writer) error {
 // that was saved: searches, plans and further ApplyDelta chains produce
 // the same bytes. opts must carry the build-time options (D, UniformPR,
 // Synonyms); RootFilter/DirtyRoots/PageRank stay reserved for the shard
-// layer, and PageRank is recomputed from the graph when not uniform.
+// layer but opts.PageRank, the vector the indexes were loaded with (nil:
+// recomputed from the graph when not uniform).
 func FromParts(g *kg.Graph, owner []uint8, ixs []*index.Index, epochs []uint64, opts index.Options) (*Engine, error) {
 	if g == nil {
 		return nil, fmt.Errorf("shard: nil graph")
@@ -54,8 +54,8 @@ func FromParts(g *kg.Graph, owner []uint8, ixs []*index.Index, epochs []uint64, 
 	if n < 1 || n > MaxShards {
 		return nil, fmt.Errorf("shard: shard count %d out of range [1,%d]", n, MaxShards)
 	}
-	if opts.RootFilter != nil || opts.DirtyRoots != nil || opts.PageRank != nil {
-		return nil, fmt.Errorf("shard: RootFilter/DirtyRoots/PageRank are managed by the shard layer")
+	if opts.RootFilter != nil || opts.DirtyRoots != nil {
+		return nil, fmt.Errorf("shard: RootFilter/DirtyRoots are managed by the shard layer")
 	}
 	if owner == nil && n == 1 {
 		owner = make([]uint8, g.NumNodes())
@@ -74,9 +74,10 @@ func FromParts(g *kg.Graph, owner []uint8, ixs []*index.Index, epochs []uint64, 
 	if opts.D == 0 {
 		opts.D = 3
 	}
-	e := &Engine{g: g, n: n, opts: opts, owner: owner}
-	if !opts.UniformPR {
-		e.pr = rank.PageRank(g, rank.Options{})
+	e := &Engine{g: g, n: n, opts: opts, owner: owner, pr: opts.PageRank}
+	e.opts.PageRank = nil
+	if e.pr == nil {
+		e.pr = PageRankOf(g, opts)
 	}
 	e.units = make([]*unit, n)
 	for si, ix := range ixs {

@@ -21,7 +21,7 @@ func TestFromPartsValidation(t *testing.T) {
 		if err := e.EncodeShard(si, &buf); err != nil {
 			t.Fatal(err)
 		}
-		if ixs[si], err = index.Load(&buf, g); err != nil {
+		if ixs[si], err = index.Load(&buf, g, e.PageRank()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -117,10 +117,7 @@ func build(g *kg.Graph, n int, owned []int, opts index.Options) (*Engine, error)
 	for v := range owner {
 		owner[v] = ownerOf(g.Type(kg.NodeID(v)), kg.NodeID(v), n)
 	}
-	e := &Engine{g: g, n: n, opts: opts, owner: owner}
-	if !opts.UniformPR {
-		e.pr = rank.PageRank(g, rank.Options{})
-	}
+	e := &Engine{g: g, n: n, opts: opts, owner: owner, pr: PageRankOf(g, opts)}
 
 	// Build the shards in parallel; each build also parallelizes
 	// internally, so split the worker budget across shards.
@@ -194,6 +191,15 @@ func (e *Engine) filter(si int) func(kg.NodeID) bool {
 	return func(v kg.NodeID) bool {
 		return int(v) < len(owner) && owner[v] == uint8(si)
 	}
+}
+
+// PageRankOf is g's PageRank vector under opts, nil under UniformPR: the
+// one vector an engine shares across its shards and hands to index.Load.
+func PageRankOf(g *kg.Graph, opts index.Options) []float64 {
+	if opts.UniformPR {
+		return nil
+	}
+	return rank.PageRank(g, rank.Options{})
 }
 
 // NumShards returns the shard count.

@@ -6,7 +6,6 @@ import (
 
 	"kbtable/internal/index"
 	"kbtable/internal/kg"
-	"kbtable/internal/rank"
 )
 
 // UpdateStats reports how one delta routed across the shards.
@@ -23,19 +22,19 @@ type UpdateStats struct {
 	// TouchedWords is the sorted union of the shards' touched posting
 	// lists.
 	TouchedWords []string
-	// ScoresRefreshed reports that PageRank scoring rewrote score terms
+	// ScoresRefreshed reports that scoring moved to a new PageRank vector
 	// (set on any structural change under non-uniform PageRank; such
-	// updates necessarily touch every shard).
+	// updates advance every shard's epoch; no posting is rewritten).
 	ScoresRefreshed bool
 }
 
 // ApplyDelta routes a graph change to the shards owning its dirty roots
 // and returns a NEW engine over ch.New; the receiver keeps serving its
 // snapshot. Shards with no owned dirty roots skip re-enumeration entirely;
-// when the delta also kept edge IDs and PageRank terms intact they share
-// their postings with the old epoch via Rebind and their epoch counter
-// does not advance. PageRank (whole-graph) and kg.AffectedRoots (one
-// backward BFS) are computed once, not per shard.
+// when the delta also kept edge IDs they share their postings with the
+// old epoch via Rebind, and their epoch counter advances only if PageRank
+// moved. PageRank (whole-graph) and kg.AffectedRoots (one backward BFS)
+// are computed once, not per shard.
 func (e *Engine) ApplyDelta(ch *kg.Changed) (*Engine, UpdateStats, error) {
 	var us UpdateStats
 	if ch == nil || ch.Old == nil || ch.New == nil {
@@ -63,18 +62,15 @@ func (e *Engine) ApplyDelta(ch *kg.Changed) (*Engine, UpdateStats, error) {
 		ownedDirty[owner[r]]++
 	}
 	structural := ch.AddedNodes > 0 || ch.RemovedNodes > 0 || ch.AddedEdges > 0 || ch.RemovedEdges > 0
-	refreshPR := structural && !e.opts.UniformPR
 	identityEdges := ch.EdgeMap == nil
 
-	ne := &Engine{g: ch.New, n: e.n, opts: e.opts, owner: owner}
-	if !e.opts.UniformPR {
-		if structural {
-			ne.pr = rank.PageRank(ch.New, rank.Options{})
-		} else {
-			// Text edits cannot move PageRank; the vector is unchanged.
-			ne.pr = e.pr
-		}
+	ne := &Engine{g: ch.New, n: e.n, opts: e.opts, owner: owner, pr: e.pr}
+	var movedPR []float64 // set when the change moved PageRank; text edits cannot
+	if structural {
+		ne.pr = PageRankOf(ch.New, e.opts)
+		movedPR = ne.pr
 	}
+	us.ScoresRefreshed = movedPR != nil
 
 	ne.units = make([]*unit, e.n)
 	stats := make([]index.DeltaStats, e.n)
@@ -84,9 +80,13 @@ func (e *Engine) ApplyDelta(ch *kg.Changed) (*Engine, UpdateStats, error) {
 		if u == nil {
 			return // not resident (partial engine): nothing to splice
 		}
-		if ownedDirty[si] == 0 && identityEdges && !refreshPR {
-			// Untouched shard: same postings, new snapshot.
-			ne.units[si] = &unit{ix: u.ix.Rebind(ch.New), epoch: u.epoch}
+		if ownedDirty[si] == 0 && identityEdges {
+			// Untouched shard: same postings, new snapshot (and PR vector).
+			epoch := u.epoch
+			if us.ScoresRefreshed {
+				epoch++
+			}
+			ne.units[si] = &unit{ix: u.ix.Rebind(ch.New, movedPR), epoch: epoch}
 			return
 		}
 		// Each shard's splice gets the whole worker budget, not a 1/N
@@ -132,7 +132,6 @@ func (e *Engine) ApplyDelta(ch *kg.Changed) (*Engine, UpdateStats, error) {
 		us.DirtyRoots += ds.DirtyRoots
 		us.EntriesRemoved += ds.EntriesRemoved
 		us.EntriesAdded += ds.EntriesAdded
-		us.ScoresRefreshed = us.ScoresRefreshed || ds.ScoresRefreshed
 		for _, w := range ds.TouchedWords {
 			words[w] = struct{}{}
 		}

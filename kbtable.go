@@ -561,7 +561,8 @@ func (e *Engine) SaveIndex(path string) error {
 
 // NewEngineFromIndex loads a previously saved index for g instead of
 // rebuilding it, as a one-shard engine. Loading verifies the index matches
-// the graph.
+// the graph. opts.UniformPageRank must be the saving engine's: the index
+// reads PR from g's vector.
 func NewEngineFromIndex(g *Graph, path string, opts EngineOptions) (*Engine, error) {
 	if g == nil {
 		return nil, errors.New("kbtable: nil graph")
@@ -569,14 +570,17 @@ func NewEngineFromIndex(g *Graph, path string, opts EngineOptions) (*Engine, err
 	if shardCount(opts.Shards) > 1 {
 		return nil, errors.New("kbtable: prebuilt index files are incompatible with sharding; build with NewEngine")
 	}
-	ix, err := index.LoadFile(path, g.g)
+	lo := opts.indexOptions()
+	lo.PageRank = shard.PageRankOf(g.g, lo)
+	ix, err := index.LoadFile(path, g.g, lo.PageRank)
 	if err != nil {
 		return nil, fmt.Errorf("kbtable: %w", err)
 	}
 	if opts.D == 0 {
 		opts.D = ix.D()
+		lo.D = ix.D()
 	}
-	sh, err := shard.FromParts(g.g, nil, []*index.Index{ix}, nil, opts.indexOptions())
+	sh, err := shard.FromParts(g.g, nil, []*index.Index{ix}, nil, lo)
 	if err != nil {
 		return nil, fmt.Errorf("kbtable: %w", err)
 	}
@@ -729,9 +733,10 @@ type UpdateResult struct {
 	// exactly the queries whose cached answers may now be stale, unless
 	// ScoresRefreshed is set.
 	TouchedWords []string
-	// ScoresRefreshed reports that PageRank scoring rewrote score terms
-	// globally (any structural change under non-uniform PageRank): cached
-	// answers for ALL queries may be stale, not just TouchedWords'.
+	// ScoresRefreshed reports that scoring moved to a new PageRank vector
+	// (any structural change under non-uniform PageRank; no posting is
+	// rewritten for it): cached answers for ALL queries may be stale, not
+	// just TouchedWords'.
 	ScoresRefreshed bool
 	// AffectedShards counts the shards whose postings this update
 	// actually touched (untouched shards rebind to the new snapshot
