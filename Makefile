@@ -70,7 +70,10 @@ fma:
 # a reply to the reflective WriteJSON again. Load is driven by one driver,
 # the soak in soak_test.go beside the benchmark: fail if cmd/kbload
 # returns. The wire types have one name, internal/api's: fail if
-# internal/serve binds an exported name to an api type again.
+# internal/serve binds an exported name to an api type again. A scatter
+# partial crosses as one binary frame (shard.AppendPartial): fail if
+# handleScatter writes its reply with the reflective WriteJSON again, or
+# if internal/shard's non-test code imports encoding/json.
 BASELINE_FREE = internal/shard internal/cluster internal/serve internal/api cmd/kbsearch
 EXECUTOR_FORK = PrepareQuery|ExecutePrepared|SearchPrepared|(shard|search)\.Prepared\b|NumCandidateRoots|SubtreeCount
 PREPARED_ROUTE = PreparedID|CodePreparedGone|handlePrepare|"/prepare"
@@ -87,7 +90,11 @@ one-path:
 	  if [ -e cmd/kbload ]; then echo "a second load generator beside benchmark/ and the soak: cmd/kbload"; exit 1; fi; \
 	  hits=$$(grep -rnE '$(API_ALIAS)' --include='*.go' --exclude='*_test.go' internal/serve); \
 	  if [ -n "$$hits" ]; then echo "a second name for a wire type beside internal/api's:"; echo "$$hits"; exit 1; fi; \
-	  echo "one baseline path, one execution path, one search route, one search encoder, one load driver, one name per wire type"
+	  hits=$$(awk '/^func \(n \*Node\) handleScatter\(/,/^}/' internal/cluster/node.go | grep -n 'WriteJSON'); \
+	  if [ -n "$$hits" ]; then echo "a scatter partial encoded by reflection beside its binary frame:"; echo "$$hits"; exit 1; fi; \
+	  hits=$$(grep -lE '"encoding/json"' --include='*.go' --exclude='*_test.go' -r internal/shard); \
+	  if [ -n "$$hits" ]; then echo "internal/shard imports encoding/json:"; echo "$$hits"; exit 1; fi; \
+	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type"
 
 check: vet build race api-procs alloc bench benchmark-module index-procs fma one-path
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

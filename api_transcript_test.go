@@ -23,13 +23,15 @@ import (
 	"kbtable/internal/client"
 	"kbtable/internal/cluster"
 	"kbtable/internal/serve"
+	"kbtable/internal/shard"
 )
 
 // transcript is an http.RoundTripper that serves each request in process
 // on the handler registered for its URL host (one per section) and
 // records the exchange: method, path, request body, status, Content-Type
-// and Retry-After, and the response body, one answer table per line, with
-// machine-dependent values masked.
+// and Retry-After, and the response body, one answer table per line (a
+// binary body in hex, 32 bytes per line), with machine-dependent values
+// masked.
 type transcript struct {
 	t        *testing.T
 	mu       sync.Mutex
@@ -59,6 +61,16 @@ func (tr *transcript) RoundTrip(req *http.Request) (*http.Response, error) {
 	if ra := w.Header().Get("Retry-After"); ra != "" {
 		fmt.Fprintf(&tr.b, " Retry-After: %s", ra)
 	}
+	if ct := w.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") && !strings.HasPrefix(ct, "text/") {
+		frame := maskFrame(w.Body.Bytes())
+		for len(frame) > 0 {
+			n := min(32, len(frame))
+			fmt.Fprintf(&tr.b, "\n< %x", frame[:n])
+			frame = frame[n:]
+		}
+		tr.b.WriteString("\n")
+		return w.Result(), nil
+	}
 	reply := strings.ReplaceAll(mask(w.Body.String()), `{"rank":`, "\n"+`{"rank":`)
 	for _, line := range strings.Split(strings.TrimRight(reply, "\n"), "\n") {
 		fmt.Fprintf(&tr.b, "\n< %s", line)
@@ -83,6 +95,17 @@ var (
 	droppedJSON   = regexp.MustCompile(`"prepare_ns":\d+,`)
 	maskedMetrics = regexp.MustCompile(`(?m)^(kbserve_request_duration_seconds_(?:bucket|sum)\S*) \S+$`)
 )
+
+// maskFrame zeroes the prepare_ns of a scatter frame, re-encoding it with
+// its checksum; the rest of a binary reply is recorded byte for byte.
+func maskFrame(b []byte) []byte {
+	seq, p, err := shard.DecodePartial(b)
+	if err != nil {
+		return b
+	}
+	p.PrepareNS = 0
+	return shard.AppendPartial(nil, seq, p)
+}
 
 func mask(body string) string {
 	body = maskedJSON.ReplaceAllStringFunc(droppedJSON.ReplaceAllString(body, ""), func(m string) string {
@@ -382,6 +405,7 @@ func TestAPITranscript(t *testing.T) {
 	note("a leg pinned to a sequence the node has not applied answers 409 stale_epoch")
 	do(cl.ProbeShard(ctx, &api.ClusterProbeRequest{Shard: 0, Query: "software revenue", K: 5, Seq: 7}))
 	do(cl.ProbeShard(ctx, &api.ClusterProbeRequest{Shard: 0, Query: "software revenue", K: 5}))
+	note("a scatter leg answers one binary frame (magic KBP1, CRC-32C sealed), in hex with prepare_ns zeroed")
 	do(cl.ScatterShard(ctx, &api.ClusterScatterRequest{Shard: 0, Query: "software revenue", Algorithm: "patternenum", K: 5}))
 	note("a leg under auto or for a shard the node does not host is the caller's mistake")
 	do(cl.ScatterShard(ctx, &api.ClusterScatterRequest{Shard: 0, Query: "software revenue", Algorithm: "auto"}))

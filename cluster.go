@@ -26,8 +26,9 @@ import (
 var ErrPartialEngine = errors.New("kbtable: partial engine hosts only its owned shards")
 
 // ShardPartial is one shard's complete scatter output in wire form: the
-// patterns it discovered (as content-keyed path sequences, independent of
-// any shard-local interning) with their per-root partial aggregates.
+// patterns it discovered (indices into a table of content-keyed paths,
+// independent of any shard-local interning) with their per-root partial
+// aggregates. It crosses processes as one binary frame (shard.AppendPartial).
 type ShardPartial = shard.WirePartial
 
 // ShardPlanStats is one shard's planner-probe statistics in wire form.

@@ -2,9 +2,11 @@ package kbtable
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"sync/atomic"
@@ -17,20 +19,22 @@ import (
 )
 
 // The cluster facade under failure: scattering per-shard legs to owner
-// engines (through a JSON wire round-trip, as internal/cluster does over
-// HTTP) and gathering the partials on a full coordinator engine
-// reproduces SearchPlan's answers bit for bit when legs fail, or return
-// corrupt partials, and fall back to local execution. Healthy legs are
-// the equivalence matrix's cluster axis (equivalence_test.go).
+// engines (through the wire codecs internal/cluster uses over HTTP) and
+// gathering the partials on a full coordinator engine reproduces
+// SearchPlan's answers bit for bit when legs fail, or return corrupt
+// partials, and fall back to local execution. Healthy legs are the
+// equivalence matrix's cluster axis (equivalence_test.go).
 
-// wireExec routes shard legs to partial owner engines through a JSON
-// encode/decode of every wire value, like the HTTP transport does.
+// wireExec routes shard legs to partial owner engines through the codecs
+// the HTTP transport uses: JSON for probe statistics, the binary scatter
+// frame (shard.AppendPartial → shard.DecodePartial) for partials.
 type wireExec struct {
-	owners  map[int]*Engine          // shard -> owner engine
-	failed  map[int]bool             // shards whose owner is "down"
-	fail    failLegs                 // which legs of a failed shard fail
-	corrupt func(*ShardPartial) bool // rewrites a decoded partial; reports a change
-	altered atomic.Int64             // partials corrupt changed
+	owners  map[int]*Engine             // shard -> owner engine
+	failed  map[int]bool                // shards whose owner is "down"
+	fail    failLegs                    // which legs of a failed shard fail
+	mangle  func([]byte) ([]byte, bool) // rewrites an encoded frame; reports a change
+	corrupt func(*ShardPartial) bool    // rewrites a decoded partial; reports a change
+	altered atomic.Int64                // partials mangle or corrupt changed
 }
 
 // failLegs selects the legs a down owner fails: both, or only one kind.
@@ -75,14 +79,22 @@ func (x *wireExec) ScatterShard(ctx context.Context, si int, algorithm Algorithm
 	if err != nil {
 		return nil, err
 	}
-	var rt ShardPartial
-	if err := roundTrip(p, &rt); err != nil {
+	p.BoundPruned += legMark
+	frame := shard.AppendPartial(nil, 0, p)
+	if x.mangle != nil {
+		var changed bool
+		if frame, changed = x.mangle(frame); changed {
+			x.altered.Add(1)
+		}
+	}
+	_, rt, err := shard.DecodePartial(frame)
+	if err != nil {
 		return nil, err
 	}
-	if x.corrupt != nil && x.corrupt(&rt) {
+	if x.corrupt != nil && x.corrupt(rt) {
 		x.altered.Add(1)
 	}
-	return &rt, nil
+	return rt, nil
 }
 
 func roundTrip(in, out any) error {
@@ -141,7 +153,9 @@ func TestSearchDistributedFallback(t *testing.T) {
 }
 
 // TestSearchDistributedRejectsCorruptPartials feeds the gather partials
-// corrupted after the wire round-trip. Each is rejected and its leg re-run
+// corrupted after the wire round-trip, and frames corrupted in transit.
+// Each is rejected (every partial carries legMark, so the gathered
+// bound-pruned count says how many the gather accepted) and its leg re-run
 // locally: the answers stay SearchPlan's, nothing panics, and no wire path
 // is interned into the coordinator's pattern tables.
 func TestSearchDistributedRejectsCorruptPartials(t *testing.T) {
@@ -168,9 +182,9 @@ func TestSearchDistributedRejectsCorruptPartials(t *testing.T) {
 
 	// foreign returns the smallest node above after that another shard
 	// owns, or -1.
-	foreign := func(si int, after int64) int64 {
-		for v := after + 1; v < int64(coord.sh.Graph().NumNodes()); v++ {
-			if coord.sh.Owner(kg.NodeID(v)) != si {
+	foreign := func(si int, after kg.NodeID) kg.NodeID {
+		for v := after + 1; int(v) < coord.sh.Graph().NumNodes(); v++ {
+			if coord.sh.Owner(v) != si {
 				return v
 			}
 		}
@@ -205,13 +219,13 @@ func TestSearchDistributedRejectsCorruptPartials(t *testing.T) {
 		// Every pattern's first root, so the leg's top patterns are hit.
 		"zero-count root": func(p *ShardPartial) bool {
 			for i := range p.Patterns {
-				p.Patterns[i].RootAggs[0].Count = 0
+				p.Patterns[i].RootAggs[0].Agg.Count = 0
 			}
 			return len(p.Patterns) > 0
 		},
 		"NaN sum": func(p *ShardPartial) bool {
 			for i := range p.Patterns {
-				p.Patterns[i].RootAggs[0].Sum = math.NaN()
+				p.Patterns[i].RootAggs[0].Agg.Sum = math.NaN()
 			}
 			return len(p.Patterns) > 0
 		},
@@ -222,12 +236,12 @@ func TestSearchDistributedRejectsCorruptPartials(t *testing.T) {
 			p.Patterns[0].RootAggs = nil
 			return true
 		},
-		"unknown type": onPattern(1, func(_ *ShardPartial, wp *shard.WirePattern) bool {
-			wp.Paths[0].Types[0] = 9999
+		"unknown type": onPattern(1, func(p *ShardPartial, wp *shard.WirePattern) bool {
+			p.Paths[wp.Paths[0]].Types[0] = 9999
 			return true
 		}),
-		"empty types": onPattern(1, func(_ *ShardPartial, wp *shard.WirePattern) bool {
-			wp.Paths[0].Types = nil
+		"empty types": onPattern(1, func(p *ShardPartial, wp *shard.WirePattern) bool {
+			p.Paths[wp.Paths[0]].Types = nil
 			return true
 		}),
 		"missing path": onPattern(1, func(_ *ShardPartial, wp *shard.WirePattern) bool {
@@ -248,7 +262,7 @@ func TestSearchDistributedRejectsCorruptPartials(t *testing.T) {
 		}),
 		"foreign root": onPattern(1, func(p *ShardPartial, wp *shard.WirePattern) bool {
 			last := len(wp.RootAggs) - 1
-			prev := int64(-1)
+			prev := kg.NodeID(-1)
 			if last > 0 {
 				prev = wp.RootAggs[last-1].Root
 			}
@@ -257,18 +271,80 @@ func TestSearchDistributedRejectsCorruptPartials(t *testing.T) {
 			return v >= 0
 		}),
 		"root past the graph": onPattern(1, func(_ *ShardPartial, wp *shard.WirePattern) bool {
-			wp.RootAggs[len(wp.RootAggs)-1].Root = int64(coord.sh.Graph().NumNodes())
+			wp.RootAggs[len(wp.RootAggs)-1].Root = kg.NodeID(coord.sh.Graph().NumNodes())
 			return true
 		}),
 	}
+	// The frame rows corrupt the encoded scatter frame itself. Each must
+	// fail DecodePartial or fromWire, and none may size an allocation
+	// from a corrupt count.
+	reencode := func(f []byte, edit func(*ShardPartial) bool) ([]byte, bool) {
+		_, p, err := shard.DecodePartial(f)
+		if err != nil || len(p.Patterns) == 0 || !edit(p) {
+			return f, false
+		}
+		return shard.AppendPartial(nil, 0, p), true
+	}
+	mangles := map[string]func([]byte) ([]byte, bool){
+		"truncated frame": func(f []byte) ([]byte, bool) { return f[:len(f)-1], true },
+		"trailing bytes":  func(f []byte) ([]byte, bool) { return append(f, 0), true },
+		// The frame of the partial whose first Sum has its low bit flipped
+		// first differs from f inside that Sum: copy that one byte over
+		// and keep f's checksum, which must catch the flip.
+		"flipped sum bit": func(f []byte) ([]byte, bool) {
+			g, ok := reencode(f, func(p *ShardPartial) bool {
+				a := &p.Patterns[0].RootAggs[0].Agg
+				a.Sum = math.Float64frombits(math.Float64bits(a.Sum) ^ 1)
+				return true
+			})
+			for i := 0; ok && i < len(f); i++ {
+				if f[i] != g[i] {
+					f[i] = g[i]
+					return f, true
+				}
+			}
+			return f, false
+		},
+		"path index past the table": func(f []byte) ([]byte, bool) {
+			return reencode(f, func(p *ShardPartial) bool {
+				p.Patterns[0].Paths[0] = int32(len(p.Paths))
+				return true
+			})
+		},
+		// The path-table count is the payload's third varint (after the
+		// shard and the seq); re-frame with a valid length and checksum.
+		"count prefix of 2^40": func(f []byte) ([]byte, bool) {
+			_, k := binary.Uvarint(f[4:])
+			payload := f[4+k : len(f)-4]
+			_, a := binary.Varint(payload)
+			_, b := binary.Uvarint(payload[a:])
+			_, c := binary.Uvarint(payload[a+b:])
+			np := binary.AppendUvarint(append([]byte(nil), payload[:a+b]...), 1<<40)
+			np = append(np, payload[a+b+c:]...)
+			out := binary.AppendUvarint([]byte("KBP1"), uint64(len(np)))
+			out = append(out, np...)
+			return binary.LittleEndian.AppendUint32(out, crc32.Checksum(np, crc32.MakeTable(crc32.Castagnoli))), true
+		},
+	}
+	execs := map[string]*wireExec{}
 	for name, corrupt := range corruptions {
-		exec := &wireExec{owners: map[int]*Engine{0: owner, 1: owner}, corrupt: corrupt}
-		got, _, err := coord.SearchDistributed(ctx, exec, q, opts)
+		execs[name] = &wireExec{corrupt: corrupt}
+	}
+	for name, mangle := range mangles {
+		execs["frame: "+name] = &wireExec{mangle: mangle}
+	}
+	for name, exec := range execs {
+		exec.owners = map[int]*Engine{0: owner, 1: owner}
+		got, pi, err := coord.SearchDistributed(ctx, exec, q, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if exec.altered.Load() == 0 {
+		altered := exec.altered.Load()
+		if altered == 0 {
 			t.Fatalf("%s: no partial was corrupted", name)
+		}
+		if accepted := pi.BoundPruned / legMark; accepted+altered != 2 {
+			t.Fatalf("%s: the gather accepted %d of 2 partials, %d of them corrupted", name, accepted, altered)
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: answers differ from SearchPlan\nlocal:\n%s\ndistributed:\n%s", name, renderGolden(q, want), renderGolden(q, got))

@@ -425,8 +425,9 @@ func compareDeep(t *testing.T, queries []string, axes []string, want, got map[de
 const legMark = 1 << 32
 
 // wireLegs runs every shard leg of one query on the shard's owner engine
-// and sends what crosses the wire through a JSON round trip, as
-// internal/cluster's transport does, marking each partial with legMark.
+// and sends what crosses the wire through the codecs internal/cluster's
+// transport uses (JSON probe statistics, binary scatter frames), marking
+// each partial with legMark.
 type wireLegs struct {
 	owners               []*Engine // owners[si] hosts shard si
 	query                string
@@ -452,8 +453,8 @@ func (l wireLegs) Scatter(ctx context.Context, si int, algo search.Algo) (*shard
 		return nil, err
 	}
 	p.BoundPruned += legMark
-	var rt shard.WirePartial
-	return &rt, roundTrip(p, &rt)
+	_, rt, err := shard.DecodePartial(shard.AppendPartial(nil, 0, p))
+	return rt, err
 }
 
 // clusterRunner runs the coordinator's searches with every leg on owners,
@@ -490,7 +491,7 @@ func matrixEngine(t *testing.T, g *Graph, n int, owned ...int) *Engine {
 // reference: workers{2,4}, shards{1,2,3,8}, prepared{1,3} (a plan
 // resolved from the probe, then shard.Search), recovered{1,3} (Checkpoint
 // then Store.Recover) and cluster{2,3} (every leg on a partial owner
-// engine through a JSON round trip, with zero local fallbacks). After one fixed ApplyUpdate chain: the
+// engine through the wire codecs, with zero local fallbacks). After one fixed ApplyUpdate chain: the
 // engine it maintained at shards {1, 3} against NewEngine over the final
 // graph at the same count, and the cluster legs against that rebuild at
 // one shard. The shards axis dumps the engines the chain superseded, so

@@ -391,11 +391,11 @@ type ClusterScatterRequest struct {
 
 // ClusterScatterResponse carries one shard's complete scatter partial:
 // content-keyed patterns with per-root aggregates, sufficient for the
-// coordinator's exact Theorem-5 gather.
+// coordinator's exact Theorem-5 gather. It is the one /v1 reply that is
+// not JSON but one binary frame (shard.AppendPartial) of Seq and Partial.
 type ClusterScatterResponse struct {
-	Shard   int                   `json:"shard"`
-	Seq     uint64                `json:"seq"`
-	Partial *kbtable.ShardPartial `json:"partial"`
+	Seq     uint64
+	Partial *kbtable.ShardPartial
 }
 
 // ClusterHealth is the /v1/healthz cluster section.

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"kbtable/internal/api"
+	"kbtable/internal/shard"
 )
 
 // APIError is a non-2xx reply decoded from the structured error
@@ -167,13 +168,22 @@ func (c *Client) ProbeShard(ctx context.Context, req *api.ClusterProbeRequest) (
 }
 
 // ScatterShard runs POST /v1/cluster/scatter — one shard's
-// enumerate→aggregate leg on an owner node.
+// enumerate→aggregate leg on an owner node. Its reply is one binary
+// scatter frame (shard.DecodePartial); any other body is an error.
 func (c *Client) ScatterShard(ctx context.Context, req *api.ClusterScatterRequest) (*api.ClusterScatterResponse, error) {
-	var out api.ClusterScatterResponse
-	if err := c.post(ctx, "/cluster/scatter", req, &out); err != nil {
+	body, err := json.Marshal(req)
+	if err != nil {
 		return nil, err
 	}
-	return &out, nil
+	raw, err := c.call(ctx, http.MethodPost, "/cluster/scatter", body)
+	if err != nil {
+		return nil, err
+	}
+	seq, p, err := shard.DecodePartial(raw)
+	if err != nil {
+		return nil, c.replyError("/cluster/scatter", err)
+	}
+	return &api.ClusterScatterResponse{Seq: seq, Partial: p}, nil
 }
 
 // Metrics fetches the Prometheus text exposition from GET /v1/metrics.

@@ -13,6 +13,7 @@ import (
 	"kbtable/internal/api"
 	"kbtable/internal/client"
 	"kbtable/internal/serve"
+	"kbtable/internal/shard"
 )
 
 // Node wraps a serve.Server as a cluster member: it adds the
@@ -143,7 +144,10 @@ func (n *Node) handleScatter(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
 		return
 	}
-	serve.WriteJSON(w, http.StatusOK, &api.ClusterScatterResponse{Shard: req.Shard, Seq: n.cursor, Partial: partial})
+	frame := shard.AppendPartial(nil, n.cursor, partial)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(frame) // a failed write is the coordinator's transport error: it re-runs the leg
 }
 
 // legOptions reconstructs the options a leg runs under. Only the

@@ -92,9 +92,6 @@ func (r *Router) ScatterShard(ctx context.Context, si int, algorithm kbtable.Alg
 		if err != nil {
 			return err
 		}
-		if resp.Partial == nil {
-			return fmt.Errorf("node returned no partial for shard %d", si)
-		}
 		out = resp.Partial
 		return nil
 	})

@@ -29,6 +29,7 @@ import (
 	"kbtable/internal/core"
 	"kbtable/internal/kg"
 	"kbtable/internal/text"
+	"kbtable/internal/wire"
 )
 
 // wireMagic identifies a WireVersion index stream; Load refuses the rest.
@@ -42,10 +43,6 @@ const (
 	secWord   byte = 4
 	secEnd    byte = 5
 )
-
-// crcTable is the Castagnoli polynomial (CRC-32C), hardware-accelerated on
-// amd64/arm64.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // writeFrame emits one section frame.
 func writeFrame(bw *bufio.Writer, id byte, payload []byte) error {
@@ -61,7 +58,7 @@ func writeFrame(bw *bufio.Writer, id byte, payload []byte) error {
 		return err
 	}
 	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint32(crcBuf[:], crc32.Checksum(payload, wire.CRC))
 	_, err := bw.Write(crcBuf[:])
 	return err
 }
@@ -87,99 +84,10 @@ func readFrame(br *bufio.Reader) (byte, []byte, error) {
 	if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
 		return 0, nil, fmt.Errorf("index: section %d: truncated checksum: %w", id, err)
 	}
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(crcBuf[:]); got != want {
+	if got, want := crc32.Checksum(payload, wire.CRC), binary.LittleEndian.Uint32(crcBuf[:]); got != want {
 		return 0, nil, fmt.Errorf("index: section %d: checksum mismatch (corrupt snapshot)", id)
 	}
 	return id, payload, nil
-}
-
-// wreader is a sticky-error cursor over one frame payload.
-type wreader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *wreader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("index: "+format, args...)
-	}
-}
-
-func (r *wreader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("truncated varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// count reads a uvarint bounded by max (guards allocations against
-// corrupt or adversarial lengths).
-func (r *wreader) count(max int, what string) int {
-	v := r.uvarint()
-	if r.err == nil && v > uint64(max) {
-		r.fail("implausible %s count %d", what, v)
-	}
-	return int(v)
-}
-
-func (r *wreader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("truncated varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *wreader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.b) {
-		r.fail("truncated word at offset %d", r.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *wreader) float() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *wreader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.fail("truncated byte run at offset %d", r.off)
-		return nil
-	}
-	b := r.b[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-// done returns the sticky error, or an error if the payload has trailing
-// garbage.
-func (r *wreader) done(what string) error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("index: %s: %d trailing bytes", what, len(r.b)-r.off)
-	}
-	return nil
 }
 
 // encodeWire writes the container. Word blocks are built concurrently
@@ -257,24 +165,24 @@ func encodeDict(s text.Snapshot) []byte {
 }
 
 func decodeDict(payload []byte) (*text.Dict, error) {
-	r := &wreader{b: payload}
-	n := r.count(1<<28, "dict word")
+	r := &wire.Reader{B: payload}
+	n := r.Count(1<<28, "dict word")
 	s := text.Snapshot{Words: make([]string, 0, max(n, 0)), Synonyms: map[text.WordID]text.WordID{}}
-	for i := 0; i < n && r.err == nil; i++ {
-		l := r.count(1<<20, "word length")
-		s.Words = append(s.Words, string(r.bytes(l)))
+	for i := 0; i < n && r.Err == nil; i++ {
+		l := r.Count(1<<20, "word length")
+		s.Words = append(s.Words, string(r.Bytes(l)))
 	}
 	s.StemOf = make([]text.WordID, 0, max(n, 0))
-	for i := 0; i < n && r.err == nil; i++ {
-		s.StemOf = append(s.StemOf, text.WordID(r.uvarint()))
+	for i := 0; i < n && r.Err == nil; i++ {
+		s.StemOf = append(s.StemOf, text.WordID(r.Uvarint()))
 	}
-	syn := r.count(n, "synonym")
-	for i := 0; i < syn && r.err == nil; i++ {
-		k := text.WordID(r.uvarint())
-		v := text.WordID(r.uvarint())
+	syn := r.Count(n, "synonym")
+	for i := 0; i < syn && r.Err == nil; i++ {
+		k := text.WordID(r.Uvarint())
+		v := text.WordID(r.Uvarint())
 		s.Synonyms[k] = v
 	}
-	if err := r.done("dict section"); err != nil {
+	if err := r.Done("index: dict section"); err != nil {
 		return nil, err
 	}
 	return text.FromSnapshot(s) // validates stem/synonym ranges
@@ -302,20 +210,20 @@ func encodePatterns(pats []core.PathPattern) []byte {
 }
 
 func decodePatterns(payload []byte, g *kg.Graph, want int) ([]core.PathPattern, error) {
-	r := &wreader{b: payload}
-	n := r.count(1<<26, "pattern")
-	if r.err == nil && n != want {
+	r := &wire.Reader{B: payload}
+	n := r.Count(1<<26, "pattern")
+	if r.Err == nil && n != want {
 		return nil, fmt.Errorf("index: pattern section has %d patterns, header says %d", n, want)
 	}
 	pats := make([]core.PathPattern, 0, max(n, 0))
-	for i := 0; i < n && r.err == nil; i++ {
-		nt := r.count(1<<16, "pattern type")
-		if r.err == nil && nt < 1 {
+	for i := 0; i < n && r.Err == nil; i++ {
+		nt := r.Count(1<<16, "pattern type")
+		if r.Err == nil && nt < 1 {
 			return nil, fmt.Errorf("index: pattern %d has no types", i)
 		}
 		var edgeEnd bool
-		switch eb := r.bytes(1); {
-		case r.err != nil:
+		switch eb := r.Bytes(1); {
+		case r.Err != nil:
 		case eb[0] == 1:
 			edgeEnd = true
 		case eb[0] != 0:
@@ -323,8 +231,8 @@ func decodePatterns(payload []byte, g *kg.Graph, want int) ([]core.PathPattern, 
 		}
 		p := core.PathPattern{Types: make([]kg.TypeID, nt), EdgeEnd: edgeEnd}
 		for j := range p.Types {
-			t := r.uvarint()
-			if r.err == nil && t >= uint64(g.NumTypes()) {
+			t := r.Uvarint()
+			if r.Err == nil && t >= uint64(g.NumTypes()) {
 				return nil, fmt.Errorf("index: pattern %d references type %d out of range", i, t)
 			}
 			p.Types[j] = kg.TypeID(t)
@@ -335,15 +243,15 @@ func decodePatterns(payload []byte, g *kg.Graph, want int) ([]core.PathPattern, 
 		}
 		p.Attrs = make([]kg.AttrID, na)
 		for j := range p.Attrs {
-			a := r.uvarint()
-			if r.err == nil && a >= uint64(g.NumAttrs()) {
+			a := r.Uvarint()
+			if r.Err == nil && a >= uint64(g.NumAttrs()) {
 				return nil, fmt.Errorf("index: pattern %d references attribute %d out of range", i, a)
 			}
 			p.Attrs[j] = kg.AttrID(a)
 		}
 		pats = append(pats, p)
 	}
-	if err := r.done("pattern section"); err != nil {
+	if err := r.Done("index: pattern section"); err != nil {
 		return nil, err
 	}
 	return pats, nil
@@ -400,27 +308,27 @@ func encodeWordBlock(w int, wi *wordIndex) []byte {
 // reference against the graph, the pattern table and the PR vector pr,
 // and re-derives both views. Returns the word id.
 func decodeWordBlock(payload []byte, wi *wordIndex, g *kg.Graph, patRootType []kg.TypeID, pr []float64) (int, error) {
-	r := &wreader{b: payload}
-	w := r.count(1<<31, "word id")
-	n := r.count(1<<30, "entry")
-	nGroups := r.count(n, "group")
-	if r.err == nil && (n < 1 || nGroups < 1) {
+	r := &wire.Reader{B: payload}
+	w := r.Count(1<<31, "word id")
+	n := r.Count(1<<30, "entry")
+	nGroups := r.Count(n, "group")
+	if r.Err == nil && (n < 1 || nGroups < 1) {
 		return w, fmt.Errorf("index: word %d: empty posting block", w)
 	}
 	groupPats := make([]core.PatternID, 0, max(nGroups, 0))
 	groupRuns := make([]int32, 0, max(nGroups, 0))
 	totalRuns := 0
-	for gi := 0; gi < nGroups && r.err == nil; gi++ {
-		p := r.uvarint()
-		if r.err == nil && p >= uint64(len(patRootType)) {
+	for gi := 0; gi < nGroups && r.Err == nil; gi++ {
+		p := r.Uvarint()
+		if r.Err == nil && p >= uint64(len(patRootType)) {
 			return w, fmt.Errorf("index: word %d: entry references unknown pattern %d", w, p)
 		}
-		runs := r.count(n-totalRuns, "run")
-		if r.err == nil && runs < 1 {
+		runs := r.Count(n-totalRuns, "run")
+		if r.Err == nil && runs < 1 {
 			return w, fmt.Errorf("index: word %d: empty pattern group", w)
 		}
 		pid := core.PatternID(p)
-		if gi > 0 && r.err == nil {
+		if gi > 0 && r.Err == nil {
 			prev := groupPats[gi-1]
 			pt, ct := patRootType[prev], patRootType[pid]
 			if pt > ct || (pt == ct && prev >= pid) {
@@ -434,9 +342,9 @@ func decodeWordBlock(payload []byte, wi *wordIndex, g *kg.Graph, patRootType []k
 
 	// Run roots: decode the per-group delta varints, validating strict
 	// ascent and node range.
-	rb := r.bytes(r.count(len(payload), "root byte"))
+	rb := r.Bytes(r.Count(len(payload), "root byte"))
 	runRoots := make([]kg.NodeID, 0, totalRuns)
-	if r.err == nil {
+	if r.Err == nil {
 		off := int32(0)
 		for gi := 0; gi < nGroups; gi++ {
 			prev := kg.NodeID(-1)
@@ -459,15 +367,15 @@ func decodeWordBlock(payload []byte, wi *wordIndex, g *kg.Graph, patRootType []k
 	// Run lengths -> runEnd.
 	wi.runEnd = make([]int32, 0, totalRuns)
 	sum := 0
-	for k := 0; k < totalRuns && r.err == nil; k++ {
-		l := r.count(n-sum, "run length")
-		if r.err == nil && l < 1 {
+	for k := 0; k < totalRuns && r.Err == nil; k++ {
+		l := r.Count(n-sum, "run length")
+		if r.Err == nil && l < 1 {
 			return w, fmt.Errorf("index: word %d: empty run", w)
 		}
 		sum += l
 		wi.runEnd = append(wi.runEnd, int32(sum))
 	}
-	if r.err == nil && sum != n {
+	if r.Err == nil && sum != n {
 		return w, fmt.Errorf("index: word %d: runs cover %d of %d entries", w, sum, n)
 	}
 
@@ -475,9 +383,9 @@ func decodeWordBlock(payload []byte, wi *wordIndex, g *kg.Graph, patRootType []k
 	wi.n = int32(n)
 	wi.edgeStart = make([]int32, n+1)
 	totalEdges := 0
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.Err == nil; i++ {
 		wi.edgeStart[i] = int32(totalEdges)
-		totalEdges += r.count(1<<24, "edge")
+		totalEdges += r.Count(1<<24, "edge")
 		if totalEdges > 1<<30 {
 			return w, fmt.Errorf("index: word %d: implausible edge total", w)
 		}
@@ -485,18 +393,18 @@ func decodeWordBlock(payload []byte, wi *wordIndex, g *kg.Graph, patRootType []k
 	wi.edgeStart[n] = int32(totalEdges)
 	wi.edgeBuf = make([]kg.EdgeID, 0, totalEdges)
 	prevEdge := int64(0)
-	for j := 0; j < totalEdges && r.err == nil; j++ {
-		prevEdge += r.varint()
-		if r.err == nil && (prevEdge < 0 || prevEdge >= int64(g.NumEdges())) {
+	for j := 0; j < totalEdges && r.Err == nil; j++ {
+		prevEdge += r.Varint()
+		if r.Err == nil && (prevEdge < 0 || prevEdge >= int64(g.NumEdges())) {
 			return w, fmt.Errorf("index: word %d: entry references edge %d out of range", w, prevEdge)
 		}
 		wi.edgeBuf = append(wi.edgeBuf, kg.EdgeID(prevEdge))
 	}
 
 	// Edge-end bitset.
-	bits := r.bytes((n + 7) / 8)
+	bits := r.Bytes((n + 7) / 8)
 	wi.edgeEnds = make([]uint64, (n+63)/64)
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.Err == nil; i++ {
 		if bits[i>>3]&(1<<(uint(i)&7)) != 0 {
 			wi.edgeEnds[i>>6] |= 1 << (uint(i) & 63)
 		}
@@ -504,27 +412,27 @@ func decodeWordBlock(payload []byte, wi *wordIndex, g *kg.Graph, patRootType []k
 
 	// Term pool (each node indexes the graph and the PR vector) + per-entry
 	// references.
-	poolLen := r.count(n, "term pool")
-	if r.err == nil && poolLen < 1 {
+	poolLen := r.Count(n, "term pool")
+	if r.Err == nil && poolLen < 1 {
 		return w, fmt.Errorf("index: word %d: empty term pool", w)
 	}
 	wi.termPool = make([]termEntry, 0, max(poolLen, 0))
-	for i := 0; i < poolLen && r.err == nil; i++ {
-		l, node := r.count(1<<20, "path length"), r.uvarint()
-		if r.err == nil && (node >= uint64(g.NumNodes()) || node >= uint64(len(pr))) {
+	for i := 0; i < poolLen && r.Err == nil; i++ {
+		l, node := r.Count(1<<20, "path length"), r.Uvarint()
+		if r.Err == nil && (node >= uint64(g.NumNodes()) || node >= uint64(len(pr))) {
 			return w, fmt.Errorf("index: word %d: term pool references node %d out of range", w, node)
 		}
-		wi.termPool = append(wi.termPool, termEntry{len: int32(l), node: kg.NodeID(node), sim: r.float()})
+		wi.termPool = append(wi.termPool, termEntry{len: int32(l), node: kg.NodeID(node), sim: r.Float()})
 	}
 	wi.termRef = make([]uint32, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		ref := r.uvarint()
-		if r.err == nil && ref >= uint64(poolLen) {
+	for i := 0; i < n && r.Err == nil; i++ {
+		ref := r.Uvarint()
+		if r.Err == nil && ref >= uint64(poolLen) {
 			return w, fmt.Errorf("index: word %d: term reference %d out of range", w, ref)
 		}
 		wi.termRef[i] = uint32(ref)
 	}
-	if err := r.done(fmt.Sprintf("word %d block", w)); err != nil {
+	if err := r.Done(fmt.Sprintf("index: word %d block", w)); err != nil {
 		return w, err
 	}
 
@@ -557,14 +465,14 @@ func loadWire(br *bufio.Reader, g *kg.Graph, pr []float64) (*Index, error) {
 	if id != secHeader {
 		return nil, fmt.Errorf("index: expected header section, got %d", id)
 	}
-	hr := &wreader{b: payload}
-	version := hr.uvarint()
-	d := hr.count(1<<20, "height threshold")
-	nodes := hr.count(1<<40, "node")
-	edges := hr.count(1<<40, "edge")
-	numWords := hr.count(1<<31, "word")
-	numPatterns := hr.count(1<<26, "pattern")
-	if err := hr.done("header section"); err != nil {
+	hr := &wire.Reader{B: payload}
+	version := hr.Uvarint()
+	d := hr.Count(1<<20, "height threshold")
+	nodes := hr.Count(1<<40, "node")
+	edges := hr.Count(1<<40, "edge")
+	numWords := hr.Count(1<<31, "word")
+	numPatterns := hr.Count(1<<26, "pattern")
+	if err := hr.Done("index: header section"); err != nil {
 		return nil, err
 	}
 	if version != WireVersion {

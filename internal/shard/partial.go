@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"time"
 
@@ -10,6 +13,7 @@ import (
 	"kbtable/internal/index"
 	"kbtable/internal/kg"
 	"kbtable/internal/search"
+	"kbtable/internal/wire"
 )
 
 // Cluster scatter/gather: one shard's contribution to a query in a
@@ -23,32 +27,23 @@ import (
 // shard-local interned PatternIDs. A coordinator holding content-identical
 // per-shard indexes resolves the wire paths in its own tables (fromWire)
 // and runs the canonical gather fold — answers are bit-identical to a
-// single-node run. Scores travel as float64 and Go's encoding/json
-// round-trips float64 exactly, so serialization adds no drift.
+// single-node run. Scores cross the wire as their float64 bits
+// (AppendPartial), so serialization adds no drift.
 
-// WirePath is one root-to-keyword path pattern in content form
-// (core.PathPattern without the interning table).
-type WirePath struct {
-	Types   []int32 `json:"types"`
-	Attrs   []int32 `json:"attrs,omitempty"`
-	EdgeEnd bool    `json:"edge_end,omitempty"`
-}
+// WirePath is one root-to-keyword path pattern in content form: a
+// core.PathPattern holds its type/attr sequence and no interned ID.
+type WirePath = core.PathPattern
 
 // WireRootAgg is one candidate root's partial aggregate of a pattern:
 // the exact per-root decomposition of the pattern score (Theorem 5).
-type WireRootAgg struct {
-	Root  int64   `json:"root"`
-	Sum   float64 `json:"sum"`
-	Max   float64 `json:"max"`
-	Count int     `json:"count"`
-}
+type WireRootAgg = search.RootAgg
 
 // WirePattern is one tree pattern discovered on one shard: its member
-// path patterns (index i matches query keyword i) and its per-root
-// partial aggregates in ascending root order.
+// path patterns as indices into WirePartial.Paths (index i matches query
+// keyword i) and its per-root partial aggregates in ascending root order.
 type WirePattern struct {
-	Paths    []WirePath    `json:"paths"`
-	RootAggs []WireRootAgg `json:"root_aggs,omitempty"`
+	Paths    []int32
+	RootAggs []WireRootAgg
 }
 
 // WirePlanStats is search.PlanStats in wire form: the prepare-stage
@@ -68,21 +63,23 @@ type WirePlanStats struct {
 // by content: in the order their core.TreePattern.ContentKey strings
 // compare, each listed once.
 type WirePartial struct {
-	Shard    int           `json:"shard"`
-	Patterns []WirePattern `json:"patterns"`
+	Shard int
+	// Paths is the path table: each distinct path the patterns name, once.
+	Paths    []WirePath
+	Patterns []WirePattern
 
 	// QueryStats counters the gather sums across shards.
-	CandidateRoots int   `json:"candidate_roots"`
-	SampledRoots   int   `json:"sampled_roots,omitempty"`
-	TreesFound     int64 `json:"trees_found"`
-	EmptyChecked   int64 `json:"empty_checked,omitempty"`
-	BoundPruned    int64 `json:"bound_pruned,omitempty"`
+	CandidateRoots int
+	SampledRoots   int
+	TreesFound     int64
+	EmptyChecked   int64
+	BoundPruned    int64
 	// PrepareNS is the shard's own prepare-stage wall clock; the gather
 	// charges the slowest shard's prepare to the merged Prepare stage.
-	PrepareNS int64 `json:"prepare_ns,omitempty"`
+	PrepareNS int64
 	// PlanStats are the shard's prepare statistics, folded into the
 	// result plan for observability (non-Auto plans only).
-	PlanStats WirePlanStats `json:"plan_stats"`
+	PlanStats WirePlanStats
 }
 
 // toWirePlanStats lowers planner-probe statistics to wire form.
@@ -207,7 +204,6 @@ func (e *Engine) ScatterShard(ctx context.Context, si int, algo search.Algo, que
 	table := u.ix.PatternTable()
 	p := &WirePartial{
 		Shard:          si,
-		Patterns:       make([]WirePattern, 0, len(res.Patterns)),
 		CandidateRoots: res.Stats.CandidateRoots,
 		SampledRoots:   res.Stats.SampledRoots,
 		TreesFound:     res.Stats.TreesFound,
@@ -216,27 +212,19 @@ func (e *Engine) ScatterShard(ctx context.Context, si int, algo search.Algo, que
 		PrepareNS:      int64(res.Stats.Stages.Prepare),
 		PlanStats:      toWirePlanStats(res.Plan.Stats),
 	}
+	slot := make(map[core.PatternID]int32) // path-table index of each distinct path
 	for _, rp := range res.Patterns {
-		wp := WirePattern{
-			Paths:    make([]WirePath, len(rp.Pattern.Paths)),
-			RootAggs: make([]WireRootAgg, len(rp.RootAggs)),
-		}
+		wp := WirePattern{Paths: make([]int32, len(rp.Pattern.Paths)), RootAggs: rp.RootAggs}
 		for i, pid := range rp.Pattern.Paths {
-			pp := table.Get(pid)
-			w := WirePath{EdgeEnd: pp.EdgeEnd, Types: make([]int32, len(pp.Types))}
-			for j, t := range pp.Types {
-				w.Types[j] = int32(t)
+			s, ok := slot[pid]
+			if !ok {
+				s = int32(len(p.Paths))
+				slot[pid] = s
+				pp := table.Get(pid) // copied: the table's slices never leave it
+				pp.Types, pp.Attrs = append([]kg.TypeID(nil), pp.Types...), append([]kg.AttrID(nil), pp.Attrs...)
+				p.Paths = append(p.Paths, pp)
 			}
-			if len(pp.Attrs) > 0 {
-				w.Attrs = make([]int32, len(pp.Attrs))
-				for j, a := range pp.Attrs {
-					w.Attrs[j] = int32(a)
-				}
-			}
-			wp.Paths[i] = w
-		}
-		for i, ra := range rp.RootAggs {
-			wp.RootAggs[i] = WireRootAgg{Root: int64(ra.Root), Sum: ra.Agg.Sum, Max: ra.Agg.Max, Count: ra.Agg.Count}
+			wp.Paths[i] = s
 		}
 		p.Patterns = append(p.Patterns, wp)
 	}
@@ -249,12 +237,13 @@ func (e *Engine) ScatterShard(ctx context.Context, si int, algo search.Algo, que
 // pattern table and resolves by Lookup; nothing from the network is ever
 // interned into a published table. The partial is rejected — and the
 // caller runs the leg locally — when it is labeled for another shard,
-// names a path the table does not hold, has a pattern whose path count is
-// not the query's keyword count, lists patterns out of strictly ascending
-// content order (the gather's merge order; a repeat would fold twice) or
-// one without root partials (its share would vanish), lists roots that do
-// not strictly ascend or that another shard owns, or has a root partial
-// no leg produces: a count below one, or a negative or non-finite score.
+// names a path the table does not hold or one past its path table, has a
+// pattern whose path count is not the query's keyword count, lists
+// patterns out of strictly ascending content order (the gather's merge
+// order; a repeat would fold twice) or one without root partials (its
+// share would vanish), lists roots that do not strictly ascend or that
+// another shard owns, or has a root partial no leg produces: a count
+// below one, or a negative or non-finite score.
 func (e *Engine) fromWire(si int, query string, p *WirePartial) (shardOut, error) {
 	if p == nil || p.Shard != si {
 		return shardOut{}, fmt.Errorf("shard: partial for shard %d is missing or mislabeled", si)
@@ -262,26 +251,25 @@ func (e *Engine) fromWire(si int, query string, p *WirePartial) (shardOut, error
 	ix := e.units[si].ix
 	table := ix.PatternTable()
 	words, surfaces := search.ResolveQuery(ix, query)
-	var pp core.PathPattern // Lookup scratch; the table never retains it
+	ids := make([]core.PatternID, len(p.Paths))
+	for j, w := range p.Paths {
+		id, ok := table.Lookup(w)
+		if !ok {
+			return shardOut{}, fmt.Errorf("shard: shard %d path %d is a path pattern the shard does not hold", si, j)
+		}
+		ids[j] = id
+	}
 	patterns := make([]search.RankedPattern, len(p.Patterns))
 	for i, wp := range p.Patterns {
 		if len(wp.Paths) != len(words) {
 			return shardOut{}, fmt.Errorf("shard: shard %d pattern %d has %d paths for %d keywords", si, i, len(wp.Paths), len(words))
 		}
 		tp := core.TreePattern{Paths: make([]core.PatternID, len(wp.Paths))}
-		for j, w := range wp.Paths {
-			pp.EdgeEnd, pp.Types, pp.Attrs = w.EdgeEnd, pp.Types[:0], pp.Attrs[:0]
-			for _, t := range w.Types {
-				pp.Types = append(pp.Types, kg.TypeID(t))
+		for j, x := range wp.Paths {
+			if x < 0 || int(x) >= len(ids) {
+				return shardOut{}, fmt.Errorf("shard: shard %d pattern %d names path %d of a %d-path table", si, i, x, len(ids))
 			}
-			for _, a := range w.Attrs {
-				pp.Attrs = append(pp.Attrs, kg.AttrID(a))
-			}
-			id, ok := table.Lookup(pp)
-			if !ok {
-				return shardOut{}, fmt.Errorf("shard: shard %d pattern %d names a path pattern the shard does not hold", si, i)
-			}
-			tp.Paths[j] = id
+			tp.Paths[j] = ids[x]
 		}
 		if i > 0 && patterns[i-1].Pattern.CompareContent(table, tp, table) >= 0 {
 			return shardOut{}, fmt.Errorf("shard: shard %d pattern %d is out of content order", si, i)
@@ -289,17 +277,15 @@ func (e *Engine) fromWire(si int, query string, p *WirePartial) (shardOut, error
 		if len(wp.RootAggs) == 0 {
 			return shardOut{}, fmt.Errorf("shard: shard %d pattern %d has no root partials", si, i)
 		}
-		aggs := make([]search.RootAgg, len(wp.RootAggs))
 		for x, ra := range wp.RootAggs {
-			if ra.Root < 0 || ra.Root >= int64(len(e.owner)) || int(e.owner[ra.Root]) != si || x > 0 && ra.Root <= wp.RootAggs[x-1].Root {
+			if ra.Root < 0 || int(ra.Root) >= len(e.owner) || int(e.owner[ra.Root]) != si || x > 0 && ra.Root <= wp.RootAggs[x-1].Root {
 				return shardOut{}, fmt.Errorf("shard: shard %d pattern %d lists root %d out of order or outside the shard", si, i, ra.Root)
 			}
-			if ra.Count < 1 || !(ra.Sum >= 0 && ra.Max >= 0) || math.IsInf(ra.Sum, 0) || math.IsInf(ra.Max, 0) {
+			if a := ra.Agg; a.Count < 1 || !(a.Sum >= 0 && a.Max >= 0) || math.IsInf(a.Sum, 0) || math.IsInf(a.Max, 0) {
 				return shardOut{}, fmt.Errorf("shard: shard %d pattern %d has an impossible partial at root %d", si, i, ra.Root)
 			}
-			aggs[x] = search.RootAgg{Root: kg.NodeID(ra.Root), Agg: core.PatternScore{Sum: ra.Sum, Max: ra.Max, Count: ra.Count}}
 		}
-		patterns[i] = search.RankedPattern{Pattern: tp, RootAggs: aggs}
+		patterns[i] = search.RankedPattern{Pattern: tp, RootAggs: wp.RootAggs}
 	}
 	return shardOut{
 		patterns: patterns,
@@ -315,4 +301,137 @@ func (e *Engine) fromWire(si int, query string, p *WirePartial) (shardOut, error
 		},
 		plan: search.Plan{Stats: fromWirePlanStats(p.PlanStats)},
 	}, nil
+}
+
+// A scatter frame is "KBP1", the payload length (uvarint), the payload and
+// CRC-32C(payload) (4 bytes LE). The payload — shard, seq, path table,
+// patterns, counters, plan statistics — is varints but for the float64
+// bits of each root partial's Sum and Max; README.md ("Posting storage &
+// wire format") tabulates it.
+const partialMagic = "KBP1"
+
+// AppendPartial appends p, produced on a node whose applied WAL cursor is
+// seq, to dst as one scatter frame.
+func AppendPartial(dst []byte, seq uint64, p *WirePartial) []byte {
+	dst = append(dst, partialMagic...)
+	at := len(dst)
+	dst = append(dst, make([]byte, binary.MaxVarintLen64)...) // room for the length
+	body := len(dst)
+	dst = binary.AppendVarint(dst, int64(p.Shard))
+	dst = binary.AppendUvarint(dst, seq)
+	dst = binary.AppendUvarint(dst, uint64(len(p.Paths)))
+	for _, w := range p.Paths {
+		edge := uint64(0)
+		if w.EdgeEnd {
+			edge = 1
+		}
+		dst = appendInts(binary.AppendUvarint(dst, uint64(len(w.Types))), w.Types)
+		dst = appendInts(binary.AppendUvarint(dst, uint64(len(w.Attrs))), w.Attrs)
+		dst = binary.AppendUvarint(dst, edge)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(p.Patterns)))
+	for _, wp := range p.Patterns {
+		dst = appendInts(binary.AppendUvarint(dst, uint64(len(wp.Paths))), wp.Paths)
+		dst = binary.AppendUvarint(dst, uint64(len(wp.RootAggs)))
+		prev := int64(0)
+		for _, ra := range wp.RootAggs {
+			dst = binary.AppendVarint(dst, int64(ra.Root)-prev)
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(ra.Agg.Sum))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(ra.Agg.Max))
+			dst, prev = binary.AppendUvarint(dst, uint64(ra.Agg.Count)), int64(ra.Root)
+		}
+	}
+	st := &p.PlanStats
+	for _, v := range [...]int64{int64(p.CandidateRoots), int64(p.SampledRoots), p.TreesFound, p.EmptyChecked, p.BoundPruned,
+		p.PrepareNS, int64(st.CandidateRoots), int64(st.RootTypes), st.PatternSpace, st.Frontier} {
+		dst = binary.AppendVarint(dst, v)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(st.PostingRoots)))
+	for _, v := range st.PostingRoots {
+		dst = binary.AppendVarint(dst, int64(v))
+	}
+	n := len(dst) - body
+	k := binary.PutUvarint(dst[at:], uint64(n))
+	dst = dst[:at+k+copy(dst[at+k:], dst[body:])]
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[at+k:], wire.CRC))
+}
+
+func appendInts[T ~int32](dst []byte, vs []T) []byte {
+	for _, v := range vs {
+		dst = binary.AppendUvarint(dst, uint64(uint32(v)))
+	}
+	return dst
+}
+
+// DecodePartial decodes one scatter frame into the producing node's seq
+// and its partial. It refuses another magic, a wrong length or checksum,
+// and a truncated, malformed or overlong payload; every count is bounded
+// by the bytes left before it sizes an allocation. Whether the gather may
+// merge the partial is fromWire's judgement.
+func DecodePartial(frame []byte) (uint64, *WirePartial, error) {
+	if !bytes.HasPrefix(frame, []byte(partialMagic)) {
+		return 0, nil, fmt.Errorf("shard: not a scatter partial frame (expected magic %q)", partialMagic)
+	}
+	rest := frame[len(partialMagic):]
+	n, k := binary.Uvarint(rest)
+	if k <= 0 || len(rest)-k < 4 || n != uint64(len(rest)-k-4) {
+		return 0, nil, fmt.Errorf("shard: scatter frame of %d bytes does not hold its declared payload", len(frame))
+	}
+	payload := rest[k : len(rest)-4]
+	if crc32.Checksum(payload, wire.CRC) != binary.LittleEndian.Uint32(rest[len(rest)-4:]) {
+		return 0, nil, fmt.Errorf("shard: scatter frame checksum mismatch")
+	}
+	r := &wire.Reader{B: payload} // each count is bounded by the bytes its items need
+	p := &WirePartial{Shard: int(r.Varint())}
+	seq := r.Uvarint()
+	if n := r.Count(r.Left()/3, "path"); n > 0 {
+		p.Paths = make([]WirePath, n)
+		for i := range p.Paths {
+			p.Paths[i].Types = readInts[kg.TypeID](r, r.Count(r.Left(), "type"))
+			p.Paths[i].Attrs = readInts[kg.AttrID](r, r.Count(r.Left(), "attr"))
+			p.Paths[i].EdgeEnd = r.Uvarint() != 0
+		}
+	}
+	if n := r.Count(r.Left()/2, "pattern"); n > 0 {
+		p.Patterns = make([]WirePattern, n)
+		for i := range p.Patterns {
+			wp := &p.Patterns[i]
+			wp.Paths = readInts[int32](r, r.Count(r.Left(), "path index"))
+			if m := r.Count(r.Left()/18, "root partial"); m > 0 { // a delta, two float64s, a count
+				wp.RootAggs = make([]WireRootAgg, m)
+				for x, root := 0, int64(0); x < m; x++ {
+					root += r.Varint()
+					sum, mx := r.Float(), r.Float()
+					wp.RootAggs[x] = WireRootAgg{Root: kg.NodeID(root), Agg: core.PatternScore{Sum: sum, Max: mx, Count: int(r.Uvarint())}}
+				}
+			}
+		}
+	}
+	st := &p.PlanStats
+	p.CandidateRoots, p.SampledRoots = int(r.Varint()), int(r.Varint())
+	p.TreesFound, p.EmptyChecked, p.BoundPruned, p.PrepareNS = r.Varint(), r.Varint(), r.Varint(), r.Varint()
+	st.CandidateRoots, st.RootTypes, st.PatternSpace, st.Frontier = int(r.Varint()), int(r.Varint()), r.Varint(), r.Varint()
+	if n := r.Count(r.Left(), "posting root"); n > 0 {
+		st.PostingRoots = make([]int, n)
+		for i := range st.PostingRoots {
+			st.PostingRoots[i] = int(r.Varint())
+		}
+	}
+	if err := r.Done("shard: scatter payload"); err != nil {
+		return 0, nil, err
+	}
+	return seq, p, nil
+}
+
+// readInts reads n values coded as the uvarints of their uint32 bits (nil
+// for none); fromWire judges the values.
+func readInts[T ~int32](r *wire.Reader, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = T(uint32(r.Uvarint()))
+	}
+	return out
 }

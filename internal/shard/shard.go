@@ -28,7 +28,8 @@
 // Search) serve every query that is not a one-shard
 // engine's direct execution. A leg runs either on the resident shard or,
 // given Legs, on a cluster owner node. A remote partial crosses the wire
-// in content form (WirePartial) and is checked before the gather. A
+// in content form (WirePartial), as one binary frame whose scores are
+// their float64 bits (AppendPartial), and is checked before the gather. A
 // failed or rejected leg re-runs on the resident shard. The gather adds
 // per-root partials under the same fold wherever each leg ran, so a
 // cluster answers bit-identically to a single process.
