@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race alloc bench benchmark-module index-procs api-procs fma one-path fmt vet check cover fuzz golden loc serve clean ci-local cold-start snapshot-fixture load-soak cluster-soak profile-update
+.PHONY: build test race alloc bench benchmark-module index-procs api-procs fma one-path fmt vet check cover fuzz golden loc serve clean ci-local cold-start snapshot-fixture regret-fixture load-soak cluster-soak profile-update
 
 build:
 	$(GO) build ./...
@@ -176,6 +176,14 @@ snapshot-fixture:
 # reference dump in testdata/deep).
 golden:
 	$(GO) test -run TestGoldenCorpus -update .
+
+# Re-time the Auto planner's regret fixture (testdata/planner/regret.txt):
+# PE and LE, best of 3 each, on every query of kbbench's Fig. 7 (d = 2, 3,
+# 4) and SynthIMDB sets at default scale, with the planner's statistics.
+# About 30 s on 2 cores; run it on an idle machine. TestAutoRegretFixture
+# then recomputes each set's regret from the rows without timing anything.
+regret-fixture:
+	$(GO) test -count=1 -timeout 90m -run '^TestAutoRegretFixture$$' -update-regret -v ./internal/bench
 
 # CPU profile of the write path: BenchmarkApplyUpdate (structural, text
 # and isolated updates on the reduced-scale wiki engine). Writes

@@ -167,24 +167,27 @@ type StageTimings struct {
 //	cost(PE) ≈ PatternSpace            — one root-list intersection per
 //	                                     enumerated combination, empty or
 //	                                     not (PE's worst case, Section 4.1)
-//	cost(LE) ≈ CandidateRoots          — one expansion per candidate root
-//	         + Frontier/2              — the per-subtree aggregation-
-//	                                     dictionary overhead PE avoids
+//	         + Frontier/2              — PE's per-subtree surcharge
+//	cost(LE) ≈ CandidateRoots + 1      — one expansion per candidate root
 //
-// (both algorithms score every valid subtree once, so the shared Frontier
-// term cancels; only LE's dictionary constant survives). PE is chosen iff
-// PatternSpace <= CandidateRoots + Frontier/2 + 1, the one rule with no
-// parameters. The decision is a pure function of the PlanStats,
-// so any engine holding the same merged statistics — in particular every
-// shard of a scatter — resolves identically. internal/bench's "Auto
-// regret" column measures how close the rule comes to the faster
-// algorithm per query.
+// Both algorithms score every valid subtree, so that shared cost cancels
+// and only the per-subtree difference survives. It sits on PE's side: for
+// every (combination, root) pair PE re-seeks each keyword's run and
+// copies its score terms, where LE fetches a root's runs once (measured,
+// PE's walk is the dearer per subtree). PE is chosen iff PatternSpace +
+// Frontier/2 <= CandidateRoots + 1, the one rule with no parameters. The
+// decision is a pure function of the PlanStats, so any engine holding the
+// same merged statistics — in particular every shard of a scatter —
+// resolves identically. internal/bench's "Auto regret" column measures how
+// close the rule comes to the faster algorithm per query, and
+// TestAutoRegretFixture holds it to recorded timings.
 //
 // The comparison is exact and saturation-safe: it is made in int64, where
 // float64 would collapse distinct values near 2^63 onto one rounding
-// bucket, and the cost terms saturate at MaxInt64 instead of wrapping
-// negative (an overflowed LE cost would otherwise force LINEARENUM on
-// precisely the explosive queries PE exists for).
+// bucket, and both costs saturate at MaxInt64 instead of wrapping
+// negative (a wrapped PE cost would force PATTERNENUM on precisely the
+// explosive frontiers it walks worst); two saturated costs tie, and a tie
+// goes to PE.
 func ChoosePlan(algo Algo, st PlanStats) Plan {
 	if algo != AlgoAuto {
 		return Plan{Algo: algo, Stats: st}
@@ -193,18 +196,15 @@ func ChoosePlan(algo Algo, st PlanStats) Plan {
 	if st.CandidateRoots > 0 {
 		cand = int64(st.CandidateRoots)
 	}
-	peCost := st.PatternSpace
-	leCost := satAdd(satAdd(cand, st.Frontier/2), 1)
-	p := Plan{Auto: true, Stats: st}
-	if peCost <= leCost {
-		p.Algo = AlgoPE
-		p.Reason = fmt.Sprintf("pattern space %d <= linear cost %d (roots %d + frontier %d / 2): PATTERNENUM",
-			peCost, leCost, cand, st.Frontier)
-	} else {
-		p.Algo = AlgoLE
-		p.Reason = fmt.Sprintf("pattern space %d > linear cost %d (roots %d + frontier %d / 2): LINEARENUM-TOPK",
-			peCost, leCost, cand, st.Frontier)
+	peCost := satAdd(st.PatternSpace, st.Frontier/2)
+	leCost := satAdd(cand, 1)
+	p := Plan{Auto: true, Stats: st, Algo: AlgoPE}
+	op, name := "<=", "PATTERNENUM"
+	if peCost > leCost {
+		p.Algo, op, name = AlgoLE, ">", "LINEARENUM-TOPK"
 	}
+	p.Reason = fmt.Sprintf("PE cost %d (pattern space %d + frontier %d / 2) %s LE cost %d (roots %d + 1): %s",
+		peCost, st.PatternSpace, st.Frontier, op, leCost, cand, name)
 	return p
 }
 

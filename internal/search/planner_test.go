@@ -99,46 +99,66 @@ func TestPlanStatsMergeAsymmetricPostingRoots(t *testing.T) {
 }
 
 // TestChoosePlanSaturation is the regression test for the cost-compare
-// overflow bugs on explosive queries:
+// overflow bugs on explosive queries, restated for the cost form
+// PatternSpace + Frontier/2 <= CandidateRoots + 1:
 //
-//  1. When candidate roots + half the frontier saturated, the former
-//     "+ 1" wrapped LINEARENUM's cost to MinInt64, making the planner
-//     choose LE — precisely on the queries PATTERNENUM exists for.
+//  1. A saturating term must saturate PE's cost, not wrap it to
+//     MinInt64, which would choose PE on precisely the explosive
+//     frontiers LE handles in one pass; LE's "+ 1" must not wrap either.
 //  2. The costs were once compared as float64, which collapses distinct
 //     int64 values above 2^53 onto one rounding bucket and could flip
 //     near-saturated decisions.
+//
+// It also pins the Reason's wording, which names both sides.
 func TestChoosePlanSaturation(t *testing.T) {
-	// Case 1: LE cost saturates, PE cost is trivial — PE must win.
-	st := PlanStats{
-		CandidateRoots: math.MaxInt64 - 10,
-		RootTypes:      1,
-		PatternSpace:   1,
-		Frontier:       math.MaxInt64,
+	// Case 1: PE cost saturates through the frontier, LE cost is trivial
+	// — LE must win.
+	st := PlanStats{CandidateRoots: 10, RootTypes: 1, PatternSpace: math.MaxInt64 - 10, Frontier: math.MaxInt64}
+	if p := ChoosePlan(AlgoAuto, st); p.Algo != AlgoLE {
+		t.Errorf("saturated PE cost resolved to %v, want LE (peCost must not wrap negative)", p.Algo)
 	}
+	// LE cost saturates through the "+ 1", PE cost is trivial — PE must win.
+	st = PlanStats{CandidateRoots: math.MaxInt, RootTypes: 1, PatternSpace: 1, Frontier: 2}
 	if p := ChoosePlan(AlgoAuto, st); p.Algo != AlgoPE {
 		t.Errorf("saturated LE cost resolved to %v, want PE (leCost must not wrap negative)", p.Algo)
 	}
 	// Case 2: costs 1 apart above 2^53 — float64 would see them equal
 	// and pick PE; the exact integer compare must pick LE.
-	leCost := int64(1)<<59 + 1 // cand 0 + frontier/2 + 1
+	leCost := int64(1)<<59 + 1 // roots 2^59 + 1
 	st = PlanStats{
-		CandidateRoots: 0,
+		CandidateRoots: 1 << 59,
 		RootTypes:      1,
-		PatternSpace:   leCost + 1,
-		Frontier:       1 << 60,
+		PatternSpace:   leCost + 1 - 1<<58,
+		Frontier:       1 << 59, // PE cost = pattern space + 2^58 = leCost + 1
 	}
 	if p := ChoosePlan(AlgoAuto, st); p.Algo != AlgoLE {
 		t.Errorf("peCost=leCost+1 above 2^53 resolved to %v, want LE (the compare must be exact)", p.Algo)
 	}
-	st.PatternSpace = leCost // exactly equal: tie goes to PE
+	st.PatternSpace-- // exactly equal: tie goes to PE
 	if p := ChoosePlan(AlgoAuto, st); p.Algo != AlgoPE {
 		t.Errorf("peCost=leCost resolved to %v, want PE", p.Algo)
 	}
 	// Both costs saturated: indistinguishable, the tie still resolves
 	// deterministically (PE) and never panics.
-	st = PlanStats{CandidateRoots: math.MaxInt64 - 10, PatternSpace: math.MaxInt64, Frontier: math.MaxInt64}
+	st = PlanStats{CandidateRoots: math.MaxInt, PatternSpace: math.MaxInt64, Frontier: math.MaxInt64}
 	if p := ChoosePlan(AlgoAuto, st); p.Algo != AlgoPE {
 		t.Errorf("both-saturated costs resolved to %v, want PE", p.Algo)
+	}
+	// The Reason names both costs and the terms each is made of.
+	for _, tc := range []struct {
+		st   PlanStats
+		want string
+	}{
+		{PlanStats{CandidateRoots: 3, PatternSpace: 9, Frontier: 10},
+			"PE cost 14 (pattern space 9 + frontier 10 / 2) > LE cost 4 (roots 3 + 1): LINEARENUM-TOPK"},
+		{PlanStats{CandidateRoots: 30, PatternSpace: 9, Frontier: 10},
+			"PE cost 14 (pattern space 9 + frontier 10 / 2) <= LE cost 31 (roots 30 + 1): PATTERNENUM"},
+		{PlanStats{CandidateRoots: -1, PatternSpace: 1},
+			"PE cost 1 (pattern space 1 + frontier 0 / 2) <= LE cost 1 (roots 0 + 1): PATTERNENUM"},
+	} {
+		if got := ChoosePlan(AlgoAuto, tc.st).Reason; got != tc.want {
+			t.Errorf("%+v: Reason = %q, want %q", tc.st, got, tc.want)
+		}
 	}
 }
 
