@@ -73,7 +73,9 @@ fma:
 # internal/serve binds an exported name to an api type again. A scatter
 # partial crosses as one binary frame (shard.AppendPartial): fail if
 # handleScatter writes its reply with the reflective WriteJSON again, or
-# if internal/shard's non-test code imports encoding/json.
+# if internal/shard's non-test code imports encoding/json. A delta forks
+# the dictionary and the pattern table copy-on-write: fail if
+# internal/index/delta.go clones either through a snapshot round trip again.
 BASELINE_FREE = internal/shard internal/cluster internal/serve internal/api cmd/kbsearch
 EXECUTOR_FORK = PrepareQuery|ExecutePrepared|SearchPrepared|(shard|search)\.Prepared\b|NumCandidateRoots|SubtreeCount
 PREPARED_ROUTE = PreparedID|CodePreparedGone|handlePrepare|"/prepare"
@@ -94,6 +96,8 @@ one-path:
 	  if [ -n "$$hits" ]; then echo "a scatter partial encoded by reflection beside its binary frame:"; echo "$$hits"; exit 1; fi; \
 	  hits=$$(grep -lE '"encoding/json"' --include='*.go' --exclude='*_test.go' -r internal/shard); \
 	  if [ -n "$$hits" ]; then echo "internal/shard imports encoding/json:"; echo "$$hits"; exit 1; fi; \
+	  hits=$$(grep -nE 'TableFromSnapshot\(|FromSnapshot\(' internal/index/delta.go); \
+	  if [ -n "$$hits" ]; then echo "a delta clones the dictionary or pattern table through a snapshot round trip (fork them: Dict.Fork, PatternTable.Fork):"; echo "$$hits"; exit 1; fi; \
 	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type"
 
 check: vet build race api-procs alloc bench benchmark-module index-procs fma one-path

@@ -462,14 +462,23 @@ func BenchmarkEndToEndEngine(b *testing.B) {
 // entity's neighbourhood), "text" re-texts an existing entity, and
 // "isolated" adds an entity with two text attributes and no edge into the
 // graph (the shape of the live adds, whose cost is the PageRank change
-// alone). Words, types and attributes come from the corpus, so the spliced
-// posting lists are the large ones. Every iteration applies one update to
-// the same base engine.
+// alone). "isolated_shards=2" is the isolated add on a two-shard engine,
+// mixed_rw's shape: the shard that owns the new entity splices, the other
+// only rebinds to the new PageRank vector. Words, types and attributes come
+// from the corpus, so the spliced posting lists are the large ones. Every
+// iteration applies one update to its case's engine.
 func BenchmarkApplyUpdate(b *testing.B) {
 	kgr := env().Wiki()
-	eng, err := NewEngine(&Graph{g: kgr}, EngineOptions{D: 3})
-	if err != nil {
-		b.Fatal(err)
+	engines := map[int]*Engine{}
+	engine := func(b *testing.B, shards int) *Engine {
+		if engines[shards] == nil {
+			eng, err := NewEngine(&Graph{g: kgr}, EngineOptions{D: 3, Shards: shards})
+			if err != nil {
+				b.Fatal(err)
+			}
+			engines[shards] = eng
+		}
+		return engines[shards]
 	}
 	var entities []int64
 	for v := 0; v < kgr.NumNodes(); v++ {
@@ -481,31 +490,36 @@ func BenchmarkApplyUpdate(b *testing.B) {
 	entity := func() int64 { return entities[rng.Intn(len(entities))] }
 	text := func() string { return kgr.Text(kg.NodeID(entity())) }
 	attr := func() string { return kgr.AttrName(kg.AttrID(rng.Intn(kgr.NumAttrs()))) }
+	isolated := func() Update {
+		var u Update
+		ref := u.AddEntity(kgr.TypeName(kgr.Type(kg.NodeID(entity()))), text())
+		u.AddTextAttr(ref, attr(), text())
+		u.AddTextAttr(ref, attr(), text())
+		return u
+	}
 	for _, bc := range []struct {
 		name   string
+		shards int
 		update func() Update
 	}{
-		{"structural", func() Update {
+		{"structural", 1, func() Update {
 			var u Update
 			ref := u.AddEntity(kgr.TypeName(kgr.Type(kg.NodeID(entity()))), text())
 			u.AddTextAttr(ref, attr(), text())
 			u.AddAttr(ref, attr(), entity())
 			return u
 		}},
-		{"text", func() Update {
+		{"text", 1, func() Update {
 			var u Update
 			u.SetText(entity(), text())
 			return u
 		}},
-		{"isolated", func() Update {
-			var u Update
-			ref := u.AddEntity(kgr.TypeName(kgr.Type(kg.NodeID(entity()))), text())
-			u.AddTextAttr(ref, attr(), text())
-			u.AddTextAttr(ref, attr(), text())
-			return u
-		}},
+		{"isolated", 1, isolated},
+		{"isolated_shards=2", 2, isolated},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			eng := engine(b, bc.shards)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				u := bc.update()
 				if _, _, err := eng.ApplyUpdate(u); err != nil {

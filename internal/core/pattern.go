@@ -7,6 +7,8 @@ package core
 import (
 	"cmp"
 	"encoding/binary"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -84,15 +86,16 @@ func (p PathPattern) Render(g *kg.Graph) string {
 // atomically — a reader sees a prefix of the table, never a torn entry, and
 // an ID it already holds stays readable while others intern.
 //
-// A published index's table is never interned into (index.ApplyDelta copies
-// it, the baseline interns into a table of its own, and the shard gather
-// resolves remote patterns with Lookup),
+// A published index's table is never interned into (index.ApplyDelta
+// interns into a Fork, the baseline into a table of its own, and the shard
+// gather resolves remote patterns with Lookup),
 // so on the query path the table is immutable and every read is two plain
 // loads with no shared cache line written.
 type PatternTable struct {
-	mu    sync.RWMutex // guards byKey and serializes publication of pats
-	byKey map[string]PatternID
-	pats  atomic.Pointer[[]tableEntry]
+	mu     sync.RWMutex // guards byKey and serializes publication of pats
+	byKey  map[string]PatternID
+	pats   atomic.Pointer[[]tableEntry]
+	shared bool // byKey is also a fork's or its parent's: copy before writing
 }
 
 // tableEntry is one interned pattern with its Key, computed once at Intern
@@ -123,6 +126,9 @@ func (t *PatternTable) Intern(p PathPattern) PatternID {
 	defer t.mu.Unlock()
 	if id, ok := t.byKey[key]; ok {
 		return id
+	}
+	if t.shared {
+		t.byKey, t.shared = maps.Clone(t.byKey), false
 	}
 	// Appending never rewrites an element a reader can reach: a reader
 	// holding the previous header only indexes below its length.
@@ -165,6 +171,19 @@ func (t *PatternTable) Snapshot() []PathPattern {
 		}
 	}
 	return out
+}
+
+// Fork returns a table with t's IDs that shares t's entries (clipped, so
+// the fork's first append reallocates) and key map, which either side
+// copies before its next new pattern. t may be forked any number of times.
+func (t *PatternTable) Fork() *PatternTable {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.shared = true
+	pats := slices.Clip(*t.pats.Load())
+	f := &PatternTable{byKey: t.byKey, shared: true}
+	f.pats.Store(&pats)
+	return f
 }
 
 // TableFromSnapshot reconstructs a PatternTable with identical IDs from a

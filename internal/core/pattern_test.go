@@ -325,3 +325,90 @@ func TestContentKeyMatchesPatternKeys(t *testing.T) {
 		t.Errorf("ContentKey = %q, want %q", got, want.String())
 	}
 }
+
+// TestPatternTableForkIsolation: two forks of one table intern different
+// new patterns, concurrently with each other and with readers of the
+// parent. The parent and the sibling never see them, the IDs all three
+// share keep their entries, and the parent may still intern after forking
+// without reaching either fork.
+func TestPatternTableForkIsolation(t *testing.T) {
+	pat := func(i int) PathPattern { return PathPattern{Types: []kg.TypeID{kg.TypeID(i)}} }
+	const base = 16
+	parent := NewPatternTable()
+	for i := 0; i < base; i++ {
+		parent.Intern(pat(i))
+	}
+	forks := []*PatternTable{parent.Fork(), parent.Fork()}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := 0; i < base; i++ {
+					if id, ok := parent.Lookup(pat(i)); !ok || id != PatternID(i) || parent.Get(id).Key() != pat(i).Key() {
+						t.Errorf("parent lost pattern %d (id %d, %v)", i, id, ok)
+						return
+					}
+				}
+				if _, ok := parent.Lookup(pat(1000)); ok || parent.Len() != base {
+					t.Errorf("a fork's pattern reached the parent (len %d)", parent.Len())
+					return
+				}
+			}
+		}()
+	}
+	var writers sync.WaitGroup
+	for f, ft := range forks {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < 64; i++ {
+				if id := ft.Intern(pat(1000*(f+1) + i)); id != PatternID(base+i) {
+					t.Errorf("fork %d: new pattern %d got id %d", f, i, id)
+				}
+				if id := ft.Intern(pat(i % base)); id != PatternID(i%base) {
+					t.Errorf("fork %d: re-interning pattern %d gave id %d", f, i%base, id)
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if t.Failed() {
+		return
+	}
+	if id := parent.Intern(pat(5000)); id != base {
+		t.Fatalf("parent's own new pattern got id %d", id)
+	}
+	for f, ft := range forks {
+		if ft.Len() != base+64 {
+			t.Fatalf("fork %d holds %d patterns, want %d", f, ft.Len(), base+64)
+		}
+		for i := 0; i < base; i++ {
+			if ft.Get(PatternID(i)).Key() != pat(i).Key() {
+				t.Fatalf("fork %d: shared id %d changed its entry", f, i)
+			}
+		}
+		for _, p := range []PathPattern{pat(1000*(2-f) + 3), pat(5000)} {
+			if _, ok := ft.Lookup(p); ok {
+				t.Fatalf("fork %d sees a pattern interned elsewhere", f)
+			}
+		}
+	}
+	for _, p := range []PathPattern{pat(1000), pat(2000)} {
+		if _, ok := parent.Lookup(p); ok {
+			t.Fatal("parent sees a fork's pattern")
+		}
+	}
+	if got := forks[0].Fork().Intern(pat(1001)); got != base+1 {
+		t.Fatalf("a fork of a fork renumbered pattern 1001 to %d", got)
+	}
+}

@@ -143,6 +143,7 @@ func Build(g *kg.Graph, opts Options) (*Index, error) {
 		atomicAdd(&entries, int64(total))
 	})
 	ix.stats.NumEntries = entries
+	bindPR(ix.words, pr, true)
 
 	ix.stats.D = opts.D
 	ix.stats.NumPatterns = ix.pt.Len()
@@ -673,7 +674,7 @@ func buildGroupTables(wi *wordIndex, groupPats []core.PatternID, groupRuns []int
 	wi.skipRoots = compact(wi.skipRoots)
 	wi.skipOffs = compact(wi.skipOffs)
 	wi.skipRun = compact(wi.skipRun)
-	wi.bindPR(pr)
+	wi.pr = pr
 
 	for i := 0; i < len(wi.patGroups); {
 		j := i
@@ -783,9 +784,9 @@ func compact[T any](s []T) []T {
 }
 
 // sizeBytes measures the resident size of both views (Figure 6's "Size"):
-// the exact sum of the columnar arenas and group tables.
+// the exact sum of the columnar arenas, group tables and PR cell slab.
 func (ix *Index) sizeBytes() int64 {
-	total := int64(len(ix.words)) * int64(unsafe.Sizeof(wordIndex{}))
+	total := int64(len(ix.words)) * int64(unsafe.Sizeof(wordIndex{})+unsafe.Sizeof(prCell{}))
 	for i := range ix.words {
 		total += ix.words[i].sizeBytes()
 	}
@@ -806,7 +807,7 @@ func (wi *wordIndex) sizeBytes() int64 {
 	t += int64(len(wi.skipOffs)) * 4
 	t += int64(len(wi.skipRun)) * 4
 	t += int64(len(wi.patGroups)) * int64(unsafe.Sizeof(patGroup{}))
-	t += int64(len(wi.prBounds)) * int64(unsafe.Sizeof(prRange{}))
+	t += int64(len(wi.patGroups)) * int64(unsafe.Sizeof(prRange{})) // derived or not
 	t += int64(len(wi.typeGroups)) * int64(unsafe.Sizeof(typeGroup{}))
 	t += int64(len(wi.rootOrder)) * 4
 	t += int64(len(wi.roots)) * 4

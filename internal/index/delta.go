@@ -4,7 +4,8 @@
 // (kg.AffectedRoots) are re-enumerated, and their postings are spliced
 // into the untouched remainder. The result is a NEW *Index over the new
 // snapshot — the receiver stays valid, so readers on the old epoch are
-// never disturbed (copy-on-write down to the posting-list level).
+// never disturbed (copy-on-write down to the posting-list level, the
+// dictionary and pattern table forked, PR ranges derived on first read).
 //
 // Why splicing reproduces a full rebuild exactly: Build's per-word entry
 // order is the stable sort of (root type, pattern, root) over entries
@@ -22,7 +23,7 @@
 // new index and DeltaStats do not depend on the worker count.
 //
 // PatternIDs are the exception: a splice appends new patterns to the
-// cloned table, a rebuild numbers them by first encounter, and
+// forked table, a rebuild numbers them by first encounter, and
 // pattern-first order sorts by ID within a root type. Ranking breaks ties
 // on content keys (core.TreePattern.ContentKey), so answers agree; but
 // PatternEnum meets pattern combinations in PatternID order, so its top-k
@@ -38,7 +39,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"kbtable/internal/core"
 	"kbtable/internal/kg"
 	"kbtable/internal/text"
 )
@@ -59,11 +59,11 @@ type DeltaStats struct {
 	// cached queries whose answers could have changed.
 	TouchedWords []string
 	// ScoresRefreshed reports that the index scores with a new PageRank
-	// vector (a structural change anywhere shifts scores everywhere; only
-	// group PR bounds were recomputed). When set, TouchedWords no longer
-	// bounds the set of queries whose answers moved — caches must drop
-	// everything. Always false under UniformPR, and false for pure text
-	// edits (they cannot move PageRank).
+	// vector (a structural change anywhere shifts scores everywhere; every
+	// word's group PR bounds are re-derived on their next read). When set,
+	// TouchedWords no longer bounds the set of queries whose answers moved
+	// — caches must drop everything. Always false under UniformPR, and
+	// false for pure text edits (they cannot move PageRank).
 	ScoresRefreshed bool
 	// Elapsed is the wall-clock maintenance time.
 	Elapsed time.Duration
@@ -71,7 +71,7 @@ type DeltaStats struct {
 
 // ApplyDelta derives the index of ch.New from the index of ch.Old. opts
 // must describe how the receiver was built: D (0 means "same"), the
-// PageRank mode, and Workers. Synonyms are already baked into the cloned
+// PageRank mode, and Workers. Synonyms are already baked into the forked
 // dictionary and are ignored here.
 //
 // The DFS from dirty roots is serial, for deterministic WordIDs; the
@@ -82,9 +82,9 @@ type DeltaStats struct {
 // needs refreshing; otherwise PageRank is recomputed on the new snapshot
 // (it is a global property, so edits anywhere shift it everywhere) and
 // becomes the new index's vector. Postings key on the stable node IDs
-// that carry f(w), so a carried-over word keeps its term columns and only
-// its per-group PR bounds are recomputed: PatternBounds stays a sound
-// envelope for the streaming executor's pruning.
+// that carry f(w), so a carried-over word keeps its term columns and gets
+// a fresh PR ranges cell, derived from the new vector on first read; under
+// a text-only delta it keeps its cell, and any ranges already derived.
 func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, error) {
 	start := time.Now()
 	var ds DeltaStats
@@ -112,13 +112,10 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 	refreshPR := structural && !opts.uniform()
 	ds.ScoresRefreshed = refreshPR
 
-	// Clone the dictionary and pattern table: the new index interns new
+	// Fork the dictionary and pattern table: the new index interns new
 	// words/patterns without perturbing readers of the old epoch.
-	dict, err := text.FromSnapshot(ix.dict.Snapshot())
-	if err != nil {
-		return nil, ds, err
-	}
-	pt := core.TableFromSnapshot(ix.pt.Snapshot())
+	dict := ix.dict.Fork()
+	pt := ix.pt.Fork()
 
 	// Dirty roots: every node that could reach a touched element within
 	// d-1 edges, in the old or the new snapshot. A root-filtered index
@@ -188,15 +185,12 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 			return
 		case fresh == nil && dirtyOld == 0:
 			// Untouched posting list: carry it over. The edge arena may
-			// still need a mechanical rewrite (edge IDs shifted) and the
-			// group PR bounds a refresh; every other column is shared
-			// with the old index.
+			// still need a mechanical rewrite (edge IDs shifted) and a
+			// PageRank change a fresh PR cell (bindPR below); every other
+			// column is shared with the old index.
 			words[w] = *old
 			if ch.EdgeMap != nil {
 				words[w].edgeBuf = remapEdges(old.edgeBuf, ch.EdgeMap)
-			}
-			if refreshPR {
-				words[w].bindPR(pr)
 			}
 		default:
 			// Spliced posting list: surviving entries (dirty roots cut
@@ -253,6 +247,7 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 		}
 	}
 	sort.Strings(ds.TouchedWords)
+	bindPR(words, pr, refreshPR)
 
 	nix := &Index{g: newG, d: ix.d, dict: dict, pt: pt, words: words}
 	for w := range words {
@@ -319,9 +314,10 @@ func spliceOrder(flat []flatEntry, surv int, rank []uint32) []int32 {
 // only when the delta had no dirty roots accepted by ix's RootFilter and
 // an identity edge map (ch.EdgeMap == nil). pr is g's PageRank vector when
 // the delta moved it (what ApplyDelta reports as ScoresRefreshed), nil
-// when it did not. A new vector recomputes each pattern group's PR bounds
-// and nothing else; every posting, the dictionary and the pattern table
-// are shared with the receiver. Both indexes stay valid.
+// when it did not. A new vector gives each word a fresh PR ranges cell,
+// derived on first read, and nothing else; every posting, the dictionary
+// and the pattern table are shared with the receiver. Both indexes stay
+// valid.
 func (ix *Index) Rebind(g *kg.Graph, pr []float64) *Index {
 	nix := *ix
 	nix.g = g
@@ -329,11 +325,7 @@ func (ix *Index) Rebind(g *kg.Graph, pr []float64) *Index {
 		return &nix
 	}
 	nix.words = slices.Clone(ix.words)
-	for w := range nix.words {
-		if nix.words[w].n > 0 {
-			nix.words[w].bindPR(pr)
-		}
-	}
+	bindPR(nix.words, pr, true)
 	return &nix
 }
 

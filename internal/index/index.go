@@ -33,7 +33,9 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"time"
+	"unsafe"
 
 	"kbtable/internal/core"
 	"kbtable/internal/kg"
@@ -95,7 +97,7 @@ type patGroup struct {
 }
 
 // patBounds are the per-(word, pattern) PR-independent score-term ranges
-// and the largest per-root path run; with prBounds, those of PatternBounds.
+// and the largest per-root path run; with prCell's ranges, PatternBounds.
 type patBounds struct {
 	minLen, maxLen int32
 	minSim, maxSim float64
@@ -104,6 +106,13 @@ type patBounds struct {
 
 // prRange is one pattern group's PR(f(w)) range under the index's vector.
 type prRange struct{ min, max float64 }
+
+// prCell holds a word's per-group PR ranges, derived on first read (only
+// PATTERNENUM's pruning reads them): a PageRank change derives nothing.
+type prCell struct {
+	once   sync.Once
+	ranges *prRange // first of len(patGroups); a slice header would add 16 B a word
+}
 
 // termEntry is one distinct term key of a word's postings: |T(w)|, the
 // node carrying f(w) (the end node of a node match, the edge source of an
@@ -160,7 +169,7 @@ type wordIndex struct {
 	patGroups  []patGroup
 	typeGroups []typeGroup
 	pr         []float64 // the index's PR vector (shared), which terms join
-	prBounds   []prRange // per patGroup under pr: what a PageRank change redoes
+	prc        *prCell   // per-patGroup PR ranges under pr, derived on first read
 
 	// Root-first view: a permutation of entries sorted by (root, pattern),
 	// partitioned per distinct root (rgEnd) into per-pattern runs
@@ -385,7 +394,7 @@ func (g Group) Roots() []kg.NodeID {
 
 // Bounds returns the group's posting envelope.
 func (g Group) Bounds() PatternBounds {
-	b, pb := &g.wi.patGroups[g.gi].bounds, &g.wi.prBounds[g.gi]
+	b, pb := &g.wi.patGroups[g.gi].bounds, &g.wi.prBounds()[g.gi]
 	return PatternBounds{
 		MinLen: int(b.minLen), MaxLen: int(b.maxLen),
 		MinPR: pb.min, MaxPR: pb.max,
@@ -654,20 +663,37 @@ func resolvePageRank(g *kg.Graph, o Options) ([]float64, error) {
 	}
 }
 
-// bindPR points the word's terms at the PR vector pr and derives every
-// pattern group's PR range under it: one pass over the term references,
-// all a PageRank change costs an untouched word.
-func (wi *wordIndex) bindPR(pr []float64) {
+// bindPR points every word with postings at the vector pr and a fresh PR
+// cell from the index's slab; unless all, only words without a cell.
+func bindPR(words []wordIndex, pr []float64, all bool) {
+	slab := make([]prCell, len(words))
+	for w := range words {
+		if wi := &words[w]; wi.n > 0 && (all || wi.prc == nil) {
+			wi.pr, wi.prc = pr, &slab[w]
+		}
+	}
+}
+
+// prBounds returns the word's per-group PR ranges, derived on first call
+// from the columns and vector every word sharing the cell shares.
+func (wi *wordIndex) prBounds() []prRange {
+	c := wi.prc
+	c.once.Do(func() { c.ranges = unsafe.SliceData(wi.derivePR()) })
+	return unsafe.Slice(c.ranges, len(wi.patGroups))
+}
+
+// derivePR computes every pattern group's PR range under wi.pr.
+func (wi *wordIndex) derivePR() []prRange {
 	out := make([]prRange, len(wi.patGroups))
 	for gi := range wi.patGroups {
 		pg := &wi.patGroups[gi]
-		v := pr[wi.termPool[wi.termRef[pg.Start]].node]
+		v := wi.pr[wi.termPool[wi.termRef[pg.Start]].node]
 		r := prRange{min: v, max: v}
 		for _, ref := range wi.termRef[pg.Start+1 : pg.End] {
-			v := pr[wi.termPool[ref].node]
+			v := wi.pr[wi.termPool[ref].node]
 			r.min, r.max = min(r.min, v), max(r.max, v)
 		}
 		out[gi] = r
 	}
-	wi.pr, wi.prBounds = pr, out
+	return out
 }

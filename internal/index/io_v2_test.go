@@ -44,10 +44,7 @@ func requireDeepEqualWords(t *testing.T, label string, built, loaded *Index) {
 		t.Fatalf("%s: word count %d vs %d", label, len(built.words), len(loaded.words))
 	}
 	for w := range built.words {
-		if !reflect.DeepEqual(built.words[w], loaded.words[w]) {
-			t.Fatalf("%s: word %d (%q) differs after load: n=%d vs n=%d",
-				label, w, built.Dict().Word(text.WordID(w)), built.words[w].n, loaded.words[w].n)
-		}
+		requireSameColumns(t, fmt.Sprintf("%s: word %d (%q) after load", label, w, built.Dict().Word(text.WordID(w))), &loaded.words[w], &built.words[w])
 	}
 	if built.Stats().NumEntries != loaded.Stats().NumEntries {
 		t.Fatalf("%s: entries %d vs %d", label, built.Stats().NumEntries, loaded.Stats().NumEntries)

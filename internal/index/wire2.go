@@ -556,6 +556,7 @@ func loadWire(br *bufio.Reader, g *kg.Graph, pr []float64) (*Index, error) {
 		}
 		prev = wordIDs[bi]
 	}
+	bindPR(ix.words, pr, true)
 	for i := range ix.words {
 		ix.stats.NumEntries += int64(ix.words[i].numEntries())
 	}

@@ -1,6 +1,10 @@
 package text
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // WordID identifies a distinct surface word in a Dict. IDs are dense and
 // start at 0, so they can index into per-word slices (e.g. the path index
@@ -25,6 +29,7 @@ type Dict struct {
 	stemOf []WordID
 	// synonyms maps a word ID to the canonical ID whose postings it shares.
 	synonyms map[WordID]WordID
+	forked   bool // ids and synonyms are the parent's (Fork): copy before writing
 }
 
 // NewDict returns an empty dictionary.
@@ -62,11 +67,26 @@ func (d *Dict) internStem(s string) WordID {
 
 // newEntry registers w with stemOf pointing at itself.
 func (d *Dict) newEntry(w string) WordID {
+	d.own()
 	id := WordID(len(d.words))
 	d.ids[w] = id
 	d.words = append(d.words, w)
 	d.stemOf = append(d.stemOf, id)
 	return id
+}
+
+// Fork returns a dictionary with d's IDs that shares d's tables until its
+// first new word or synonym (words and stemOf are clipped, so appends
+// reallocate). d itself must not be written afterwards.
+func (d *Dict) Fork() *Dict {
+	return &Dict{ids: d.ids, words: slices.Clip(d.words), stemOf: slices.Clip(d.stemOf), synonyms: d.synonyms, forked: true}
+}
+
+// own copies a fork's maps before its first write.
+func (d *Dict) own() {
+	if d.forked {
+		d.ids, d.synonyms, d.forked = maps.Clone(d.ids), maps.Clone(d.synonyms), false
+	}
 }
 
 // Lookup returns the WordID of w, or NoWord if w was never interned.
@@ -100,6 +120,7 @@ func (d *Dict) AddSynonym(alias, canonical string) {
 	if a == c {
 		return
 	}
+	d.own()
 	d.synonyms[a] = c
 }
 

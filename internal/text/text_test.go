@@ -258,3 +258,70 @@ func TestDictLenAndWords(t *testing.T) {
 		t.Errorf("Word(%d), Word(%d) = %q, %q; want b, a", b, a, d.Word(b), d.Word(a))
 	}
 }
+
+// TestDictForkIsolation: two forks of one dictionary intern different new
+// words (one whose stem is new too) and synonyms while readers query the
+// parent. The parent and the sibling never see them, and the words all
+// three share keep their IDs and canonical forms.
+func TestDictForkIsolation(t *testing.T) {
+	parent := NewDict()
+	for _, w := range []string{"database", "companies", "revenue", "movies"} {
+		parent.Intern(w)
+	}
+	parent.AddSynonym("firm", "companies")
+	snap := parent.Snapshot()
+	query := "databases companies firm revenue"
+	wantIDs, _ := parent.QueryTokens(query)
+	forks := []*Dict{parent.Fork(), parent.Fork()}
+	fresh := []string{"running", "jumped"} // new words with new stems
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if ids, _ := parent.QueryTokens(query); !reflect.DeepEqual(ids, wantIDs) {
+				t.Errorf("parent resolves %q to %v, want %v", query, ids, wantIDs)
+				return
+			}
+			if parent.Lookup("run") != NoWord || parent.Lookup("jump") != NoWord || parent.Len() != len(snap.Words) {
+				t.Errorf("a fork's word reached the parent")
+				return
+			}
+		}
+	}()
+	for f, d := range forks {
+		id := d.Intern(fresh[f])
+		if int(id) != len(snap.Words) || d.Lookup(Stem(fresh[f])) != d.Canonical(id) || d.Canonical(id) == id {
+			t.Fatalf("fork %d: %q got id %d, stem %d", f, fresh[f], id, d.Canonical(id))
+		}
+		d.AddSynonym("corp", "companies")
+	}
+	close(stop)
+	<-done
+	if !reflect.DeepEqual(parent.Snapshot(), snap) {
+		t.Fatal("forking and writing the forks changed the parent")
+	}
+	for f, d := range forks {
+		if got, _ := d.QueryTokens(query); !reflect.DeepEqual(got, wantIDs) {
+			t.Fatalf("fork %d resolves shared words to %v, want %v", f, got, wantIDs)
+		}
+		if id := d.Lookup(fresh[f]); d.Word(id) != fresh[f] || d.Word(d.Canonical(id)) != Stem(fresh[f]) {
+			t.Fatalf("fork %d: %q reads back as %q, stem %q", f, fresh[f], d.Word(id), d.Word(d.Canonical(id)))
+		}
+		other := fresh[1-f]
+		if d.Lookup(other) != NoWord || d.Lookup(Stem(other)) != NoWord {
+			t.Fatalf("fork %d sees its sibling's %q", f, other)
+		}
+		if d.Canonical(d.Lookup("corp")) != d.Canonical(d.Lookup("companies")) {
+			t.Fatalf("fork %d lost its synonym", f)
+		}
+	}
+	if parent.Lookup("corp") != NoWord {
+		t.Fatal("parent sees a fork's synonym")
+	}
+}
