@@ -95,7 +95,7 @@ type PatternTable struct {
 	mu     sync.RWMutex // guards byKey and serializes publication of pats
 	byKey  map[string]PatternID
 	pats   atomic.Pointer[[]tableEntry]
-	shared bool // byKey is also a fork's or its parent's: copy before writing
+	forked bool // byKey is the parent's (Fork): copy before writing
 }
 
 // tableEntry is one interned pattern with its Key, computed once at Intern
@@ -127,8 +127,8 @@ func (t *PatternTable) Intern(p PathPattern) PatternID {
 	if id, ok := t.byKey[key]; ok {
 		return id
 	}
-	if t.shared {
-		t.byKey, t.shared = maps.Clone(t.byKey), false
+	if t.forked {
+		t.byKey, t.forked = maps.Clone(t.byKey), false
 	}
 	// Appending never rewrites an element a reader can reach: a reader
 	// holding the previous header only indexes below its length.
@@ -173,15 +173,12 @@ func (t *PatternTable) Snapshot() []PathPattern {
 	return out
 }
 
-// Fork returns a table with t's IDs that shares t's entries (clipped, so
-// the fork's first append reallocates) and key map, which either side
-// copies before its next new pattern. t may be forked any number of times.
+// Fork returns a table with t's IDs sharing t's entries (clipped, so the
+// fork's first append reallocates) and key map until its first new
+// pattern. t may be forked again but must not be interned into.
 func (t *PatternTable) Fork() *PatternTable {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.shared = true
 	pats := slices.Clip(*t.pats.Load())
-	f := &PatternTable{byKey: t.byKey, shared: true}
+	f := &PatternTable{byKey: t.byKey, forked: true}
 	f.pats.Store(&pats)
 	return f
 }

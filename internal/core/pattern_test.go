@@ -328,9 +328,8 @@ func TestContentKeyMatchesPatternKeys(t *testing.T) {
 
 // TestPatternTableForkIsolation: two forks of one table intern different
 // new patterns, concurrently with each other and with readers of the
-// parent. The parent and the sibling never see them, the IDs all three
-// share keep their entries, and the parent may still intern after forking
-// without reaching either fork.
+// parent. The parent and the sibling never see them, and the IDs all three
+// share keep their entries.
 func TestPatternTableForkIsolation(t *testing.T) {
 	pat := func(i int) PathPattern { return PathPattern{Types: []kg.TypeID{kg.TypeID(i)}} }
 	const base = 16
@@ -385,9 +384,6 @@ func TestPatternTableForkIsolation(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if id := parent.Intern(pat(5000)); id != base {
-		t.Fatalf("parent's own new pattern got id %d", id)
-	}
 	for f, ft := range forks {
 		if ft.Len() != base+64 {
 			t.Fatalf("fork %d holds %d patterns, want %d", f, ft.Len(), base+64)
@@ -397,10 +393,8 @@ func TestPatternTableForkIsolation(t *testing.T) {
 				t.Fatalf("fork %d: shared id %d changed its entry", f, i)
 			}
 		}
-		for _, p := range []PathPattern{pat(1000*(2-f) + 3), pat(5000)} {
-			if _, ok := ft.Lookup(p); ok {
-				t.Fatalf("fork %d sees a pattern interned elsewhere", f)
-			}
+		if _, ok := ft.Lookup(pat(1000*(2-f) + 3)); ok {
+			t.Fatalf("fork %d sees its sibling's pattern", f)
 		}
 	}
 	for _, p := range []PathPattern{pat(1000), pat(2000)} {

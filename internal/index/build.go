@@ -784,7 +784,7 @@ func compact[T any](s []T) []T {
 }
 
 // sizeBytes measures the resident size of both views (Figure 6's "Size"):
-// the exact sum of the columnar arenas, group tables and PR cell slab.
+// the exact sum of the columnar arenas, group tables and one PR cell a word.
 func (ix *Index) sizeBytes() int64 {
 	total := int64(len(ix.words)) * int64(unsafe.Sizeof(wordIndex{})+unsafe.Sizeof(prCell{}))
 	for i := range ix.words {

@@ -314,10 +314,9 @@ func spliceOrder(flat []flatEntry, surv int, rank []uint32) []int32 {
 // only when the delta had no dirty roots accepted by ix's RootFilter and
 // an identity edge map (ch.EdgeMap == nil). pr is g's PageRank vector when
 // the delta moved it (what ApplyDelta reports as ScoresRefreshed), nil
-// when it did not. A new vector gives each word a fresh PR ranges cell,
-// derived on first read, and nothing else; every posting, the dictionary
-// and the pattern table are shared with the receiver. Both indexes stay
-// valid.
+// when it did not. A new vector hands each word a fresh PR cell and
+// nothing else; every posting, the dictionary and the pattern table are
+// shared with the receiver. Both indexes stay valid.
 func (ix *Index) Rebind(g *kg.Graph, pr []float64) *Index {
 	nix := *ix
 	nix.g = g

@@ -664,12 +664,17 @@ func resolvePageRank(g *kg.Graph, o Options) ([]float64, error) {
 }
 
 // bindPR points every word with postings at the vector pr and a fresh PR
-// cell from the index's slab; unless all, only words without a cell.
+// cell: all of them from one slab per index, or (unless all) only those
+// without a cell, each its own, so no carried word pins a dead slab.
 func bindPR(words []wordIndex, pr []float64, all bool) {
-	slab := make([]prCell, len(words))
+	cell := func(int) *prCell { return new(prCell) }
+	if all {
+		slab := make([]prCell, len(words))
+		cell = func(w int) *prCell { return &slab[w] }
+	}
 	for w := range words {
 		if wi := &words[w]; wi.n > 0 && (all || wi.prc == nil) {
-			wi.pr, wi.prc = pr, &slab[w]
+			wi.pr, wi.prc = pr, cell(w)
 		}
 	}
 }
@@ -677,9 +682,8 @@ func bindPR(words []wordIndex, pr []float64, all bool) {
 // prBounds returns the word's per-group PR ranges, derived on first call
 // from the columns and vector every word sharing the cell shares.
 func (wi *wordIndex) prBounds() []prRange {
-	c := wi.prc
-	c.once.Do(func() { c.ranges = unsafe.SliceData(wi.derivePR()) })
-	return unsafe.Slice(c.ranges, len(wi.patGroups))
+	wi.prc.once.Do(func() { wi.prc.ranges = unsafe.SliceData(wi.derivePR()) })
+	return unsafe.Slice(wi.prc.ranges, len(wi.patGroups))
 }
 
 // derivePR computes every pattern group's PR range under wi.pr.

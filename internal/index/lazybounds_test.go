@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -226,4 +227,93 @@ func TestLazyBoundsConcurrent(t *testing.T) {
 	}
 	requireLazyBounds(t, "rebind", rebound)
 	requireLazyBounds(t, "clean shard after rebind", clean)
+}
+
+// TestSplicedWordsGetOwnCells walks a UniformPR delta chain, where no
+// update ever rebinds every word: each epoch gives a fresh PR cell to
+// exactly its spliced words and carries every other word's cell, and
+// binding a few spliced words among many carried ones allocates their
+// cells alone, never a vocabulary-sized slab that a carried word would pin.
+func TestSplicedWordsGetOwnCells(t *testing.T) {
+	vocab := []string{"alpha", "beta", "gamma", "nu", "xi"}
+	rng := rand.New(rand.NewSource(3))
+	opts := Options{D: 3, UniformPR: true}
+	cur, err := Build(dataset.SynthWiki(dataset.WikiConfig{Entities: 150, Types: 8, Seed: 5}), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 6; s++ {
+		g := cur.Graph()
+		d := kg.NewDelta(g)
+		v := kg.NodeID(rng.Intn(g.NumNodes()))
+		if s%2 == 0 {
+			nv, err := d.AddEntity("Startup", vocab[rng.Intn(len(vocab))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Type(v) != kg.LiteralType {
+				if err := d.AddAttr(nv, "funds", v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else if err := d.SetText(v, vocab[rng.Intn(len(vocab))]); err != nil {
+			t.Fatal(err)
+		}
+		ch, err := d.Apply()
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, ds, err := cur.ApplyDelta(ch, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		touched := map[string]bool{}
+		for _, w := range ds.TouchedWords {
+			touched[w] = true
+		}
+		fresh := map[*prCell]bool{}
+		for w := range next.words {
+			nu := &next.words[w]
+			if nu.n == 0 {
+				continue
+			}
+			word := next.dict.Word(text.WordID(w))
+			var parent *prCell
+			if w < len(cur.words) {
+				parent = cur.words[w].prc
+			}
+			carried := parent != nil && !touched[word]
+			if (nu.prc == parent) != carried {
+				t.Fatalf("step %d: word %q (carried %v) keeps its parent's cell: %v", s, word, carried, !carried)
+			}
+			if !carried {
+				if fresh[nu.prc] {
+					t.Fatalf("step %d: spliced word %q shares a fresh cell", s, word)
+				}
+				fresh[nu.prc] = true
+			}
+		}
+		if len(fresh) == 0 {
+			t.Fatalf("step %d: no word was spliced", s)
+		}
+		cur = next
+	}
+
+	words := make([]wordIndex, 1<<14)
+	for w := range words {
+		words[w].n, words[w].prc = 1, new(prCell)
+	}
+	words[3].prc, words[9000].prc = nil, nil
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	bindPR(words, uniformPR, false)
+	runtime.ReadMemStats(&after)
+	if words[3].prc == nil || words[9000].prc == nil {
+		t.Fatal("a spliced word got no cell")
+	}
+	// A slab would take len(words) cells, 384 KiB; the margin absorbs
+	// allocations by the runtime's own goroutines.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("binding 2 spliced words of %d allocated %d bytes", len(words), grew)
+	}
 }
