@@ -76,9 +76,14 @@ fma:
 # if internal/shard's non-test code imports encoding/json. A delta forks
 # the dictionary and the pattern table copy-on-write: fail if
 # internal/index/delta.go clones either through a snapshot round trip again.
+# Tree patterns have one order, content compared in place
+# (core.TreePattern.CompareContent, search.CompareTrees): fail if non-test
+# Go outside the experiment harness builds a content key or a key-taking
+# top-k again (ContentKey's own definition aside).
 BASELINE_FREE = internal/shard internal/cluster internal/serve internal/api cmd/kbsearch
 EXECUTOR_FORK = PrepareQuery|ExecutePrepared|SearchPrepared|(shard|search)\.Prepared\b|NumCandidateRoots|SubtreeCount
 PREPARED_ROUTE = PreparedID|CodePreparedGone|handlePrepare|"/prepare"
+CONTENT_KEY = ContentKey\(|OfferFunc|TreeMergeKey
 API_ALIAS = ^[[:space:]]*(type[[:space:]]+[A-Z][[:alnum:]_]*[[:space:]]+=?|[A-Z][[:alnum:]_]*[[:space:]]*=)[[:space:]]*api\.[A-Z]
 one-path:
 	@hits=$$(grep -rnE 'AlgoBaseline|BaselineIndex|kbtable\.Baseline' --include='*.go' --exclude='*_test.go' $(BASELINE_FREE)); \
@@ -98,7 +103,9 @@ one-path:
 	  if [ -n "$$hits" ]; then echo "internal/shard imports encoding/json:"; echo "$$hits"; exit 1; fi; \
 	  hits=$$(grep -nE 'TableFromSnapshot\(|FromSnapshot\(' internal/index/delta.go); \
 	  if [ -n "$$hits" ]; then echo "a delta clones the dictionary or pattern table through a snapshot round trip (fork them: Dict.Fork, PatternTable.Fork):"; echo "$$hits"; exit 1; fi; \
-	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type"
+	  hits=$$(grep -rnE '$(CONTENT_KEY)' --include='*.go' --exclude='*_test.go' . | grep -vE '^\./internal/bench/|^\./internal/core/pattern\.go:[0-9]+:func \(tp TreePattern\) ContentKey\('); \
+	  if [ -n "$$hits" ]; then echo "a content key built outside internal/bench (compare content: CompareContent, search.CompareTrees):"; echo "$$hits"; exit 1; fi; \
+	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type, one pattern order"
 
 check: vet build race api-procs alloc bench benchmark-module index-procs fma one-path
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -3,7 +3,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"kbtable/internal/kg"
@@ -12,20 +11,21 @@ import (
 // The race detector changes allocation counts, so the allocation budgets
 // live behind !race; CI runs them in a plain `go test -run Alloc` step.
 
-// TestTopKRejectAllocFree holds the reason OfferFunc exists: an item a full
-// queue rejects on score alone costs no key and no allocation.
+// TestTopKRejectAllocFree: an item a full queue rejects on score alone
+// costs no allocation and no comparison — the comparator runs only
+// between equal scores.
 func TestTopKRejectAllocFree(t *testing.T) {
-	q := NewTopK[int](3)
+	q := NewTopK(3, func(a, b int) int { panic("comparator called for distinct scores") })
 	for i := 0; i < 3; i++ {
-		q.Offer(float64(10+i), fmt.Sprint(i), i)
+		q.Offer(float64(10+i), i)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if q.OfferFunc(1, func() string { panic("key computed for a score below the k-th") }, 0) {
+		if q.Offer(1, 0) {
 			panic("retained")
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("rejected OfferFunc allocates %v times", allocs)
+		t.Errorf("rejected Offer allocates %v times", allocs)
 	}
 }
 

@@ -81,7 +81,7 @@ func (p PathPattern) Render(g *kg.Graph) string {
 // PatternTable interns path patterns to dense PatternIDs. It is safe for
 // concurrent use: Intern serializes writers behind a mutex (parallel index
 // construction and the baseline's online search intern from several
-// workers), while Get, Len, Snapshot and TreePattern.ContentKey are
+// workers), while Get, Len, Snapshot and TreePattern.CompareContent are
 // lock-free reads of an append-only slice that Intern republishes
 // atomically — a reader sees a prefix of the table, never a torn entry, and
 // an ID it already holds stays readable while others intern.
@@ -99,7 +99,7 @@ type PatternTable struct {
 }
 
 // tableEntry is one interned pattern with its Key, computed once at Intern
-// so content-derived ranking keys are concatenations of stored strings.
+// so content comparisons read stored strings.
 type tableEntry struct {
 	pat PathPattern
 	key string
@@ -213,9 +213,12 @@ func (tp TreePattern) Key() string {
 }
 
 // ContentKey returns a key derived from the path patterns' contents rather
-// than their interned IDs. Interning order depends on construction
-// parallelism, so ranking tie-breaks use this key to stay reproducible
-// across runs. It concatenates the keys the table stored at Intern.
+// than their interned IDs: the keys the table stored at Intern, each
+// behind its 2-byte little-endian length. It is the order CompareContent
+// reproduces without building a string. Only the experiment harness
+// (internal/bench, which files patterns in maps across runs) and tests
+// call it; ranking, the shard gather and pattern counting compare
+// content instead.
 func (tp TreePattern) ContentKey(t *PatternTable) string {
 	pats := *t.pats.Load()
 	n := 0

@@ -25,7 +25,7 @@
 // PatternIDs are the exception: a splice appends new patterns to the
 // forked table, a rebuild numbers them by first encounter, and
 // pattern-first order sorts by ID within a root type. Ranking breaks ties
-// on content keys (core.TreePattern.ContentKey), so answers agree; but
+// by content (core.TreePattern.CompareContent), so answers agree; but
 // PatternEnum meets pattern combinations in PatternID order, so its top-k
 // bound fires elsewhere and its pruned/patterns/trees counters can differ
 // from a rebuild's (the "updated" rows of the equivalence matrix's

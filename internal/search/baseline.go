@@ -172,7 +172,8 @@ func (b *BaselineIndex) SearchCtx(ctx context.Context, query string, opts Option
 	pt := core.NewPatternTable()
 	stats := QueryStats{}
 	plan := Plan{Algo: AlgoBaseline}
-	top := core.NewTopK[*baselineEntry](o.K)
+	order := func(a, b *baselineEntry) int { return a.tp.CompareContent(pt, b.tp, pt) }
+	top := core.NewTopK(o.K, order)
 
 	// Prepare stage: resolve keywords against the baseline dictionary (it
 	// has no prebuilt path postings; backward search below is its posting
@@ -232,7 +233,7 @@ func (b *BaselineIndex) SearchCtx(ctx context.Context, query string, opts Option
 	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
 
 	workers := resolveWorkers(o.Workers)
-	ws := newWorkerStates[*baselineEntry](workers, o.K)
+	ws := newWorkerStates(workers, o.K, order)
 	err := runShards(ctx, workers, len(types), func(worker, ti int) {
 		st := &ws[worker].stats
 		pc := &pollCancel{ctx: ctx}
@@ -258,7 +259,7 @@ func (b *BaselineIndex) SearchCtx(ctx context.Context, query string, opts Option
 		st.PatternsFound += len(treeDict)
 		for _, de := range treeDict {
 			st.TreesFound += int64(de.agg.Count)
-			ws[worker].top.OfferFunc(de.agg.Value(o.Agg), func() string { return de.tp.ContentKey(pt) }, de)
+			ws[worker].top.Offer(de.agg.Value(o.Agg), de)
 		}
 	})
 	stats.Stages.Enumerate = time.Since(tEnum)

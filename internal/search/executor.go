@@ -363,7 +363,7 @@ func Execute(ctx context.Context, ix *index.Index, query string, algo Algo, opts
 // Scatter is one shard's leg of a scatter-gather search: Execute without
 // the ranking. It returns every tree pattern the index holds for the
 // query, once, with its per-root partials and no trees, in ascending
-// content order (as ContentKey strings compare), so the gather merges
+// content order (core.TreePattern.CompareContent), so the gather merges
 // legs. A leg must not rank or prune, since a pattern split across shards
 // can rank below each shard's k-th score yet inside the global top-k;
 // opts.K only sizes LINEARENUM's sampled selection.
@@ -394,14 +394,15 @@ func execute(ctx context.Context, ix *index.Index, query string, algo Algo, o Op
 	// Stage 2: enumerate (the resolved algorithm's frontier walk, sharded
 	// across the worker pool with scoring fused in).
 	t1 := time.Now()
+	order := byContent(ix.PatternTable())
 	var top *core.TopK[RankedPattern]
 	k := 0 // a scatter leg's workers list every pattern
 	if ranked {
-		top, k = core.NewTopK[RankedPattern](o.K), o.K
+		top, k = core.NewTopK(o.K, order), o.K
 	}
 	var ws []workerState[RankedPattern]
 	if prep.ok {
-		ws = newWorkerStates[RankedPattern](resolveWorkers(o.Workers), k)
+		ws = newWorkerStates(resolveWorkers(o.Workers), k, order)
 		switch plan.Algo {
 		case AlgoPE:
 			err = peEnumerate(ctx, ix, prep, o, ws)
@@ -442,8 +443,14 @@ func execute(ctx context.Context, ix *index.Index, query string, algo Algo, o Op
 	return &Result{Patterns: patterns, Stats: stats, Plan: plan}, nil
 }
 
-// sortByContent returns the patterns of one index ascending by ContentKey,
-// without building one: it sorts a permutation with CompareContent.
+// byContent orders the ranked patterns of one table by content
+// (core.TreePattern.CompareContent): the tie-break of every pattern top-k.
+func byContent(pt *core.PatternTable) func(a, b RankedPattern) int {
+	return func(a, b RankedPattern) int { return a.Pattern.CompareContent(pt, b.Pattern, pt) }
+}
+
+// sortByContent returns the patterns of one index in content order: it
+// sorts a permutation with CompareContent.
 func sortByContent(pt *core.PatternTable, pats []RankedPattern) []RankedPattern {
 	perm := make([]int32, len(pats))
 	for i := range perm {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 
 	"kbtable/internal/core"
 	"kbtable/internal/index"
@@ -82,11 +83,10 @@ func leEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 			// top-k exactly over all roots of this type in one filtered
 			// pass (each root only expands pattern combinations that can
 			// still hit a selected pattern).
-			local := core.NewTopK[*dictEntry](o.K)
+			local := core.NewTopK(o.K, func(a, b *dictEntry) int { return a.tp.CompareContent(pt, b.tp, pt) })
 			for i := range dict.entries {
 				de := &dict.entries[i]
-				est := de.agg.Scale(1 / rate).Value(o.Agg)
-				local.OfferFunc(est, func() string { return de.tp.ContentKey(pt) }, de)
+				local.Offer(de.agg.Scale(1/rate).Value(o.Agg), de)
 			}
 			exacts := aggregateSelected(ix, words, local.Results(), rc, &o, pc, sc)
 			for i := range exacts.entries {
@@ -207,29 +207,31 @@ func aggregateSelected(ix *index.Index, words []text.WordID, selected []*dictEnt
 // patterns = -1. The experiment harness uses this to identify explosion
 // queries cheaply.
 func CountAllCapped(ix *index.Index, query string, budget int64) (patterns int, trees int64, exceeded bool) {
-	seen, trees, exceeded := countAllKeyed(ix, query, budget, func(tp core.TreePattern) string { return tp.Key() })
+	pats, trees, exceeded := countAllKeyed(ix, query, budget)
 	if exceeded {
 		return -1, trees, true
 	}
-	return len(seen), trees, false
+	return len(pats), trees, false
 }
 
-// CountAllContent is CountAllCapped's pattern set with content-derived
-// keys: it identifies tree patterns by their path-pattern contents, so
-// sets computed over indexes with independently interned PatternIDs (the
-// per-shard indexes of a scatter-gather engine) union correctly.
-func CountAllContent(ix *index.Index, query string) map[string]struct{} {
+// CountAllContent is CountAllCapped's pattern set in content order
+// (CompareContent), each pattern once, so lists computed over indexes
+// with independently interned PatternIDs (the per-shard indexes of a
+// scatter-gather engine) merge by content.
+func CountAllContent(ix *index.Index, query string) []core.TreePattern {
 	pt := ix.PatternTable()
-	seen, _, _ := countAllKeyed(ix, query, 0, func(tp core.TreePattern) string { return tp.ContentKey(pt) })
-	return seen
+	pats, _, _ := countAllKeyed(ix, query, 0)
+	slices.SortFunc(pats, func(a, b core.TreePattern) int { return a.CompareContent(pt, b, pt) })
+	return pats
 }
 
-// countAllKeyed enumerates the candidate roots' pattern products, filing
-// each distinct tree pattern under keyFn.
-func countAllKeyed(ix *index.Index, query string, budget int64, keyFn func(core.TreePattern) string) (map[string]struct{}, int64, bool) {
+// countAllKeyed enumerates the candidate roots' pattern products and
+// returns each distinct tree pattern once, deduplicated by its
+// PatternID key.
+func countAllKeyed(ix *index.Index, query string, budget int64) ([]core.TreePattern, int64, bool) {
 	words, _ := ResolveQuery(ix, query)
 	if !queryable(ix, words) {
-		return map[string]struct{}{}, 0, false
+		return nil, 0, false
 	}
 	rootLists := make([][]kg.NodeID, len(words))
 	for i, w := range words {
@@ -242,6 +244,7 @@ func countAllKeyed(ix *index.Index, query string, budget int64, keyFn func(core.
 	}
 
 	seen := map[string]struct{}{}
+	var pats []core.TreePattern
 	m := len(words)
 	patLists := make([][]core.PatternID, m)
 	choice := make([]core.PatternID, m)
@@ -260,7 +263,11 @@ func countAllKeyed(ix *index.Index, query string, budget int64, keyFn func(core.
 		var rec func(i int)
 		rec = func(i int) {
 			if i == m {
-				seen[keyFn(core.TreePattern{Paths: choice})] = struct{}{}
+				key := core.TreePattern{Paths: choice}.Key()
+				if _, dup := seen[key]; !dup {
+					seen[key] = struct{}{}
+					pats = append(pats, core.TreePattern{Paths: slices.Clone(choice)})
+				}
 				return
 			}
 			for _, p := range patLists[i] {
@@ -270,5 +277,5 @@ func countAllKeyed(ix *index.Index, query string, budget int64, keyFn func(core.
 		}
 		rec(0)
 	}
-	return seen, trees, false
+	return pats, trees, false
 }

@@ -20,8 +20,8 @@ import (
 // paths share a single root type, and within a shard subtree scores are
 // folded in the same order the serial pass uses. Shards therefore produce
 // bit-identical pattern scores regardless of scheduling, and the global
-// top-k (a total order on (score, content key) with distinct keys) is
-// independent of merge order. That is what lets the parallel path promise
+// top-k (a total order on score, then content by CompareContent, under
+// which distinct patterns never tie) is independent of merge order. That is what lets the parallel path promise
 // exact result equivalence with Workers=1 rather than "close enough".
 
 // resolveWorkers maps Options.Workers to an effective pool size:
@@ -79,7 +79,8 @@ func runShards(ctx context.Context, workers, n int, shard func(worker, i int)) e
 // workerState is the lock-free per-worker accumulator: a local bounded
 // top-k heap plus local query statistics. Locals are merged into the
 // global result after the pool drains; the merge is order-independent
-// (distinct content keys, additive stats), so results stay deterministic.
+// (distinct patterns differ in content, stats add), so results stay
+// deterministic.
 type workerState[T any] struct {
 	top   *core.TopK[T]
 	all   []T              // a scatter leg's items, unranked (top nil)
@@ -87,13 +88,14 @@ type workerState[T any] struct {
 	stats QueryStats
 }
 
-// newWorkerStates allocates one accumulator per worker slot; k = 0
-// leaves every top nil (a scatter leg's workers).
-func newWorkerStates[T any](workers, k int) []workerState[T] {
+// newWorkerStates allocates one accumulator per worker slot, each top
+// breaking score ties by cmp; k = 0 leaves every top nil (a scatter leg's
+// workers).
+func newWorkerStates[T any](workers, k int, cmp func(a, b T) int) []workerState[T] {
 	ws := make([]workerState[T], workers)
 	for i := range ws {
 		if k != 0 {
-			ws[i].top = core.NewTopK[T](k)
+			ws[i].top = core.NewTopK(k, cmp)
 		}
 	}
 	return ws

@@ -127,7 +127,7 @@ func peEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 				// shard's own enumeration prefix — never on which worker
 				// ran the preceding shards — keeping serial and parallel
 				// runs, and their counters, identical.
-				w.sink = core.NewTopK[RankedPattern](o.K)
+				w.sink = core.NewTopK(o.K, byContent(w.pt))
 			}
 		}
 		sh := tb.shards[si]
@@ -228,8 +228,8 @@ func (w *peWalker) leaf(r []kg.NodeID) {
 }
 
 // offerPattern hands a scored tree pattern to top or, if nil, to ws's list.
-// paths is walk-owned scratch: it is copied only for a kept pattern, and
-// the content key built only when the score can enter the queue.
+// paths is walk-owned scratch: it is copied only when the score can enter
+// the queue.
 func offerPattern(ws *workerState[RankedPattern], top *core.TopK[RankedPattern], pt *core.PatternTable, o *Options, paths []core.PatternID, agg core.PatternScore, rootAggs []RootAgg) {
 	score := agg.Value(o.Agg)
 	if top == nil {
@@ -243,8 +243,7 @@ func offerPattern(ws *workerState[RankedPattern], top *core.TopK[RankedPattern],
 		return
 	}
 	tp := core.TreePattern{Paths: append([]core.PatternID(nil), paths...)}
-	top.OfferFunc(score, func() string { return tp.ContentKey(pt) },
-		RankedPattern{Pattern: tp, Agg: agg, Score: score, RootAggs: rootAggs})
+	top.Offer(score, RankedPattern{Pattern: tp, Agg: agg, Score: score, RootAggs: rootAggs})
 }
 
 // intersectTypes intersects sorted TypeID lists.

@@ -28,10 +28,12 @@ import (
 //	    every product. Paths are built only for what consumes them — the
 //	    final k patterns' tables, retained TopTrees, RequireTreeShape.
 //
-//	lazy ranking keys  A pattern's tie-break key and its own copy of the
-//	    PatternID vector are made only when its score reaches the queue's
-//	    current k-th score (offerPattern, core.TopK.OfferFunc); what a full
-//	    queue rejects on score alone costs one comparison.
+//	ranking by score, then content  A pattern gets its own copy of the
+//	    PatternID vector only when its score reaches the queue's current
+//	    k-th score (offerPattern, core.TopK.WouldAccept); what a full queue
+//	    rejects on score alone costs one comparison. Equal scores are
+//	    ordered by comparing the patterns' contents in the table
+//	    (core.TreePattern.CompareContent): no key is built.
 //
 //	per-worker bookkeeping  LINEARENUM's TreeDict (leDict) hashes the
 //	    PatternID vector itself, is emptied between root types and draws
@@ -48,8 +50,8 @@ import (
 //	    bound cannot displace the shard-local k-th score is pruned without
 //	    fetching a single path. Soundness: the pruned pattern scores
 //	    strictly below K already-retained patterns from the same shard, so
-//	    it cannot be in the global top-k under the (score desc, key asc)
-//	    total order; the retained set of a TopK is insertion-order
+//	    it cannot be in the global top-k under the (score desc, content
+//	    asc) total order; the retained set of a TopK is insertion-order
 //	    independent, so dropping it never changes the answer. Because the
 //	    heap is shard-local, the pruning decisions — and therefore every
 //	    QueryStats counter — are identical in serial and parallel runs.

@@ -1,8 +1,8 @@
 package search
 
 import (
-	"encoding/binary"
-	"strings"
+	"cmp"
+	"math/bits"
 	"time"
 
 	"kbtable/internal/core"
@@ -28,7 +28,8 @@ func TopTrees(ix *index.Index, query string, k int, opts Options) ([]RankedTree,
 	o := opts.withDefaults()
 	words, surfaces := ResolveQuery(ix, query)
 	stats := QueryStats{Surfaces: surfaces, Words: words}
-	top := core.NewTopK[RankedTree](k)
+	pt := ix.PatternTable()
+	top := core.NewTopK(k, func(a, b RankedTree) int { return CompareTrees(pt, a, pt, b) })
 	if !queryable(ix, words) {
 		stats.Elapsed = time.Since(start)
 		return top.Results(), stats
@@ -53,7 +54,6 @@ func TopTrees(ix *index.Index, query string, k int, opts Options) ([]RankedTree,
 	// are scored on the terms-only kernel; a tuple's paths are built only
 	// once its score can enter the heap.
 	pruneRoots := !o.RequireTreeShape
-	pt := ix.PatternTable()
 	sc := &leScratch{}
 	for _, r := range candidates {
 		if pruneRoots && top.Len() >= k {
@@ -79,7 +79,7 @@ func TopTrees(ix *index.Index, query string, k int, opts Options) ([]RankedTree,
 				}
 				st := sc.agg.tree(r, tw.idx)
 				tp := core.TreePattern{Paths: append([]core.PatternID(nil), sc.choice...)}
-				top.OfferFunc(score, func() string { return treeKey(pt, tp, st) }, RankedTree{Tree: st, Pattern: tp, Score: score})
+				top.Offer(score, RankedTree{Tree: st, Pattern: tp, Score: score})
 			}
 		}
 	}
@@ -87,36 +87,35 @@ func TopTrees(ix *index.Index, query string, k int, opts Options) ([]RankedTree,
 	return top.Results(), stats
 }
 
-// treeKey builds a deterministic tie-break key for an individual subtree:
-// pattern content, then root, then the concrete edge IDs of each path.
-func treeKey(pt *core.PatternTable, tp core.TreePattern, st core.Subtree) string {
-	var sb strings.Builder
-	sb.WriteString(tp.ContentKey(pt))
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], uint32(st.Root))
-	sb.Write(buf[:])
-	for _, p := range st.Paths {
-		for _, e := range p.Edges {
-			binary.LittleEndian.PutUint32(buf[:], uint32(e))
-			sb.Write(buf[:])
-		}
-		if p.EdgeEnd {
-			sb.WriteByte(1)
-		} else {
-			sb.WriteByte(0)
+// CompareTrees orders the subtree a, whose pattern is interned in pa,
+// against b, interned in pb: by pattern content (CompareContent), then
+// root, then each path's edge IDs, every ID compared by its 4
+// little-endian bytes (the order the goldens and the deep dump pin for
+// tied trees). It reads no PatternID, so it is the same on every shard,
+// and a subtree lives wholly on the shard owning its root: per-shard
+// TopTrees lists merge into exactly a single index's top-k. Paths of equal
+// pattern content have equal length, so tied patterns' edge lists pair up.
+func CompareTrees(pa *core.PatternTable, a RankedTree, pb *core.PatternTable, b RankedTree) int {
+	if c := a.Pattern.CompareContent(pa, b.Pattern, pb); c != 0 {
+		return c
+	}
+	if c := compareLE(uint32(a.Tree.Root), uint32(b.Tree.Root)); c != 0 {
+		return c
+	}
+	for i, p := range a.Tree.Paths {
+		q := b.Tree.Paths[i]
+		for j, e := range p.Edges {
+			if c := compareLE(uint32(e), uint32(q.Edges[j])); c != 0 {
+				return c
+			}
 		}
 	}
-	return sb.String()
+	return 0
 }
 
-// TreeMergeKey is the deterministic ranking key of an individual subtree,
-// derived from pattern content, root and concrete edges — never from
-// interned PatternIDs. Shard gathers use it to merge per-shard TopTrees
-// results into a global top-k with exactly the tie-breaks a single engine
-// would apply (tree ranking is exact under sharding: an individual subtree
-// lives wholly on the shard owning its root).
-func TreeMergeKey(ix *index.Index, rt RankedTree) string {
-	return treeKey(ix.PatternTable(), rt.Pattern, rt.Tree)
+// compareLE orders x and y as their little-endian bytes compare.
+func compareLE(x, y uint32) int {
+	return cmp.Compare(bits.ReverseBytes32(x), bits.ReverseBytes32(y))
 }
 
 // wordIDsOf is a small helper for tests needing raw resolution.

@@ -60,8 +60,7 @@ type WirePlanStats struct {
 // WirePartial is one shard's complete scatter output: every pattern the
 // shard discovered (a leg ranks nothing — the global cut happens at the
 // gather) plus the per-shard statistics the gather folds. Patterns ascend
-// by content: in the order their core.TreePattern.ContentKey strings
-// compare, each listed once.
+// by content, in core.TreePattern.CompareContent order, each listed once.
 type WirePartial struct {
 	Shard int
 	// Paths is the path table: each distinct path the patterns name, once.

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -98,6 +99,12 @@ type gathered struct {
 type contribRef struct {
 	shard   int
 	pattern core.TreePattern
+}
+
+// compareContent orders two shards' patterns by content, each resolved in
+// its own shard's pattern table.
+func (e *Engine) compareContent(a, b contribRef) int {
+	return a.pattern.CompareContent(e.units[a.shard].ix.PatternTable(), b.pattern, e.units[b.shard].ix.PatternTable())
 }
 
 // Search answers a query under plan. plan.Algo may be Auto, resolved here
@@ -274,11 +281,12 @@ func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search
 // (D4M's associative-array addition), and returns the global top-k and
 // the number of distinct patterns. Equal heads are one pattern: their root
 // partials merge into the ascending run a one-shard engine folds, so
-// scores keep their bits. A content key is built only to break a tie.
+// scores keep their bits. A score tie is broken by content, comparing the
+// lead contributors' patterns across their shards' tables.
 func (e *Engine) gather(outs []shardOut, k int, agg core.Agg) (*core.TopK[gathered], int) {
 	table := func(si int) *core.PatternTable { return e.units[si].ix.PatternTable() }
 	head := func(si int) core.TreePattern { return outs[si].patterns[0].Pattern }
-	top := core.NewTopK[gathered](k)
+	top := core.NewTopK(k, func(a, b gathered) int { return e.compareContent(a.contrib[0], b.contrib[0]) })
 	var lead []int // the shards whose head is the least pattern, ascending
 	var runs [][]search.RootAgg
 	for found := 0; ; found++ {
@@ -313,7 +321,7 @@ func (e *Engine) gather(outs []shardOut, k int, agg core.Agg) (*core.TopK[gather
 			for _, si := range lead {
 				g.contrib = append(g.contrib, contribRef{shard: si, pattern: head(si)})
 			}
-			top.OfferFunc(score, func() string { return g.contrib[0].pattern.ContentKey(table(lead[0])) }, g)
+			top.Offer(score, g)
 		}
 		for _, si := range lead {
 			outs[si].patterns = outs[si].patterns[1:]
@@ -394,12 +402,11 @@ type RankedTree struct {
 
 // TopTrees ranks individual valid subtrees across all shards. A subtree
 // lives wholly on the shard owning its root, so per-shard top-k lists
-// merge exactly under the same (score, content key) order a single index
-// uses.
+// merge exactly under the order a single index uses (score, then
+// search.CompareTrees).
 func (e *Engine) TopTrees(query string, k int, opts search.Options) ([]RankedTree, search.QueryStats) {
 	type out struct {
 		trees []search.RankedTree
-		keys  []string
 		table *core.PatternTable
 		stats search.QueryStats
 	}
@@ -407,17 +414,13 @@ func (e *Engine) TopTrees(query string, k int, opts search.Options) ([]RankedTre
 	e.scatter(func(si int) {
 		ix := e.units[si].ix
 		trees, stats := search.TopTrees(ix, query, k, opts)
-		keys := make([]string, len(trees))
-		for i, rt := range trees {
-			keys[i] = search.TreeMergeKey(ix, rt)
-		}
-		outs[si] = out{trees: trees, keys: keys, table: ix.PatternTable(), stats: stats}
+		outs[si] = out{trees: trees, table: ix.PatternTable(), stats: stats}
 	})
-	top := core.NewTopK[RankedTree](k)
+	top := core.NewTopK(k, func(a, b RankedTree) int { return search.CompareTrees(a.Table, a.RankedTree, b.Table, b.RankedTree) })
 	stats := search.QueryStats{Surfaces: outs[0].stats.Surfaces, Words: outs[0].stats.Words}
 	for si := range outs {
-		for i, rt := range outs[si].trees {
-			top.Offer(rt.Score, outs[si].keys[i], RankedTree{RankedTree: rt, Table: outs[si].table})
+		for _, rt := range outs[si].trees {
+			top.Offer(rt.Score, RankedTree{RankedTree: rt, Table: outs[si].table})
 		}
 		stats.CandidateRoots += outs[si].stats.CandidateRoots
 		stats.TreesFound += outs[si].stats.TreesFound
@@ -427,15 +430,17 @@ func (e *Engine) TopTrees(query string, k int, opts search.Options) ([]RankedTre
 }
 
 // CountAllContent counts a query's distinct tree patterns across all
-// shards (for query explanation): the per-shard pattern sets union by
-// content key, since per-shard pattern tables intern IDs independently.
-// The caller bounds the work with the planner probe's subtree count.
+// shards (for query explanation): the per-shard pattern lists, merged and
+// sorted by content, compact to one entry per pattern, since per-shard
+// pattern tables intern IDs independently. The caller bounds the work
+// with the planner probe's subtree count.
 func (e *Engine) CountAllContent(query string) int {
-	seen := map[string]struct{}{}
+	var all []contribRef
 	for si := 0; si < e.n; si++ {
-		for k := range search.CountAllContent(e.units[si].ix, query) {
-			seen[k] = struct{}{}
+		for _, tp := range search.CountAllContent(e.units[si].ix, query) {
+			all = append(all, contribRef{shard: si, pattern: tp})
 		}
 	}
-	return len(seen)
+	slices.SortFunc(all, e.compareContent)
+	return len(slices.CompactFunc(all, func(a, b contribRef) bool { return e.compareContent(a, b) == 0 }))
 }
