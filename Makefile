@@ -79,7 +79,10 @@ fma:
 # Tree patterns have one order, content compared in place
 # (core.TreePattern.CompareContent, search.CompareTrees): fail if non-test
 # Go outside the experiment harness builds a content key or a key-taking
-# top-k again (ContentKey's own definition aside).
+# top-k again (ContentKey's own definition aside). Auto is resolved by
+# the engine alone, inside SearchPlan/SearchDistributed on the miss that
+# computes a result: fail if non-test Go in internal/serve calls the
+# planner (.Plan( or PlanDistributed() again.
 BASELINE_FREE = internal/shard internal/cluster internal/serve internal/api cmd/kbsearch
 EXECUTOR_FORK = PrepareQuery|ExecutePrepared|SearchPrepared|(shard|search)\.Prepared\b|NumCandidateRoots|SubtreeCount
 PREPARED_ROUTE = PreparedID|CodePreparedGone|handlePrepare|"/prepare"
@@ -105,7 +108,9 @@ one-path:
 	  if [ -n "$$hits" ]; then echo "a delta clones the dictionary or pattern table through a snapshot round trip (fork them: Dict.Fork, PatternTable.Fork):"; echo "$$hits"; exit 1; fi; \
 	  hits=$$(grep -rnE '$(CONTENT_KEY)' --include='*.go' --exclude='*_test.go' . | grep -vE '^\./internal/bench/|^\./internal/core/pattern\.go:[0-9]+:func \(tp TreePattern\) ContentKey\('); \
 	  if [ -n "$$hits" ]; then echo "a content key built outside internal/bench (compare content: CompareContent, search.CompareTrees):"; echo "$$hits"; exit 1; fi; \
-	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type, one pattern order"
+	  hits=$$(grep -rnE '\.Plan\(|PlanDistributed\(' --include='*.go' --exclude='*_test.go' internal/serve); \
+	  if [ -n "$$hits" ]; then echo "the serve layer resolves Auto again (the engine resolves it inside SearchPlan/SearchDistributed):"; echo "$$hits"; exit 1; fi; \
+	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type, one pattern order, one Auto resolution"
 
 check: vet build race api-procs alloc bench benchmark-module index-procs fma one-path
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -243,8 +243,8 @@ func TestAPITranscript(t *testing.T) {
 	note("a query holding the cache key's separator cannot pass for another request")
 	search(api.SearchRequest{Query: "x|patternenum"})
 	search(api.SearchRequest{Query: "x", Algorithm: "patternenum"})
-	note("auto reports the resolved algorithm and its planner decision, and shares the",
-		"entry of that algorithm both ways; each request reports its own plan")
+	note("auto reports the resolved algorithm and its planner decision; auto and an explicit",
+		"algorithm keep entries of their own, with the same answers, each with its own plan")
 	auto := search(api.SearchRequest{Query: q, Algorithm: "auto"})
 	search(api.SearchRequest{Query: q, Algorithm: auto.Algorithm})
 	search(api.SearchRequest{Query: q, Algorithm: "auto"})

@@ -15,24 +15,20 @@ import (
 // cache, the flight that computed it and every request it answers. It
 // holds the answers encoded once, as the JSON array every reply splices
 // in, and not the answer structs: a cached table costs its bytes alone.
-// head carries the reply fields the entry fixes (query, k, algorithm, d,
-// epoch, elapsed_ms); plan is the plan the computing request reported.
+// head carries the reply fields the entry fixes: query, k, d, epoch,
+// elapsed_ms, and the algorithm and plan the engine ran it with — for an
+// auto entry, the resolved algorithm and the planner's decision.
 type cacheEntry struct {
 	head    api.SearchResponse
-	plan    kbtable.PlanInfo
 	answers []byte
 }
 
 // write answers one request from the entry: a freshly encoded head,
-// then the cached answer bytes, in one Write. The plan must reflect THIS
-// request, not whichever request populated the entry: an auto request
-// carries its own planner decision and probe statistics, an explicit
-// request carries no decision, even when the entry was computed the
-// other way around. Stage timings stay those of the computing run.
-func (e *cacheEntry) write(w http.ResponseWriter, chosen *kbtable.PlanInfo, cached, coalesced bool) {
+// then the cached answer bytes, in one Write. Every reply from one entry
+// reports the plan it was computed with, stage timings included.
+func (e *cacheEntry) write(w http.ResponseWriter, cached, coalesced bool) {
 	resp := e.head
 	resp.Cached, resp.Coalesced = cached, coalesced
-	resp.Plan = planOut(planFor(e.plan, chosen))
 	body, err := api.AppendSearchResponse(make([]byte, 0, len(e.answers)+len(resp.Query)+512), &resp, e.answers)
 	if err != nil {
 		WriteError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
@@ -41,22 +37,6 @@ func (e *cacheEntry) write(w http.ResponseWriter, chosen *kbtable.PlanInfo, cach
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
-}
-
-// planFor returns run — the plan of an execution under an explicitly
-// named algorithm — as a request should report it. chosen non-nil marks
-// an auto request that resolved to that algorithm: it surfaces the
-// planner's decision and the (richer) statistics it was based on, keeping
-// the run's timings. nil marks an explicit request: no decision.
-func planFor(run kbtable.PlanInfo, chosen *kbtable.PlanInfo) kbtable.PlanInfo {
-	if chosen == nil {
-		run.Auto, run.Reason = false, ""
-		return run
-	}
-	run.Auto, run.Reason = true, chosen.Reason
-	run.CandidateRoots, run.RootTypes = chosen.CandidateRoots, chosen.RootTypes
-	run.PatternSpace, run.Frontier = chosen.PatternSpace, chosen.Frontier
-	return run
 }
 
 // planOut converts a facade PlanInfo to the wire form.
@@ -128,10 +108,10 @@ func (s *Server) normalizeRequest(req *api.SearchRequest) (kbtable.Algorithm, er
 	return algo, nil
 }
 
-// cacheKey identifies one (query, options) result in the LRU. algo is the
-// *resolved* algorithm name: an "auto" request whose plan resolves to
-// patternenum shares its entry with explicit patternenum requests (the
-// answers are bit-identical by the planner's equivalence guarantee).
+// cacheKey identifies one (query, options) result in the LRU. algo is
+// the *requested* algorithm's canonical name: an "auto" request and an
+// explicit one never share an entry, so a hit needs no planner work —
+// the engine resolves auto once, on the miss that computes the entry.
 //
 // The variable-length fields are length-prefixed, making the encoding
 // injective: a query containing the field separator (or any future algo
@@ -172,32 +152,27 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, bodyPriority stri
 	return s.gate.release, true
 }
 
-// runner returns how searches pinned to st resolve a plan and execute:
-// on the engine itself, or — in coordinator mode — scattered through
-// Config.Distributor to the owner nodes and gathered on the engine,
-// bit-identical to SearchPlan by the Theorem-5 fold, with failed legs
-// re-executed locally inside the engine. Scattered calls carry st's WAL
-// position on their context so the cluster transport can demand owner
-// nodes at exactly that position (api.SeqFrom on the other side), keeping
-// every leg on the snapshot the request is answering from.
-func (s *Server) runner(st *engineState) (
-	plan func(context.Context, string, kbtable.SearchOptions) (kbtable.PlanInfo, error),
-	search func(context.Context, string, kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error),
-) {
-	exec := s.cfg.Distributor
-	if exec == nil {
-		return st.eng.Plan, st.eng.SearchPlan
+// search runs one query on the snapshot st pins: on the engine itself,
+// or — in coordinator mode — scattered through Config.Distributor to the
+// owner nodes and gathered on the engine, bit-identical to SearchPlan by
+// the Theorem-5 fold, with failed legs re-executed locally inside the
+// engine. Either way an auto query is resolved by the engine, from its
+// plan cache or one probe. Scattered calls carry st's WAL position on
+// their context so the cluster transport can demand owner nodes at
+// exactly that position (api.SeqFrom on the other side), keeping every
+// leg on the snapshot the request is answering from.
+func (s *Server) search(ctx context.Context, st *engineState, query string, o kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error) {
+	if s.cfg.Distributor == nil {
+		return st.eng.SearchPlan(ctx, query, o)
 	}
-	seq := st.eng.Seq()
-	plan = func(ctx context.Context, q string, o kbtable.SearchOptions) (kbtable.PlanInfo, error) {
-		return st.eng.PlanDistributed(api.WithSeq(ctx, seq), exec, q, o)
-	}
-	search = func(ctx context.Context, q string, o kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error) {
-		return st.eng.SearchDistributed(api.WithSeq(ctx, seq), exec, q, o)
-	}
-	return plan, search
+	return st.eng.SearchDistributed(api.WithSeq(ctx, st.eng.Seq()), s.cfg.Distributor, query, o)
 }
 
+// handleSearch answers one search: from the result cache, keyed by the
+// requested algorithm, or from a flight whose leader runs the engine.
+// An auto request's reply names the algorithm its entry resolved to, and
+// the planner counters count that choice on hits, misses and coalesced
+// followers alike.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	var req api.SearchRequest
@@ -214,6 +189,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	if algo == kbtable.Auto {
+		s.autoRequests.Add(1)
+	}
 
 	// Pin this request to the currently published snapshot: even if an
 	// update lands mid-query, we keep searching (and report) this epoch.
@@ -221,37 +199,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
 
-	// Resolve "auto" before touching the cache: the planner names the
-	// algorithm the query would run as, the cache is keyed under that
-	// name, and execution (on a miss) requests it explicitly — so auto
-	// answers share entries with explicit requests in both directions,
-	// and are byte-identical to them. The probe repeats prepare-stage
-	// lookups that a miss's execution redoes (a plan-cache hit skips
-	// them); that double work is the price of knowing the key before the
-	// lookup, and is small next to enumeration (it is exactly the
-	// prepare_ms share of the plan's stage timings).
-	var chosen *kbtable.PlanInfo
-	if algo == kbtable.Auto {
-		s.autoRequests.Add(1)
-		plan, _ := s.runner(st)
-		pi, err := plan(ctx, req.Query, searchOptions(&req, algo))
-		if err != nil {
-			writeSearchError(w, err)
-			return
-		}
-		chosen = &pi
-		algo = pi.Algorithm
-		if algo == kbtable.LinearEnum {
-			s.autoChoseLE.Add(1)
-		} else {
-			s.autoChosePE.Add(1)
-		}
-	}
-	algoName := api.AlgorithmName(algo)
-
-	key := cacheKey(req.Query, algoName, req.K, req.D, req.MaxRows)
+	key := cacheKey(req.Query, req.Algorithm, req.K, req.D, req.MaxRows)
 	if hit, ok := s.cache.Get(key, st.epoch); ok {
-		hit.write(w, chosen, true, false)
+		s.countChoice(algo, hit)
+		hit.write(w, true, false)
 		return
 	}
 
@@ -268,8 +219,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		defer lcancel()
 
 		t0 := time.Now()
-		_, search := s.runner(st)
-		answers, pi, err := search(lctx, req.Query, searchOptions(&req, algo))
+		answers, pi, err := s.search(lctx, st, req.Query, searchOptions(&req, algo))
 		if err != nil {
 			return nil, err
 		}
@@ -283,12 +233,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			head: api.SearchResponse{
 				Query:     req.Query,
 				K:         req.K,
-				Algorithm: algoName,
+				Algorithm: api.AlgorithmName(pi.Algorithm),
 				D:         req.D,
 				Epoch:     st.epoch,
 				ElapsedMS: float64(elapsed.Microseconds()) / 1000,
+				Plan:      planOut(pi),
 			},
-			plan:    planFor(pi, chosen),
 			answers: encoded,
 		}
 		// Tagged with the query's canonical words for word-precise
@@ -303,7 +253,20 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if joined {
 		s.metrics.coalesced.Add(1)
 	}
-	ent.write(w, chosen, false, joined)
+	s.countChoice(algo, ent)
+	ent.write(w, false, joined)
+}
+
+// countChoice counts, for an auto request, the algorithm the entry
+// answering it resolved to.
+func (s *Server) countChoice(algo kbtable.Algorithm, e *cacheEntry) {
+	switch {
+	case algo != kbtable.Auto:
+	case e.head.Algorithm == api.AlgorithmName(kbtable.LinearEnum):
+		s.autoChoseLE.Add(1)
+	default:
+		s.autoChosePE.Add(1)
+	}
 }
 
 // searchOptions lowers a normalized request onto the facade's options.

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"regexp"
@@ -12,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"kbtable"
 	"kbtable/internal/api"
 )
 
@@ -77,35 +75,33 @@ func TestSearchPanicReleasesFlight(t *testing.T) {
 var perRequest = regexp.MustCompile(`"cached":(true|false)|"coalesced":true,|"elapsed_ms":[^,]*|"plan":\{[^}]*\},`)
 
 // TestHitMissCoalescedBodiesAgree pins that a miss, a coalesced follower
-// and a cache hit on one result write the same bytes but for cached,
-// coalesced, elapsed_ms and plan, and that an auto and an explicit
-// request sharing the result each report their own plan, whichever of
-// them computed it.
+// and a cache hit of one auto request write the same bytes but for
+// cached, coalesced, elapsed_ms and plan; that an explicit request for
+// the algorithm auto resolved to is a miss of its own, answering the same
+// bytes (the Auto-equivalence property, through HTTP); and that an auto
+// cache hit does no planner work. Auto and explicit requests no longer
+// share an entry, so there is no cross-spelling hit to check.
 func TestHitMissCoalescedBodiesAgree(t *testing.T) {
 	eng := newBlockingEngine(t)
 	srv := New(Config{Engine: eng, D: 3})
 	ts := newHTTPServer(t, srv)
-	q := "database software company revenue"
-	resolved, err := eng.Plan(context.Background(), q, kbtable.SearchOptions{K: 10, Algorithm: kbtable.Auto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit := api.SearchRequest{Query: q, Algorithm: api.AlgorithmName(resolved.Algorithm)}
-	auto := api.SearchRequest{Query: q, Algorithm: "auto"}
+	auto := api.SearchRequest{Query: "database software company revenue", Algorithm: "auto"}
 
-	// The explicit request leads; the auto one, resolving to the same
-	// algorithm, joins its flight.
 	var wg sync.WaitGroup
 	var miss, follower []byte
 	wg.Add(2)
-	go func() { defer wg.Done(); _, miss = rawSearch(t, ts.URL, explicit) }()
+	go func() { defer wg.Done(); _, miss = rawSearch(t, ts.URL, auto) }()
 	waitFor(t, "the leader in the engine", func() bool { return eng.executions.Load() == 1 })
 	go func() { defer wg.Done(); _, follower = rawSearch(t, ts.URL, auto) }()
 	waitJoined(t, 2)
 	close(eng.release)
 	wg.Wait()
-	_, explicitHit := rawSearch(t, ts.URL, explicit)
-	_, autoHit := rawSearch(t, ts.URL, auto)
+	plans := eng.PlanCacheStats()
+	_, hit := rawSearch(t, ts.URL, auto)
+	if after := eng.PlanCacheStats(); after.Hits != plans.Hits || after.Misses != plans.Misses {
+		t.Errorf("plan cache %d hits, %d misses across an auto cache hit, want %d, %d: a hit does no planner work",
+			after.Hits, after.Misses, plans.Hits, plans.Misses)
+	}
 
 	decode := func(name string, body []byte) api.SearchResponse {
 		var r api.SearchResponse
@@ -114,25 +110,37 @@ func TestHitMissCoalescedBodiesAgree(t *testing.T) {
 		}
 		return r
 	}
-	m, f, eh, ah := decode("miss", miss), decode("follower", follower), decode("explicit hit", explicitHit), decode("auto hit", autoHit)
-	if m.Cached || m.Coalesced || f.Cached || !f.Coalesced || !eh.Cached || !ah.Cached {
-		t.Fatalf("flags: miss %v/%v, follower %v/%v, hits %v %v; want one miss, one coalesced, two hits",
-			m.Cached, m.Coalesced, f.Cached, f.Coalesced, eh.Cached, ah.Cached)
+	m, f, h := decode("miss", miss), decode("follower", follower), decode("hit", hit)
+	if m.Cached || m.Coalesced || f.Cached || !f.Coalesced || !h.Cached {
+		t.Fatalf("flags: miss %v/%v, follower %v/%v, hit %v; want one miss, one coalesced, one hit",
+			m.Cached, m.Coalesced, f.Cached, f.Coalesced, h.Cached)
 	}
 	if n := eng.executions.Load(); n != 1 {
 		t.Fatalf("%d executions, want 1", n)
 	}
 	want := perRequest.ReplaceAll(miss, nil)
-	for name, body := range map[string][]byte{"follower": follower, "explicit hit": explicitHit, "auto hit": autoHit} {
+	for name, body := range map[string][]byte{"follower": follower, "hit": hit} {
 		if got := perRequest.ReplaceAll(body, nil); !bytes.Equal(got, want) {
 			t.Errorf("%s body differs from the miss:\n got: %s\nwant: %s", name, got, want)
 		}
 	}
-	if m.Plan == nil || m.Plan.Auto || m.Plan.Reason != "" || *eh.Plan != *m.Plan {
-		t.Errorf("explicit plans: miss %+v, hit %+v; want the same, auto=false", m.Plan, eh.Plan)
+	if m.Plan == nil || !m.Plan.Auto || m.Plan.Reason == "" || m.Plan.Algorithm != m.Algorithm || m.Algorithm == "auto" {
+		t.Errorf("auto miss: algorithm %q, plan %+v; want the resolved algorithm with the planner's decision", m.Algorithm, m.Plan)
 	}
-	if f.Plan == nil || !f.Plan.Auto || f.Plan.Reason == "" || *ah.Plan != *f.Plan {
-		t.Errorf("auto plans: follower %+v, hit %+v; want the same, auto=true with a reason", f.Plan, ah.Plan)
+	if *f.Plan != *m.Plan || *h.Plan != *m.Plan {
+		t.Errorf("auto plans: miss %+v, follower %+v, hit %+v; want the entry's plan on each", m.Plan, f.Plan, h.Plan)
+	}
+
+	_, explicit := rawSearch(t, ts.URL, api.SearchRequest{Query: auto.Query, Algorithm: m.Algorithm})
+	e := decode("explicit", explicit)
+	if e.Cached || eng.executions.Load() != 2 {
+		t.Fatalf("explicit %s after auto: cached %v, %d executions; want its own miss", m.Algorithm, e.Cached, eng.executions.Load())
+	}
+	if e.Plan == nil || e.Plan.Auto || e.Plan.Reason != "" {
+		t.Errorf("explicit plan %+v, want no planner decision", e.Plan)
+	}
+	if got := perRequest.ReplaceAll(explicit, nil); !bytes.Equal(got, want) {
+		t.Errorf("explicit %s answers differ from auto's:\n got: %s\nwant: %s", m.Algorithm, got, want)
 	}
 }
 

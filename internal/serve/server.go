@@ -27,12 +27,12 @@ import (
 // an interface so that Config.Engine can be a decorator embedding
 // *kbtable.Engine and overriding single methods (the benchmark's tracer,
 // tests that park or time out a search); every engine an update publishes
-// is the plain *kbtable.Engine the apply returned.
+// is the plain *kbtable.Engine the apply returned. It has no planner
+// method: an auto search is resolved inside SearchPlan or
+// SearchDistributed, and the reply reports the plan it ran with.
 type Engine interface {
 	SearchPlan(ctx context.Context, query string, opts kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error)
-	Plan(ctx context.Context, query string, opts kbtable.SearchOptions) (kbtable.PlanInfo, error)
 	SearchDistributed(ctx context.Context, exec kbtable.ShardExecutor, query string, opts kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error)
-	PlanDistributed(ctx context.Context, exec kbtable.ShardExecutor, query string, opts kbtable.SearchOptions) (kbtable.PlanInfo, error)
 	QueryWords(query string) []string
 
 	ApplyUpdate(u kbtable.Update) (*kbtable.Engine, kbtable.UpdateResult, error)
@@ -166,7 +166,8 @@ type Server struct {
 	hs       *http.Server
 
 	// Planner counters for /v1/healthz: how many searches asked for
-	// "auto" and what the planner resolved them to.
+	// "auto" and what the planner resolved them to, read from the plan
+	// of the entry that answered each.
 	autoRequests atomic.Uint64
 	autoChosePE  atomic.Uint64
 	autoChoseLE  atomic.Uint64

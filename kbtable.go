@@ -300,8 +300,9 @@ type Engine struct {
 }
 
 // NewEngine builds the path-pattern indexes (Section 3) for g. Building
-// cost grows steeply with D (see EXPERIMENTS.md Figure 6); D=3 is a good
-// default balance of answer quality and cost.
+// cost grows steeply with D (Figure 6: internal/bench's RunFig6, run by
+// `kbbench -only fig6`; see README "Development"); D=3 is a good default
+// balance of answer quality and cost.
 func NewEngine(g *Graph, opts EngineOptions) (*Engine, error) {
 	if g == nil {
 		return nil, errors.New("kbtable: nil graph")
@@ -978,8 +979,9 @@ type TreeAnswer struct {
 
 // SearchTrees ranks individual valid subtrees instead of tree patterns —
 // useful when the query intent is a single best answer ("popular XBox
-// game") rather than a list ("list of XBox games"). See EXPERIMENTS.md's
-// case study for the contrast.
+// game") rather than a list ("list of XBox games"). The Figures 14-15
+// case study shows the contrast: internal/bench's RunCaseStudy, run by
+// `kbbench -only case` (see README "Development").
 func (e *Engine) SearchTrees(query string, k int) ([]TreeAnswer, error) {
 	if !e.sh.Complete() {
 		return nil, ErrPartialEngine
