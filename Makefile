@@ -82,11 +82,15 @@ fma:
 # top-k again (ContentKey's own definition aside). Auto is resolved by
 # the engine alone, inside SearchPlan/SearchDistributed on the miss that
 # computes a result: fail if non-test Go in internal/serve calls the
-# planner (.Plan( or PlanDistributed() again.
+# planner (.Plan( or PlanDistributed() again. The result cache is the one
+# cache in front of the engine, and every Auto search plans from its own
+# probe: fail if non-test Go reports plan-cache stats or builds a cache
+# of planner statistics again.
 BASELINE_FREE = internal/shard internal/cluster internal/serve internal/api cmd/kbsearch
 EXECUTOR_FORK = PrepareQuery|ExecutePrepared|SearchPrepared|(shard|search)\.Prepared\b|NumCandidateRoots|SubtreeCount
 PREPARED_ROUTE = PreparedID|CodePreparedGone|handlePrepare|"/prepare"
 CONTENT_KEY = ContentKey\(|OfferFunc|TreeMergeKey
+PLAN_CACHE = PlanCacheStats|cache\.New\[search\.PlanStats\]
 API_ALIAS = ^[[:space:]]*(type[[:space:]]+[A-Z][[:alnum:]_]*[[:space:]]+=?|[A-Z][[:alnum:]_]*[[:space:]]*=)[[:space:]]*api\.[A-Z]
 one-path:
 	@hits=$$(grep -rnE 'AlgoBaseline|BaselineIndex|kbtable\.Baseline' --include='*.go' --exclude='*_test.go' $(BASELINE_FREE)); \
@@ -110,7 +114,9 @@ one-path:
 	  if [ -n "$$hits" ]; then echo "a content key built outside internal/bench (compare content: CompareContent, search.CompareTrees):"; echo "$$hits"; exit 1; fi; \
 	  hits=$$(grep -rnE '\.Plan\(|PlanDistributed\(' --include='*.go' --exclude='*_test.go' internal/serve); \
 	  if [ -n "$$hits" ]; then echo "the serve layer resolves Auto again (the engine resolves it inside SearchPlan/SearchDistributed):"; echo "$$hits"; exit 1; fi; \
-	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type, one pattern order, one Auto resolution"
+	  hits=$$(grep -rnE '$(PLAN_CACHE)' --include='*.go' --exclude='*_test.go' .); \
+	  if [ -n "$$hits" ]; then echo "a plan cache beside the result cache (Auto plans from its own probe):"; echo "$$hits"; exit 1; fi; \
+	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type, one pattern order, one Auto resolution, one cache"
 
 check: vet build race api-procs alloc bench benchmark-module index-procs fma one-path
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -12,9 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"kbtable/internal/cache"
 	"kbtable/internal/kg"
-	"kbtable/internal/search"
 	"kbtable/internal/shard"
 )
 
@@ -119,7 +117,6 @@ func TestSearchDistributedFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coord.plans = cache.New[search.PlanStats](0) // every Auto query probes, so probe legs run (and fail) too
 		owner, err := NewEngine(g, EngineOptions{D: 3, Shards: shards})
 		if err != nil {
 			t.Fatal(err)

@@ -95,7 +95,7 @@ func main() {
 	opts := search.Options{K: *k, Lambda: *lambda, Rho: *rho, MaxTreesPerPattern: *rows}
 
 	exec := func(q string) *shard.Result {
-		res, err := se.Search(context.Background(), search.Plan{Algo: algo}, q, opts, nil)
+		res, err := se.Search(context.Background(), algo, q, opts, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,10 +9,8 @@ import (
 	"sync"
 	"time"
 
-	"kbtable/internal/cache"
 	"kbtable/internal/index"
 	"kbtable/internal/kg"
-	"kbtable/internal/search"
 	"kbtable/internal/shard"
 	"kbtable/internal/store"
 )
@@ -501,7 +499,7 @@ func loadSnapshot(sn *store.Snapshot, opts EngineOptions) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kbtable: %w", err)
 	}
-	return &Engine{g: &Graph{g: g}, sh: sh, o: opts, seq: m.Seq, plans: cache.New[search.PlanStats](planCacheSize)}, nil
+	return &Engine{g: &Graph{g: g}, sh: sh, o: opts, seq: m.Seq}, nil
 }
 
 // OpenDirOpts opens a data directory and recovers its engine in one

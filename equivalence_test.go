@@ -143,11 +143,9 @@ func executorRunner(t *testing.T, g *Graph, workers int) deepRunner {
 
 // engineRunner runs the engine at one worker: Baseline on its whole-graph
 // baseline, the others on the shard layer through legs (nil: every leg in
-// process). planned runs the planner probe first and hands shard.Search
-// the plan ChoosePlan resolves from it, the path a facade plan-cache hit
-// takes. The answer counts are the probe's subtree count and the
+// process). The answer counts are the probe's subtree count and the
 // content-keyed pattern union.
-func engineRunner(e *Engine, planned bool, legs func(q string, o search.Options) shard.Legs) deepRunner {
+func engineRunner(e *Engine, legs func(q string, o search.Options) shard.Legs) deepRunner {
 	ctx := context.Background()
 	sh := e.sh
 	return deepRunner{
@@ -157,17 +155,12 @@ func engineRunner(e *Engine, planned bool, legs func(q string, o search.Options)
 			var err error
 			if algo == search.AlgoBaseline {
 				res, err = e.searchBaseline(ctx, q, o)
-			} else if planned {
-				var st search.PlanStats
-				if st, err = sh.PlanStats(ctx, q, o, nil); err == nil {
-					res, err = sh.Search(ctx, search.ChoosePlan(algo, st), q, o, nil)
-				}
 			} else {
 				var l shard.Legs
 				if legs != nil {
 					l = legs(q, o)
 				}
-				res, err = sh.Search(ctx, search.Plan{Algo: algo}, q, o, l)
+				res, err = sh.Search(ctx, algo, q, o, l)
 			}
 			if err != nil {
 				return deepResult{}, err
@@ -461,7 +454,7 @@ func (l wireLegs) Scatter(ctx context.Context, si int, algo search.Algo) (*shard
 // adding each leg that fell back to its own shard to fallbacks.
 func clusterRunner(coord *Engine, owners []*Engine, fallbacks *atomic.Int64) deepRunner {
 	var scattered atomic.Int64
-	r := engineRunner(coord, false, func(q string, o search.Options) shard.Legs {
+	r := engineRunner(coord, func(q string, o search.Options) shard.Legs {
 		return wireLegs{owners, q, o, &scattered, fallbacks}
 	})
 	run := r.search
@@ -488,8 +481,7 @@ func matrixEngine(t *testing.T, g *Graph, n int, owned ...int) *Engine {
 // (Theorem 5), load ≡ build, cluster ≡ single node, incremental ≡ rebuild —
 // over the deep dump, one axis at a time so that a break specific to one
 // regime cannot hide behind a passing one. Against the committed
-// reference: workers{2,4}, shards{1,2,3,8}, prepared{1,3} (a plan
-// resolved from the probe, then shard.Search), recovered{1,3} (Checkpoint
+// reference: workers{2,4}, shards{1,2,3,8}, recovered{1,3} (Checkpoint
 // then Store.Recover) and cluster{2,3} (every leg on a partial owner
 // engine through the wire codecs, with zero local fallbacks). After one fixed ApplyUpdate chain: the
 // engine it maintained at shards {1, 3} against NewEngine over the final
@@ -530,7 +522,7 @@ func testMatrix(t *testing.T, spec corpusSpec, resolved *[2]atomic.Int64) {
 	}
 	rebuilt := map[int]map[deepCell][]string{}
 	for _, n := range []int{1, 3} {
-		rebuilt[n] = deepDump(t, spec.queries, engineRunner(matrixEngine(t, final.Graph(), n), false, nil), nil)
+		rebuilt[n] = deepDump(t, spec.queries, engineRunner(matrixEngine(t, final.Graph(), n), nil), nil)
 	}
 
 	fixture := readDeep(t, spec)
@@ -545,18 +537,16 @@ func testMatrix(t *testing.T, spec corpusSpec, resolved *[2]atomic.Int64) {
 		{"reference", nil, executorRunner(t, g, 1), fixture},
 		{"workers2", nil, executorRunner(t, g, 2), fixture},
 		{"workers4", nil, executorRunner(t, g, 4), fixture},
-		{"shards1", engine, engineRunner(engines[1], false, nil), fixture},
-		{"shards2", sharded, engineRunner(engines[2], false, nil), fixture},
-		{"shards3", sharded, engineRunner(engines[3], false, nil), fixture},
-		{"shards8", sharded, engineRunner(engines[8], false, nil), fixture},
-		{"prepared1", engine, engineRunner(engines[1], true, nil), fixture},
-		{"prepared3", sharded, engineRunner(engines[3], true, nil), fixture},
-		{"recovered1", engine, engineRunner(recovered(t, engines[1]), false, nil), fixture},
-		{"recovered3", sharded, engineRunner(recovered(t, engines[3]), false, nil), fixture},
+		{"shards1", engine, engineRunner(engines[1], nil), fixture},
+		{"shards2", sharded, engineRunner(engines[2], nil), fixture},
+		{"shards3", sharded, engineRunner(engines[3], nil), fixture},
+		{"shards8", sharded, engineRunner(engines[8], nil), fixture},
+		{"recovered1", engine, engineRunner(recovered(t, engines[1]), nil), fixture},
+		{"recovered3", sharded, engineRunner(recovered(t, engines[3]), nil), fixture},
 		{"cluster2", cluster, clusterRunner(engines[2], owners[2], &fallbacks), fixture},
 		{"cluster3", cluster, clusterRunner(engines[3], owners[3], &fallbacks), fixture},
-		{"updated1", []string{"updated"}, engineRunner(updated[1], false, nil), rebuilt[1]},
-		{"updated3", []string{"updated"}, engineRunner(updated[3], false, nil), rebuilt[3]},
+		{"updated1", []string{"updated"}, engineRunner(updated[1], nil), rebuilt[1]},
+		{"updated3", []string{"updated"}, engineRunner(updated[3], nil), rebuilt[3]},
 		{"updated-cluster2", cluster, clusterRunner(updated[2], updatedOwners[2], &fallbacks), rebuilt[1]},
 		{"updated-cluster3", cluster, clusterRunner(updated[3], updatedOwners[3], &fallbacks), rebuilt[1]},
 	}

@@ -229,13 +229,13 @@ type PlannerHealth struct {
 	// ChosePatternEnum / ChoseLinearEnum split the resolutions.
 	ChosePatternEnum uint64 `json:"chose_patternenum"`
 	ChoseLinearEnum  uint64 `json:"chose_linearenum"`
-	// PlanCache reports the engine chain's plan cache: repeat query
-	// shapes resolve their Auto plan from cached statistics instead of
-	// re-probing.
+	// Deprecated: never set (the engine keeps no plan cache); it goes
+	// when the benchmark module stops reading it.
 	PlanCache *PlanCacheHealth `json:"plan_cache,omitempty"`
 }
 
-// PlanCacheHealth is the /v1/healthz view of the engine's plan cache.
+// Deprecated: PlanCacheHealth was the healthz view of the removed plan
+// cache, and no reply carries it.
 type PlanCacheHealth struct {
 	Size     int `json:"size"`
 	Capacity int `json:"capacity"`

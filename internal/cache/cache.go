@@ -1,6 +1,5 @@
-// Package cache is the one reuse policy shared by everything that keeps
-// an answer (or the state behind one) across live updates: the facade's
-// plan cache and kbserve's result cache.
+// Package cache is the reuse policy for keeping an answer across live
+// updates: kbserve's result cache.
 //
 // A Cache is a fixed-capacity LRU whose entries carry the canonical words
 // they depend on, fenced by an epoch. An update calls Invalidate once with

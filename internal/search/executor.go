@@ -114,8 +114,8 @@ func (s *PlanStats) Merge(o PlanStats) {
 	// Sum PostingRoots positionally over the longer of the two vectors: a
 	// shard that resolved fewer keywords (or probed first) must not
 	// silently truncate the other partition's posting counts. The sum is a
-	// new slice: the receiver's may be shared with a plan-cache entry,
-	// which a merge must not write through.
+	// new slice: the receiver's may be shared with the shard plan it was
+	// copied from, which a merge must not write through.
 	sum := make([]int, max(len(s.PostingRoots), len(o.PostingRoots)))
 	copy(sum, s.PostingRoots)
 	for i, n := range o.PostingRoots {
@@ -340,10 +340,10 @@ func needFor(algo Algo) prepNeed {
 	}
 }
 
-// PlanProbe runs only the prepare stage and the planner over one index:
-// the statistics and resolved plan for a query, without executing it. The
-// shard layer scatters probes and merges their PlanStats; the facade's
-// Plan API and the serve layer's cache keying use it directly.
+// PlanProbe runs only the prepare stage over one index: the planner's
+// statistics for a query, without executing it. The shard layer scatters
+// probes and merges their PlanStats for every Auto search over N > 1
+// shards and for the facade's Plan and Explain.
 func PlanProbe(ctx context.Context, ix *index.Index, query string, opts Options) (PlanStats, error) {
 	words, surfaces := ResolveQuery(ix, query)
 	prep, err := prepare(ctx, ix, words, surfaces, needCost)

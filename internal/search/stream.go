@@ -401,7 +401,8 @@ func (sc *leScratch) nextCombo() bool {
 // score via Scorer.TreeUB, and nRoots·Π MaxRun bounds the subtree count.
 // The bound dispatches on the aggregation function: Count is bounded by
 // the subtree count, Max and Avg by the best single subtree, Sum by their
-// product. Always an over-approximation (possibly +Inf), never under.
+// product; sumSlack lifts Sum and Avg over the float fold of the subtree
+// scores. Always an over-approximation (possibly +Inf), never under.
 func peLeafUB(bounds []index.PatternBounds, nRoots int, o *Options) float64 {
 	var lenLo, lenHi, prLo, prHi, simLo, simHi float64
 	trees := float64(nRoots)
@@ -419,11 +420,25 @@ func peLeafUB(bounds []index.PatternBounds, nRoots int, o *Options) float64 {
 	switch o.Agg {
 	case core.AggCount:
 		return trees
-	case core.AggMax, core.AggAvg:
+	case core.AggMax:
 		return tree
+	case core.AggAvg:
+		return tree * sumSlack(trees)
 	default: // AggSum; unknown Aggs score 0, which trees*tree >= 0 covers
-		return trees * tree
+		return trees * tree * sumSlack(trees)
 	}
+}
+
+// sumSlack lifts a bound on the exact sum (or mean) of at most n
+// non-negative terms over their float fold, which can exceed it: 15 folds
+// of 2.5/3 give 12.500000000000002. The fold errs by at most
+// γ = (n−1)u/(1−(n−1)u), u = 2⁻⁵³ (Higham, §4.2); 1 + 4(n+1)u also covers
+// the bound's own roundings while (n−1)u ≤ 1/2, and +Inf past that.
+func sumSlack(n float64) float64 {
+	if n > 0x1p52 {
+		return math.Inf(1)
+	}
+	return 1 + float64(4*(n+1)*0x1p-53) // float64(): never fused into an FMA
 }
 
 // rootTreeUB bounds the best single-subtree score root r can produce, for

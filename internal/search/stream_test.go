@@ -258,4 +258,67 @@ func TestPeLeafUBIsSound(t *testing.T) {
 			}
 		}
 	}
+
+	// Float folds that exceed the correctly rounded product n·t: fifteen
+	// subtrees of 2.5/3 (a pattern tied at the k-th score on a random KB,
+	// which PATTERNENUM pruned), and six of 0.7. Each is one root holding
+	// n paths of one keyword, all with the same score terms.
+	for _, c := range []struct {
+		n, len  int
+		pr, sim float64
+	}{{15, 3, 2.5, 1}, {6, 1, 0.7, 1}} {
+		b := []index.PatternBounds{{MinLen: c.len, MaxLen: c.len, MinPR: c.pr, MaxPR: c.pr, MinSim: c.sim, MaxSim: c.sim, MaxRun: c.n}}
+		tree := core.DefaultScorer().FromSums(c.len, c.pr, c.sim)
+		var fold core.PatternScore
+		for range c.n {
+			fold.Add(tree)
+		}
+		if fold.Sum <= float64(c.n)*tree {
+			t.Fatalf("%d×%v folds to %v, not above the product %v: the case no longer exercises rounding", c.n, tree, fold.Sum, float64(c.n)*tree)
+		}
+		for _, agg := range []core.Agg{core.AggSum, core.AggAvg} {
+			o := Options{Agg: agg}.withDefaults()
+			if ub := peLeafUB(b, 1, &o); ub < fold.Value(agg) {
+				t.Errorf("agg=%v, %d×%v: peLeafUB=%v < float fold %v", agg, c.n, tree, ub, fold.Value(agg))
+			}
+		}
+	}
+}
+
+// TestRootTreeUBIsSound holds TopTrees' per-root bound to every subtree
+// it bounds, on Figure 1 and on a synthetic wiki under real PageRank. The
+// bound is on one subtree's score, whose term sums fold in the same
+// keyword order as the bound's, so it needs no fold slack.
+func TestRootTreeUBIsSound(t *testing.T) {
+	fig1, _ := buildFig1Index(t, 3)
+	wg := dataset.SynthWiki(dataset.WikiConfig{Entities: 600, Types: 20, Seed: 3})
+	wiki, err := index.Build(wg, index.Options{D: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		ix      *index.Index
+		queries []string
+	}{{fig1, []string{fig1Query}}, {wiki, nil}}
+	for _, q := range dataset.Workload(wg, dataset.WorkloadConfig{PerM: 2, MaxM: 3, Seed: 3}) {
+		cases[1].queries = append(cases[1].queries, q.Text)
+	}
+	o := Options{}.withDefaults()
+	checked := 0
+	for _, c := range cases {
+		for _, q := range c.queries {
+			words, _ := ResolveQuery(c.ix, q)
+			trees, _ := TopTrees(c.ix, q, 10000, Options{})
+			for _, rt := range trees {
+				ub, _, ok := rootTreeUB(c.ix, words, rt.Tree.Root, o)
+				if ok && ub < rt.Score {
+					t.Fatalf("%q root %d: rootTreeUB=%v < tree score %v", q, rt.Tree.Root, ub, rt.Score)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no subtree checked")
+	}
 }

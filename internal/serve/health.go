@@ -46,9 +46,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Entries: info.Entries,
 		},
 	}
-	if pc := api.PlanCacheHealth(st.eng.PlanCacheStats()); pc.Capacity > 0 {
-		resp.Planner.PlanCache = &pc
-	}
 	if s.gate != nil {
 		resp.Serving.MaxConcurrent = s.cfg.MaxConcurrent
 		resp.Serving.InFlight, resp.Serving.QueueDepth = s.gate.depth()

@@ -191,21 +191,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# TYPE kbserve_bound_pruned_total counter\n")
 	fmt.Fprintf(&b, "kbserve_bound_pruned_total %d\n", s.boundPruned.Load())
 
-	if pc := s.cur.Load().eng.PlanCacheStats(); pc.Capacity > 0 {
-		fmt.Fprintf(&b, "# HELP kbserve_plan_cache_hits_total Plan-cache hits (planner probes skipped).\n")
-		fmt.Fprintf(&b, "# TYPE kbserve_plan_cache_hits_total counter\n")
-		fmt.Fprintf(&b, "kbserve_plan_cache_hits_total %d\n", pc.Hits)
-		fmt.Fprintf(&b, "# HELP kbserve_plan_cache_misses_total Plan-cache misses (planner probes executed).\n")
-		fmt.Fprintf(&b, "# TYPE kbserve_plan_cache_misses_total counter\n")
-		fmt.Fprintf(&b, "kbserve_plan_cache_misses_total %d\n", pc.Misses)
-		fmt.Fprintf(&b, "# HELP kbserve_plan_cache_invalidated_total Plan-cache entries evicted by updates.\n")
-		fmt.Fprintf(&b, "# TYPE kbserve_plan_cache_invalidated_total counter\n")
-		fmt.Fprintf(&b, "kbserve_plan_cache_invalidated_total %d\n", pc.Invalidated)
-		fmt.Fprintf(&b, "# HELP kbserve_plan_cache_size Plan-cache entries currently resident.\n")
-		fmt.Fprintf(&b, "# TYPE kbserve_plan_cache_size gauge\n")
-		fmt.Fprintf(&b, "kbserve_plan_cache_size %d\n", pc.Size)
-	}
-
 	fmt.Fprintf(&b, "# HELP kbserve_epoch Currently published KB epoch.\n")
 	fmt.Fprintf(&b, "# TYPE kbserve_epoch gauge\n")
 	fmt.Fprintf(&b, "kbserve_epoch %d\n", s.cur.Load().epoch)

@@ -156,11 +156,11 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, bodyPriority stri
 // or — in coordinator mode — scattered through Config.Distributor to the
 // owner nodes and gathered on the engine, bit-identical to SearchPlan by
 // the Theorem-5 fold, with failed legs re-executed locally inside the
-// engine. Either way an auto query is resolved by the engine, from its
-// plan cache or one probe. Scattered calls carry st's WAL position on
-// their context so the cluster transport can demand owner nodes at
-// exactly that position (api.SeqFrom on the other side), keeping every
-// leg on the snapshot the request is answering from.
+// engine. Either way an auto query is resolved by the engine, from one
+// probe. Scattered calls carry st's WAL position on their context so the
+// cluster transport can demand owner nodes at exactly that position
+// (api.SeqFrom on the other side), keeping every leg on the snapshot the
+// request is answering from.
 func (s *Server) search(ctx context.Context, st *engineState, query string, o kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error) {
 	if s.cfg.Distributor == nil {
 		return st.eng.SearchPlan(ctx, query, o)

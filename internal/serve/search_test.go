@@ -79,8 +79,9 @@ var perRequest = regexp.MustCompile(`"cached":(true|false)|"coalesced":true,|"el
 // cached, coalesced, elapsed_ms and plan; that an explicit request for
 // the algorithm auto resolved to is a miss of its own, answering the same
 // bytes (the Auto-equivalence property, through HTTP); and that an auto
-// cache hit does no planner work. Auto and explicit requests no longer
-// share an entry, so there is no cross-spelling hit to check.
+// cache hit does no engine work, planner included. Auto and explicit
+// requests no longer share an entry, so there is no cross-spelling hit to
+// check.
 func TestHitMissCoalescedBodiesAgree(t *testing.T) {
 	eng := newBlockingEngine(t)
 	srv := New(Config{Engine: eng, D: 3})
@@ -96,11 +97,10 @@ func TestHitMissCoalescedBodiesAgree(t *testing.T) {
 	waitJoined(t, 2)
 	close(eng.release)
 	wg.Wait()
-	plans := eng.PlanCacheStats()
+	execs := eng.executions.Load()
 	_, hit := rawSearch(t, ts.URL, auto)
-	if after := eng.PlanCacheStats(); after.Hits != plans.Hits || after.Misses != plans.Misses {
-		t.Errorf("plan cache %d hits, %d misses across an auto cache hit, want %d, %d: a hit does no planner work",
-			after.Hits, after.Misses, plans.Hits, plans.Misses)
+	if after := eng.executions.Load(); after != execs {
+		t.Errorf("%d executions across an auto cache hit, want %d: a hit does no engine work", after, execs)
 	}
 
 	decode := func(name string, body []byte) api.SearchResponse {

@@ -44,7 +44,6 @@ type Engine interface {
 	OwnedShards() []int
 	Complete() bool
 	IndexStats() kbtable.IndexStats
-	PlanCacheStats() kbtable.PlanCacheStats
 
 	ProbeShard(ctx context.Context, si int, query string, opts kbtable.SearchOptions) (kbtable.ShardPlanStats, error)
 	ScatterShard(ctx context.Context, si int, algorithm kbtable.Algorithm, query string, opts kbtable.SearchOptions) (*kbtable.ShardPartial, error)

@@ -107,12 +107,10 @@ func (e *Engine) compareContent(a, b contribRef) int {
 	return a.pattern.CompareContent(e.units[a.shard].ix.PatternTable(), b.pattern, e.units[b.shard].ix.PatternTable())
 }
 
-// Search answers a query under plan. plan.Algo may be Auto, resolved here
-// by one planner decision over the merged per-shard probe; a plan
-// resolved earlier (the facade's plan-cache hit) executes and is reported
-// as given, with answers bit-identical to resolving it here (the
-// Auto-equivalence property). A one-shard engine without legs runs its
-// executor directly; otherwise every shard runs one leg — through legs
+// Search answers a query under algo. Auto is resolved here: by the
+// executor's own planner on a one-shard engine without legs, which runs
+// its executor directly; otherwise by one planner decision over the merged
+// per-shard probe, after which every shard runs one leg — through legs
 // when given — and scatterGather merges same-signature patterns exactly
 // into the global top-k.
 //
@@ -125,35 +123,33 @@ func (e *Engine) compareContent(a, b contribRef) int {
 // subtree counts and sample draws happen within each shard, so a sampled
 // run over N > 1 shards is a different (still unbiased) estimate than a
 // sampled one-shard run; exact mode (Lambda <= 0) is identical at every N.
-func (e *Engine) Search(ctx context.Context, plan search.Plan, query string, opts search.Options, legs Legs) (*Result, error) {
+func (e *Engine) Search(ctx context.Context, algo search.Algo, query string, opts search.Options, legs Legs) (*Result, error) {
 	// A sampled leg draws under Λ/ρ/seed, which the leg wire does not
 	// carry: sampled queries always run in process.
 	if opts.Lambda > 0 {
 		legs = nil
 	}
 	if e.n == 1 && legs == nil {
-		return e.searchOne(ctx, plan, query, opts)
+		return e.searchOne(ctx, algo, query, opts)
 	}
 	start := time.Now()
-	if plan.Algo == search.AlgoAuto {
+	plan := search.Plan{Algo: algo}
+	if algo == search.AlgoAuto {
 		st, err := e.PlanStats(ctx, query, opts, legs)
 		if err != nil {
 			return nil, err
 		}
-		plan = search.ChoosePlan(search.AlgoAuto, st)
+		plan = search.ChoosePlan(algo, st)
 	}
 	return e.scatterGather(ctx, start, plan, query, opts, legs)
 }
 
 // searchOne is the one-shard engine's query: the resident unit's executor
 // with the caller's options untouched, so top-k pruning, stage timings,
-// plan statistics and sampling are the executor's own. plan.Algo may be
-// Auto (one prepare serves both the planner and the execution). A plan
-// the planner resolved earlier is reported as given, candidate-root count
-// included: the resolved algorithm's own prepare may skip the
-// intersection (explicit PATTERNENUM reports -1) that an Auto run counts.
-func (e *Engine) searchOne(ctx context.Context, plan search.Plan, query string, opts search.Options) (*Result, error) {
-	res, err := search.Execute(ctx, e.units[0].ix, query, plan.Algo, opts)
+// plan statistics and sampling are the executor's own. algo may be Auto
+// (one prepare serves both the planner and the execution).
+func (e *Engine) searchOne(ctx context.Context, algo search.Algo, query string, opts search.Options) (*Result, error) {
+	res, err := search.Execute(ctx, e.units[0].ix, query, algo, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -161,10 +157,6 @@ func (e *Engine) searchOne(ctx context.Context, plan search.Plan, query string, 
 	out := &Result{Patterns: make([]RankedPattern, len(res.Patterns)), Stats: res.Stats, Plan: res.Plan}
 	for i, rp := range res.Patterns {
 		out.Patterns[i] = RankedPattern{Pattern: rp.Pattern, Table: pt, Agg: rp.Agg, Score: rp.Score, Trees: rp.Trees}
-	}
-	if plan.Auto {
-		out.Plan = plan
-		out.Stats.CandidateRoots = plan.Stats.CandidateRoots
 	}
 	return out, nil
 }
@@ -219,18 +211,16 @@ func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search
 		if p := outs[si].stats.Stages.Prepare; p > shardPrep {
 			shardPrep = p
 		}
-		if !outs[si].plan.Auto {
-			// Fold per-shard prepare statistics into the plan for
-			// observability; an Auto plan already carries the (richer)
-			// merged probe statistics.
-			if plan.Auto {
-				continue
-			}
-			if si == 0 {
-				plan.Stats = outs[si].plan.Stats
-			} else {
-				plan.Stats.Merge(outs[si].plan.Stats)
-			}
+		// Fold per-shard prepare statistics into an explicit plan for
+		// observability; an Auto plan already carries the (richer) merged
+		// probe statistics.
+		if plan.Auto {
+			continue
+		}
+		if si == 0 {
+			plan.Stats = outs[si].plan.Stats
+		} else {
+			plan.Stats.Merge(outs[si].plan.Stats)
 		}
 	}
 	var stages search.StageTimings

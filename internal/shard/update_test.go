@@ -119,7 +119,7 @@ func referenceResult(t testing.TB, g *kg.Graph, ix *index.Index, algo search.Alg
 // engineResult runs the engine at the same fidelity.
 func engineResult(t testing.TB, e *Engine, algo search.Algo, query string, opts search.Options) []string {
 	t.Helper()
-	res, err := e.Search(context.Background(), search.Plan{Algo: algo}, query, opts, nil)
+	res, err := e.Search(context.Background(), algo, query, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,6 @@ import (
 	"sync"
 	"time"
 
-	"kbtable/internal/cache"
 	"kbtable/internal/core"
 	"kbtable/internal/index"
 	"kbtable/internal/kg"
@@ -284,15 +283,6 @@ type Engine struct {
 	// only the initial state). See ApplyLogged / Checkpoint in durable.go.
 	seq uint64
 
-	// plans is the plan cache shared along this engine's whole update
-	// chain (ApplyUpdate carries the pointer forward); planEpoch is the
-	// cache epoch this snapshot was created at. A superseded snapshot's
-	// epoch is stale, so its lookups miss and its puts are dropped — a
-	// slow request racing an update can never install pre-update
-	// statistics. See internal/cache.
-	plans     *cache.Cache[search.PlanStats]
-	planEpoch uint64
-
 	// bl is the Baseline's index, built by searchBaseline on first use.
 	blOnce sync.Once
 	bl     *search.BaselineIndex
@@ -320,7 +310,7 @@ func NewEngine(g *Graph, opts EngineOptions) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kbtable: %w", err)
 	}
-	return &Engine{g: g, sh: sh, o: opts, plans: cache.New[search.PlanStats](planCacheSize)}, nil
+	return &Engine{g: g, sh: sh, o: opts}, nil
 }
 
 // IndexStats describe the built index (the quantities of Figure 6).
@@ -455,26 +445,9 @@ func (e *Engine) search(ctx context.Context, exec ShardExecutor, query string, o
 		}
 		return e.answers(res), planInfo(res.Plan, res.Stats), nil
 	}
-	// An Auto query resolves its plan-cache key once. A hit skips the
-	// planner probe and executes the resolved algorithm directly (answers
-	// are bit-identical — the Auto-equivalence property); a miss caches
-	// the execution's plan statistics, which are exactly a probe's.
-	plan, hit := search.Plan{Algo: algo}, false
-	var key string
-	var words []string
-	if algo == Auto {
-		key, words = e.planKey(query)
-		var st search.PlanStats
-		if st, hit = e.plans.Get(key, e.planEpoch); hit {
-			plan = search.ChoosePlan(Auto, st)
-		}
-	}
-	res, err := e.sh.Search(ctx, plan, query, so, e.legs(exec, query, opts))
+	res, err := e.sh.Search(ctx, algo, query, so, e.legs(exec, query, opts))
 	if err != nil {
 		return nil, PlanInfo{}, fmt.Errorf("kbtable: %w", err)
-	}
-	if algo == Auto && !hit {
-		e.plans.Put(key, e.planEpoch, res.Plan.Stats, words)
 	}
 	return e.answers(res), planInfo(res.Plan, res.Stats), nil
 }
@@ -488,9 +461,7 @@ func (e *Engine) Plan(ctx context.Context, query string, opts SearchOptions) (Pl
 }
 
 // plan is the one body under Plan and PlanDistributed: exec, when
-// non-nil, runs the probe legs. A plan-cache hit for the query's word set
-// skips the probe; a miss populates the cache, so the search that follows
-// reuses the statistics instead of probing again.
+// non-nil, runs the probe legs. Every call probes; nothing is cached.
 func (e *Engine) plan(ctx context.Context, exec ShardExecutor, query string, opts SearchOptions) (PlanInfo, error) {
 	if !e.sh.Complete() {
 		return PlanInfo{}, ErrPartialEngine
@@ -499,7 +470,7 @@ func (e *Engine) plan(ctx context.Context, exec ShardExecutor, query string, opt
 	if err := checkAlgorithm(opts.Algorithm); err != nil {
 		return PlanInfo{}, err
 	}
-	st, err := e.planStats(ctx, query, so, e.legs(exec, query, opts))
+	st, err := e.sh.PlanStats(ctx, query, so, e.legs(exec, query, opts))
 	if err != nil {
 		return PlanInfo{}, fmt.Errorf("kbtable: %w", err)
 	}
@@ -585,7 +556,7 @@ func NewEngineFromIndex(g *Graph, path string, opts EngineOptions) (*Engine, err
 	if err != nil {
 		return nil, fmt.Errorf("kbtable: %w", err)
 	}
-	return &Engine{g: g, sh: sh, o: opts, plans: cache.New[search.PlanStats](planCacheSize)}, nil
+	return &Engine{g: g, sh: sh, o: opts}, nil
 }
 
 // Graph returns the engine's knowledge-graph snapshot.
@@ -837,11 +808,7 @@ func (e *Engine) ApplyUpdate(u Update) (*Engine, UpdateResult, error) {
 	if err != nil {
 		return nil, res, fmt.Errorf("kbtable: %w", err)
 	}
-	// The successor carries the chain's plan cache forward, invalidated
-	// word-precisely (a PageRank refresh flushes it); the epoch bump
-	// fences the predecessor out of it entirely.
-	ne := &Engine{g: &Graph{g: ch.New}, sh: nsh, o: e.o, seq: e.seq, plans: e.plans}
-	ne.planEpoch, _ = e.plans.Invalidate(us.TouchedWords, us.ScoresRefreshed)
+	ne := &Engine{g: &Graph{g: ch.New}, sh: nsh, o: e.o, seq: e.seq}
 	res.DirtyRoots = us.DirtyRoots
 	res.EntriesRemoved = us.EntriesRemoved
 	res.EntriesAdded = us.EntriesAdded
@@ -936,8 +903,8 @@ type Explanation struct {
 const ExplainBudget = 5_000_000
 
 // Explain analyzes a query without ranking answers. Candidate roots and
-// subtrees are the planner probe's (plan-cached; they sum across the
-// shards' disjoint root partitions) and patterns are unioned by content.
+// subtrees are the planner probe's (they sum across the shards' disjoint
+// root partitions) and patterns are unioned by content.
 // A partial engine cannot count across the whole partition and returns
 // ErrPartialEngine.
 func (e *Engine) Explain(query string) (Explanation, error) {
@@ -945,7 +912,7 @@ func (e *Engine) Explain(query string) (Explanation, error) {
 	if !e.sh.Complete() {
 		return ex, ErrPartialEngine
 	}
-	st, err := e.planStats(context.Background(), query, search.Options{}, nil)
+	st, err := e.sh.PlanStats(context.Background(), query, search.Options{}, nil)
 	if err != nil {
 		return ex, fmt.Errorf("kbtable: %w", err)
 	}

@@ -5,15 +5,8 @@ import (
 	"fmt"
 	"strings"
 
-	"kbtable/internal/cache"
-	"kbtable/internal/search"
-	"kbtable/internal/shard"
 	"kbtable/internal/text"
 )
-
-// This file is the facade's planner surface: the plan cache (repeat
-// query shapes skip the planner probe) and prepared queries (a plan
-// resolved once, executed on the ordinary search path).
 
 // NormalizeQuery canonicalizes a query string exactly as the engine's
 // tokenizer will: lowercased maximal letter/digit runs joined by single
@@ -26,50 +19,11 @@ func NormalizeQuery(q string) string {
 	return strings.Join(text.Tokenize(q), " ")
 }
 
-// planCacheSize bounds the plan cache each engine chain owns.
-const planCacheSize = 512
-
-// PlanCacheStats snapshots the engine chain's plan-cache effectiveness.
-type PlanCacheStats = cache.Stats
-
-// PlanCacheStats reports the plan cache shared along this engine's
-// update chain.
-func (e *Engine) PlanCacheStats() PlanCacheStats { return e.plans.Stats() }
-
-// planKey resolves a query's plan-cache key and invalidation tags: its
-// sorted canonical words (PlanStats are set-valued, so word order cannot
-// matter), joined by a separator no token contains, so the key is
-// injective. No option enters the key: PlanStats depend only on the words
-// and the index contents, and the plan is re-derived per request by
-// ChoosePlan.
-func (e *Engine) planKey(query string) (string, []string) {
-	words := e.QueryWords(query)
-	return strings.Join(words, "\x1f"), words
-}
-
-// planStats returns the merged prepare-stage statistics for query,
-// consulting the plan cache and probing — every shard through legs or
-// in process; both merge to the same statistics — only on a miss.
-func (e *Engine) planStats(ctx context.Context, query string, so search.Options, legs shard.Legs) (search.PlanStats, error) {
-	key, words := e.planKey(query)
-	if st, ok := e.plans.Get(key, e.planEpoch); ok {
-		return st, nil
-	}
-	st, err := e.sh.PlanStats(ctx, query, so, legs)
-	if err != nil {
-		return search.PlanStats{}, err
-	}
-	e.plans.Put(key, e.planEpoch, st, words)
-	return st, nil
-}
-
-// --- Prepared queries -------------------------------------------------
-
 // PreparedQuery is one query with its options and its plan, resolved once
 // and pinned to the engine snapshot that prepared it. Executions run the
-// ordinary search path: an Auto query finds its statistics in the plan
-// cache (the prepare filled it), so it skips the planner probe, and its
-// answers are byte-identical to a fresh search on the same snapshot.
+// ordinary search path with the captured options (an Auto query plans
+// again, from its own probe), so answers are byte-identical to a fresh
+// search on the same snapshot.
 //
 // Engines are immutable, so the handle stays consistent forever; after
 // an ApplyUpdate the handle still answers from the pre-update snapshot,
