@@ -85,7 +85,11 @@ fma:
 # planner (.Plan( or PlanDistributed() again. The result cache is the one
 # cache in front of the engine, and every Auto search plans from its own
 # probe: fail if non-test Go reports plan-cache stats or builds a cache
-# of planner statistics again.
+# of planner statistics again. Every shard of an engine epoch shares one
+# dictionary, and a query resolves once against it (shard.Engine.Dict):
+# fail if non-test Go asks for any one shard's index to stand in for it
+# (AnyIndex() again, or if internal/shard takes a query's Surfaces or
+# Words from the first leg's output again.
 BASELINE_FREE = internal/shard internal/cluster internal/serve internal/api cmd/kbsearch
 EXECUTOR_FORK = PrepareQuery|ExecutePrepared|SearchPrepared|(shard|search)\.Prepared\b|NumCandidateRoots|SubtreeCount
 PREPARED_ROUTE = PreparedID|CodePreparedGone|handlePrepare|"/prepare"
@@ -116,7 +120,9 @@ one-path:
 	  if [ -n "$$hits" ]; then echo "the serve layer resolves Auto again (the engine resolves it inside SearchPlan/SearchDistributed):"; echo "$$hits"; exit 1; fi; \
 	  hits=$$(grep -rnE '$(PLAN_CACHE)' --include='*.go' --exclude='*_test.go' .); \
 	  if [ -n "$$hits" ]; then echo "a plan cache beside the result cache (Auto plans from its own probe):"; echo "$$hits"; exit 1; fi; \
-	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type, one pattern order, one Auto resolution, one cache"
+	  hits=$$(grep -rnE 'AnyIndex\(' --include='*.go' --exclude='*_test.go' .; grep -rnE 'outs\[0\].*(Surfaces|Words)' --include='*.go' --exclude='*_test.go' internal/shard); \
+	  if [ -n "$$hits" ]; then echo "a shard's dictionary or leg standing in for the engine's one resolution (shard.Engine.Dict):"; echo "$$hits"; exit 1; fi; \
+	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type, one pattern order, one Auto resolution, one cache, one dictionary"
 
 check: vet build race api-procs alloc bench benchmark-module index-procs fma one-path
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -139,6 +145,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzDictQueryTokens$$' -fuzztime=10s -run='^$$' ./internal/text
 	$(GO) test -fuzz='^FuzzSearchResponseDecode$$' -fuzztime=10s -run='^$$' ./internal/api
 	$(GO) test -fuzz='^FuzzScatterPartial$$' -fuzztime=10s -run='^$$' ./internal/shard
+	$(GO) test -fuzz='^FuzzRandomKB$$' -fuzztime=10s -run='^$$' .
 
 # Mirror of the GitHub `test` + `coverage` jobs, step for step, so a CI
 # failure can be reproduced (and fixed) without pushing: gofmt, vet,

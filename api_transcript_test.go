@@ -277,7 +277,7 @@ func TestAPITranscript(t *testing.T) {
 	raw(http.MethodPost, "/v1/metrics", "", "")
 	note("no write-ahead log to ship without a store")
 	do(cl.WALSegments(ctx, 0, 0))
-	note("planner counters, result and plan caches, index and shards")
+	note("planner counters, result cache, index and shards")
 	do(cl.Health(ctx))
 	note("an update publishes the next epoch; the new entity answers there")
 	search(api.SearchRequest{Query: "postgres database"})

@@ -1,9 +1,11 @@
 package index
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,16 +52,18 @@ func Build(g *kg.Graph, opts Options) (*Index, error) {
 		return nil, err
 	}
 
-	ix := &Index{g: g, d: opts.D, dict: text.NewDict(), pt: core.NewPatternTable()}
-
-	// Phase 1 (single-threaded): intern the corpus vocabulary and
-	// precompute, per node and per attribute type, the canonical words
-	// occurring in their text together with sim(w, text).
-	for alias, canon := range opts.Synonyms {
-		ix.dict.AddSynonym(alias, canon)
+	ix := &Index{g: g, d: opts.D, dict: opts.Dict, pt: core.NewPatternTable()}
+	if ix.dict == nil {
+		ix.dict = Dictionary(g, opts.Synonyms)
 	}
-	cw := newCorpusWords(g, ix.dict)
-	cw.fillAllNodes()
+
+	// Phase 1 (single-threaded): precompute, per node and per attribute
+	// type, the canonical words occurring in their text together with
+	// sim(w, text).
+	cw := newCorpusWords(g, ix.dict, false)
+	if cw.fillAllNodes(); cw.err != nil {
+		return nil, cw.err
+	}
 
 	// Phase 2 (parallel): DFS per root over contiguous root ranges.
 	nWords := ix.dict.Len()
@@ -112,9 +116,6 @@ func Build(g *kg.Graph, opts Options) (*Index, error) {
 	parallelWords(nWords, workers, func(w int) {
 		var total, totalEdges int
 		for _, st := range outs {
-			if w >= len(st.postings) {
-				continue
-			}
 			total += len(st.postings[w].entries)
 			totalEdges += len(st.postings[w].edgeBuf)
 		}
@@ -124,9 +125,6 @@ func Build(g *kg.Graph, opts Options) (*Index, error) {
 		flat := make([]flatEntry, 0, total)
 		buf := make([]kg.EdgeID, 0, totalEdges)
 		for wk, st := range outs {
-			if w >= len(st.postings) {
-				continue
-			}
 			p := &st.postings[w]
 			base := int32(len(buf))
 			buf = append(buf, p.edgeBuf...)
@@ -185,9 +183,36 @@ func parallelWords(nWords, workers int, f func(w int)) {
 	wg.Wait()
 }
 
-// wordSims canonicalizes the token set of s and attaches sim = 1/|tokens|,
+// Dictionary is g's corpus dictionary: the synonyms, by alias, then the
+// words of g's type names, attribute names and node texts in ID order.
+func Dictionary(g *kg.Graph, synonyms map[string]string) *text.Dict {
+	d := text.NewDict()
+	aliases := make([]string, 0, len(synonyms))
+	for alias := range synonyms {
+		aliases = append(aliases, alias)
+	}
+	slices.Sort(aliases)
+	for _, alias := range aliases {
+		d.AddSynonym(alias, synonyms[alias])
+	}
+	newCorpusWords(g, d, true).fillAllNodes()
+	return d
+}
+
+// ExtendDictionary is the dictionary of ch.New: d forked, then the words of
+// the change's new type names, new attribute names and touched node texts
+// (ascending) interned in that order, so every shard and replica agrees.
+func ExtendDictionary(d *text.Dict, ch *kg.Changed) *text.Dict {
+	cw := newCorpusWords(ch.New, d.Fork(), true) // old type and attribute names are known
+	for _, v := range ch.Touched {
+		cw.node(v)
+	}
+	return cw.dict
+}
+
+// sims canonicalizes the token set of s and attaches sim = 1/|tokens|,
 // the Jaccard similarity between any single contained word and s.
-func wordSims(d *text.Dict, s string) []wordSim {
+func (cw *corpusWords) sims(s string) []wordSim {
 	toks := text.TokenSet(s)
 	if len(toks) == 0 {
 		return nil
@@ -196,7 +221,14 @@ func wordSims(d *text.Dict, s string) []wordSim {
 	out := make([]wordSim, 0, len(toks))
 	seen := make(map[text.WordID]struct{}, len(toks))
 	for _, t := range toks {
-		id := d.Canonical(d.Intern(t))
+		id := cw.dict.Lookup(t)
+		if id == text.NoWord && cw.intern {
+			id = cw.dict.Intern(t)
+		} else if id == text.NoWord {
+			cw.err = cmp.Or(cw.err, fmt.Errorf("index: corpus word %q is not in the dictionary", t))
+			continue
+		}
+		id = cw.dict.Canonical(id)
 		if _, ok := seen[id]; ok {
 			continue
 		}
@@ -242,11 +274,13 @@ func mergeWordSims(a, b []wordSim) []wordSim {
 // precomputed in bulk (fillAllNodes, used by Build so that DFS workers can
 // share the table lock-free) or lazily on first access (used by ApplyDelta,
 // whose serial DFS only visits the d-neighborhood of dirty roots — most of
-// the corpus never needs tokenizing). Lazy access interns unseen words into
-// the dict and is therefore not safe for concurrent use.
+// the corpus never needs tokenizing) and then not safe for concurrent use.
+// Only Dictionary and ExtendDictionary intern words.
 type corpusWords struct {
-	g    *kg.Graph
-	dict *text.Dict
+	g      *kg.Graph
+	dict   *text.Dict
+	intern bool  // intern unseen words, or else
+	err    error // report the first
 
 	typeWords [][]wordSim
 	attrWords [][]wordSim
@@ -254,10 +288,11 @@ type corpusWords struct {
 	nodeDone  []bool // nil once fillAllNodes ran
 }
 
-func newCorpusWords(g *kg.Graph, dict *text.Dict) *corpusWords {
+func newCorpusWords(g *kg.Graph, dict *text.Dict, intern bool) *corpusWords {
 	cw := &corpusWords{
 		g:         g,
 		dict:      dict,
+		intern:    intern,
 		typeWords: make([][]wordSim, g.NumTypes()),
 		attrWords: make([][]wordSim, g.NumAttrs()),
 		nodeWords: make([][]wordSim, g.NumNodes()),
@@ -270,10 +305,10 @@ func newCorpusWords(g *kg.Graph, dict *text.Dict) *corpusWords {
 			// searchable text.
 			continue
 		}
-		cw.typeWords[t] = wordSims(dict, g.TypeName(kg.TypeID(t)))
+		cw.typeWords[t] = cw.sims(g.TypeName(kg.TypeID(t)))
 	}
 	for a := 0; a < g.NumAttrs(); a++ {
-		cw.attrWords[a] = wordSims(dict, g.AttrName(kg.AttrID(a)))
+		cw.attrWords[a] = cw.sims(g.AttrName(kg.AttrID(a)))
 	}
 	return cw
 }
@@ -291,7 +326,7 @@ func (cw *corpusWords) fillNode(v kg.NodeID) {
 	// Words from the entity text and from its type's text; when a word
 	// appears in both, keep the higher similarity ("appears in the text
 	// description of a node or node type", condition ii).
-	own := wordSims(cw.dict, cw.g.Text(v))
+	own := cw.sims(cw.g.Text(v))
 	cw.nodeWords[v] = mergeWordSims(own, cw.typeWords[cw.g.Type(v)])
 }
 
@@ -317,14 +352,12 @@ type postings struct {
 // splice generator of incremental maintenance: ApplyDelta runs the same DFS
 // from dirty roots only.
 type builderState struct {
-	g       *kg.Graph
-	d       int
-	pt      *core.PatternTable
-	words   *corpusWords
-	uniform bool // key every posting on node 0 (Options.UniformPR)
-	// postings is indexed by WordID; emit grows it when the lazy word
-	// source interns words mid-DFS (never happens under fillAllNodes).
-	postings []postings
+	g        *kg.Graph
+	d        int
+	pt       *core.PatternTable
+	words    *corpusWords
+	uniform  bool       // key every posting on node 0 (Options.UniformPR)
+	postings []postings // by WordID
 
 	// DFS stacks.
 	root   kg.NodeID
@@ -421,9 +454,6 @@ func (st *builderState) snapshotPattern(edgeEnd bool) core.PathPattern {
 func (st *builderState) emit(ws wordSim, pid core.PatternID, edgeEnd bool, matchNode kg.NodeID) {
 	if st.uniform {
 		matchNode = 0
-	}
-	for int(ws.Word) >= len(st.postings) {
-		st.postings = append(st.postings, postings{})
 	}
 	p := &st.postings[ws.Word]
 	off := int32(len(p.edgeBuf))

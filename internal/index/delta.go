@@ -15,9 +15,9 @@
 // linear merge (spliceOrder) yields the order Build produces. finishWord
 // only transposes: its input must come ordered.
 //
-// The DFS from dirty roots runs serially, because it interns the WordIDs
-// of words it meets first, and ascending root order keeps those IDs the
-// same on every replica. The per-word splice that follows fans out over
+// The change's words are interned before the DFS, in a fixed order
+// (ExtendDictionary), so WordIDs agree on every shard and replica; the
+// DFS only looks them up. The per-word splice that follows fans out over
 // Options.Workers like Build's last phase: a word's posting list depends
 // on no other word's, and the stats are gathered after the loop, so the
 // new index and DeltaStats do not depend on the worker count.
@@ -71,12 +71,11 @@ type DeltaStats struct {
 
 // ApplyDelta derives the index of ch.New from the index of ch.Old. opts
 // must describe how the receiver was built: D (0 means "same"), the
-// PageRank mode, and Workers. Synonyms are already baked into the forked
-// dictionary and are ignored here.
+// PageRank mode, and Workers. Synonyms are already baked into opts.Dict,
+// the receiver's dictionary extended by ch (nil: ExtendDictionary).
 //
-// The DFS from dirty roots is serial, for deterministic WordIDs; the
-// per-word splice runs on up to Workers goroutines, and its output does
-// not depend on Workers.
+// The per-word splice runs on up to Workers goroutines, and its output
+// does not depend on Workers.
 //
 // Scoring terms stay exact: with UniformPR every node scores 1 and nothing
 // needs refreshing; otherwise PageRank is recomputed on the new snapshot
@@ -112,9 +111,12 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 	refreshPR := structural && !opts.uniform()
 	ds.ScoresRefreshed = refreshPR
 
-	// Fork the dictionary and pattern table: the new index interns new
-	// words/patterns without perturbing readers of the old epoch.
-	dict := ix.dict.Fork()
+	// Fork the pattern table: the new index interns new patterns without
+	// perturbing readers of the old epoch.
+	dict := opts.Dict
+	if dict == nil {
+		dict = ExtendDictionary(ix.dict, ch)
+	}
 	pt := ix.pt.Fork()
 
 	// Dirty roots: every node that could reach a touched element within
@@ -145,19 +147,20 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 	}
 
 	// Re-run the bounded-height DFS from dirty roots only. The pass is
-	// serial: the lazy word source interns corpus words on first sight,
-	// and keeping that deterministic (ascending root order) guarantees the
-	// same WordIDs for the same update on every replica. Dirty sets are
-	// small by construction; when an update devastates the whole graph a
-	// full Build is the right tool anyway.
-	cw := newCorpusWords(newG, dict)
+	// serial: the lazy word source fills its node table on first sight.
+	// Dirty sets are small by construction; when an update devastates the
+	// whole graph a full Build is the right tool anyway.
+	cw := newCorpusWords(newG, dict, false)
 	st := newBuilderState(newG, ix.d, pt, dict.Len(), cw, opts.uniform())
 	for _, r := range dirty {
 		st.dfsRoot(r)
 	}
+	if cw.err != nil {
+		return nil, ds, cw.err
+	}
 
-	// Splice per word in parallel: the DFS above interned every WordID, so
-	// each call writes only its own word's slots; the touched words are
+	// Splice per word in parallel: each call writes only its own word's
+	// slots; the touched words are
 	// listed after the loop, in WordID order whatever the schedule.
 	nWords := dict.Len()
 	patRootType := patternRootTypes(pt)
@@ -171,7 +174,7 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 			old = &ix.words[w]
 		}
 		var fresh *postings
-		if w < len(st.postings) && len(st.postings[w].entries) > 0 {
+		if len(st.postings[w].entries) > 0 {
 			fresh = &st.postings[w]
 		}
 
@@ -315,11 +318,12 @@ func spliceOrder(flat []flatEntry, surv int, rank []uint32) []int32 {
 // an identity edge map (ch.EdgeMap == nil). pr is g's PageRank vector when
 // the delta moved it (what ApplyDelta reports as ScoresRefreshed), nil
 // when it did not. A new vector hands each word a fresh PR cell and
-// nothing else; every posting, the dictionary and the pattern table are
-// shared with the receiver. Both indexes stay valid.
-func (ix *Index) Rebind(g *kg.Graph, pr []float64) *Index {
+// nothing else; every posting and the pattern table are shared with the
+// receiver. dict is the new epoch's dictionary, ix's extended by the
+// delta; a word it adds has no posting in ix. Both indexes stay valid.
+func (ix *Index) Rebind(g *kg.Graph, pr []float64, dict *text.Dict) *Index {
 	nix := *ix
-	nix.g = g
+	nix.g, nix.dict = g, dict
 	if pr == nil {
 		return &nix
 	}

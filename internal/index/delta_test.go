@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"kbtable/internal/dataset"
@@ -609,7 +610,7 @@ func TestRebindRefreshesBounds(t *testing.T) {
 	if ds.DirtyRoots != 0 || ds.WordsTouched != 0 || !ds.ScoresRefreshed {
 		t.Fatalf("delta stats %+v, want no owned dirty root and a score refresh", ds)
 	}
-	rebound := ix.Rebind(ch.New, opts.PageRank)
+	rebound := ix.Rebind(ch.New, opts.PageRank, ix.Dict())
 	for w := range applied.words {
 		if w >= len(rebound.words) {
 			if applied.words[w].n != 0 {
@@ -630,7 +631,73 @@ func TestRebindRefreshesBounds(t *testing.T) {
 	if got, want := boundsByContent(rebound), boundsByContent(reb); !reflect.DeepEqual(got, want) {
 		t.Fatalf("rebound bounds differ from a rebuild's")
 	}
-	if same := ix.Rebind(ch.New, nil); !sameArray(same.words, ix.words) {
+	if same := ix.Rebind(ch.New, nil, ix.Dict()); !sameArray(same.words, ix.words) {
 		t.Fatal("Rebind without a new vector must share every word")
+	}
+}
+
+// TestEpochDictionary: Dictionary interns the synonyms by alias, then the
+// words of type names, attribute names and node texts; ExtendDictionary
+// forks it and appends a change's new type names, new attribute names and
+// touched node texts (ascending), leaving the receiver's dictionary as it
+// was. An index never interns: a corpus word missing from the dictionary
+// it is handed fails Build and ApplyDelta.
+func TestEpochDictionary(t *testing.T) {
+	b := kg.NewBuilder()
+	book := b.Entity("Book", "alpha")
+	b.Attr(book, "author", b.Entity("Person", "omega"))
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := func(d *text.Dict, from int) []string {
+		var out []string
+		for id := from; id < d.Len(); id++ {
+			out = append(out, d.Word(text.WordID(id)))
+		}
+		return out
+	}
+	d := Dictionary(g, map[string]string{"tome": "book", "gamma": "alpha"})
+	if got, want := words(d, 0), []string{"gamma", "alpha", "tome", "book", "person", "author", "omega"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Dictionary words %q, want %q", got, want)
+	}
+
+	delta := kg.NewDelta(g)
+	if err := delta.SetText(book, "delta omega"); err != nil {
+		t.Fatal(err)
+	}
+	v, err := delta.AddEntity("Zeta", "kappa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := delta.AddAttr(v, "sequel", book); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := delta.Apply()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := d.Len()
+	ext := ExtendDictionary(d, ch)
+	if got, want := words(ext, n), []string{"zeta", "sequel", "delta", "kappa"}; d.Len() != n || !reflect.DeepEqual(got, want) {
+		t.Fatalf("ExtendDictionary added %q (receiver %d -> %d words), want %q", got, n, d.Len(), want)
+	}
+
+	ix, err := Build(g, Options{D: 3, Dict: d})
+	if err != nil || ix.Dict() != d {
+		t.Fatalf("Build with a dictionary: %v, shares it %t", err, err == nil && ix.Dict() == d)
+	}
+	if _, _, err := ix.ApplyDelta(ch, Options{Dict: d}); err == nil || !strings.Contains(err.Error(), "not in the dictionary") {
+		t.Fatalf("ApplyDelta with the old epoch's dictionary: %v, want a missing word", err)
+	}
+	if _, err := Build(ch.New, Options{D: 3, Dict: d}); err == nil {
+		t.Fatal("Build accepted a dictionary that lacks corpus words")
+	}
+	nix, _, err := ix.ApplyDelta(ch, Options{Dict: ext})
+	if err != nil || nix.Dict() != ext {
+		t.Fatalf("ApplyDelta with the new epoch's dictionary: %v, shares it %t", err, err == nil && nix.Dict() == ext)
+	}
+	if own, _, err := ix.ApplyDelta(ch, Options{}); err != nil || !own.Dict().Equal(ext) || d.Len() != n {
+		t.Fatalf("standalone ApplyDelta: %v; its dictionary must equal ExtendDictionary's and leave the receiver's alone", err)
 	}
 }

@@ -58,6 +58,12 @@ type Options struct {
 	// posting list (Section 3: "every word has its stemmed version and
 	// synonyms in our index pointing to the same path-pattern entry").
 	Synonyms map[string]string
+	// Dict is the dictionary the index looks every corpus word up in (a
+	// missing one is an error): Dictionary(g, Synonyms) for Build,
+	// ExtendDictionary(receiver's, ch) for ApplyDelta. The shard layer
+	// hands one per engine epoch to every shard; nil derives the index's
+	// own, as a nil PageRank computes its own.
+	Dict *text.Dict
 	// Workers bounds the parallelism of construction and of maintenance
 	// (ApplyDelta's per-word splice); defaults to GOMAXPROCS. Neither
 	// output depends on it.

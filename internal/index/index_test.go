@@ -2,6 +2,7 @@ package index
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"kbtable/internal/core"
@@ -302,9 +303,12 @@ func TestStemmedQueryReachesPostings(t *testing.T) {
 // TestWordSimsPaperExamples pins score3's sim(w, text) as the index
 // computes it: 1/|token set| for every distinct canonical word of the
 // text (Example 2.4: sim("database", "Relational database") = 1/2), with
-// repeated tokens and words sharing a stem counted once.
+// repeated tokens and words sharing a stem counted once. A token the
+// dictionary lacks is skipped and reported, never interned.
 func TestWordSimsPaperExamples(t *testing.T) {
 	d := text.NewDict()
+	cw := &corpusWords{dict: d, intern: true}
+	wordSims := func(_ *text.Dict, s string) []wordSim { return cw.sims(s) }
 	sims := func(s string) map[string]float64 {
 		out := map[string]float64{}
 		for _, ws := range wordSims(d, s) {
@@ -326,6 +330,11 @@ func TestWordSimsPaperExamples(t *testing.T) {
 	}
 	if got := wordSims(d, " ,; "); got != nil {
 		t.Errorf("wordSims of a text without tokens = %v, want nil", got)
+	}
+	n := d.Len()
+	cw.intern = false
+	if got := cw.sims("software zeta"); len(got) != 1 || d.Len() != n || cw.err == nil || !strings.Contains(cw.err.Error(), `"zeta"`) {
+		t.Errorf("sims with a word the dictionary lacks = %v (dictionary %d -> %d words), err %v; want software alone, nothing interned, zeta reported", got, n, d.Len(), cw.err)
 	}
 }
 

@@ -221,7 +221,7 @@ func TestLazyBoundsConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireLazyBounds(t, "clean shard", clean)
-	rebound := clean.Rebind(ch.New, rank.PageRank(ch.New, rank.Options{}))
+	rebound := clean.Rebind(ch.New, rank.PageRank(ch.New, rank.Options{}), clean.Dict())
 	if derived, total := derivedCells(rebound); derived != 0 {
 		t.Fatalf("Rebind left %d of %d words derived", derived, total)
 	}

@@ -345,7 +345,7 @@ func needFor(algo Algo) prepNeed {
 // probes and merges their PlanStats for every Auto search over N > 1
 // shards and for the facade's Plan and Explain.
 func PlanProbe(ctx context.Context, ix *index.Index, query string, opts Options) (PlanStats, error) {
-	words, surfaces := ResolveQuery(ix, query)
+	words, surfaces := ResolveQuery(ix.Dict(), query)
 	prep, err := prepare(ctx, ix, words, surfaces, needCost)
 	if err != nil {
 		return PlanStats{}, err
@@ -381,7 +381,7 @@ func execute(ctx context.Context, ix *index.Index, query string, algo Algo, o Op
 	}
 
 	// Stage 1: prepare (keyword resolution, posting lookups, statistics).
-	words, surfaces := ResolveQuery(ix, query)
+	words, surfaces := ResolveQuery(ix.Dict(), query)
 	prep, err := prepare(ctx, ix, words, surfaces, needFor(algo))
 	if err != nil {
 		return nil, err

@@ -229,7 +229,7 @@ func CountAllContent(ix *index.Index, query string) []core.TreePattern {
 // returns each distinct tree pattern once, deduplicated by its
 // PatternID key.
 func countAllKeyed(ix *index.Index, query string, budget int64) ([]core.TreePattern, int64, bool) {
-	words, _ := ResolveQuery(ix, query)
+	words, _ := ResolveQuery(ix.Dict(), query)
 	if !queryable(ix, words) {
 		return nil, 0, false
 	}

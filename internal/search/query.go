@@ -135,13 +135,13 @@ type Result struct {
 	Plan Plan
 }
 
-// ResolveQuery tokenizes q against the index dictionary and returns the
-// distinct canonical word IDs. Words absent from the corpus resolve to
+// ResolveQuery tokenizes q against a corpus dictionary (an index's, or the
+// engine's one per epoch) and returns the distinct canonical word IDs. Words absent from the corpus resolve to
 // text.NoWord: the query then has no answers (every keyword must be
 // contained in each subtree), and callers get an empty result rather than
 // an error.
-func ResolveQuery(ix *index.Index, q string) (ids []text.WordID, surfaces []string) {
-	raw, surf := ix.Dict().QueryTokens(q)
+func ResolveQuery(d *text.Dict, q string) (ids []text.WordID, surfaces []string) {
+	raw, surf := d.QueryTokens(q)
 	seen := map[text.WordID]bool{}
 	for i, id := range raw {
 		if id != text.NoWord && seen[id] {

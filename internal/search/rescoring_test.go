@@ -23,7 +23,7 @@ func TestAggregateSelectedMatchesPerPatternRescoring(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		words, _ := ResolveQuery(ix, "alpha beta")
+		words, _ := ResolveQuery(ix.Dict(), "alpha beta")
 		if !queryable(ix, words) {
 			continue
 		}

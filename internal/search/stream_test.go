@@ -236,7 +236,7 @@ func TestCancellationInsideProduct(t *testing.T) {
 // envelope bound must dominate the exact pattern aggregate.
 func TestPeLeafUBIsSound(t *testing.T) {
 	ix, _ := buildFig1Index(t, 3)
-	words, _ := ResolveQuery(ix, fig1Query)
+	words, _ := ResolveQuery(ix.Dict(), fig1Query)
 	for _, agg := range []core.Agg{core.AggSum, core.AggCount, core.AggAvg, core.AggMax} {
 		o := Options{Agg: agg}.withDefaults()
 		res, err := Execute(context.Background(), ix, fig1Query, AlgoPE, Options{K: 100, Agg: agg, CollectRootAggs: true})
@@ -307,7 +307,7 @@ func TestRootTreeUBIsSound(t *testing.T) {
 	checked := 0
 	for _, c := range cases {
 		for _, q := range c.queries {
-			words, _ := ResolveQuery(c.ix, q)
+			words, _ := ResolveQuery(c.ix.Dict(), q)
 			trees, _ := TopTrees(c.ix, q, 10000, Options{})
 			for _, rt := range trees {
 				ub, _, ok := rootTreeUB(c.ix, words, rt.Tree.Root, o)

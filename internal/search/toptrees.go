@@ -8,7 +8,6 @@ import (
 	"kbtable/internal/core"
 	"kbtable/internal/index"
 	"kbtable/internal/kg"
-	"kbtable/internal/text"
 )
 
 // RankedTree is one individually-ranked valid subtree (Section 5.3
@@ -26,7 +25,7 @@ type RankedTree struct {
 func TopTrees(ix *index.Index, query string, k int, opts Options) ([]RankedTree, QueryStats) {
 	start := time.Now()
 	o := opts.withDefaults()
-	words, surfaces := ResolveQuery(ix, query)
+	words, surfaces := ResolveQuery(ix.Dict(), query)
 	stats := QueryStats{Surfaces: surfaces, Words: words}
 	pt := ix.PatternTable()
 	top := core.NewTopK(k, func(a, b RankedTree) int { return CompareTrees(pt, a, pt, b) })
@@ -116,10 +115,4 @@ func CompareTrees(pa *core.PatternTable, a RankedTree, pb *core.PatternTable, b 
 // compareLE orders x and y as their little-endian bytes compare.
 func compareLE(x, y uint32) int {
 	return cmp.Compare(bits.ReverseBytes32(x), bits.ReverseBytes32(y))
-}
-
-// wordIDsOf is a small helper for tests needing raw resolution.
-func wordIDsOf(ix *index.Index, q string) []text.WordID {
-	ids, _ := ResolveQuery(ix, q)
-	return ids
 }

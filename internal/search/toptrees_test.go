@@ -73,7 +73,7 @@ func TestTopTreesUnknownWord(t *testing.T) {
 	if len(trees) != 0 {
 		t.Errorf("unknown word should yield no trees")
 	}
-	if ids := wordIDsOf(ix, "xyzzy"); len(ids) != 1 || ids[0] != text.NoWord {
+	if ids, _ := ResolveQuery(ix.Dict(), "xyzzy"); len(ids) != 1 || ids[0] != text.NoWord {
 		t.Errorf("resolution should yield NoWord")
 	}
 }

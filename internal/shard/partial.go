@@ -116,18 +116,6 @@ func (e *Engine) resident(si int) (*unit, error) {
 	return u, nil
 }
 
-// AnyIndex returns the first resident shard's index — the dictionary
-// and tokenizer source for facade surfaces on partial engines (every
-// shard shares the full corpus dictionary).
-func (e *Engine) AnyIndex() *index.Index {
-	for _, u := range e.units {
-		if u != nil {
-			return u.ix
-		}
-	}
-	return nil
-}
-
 // Resident reports whether shard si's index is hosted by this engine.
 func (e *Engine) Resident(si int) bool {
 	return si >= 0 && si < e.n && e.units[si] != nil
@@ -230,9 +218,9 @@ func (e *Engine) ScatterShard(ctx context.Context, si int, algo search.Algo, que
 	return p, nil
 }
 
-// fromWire checks a remote partial for resident shard si and decodes it
-// into scatter form. Its producer holds an index content-identical to the
-// shard's, so every path it names is already interned in the shard's
+// fromWire checks a remote partial for resident shard si, answering a
+// query of keywords distinct words, and decodes it into scatter form. Its
+// producer holds an index content-identical to the shard's, so every path it names is already interned in the shard's
 // pattern table and resolves by Lookup; nothing from the network is ever
 // interned into a published table. The partial is rejected — and the
 // caller runs the leg locally — when it is labeled for another shard,
@@ -243,13 +231,11 @@ func (e *Engine) ScatterShard(ctx context.Context, si int, algo search.Algo, que
 // share would vanish), lists roots that do not strictly ascend or that
 // another shard owns, or has a root partial no leg produces: a count
 // below one, or a negative or non-finite score.
-func (e *Engine) fromWire(si int, query string, p *WirePartial) (shardOut, error) {
+func (e *Engine) fromWire(si, keywords int, p *WirePartial) (shardOut, error) {
 	if p == nil || p.Shard != si {
 		return shardOut{}, fmt.Errorf("shard: partial for shard %d is missing or mislabeled", si)
 	}
-	ix := e.units[si].ix
-	table := ix.PatternTable()
-	words, surfaces := search.ResolveQuery(ix, query)
+	table := e.units[si].ix.PatternTable()
 	ids := make([]core.PatternID, len(p.Paths))
 	for j, w := range p.Paths {
 		id, ok := table.Lookup(w)
@@ -260,8 +246,8 @@ func (e *Engine) fromWire(si int, query string, p *WirePartial) (shardOut, error
 	}
 	patterns := make([]search.RankedPattern, len(p.Patterns))
 	for i, wp := range p.Patterns {
-		if len(wp.Paths) != len(words) {
-			return shardOut{}, fmt.Errorf("shard: shard %d pattern %d has %d paths for %d keywords", si, i, len(wp.Paths), len(words))
+		if len(wp.Paths) != keywords {
+			return shardOut{}, fmt.Errorf("shard: shard %d pattern %d has %d paths for %d keywords", si, i, len(wp.Paths), keywords)
 		}
 		tp := core.TreePattern{Paths: make([]core.PatternID, len(wp.Paths))}
 		for j, x := range wp.Paths {
@@ -289,8 +275,6 @@ func (e *Engine) fromWire(si int, query string, p *WirePartial) (shardOut, error
 	return shardOut{
 		patterns: patterns,
 		stats: search.QueryStats{
-			Surfaces:       surfaces,
-			Words:          words,
 			CandidateRoots: p.CandidateRoots,
 			SampledRoots:   p.SampledRoots,
 			TreesFound:     p.TreesFound,

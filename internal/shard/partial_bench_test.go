@@ -58,7 +58,8 @@ func BenchmarkScatterPartial(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.fromWire(l.si, l.query, p); err != nil {
+		words, _ := search.ResolveQuery(e.dict, l.query)
+		if _, err := e.fromWire(l.si, len(words), p); err != nil {
 			b.Fatal(err)
 		}
 	}

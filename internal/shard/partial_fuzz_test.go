@@ -80,8 +80,9 @@ func sealed(data []byte) []byte {
 // accepts to the gather's preconditions.
 func checkFromWire(t *testing.T, e *Engine, query string, p *WirePartial, lens [2]int) {
 	t.Helper()
+	words, _ := search.ResolveQuery(e.dict, query)
 	for si := 0; si < 2; si++ {
-		out, err := e.fromWire(si, query, p)
+		out, err := e.fromWire(si, len(words), p)
 		if got := e.units[si].ix.PatternTable().Len(); got != lens[si] {
 			t.Fatalf("shard %d: pattern table grew from %d to %d", si, lens[si], got)
 		}

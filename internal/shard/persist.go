@@ -14,7 +14,8 @@ import (
 // tombstoned node is retyped, so its recorded assignment is the only
 // witness of its owner), the per-shard indexes, and the per-shard
 // epochs. PageRank is a pure function of the graph: the loader computes
-// it once for every shard's index.Load and FromParts.
+// it once for every shard's index.Load and FromParts, which keeps one
+// copy of the dictionary every shard file carries.
 
 // Owners returns a copy of the node → shard ownership table, or nil for a
 // one-shard engine: its table is all zeros, so nothing needs persisting
@@ -45,7 +46,8 @@ func (e *Engine) EncodeShard(si int, w io.Writer) error {
 // the same bytes. opts must carry the build-time options (D, UniformPR,
 // Synonyms); RootFilter/DirtyRoots/PageRank stay reserved for the shard
 // layer but opts.PageRank, the vector the indexes were loaded with (nil:
-// recomputed from the graph when not uniform).
+// recomputed from the graph when not uniform). Every index must carry
+// shard 0's dictionary, which then serves them all.
 func FromParts(g *kg.Graph, owner []uint8, ixs []*index.Index, epochs []uint64, opts index.Options) (*Engine, error) {
 	if g == nil {
 		return nil, fmt.Errorf("shard: nil graph")
@@ -90,7 +92,12 @@ func FromParts(g *kg.Graph, owner []uint8, ixs []*index.Index, epochs []uint64, 
 		if ix.Graph() != g {
 			return nil, fmt.Errorf("shard: shard %d index bound to a different graph", si)
 		}
-		u := &unit{ix: ix}
+		if si == 0 {
+			e.dict = ix.Dict()
+		} else if !ix.Dict().Equal(e.dict) {
+			return nil, fmt.Errorf("shard: shard %d dictionary differs from shard 0's; rebuild the snapshot from its graph", si)
+		}
+		u := &unit{ix: ix.Rebind(g, nil, e.dict)}
 		if epochs != nil {
 			u.epoch = epochs[si]
 		}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"kbtable/internal/dataset"
@@ -48,5 +49,26 @@ func TestFromPartsValidation(t *testing.T) {
 	}
 	if _, err := FromParts(g, e.Owners(), []*index.Index{ixs[0], nil}, nil, iopts); err == nil {
 		t.Error("nil shard index accepted")
+	}
+	dict := index.Dictionary(g, nil)
+	dict.Intern("zeta")
+	other, err := index.Build(g, index.Options{D: 3, Dict: dict, PageRank: e.PageRank(), RootFilter: e.filter(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromParts(g, e.Owners(), []*index.Index{ixs[0], other}, nil, iopts); err == nil || !strings.Contains(err.Error(), "shard 1 dictionary") {
+		t.Errorf("disagreeing shard dictionaries: %v, want an error naming shard 1", err)
+	}
+
+	// Each loaded index decoded a dictionary of its own; the engine keeps
+	// one for every shard.
+	loaded, err := FromParts(g, e.Owners(), ixs, nil, iopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si := range ixs {
+		if loaded.Index(si).Dict() != loaded.Dict() {
+			t.Errorf("shard %d keeps its own decoded dictionary", si)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"kbtable/internal/core"
 	"kbtable/internal/kg"
 	"kbtable/internal/search"
+	"kbtable/internal/text"
 )
 
 // RankedPattern is one globally ranked pattern. Pattern's IDs resolve in
@@ -176,14 +177,16 @@ func (e *Engine) leg(ctx context.Context, si int, query string, algo search.Algo
 // that goroutine, and on the resident shard when legs is nil or the
 // remote leg fails. Every leg lists all of its shard's patterns in
 // ascending content order, so the gather is a merge of the legs into the
-// global top-k.
+// global top-k. The query's words and surfaces are the engine's one
+// resolution against the epoch's dictionary, which every leg shares.
 func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search.Plan, query string, opts search.Options, legs Legs) (*Result, error) {
+	words, surfaces := search.ResolveQuery(e.dict, query)
 	probed := time.Now()
 	outs := make([]shardOut, e.n)
 	e.scatter(func(si int) {
 		if legs != nil {
 			if p, err := legs.Scatter(ctx, si, plan.Algo); err == nil {
-				if out, err := e.fromWire(si, query, p); err == nil {
+				if out, err := e.fromWire(si, len(words), p); err == nil {
 					outs[si] = out
 					return
 				}
@@ -238,7 +241,7 @@ func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search
 	stages.Aggregate = time.Since(tAgg)
 
 	stats := e.mergeStats(plan.Algo, outs)
-	stats.PatternsFound = found
+	stats.Surfaces, stats.Words, stats.PatternsFound = surfaces, words, found
 
 	tRank := time.Now()
 	winners := top.Results()
@@ -256,7 +259,7 @@ func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search
 	// Materialize tables for the winners only, from each contributing
 	// shard's pattern-first index.
 	if !opts.SkipTrees {
-		if err := e.fillTrees(ctx, outs, winners, res.Patterns, opts); err != nil {
+		if err := e.fillTrees(ctx, words, winners, res.Patterns, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -341,8 +344,7 @@ func mergeByRoot[T any](runs [][]T, root func(*T) kg.NodeID, visit func(*T) bool
 // combination can be empty on one shard and populated on another, so it is
 // not comparable to a one-shard run's counter).
 func (e *Engine) mergeStats(algo search.Algo, outs []shardOut) search.QueryStats {
-	stats := search.QueryStats{Surfaces: outs[0].stats.Surfaces, Words: outs[0].stats.Words}
-	stats.CandidateRoots = -1
+	stats := search.QueryStats{CandidateRoots: -1}
 	if algo != search.AlgoPE {
 		stats.CandidateRoots = 0
 		for i := range outs {
@@ -362,7 +364,7 @@ func (e *Engine) mergeStats(algo search.Algo, outs []shardOut) search.QueryStats
 // contributing shards in ascending root order, truncated to the
 // per-pattern cap — exactly the rows a one-shard materialization pass
 // produces, which walks roots ascending and stops at the cap.
-func (e *Engine) fillTrees(ctx context.Context, outs []shardOut, winners []gathered, patterns []RankedPattern, opts search.Options) error {
+func (e *Engine) fillTrees(ctx context.Context, words []text.WordID, winners []gathered, patterns []RankedPattern, opts search.Options) error {
 	maxTrees := opts.MaxTreesPerPattern
 	var wg sync.WaitGroup
 	for i, g := range winners {
@@ -371,7 +373,7 @@ func (e *Engine) fillTrees(ctx context.Context, outs []shardOut, winners []gathe
 			defer wg.Done()
 			runs := make([][]core.Subtree, len(g.contrib))
 			for j, c := range g.contrib {
-				runs[j] = search.MaterializeTrees(ctx, e.units[c.shard].ix, outs[c.shard].stats.Words, c.pattern, opts)
+				runs[j] = search.MaterializeTrees(ctx, e.units[c.shard].ix, words, c.pattern, opts)
 			}
 			mergeByRoot(runs, func(st *core.Subtree) kg.NodeID { return st.Root }, func(st *core.Subtree) bool {
 				patterns[i].Trees = append(patterns[i].Trees, *st)
@@ -407,7 +409,8 @@ func (e *Engine) TopTrees(query string, k int, opts search.Options) ([]RankedTre
 		outs[si] = out{trees: trees, table: ix.PatternTable(), stats: stats}
 	})
 	top := core.NewTopK(k, func(a, b RankedTree) int { return search.CompareTrees(a.Table, a.RankedTree, b.Table, b.RankedTree) })
-	stats := search.QueryStats{Surfaces: outs[0].stats.Surfaces, Words: outs[0].stats.Words}
+	words, surfaces := search.ResolveQuery(e.dict, query)
+	stats := search.QueryStats{Surfaces: surfaces, Words: words}
 	for si := range outs {
 		for _, rt := range outs[si].trees {
 			top.Offer(rt.Score, RankedTree{RankedTree: rt, Table: outs[si].table})

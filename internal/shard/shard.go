@@ -34,10 +34,11 @@
 // per-root partials under the same fold wherever each leg ran, so a
 // cluster answers bit-identically to a single process.
 //
-// Shards share the immutable *kg.Graph in process; because every shard
-// is a self-contained index (own dictionary, own pattern table) and the
-// gather protocol only exchanges per-root aggregates and path contents,
-// the same merge serves legs behind process or machine boundaries.
+// Shards share the immutable *kg.Graph and one dictionary per engine epoch
+// (Dict): a query resolves once, at the engine. Because every shard is
+// otherwise a self-contained index (own pattern table) and the gather
+// protocol only exchanges per-root aggregates and path contents, the same
+// merge serves legs behind process or machine boundaries.
 package shard
 
 import (
@@ -48,6 +49,7 @@ import (
 	"kbtable/internal/index"
 	"kbtable/internal/kg"
 	"kbtable/internal/rank"
+	"kbtable/internal/text"
 )
 
 // MaxShards bounds the shard count (ownership is stored in one byte per
@@ -84,14 +86,15 @@ type Engine struct {
 	opts  index.Options // base build options; RootFilter/DirtyRoots/PageRank are per-call
 	owner []uint8       // node -> shard, fixed at node creation
 	pr    []float64     // PageRank of g, shared by every shard (nil under UniformPR)
+	dict  *text.Dict    // corpus dictionary of g, shared by every shard
 	units []*unit
 }
 
 // NewEngine partitions g's roots across n >= 1 shards and builds the
 // per-shard indexes in parallel. opts applies to every shard;
-// opts.RootFilter, opts.DirtyRoots and opts.PageRank are reserved for the
-// shard layer itself. PageRank (a whole-graph property) is computed once
-// and shared.
+// opts.RootFilter, opts.DirtyRoots, opts.PageRank and opts.Dict are
+// reserved for the shard layer itself. PageRank and the dictionary
+// (whole-graph properties) are computed once and shared.
 func NewEngine(g *kg.Graph, n int, opts index.Options) (*Engine, error) {
 	all := make([]int, n)
 	for si := range all {
@@ -108,8 +111,8 @@ func build(g *kg.Graph, n int, owned []int, opts index.Options) (*Engine, error)
 	if n < 1 || n > MaxShards {
 		return nil, fmt.Errorf("shard: shard count %d out of range [1,%d]", n, MaxShards)
 	}
-	if opts.RootFilter != nil || opts.DirtyRoots != nil || opts.PageRank != nil {
-		return nil, fmt.Errorf("shard: RootFilter/DirtyRoots/PageRank are managed by the shard layer")
+	if opts.RootFilter != nil || opts.DirtyRoots != nil || opts.PageRank != nil || opts.Dict != nil {
+		return nil, fmt.Errorf("shard: RootFilter/DirtyRoots/PageRank/Dict are managed by the shard layer")
 	}
 	if opts.D == 0 {
 		opts.D = 3
@@ -118,7 +121,7 @@ func build(g *kg.Graph, n int, owned []int, opts index.Options) (*Engine, error)
 	for v := range owner {
 		owner[v] = ownerOf(g.Type(kg.NodeID(v)), kg.NodeID(v), n)
 	}
-	e := &Engine{g: g, n: n, opts: opts, owner: owner, pr: PageRankOf(g, opts)}
+	e := &Engine{g: g, n: n, opts: opts, owner: owner, pr: PageRankOf(g, opts), dict: index.Dictionary(g, opts.Synonyms)}
 
 	// Build the shards in parallel; each build also parallelizes
 	// internally, so split the worker budget across shards.
@@ -133,7 +136,7 @@ func build(g *kg.Graph, n int, owned []int, opts index.Options) (*Engine, error)
 			so := opts
 			so.Workers = perShard
 			so.RootFilter = e.filter(si)
-			so.PageRank = e.pr
+			so.PageRank, so.Dict = e.pr, e.dict
 			ix, err := index.Build(g, so)
 			if err != nil {
 				errs[si] = err
@@ -215,6 +218,9 @@ func (e *Engine) D() int { return e.opts.D }
 // PageRank returns the PageRank vector every shard scores with (nil under
 // UniformPR); callers must not modify it.
 func (e *Engine) PageRank() []float64 { return e.pr }
+
+// Dict returns the dictionary every shard indexes with (read-only).
+func (e *Engine) Dict() *text.Dict { return e.dict }
 
 // Index returns shard si's path index (read-only), or nil when the
 // shard is not resident on this engine (partial engines).

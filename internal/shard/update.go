@@ -33,8 +33,8 @@ type UpdateStats struct {
 // snapshot. Shards with no owned dirty roots skip re-enumeration entirely;
 // when the delta also kept edge IDs they share their postings with the
 // old epoch via Rebind, and their epoch counter advances only if PageRank
-// moved. PageRank (whole-graph) and kg.AffectedRoots (one backward BFS)
-// are computed once, not per shard.
+// moved. PageRank, the dictionary (the change's words interned before any
+// splice) and kg.AffectedRoots are computed once, not per shard.
 func (e *Engine) ApplyDelta(ch *kg.Changed) (*Engine, UpdateStats, error) {
 	var us UpdateStats
 	if ch == nil || ch.Old == nil || ch.New == nil {
@@ -64,7 +64,7 @@ func (e *Engine) ApplyDelta(ch *kg.Changed) (*Engine, UpdateStats, error) {
 	structural := ch.AddedNodes > 0 || ch.RemovedNodes > 0 || ch.AddedEdges > 0 || ch.RemovedEdges > 0
 	identityEdges := ch.EdgeMap == nil
 
-	ne := &Engine{g: ch.New, n: e.n, opts: e.opts, owner: owner, pr: e.pr}
+	ne := &Engine{g: ch.New, n: e.n, opts: e.opts, owner: owner, pr: e.pr, dict: index.ExtendDictionary(e.dict, ch)}
 	var movedPR []float64 // set when the change moved PageRank; text edits cannot
 	if structural {
 		ne.pr = PageRankOf(ch.New, e.opts)
@@ -86,7 +86,7 @@ func (e *Engine) ApplyDelta(ch *kg.Changed) (*Engine, UpdateStats, error) {
 			if us.ScoresRefreshed {
 				epoch++
 			}
-			ne.units[si] = &unit{ix: u.ix.Rebind(ch.New, movedPR), epoch: epoch}
+			ne.units[si] = &unit{ix: u.ix.Rebind(ch.New, movedPR, ne.dict), epoch: epoch}
 			return
 		}
 		// Each shard's splice gets the whole worker budget, not a 1/N
@@ -97,7 +97,7 @@ func (e *Engine) ApplyDelta(ch *kg.Changed) (*Engine, UpdateStats, error) {
 		so := e.opts
 		so.RootFilter = ne.filter(si)
 		so.DirtyRoots = dirty
-		so.PageRank = ne.pr
+		so.PageRank, so.Dict = ne.pr, ne.dict
 		nix, ds, err := u.ix.ApplyDelta(ch, so)
 		if err != nil {
 			errs[si] = err

@@ -127,6 +127,11 @@ func (d *Dict) AddSynonym(alias, canonical string) {
 // Len returns the number of interned words.
 func (d *Dict) Len() int { return len(d.words) }
 
+// Equal reports whether d and o hold the same words, stems and synonyms.
+func (d *Dict) Equal(o *Dict) bool {
+	return slices.Equal(d.words, o.words) && slices.Equal(d.stemOf, o.stemOf) && maps.Equal(d.synonyms, o.synonyms)
+}
+
 // QueryTokens tokenizes a query and maps tokens to canonical WordIDs without
 // interning: unknown words map to NoWord (the query then has no answers for
 // that keyword). The returned surface slice is parallel to the IDs.

@@ -325,3 +325,26 @@ func TestDictForkIsolation(t *testing.T) {
 		t.Fatal("parent sees a fork's synonym")
 	}
 }
+
+func TestDictEqual(t *testing.T) {
+	d := NewDict()
+	d.AddSynonym("tome", "book")
+	d.Intern("cities")
+	f := d.Fork()
+	if !f.Equal(d) || !d.Equal(f) {
+		t.Fatal("a fork must equal its parent")
+	}
+	f.Intern("zeta")
+	if f.Equal(d) {
+		t.Fatal("a fork with a new word equals its parent")
+	}
+	g := d.Fork()
+	g.AddSynonym("novel", "book")
+	if g.Equal(d) {
+		t.Fatal("a fork with a new synonym equals its parent")
+	}
+	s, err := FromSnapshot(d.Snapshot())
+	if err != nil || !s.Equal(d) {
+		t.Fatalf("a snapshot round trip must equal the original: %v", err)
+	}
+}

@@ -31,7 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -821,33 +821,25 @@ func (e *Engine) ApplyUpdate(u Update) (*Engine, UpdateResult, error) {
 
 // QueryWords returns the sorted canonical words a query resolves to
 // (known words through stemming and synonym aliasing, unknown words as
-// their stem). Matched against UpdateResult.TouchedWords, it tells a
-// cache whether an update could have changed this query's answers.
+// their stem) in the engine's dictionary, the one every shard of this
+// epoch shares, a partial engine's too. Matched against
+// UpdateResult.TouchedWords, it tells a cache whether an update could have
+// changed this query's answers.
 func (e *Engine) QueryWords(query string) []string {
-	// Any resident shard's dictionary serves: every shard tokenizes the
-	// full corpus in the same deterministic order, so they agree on
-	// canonical words.
-	d := e.sh.AnyIndex().Dict()
+	d := e.sh.Dict()
 	ids, surfaces := d.QueryTokens(query)
-	seen := make(map[string]struct{}, len(ids))
-	out := make([]string, 0, len(ids))
+	out := make([]string, len(ids))
 	for i, id := range ids {
-		w := ""
 		if id == text.NoWord {
 			// Unknown today — but an update may introduce it, and its
 			// postings would then live under the stem.
-			w = text.Stem(surfaces[i])
+			out[i] = text.Stem(surfaces[i])
 		} else {
-			w = d.Word(id)
+			out[i] = d.Word(id)
 		}
-		if _, ok := seen[w]; ok {
-			continue
-		}
-		seen[w] = struct{}{}
-		out = append(out, w)
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // CSV renders the answer's table as CSV.
@@ -916,7 +908,7 @@ func (e *Engine) Explain(query string) (Explanation, error) {
 	if err != nil {
 		return ex, fmt.Errorf("kbtable: %w", err)
 	}
-	words, surfaces := search.ResolveQuery(e.sh.AnyIndex(), query)
+	words, surfaces := search.ResolveQuery(e.sh.Dict(), query)
 	for i, w := range words {
 		if w < 0 {
 			ex.Unknown = append(ex.Unknown, surfaces[i])
