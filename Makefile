@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race alloc bench benchmark-module index-procs api-procs fma one-path fmt vet check cover fuzz golden loc serve clean ci-local cold-start snapshot-fixture regret-fixture load-soak cluster-soak profile-update
+.PHONY: build test race alloc bench benchmark-module index-procs api-procs fma one-path fmt vet check cover fuzz golden loc serve clean ci-local cold-start snapshot-fixture regret-fixture load-soak cluster-soak profile-update profile-search
 
 build:
 	$(GO) build ./...
@@ -221,6 +221,13 @@ regret-fixture:
 profile-update:
 	$(GO) test -run '^$$' -bench ApplyUpdate -benchmem -cpuprofile cpu-update.prof .
 
+# CPU profile of the read path: BenchmarkQueryLETopK (LINEARENUM-TOPK, the
+# algorithm Auto runs for most search_cold queries, on the wiki corpus).
+# Writes cpu-search.prof beside the test binary kbtable.test; read it with
+# `go tool pprof -top kbtable.test cpu-search.prof`.
+profile-search:
+	$(GO) test -run '^$$' -bench 'QueryLETopK$$' -benchmem -cpuprofile cpu-search.prof .
+
 # Non-test Go lines outside benchmark/ — the size every CHANGES.md entry
 # quotes (ROADMAP ground rule iv).
 loc:
@@ -232,4 +239,4 @@ serve:
 
 clean:
 	$(GO) clean ./...
-	rm -rf bin cover.out cpu-update.prof kbtable.test
+	rm -rf bin cover.out cpu-update.prof cpu-search.prof kbtable.test

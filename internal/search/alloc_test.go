@@ -5,6 +5,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"kbtable/internal/index"
@@ -14,19 +15,26 @@ import (
 // The race detector changes allocation counts, so the allocation budgets
 // live behind !race; CI runs them in a plain `go test -run Alloc` step.
 
-// hubForest builds `hubs` hub entities over three hub types, each with
-// `fan` leaves per keyword under each of two attributes. "alpha beta" then
-// has `hubs` candidate roots, 4·fan² valid subtrees under every one of
-// them, and 12 tree patterns however large hubs and fan get: the
-// enumeration units (roots, tuples) scale, the answer does not.
+// hubForest builds `hubs` hub entities over three hub types, each linked
+// under each of two attributes to the same `fan` leaves per keyword. "alpha
+// beta" then has `hubs` candidate roots, 4·fan² valid subtrees under every
+// one of them, and 12 tree patterns however large hubs and fan get: the
+// enumeration units (roots, tuples) scale, the answer does not. The leaves
+// are shared, so a keyword's root list grows by fan, not by hubs·fan.
 func hubForest(hubs, fan int) *kg.Graph {
 	b := kg.NewBuilder()
+	leaves := map[string][]kg.NodeID{}
+	for _, w := range []string{"alpha", "beta"} {
+		for i := 0; i < fan; i++ {
+			leaves[w] = append(leaves[w], b.Entity("Leaf", fmt.Sprintf("%s %d", w, i)))
+		}
+	}
 	for h := 0; h < hubs; h++ {
 		hub := b.Entity(fmt.Sprintf("Hub%d", h%3), fmt.Sprintf("hub %d", h))
 		for _, w := range []string{"alpha", "beta"} {
 			for _, attr := range []string{"has", "owns"} {
-				for i := 0; i < fan; i++ {
-					b.Attr(hub, attr, b.Entity("Leaf", fmt.Sprintf("%s %d", w, i)))
+				for _, leaf := range leaves[w] {
+					b.Attr(hub, attr, leaf)
 				}
 			}
 		}
@@ -41,10 +49,11 @@ func hubForest(hubs, fan int) *kg.Graph {
 // frontier and on a 12× larger one, and the larger may cost at most
 // maxGrowth allocations more. What remains is per query and per worker:
 // keyword resolution and posting lookups, PATTERNENUM's per-(type, word)
-// prelude, Auto's planner statistics, worker states, the retained top-k
-// with its keys, scratch growth. Measured (go1.24, small → large): LE
-// 101 → 104, PE 161 → 163, Auto 190 → 195; the large corpus has 60 more
-// roots, so one allocation per root alone would break maxGrowth.
+// prelude, Auto's planner statistics, worker states, the retained top-k,
+// PATTERNENUM's scratch growth (LINEARENUM's scratch is pooled across
+// queries). Measured (go1.24, small → large): LE 62 → 65, PE 151 → 153,
+// Auto 79 → 83; the large corpus has 60 more roots, so one allocation per
+// root alone would break maxGrowth.
 func TestAllocBudgetEnumerate(t *testing.T) {
 	const (
 		budget    = 240 // allocations per query
@@ -92,4 +101,48 @@ func TestAllocBudgetEnumerate(t *testing.T) {
 				algo, grew, trees[1]/trees[0], small, allocs[1][algo], maxGrowth)
 		}
 	}
+}
+
+// TestAllocBytesLEScratch holds LINEARENUM's scratch to its lifetime: it
+// is pooled across queries (leScratchPool), so once one query has grown
+// it, a query whose roots carry 16× the paths and 256× the subtrees
+// allocates no more bytes than a small one plus a constant. The forests
+// share their hub count, so the candidate roots — what prepare copies and
+// partitions per query — are the same; before pooling, the regrown runs,
+// term arena and dictionaries cost ~3 KB more on the larger one (go1.24).
+func TestAllocBytesLEScratch(t *testing.T) {
+	const slack = 512 // bytes per query
+	ctx := context.Background()
+	opts := Options{K: 5, SkipTrees: true, Workers: 1}
+	var bytes [2]uint64
+	for si, fan := range []int{2, 32} {
+		ix, err := index.Build(hubForest(30, fan), index.Options{D: 2, UniformPR: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes[si] = bytesPerRun(20, func() {
+			if _, err := Execute(ctx, ix, "alpha beta", AlgoLE, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("LETopK hubs=30 fan=%d: %d B/query", fan, bytes[si])
+	}
+	if bytes[1] > bytes[0]+slack {
+		t.Errorf("LETopK allocates %d B per query on the 16× fan, %d B on the small one: more than %d B apart, so scratch regrowth scales with the frontier",
+			bytes[1], bytes[0], slack)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes one
+// call of f allocates, after one warm-up call, on a single P.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

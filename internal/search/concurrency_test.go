@@ -1,6 +1,7 @@
 package search
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -18,9 +19,10 @@ func TestConcurrentQueries(t *testing.T) {
 		"microsoft products",
 		"bill gates",
 	}
-	ref := make([]*Result, len(queries))
+	ref, refLE := make([]*Result, len(queries)), make([]*Result, len(queries))
 	for i, q := range queries {
 		ref[i] = PETopK(ix, q, Options{K: 20})
+		refLE[i] = LETopK(ix, q, Options{K: 20})
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
@@ -39,7 +41,11 @@ func TestConcurrentQueries(t *testing.T) {
 				default:
 					got = LETopK(ix, queries[qi], Options{K: 20, Lambda: 1, Rho: 0.7, Seed: int64(w + 1)})
 				}
+				// LINEARENUM's scratch is pooled across queries: a scratch
+				// another goroutine used must not leak into these answers.
 				if rep%3 != 2 && len(got.Patterns) != len(ref[qi].Patterns) {
+					errs <- queries[qi]
+				} else if rep%3 == 1 && !sameRanking(got, refLE[qi]) {
 					errs <- queries[qi]
 				}
 			}
@@ -75,4 +81,19 @@ func TestConcurrentBaseline(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// sameRanking reports whether two results rank the same patterns with the
+// same aggregates, scores and subtree counts, in the same order.
+func sameRanking(a, b *Result) bool {
+	if len(a.Patterns) != len(b.Patterns) {
+		return false
+	}
+	for i := range a.Patterns {
+		p, q := &a.Patterns[i], &b.Patterns[i]
+		if !slices.Equal(p.Pattern.Paths, q.Pattern.Paths) || p.Agg != q.Agg || p.Score != q.Score || len(p.Trees) != len(q.Trees) {
+			return false
+		}
+	}
+	return true
 }

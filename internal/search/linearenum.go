@@ -40,15 +40,24 @@ func leEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 	// Roots expand through per-worker scratch with the keyword predicate
 	// pushed below pattern expansion (leScratch.fetch); LINEARENUM gets no
 	// score pruning — its per-root partials are lower bounds, so no
-	// mid-type cut is sound (stream.go).
-	scratches := make([]leScratch, len(ws))
+	// mid-type cut is sound (stream.go). The scratch comes from a pool
+	// shared across queries and goes back released (leScratch.release).
+	scratches := make([]*leScratch, len(ws))
+	for i := range scratches {
+		scratches[i] = getLEScratch()
+	}
+	defer func() {
+		for _, sc := range scratches {
+			putLEScratch(sc)
+		}
+	}()
 	return runShards(ctx, len(ws), len(prep.types), func(worker, ti int) {
 		c := prep.types[ti]
 		rc := prep.byType[c]
 		st := &ws[worker].stats
 		ltop := ws[worker].top
 		pc := &pollCancel{ctx: ctx}
-		sc := &scratches[worker]
+		sc := scratches[worker]
 
 		// Line 4: NR = Σ_r Π_i |Paths(wi, r)| without enumeration — and,
 		// like the sampling source, only when sampling can activate.

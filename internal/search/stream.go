@@ -3,6 +3,7 @@ package search
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"kbtable/internal/core"
 	"kbtable/internal/index"
@@ -36,11 +37,14 @@ import (
 //	    (core.TreePattern.CompareContent): no key is built.
 //
 //	per-worker bookkeeping  LINEARENUM's TreeDict (leDict) hashes the
-//	    PatternID vector itself, is emptied between root types and draws
-//	    entries from a slab. PATTERNENUM resolves each (word, pattern)
-//	    group once per query (peTables), follows it with a monotone run
-//	    cursor along the ascending roots, and intersects root lists by
-//	    galloping into per-depth scratch.
+//	    PatternID vector itself, is emptied between root types, draws
+//	    entries from a slab and sizes its slot table for each root type.
+//	    Its scratch (leScratch) is pooled across queries and goes back
+//	    released, holding no reference into an index, so a pooled
+//	    scratch pins no replaced epoch. PATTERNENUM resolves each (word,
+//	    pattern) group once per query (peTables), follows it with a
+//	    monotone run cursor along the ascending roots, and intersects root
+//	    lists by galloping into per-depth scratch.
 //
 //	top-k bound pushdown  PATTERNENUM keeps a shard-local bounded heap
 //	    (reset at every shard boundary, see core.TopK.Reset) and, once it
@@ -236,8 +240,12 @@ type dictEntry struct {
 // running aggregate: an open-addressing table over the PatternID vectors
 // themselves, so a lookup hashes m integers and builds no key. Entries
 // come from a slab with their vectors packed in one arena; slots carry a
-// generation stamp, so reset is one increment and keeps every buffer for
-// the next root type. Entries live until reset: what outlives it (a
+// generation stamp, so a slot of another generation reads as empty. The
+// table in use is a power-of-two prefix of the slot array, leDictMinSlots
+// at each reset and doubled as entries arrive: reset and growth within the
+// array's capacity are each one stamp increment, and a root type's probes
+// touch a table sized for that type, not for the largest type the
+// (pooled) array ever held. Entries live until reset: what outlives it (a
 // retained RankedPattern) copies the vector out.
 type leDict struct {
 	slots   []uint64 // gen<<32 | position in entries; other gens are empty
@@ -246,12 +254,21 @@ type leDict struct {
 	paths   []core.PatternID // backing store of entries' tp.Paths
 }
 
+// leDictMinSlots is the slot table's size after a reset.
+const leDictMinSlots = 64
+
 // reset empties the dictionary, retaining capacity.
 func (d *leDict) reset() {
 	clear(d.entries) // drop rootAggs references
 	d.entries, d.paths = d.entries[:0], d.paths[:0]
+	d.slots = d.slots[:min(leDictMinSlots, cap(d.slots))]
+	d.nextGen()
+}
+
+// nextGen empties every slot by moving to a new generation stamp.
+func (d *leDict) nextGen() {
 	if d.gen++; d.gen == 0 { // stamp wrapped: old stamps could alias
-		clear(d.slots)
+		clear(d.slots[:cap(d.slots)])
 		d.gen = 1
 	}
 }
@@ -287,10 +304,15 @@ func (d *leDict) find(paths []core.PatternID) *dictEntry {
 // entry is find, registering the pattern (with a zero aggregate) if new.
 func (d *leDict) entry(paths []core.PatternID) *dictEntry {
 	if 2*len(d.entries) >= len(d.slots) { // keep the load factor under 1/2
-		d.slots, d.gen = make([]uint64, max(64, 2*len(d.slots))), 1
+		if n := max(leDictMinSlots, 2*len(d.slots)); n <= cap(d.slots) {
+			d.slots = d.slots[:n]
+		} else {
+			d.slots = make([]uint64, n)
+		}
+		d.nextGen()
 		for pos := range d.entries {
 			i, _ := d.probe(d.entries[pos].tp.Paths)
-			d.slots[i] = 1<<32 | uint64(pos)
+			d.slots[i] = uint64(d.gen)<<32 | uint64(pos)
 		}
 	}
 	i, de := d.probe(paths)
@@ -308,7 +330,9 @@ func (d *leDict) entry(paths []core.PatternID) *dictEntry {
 // fetched root's posting runs per keyword (one per pattern), their score
 // terms in one arena (sized before it is filled, so the segments aliasing
 // it never move), the combination odometer over the runs, and the
-// dictionaries the expansion folds into.
+// dictionaries the expansion folds into. Scratches outlive a query: they
+// come from leScratchPool and go back released, holding buffers but no
+// reference into an index or a result.
 type leScratch struct {
 	runs   [][]index.PathSet
 	segs   [][][]core.ScoreTerms
@@ -318,6 +342,39 @@ type leScratch struct {
 	agg    aggScratch // the chosen combination's runs and term lists
 	dict   leDict     // TreeDict of the root type being expanded
 	sel    leDict     // exact re-scores of a sampled type's selection
+}
+
+var leScratchPool = sync.Pool{New: func() any { return new(leScratch) }}
+
+func getLEScratch() *leScratch { return leScratchPool.Get().(*leScratch) }
+
+// putLEScratch releases sc and returns it to the pool.
+func putLEScratch(sc *leScratch) {
+	sc.release()
+	leScratchPool.Put(sc)
+}
+
+// release zeroes every slot that can point into an index (a PathSet holds
+// its word's index and root-first order, a RunCursor its group, a Path its
+// edges) or into a result (rootAggs), over each buffer's full capacity:
+// a pooled scratch must pin no epoch an update has since replaced. What
+// stays is pointer-free or points into the scratch's own buffers. Past
+// their lengths the run lists and the dictionaries' entries are already
+// zero (fetch clears a run list's tail when it shrinks, leDict.reset the
+// entries), so clearing their lengths zeroes their capacity at the cost
+// of what this query used, not of the largest query the scratch served.
+func (sc *leScratch) release() {
+	for _, runs := range sc.runs[:cap(sc.runs)] {
+		clear(runs)
+	}
+	a := &sc.agg
+	clear(a.sets[:cap(a.sets)])
+	clear(a.cursors[:cap(a.cursors)])
+	clear(a.paths[:cap(a.paths)])
+	clear(a.lists[:cap(a.lists)])
+	a.tw.lists = nil
+	clear(sc.dict.entries)
+	clear(sc.sel.entries)
 }
 
 // fetch loads root r's per-keyword runs and their terms. It returns false
@@ -337,9 +394,13 @@ func (sc *leScratch) fetch(ix *index.Index, words []text.WordID, r kg.NodeID, on
 	sc.agg.size(m)
 	n := 0
 	for i, w := range words {
-		runs := ix.RunsAt(sc.runs[i][:0], w, r)
+		prev := sc.runs[i]
+		runs := ix.RunsAt(prev[:0], w, r)
 		if only != nil {
 			runs = slices.DeleteFunc(runs, func(ps index.PathSet) bool { return !only[i][ps.Pattern()] })
+		}
+		if len(runs) < len(prev) {
+			clear(prev[len(runs):]) // keep the tail zero (release)
 		}
 		sc.runs[i] = runs
 		if len(runs) == 0 {

@@ -53,7 +53,8 @@ func TopTrees(ix *index.Index, query string, k int, opts Options) ([]RankedTree,
 	// are scored on the terms-only kernel; a tuple's paths are built only
 	// once its score can enter the heap.
 	pruneRoots := !o.RequireTreeShape
-	sc := &leScratch{}
+	sc := getLEScratch()
+	defer putLEScratch(sc)
 	for _, r := range candidates {
 		if pruneRoots && top.Len() >= k {
 			if ub, tuples, ok := rootTreeUB(ix, words, r, o); ok && !top.WouldAccept(ub) {
