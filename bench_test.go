@@ -298,7 +298,8 @@ func BenchmarkQueryTopTrees(b *testing.B) {
 	qs := benchQueries(e)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		trees, _ := search.TopTrees(ix, qs[i%len(qs)], 100, search.Options{})
+		words, surfaces := search.ResolveQuery(ix.Dict(), qs[i%len(qs)])
+		trees, _ := search.TopTrees(ix, words, surfaces, 100, search.Options{})
 		_ = trees
 	}
 }

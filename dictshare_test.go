@@ -118,9 +118,9 @@ func TestPartialEngineResolvesCoordinatorWords(t *testing.T) {
 func TestRecoverRefusesDisagreeingShardDictionaries(t *testing.T) {
 	g := fixtureGraph(t)
 	e := matrixEngine(t, g, 2)
-	dict := index.Dictionary(g.g, nil)
-	dict.Intern("zeta")
-	other, err := index.Build(g.g, index.Options{D: 3, Dict: dict, PageRank: e.sh.PageRank(),
+	corpus := index.NewCorpus(g.g, nil)
+	corpus.Dict().Intern("zeta")
+	other, err := index.Build(g.g, index.Options{D: 3, Corpus: corpus, PageRank: e.sh.PageRank(),
 		RootFilter: func(v kg.NodeID) bool { return e.sh.Owner(v) == 1 }})
 	if err != nil {
 		t.Fatal(err)

@@ -130,7 +130,8 @@ func executorRunner(t *testing.T, g *Graph, workers int) deepRunner {
 			return out, nil
 		},
 		trees: func(q string) ([]shard.RankedTree, search.QueryStats, int, int64) {
-			trees, st := search.TopTrees(ix, q, goldenK, search.Options{})
+			words, surfaces := search.ResolveQuery(ix.Dict(), q)
+			trees, st := search.TopTrees(ix, words, surfaces, goldenK, search.Options{})
 			top := make([]shard.RankedTree, len(trees))
 			for i, rt := range trees {
 				top[i] = shard.RankedTree{RankedTree: rt, Table: ix.PatternTable()}
@@ -174,8 +175,9 @@ func engineRunner(e *Engine, legs func(q string, o search.Options) shard.Legs) d
 		},
 		trees: func(q string) ([]shard.RankedTree, search.QueryStats, int, int64) {
 			top, st := sh.TopTrees(q, goldenK, search.Options{})
-			probe, _ := sh.PlanStats(ctx, q, search.Options{}, nil) // a failed probe counts 0 and fails the comparison
-			return top, st, sh.CountAllContent(q), probe.Frontier
+			words, _ := search.ResolveQuery(sh.Dict(), q)
+			probe, _ := sh.PlanStats(ctx, words, search.Options{}, nil) // a failed probe counts 0 and fails the comparison
+			return top, st, sh.CountAllContent(words), probe.Frontier
 		},
 	}
 }
@@ -637,10 +639,11 @@ func TestScatterLegContract(t *testing.T) {
 		}
 		pt := ix.PatternTable()
 		for _, q := range spec.queries {
+			words, surfaces := search.ResolveQuery(ix.Dict(), q)
 			for _, algo := range []search.Algo{search.AlgoPE, search.AlgoLE} {
 				var legs [2][]search.RankedPattern
 				for i, workers := range []int{1, 4} {
-					res, err := search.Scatter(ctx, ix, q, algo, search.Options{K: goldenK, Workers: workers})
+					res, err := search.Scatter(ctx, ix, words, surfaces, algo, search.Options{K: goldenK, Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -36,7 +36,8 @@ func RunFig13(e *Env) Table {
 	var pqs []perQuery
 	for _, c := range eligible {
 		res := search.LETopK(ix, c.q.Text, search.Options{K: kMax, SkipTrees: true})
-		trees, _ := search.TopTrees(ix, c.q.Text, kMax, search.Options{})
+		words, surfaces := search.ResolveQuery(ix.Dict(), c.q.Text)
+		trees, _ := search.TopTrees(ix, words, surfaces, kMax, search.Options{})
 		var pq perQuery
 		for _, rp := range res.Patterns {
 			pq.patternKeys = append(pq.patternKeys, rp.Pattern.ContentKey(ix.PatternTable()))
@@ -101,7 +102,8 @@ func RunCaseStudy(e *Env, query string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== Case study (Figures 14-15): query %q ==\n\n", query)
 
-	trees, _ := search.TopTrees(ix, query, 3, search.Options{})
+	words, surfaces := search.ResolveQuery(ix.Dict(), query)
+	trees, _ := search.TopTrees(ix, words, surfaces, 3, search.Options{})
 	fmt.Fprintf(&sb, "-- Top individual valid subtrees (Figure 14 analogue) --\n")
 	if len(trees) == 0 {
 		sb.WriteString("(no valid subtrees)\n")

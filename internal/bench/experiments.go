@@ -81,7 +81,8 @@ func RunFig6(e *Env) Table {
 
 // autoPick is the algorithm the Auto planner resolves q to on ix.
 func autoPick(ix *index.Index, q string) search.Algo {
-	st, err := search.PlanProbe(context.Background(), ix, q, search.Options{})
+	words, _ := search.ResolveQuery(ix.Dict(), q)
+	st, err := search.PlanProbe(context.Background(), ix, words, search.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -72,7 +72,8 @@ func timeRegretRows(t *testing.T) []regretRow {
 			if c.exceeded || c.patterns == 0 {
 				continue
 			}
-			st, err := search.PlanProbe(context.Background(), ix, c.q.Text, search.Options{})
+			words, _ := search.ResolveQuery(ix.Dict(), c.q.Text)
+			st, err := search.PlanProbe(context.Background(), ix, words, search.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,11 +1,9 @@
 package index
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,15 +11,7 @@ import (
 
 	"kbtable/internal/core"
 	"kbtable/internal/kg"
-	"kbtable/internal/text"
 )
-
-// wordSim is one word occurring in a piece of text together with the
-// precomputed Jaccard similarity sim(w, text) of score3.
-type wordSim struct {
-	Word text.WordID
-	Sim  float64
-}
 
 // flatEntry is the row-oriented construction form of one posting: the DFS
 // emits these, finishWord transposes them in pattern-first order into the
@@ -52,20 +42,17 @@ func Build(g *kg.Graph, opts Options) (*Index, error) {
 		return nil, err
 	}
 
-	ix := &Index{g: g, d: opts.D, dict: opts.Dict, pt: core.NewPatternTable()}
-	if ix.dict == nil {
-		ix.dict = Dictionary(g, opts.Synonyms)
+	// The DFS workers share the corpus read-only.
+	corpus := opts.Corpus
+	if corpus == nil {
+		corpus = NewCorpus(g, opts.Synonyms)
 	}
-
-	// Phase 1 (single-threaded): precompute, per node and per attribute
-	// type, the canonical words occurring in their text together with
-	// sim(w, text).
-	cw := newCorpusWords(g, ix.dict, false)
-	if cw.fillAllNodes(); cw.err != nil {
-		return nil, cw.err
+	if corpus.g != g {
+		return nil, fmt.Errorf("index: the corpus is of another graph snapshot")
 	}
+	ix := &Index{g: g, d: opts.D, dict: corpus.dict, pt: core.NewPatternTable()}
 
-	// Phase 2 (parallel): DFS per root over contiguous root ranges.
+	// Phase 1 (parallel): DFS per root over contiguous root ranges.
 	nWords := ix.dict.Len()
 	workers := defaultWorkers(opts.Workers)
 	n := g.NumNodes()
@@ -80,7 +67,7 @@ func Build(g *kg.Graph, opts Options) (*Index, error) {
 	for w := 0; w < workers; w++ {
 		lo := n * w / workers
 		hi := n * (w + 1) / workers
-		st := newBuilderState(g, opts.D, core.NewPatternTable(), nWords, cw, opts.uniform())
+		st := newBuilderState(g, opts.D, core.NewPatternTable(), nWords, corpus, opts.uniform())
 		outs[w] = st
 		wg.Add(1)
 		go func(lo, hi int) {
@@ -106,7 +93,7 @@ func Build(g *kg.Graph, opts Options) (*Index, error) {
 		}
 	}
 
-	// Phase 3 (parallel per word): merge worker outputs (worker ranges are
+	// Phase 2 (parallel per word): merge worker outputs (worker ranges are
 	// in root order, so concatenation keeps entries root-ordered), then
 	// order and transpose into the two columnar views.
 	ix.words = make([]wordIndex, nWords)
@@ -183,165 +170,6 @@ func parallelWords(nWords, workers int, f func(w int)) {
 	wg.Wait()
 }
 
-// Dictionary is g's corpus dictionary: the synonyms, by alias, then the
-// words of g's type names, attribute names and node texts in ID order.
-func Dictionary(g *kg.Graph, synonyms map[string]string) *text.Dict {
-	d := text.NewDict()
-	aliases := make([]string, 0, len(synonyms))
-	for alias := range synonyms {
-		aliases = append(aliases, alias)
-	}
-	slices.Sort(aliases)
-	for _, alias := range aliases {
-		d.AddSynonym(alias, synonyms[alias])
-	}
-	newCorpusWords(g, d, true).fillAllNodes()
-	return d
-}
-
-// ExtendDictionary is the dictionary of ch.New: d forked, then the words of
-// the change's new type names, new attribute names and touched node texts
-// (ascending) interned in that order, so every shard and replica agrees.
-func ExtendDictionary(d *text.Dict, ch *kg.Changed) *text.Dict {
-	cw := newCorpusWords(ch.New, d.Fork(), true) // old type and attribute names are known
-	for _, v := range ch.Touched {
-		cw.node(v)
-	}
-	return cw.dict
-}
-
-// sims canonicalizes the token set of s and attaches sim = 1/|tokens|,
-// the Jaccard similarity between any single contained word and s.
-func (cw *corpusWords) sims(s string) []wordSim {
-	toks := text.TokenSet(s)
-	if len(toks) == 0 {
-		return nil
-	}
-	sim := 1.0 / float64(len(toks))
-	out := make([]wordSim, 0, len(toks))
-	seen := make(map[text.WordID]struct{}, len(toks))
-	for _, t := range toks {
-		id := cw.dict.Lookup(t)
-		if id == text.NoWord && cw.intern {
-			id = cw.dict.Intern(t)
-		} else if id == text.NoWord {
-			cw.err = cmp.Or(cw.err, fmt.Errorf("index: corpus word %q is not in the dictionary", t))
-			continue
-		}
-		id = cw.dict.Canonical(id)
-		if _, ok := seen[id]; ok {
-			continue
-		}
-		seen[id] = struct{}{}
-		out = append(out, wordSim{Word: id, Sim: sim})
-	}
-	return out
-}
-
-// mergeWordSims unions two wordSim lists keeping the max similarity.
-func mergeWordSims(a, b []wordSim) []wordSim {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		out := make([]wordSim, len(b))
-		copy(out, b)
-		return out
-	}
-	out := make([]wordSim, len(a), len(a)+len(b))
-	copy(out, a)
-	for _, ws := range b {
-		found := false
-		for i := range out {
-			if out[i].Word == ws.Word {
-				if ws.Sim > out[i].Sim {
-					out[i].Sim = ws.Sim
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, ws)
-		}
-	}
-	return out
-}
-
-// corpusWords resolves the canonical words (with sim(w, text)) occurring in
-// node, entity-type and attribute-type texts. Type and attribute words are
-// computed eagerly (both tables are small); node words are either
-// precomputed in bulk (fillAllNodes, used by Build so that DFS workers can
-// share the table lock-free) or lazily on first access (used by ApplyDelta,
-// whose serial DFS only visits the d-neighborhood of dirty roots — most of
-// the corpus never needs tokenizing) and then not safe for concurrent use.
-// Only Dictionary and ExtendDictionary intern words.
-type corpusWords struct {
-	g      *kg.Graph
-	dict   *text.Dict
-	intern bool  // intern unseen words, or else
-	err    error // report the first
-
-	typeWords [][]wordSim
-	attrWords [][]wordSim
-	nodeWords [][]wordSim
-	nodeDone  []bool // nil once fillAllNodes ran
-}
-
-func newCorpusWords(g *kg.Graph, dict *text.Dict, intern bool) *corpusWords {
-	cw := &corpusWords{
-		g:         g,
-		dict:      dict,
-		intern:    intern,
-		typeWords: make([][]wordSim, g.NumTypes()),
-		attrWords: make([][]wordSim, g.NumAttrs()),
-		nodeWords: make([][]wordSim, g.NumNodes()),
-		nodeDone:  make([]bool, g.NumNodes()),
-	}
-	for t := 0; t < g.NumTypes(); t++ {
-		if kg.TypeID(t) == kg.LiteralType {
-			// Dummy text entities have their type omitted (Section 2.1 /
-			// Example 2.1); the reserved type's display name is not
-			// searchable text.
-			continue
-		}
-		cw.typeWords[t] = cw.sims(g.TypeName(kg.TypeID(t)))
-	}
-	for a := 0; a < g.NumAttrs(); a++ {
-		cw.attrWords[a] = cw.sims(g.AttrName(kg.AttrID(a)))
-	}
-	return cw
-}
-
-// fillAllNodes precomputes every node's word list; afterwards node() is
-// read-only and safe for concurrent callers.
-func (cw *corpusWords) fillAllNodes() {
-	for v := 0; v < cw.g.NumNodes(); v++ {
-		cw.fillNode(kg.NodeID(v))
-	}
-	cw.nodeDone = nil
-}
-
-func (cw *corpusWords) fillNode(v kg.NodeID) {
-	// Words from the entity text and from its type's text; when a word
-	// appears in both, keep the higher similarity ("appears in the text
-	// description of a node or node type", condition ii).
-	own := cw.sims(cw.g.Text(v))
-	cw.nodeWords[v] = mergeWordSims(own, cw.typeWords[cw.g.Type(v)])
-}
-
-// node returns the canonical words of v's text (and its type's text).
-func (cw *corpusWords) node(v kg.NodeID) []wordSim {
-	if cw.nodeDone != nil && !cw.nodeDone[v] {
-		cw.fillNode(v)
-		cw.nodeDone[v] = true
-	}
-	return cw.nodeWords[v]
-}
-
-// attr returns the canonical words of an attribute type's text.
-func (cw *corpusWords) attr(a kg.AttrID) []wordSim { return cw.attrWords[a] }
-
 // postings is the per-word accumulation buffer of one worker.
 type postings struct {
 	entries []flatEntry
@@ -355,7 +183,7 @@ type builderState struct {
 	g        *kg.Graph
 	d        int
 	pt       *core.PatternTable
-	words    *corpusWords
+	words    *Corpus
 	uniform  bool       // key every posting on node 0 (Options.UniformPR)
 	postings []postings // by WordID
 
@@ -367,7 +195,7 @@ type builderState struct {
 	onPath map[kg.NodeID]bool
 }
 
-func newBuilderState(g *kg.Graph, d int, pt *core.PatternTable, nWords int, words *corpusWords, uniform bool) *builderState {
+func newBuilderState(g *kg.Graph, d int, pt *core.PatternTable, nWords int, words *Corpus, uniform bool) *builderState {
 	return &builderState{
 		g:        g,
 		d:        d,
@@ -396,7 +224,7 @@ func (st *builderState) visit(v kg.NodeID) {
 	g := st.g
 	depth := len(st.edges) // number of edges on the current path
 
-	if words := st.words.node(v); len(words) > 0 {
+	if words := st.words.nodeWords[v]; len(words) > 0 {
 		pid := st.pt.Intern(st.snapshotPattern(false))
 		for _, ws := range words {
 			st.emit(ws, pid, false, v)
@@ -416,7 +244,7 @@ func (st *builderState) visit(v kg.NodeID) {
 			continue
 		}
 		// Edge match: the path ends at this edge's attribute type.
-		if words := st.words.attr(e.Attr); len(words) > 0 {
+		if words := st.words.attrWords[e.Attr]; len(words) > 0 {
 			st.edges = append(st.edges, eid)
 			st.attrs = append(st.attrs, e.Attr)
 			pid := st.pt.Intern(st.snapshotPattern(true))

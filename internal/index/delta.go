@@ -15,9 +15,9 @@
 // linear merge (spliceOrder) yields the order Build produces. finishWord
 // only transposes: its input must come ordered.
 //
-// The change's words are interned before the DFS, in a fixed order
-// (ExtendDictionary), so WordIDs agree on every shard and replica; the
-// DFS only looks them up. The per-word splice that follows fans out over
+// The change's words are tokenized and interned before the DFS, in a fixed
+// order (Corpus.Extend), so WordIDs agree on every shard and replica; the
+// DFS only reads the corpus. The per-word splice that follows fans out over
 // Options.Workers like Build's last phase: a word's posting list depends
 // on no other word's, and the stats are gathered after the loop, so the
 // new index and DeltaStats do not depend on the worker count.
@@ -71,8 +71,9 @@ type DeltaStats struct {
 
 // ApplyDelta derives the index of ch.New from the index of ch.Old. opts
 // must describe how the receiver was built: D (0 means "same"), the
-// PageRank mode, and Workers. Synonyms are already baked into opts.Dict,
-// the receiver's dictionary extended by ch (nil: ExtendDictionary).
+// PageRank mode, and Workers. Synonyms are already baked into opts.Corpus,
+// the corpus of ch.New: the receiver's extended by ch (Corpus.Extend; nil
+// tokenizes ch.Old against the receiver's dictionary and extends that).
 //
 // The per-word splice runs on up to Workers goroutines, and its output
 // does not depend on Workers.
@@ -111,12 +112,19 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 	refreshPR := structural && !opts.uniform()
 	ds.ScoresRefreshed = refreshPR
 
+	corpus := opts.Corpus
+	if corpus == nil {
+		old, err := CorpusOf(ch.Old, ix.dict)
+		if err != nil {
+			return nil, ds, err
+		}
+		corpus = old.Extend(ch)
+	}
+	if corpus.g != newG {
+		return nil, ds, fmt.Errorf("index: the corpus is of another graph snapshot")
+	}
 	// Fork the pattern table: the new index interns new patterns without
 	// perturbing readers of the old epoch.
-	dict := opts.Dict
-	if dict == nil {
-		dict = ExtendDictionary(ix.dict, ch)
-	}
 	pt := ix.pt.Fork()
 
 	// Dirty roots: every node that could reach a touched element within
@@ -146,23 +154,19 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 		dirtySet[r] = true
 	}
 
-	// Re-run the bounded-height DFS from dirty roots only. The pass is
-	// serial: the lazy word source fills its node table on first sight.
-	// Dirty sets are small by construction; when an update devastates the
-	// whole graph a full Build is the right tool anyway.
-	cw := newCorpusWords(newG, dict, false)
-	st := newBuilderState(newG, ix.d, pt, dict.Len(), cw, opts.uniform())
+	// Re-run the bounded-height DFS from dirty roots only, reading the
+	// corpus. The pass is serial: dirty sets are small by construction, and
+	// when an update devastates the whole graph a full Build is the right
+	// tool anyway.
+	st := newBuilderState(newG, ix.d, pt, corpus.dict.Len(), corpus, opts.uniform())
 	for _, r := range dirty {
 		st.dfsRoot(r)
-	}
-	if cw.err != nil {
-		return nil, ds, cw.err
 	}
 
 	// Splice per word in parallel: each call writes only its own word's
 	// slots; the touched words are
 	// listed after the loop, in WordID order whatever the schedule.
-	nWords := dict.Len()
+	nWords := corpus.dict.Len()
 	patRootType := patternRootTypes(pt)
 	rank := patternRanks(patRootType)
 	words := make([]wordIndex, nWords)
@@ -246,13 +250,13 @@ func (ix *Index) ApplyDelta(ch *kg.Changed, opts Options) (*Index, DeltaStats, e
 	for w, t := range touched {
 		if t {
 			ds.WordsTouched++
-			ds.TouchedWords = append(ds.TouchedWords, dict.Word(text.WordID(w)))
+			ds.TouchedWords = append(ds.TouchedWords, corpus.dict.Word(text.WordID(w)))
 		}
 	}
 	sort.Strings(ds.TouchedWords)
 	bindPR(words, pr, refreshPR)
 
-	nix := &Index{g: newG, d: ix.d, dict: dict, pt: pt, words: words}
+	nix := &Index{g: newG, d: ix.d, dict: corpus.dict, pt: pt, words: words}
 	for w := range words {
 		nix.stats.NumEntries += int64(words[w].numEntries())
 	}

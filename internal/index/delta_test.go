@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -636,12 +637,12 @@ func TestRebindRefreshesBounds(t *testing.T) {
 	}
 }
 
-// TestEpochDictionary: Dictionary interns the synonyms by alias, then the
-// words of type names, attribute names and node texts; ExtendDictionary
-// forks it and appends a change's new type names, new attribute names and
-// touched node texts (ascending), leaving the receiver's dictionary as it
-// was. An index never interns: a corpus word missing from the dictionary
-// it is handed fails Build and ApplyDelta.
+// TestEpochDictionary: NewCorpus interns the synonyms by alias, then the
+// words of type names, attribute names and node texts; Extend forks its
+// dictionary and appends a change's new type names, new attribute names
+// and touched node texts (ascending), leaving the receiver's dictionary as
+// it was. An index never tokenizes: Build and ApplyDelta read the corpus
+// they are handed, and refuse one of another graph snapshot.
 func TestEpochDictionary(t *testing.T) {
 	b := kg.NewBuilder()
 	book := b.Entity("Book", "alpha")
@@ -657,9 +658,10 @@ func TestEpochDictionary(t *testing.T) {
 		}
 		return out
 	}
-	d := Dictionary(g, map[string]string{"tome": "book", "gamma": "alpha"})
+	c := NewCorpus(g, map[string]string{"tome": "book", "gamma": "alpha"})
+	d := c.Dict()
 	if got, want := words(d, 0), []string{"gamma", "alpha", "tome", "book", "person", "author", "omega"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Dictionary words %q, want %q", got, want)
+		t.Fatalf("NewCorpus words %q, want %q", got, want)
 	}
 
 	delta := kg.NewDelta(g)
@@ -678,26 +680,113 @@ func TestEpochDictionary(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := d.Len()
-	ext := ExtendDictionary(d, ch)
-	if got, want := words(ext, n), []string{"zeta", "sequel", "delta", "kappa"}; d.Len() != n || !reflect.DeepEqual(got, want) {
-		t.Fatalf("ExtendDictionary added %q (receiver %d -> %d words), want %q", got, n, d.Len(), want)
+	ext := c.Extend(ch)
+	if got, want := words(ext.Dict(), n), []string{"zeta", "sequel", "delta", "kappa"}; d.Len() != n || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Extend added %q (receiver %d -> %d words), want %q", got, n, d.Len(), want)
 	}
 
-	ix, err := Build(g, Options{D: 3, Dict: d})
+	ix, err := Build(g, Options{D: 3, Corpus: c})
 	if err != nil || ix.Dict() != d {
-		t.Fatalf("Build with a dictionary: %v, shares it %t", err, err == nil && ix.Dict() == d)
+		t.Fatalf("Build with a corpus: %v, shares its dictionary %t", err, err == nil && ix.Dict() == d)
 	}
-	if _, _, err := ix.ApplyDelta(ch, Options{Dict: d}); err == nil || !strings.Contains(err.Error(), "not in the dictionary") {
-		t.Fatalf("ApplyDelta with the old epoch's dictionary: %v, want a missing word", err)
+	if _, _, err := ix.ApplyDelta(ch, Options{Corpus: c}); err == nil || !strings.Contains(err.Error(), "another graph") {
+		t.Fatalf("ApplyDelta with the old epoch's corpus: %v, want a refusal", err)
 	}
-	if _, err := Build(ch.New, Options{D: 3, Dict: d}); err == nil {
-		t.Fatal("Build accepted a dictionary that lacks corpus words")
+	if _, err := Build(ch.New, Options{D: 3, Corpus: c}); err == nil || !strings.Contains(err.Error(), "another graph") {
+		t.Fatalf("Build with another graph's corpus: %v, want a refusal", err)
 	}
-	nix, _, err := ix.ApplyDelta(ch, Options{Dict: ext})
-	if err != nil || nix.Dict() != ext {
-		t.Fatalf("ApplyDelta with the new epoch's dictionary: %v, shares it %t", err, err == nil && nix.Dict() == ext)
+	nix, _, err := ix.ApplyDelta(ch, Options{Corpus: ext})
+	if err != nil || nix.Dict() != ext.Dict() {
+		t.Fatalf("ApplyDelta with the new epoch's corpus: %v, shares its dictionary %t", err, err == nil && nix.Dict() == ext.Dict())
 	}
-	if own, _, err := ix.ApplyDelta(ch, Options{}); err != nil || !own.Dict().Equal(ext) || d.Len() != n {
-		t.Fatalf("standalone ApplyDelta: %v; its dictionary must equal ExtendDictionary's and leave the receiver's alone", err)
+	if own, _, err := ix.ApplyDelta(ch, Options{}); err != nil || !own.Dict().Equal(ext.Dict()) || d.Len() != n {
+		t.Fatalf("standalone ApplyDelta: %v; its dictionary must equal Extend's and leave the receiver's alone", err)
+	}
+}
+
+// TestExtendMatchesFreshTokenization: along random update chains, every
+// node's, type's and attribute's list in an extended corpus equals a fresh
+// tokenization of ch.New looked up in the extended dictionary (CorpusOf,
+// which fails on a word the dictionary lacks), and Extend leaves its
+// receiver's dictionary alone.
+func TestExtendMatchesFreshTokenization(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for chain := 0; chain < 30; chain++ {
+		c := NewCorpus(randomMutGraph(rng), nil)
+		for step := 0; step < 6; step++ {
+			label := fmt.Sprintf("chain %d, step %d", chain, step)
+			ch, err := randomDelta(rng, c.g).Apply()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			n := c.dict.Len()
+			ext := c.Extend(ch)
+			fresh, err := CorpusOf(ch.New, ext.dict)
+			if err != nil {
+				t.Fatalf("%s: the extended dictionary misses a word of the new graph: %v", label, err)
+			}
+			if c.dict.Len() != n {
+				t.Fatalf("%s: Extend grew its receiver's dictionary %d -> %d", label, n, c.dict.Len())
+			}
+			for _, l := range []struct {
+				name       string
+				got, fresh [][]wordSim
+			}{{"node", ext.nodeWords, fresh.nodeWords}, {"type", ext.typeWords, fresh.typeWords}, {"attr", ext.attrWords, fresh.attrWords}} {
+				if len(l.got) != len(l.fresh) {
+					t.Fatalf("%s: %d %s lists, a fresh tokenization has %d", label, len(l.got), l.name, len(l.fresh))
+				}
+				for i := range l.got {
+					if !reflect.DeepEqual(l.got[i], l.fresh[i]) {
+						t.Fatalf("%s: %s %d has %v, a fresh tokenization %v", label, l.name, i, l.got[i], l.fresh[i])
+					}
+				}
+			}
+			c = ext
+		}
+	}
+}
+
+// TestApplyDeltaReadsTheCorpus: given the engine's extended corpus and
+// dirty roots, as the shard layer passes them, ApplyDelta tokenizes
+// nothing and allocates nothing per graph node but its dirty-root
+// membership vector. A one-node text edit over a 40,000-node graph of a
+// six-word vocabulary allocates under 4 B a node; a word table sized to
+// the graph (~25 B a node) fails it.
+func TestApplyDeltaReadsTheCorpus(t *testing.T) {
+	const n = 40000
+	vocab := []string{"alpha", "beta", "gamma", "delta", "omega"}
+	b := kg.NewBuilder()
+	for i := 0; i < n-1; i++ {
+		b.Entity("Thing", vocab[i%len(vocab)])
+	}
+	solo := b.Entity("Solo", "rarea")
+	g := b.MustFreeze()
+	c := NewCorpus(g, nil)
+	opts := Options{D: 3, UniformPR: true, Workers: 1, Corpus: c}
+	ix, err := Build(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := kg.NewDelta(g)
+	if err := d.SetText(solo, "rareb"); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := d.Apply()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Corpus, opts.DirtyRoots = c.Extend(ch), kg.AffectedRoots(ch, opts.D-1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, ds, err := ix.ApplyDelta(ch, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"rarea", "rareb", "solo"}; ds.DirtyRoots != 1 || !reflect.DeepEqual(ds.TouchedWords, want) {
+		t.Fatalf("delta stats %+v, want one dirty root and touched words %q", ds, want)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*n {
+		t.Fatalf("a one-node text edit over %d nodes allocated %d bytes (%.1f a node), want under 4 a node", n, grew, float64(grew)/n)
 	}
 }

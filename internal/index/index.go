@@ -58,12 +58,12 @@ type Options struct {
 	// posting list (Section 3: "every word has its stemmed version and
 	// synonyms in our index pointing to the same path-pattern entry").
 	Synonyms map[string]string
-	// Dict is the dictionary the index looks every corpus word up in (a
-	// missing one is an error): Dictionary(g, Synonyms) for Build,
-	// ExtendDictionary(receiver's, ch) for ApplyDelta. The shard layer
-	// hands one per engine epoch to every shard; nil derives the index's
-	// own, as a nil PageRank computes its own.
-	Dict *text.Dict
+	// Corpus is the indexed graph's tokenized text and dictionary, which
+	// the index only reads: NewCorpus for Build, the receiver's Extend-ed
+	// by the change for ApplyDelta. The shard layer hands one per engine
+	// epoch to every shard; nil derives the index's own, as a nil PageRank
+	// computes its own.
+	Corpus *Corpus
 	// Workers bounds the parallelism of construction and of maintenance
 	// (ApplyDelta's per-word splice); defaults to GOMAXPROCS. Neither
 	// output depends on it.
@@ -71,7 +71,7 @@ type Options struct {
 	// RootFilter, when non-nil, restricts the index to paths ROOTED at
 	// accepted nodes: Build only DFSes from accepted roots, and ApplyDelta
 	// only re-enumerates accepted dirty roots. Paths still traverse (and
-	// words are still tokenized from) the whole graph — only the candidate
+	// read words from the corpus of) the whole graph — only the candidate
 	// roots are partitioned. The shard layer passes its ownership test
 	// here; an engine holding one filtered index per shard covers every
 	// root exactly once. The same filter must be passed to every

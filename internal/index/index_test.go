@@ -303,12 +303,13 @@ func TestStemmedQueryReachesPostings(t *testing.T) {
 // TestWordSimsPaperExamples pins score3's sim(w, text) as the index
 // computes it: 1/|token set| for every distinct canonical word of the
 // text (Example 2.4: sim("database", "Relational database") = 1/2), with
-// repeated tokens and words sharing a stem counted once. A token the
-// dictionary lacks is skipped and reported, never interned.
+// repeated tokens and words sharing a stem counted once. A corpus of a
+// dictionary decoded with an index (CorpusOf) interns nothing: a word the
+// dictionary lacks fails it, by name.
 func TestWordSimsPaperExamples(t *testing.T) {
 	d := text.NewDict()
-	cw := &corpusWords{dict: d, intern: true}
-	wordSims := func(_ *text.Dict, s string) []wordSim { return cw.sims(s) }
+	c := &Corpus{dict: d}
+	wordSims := func(_ *text.Dict, s string) []wordSim { return c.sims(s, 0) }
 	sims := func(s string) map[string]float64 {
 		out := map[string]float64{}
 		for _, ws := range wordSims(d, s) {
@@ -331,10 +332,12 @@ func TestWordSimsPaperExamples(t *testing.T) {
 	if got := wordSims(d, " ,; "); got != nil {
 		t.Errorf("wordSims of a text without tokens = %v, want nil", got)
 	}
+	d.Intern("thing")
 	n := d.Len()
-	cw.intern = false
-	if got := cw.sims("software zeta"); len(got) != 1 || d.Len() != n || cw.err == nil || !strings.Contains(cw.err.Error(), `"zeta"`) {
-		t.Errorf("sims with a word the dictionary lacks = %v (dictionary %d -> %d words), err %v; want software alone, nothing interned, zeta reported", got, n, d.Len(), cw.err)
+	b := kg.NewBuilder()
+	b.Entity("Thing", "software zeta")
+	if _, err := CorpusOf(b.MustFreeze(), d); err == nil || d.Len() != n || !strings.Contains(err.Error(), `"zeta"`) {
+		t.Errorf("CorpusOf with a word the dictionary lacks: %v (dictionary %d -> %d words); want zeta reported, nothing interned", err, n, d.Len())
 	}
 }
 

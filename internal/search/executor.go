@@ -226,8 +226,7 @@ const (
 // prepared is the prepare stage's output: everything the enumerate stage
 // reads, plus the planner's statistics.
 type prepared struct {
-	words    []text.WordID
-	surfaces []string
+	words []text.WordID
 	// ok reports the query is answerable: every keyword resolved and has
 	// a nonempty root posting. When false nothing else is populated.
 	ok bool
@@ -244,11 +243,11 @@ type prepared struct {
 // prepare runs the shared prepare stage: posting lookups and statistics,
 // honoring ctx between lookups (a canceled request stops before any
 // enumeration work starts).
-func prepare(ctx context.Context, ix *index.Index, words []text.WordID, surfaces []string, need prepNeed) (*prepared, error) {
+func prepare(ctx context.Context, ix *index.Index, words []text.WordID, need prepNeed) (*prepared, error) {
 	if need&needCost != 0 {
 		need |= needTypes | needRoots
 	}
-	p := &prepared{words: words, surfaces: surfaces}
+	p := &prepared{words: words}
 	// CandidateRoots semantics: 0 when the set is provably empty (an
 	// unresolvable keyword), -1 when the plan did not need the
 	// intersection (explicit PATTERNENUM on an answerable query).
@@ -341,12 +340,12 @@ func needFor(algo Algo) prepNeed {
 }
 
 // PlanProbe runs only the prepare stage over one index: the planner's
-// statistics for a query, without executing it. The shard layer scatters
+// statistics for a query's words (the caller's ResolveQuery against the
+// index's dictionary), without executing it. The shard layer scatters
 // probes and merges their PlanStats for every Auto search over N > 1
 // shards and for the facade's Plan and Explain.
-func PlanProbe(ctx context.Context, ix *index.Index, query string, opts Options) (PlanStats, error) {
-	words, surfaces := ResolveQuery(ix.Dict(), query)
-	prep, err := prepare(ctx, ix, words, surfaces, needCost)
+func PlanProbe(ctx context.Context, ix *index.Index, words []text.WordID, opts Options) (PlanStats, error) {
+	prep, err := prepare(ctx, ix, words, needCost)
 	if err != nil {
 		return PlanStats{}, err
 	}
@@ -357,37 +356,38 @@ func PlanProbe(ctx context.Context, ix *index.Index, query string, opts Options)
 // algo may be AlgoAuto (resolved by the planner after prepare) but not
 // AlgoBaseline, which runs on its own index (BaselineIndex.SearchCtx).
 func Execute(ctx context.Context, ix *index.Index, query string, algo Algo, opts Options) (*Result, error) {
-	return execute(ctx, ix, query, algo, opts.withDefaults(), true)
+	words, surfaces := ResolveQuery(ix.Dict(), query)
+	return execute(ctx, ix, words, surfaces, algo, opts.withDefaults(), true)
 }
 
 // Scatter is one shard's leg of a scatter-gather search: Execute without
-// the ranking. It returns every tree pattern the index holds for the
-// query, once, with its per-root partials and no trees, in ascending
-// content order (core.TreePattern.CompareContent), so the gather merges
-// legs. A leg must not rank or prune, since a pattern split across shards
-// can rank below each shard's k-th score yet inside the global top-k;
-// opts.K only sizes LINEARENUM's sampled selection.
-func Scatter(ctx context.Context, ix *index.Index, query string, algo Algo, opts Options) (*Result, error) {
+// the ranking, over the caller's resolution of the query (ResolveQuery
+// against the dictionary the index shares). It returns every tree pattern
+// the index holds for the query, once, with its per-root partials and no
+// trees, in ascending content order (core.TreePattern.CompareContent), so
+// the gather merges legs. A leg must not rank or prune, since a pattern
+// split across shards can rank below each shard's k-th score yet inside
+// the global top-k; opts.K only sizes LINEARENUM's sampled selection.
+func Scatter(ctx context.Context, ix *index.Index, words []text.WordID, surfaces []string, algo Algo, opts Options) (*Result, error) {
 	o := opts.withDefaults()
 	o.CollectRootAggs, o.SkipTrees = true, true
-	return execute(ctx, ix, query, algo, o, false)
+	return execute(ctx, ix, words, surfaces, algo, o, false)
 }
 
 // execute is the pipeline under Execute and, unranked, Scatter.
-func execute(ctx context.Context, ix *index.Index, query string, algo Algo, o Options, ranked bool) (*Result, error) {
+func execute(ctx context.Context, ix *index.Index, words []text.WordID, surfaces []string, algo Algo, o Options, ranked bool) (*Result, error) {
 	start := time.Now()
 	if algo == AlgoBaseline {
 		return nil, fmt.Errorf("search: the baseline runs on a BaselineIndex, not a path index")
 	}
 
-	// Stage 1: prepare (keyword resolution, posting lookups, statistics).
-	words, surfaces := ResolveQuery(ix.Dict(), query)
-	prep, err := prepare(ctx, ix, words, surfaces, needFor(algo))
+	// Stage 1: prepare (posting lookups, statistics).
+	prep, err := prepare(ctx, ix, words, needFor(algo))
 	if err != nil {
 		return nil, err
 	}
 	plan := ChoosePlan(algo, prep.stats)
-	stats := QueryStats{Surfaces: prep.surfaces, Words: prep.words}
+	stats := QueryStats{Surfaces: surfaces, Words: words}
 	stats.CandidateRoots = prep.stats.CandidateRoots
 	stats.Stages.Prepare = time.Since(start)
 

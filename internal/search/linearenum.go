@@ -216,7 +216,8 @@ func aggregateSelected(ix *index.Index, words []text.WordID, selected []*dictEnt
 // patterns = -1. The experiment harness uses this to identify explosion
 // queries cheaply.
 func CountAllCapped(ix *index.Index, query string, budget int64) (patterns int, trees int64, exceeded bool) {
-	pats, trees, exceeded := countAllKeyed(ix, query, budget)
+	words, _ := ResolveQuery(ix.Dict(), query)
+	pats, trees, exceeded := countAllKeyed(ix, words, budget)
 	if exceeded {
 		return -1, trees, true
 	}
@@ -226,10 +227,11 @@ func CountAllCapped(ix *index.Index, query string, budget int64) (patterns int, 
 // CountAllContent is CountAllCapped's pattern set in content order
 // (CompareContent), each pattern once, so lists computed over indexes
 // with independently interned PatternIDs (the per-shard indexes of a
-// scatter-gather engine) merge by content.
-func CountAllContent(ix *index.Index, query string) []core.TreePattern {
+// scatter-gather engine) merge by content. words is the query's
+// resolution against the index's dictionary (ResolveQuery).
+func CountAllContent(ix *index.Index, words []text.WordID) []core.TreePattern {
 	pt := ix.PatternTable()
-	pats, _, _ := countAllKeyed(ix, query, 0)
+	pats, _, _ := countAllKeyed(ix, words, 0)
 	slices.SortFunc(pats, func(a, b core.TreePattern) int { return a.CompareContent(pt, b, pt) })
 	return pats
 }
@@ -237,8 +239,7 @@ func CountAllContent(ix *index.Index, query string) []core.TreePattern {
 // countAllKeyed enumerates the candidate roots' pattern products and
 // returns each distinct tree pattern once, deduplicated by its
 // PatternID key.
-func countAllKeyed(ix *index.Index, query string, budget int64) ([]core.TreePattern, int64, bool) {
-	words, _ := ResolveQuery(ix.Dict(), query)
+func countAllKeyed(ix *index.Index, words []text.WordID, budget int64) ([]core.TreePattern, int64, bool) {
 	if !queryable(ix, words) {
 		return nil, 0, false
 	}

@@ -21,7 +21,7 @@ func TestPlanProbeStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range tc.queries {
-			st, err := PlanProbe(context.Background(), ix, q, Options{})
+			st, err := probe(context.Background(), ix, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +180,7 @@ func TestPrepareCancellation(t *testing.T) {
 			t.Errorf("%v on canceled ctx: err = %v, want context.Canceled", algo, err)
 		}
 	}
-	if _, err := PlanProbe(ctx, ix, q, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := probe(ctx, ix, q); !errors.Is(err, context.Canceled) {
 		t.Errorf("PlanProbe on canceled ctx: err = %v, want context.Canceled", err)
 	}
 	bl, err := NewBaseline(g, BaselineOptions{D: 3})

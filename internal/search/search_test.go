@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -21,6 +22,18 @@ func buildFig1Index(t testing.TB, d int) (*index.Index, dataset.Fig1Nodes) {
 		t.Fatalf("Build: %v", err)
 	}
 	return ix, nodes
+}
+
+// probe is PlanProbe over q resolved against ix's dictionary.
+func probe(ctx context.Context, ix *index.Index, q string) (PlanStats, error) {
+	words, _ := ResolveQuery(ix.Dict(), q)
+	return PlanProbe(ctx, ix, words, Options{})
+}
+
+// topTrees is TopTrees over q resolved against ix's dictionary.
+func topTrees(ix *index.Index, q string, k int, opts Options) ([]RankedTree, QueryStats) {
+	words, surfaces := ResolveQuery(ix.Dict(), q)
+	return TopTrees(ix, words, surfaces, k, opts)
 }
 
 // renderResult maps rendered tree pattern -> (score, tree count) for

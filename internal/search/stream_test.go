@@ -141,12 +141,12 @@ func TestTopTreesBoundPushdownNeverChangesTheAnswer(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range tc.queries {
-			full, fullStats := TopTrees(ix, q, unboundedK, Options{})
+			full, fullStats := topTrees(ix, q, unboundedK, Options{})
 			if fullStats.BoundPruned != 0 {
 				t.Errorf("%s/%q: unbounded run reports BoundPruned=%d", tc.name, q, fullStats.BoundPruned)
 			}
 			for _, k := range []int{1, 5} {
-				trees, stats := TopTrees(ix, q, k, Options{})
+				trees, stats := topTrees(ix, q, k, Options{})
 				label := fmt.Sprintf("%s/k=%d/%q", tc.name, k, q)
 				if !reflect.DeepEqual(full[:min(k, len(full))], trees) {
 					t.Errorf("%s: top-k trees differ from the unpruned run's first k", label)
@@ -177,7 +177,7 @@ func TestStreamingPruningFires(t *testing.T) {
 			t.Fatal(err)
 		}
 		pePruned += res.Stats.BoundPruned
-		_, stats := TopTrees(ix, q.Text, 2, Options{})
+		_, stats := topTrees(ix, q.Text, 2, Options{})
 		ttPruned += stats.BoundPruned
 	}
 	if pePruned == 0 {
@@ -308,7 +308,7 @@ func TestRootTreeUBIsSound(t *testing.T) {
 	for _, c := range cases {
 		for _, q := range c.queries {
 			words, _ := ResolveQuery(c.ix.Dict(), q)
-			trees, _ := TopTrees(c.ix, q, 10000, Options{})
+			trees, _ := topTrees(c.ix, q, 10000, Options{})
 			for _, rt := range trees {
 				ub, _, ok := rootTreeUB(c.ix, words, rt.Tree.Root, o)
 				if ok && ub < rt.Score {

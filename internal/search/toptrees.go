@@ -8,6 +8,7 @@ import (
 	"kbtable/internal/core"
 	"kbtable/internal/index"
 	"kbtable/internal/kg"
+	"kbtable/internal/text"
 )
 
 // RankedTree is one individually-ranked valid subtree (Section 5.3
@@ -21,11 +22,11 @@ type RankedTree struct {
 // TopTrees ranks individual valid subtrees by their tree scores
 // (Equation 3), the "individual top-k" of Section 5.3 and the case study
 // of Figures 14-15. It enumerates every valid subtree through the
-// root-first index and keeps the top k.
-func TopTrees(ix *index.Index, query string, k int, opts Options) ([]RankedTree, QueryStats) {
+// root-first index and keeps the top k. words and surfaces are the
+// query's resolution against the index's dictionary (ResolveQuery).
+func TopTrees(ix *index.Index, words []text.WordID, surfaces []string, k int, opts Options) ([]RankedTree, QueryStats) {
 	start := time.Now()
 	o := opts.withDefaults()
-	words, surfaces := ResolveQuery(ix.Dict(), query)
 	stats := QueryStats{Surfaces: surfaces, Words: words}
 	pt := ix.PatternTable()
 	top := core.NewTopK(k, func(a, b RankedTree) int { return CompareTrees(pt, a, pt, b) })

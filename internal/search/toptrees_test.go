@@ -15,7 +15,7 @@ import (
 
 func TestTopTreesRanksIndividuals(t *testing.T) {
 	ix, _ := buildFig1Index(t, 3)
-	trees, stats := TopTrees(ix, fig1Query, 5, Options{})
+	trees, stats := topTrees(ix, fig1Query, 5, Options{})
 	if len(trees) == 0 {
 		t.Fatalf("no trees")
 	}
@@ -50,7 +50,7 @@ func TestTopTreesBestIsP2Single(t *testing.T) {
 	// score1=7) has per-tree score 10/7 ≈ 1.43 < T1's 1.75, so T1 must be
 	// the top individual tree, and every P1/P2 tree must appear in top-3.
 	ix, _ := buildFig1Index(t, 3)
-	trees, _ := TopTrees(ix, fig1Query, 3, Options{})
+	trees, _ := topTrees(ix, fig1Query, 3, Options{})
 	if len(trees) != 3 {
 		t.Fatalf("want 3 trees, got %d", len(trees))
 	}
@@ -69,7 +69,7 @@ func TestTopTreesBestIsP2Single(t *testing.T) {
 
 func TestTopTreesUnknownWord(t *testing.T) {
 	ix, _ := buildFig1Index(t, 3)
-	trees, _ := TopTrees(ix, "xyzzy", 5, Options{})
+	trees, _ := topTrees(ix, "xyzzy", 5, Options{})
 	if len(trees) != 0 {
 		t.Errorf("unknown word should yield no trees")
 	}
@@ -80,8 +80,8 @@ func TestTopTreesUnknownWord(t *testing.T) {
 
 func TestTopTreesDeterministic(t *testing.T) {
 	ix, _ := buildFig1Index(t, 3)
-	a, _ := TopTrees(ix, "database software", 10, Options{})
-	b, _ := TopTrees(ix, "database software", 10, Options{})
+	a, _ := topTrees(ix, "database software", 10, Options{})
+	b, _ := topTrees(ix, "database software", 10, Options{})
 	if len(a) != len(b) {
 		t.Fatalf("sizes differ")
 	}

@@ -163,7 +163,8 @@ func (e *Engine) ProbeShard(ctx context.Context, si int, query string, opts sear
 	if err != nil {
 		return WirePlanStats{}, err
 	}
-	st, err := search.PlanProbe(ctx, u.ix, query, opts)
+	words, _ := search.ResolveQuery(e.Dict(), query)
+	st, err := search.PlanProbe(ctx, u.ix, words, opts)
 	if err != nil {
 		return WirePlanStats{}, err
 	}
@@ -175,7 +176,7 @@ func (e *Engine) ProbeShard(ctx context.Context, si int, query string, opts sear
 // leg (search.Scatter on a split worker budget), so the partial a remote
 // owner produces is the partial the coordinator's own scatter would have
 // produced for that shard, patterns in ascending content order. Auto must
-// be resolved by the coordinator first.
+// be resolved by the coordinator first; the query resolves once, here.
 func (e *Engine) ScatterShard(ctx context.Context, si int, algo search.Algo, query string, opts search.Options) (*WirePartial, error) {
 	if algo == search.AlgoAuto {
 		return nil, fmt.Errorf("shard: scatter requires a resolved algorithm, not Auto")
@@ -184,7 +185,8 @@ func (e *Engine) ScatterShard(ctx context.Context, si int, algo search.Algo, que
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.leg(ctx, si, query, algo, opts)
+	words, surfaces := search.ResolveQuery(e.Dict(), query)
+	res, err := e.leg(ctx, si, words, surfaces, algo, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -58,7 +58,7 @@ func BenchmarkScatterPartial(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		words, _ := search.ResolveQuery(e.dict, l.query)
+		words, _ := search.ResolveQuery(e.Dict(), l.query)
 		if _, err := e.fromWire(l.si, len(words), p); err != nil {
 			b.Fatal(err)
 		}

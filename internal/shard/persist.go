@@ -15,7 +15,8 @@ import (
 // witness of its owner), the per-shard indexes, and the per-shard
 // epochs. PageRank is a pure function of the graph: the loader computes
 // it once for every shard's index.Load and FromParts, which keeps one
-// copy of the dictionary every shard file carries.
+// copy of the dictionary every shard file carries and tokenizes the graph
+// against it once, into the engine's corpus.
 
 // Owners returns a copy of the node → shard ownership table, or nil for a
 // one-shard engine: its table is all zeros, so nothing needs persisting
@@ -47,7 +48,9 @@ func (e *Engine) EncodeShard(si int, w io.Writer) error {
 // Synonyms); RootFilter/DirtyRoots/PageRank stay reserved for the shard
 // layer but opts.PageRank, the vector the indexes were loaded with (nil:
 // recomputed from the graph when not uniform). Every index must carry
-// shard 0's dictionary, which then serves them all.
+// shard 0's dictionary, which then serves them all: the engine's corpus is
+// the graph tokenized against it (index.CorpusOf), and a dictionary that
+// lacks a word of the graph is refused.
 func FromParts(g *kg.Graph, owner []uint8, ixs []*index.Index, epochs []uint64, opts index.Options) (*Engine, error) {
 	if g == nil {
 		return nil, fmt.Errorf("shard: nil graph")
@@ -92,16 +95,18 @@ func FromParts(g *kg.Graph, owner []uint8, ixs []*index.Index, epochs []uint64, 
 		if ix.Graph() != g {
 			return nil, fmt.Errorf("shard: shard %d index bound to a different graph", si)
 		}
-		if si == 0 {
-			e.dict = ix.Dict()
-		} else if !ix.Dict().Equal(e.dict) {
+		if si > 0 && !ix.Dict().Equal(ixs[0].Dict()) {
 			return nil, fmt.Errorf("shard: shard %d dictionary differs from shard 0's; rebuild the snapshot from its graph", si)
 		}
-		u := &unit{ix: ix.Rebind(g, nil, e.dict)}
+		u := &unit{ix: ix.Rebind(g, nil, ixs[0].Dict())}
 		if epochs != nil {
 			u.epoch = epochs[si]
 		}
 		e.units[si] = u
+	}
+	var err error
+	if e.corpus, err = index.CorpusOf(g, ixs[0].Dict()); err != nil {
+		return nil, fmt.Errorf("shard: %w; rebuild the snapshot from its graph", err)
 	}
 	return e, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"kbtable/internal/dataset"
 	"kbtable/internal/index"
+	"kbtable/internal/kg"
 )
 
 func TestFromPartsValidation(t *testing.T) {
@@ -50,14 +51,38 @@ func TestFromPartsValidation(t *testing.T) {
 	if _, err := FromParts(g, e.Owners(), []*index.Index{ixs[0], nil}, nil, iopts); err == nil {
 		t.Error("nil shard index accepted")
 	}
-	dict := index.Dictionary(g, nil)
-	dict.Intern("zeta")
-	other, err := index.Build(g, index.Options{D: 3, Dict: dict, PageRank: e.PageRank(), RootFilter: e.filter(1)})
+	corpus := index.NewCorpus(g, nil)
+	corpus.Dict().Intern("zeta")
+	other, err := index.Build(g, index.Options{D: 3, Corpus: corpus, PageRank: e.PageRank(), RootFilter: e.filter(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := FromParts(g, e.Owners(), []*index.Index{ixs[0], other}, nil, iopts); err == nil || !strings.Contains(err.Error(), "shard 1 dictionary") {
 		t.Errorf("disagreeing shard dictionaries: %v, want an error naming shard 1", err)
+	}
+
+	// A snapshot whose dictionary lacks a word of its graph is refused:
+	// the shard files of g bound to a graph that retexts a node.
+	d := kg.NewDelta(g)
+	if err := d.SetText(0, "quasar"); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := d.Apply()
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncovered := make([]*index.Index, 2)
+	for si := range uncovered {
+		var buf bytes.Buffer
+		if err := e.EncodeShard(si, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if uncovered[si], err = index.Load(&buf, ch.New, e.PageRank()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := FromParts(ch.New, e.Owners(), uncovered, nil, iopts); err == nil || !strings.Contains(err.Error(), `"quasar" is not in the dictionary`) {
+		t.Errorf("a dictionary that does not cover its graph: %v, want an error naming the missing word", err)
 	}
 
 	// Each loaded index decoded a dictionary of its own; the engine keeps

@@ -54,15 +54,15 @@ type Legs interface {
 	Scatter(ctx context.Context, si int, algo search.Algo) (*WirePartial, error)
 }
 
-// PlanStats runs the prepare-only planner probe on every shard — through
-// legs when given, on the resident shard when legs is nil or a leg fails —
-// and merges the statistics in ascending shard order: candidate roots,
-// frontier and posting lengths sum exactly (root partitions are
-// disjoint); the pattern space sums too, over-counting patterns whose
-// roots span shards — acceptable for a cost estimate and deterministic
-// for a given engine. Statistics only steer Auto between two algorithms
+// PlanStats runs the prepare-only planner probe for a query's words, its
+// one resolution against Dict, on every shard — through legs when given,
+// on the resident shard when legs is nil or a leg fails — and merges the
+// statistics in ascending shard order: candidate roots, frontier and
+// posting lengths sum exactly (root partitions are disjoint); the pattern
+// space sums too, over-counting patterns whose roots span shards —
+// acceptable for a cost estimate and deterministic for a given engine. Statistics only steer Auto between two algorithms
 // with identical answers, so remote ones are taken as given.
-func (e *Engine) PlanStats(ctx context.Context, query string, opts search.Options, legs Legs) (search.PlanStats, error) {
+func (e *Engine) PlanStats(ctx context.Context, words []text.WordID, opts search.Options, legs Legs) (search.PlanStats, error) {
 	stats := make([]search.PlanStats, e.n)
 	errs := make([]error, e.n)
 	e.scatter(func(si int) {
@@ -72,7 +72,7 @@ func (e *Engine) PlanStats(ctx context.Context, query string, opts search.Option
 				return
 			}
 		}
-		stats[si], errs[si] = search.PlanProbe(ctx, e.units[si].ix, query, opts)
+		stats[si], errs[si] = search.PlanProbe(ctx, e.units[si].ix, words, opts)
 	})
 	var merged search.PlanStats
 	for si := range stats {
@@ -108,12 +108,12 @@ func (e *Engine) compareContent(a, b contribRef) int {
 	return a.pattern.CompareContent(e.units[a.shard].ix.PatternTable(), b.pattern, e.units[b.shard].ix.PatternTable())
 }
 
-// Search answers a query under algo. Auto is resolved here: by the
-// executor's own planner on a one-shard engine without legs, which runs
-// its executor directly; otherwise by one planner decision over the merged
-// per-shard probe, after which every shard runs one leg — through legs
-// when given — and scatterGather merges same-signature patterns exactly
-// into the global top-k.
+// Search answers a query under algo. A one-shard engine without legs runs
+// its executor directly, which resolves the query and Auto itself.
+// Otherwise the query resolves once, against Dict, Auto by one planner
+// decision over the merged per-shard probe, and every shard runs one leg —
+// through legs when given — and scatterGather merges same-signature
+// patterns exactly into the global top-k.
 //
 // Exactness: every valid subtree roots at exactly one shard, so per-shard
 // per-root partial aggregates (search.RootAgg) partition the one-shard
@@ -134,15 +134,16 @@ func (e *Engine) Search(ctx context.Context, algo search.Algo, query string, opt
 		return e.searchOne(ctx, algo, query, opts)
 	}
 	start := time.Now()
+	words, surfaces := search.ResolveQuery(e.Dict(), query)
 	plan := search.Plan{Algo: algo}
 	if algo == search.AlgoAuto {
-		st, err := e.PlanStats(ctx, query, opts, legs)
+		st, err := e.PlanStats(ctx, words, opts, legs)
 		if err != nil {
 			return nil, err
 		}
 		plan = search.ChoosePlan(algo, st)
 	}
-	return e.scatterGather(ctx, start, plan, query, opts, legs)
+	return e.scatterGather(ctx, start, plan, words, surfaces, opts, legs)
 }
 
 // searchOne is the one-shard engine's query: the resident unit's executor
@@ -165,9 +166,9 @@ func (e *Engine) searchOne(ctx context.Context, algo search.Algo, query string, 
 // leg runs shard si's scatter leg on the resident shard, on Workers/N of
 // the query's worker budget (like the build path): N pools of Workers/N,
 // not N full pools competing for the same cores, with identical results.
-func (e *Engine) leg(ctx context.Context, si int, query string, algo search.Algo, opts search.Options) (*search.Result, error) {
+func (e *Engine) leg(ctx context.Context, si int, words []text.WordID, surfaces []string, algo search.Algo, opts search.Options) (*search.Result, error) {
 	opts.Workers = e.splitWorkers(opts.Workers)
-	return search.Scatter(ctx, e.units[si].ix, query, algo, opts)
+	return search.Scatter(ctx, e.units[si].ix, words, surfaces, algo, opts)
 }
 
 // scatterGather is Search's scatter-gather body. plan.Algo is resolved
@@ -179,8 +180,7 @@ func (e *Engine) leg(ctx context.Context, si int, query string, algo search.Algo
 // ascending content order, so the gather is a merge of the legs into the
 // global top-k. The query's words and surfaces are the engine's one
 // resolution against the epoch's dictionary, which every leg shares.
-func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search.Plan, query string, opts search.Options, legs Legs) (*Result, error) {
-	words, surfaces := search.ResolveQuery(e.dict, query)
+func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search.Plan, words []text.WordID, surfaces []string, opts search.Options, legs Legs) (*Result, error) {
 	probed := time.Now()
 	outs := make([]shardOut, e.n)
 	e.scatter(func(si int) {
@@ -192,7 +192,7 @@ func (e *Engine) scatterGather(ctx context.Context, start time.Time, plan search
 				}
 			}
 		}
-		res, err := e.leg(ctx, si, query, plan.Algo, opts)
+		res, err := e.leg(ctx, si, words, surfaces, plan.Algo, opts)
 		if err != nil {
 			outs[si].err = err
 			return
@@ -395,8 +395,9 @@ type RankedTree struct {
 // TopTrees ranks individual valid subtrees across all shards. A subtree
 // lives wholly on the shard owning its root, so per-shard top-k lists
 // merge exactly under the order a single index uses (score, then
-// search.CompareTrees).
+// search.CompareTrees). The query resolves once, against Dict.
 func (e *Engine) TopTrees(query string, k int, opts search.Options) ([]RankedTree, search.QueryStats) {
+	words, surfaces := search.ResolveQuery(e.Dict(), query)
 	type out struct {
 		trees []search.RankedTree
 		table *core.PatternTable
@@ -405,11 +406,10 @@ func (e *Engine) TopTrees(query string, k int, opts search.Options) ([]RankedTre
 	outs := make([]out, e.n)
 	e.scatter(func(si int) {
 		ix := e.units[si].ix
-		trees, stats := search.TopTrees(ix, query, k, opts)
+		trees, stats := search.TopTrees(ix, words, surfaces, k, opts)
 		outs[si] = out{trees: trees, table: ix.PatternTable(), stats: stats}
 	})
 	top := core.NewTopK(k, func(a, b RankedTree) int { return search.CompareTrees(a.Table, a.RankedTree, b.Table, b.RankedTree) })
-	words, surfaces := search.ResolveQuery(e.dict, query)
 	stats := search.QueryStats{Surfaces: surfaces, Words: words}
 	for si := range outs {
 		for _, rt := range outs[si].trees {
@@ -422,15 +422,16 @@ func (e *Engine) TopTrees(query string, k int, opts search.Options) ([]RankedTre
 	return top.Results(), stats
 }
 
-// CountAllContent counts a query's distinct tree patterns across all
-// shards (for query explanation): the per-shard pattern lists, merged and
-// sorted by content, compact to one entry per pattern, since per-shard
-// pattern tables intern IDs independently. The caller bounds the work
+// CountAllContent counts the distinct tree patterns of a query's words
+// (resolved against Dict) across all shards (for query explanation): the
+// per-shard pattern lists, merged and sorted by content, compact to one
+// entry per pattern, since per-shard pattern tables intern IDs
+// independently. The caller bounds the work
 // with the planner probe's subtree count.
-func (e *Engine) CountAllContent(query string) int {
+func (e *Engine) CountAllContent(words []text.WordID) int {
 	var all []contribRef
 	for si := 0; si < e.n; si++ {
-		for _, tp := range search.CountAllContent(e.units[si].ix, query) {
+		for _, tp := range search.CountAllContent(e.units[si].ix, words) {
 			all = append(all, contribRef{shard: si, pattern: tp})
 		}
 	}

@@ -34,11 +34,13 @@
 // per-root partials under the same fold wherever each leg ran, so a
 // cluster answers bit-identically to a single process.
 //
-// Shards share the immutable *kg.Graph and one dictionary per engine epoch
-// (Dict): a query resolves once, at the engine. Because every shard is
-// otherwise a self-contained index (own pattern table) and the gather
-// protocol only exchanges per-root aggregates and path contents, the same
-// merge serves legs behind process or machine boundaries.
+// Shards share the immutable *kg.Graph and one tokenized corpus per engine
+// epoch (index.Corpus, whose dictionary is Dict): the engine tokenizes the
+// graph once per build and an update's touched nodes once, and a query
+// resolves once, at the engine. Because every shard is otherwise a
+// self-contained index (own pattern table) and the gather protocol only
+// exchanges per-root aggregates and path contents, the same merge serves
+// legs behind process or machine boundaries.
 package shard
 
 import (
@@ -81,19 +83,19 @@ type unit struct {
 // Engines are immutable: searches may run concurrently, and ApplyDelta
 // returns a new Engine while the receiver keeps serving its snapshot.
 type Engine struct {
-	g     *kg.Graph
-	n     int
-	opts  index.Options // base build options; RootFilter/DirtyRoots/PageRank are per-call
-	owner []uint8       // node -> shard, fixed at node creation
-	pr    []float64     // PageRank of g, shared by every shard (nil under UniformPR)
-	dict  *text.Dict    // corpus dictionary of g, shared by every shard
-	units []*unit
+	g      *kg.Graph
+	n      int
+	opts   index.Options // base build options; RootFilter/DirtyRoots/PageRank are per-call
+	owner  []uint8       // node -> shard, fixed at node creation
+	pr     []float64     // PageRank of g, shared by every shard (nil under UniformPR)
+	corpus *index.Corpus // tokenized text of g and its dictionary, shared by every shard
+	units  []*unit
 }
 
 // NewEngine partitions g's roots across n >= 1 shards and builds the
 // per-shard indexes in parallel. opts applies to every shard;
-// opts.RootFilter, opts.DirtyRoots, opts.PageRank and opts.Dict are
-// reserved for the shard layer itself. PageRank and the dictionary
+// opts.RootFilter, opts.DirtyRoots, opts.PageRank and opts.Corpus are
+// reserved for the shard layer itself. PageRank and the corpus
 // (whole-graph properties) are computed once and shared.
 func NewEngine(g *kg.Graph, n int, opts index.Options) (*Engine, error) {
 	all := make([]int, n)
@@ -111,8 +113,8 @@ func build(g *kg.Graph, n int, owned []int, opts index.Options) (*Engine, error)
 	if n < 1 || n > MaxShards {
 		return nil, fmt.Errorf("shard: shard count %d out of range [1,%d]", n, MaxShards)
 	}
-	if opts.RootFilter != nil || opts.DirtyRoots != nil || opts.PageRank != nil || opts.Dict != nil {
-		return nil, fmt.Errorf("shard: RootFilter/DirtyRoots/PageRank/Dict are managed by the shard layer")
+	if opts.RootFilter != nil || opts.DirtyRoots != nil || opts.PageRank != nil || opts.Corpus != nil {
+		return nil, fmt.Errorf("shard: RootFilter/DirtyRoots/PageRank/Corpus are managed by the shard layer")
 	}
 	if opts.D == 0 {
 		opts.D = 3
@@ -121,7 +123,7 @@ func build(g *kg.Graph, n int, owned []int, opts index.Options) (*Engine, error)
 	for v := range owner {
 		owner[v] = ownerOf(g.Type(kg.NodeID(v)), kg.NodeID(v), n)
 	}
-	e := &Engine{g: g, n: n, opts: opts, owner: owner, pr: PageRankOf(g, opts), dict: index.Dictionary(g, opts.Synonyms)}
+	e := &Engine{g: g, n: n, opts: opts, owner: owner, pr: PageRankOf(g, opts), corpus: index.NewCorpus(g, opts.Synonyms)}
 
 	// Build the shards in parallel; each build also parallelizes
 	// internally, so split the worker budget across shards.
@@ -136,7 +138,7 @@ func build(g *kg.Graph, n int, owned []int, opts index.Options) (*Engine, error)
 			so := opts
 			so.Workers = perShard
 			so.RootFilter = e.filter(si)
-			so.PageRank, so.Dict = e.pr, e.dict
+			so.PageRank, so.Corpus = e.pr, e.corpus
 			ix, err := index.Build(g, so)
 			if err != nil {
 				errs[si] = err
@@ -220,7 +222,7 @@ func (e *Engine) D() int { return e.opts.D }
 func (e *Engine) PageRank() []float64 { return e.pr }
 
 // Dict returns the dictionary every shard indexes with (read-only).
-func (e *Engine) Dict() *text.Dict { return e.dict }
+func (e *Engine) Dict() *text.Dict { return e.corpus.Dict() }
 
 // Index returns shard si's path index (read-only), or nil when the
 // shard is not resident on this engine (partial engines).

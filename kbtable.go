@@ -470,7 +470,8 @@ func (e *Engine) plan(ctx context.Context, exec ShardExecutor, query string, opt
 	if err := checkAlgorithm(opts.Algorithm); err != nil {
 		return PlanInfo{}, err
 	}
-	st, err := e.sh.PlanStats(ctx, query, so, e.legs(exec, query, opts))
+	words, _ := search.ResolveQuery(e.sh.Dict(), query)
+	st, err := e.sh.PlanStats(ctx, words, so, e.legs(exec, query, opts))
 	if err != nil {
 		return PlanInfo{}, fmt.Errorf("kbtable: %w", err)
 	}
@@ -904,11 +905,11 @@ func (e *Engine) Explain(query string) (Explanation, error) {
 	if !e.sh.Complete() {
 		return ex, ErrPartialEngine
 	}
-	st, err := e.sh.PlanStats(context.Background(), query, search.Options{}, nil)
+	words, surfaces := search.ResolveQuery(e.sh.Dict(), query)
+	st, err := e.sh.PlanStats(context.Background(), words, search.Options{}, nil)
 	if err != nil {
 		return ex, fmt.Errorf("kbtable: %w", err)
 	}
-	words, surfaces := search.ResolveQuery(e.sh.Dict(), query)
 	for i, w := range words {
 		if w < 0 {
 			ex.Unknown = append(ex.Unknown, surfaces[i])
@@ -920,7 +921,7 @@ func (e *Engine) Explain(query string) (Explanation, error) {
 	if ex.Capped = ex.Subtrees > ExplainBudget; ex.Capped {
 		ex.Patterns = -1
 	} else {
-		ex.Patterns = e.sh.CountAllContent(query)
+		ex.Patterns = e.sh.CountAllContent(words)
 	}
 	return ex, nil
 }

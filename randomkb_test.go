@@ -1,6 +1,7 @@
 package kbtable
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -184,38 +185,75 @@ func checkRandomKB(t testing.TB, seed int64) {
 		base[n] = rkbEngine(t, kb.g, kb.opts, n, 1)
 		sharded[fmt.Sprintf("shards %d", n)] = base[n]
 	}
+	// The recovered cell: one base engine, its shard count rotating with
+	// the seed, checkpointed and reopened, so its corpus is the graph
+	// tokenized against the snapshot's dictionary (shard.FromParts).
+	type cell struct {
+		name string
+		n    int
+		e    *Engine
+	}
+	rn := 1 + int(seed%3)
+	cells := []cell{{fmt.Sprintf("recovered at %d shards", rn), rn, rkbRecovered(t, base[rn])}}
+	sharded[cells[0].name] = cells[0].e
 	rkbSame(t, label, kb.queries, one, sharded, []Algorithm{PatternEnum, LinearEnum}, false)
 
 	// One update, then a chain of three: each engine's incremental
 	// successor against a rebuild over the final graph at its shard count.
-	updated := base
+	for n := 1; n <= 3; n++ {
+		cells = append(cells, cell{fmt.Sprintf("updated at %d shards", n), n, base[n]})
+	}
 	for step := 1; step <= 3; step++ {
-		u := rkbUpdate(t, rng, updated[1])
-		next := map[int]*Engine{}
-		for n, e := range updated {
-			ne, _, err := e.ApplyUpdate(u)
+		u := rkbUpdate(t, rng, cells[1].e)
+		for i, c := range cells {
+			ne, _, err := c.e.ApplyUpdate(u)
 			if err != nil {
-				t.Fatalf("%s, update %d at %d shards: %v", label, step, n, err)
+				t.Fatalf("%s, update %d, %s: %v", label, step, c.name, err)
 			}
-			next[n] = ne
+			cells[i].e = ne
 		}
-		updated = next
 		if step == 2 {
 			continue
 		}
-		for n, e := range updated {
-			rebuild := rkbEngine(t, e.Graph(), kb.opts, n, 1)
+		for _, c := range cells {
+			rebuild := rkbEngine(t, c.e.Graph(), kb.opts, c.n, 1)
 			rkbSame(t, fmt.Sprintf("%s after %d updates", label, step), kb.queries, rebuild,
-				map[string]*Engine{fmt.Sprintf("updated at %d shards", n): e}, []Algorithm{PatternEnum, LinearEnum}, true)
+				map[string]*Engine{c.name: c.e}, []Algorithm{PatternEnum, LinearEnum}, true)
 		}
 	}
 }
 
+// rkbRecovered checkpoints e into a new data directory and reopens it.
+func rkbRecovered(t testing.TB, e *Engine) *Engine {
+	t.Helper()
+	dir := t.TempDir()
+	_, st, _, err := OpenDirOpts(dir, EngineOptions{}, StoreOptions{})
+	if !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("fresh data directory: %v", err)
+	}
+	_, err = e.Checkpoint(st)
+	if cerr := st.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, st, _, err := OpenDirOpts(dir, EngineOptions{Workers: 1}, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
 // TestRandomKB runs the fixed seed range and the pinned seeds: PE ≡ LE ≡
-// Auto ≡ Baseline at one shard; PE and LE at two and three shards and at
-// three workers; and after one update and a chain of three, every
-// engine's incremental successor at one, two and three shards against a
-// rebuild, QueryWords included.
+// Auto ≡ Baseline at one shard; PE and LE at two and three shards, at
+// three workers and recovered from a checkpoint; and after one update and
+// a chain of three, every engine's incremental successor at one, two and
+// three shards, and the recovered engine's, against a rebuild, QueryWords
+// included.
 func TestRandomKB(t *testing.T) {
 	for _, half := range []int64{0, 1} {
 		t.Run(fmt.Sprint(half), func(t *testing.T) {
