@@ -91,10 +91,14 @@ fma:
 # (AnyIndex() again, or if internal/shard takes a query's Surfaces or
 # Words from the first leg's output again. The engine tokenizes its corpus
 # once per epoch (index.Corpus) and every shard index only reads it: fail
-# if non-test Go in internal/index tokenizes outside corpus.go. A search's
-# legs and probes take the engine's one resolution of the query: fail if
-# Scatter, PlanProbe or execute in internal/search/executor.go resolve it
-# again.
+# if non-test Go in internal/index tokenizes outside corpus.go. A search,
+# its legs and its probes take the engine's one resolution of the query:
+# fail if Execute, Scatter, PlanProbe or execute in
+# internal/search/executor.go resolve it again. The result cache is the
+# one guard against computing a search twice, and each miss runs on its
+# own request's context: fail if non-test Go in internal/serve declares a
+# flight group again, or if internal/api gives SearchResponse a Coalesced
+# field again.
 BASELINE_FREE = internal/shard internal/cluster internal/serve internal/api cmd/kbsearch
 EXECUTOR_FORK = PrepareQuery|ExecutePrepared|SearchPrepared|(shard|search)\.Prepared\b|NumCandidateRoots|SubtreeCount
 PREPARED_ROUTE = PreparedID|CodePreparedGone|handlePrepare|"/prepare"
@@ -129,9 +133,13 @@ one-path:
 	  if [ -n "$$hits" ]; then echo "a shard's dictionary or leg standing in for the engine's one resolution (shard.Engine.Dict):"; echo "$$hits"; exit 1; fi; \
 	  hits=$$(grep -nE 'text\.(TokenSet|Tokenize)\(' $$(ls internal/index/*.go | grep -vE '_test\.go$$|/corpus\.go$$')); \
 	  if [ -n "$$hits" ]; then echo "internal/index tokenizes outside its corpus (index.Corpus):"; echo "$$hits"; exit 1; fi; \
-	  hits=$$(awk '/^func (Scatter|PlanProbe|execute)\(/,/^}/' internal/search/executor.go | grep -n 'ResolveQuery('); \
-	  if [ -n "$$hits" ]; then echo "a search leg or probe resolves the query again (take the caller's words):"; echo "$$hits"; exit 1; fi; \
-	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type, one pattern order, one Auto resolution, one cache, one dictionary, one tokenization"
+	  hits=$$(awk '/^func (Execute|Scatter|PlanProbe|execute)\(/,/^}/' internal/search/executor.go | grep -n 'ResolveQuery('); \
+	  if [ -n "$$hits" ]; then echo "a search, leg or probe resolves the query again (take the caller's words):"; echo "$$hits"; exit 1; fi; \
+	  hits=$$(grep -rnE 'flightGroup|singleflight' --include='*.go' --exclude='*_test.go' internal/serve); \
+	  if [ -n "$$hits" ]; then echo "a flight group beside the result cache (a miss runs on its own request's context):"; echo "$$hits"; exit 1; fi; \
+	  hits=$$(awk '/^type SearchResponse struct/,/^}/' $$(ls internal/api/*.go | grep -v '_test\.go$$') | grep -n 'Coalesced'); \
+	  if [ -n "$$hits" ]; then echo "a search reply marked coalesced again:"; echo "$$hits"; exit 1; fi; \
+	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type, one pattern order, one Auto resolution, one cache, one dictionary, one tokenization, one run per miss"
 
 check: vet build race api-procs alloc bench benchmark-module index-procs fma one-path
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

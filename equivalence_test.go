@@ -118,7 +118,8 @@ func executorRunner(t *testing.T, g *Graph, workers int) deepRunner {
 				}
 				out, pt = deepResult{plan: res.Plan, stats: res.Stats, patterns: res.Patterns}, res.Table // the baseline interns its own
 			} else {
-				res, err := search.Execute(context.Background(), ix, q, algo, o)
+				words, surfaces := search.ResolveQuery(ix.Dict(), q)
+				res, err := search.Execute(context.Background(), ix, words, surfaces, algo, o)
 				if err != nil {
 					return deepResult{}, err
 				}
@@ -657,7 +658,7 @@ func TestScatterLegContract(t *testing.T) {
 						t.Fatalf("%s %q %v: patterns %d and %d are not in strictly ascending content order", spec.name, q, algo, i-1, i)
 					}
 				}
-				ref, err := search.Execute(ctx, ix, q, algo, search.Options{K: 1 << 30, CollectRootAggs: true, SkipTrees: true, Workers: 1})
+				ref, err := search.Execute(ctx, ix, words, surfaces, algo, search.Options{K: 1 << 30, CollectRootAggs: true, SkipTrees: true, Workers: 1})
 				if err != nil {
 					t.Fatal(err)
 				}

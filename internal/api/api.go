@@ -124,14 +124,10 @@ type SearchResponse struct {
 	// Algorithm is the algorithm that computed (or would compute) the
 	// answers — for "auto" requests, the planner's resolution, never
 	// "auto" itself.
-	Algorithm string `json:"algorithm"`
-	D         int    `json:"d"`
-	Epoch     uint64 `json:"epoch"`
-	Cached    bool   `json:"cached"`
-	// Coalesced reports that this response shares an execution with an
-	// identical concurrent request (same normalized query, options, and
-	// epoch) instead of having run the search itself.
-	Coalesced bool    `json:"coalesced,omitempty"`
+	Algorithm string  `json:"algorithm"`
+	D         int     `json:"d"`
+	Epoch     uint64  `json:"epoch"`
+	Cached    bool    `json:"cached"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// Plan reports the resolved execution plan and per-stage timings.
 	// On cache hits the stage timings are those of the run that populated
@@ -283,12 +279,12 @@ type DurabilityHealth struct {
 	GroupCommitMaxBatch int    `json:"group_commit_max_batch"`
 }
 
-// ServingHealth is the /v1/healthz view of the serving path: read
-// coalescing and admission control.
+// ServingHealth is the /v1/healthz view of the serving path: admission
+// control.
 type ServingHealth struct {
-	// Coalesced counts searches that joined another identical in-flight
-	// execution instead of running the search themselves.
-	Coalesced uint64 `json:"coalesced"`
+	// Deprecated: always 0 (the server no longer coalesces identical
+	// searches); it goes when the benchmark module stops reading it.
+	Coalesced uint64 `json:"coalesced,omitempty"`
 	// MaxConcurrent is the execution-slot bound (0 = gate disabled).
 	MaxConcurrent int `json:"max_concurrent"`
 	// InFlight / QueueDepth are the gate's current occupancy.

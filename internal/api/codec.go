@@ -286,8 +286,6 @@ func (d *decoder) response(r *SearchResponse) bool {
 			return d.uint(&r.Epoch)
 		case "cached":
 			return d.bool(&r.Cached)
-		case "coalesced":
-			return d.bool(&r.Coalesced)
 		case "elapsed_ms":
 			return d.float(&r.ElapsedMS)
 		case "plan":

@@ -79,7 +79,7 @@ func adversarialResponses() map[string]*SearchResponse {
 	out := map[string]*SearchResponse{
 		"nil answers":   {Query: "q", K: 10, Algorithm: "linearenum", D: 3},
 		"empty answers": {Query: "q", Answers: []SearchAnswer{}, Plan: &PlanOut{}},
-		"flags": {Query: "q", Epoch: math.MaxUint64, Cached: true, Coalesced: true, ElapsedMS: 1e21,
+		"flags": {Query: "q", Epoch: math.MaxUint64, Cached: true, ElapsedMS: 1e21,
 			K: math.MinInt64, D: math.MaxInt64, Plan: plan, Answers: []SearchAnswer{{}}},
 		"slices": {Answers: []SearchAnswer{
 			{Columns: nil, FullColumns: nil, Rows: nil},

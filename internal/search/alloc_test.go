@@ -70,8 +70,9 @@ func TestAllocBudgetEnumerate(t *testing.T) {
 			t.Fatal(err)
 		}
 		allocs[si] = map[Algo]float64{}
+		words, surfaces := ResolveQuery(ix.Dict(), "alpha beta")
 		for _, algo := range []Algo{AlgoLE, AlgoPE, AlgoAuto} {
-			res, err := Execute(ctx, ix, "alpha beta", algo, opts)
+			res, err := Execute(ctx, ix, words, surfaces, algo, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +82,7 @@ func TestAllocBudgetEnumerate(t *testing.T) {
 			}
 			trees[si] = res.Stats.TreesFound
 			n := testing.AllocsPerRun(20, func() {
-				if _, err := Execute(ctx, ix, "alpha beta", algo, opts); err != nil {
+				if _, err := Execute(ctx, ix, words, surfaces, algo, opts); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -120,8 +121,9 @@ func TestAllocBytesLEScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		words, surfaces := ResolveQuery(ix.Dict(), "alpha beta")
 		bytes[si] = bytesPerRun(20, func() {
-			if _, err := Execute(ctx, ix, "alpha beta", AlgoLE, opts); err != nil {
+			if _, err := Execute(ctx, ix, words, surfaces, AlgoLE, opts); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -352,11 +352,12 @@ func PlanProbe(ctx context.Context, ix *index.Index, words []text.WordID, opts O
 	return prep.stats, nil
 }
 
-// Execute runs one query through the staged pipeline on a path index.
-// algo may be AlgoAuto (resolved by the planner after prepare) but not
-// AlgoBaseline, which runs on its own index (BaselineIndex.SearchCtx).
-func Execute(ctx context.Context, ix *index.Index, query string, algo Algo, opts Options) (*Result, error) {
-	words, surfaces := ResolveQuery(ix.Dict(), query)
+// Execute runs one query through the staged pipeline on a path index,
+// over the caller's resolution of the query (ResolveQuery against the
+// index's dictionary). algo may be AlgoAuto (resolved by the planner after
+// prepare) but not AlgoBaseline, which runs on its own index
+// (BaselineIndex.SearchCtx).
+func Execute(ctx context.Context, ix *index.Index, words []text.WordID, surfaces []string, algo Algo, opts Options) (*Result, error) {
 	return execute(ctx, ix, words, surfaces, algo, opts.withDefaults(), true)
 }
 

@@ -22,7 +22,8 @@ import (
 // patterns are then re-scored exactly before entering the global queue
 // (Section 4.2.2).
 func LETopK(ix *index.Index, query string, opts Options) *Result {
-	res, _ := Execute(context.Background(), ix, query, AlgoLE, opts)
+	words, surfaces := ResolveQuery(ix.Dict(), query)
+	res, _ := Execute(context.Background(), ix, words, surfaces, AlgoLE, opts)
 	return res
 }
 

@@ -38,7 +38,7 @@ func TestParallelCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, algo := range []Algo{AlgoPE, AlgoLE} {
-		if res, err := Execute(ctx, ix, fig1Query, algo, Options{K: 10}); err == nil || res != nil {
+		if res, err := executeQuery(ctx, ix, fig1Query, algo, Options{K: 10}); err == nil || res != nil {
 			t.Errorf("%v on canceled ctx: res=%v err=%v, want nil result and error", algo, res, err)
 		}
 	}

@@ -15,7 +15,8 @@ import (
 // and scores the non-empty tree patterns. Valid subtrees of a pattern are
 // generated at one time, so no online aggregation dictionary is needed.
 func PETopK(ix *index.Index, query string, opts Options) *Result {
-	res, _ := Execute(context.Background(), ix, query, AlgoPE, opts)
+	words, surfaces := ResolveQuery(ix.Dict(), query)
+	res, _ := Execute(context.Background(), ix, words, surfaces, AlgoPE, opts)
 	return res
 }
 

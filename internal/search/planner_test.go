@@ -25,7 +25,7 @@ func TestPlanProbeStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			le, err := Execute(context.Background(), ix, q, AlgoLE, Options{SkipTrees: true})
+			le, err := executeQuery(context.Background(), ix, q, AlgoLE, Options{SkipTrees: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +176,7 @@ func TestPrepareCancellation(t *testing.T) {
 	cancel()
 	q := "city population"
 	for _, algo := range []Algo{AlgoPE, AlgoLE, AlgoAuto} {
-		if _, err := Execute(ctx, ix, q, algo, Options{K: 5}); !errors.Is(err, context.Canceled) {
+		if _, err := executeQuery(ctx, ix, q, algo, Options{K: 5}); !errors.Is(err, context.Canceled) {
 			t.Errorf("%v on canceled ctx: err = %v, want context.Canceled", algo, err)
 		}
 	}

@@ -30,6 +30,12 @@ func probe(ctx context.Context, ix *index.Index, q string) (PlanStats, error) {
 	return PlanProbe(ctx, ix, words, Options{})
 }
 
+// executeQuery is Execute over q resolved against ix's dictionary.
+func executeQuery(ctx context.Context, ix *index.Index, q string, algo Algo, opts Options) (*Result, error) {
+	words, surfaces := ResolveQuery(ix.Dict(), q)
+	return Execute(ctx, ix, words, surfaces, algo, opts)
+}
+
 // topTrees is TopTrees over q resolved against ix's dictionary.
 func topTrees(ix *index.Index, q string, k int, opts Options) ([]RankedTree, QueryStats) {
 	words, surfaces := ResolveQuery(ix.Dict(), q)

@@ -104,11 +104,11 @@ func TestBoundPushdownNeverChangesTheAnswer(t *testing.T) {
 						opts := Options{K: k, Workers: workers, CollectRootAggs: collect}
 						all := opts
 						all.K = unboundedK
-						full, err := Execute(context.Background(), ix, q, algo, all)
+						full, err := executeQuery(context.Background(), ix, q, algo, all)
 						if err != nil {
 							t.Fatal(err)
 						}
-						topk, err := Execute(context.Background(), ix, q, algo, opts)
+						topk, err := executeQuery(context.Background(), ix, q, algo, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -172,7 +172,7 @@ func TestStreamingPruningFires(t *testing.T) {
 	}
 	var pePruned, ttPruned int64
 	for _, q := range dataset.Workload(g, dataset.WorkloadConfig{PerM: 3, MaxM: 4}) {
-		res, err := Execute(context.Background(), ix, q.Text, AlgoPE, Options{K: 2, Workers: 1})
+		res, err := executeQuery(context.Background(), ix, q.Text, AlgoPE, Options{K: 2, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestCancellationInsideProduct(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		time.AfterFunc(25*time.Millisecond, cancel)
 		start := time.Now()
-		_, err := Execute(ctx, ix, "alpha beta gamma", algo, Options{K: 5, Workers: 1})
+		_, err := executeQuery(ctx, ix, "alpha beta gamma", algo, Options{K: 5, Workers: 1})
 		elapsed := time.Since(start)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
@@ -239,7 +239,7 @@ func TestPeLeafUBIsSound(t *testing.T) {
 	words, _ := ResolveQuery(ix.Dict(), fig1Query)
 	for _, agg := range []core.Agg{core.AggSum, core.AggCount, core.AggAvg, core.AggMax} {
 		o := Options{Agg: agg}.withDefaults()
-		res, err := Execute(context.Background(), ix, fig1Query, AlgoPE, Options{K: 100, Agg: agg, CollectRootAggs: true})
+		res, err := executeQuery(context.Background(), ix, fig1Query, AlgoPE, Options{K: 100, Agg: agg, CollectRootAggs: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func TestCacheHitWriteAlloc(t *testing.T) {
 		}
 		e := &cacheEntry{head: api.SearchResponse{Query: "q", K: 10, Algorithm: "patternenum", D: 3, ElapsedMS: 1.5, Plan: plan}, answers: answers}
 		w := &discardWriter{h: http.Header{}}
-		n := testing.AllocsPerRun(50, func() { e.write(w, true, false) })
+		n := testing.AllocsPerRun(50, func() { e.write(w, true) })
 		if n > budget {
 			t.Errorf("%d rows: %.0f allocations per cache-hit write, budget %d", rows, n, budget)
 		}

@@ -31,7 +31,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			ChosePatternEnum: s.autoChosePE.Load(),
 			ChoseLinearEnum:  s.autoChoseLE.Load(),
 		},
-		Serving: api.ServingHealth{Coalesced: s.metrics.coalesced.Load()},
 		Index: &api.IndexHealth{
 			Bytes:         ixs.Bytes,
 			BytesPerEntry: ixs.BytesPerEntry,

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -19,10 +18,10 @@ import (
 )
 
 // blockingEngine is a real engine whose searches park on release,
-// counting how many times SearchPlan actually ran — the probe for
-// coalescing (it should run once for N identical concurrent queries)
-// and admission control (it holds slots occupied at will). Released, a
-// search runs for real, except that the first panics searches panic.
+// counting how many times SearchPlan actually ran — the probe for the
+// result cache (a hit runs nothing) and admission control (it holds
+// slots occupied at will). Released, a search runs for real, except that
+// the first panics searches panic.
 type blockingEngine struct {
 	*kbtable.Engine
 	executions atomic.Int64
@@ -66,89 +65,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestCoalescingSharesExecution pins the read-coalescing contract:
-// N identical concurrent queries (cache disabled, so none is a cache
-// hit) execute the search ONCE; every caller receives byte-identical
-// answers, and all but the leader are marked coalesced.
-func TestCoalescingSharesExecution(t *testing.T) {
-	const n = 8
-	eng := newBlockingEngine(t)
-	srv := New(Config{Engine: eng, D: 3, CacheSize: -1})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	client := ts.Client()
-
-	type result struct {
-		sr   api.SearchResponse
-		code int
-	}
-	results := make(chan result, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			body, _ := json.Marshal(api.SearchRequest{Query: "database software", K: 5})
-			resp, err := client.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			var sr api.SearchResponse
-			if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-				t.Error(err)
-				return
-			}
-			results <- result{sr, resp.StatusCode}
-		}()
-	}
-
-	// Every request holds an admission slot while it executes or waits
-	// on the shared flight, so gate occupancy reaching n means all n are
-	// in place — exactly one of them in the engine. Only then release.
-	waitFor(t, "all requests admitted", func() bool {
-		inFlight, _ := srv.gate.depth()
-		return inFlight == n
-	})
-	if got := eng.executions.Load(); got != 1 {
-		t.Fatalf("%d executions before release, want 1", got)
-	}
-	close(eng.release)
-	wg.Wait()
-	close(results)
-
-	if got := eng.executions.Load(); got != 1 {
-		t.Fatalf("%d executions, want 1", got)
-	}
-	var coalesced int
-	var first *api.SearchResponse
-	for r := range results {
-		if r.code != http.StatusOK {
-			t.Fatalf("status %d", r.code)
-		}
-		if r.sr.Coalesced {
-			coalesced++
-		}
-		if first == nil {
-			first = &r.sr
-			continue
-		}
-		if !reflect.DeepEqual(r.sr.Answers, first.Answers) {
-			t.Fatal("coalesced answers diverge")
-		}
-		if r.sr.Epoch != first.Epoch {
-			t.Fatalf("coalesced epochs diverge: %d vs %d", r.sr.Epoch, first.Epoch)
-		}
-	}
-	if coalesced != n-1 {
-		t.Fatalf("%d coalesced responses, want %d", coalesced, n-1)
-	}
-	if h := getHealth(t, srv.Handler()); h.Serving.Coalesced != n-1 {
-		t.Fatalf("healthz coalesced = %d, want %d", h.Serving.Coalesced, n-1)
-	}
-}
-
 // TestAdmissionShedsWithRetryAfter pins load shedding: with one
 // execution slot and a one-deep queue, a third concurrent request is
 // rejected 429 with a Retry-After header, and the first two complete
@@ -166,8 +82,7 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 	}
 
 	codes := make(chan int, 2)
-	// First request occupies the only slot (distinct queries: no flight
-	// sharing). Second queues.
+	// First request occupies the only slot. Second queues.
 	for i := 0; i < 2; i++ {
 		i := i
 		go func() {

@@ -80,10 +80,9 @@ type statusKey struct {
 
 // metrics aggregates the server's Prometheus-visible counters.
 type metrics struct {
-	search    latencyHist
-	update    latencyHist
-	statuses  sync.Map // statusKey -> *atomic.Uint64
-	coalesced atomic.Uint64
+	search   latencyHist
+	update   latencyHist
+	statuses sync.Map // statusKey -> *atomic.Uint64
 }
 
 // countStatus bumps the (handler, status code) request counter.
@@ -160,10 +159,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# TYPE kbserve_request_duration_seconds histogram\n")
 	s.metrics.search.write(&b, "kbserve_request_duration_seconds", "op", "search")
 	s.metrics.update.write(&b, "kbserve_request_duration_seconds", "op", "update")
-
-	fmt.Fprintf(&b, "# HELP kbserve_searches_coalesced_total Searches that joined another identical in-flight execution.\n")
-	fmt.Fprintf(&b, "# TYPE kbserve_searches_coalesced_total counter\n")
-	fmt.Fprintf(&b, "kbserve_searches_coalesced_total %d\n", s.metrics.coalesced.Load())
 
 	if s.gate != nil {
 		inFlight, queued := s.gate.depth()

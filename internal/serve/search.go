@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"time"
 
 	"kbtable"
@@ -12,7 +14,7 @@ import (
 )
 
 // cacheEntry is one computed result, shared read-only by the result
-// cache, the flight that computed it and every request it answers. It
+// cache, the request that computed it and every request it answers. It
 // holds the answers encoded once, as the JSON array every reply splices
 // in, and not the answer structs: a cached table costs its bytes alone.
 // head carries the reply fields the entry fixes: query, k, d, epoch,
@@ -26,9 +28,9 @@ type cacheEntry struct {
 // write answers one request from the entry: a freshly encoded head,
 // then the cached answer bytes, in one Write. Every reply from one entry
 // reports the plan it was computed with, stage timings included.
-func (e *cacheEntry) write(w http.ResponseWriter, cached, coalesced bool) {
+func (e *cacheEntry) write(w http.ResponseWriter, cached bool) {
 	resp := e.head
-	resp.Cached, resp.Coalesced = cached, coalesced
+	resp.Cached = cached
 	body, err := api.AppendSearchResponse(make([]byte, 0, len(e.answers)+len(resp.Query)+512), &resp, e.answers)
 	if err != nil {
 		WriteError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
@@ -160,19 +162,28 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, bodyPriority stri
 // probe. Scattered calls carry st's WAL position on their context so the
 // cluster transport can demand owner nodes at exactly that position
 // (api.SeqFrom on the other side), keeping every leg on the snapshot the
-// request is answering from.
-func (s *Server) search(ctx context.Context, st *engineState, query string, o kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error) {
+// request is answering from. A panicking search fails like any other
+// error: the stack goes to the log, as net/http logs a handler's panic,
+// and the client reads 500 internal.
+func (s *Server) search(ctx context.Context, st *engineState, query string, o kbtable.SearchOptions) (answers []kbtable.Answer, pi kbtable.PlanInfo, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("serve: search panicked: %v\n%s", p, debug.Stack())
+			answers, pi, err = nil, kbtable.PlanInfo{}, fmt.Errorf("search panicked: %v", p)
+		}
+	}()
 	if s.cfg.Distributor == nil {
 		return st.eng.SearchPlan(ctx, query, o)
 	}
 	return st.eng.SearchDistributed(api.WithSeq(ctx, st.eng.Seq()), s.cfg.Distributor, query, o)
 }
 
-// handleSearch answers one search: from the result cache, keyed by the
-// requested algorithm, or from a flight whose leader runs the engine.
-// An auto request's reply names the algorithm its entry resolved to, and
-// the planner counters count that choice on hits, misses and coalesced
-// followers alike.
+// handleSearch answers one search on one path: admission, the result
+// cache keyed by the requested algorithm, then on a miss the engine, on
+// the request's own context bounded by Config.Timeout, so a client that
+// goes away cancels its own search. An auto request's reply names the
+// algorithm its entry resolved to, and the planner counters count that
+// choice on hits and misses alike.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	var req api.SearchRequest
@@ -196,65 +207,45 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// Pin this request to the currently published snapshot: even if an
 	// update lands mid-query, we keep searching (and report) this epoch.
 	st := s.cur.Load()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-
 	key := cacheKey(req.Query, req.Algorithm, req.K, req.D, req.MaxRows)
 	if hit, ok := s.cache.Get(key, st.epoch); ok {
 		s.countChoice(algo, hit)
-		hit.write(w, true, false)
+		hit.write(w, true)
 		return
 	}
 
-	// Read coalescing: identical concurrent misses — same cache key AND
-	// same pinned epoch — share one execution. The epoch in the flight
-	// key keeps the freshness contract intact: a request that loaded
-	// epoch N+1 never receives bytes computed on epoch N.
-	flightKey := fmt.Sprintf("%d|%s", st.epoch, key)
-	ent, joined, err := s.flights.do(ctx, flightKey, func() (*cacheEntry, error) {
-		// The leader runs detached from its own request context:
-		// followers depend on this execution, so one impatient client
-		// disconnecting must not fail everyone sharing the flight.
-		lctx, lcancel := context.WithTimeout(context.Background(), s.cfg.Timeout)
-		defer lcancel()
-
-		t0 := time.Now()
-		answers, pi, err := s.search(lctx, st, req.Query, searchOptions(&req, algo))
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(t0)
-		s.boundPruned.Add(pi.BoundPruned)
-		encoded, err := encodeAnswers(answers)
-		if err != nil {
-			return nil, err
-		}
-		ent := &cacheEntry{
-			head: api.SearchResponse{
-				Query:     req.Query,
-				K:         req.K,
-				Algorithm: api.AlgorithmName(pi.Algorithm),
-				D:         req.D,
-				Epoch:     st.epoch,
-				ElapsedMS: float64(elapsed.Microseconds()) / 1000,
-				Plan:      planOut(pi),
-			},
-			answers: encoded,
-		}
-		// Tagged with the query's canonical words for word-precise
-		// invalidation; refused if an update published since st.
-		s.cache.Put(key, st.epoch, ent, st.eng.QueryWords(req.Query))
-		return ent, nil
-	})
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+	defer cancel()
+	t0 := time.Now()
+	answers, pi, err := s.search(ctx, st, req.Query, searchOptions(&req, algo))
 	if err != nil {
 		writeSearchError(w, err)
 		return
 	}
-	if joined {
-		s.metrics.coalesced.Add(1)
+	elapsed := time.Since(t0)
+	s.boundPruned.Add(pi.BoundPruned)
+	encoded, err := encodeAnswers(answers)
+	if err != nil {
+		writeSearchError(w, err)
+		return
 	}
+	ent := &cacheEntry{
+		head: api.SearchResponse{
+			Query:     req.Query,
+			K:         req.K,
+			Algorithm: api.AlgorithmName(pi.Algorithm),
+			D:         req.D,
+			Epoch:     st.epoch,
+			ElapsedMS: float64(elapsed.Microseconds()) / 1000,
+			Plan:      planOut(pi),
+		},
+		answers: encoded,
+	}
+	// Tagged with the query's canonical words for word-precise
+	// invalidation; refused if an update published since st.
+	s.cache.Put(key, st.epoch, ent, st.eng.QueryWords(req.Query))
 	s.countChoice(algo, ent)
-	ent.write(w, false, joined)
+	ent.write(w, false)
 }
 
 // countChoice counts, for an auto request, the algorithm the entry

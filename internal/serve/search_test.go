@@ -2,63 +2,39 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"regexp"
-	"runtime"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"kbtable"
 	"kbtable/internal/api"
 )
 
-// waitJoined waits until n requests are in one flight: the leader in the
-// engine and n-1 followers waiting on it.
-func waitJoined(t *testing.T, n int) {
-	t.Helper()
-	buf := make([]byte, 1<<20)
-	waitFor(t, "requests joining the flight", func() bool {
-		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*flightGroup).do(") >= n
-	})
-}
-
-// TestSearchPanicReleasesFlight pins that a search that panics fails
-// its flight like any other error: the leader and its follower answer
-// 500 internal at once, and the next identical request starts a fresh
-// flight and answers, instead of joining a flight nobody will finish and
-// waiting out the timeout for a 504.
-func TestSearchPanicReleasesFlight(t *testing.T) {
+// TestSearchPanicAnswersInternal pins that a search that panics fails
+// like any other error: its request answers 500 internal through the
+// error envelope at once, and the next identical request runs a fresh
+// search and answers 200.
+func TestSearchPanicAnswersInternal(t *testing.T) {
 	eng := newBlockingEngine(t)
 	eng.panics.Store(1)
+	close(eng.release)
 	srv := New(Config{Engine: eng, D: 3, Timeout: 3 * time.Second})
 	ts := newHTTPServer(t, srv)
 	req := api.SearchRequest{Query: "database software company revenue", K: 3}
 
-	var wg sync.WaitGroup
-	codes := make([]int, 2)
-	bodies := make([][]byte, 2)
-	for i := range codes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			codes[i], bodies[i] = rawSearch(t, ts.URL, req)
-		}()
-	}
-	waitJoined(t, 2)
-	close(eng.release)
-	wg.Wait()
-	for i, code := range codes {
-		var env struct{ Error struct{ Code string } }
-		_ = json.Unmarshal(bodies[i], &env)
-		if code != http.StatusInternalServerError || env.Error.Code != "internal" {
-			t.Errorf("request %d during the panic: status %d %s, want 500 internal", i, code, bodies[i])
-		}
+	code, body := rawSearch(t, ts.URL, req)
+	var env struct{ Error struct{ Code string } }
+	_ = json.Unmarshal(body, &env)
+	if code != http.StatusInternalServerError || env.Error.Code != "internal" {
+		t.Errorf("the panicking search: status %d %s, want 500 internal", code, body)
 	}
 
 	t0 := time.Now()
-	code, body := rawSearch(t, ts.URL, req)
+	code, body = rawSearch(t, ts.URL, req)
 	if code != http.StatusOK {
 		t.Fatalf("request after the panic: status %d %s, want 200", code, body)
 	}
@@ -70,37 +46,72 @@ func TestSearchPanicReleasesFlight(t *testing.T) {
 	}
 }
 
+// reportingEngine reports the error every SearchPlan returns.
+type reportingEngine struct {
+	*blockingEngine
+	errs chan error
+}
+
+func (e reportingEngine) SearchPlan(ctx context.Context, query string, opts kbtable.SearchOptions) ([]kbtable.Answer, kbtable.PlanInfo, error) {
+	answers, pi, err := e.blockingEngine.SearchPlan(ctx, query, opts)
+	e.errs <- err
+	return answers, pi, err
+}
+
+// TestSearchCanceledWithClient pins that a search runs on its request's
+// context: a client that goes away cancels the engine's work at once,
+// long before Config.Timeout.
+func TestSearchCanceledWithClient(t *testing.T) {
+	eng := reportingEngine{newBlockingEngine(t), make(chan error, 1)}
+	srv := New(Config{Engine: eng, D: 3, Timeout: 10 * time.Second})
+	ts := newHTTPServer(t, srv)
+	t.Cleanup(func() { close(eng.release) })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	body, _ := json.Marshal(api.SearchRequest{Query: "database software", K: 3})
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/search", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		if resp, err := ts.Client().Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitFor(t, "the search in the engine", func() bool { return eng.executions.Load() == 1 })
+	cancel()
+	select {
+	case err := <-eng.errs:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("the engine returned %v after its client went away, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the engine still searches 1 s after its client went away")
+	}
+}
+
 // perRequest matches the reply fields that may differ between requests
 // answered from one computed result.
-var perRequest = regexp.MustCompile(`"cached":(true|false)|"coalesced":true,|"elapsed_ms":[^,]*|"plan":\{[^}]*\},`)
+var perRequest = regexp.MustCompile(`"cached":(true|false)|"elapsed_ms":[^,]*|"plan":\{[^}]*\},`)
 
-// TestHitMissCoalescedBodiesAgree pins that a miss, a coalesced follower
-// and a cache hit of one auto request write the same bytes but for
-// cached, coalesced, elapsed_ms and plan; that an explicit request for
-// the algorithm auto resolved to is a miss of its own, answering the same
-// bytes (the Auto-equivalence property, through HTTP); and that an auto
-// cache hit does no engine work, planner included. Auto and explicit
-// requests no longer share an entry, so there is no cross-spelling hit to
-// check.
-func TestHitMissCoalescedBodiesAgree(t *testing.T) {
+// TestHitMissBodiesAgree pins that a miss and a cache hit of one auto
+// request write the same bytes but for cached, elapsed_ms and plan; that
+// an explicit request for the algorithm auto resolved to is a miss of its
+// own, answering the same bytes (the Auto-equivalence property, through
+// HTTP); and that an auto cache hit does no engine work, planner
+// included. Auto and explicit requests no longer share an entry, so there
+// is no cross-spelling hit to check.
+func TestHitMissBodiesAgree(t *testing.T) {
 	eng := newBlockingEngine(t)
+	close(eng.release)
 	srv := New(Config{Engine: eng, D: 3})
 	ts := newHTTPServer(t, srv)
 	auto := api.SearchRequest{Query: "database software company revenue", Algorithm: "auto"}
 
-	var wg sync.WaitGroup
-	var miss, follower []byte
-	wg.Add(2)
-	go func() { defer wg.Done(); _, miss = rawSearch(t, ts.URL, auto) }()
-	waitFor(t, "the leader in the engine", func() bool { return eng.executions.Load() == 1 })
-	go func() { defer wg.Done(); _, follower = rawSearch(t, ts.URL, auto) }()
-	waitJoined(t, 2)
-	close(eng.release)
-	wg.Wait()
-	execs := eng.executions.Load()
+	_, miss := rawSearch(t, ts.URL, auto)
 	_, hit := rawSearch(t, ts.URL, auto)
-	if after := eng.executions.Load(); after != execs {
-		t.Errorf("%d executions across an auto cache hit, want %d: a hit does no engine work", after, execs)
+	if n := eng.executions.Load(); n != 1 {
+		t.Errorf("%d executions across an auto miss and its hit, want 1: a hit does no engine work", n)
 	}
 
 	decode := func(name string, body []byte) api.SearchResponse {
@@ -110,25 +121,19 @@ func TestHitMissCoalescedBodiesAgree(t *testing.T) {
 		}
 		return r
 	}
-	m, f, h := decode("miss", miss), decode("follower", follower), decode("hit", hit)
-	if m.Cached || m.Coalesced || f.Cached || !f.Coalesced || !h.Cached {
-		t.Fatalf("flags: miss %v/%v, follower %v/%v, hit %v; want one miss, one coalesced, one hit",
-			m.Cached, m.Coalesced, f.Cached, f.Coalesced, h.Cached)
-	}
-	if n := eng.executions.Load(); n != 1 {
-		t.Fatalf("%d executions, want 1", n)
+	m, h := decode("miss", miss), decode("hit", hit)
+	if m.Cached || !h.Cached {
+		t.Fatalf("flags: miss cached %v, hit cached %v; want one miss, one hit", m.Cached, h.Cached)
 	}
 	want := perRequest.ReplaceAll(miss, nil)
-	for name, body := range map[string][]byte{"follower": follower, "hit": hit} {
-		if got := perRequest.ReplaceAll(body, nil); !bytes.Equal(got, want) {
-			t.Errorf("%s body differs from the miss:\n got: %s\nwant: %s", name, got, want)
-		}
+	if got := perRequest.ReplaceAll(hit, nil); !bytes.Equal(got, want) {
+		t.Errorf("hit body differs from the miss:\n got: %s\nwant: %s", got, want)
 	}
 	if m.Plan == nil || !m.Plan.Auto || m.Plan.Reason == "" || m.Plan.Algorithm != m.Algorithm || m.Algorithm == "auto" {
 		t.Errorf("auto miss: algorithm %q, plan %+v; want the resolved algorithm with the planner's decision", m.Algorithm, m.Plan)
 	}
-	if *f.Plan != *m.Plan || *h.Plan != *m.Plan {
-		t.Errorf("auto plans: miss %+v, follower %+v, hit %+v; want the entry's plan on each", m.Plan, f.Plan, h.Plan)
+	if *h.Plan != *m.Plan {
+		t.Errorf("auto plans: miss %+v, hit %+v; want the entry's plan on each", m.Plan, h.Plan)
 	}
 
 	_, explicit := rawSearch(t, ts.URL, api.SearchRequest{Query: auto.Query, Algorithm: m.Algorithm})

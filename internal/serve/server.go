@@ -95,7 +95,7 @@ type Config struct {
 	// QueueTimeout bounds one search's wait for an execution slot
 	// (shed with 429 beyond it); default Timeout.
 	QueueTimeout time.Duration
-	// Distributor, when non-nil, turns leader executions into cluster
+	// Distributor, when non-nil, turns cache misses into cluster
 	// scatter-gather: each shard's planner probe and enumerate→aggregate
 	// leg is routed through the executor (internal/cluster's Router) to
 	// remote owner nodes, and the partials gather on the local engine.
@@ -172,8 +172,7 @@ type Server struct {
 	autoChoseLE  atomic.Uint64
 
 	// boundPruned accumulates PlanInfo.BoundPruned across executed
-	// searches (leader runs; cache hits and coalesced followers did no
-	// enumeration).
+	// searches (cache misses; a hit did no enumeration).
 	boundPruned atomic.Int64
 
 	// Durability counters: completed background/explicit checkpoints,
@@ -199,8 +198,7 @@ type Server struct {
 	pubMu   sync.Mutex
 	pubCond *sync.Cond
 
-	// Serving-path machinery: read coalescing and admission control.
-	flights flightGroup
+	// Serving-path machinery: admission control.
 	gate    *gate // nil = admission control disabled
 	metrics metrics
 }

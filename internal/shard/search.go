@@ -108,12 +108,12 @@ func (e *Engine) compareContent(a, b contribRef) int {
 	return a.pattern.CompareContent(e.units[a.shard].ix.PatternTable(), b.pattern, e.units[b.shard].ix.PatternTable())
 }
 
-// Search answers a query under algo. A one-shard engine without legs runs
-// its executor directly, which resolves the query and Auto itself.
-// Otherwise the query resolves once, against Dict, Auto by one planner
-// decision over the merged per-shard probe, and every shard runs one leg —
-// through legs when given — and scatterGather merges same-signature
-// patterns exactly into the global top-k.
+// Search answers a query under algo. The query resolves once, against
+// Dict. A one-shard engine without legs runs its executor directly, which
+// resolves Auto itself. Otherwise Auto resolves by one planner decision
+// over the merged per-shard probe, and every shard runs one leg — through
+// legs when given — and scatterGather merges same-signature patterns
+// exactly into the global top-k.
 //
 // Exactness: every valid subtree roots at exactly one shard, so per-shard
 // per-root partial aggregates (search.RootAgg) partition the one-shard
@@ -130,11 +130,11 @@ func (e *Engine) Search(ctx context.Context, algo search.Algo, query string, opt
 	if opts.Lambda > 0 {
 		legs = nil
 	}
-	if e.n == 1 && legs == nil {
-		return e.searchOne(ctx, algo, query, opts)
-	}
 	start := time.Now()
 	words, surfaces := search.ResolveQuery(e.Dict(), query)
+	if e.n == 1 && legs == nil {
+		return e.searchOne(ctx, algo, words, surfaces, opts)
+	}
 	plan := search.Plan{Algo: algo}
 	if algo == search.AlgoAuto {
 		st, err := e.PlanStats(ctx, words, opts, legs)
@@ -150,8 +150,8 @@ func (e *Engine) Search(ctx context.Context, algo search.Algo, query string, opt
 // with the caller's options untouched, so top-k pruning, stage timings,
 // plan statistics and sampling are the executor's own. algo may be Auto
 // (one prepare serves both the planner and the execution).
-func (e *Engine) searchOne(ctx context.Context, algo search.Algo, query string, opts search.Options) (*Result, error) {
-	res, err := search.Execute(ctx, e.units[0].ix, query, algo, opts)
+func (e *Engine) searchOne(ctx context.Context, algo search.Algo, words []text.WordID, surfaces []string, opts search.Options) (*Result, error) {
+	res, err := search.Execute(ctx, e.units[0].ix, words, surfaces, algo, opts)
 	if err != nil {
 		return nil, err
 	}

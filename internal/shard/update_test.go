@@ -105,7 +105,8 @@ func renderPattern(g *kg.Graph, pt *core.PatternTable, p core.TreePattern, score
 // executor on one unfiltered index.
 func referenceResult(t testing.TB, g *kg.Graph, ix *index.Index, algo search.Algo, query string, opts search.Options) []string {
 	t.Helper()
-	res, err := search.Execute(context.Background(), ix, query, algo, opts)
+	words, surfaces := search.ResolveQuery(ix.Dict(), query)
+	res, err := search.Execute(context.Background(), ix, words, surfaces, algo, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

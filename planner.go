@@ -12,9 +12,8 @@ import (
 // tokenizer will: lowercased maximal letter/digit runs joined by single
 // spaces, with punctuation dropped. Two queries with equal normal forms
 // produce byte-identical answers (token order is preserved — column
-// order follows it), so result caches and request coalescers should key
-// on this form; anything finer fragments the cache on punctuation the
-// engine never sees.
+// order follows it), so result caches should key on this form; anything
+// finer fragments the cache on punctuation the engine never sees.
 func NormalizeQuery(q string) string {
 	return strings.Join(text.Tokenize(q), " ")
 }
