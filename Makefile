@@ -98,7 +98,11 @@ fma:
 # one guard against computing a search twice, and each miss runs on its
 # own request's context: fail if non-test Go in internal/serve declares a
 # flight group again, or if internal/api gives SearchResponse a Coalesced
-# field again.
+# field again. The kbsearch CLI is a client of the library, which composes
+# every table answer in one place (kbtable.Engine.answers): fail if
+# cmd/kbsearch imports an internal package other than api and client
+# again. A planner statistic nothing reads is one nobody has measured:
+# fail if non-test Go names the deleted per-keyword PostingRoots again.
 BASELINE_FREE = internal/shard internal/cluster internal/serve internal/api cmd/kbsearch
 EXECUTOR_FORK = PrepareQuery|ExecutePrepared|SearchPrepared|(shard|search)\.Prepared\b|NumCandidateRoots|SubtreeCount
 PREPARED_ROUTE = PreparedID|CodePreparedGone|handlePrepare|"/prepare"
@@ -139,7 +143,11 @@ one-path:
 	  if [ -n "$$hits" ]; then echo "a flight group beside the result cache (a miss runs on its own request's context):"; echo "$$hits"; exit 1; fi; \
 	  hits=$$(awk '/^type SearchResponse struct/,/^}/' $$(ls internal/api/*.go | grep -v '_test\.go$$') | grep -n 'Coalesced'); \
 	  if [ -n "$$hits" ]; then echo "a search reply marked coalesced again:"; echo "$$hits"; exit 1; fi; \
-	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type, one pattern order, one Auto resolution, one cache, one dictionary, one tokenization, one run per miss"
+	  hits=$$(grep -rnE '"kbtable/internal/' --include='*.go' --exclude='*_test.go' cmd/kbsearch | grep -vE '"kbtable/internal/(api|client)"'); \
+	  if [ -n "$$hits" ]; then echo "kbsearch composes or searches beside the library (use kbtable, internal/api and internal/client):"; echo "$$hits"; exit 1; fi; \
+	  hits=$$(grep -rnE 'PostingRoots' --include='*.go' --exclude='*_test.go' .); \
+	  if [ -n "$$hits" ]; then echo "an unread per-keyword posting statistic again:"; echo "$$hits"; exit 1; fi; \
+	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type, one pattern order, one Auto resolution, one cache, one dictionary, one tokenization, one run per miss, one answer composer, no unread statistic"
 
 check: vet build race api-procs alloc bench benchmark-module index-procs fma one-path
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -3,8 +3,10 @@ package kbtable
 // One testing.B benchmark per table/figure of the paper (Figures 6-16,
 // Exp-IV), wrapping the drivers in internal/bench at a reduced scale so
 // `go test -bench=.` completes on a laptop, plus micro-benchmarks of the
-// individual components and ablation benches for the design choices
-// DESIGN.md calls out. cmd/kbbench runs the full-scale suite.
+// individual components and ablation benches for design choices the
+// paper leaves open (tuple vs tree-shape semantics, the aggregation
+// function, index workers, the height threshold). cmd/kbbench runs the
+// full-scale suite.
 
 import (
 	"bytes"
@@ -329,7 +331,7 @@ func BenchmarkComposeTable(b *testing.B) {
 	}
 }
 
-// --- ablation benches for the design choices DESIGN.md calls out ---
+// --- ablation benches for design choices the paper leaves open ---
 
 // BenchmarkAblationTreeShape compares tuple semantics (the paper's
 // counting) against strict tree-shape filtering.

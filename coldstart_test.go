@@ -250,12 +250,16 @@ func writeAnswerFiles(t *testing.T, dir string, spec corpusSpec, rendered []stri
 
 // --- kbserve process harness -----------------------------------------
 
-func buildKBServe(t *testing.T) string {
+func buildKBServe(t *testing.T) string { return buildCommand(t, "kbserve") }
+
+// buildCommand builds ./cmd/<name> into a temporary directory and returns
+// the binary's path.
+func buildCommand(t *testing.T, name string) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "kbserve")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/kbserve")
+	bin := filepath.Join(t.TempDir(), name)
+	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build kbserve: %v\n%s", err, out)
+		t.Fatalf("build %s: %v\n%s", name, err, out)
 	}
 	return bin
 }

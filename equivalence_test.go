@@ -276,8 +276,8 @@ func deepDump(t *testing.T, queries []string, r deepRunner, axes []string) map[d
 			first[key] = c.algo
 		}
 		out[c] = append([]string{
-			fmt.Sprintf("plan algo=%v auto=%t cand=%d types=%d space=%d frontier=%d postings=%s", p.Algo, p.Auto,
-				p.Stats.CandidateRoots, p.Stats.RootTypes, p.Stats.PatternSpace, p.Stats.Frontier, ints(p.Stats.PostingRoots)),
+			fmt.Sprintf("plan algo=%v auto=%t cand=%d types=%d space=%d frontier=%d", p.Algo, p.Auto,
+				p.Stats.CandidateRoots, p.Stats.RootTypes, p.Stats.PatternSpace, p.Stats.Frontier),
 			fmt.Sprintf("stats cand=%d sampled=%d patterns=%d trees=%d empty=%d pruned=%d",
 				st.CandidateRoots, st.SampledRoots, st.PatternsFound, st.TreesFound, st.EmptyChecked, st.BoundPruned),
 		}, block...)

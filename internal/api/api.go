@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"kbtable"
 )
@@ -158,6 +159,25 @@ type PlanOut struct {
 	// pushdown cut before materialization (0 when pruning was off or
 	// never fired).
 	BoundPruned int64 `json:"bound_pruned"`
+}
+
+// PlanOf converts a facade PlanInfo to the wire form.
+func PlanOf(pi kbtable.PlanInfo) *PlanOut {
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	return &PlanOut{
+		Algorithm:      AlgorithmName(pi.Algorithm),
+		Auto:           pi.Auto,
+		Reason:         pi.Reason,
+		CandidateRoots: pi.CandidateRoots,
+		RootTypes:      pi.RootTypes,
+		PatternSpace:   pi.PatternSpace,
+		Frontier:       pi.Frontier,
+		PrepareMS:      ms(pi.Prepare),
+		EnumerateMS:    ms(pi.Enumerate),
+		AggregateMS:    ms(pi.Aggregate),
+		RankMS:         ms(pi.Rank),
+		BoundPruned:    pi.BoundPruned,
+	}
 }
 
 // UpdateRequest is the POST /v1/update body: an atomic batch of

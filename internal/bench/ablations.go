@@ -7,8 +7,8 @@ import (
 	"kbtable/internal/search"
 )
 
-// RunAblations reports the effect of the design choices DESIGN.md calls
-// out, beyond what the paper itself measured:
+// RunAblations reports the effect of design choices the paper leaves
+// open, beyond what it measured:
 //
 //   - tuple semantics vs strict tree-shape filtering (how many "subtrees"
 //     are re-converging tuples, and what filtering costs);

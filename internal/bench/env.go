@@ -16,8 +16,9 @@ import (
 )
 
 // Config scales the experiment suite. The defaults run the full suite in
-// minutes on a laptop; the paper's absolute dataset sizes are out of scope
-// (see DESIGN.md), the comparative shapes are in scope.
+// minutes on a laptop. The paper's absolute dataset sizes are out of
+// scope, since its Wiki and IMDB dumps are replaced by synthetic stand-ins
+// (internal/dataset); the comparative shapes are in scope.
 type Config struct {
 	// WikiEntities / WikiTypes scale SynthWiki; defaults 12000 / 120.
 	WikiEntities int

@@ -81,8 +81,9 @@ func (p Path) Pattern(g *kg.Graph) PathPattern {
 //
 // Following Algorithms 2–3 and the count NR = Σ_r Π_i |Paths(wi,r)|, a
 // subtree is the *ordered tuple* of paths joined at the root; tuples whose
-// union re-converges are still counted (see DESIGN.md). Use IsTreeShaped to
-// filter them when strict tree semantics are wanted.
+// union re-converges are still counted, so scores and counts match the
+// paper's formulas. Use IsTreeShaped to filter them when strict tree
+// semantics are wanted.
 type Subtree struct {
 	Root  kg.NodeID
 	Paths []Path

@@ -1,7 +1,9 @@
 // Package dataset provides the knowledge graphs and query workloads used by
 // tests, examples and the experiment harness: the paper's Figure 1 toy
-// graph, and synthetic stand-ins for the Wiki and IMDB knowledge bases
-// (see DESIGN.md for the substitution rationale).
+// graph, and synthetic stand-ins for the Wiki and IMDB knowledge bases,
+// which the paper took from dumps this repository does not ship; the
+// generators reproduce their shape (typed attribute schemas, Zipf-sampled
+// entity text) at laptop scale, not their content.
 package dataset
 
 import "kbtable/internal/kg"

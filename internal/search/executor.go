@@ -91,13 +91,11 @@ type PlanStats struct {
 	// Frontier is NR = Σ_r Π_i |Paths(wi, r)| — the total valid-subtree
 	// count, LINEARENUM's cost driver. Saturates at MaxInt64.
 	Frontier int64
-	// PostingRoots is the per-keyword root-posting length |Roots(wi)|.
-	PostingRoots []int
 }
 
 // Merge folds another partition's statistics in: counts add (root
-// partitions are disjoint, so sums are exact for CandidateRoots, Frontier
-// and PostingRoots), RootTypes takes the max (a type common to every
+// partitions are disjoint, so sums are exact for CandidateRoots and
+// Frontier), RootTypes takes the max (a type common to every
 // keyword globally need not be common within one shard, so the max is a
 // lower bound), and a -1 CandidateRoots poisons the sum.
 func (s *PlanStats) Merge(o PlanStats) {
@@ -111,17 +109,6 @@ func (s *PlanStats) Merge(o PlanStats) {
 	}
 	s.PatternSpace = satAdd(s.PatternSpace, o.PatternSpace)
 	s.Frontier = satAdd(s.Frontier, o.Frontier)
-	// Sum PostingRoots positionally over the longer of the two vectors: a
-	// shard that resolved fewer keywords (or probed first) must not
-	// silently truncate the other partition's posting counts. The sum is a
-	// new slice: the receiver's may be shared with the shard plan it was
-	// copied from, which a merge must not write through.
-	sum := make([]int, max(len(s.PostingRoots), len(o.PostingRoots)))
-	copy(sum, s.PostingRoots)
-	for i, n := range o.PostingRoots {
-		sum[i] += n
-	}
-	s.PostingRoots = sum
 }
 
 // satAdd adds non-negative int64s saturating at MaxInt64.
@@ -258,26 +245,19 @@ func prepare(ctx context.Context, ix *index.Index, words []text.WordID, need pre
 	if len(words) == 0 {
 		return p, nil
 	}
-	// Every keyword's posting length is recorded, even past an empty one:
-	// a shard's PostingRoots are summed with its siblings', which may hold
-	// roots for the keywords this shard lacks.
-	p.ok = true
-	p.rootLists = make([][]kg.NodeID, len(words))
-	p.stats.PostingRoots = make([]int, len(words))
+	rootLists := make([][]kg.NodeID, len(words))
 	for i, w := range words {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if w != text.NoWord {
-			p.rootLists[i] = ix.Roots(w)
+			rootLists[i] = ix.Roots(w)
 		}
-		p.stats.PostingRoots[i] = len(p.rootLists[i])
-		p.ok = p.ok && len(p.rootLists[i]) > 0
+		if len(rootLists[i]) == 0 {
+			return p, nil
+		}
 	}
-	if !p.ok {
-		p.rootLists = nil
-		return p, nil
-	}
+	p.ok, p.rootLists = true, rootLists
 	p.stats.CandidateRoots = -1
 
 	if need&needTypes != 0 {

@@ -61,10 +61,10 @@ func TestChoosePlanDeterministic(t *testing.T) {
 // TestPlanStatsMerge pins the shard-layer merge semantics: disjoint
 // partitions sum, -1 poisons, RootTypes maxes.
 func TestPlanStatsMerge(t *testing.T) {
-	a := PlanStats{CandidateRoots: 3, RootTypes: 2, PatternSpace: 10, Frontier: 20, PostingRoots: []int{4, 5}}
-	b := PlanStats{CandidateRoots: 7, RootTypes: 5, PatternSpace: 1, Frontier: 2, PostingRoots: []int{1, 1}}
+	a := PlanStats{CandidateRoots: 3, RootTypes: 2, PatternSpace: 10, Frontier: 20}
+	b := PlanStats{CandidateRoots: 7, RootTypes: 5, PatternSpace: 1, Frontier: 2}
 	a.Merge(b)
-	want := PlanStats{CandidateRoots: 10, RootTypes: 5, PatternSpace: 11, Frontier: 22, PostingRoots: []int{5, 6}}
+	want := PlanStats{CandidateRoots: 10, RootTypes: 5, PatternSpace: 11, Frontier: 22}
 	if !reflect.DeepEqual(a, want) {
 		t.Errorf("merge = %+v, want %+v", a, want)
 	}
@@ -72,29 +72,6 @@ func TestPlanStatsMerge(t *testing.T) {
 	c.Merge(b)
 	if c.CandidateRoots != -1 {
 		t.Errorf("-1 should poison the sum, got %d", c.CandidateRoots)
-	}
-}
-
-// TestPlanStatsMergeAsymmetricPostingRoots is the regression test for the
-// length-dependent merge bug: when the receiver's PostingRoots vector was
-// shorter than the argument's, the tail entries were silently dropped,
-// under-counting posting sizes in the merged plan. The merge must sum
-// positionally over the longer vector regardless of which side is longer.
-func TestPlanStatsMergeAsymmetricPostingRoots(t *testing.T) {
-	a := PlanStats{PostingRoots: []int{4}}
-	a.Merge(PlanStats{PostingRoots: []int{1, 7, 9}})
-	if want := []int{5, 7, 9}; !reflect.DeepEqual(a.PostingRoots, want) {
-		t.Errorf("short receiver: merged PostingRoots = %v, want %v", a.PostingRoots, want)
-	}
-	b := PlanStats{PostingRoots: []int{1, 7, 9}}
-	b.Merge(PlanStats{PostingRoots: []int{4}})
-	if want := []int{5, 7, 9}; !reflect.DeepEqual(b.PostingRoots, want) {
-		t.Errorf("long receiver: merged PostingRoots = %v, want %v", b.PostingRoots, want)
-	}
-	var c PlanStats
-	c.Merge(PlanStats{PostingRoots: []int{2, 3}})
-	if want := []int{2, 3}; !reflect.DeepEqual(c.PostingRoots, want) {
-		t.Errorf("nil receiver: merged PostingRoots = %v, want %v", c.PostingRoots, want)
 	}
 }
 

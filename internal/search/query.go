@@ -43,12 +43,13 @@ type Options struct {
 	Rho float64
 	// Seed drives sampling; fixed default keeps runs reproducible.
 	Seed int64
-	// RequireTreeShape drops path tuples whose union re-converges
-	// (ablation; see DESIGN.md).
+	// RequireTreeShape drops path tuples whose union re-converges. Off by
+	// default, which keeps the paper's count NR = Σ_r Π_i |Paths(wi,r)|;
+	// on, it is the strict-tree ablation (core.Subtree.IsTreeShaped).
 	RequireTreeShape bool
-	// CollectTrees materializes the valid subtrees of the final top-k
-	// patterns (needed for table answers). Default true; experiments that
-	// only time ranking can switch it off.
+	// SkipTrees leaves the valid subtrees of the final top-k patterns
+	// unmaterialized (table answers need them). Default false; scatter
+	// legs and experiments that only time ranking set it.
 	SkipTrees bool
 	// MaxTreesPerPattern caps materialized subtrees per pattern
 	// (0 = unlimited). Scoring always uses all subtrees.

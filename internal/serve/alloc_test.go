@@ -25,7 +25,7 @@ func (w *discardWriter) WriteHeader(int)             {}
 // once, not re-encoded per hit.
 func TestCacheHitWriteAlloc(t *testing.T) {
 	const budget = 5
-	plan := planOut(kbtable.PlanInfo{Algorithm: kbtable.PatternEnum, Auto: true, Reason: "cheaper"})
+	plan := api.PlanOf(kbtable.PlanInfo{Algorithm: kbtable.PatternEnum, Auto: true, Reason: "cheaper"})
 	var counts []float64
 	for _, rows := range []int{5, 5000} {
 		a := kbtable.Answer{Rank: 1, Score: 0.5, NumRows: rows, Pattern: "p", Columns: []string{"a", "b"}, FullColumns: []string{"T.a", "T.b"}}

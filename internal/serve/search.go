@@ -41,25 +41,6 @@ func (e *cacheEntry) write(w http.ResponseWriter, cached bool) {
 	_, _ = w.Write(body)
 }
 
-// planOut converts a facade PlanInfo to the wire form.
-func planOut(pi kbtable.PlanInfo) *api.PlanOut {
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	return &api.PlanOut{
-		Algorithm:      api.AlgorithmName(pi.Algorithm),
-		Auto:           pi.Auto,
-		Reason:         pi.Reason,
-		CandidateRoots: pi.CandidateRoots,
-		RootTypes:      pi.RootTypes,
-		PatternSpace:   pi.PatternSpace,
-		Frontier:       pi.Frontier,
-		PrepareMS:      ms(pi.Prepare),
-		EnumerateMS:    ms(pi.Enumerate),
-		AggregateMS:    ms(pi.Aggregate),
-		RankMS:         ms(pi.Rank),
-		BoundPruned:    pi.BoundPruned,
-	}
-}
-
 // encodeAnswers converts engine answers to the wire form and encodes
 // them, once per computed result.
 func encodeAnswers(answers []kbtable.Answer) ([]byte, error) {
@@ -237,7 +218,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			D:         req.D,
 			Epoch:     st.epoch,
 			ElapsedMS: float64(elapsed.Microseconds()) / 1000,
-			Plan:      planOut(pi),
+			Plan:      api.PlanOf(pi),
 		},
 		answers: encoded,
 	}

@@ -54,7 +54,6 @@ type WirePlanStats struct {
 	RootTypes      int   `json:"root_types"`
 	PatternSpace   int64 `json:"pattern_space"`
 	Frontier       int64 `json:"frontier"`
-	PostingRoots   []int `json:"posting_roots,omitempty"`
 }
 
 // WirePartial is one shard's complete scatter output: every pattern the
@@ -88,7 +87,6 @@ func toWirePlanStats(st search.PlanStats) WirePlanStats {
 		RootTypes:      st.RootTypes,
 		PatternSpace:   st.PatternSpace,
 		Frontier:       st.Frontier,
-		PostingRoots:   st.PostingRoots,
 	}
 }
 
@@ -99,7 +97,6 @@ func fromWirePlanStats(w WirePlanStats) search.PlanStats {
 		RootTypes:      w.RootTypes,
 		PatternSpace:   w.PatternSpace,
 		Frontier:       w.Frontier,
-		PostingRoots:   w.PostingRoots,
 	}
 }
 
@@ -331,10 +328,6 @@ func AppendPartial(dst []byte, seq uint64, p *WirePartial) []byte {
 		p.PrepareNS, int64(st.CandidateRoots), int64(st.RootTypes), st.PatternSpace, st.Frontier} {
 		dst = binary.AppendVarint(dst, v)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(st.PostingRoots)))
-	for _, v := range st.PostingRoots {
-		dst = binary.AppendVarint(dst, int64(v))
-	}
 	n := len(dst) - body
 	k := binary.PutUvarint(dst[at:], uint64(n))
 	dst = dst[:at+k+copy(dst[at+k:], dst[body:])]
@@ -396,12 +389,6 @@ func DecodePartial(frame []byte) (uint64, *WirePartial, error) {
 	p.CandidateRoots, p.SampledRoots = int(r.Varint()), int(r.Varint())
 	p.TreesFound, p.EmptyChecked, p.BoundPruned, p.PrepareNS = r.Varint(), r.Varint(), r.Varint(), r.Varint()
 	st.CandidateRoots, st.RootTypes, st.PatternSpace, st.Frontier = int(r.Varint()), int(r.Varint()), r.Varint(), r.Varint()
-	if n := r.Count(r.Left(), "posting root"); n > 0 {
-		st.PostingRoots = make([]int, n)
-		for i := range st.PostingRoots {
-			st.PostingRoots[i] = int(r.Varint())
-		}
-	}
 	if err := r.Done("shard: scatter payload"); err != nil {
 		return 0, nil, err
 	}

@@ -372,12 +372,7 @@ type Answer struct {
 // Render formats the answer as an ASCII table with at most maxRows rows
 // (negative = all).
 func (a Answer) Render(maxRows int) string {
-	cols := make([]core.Column, len(a.Columns))
-	for i := range a.Columns {
-		cols[i] = core.Column{Name: a.Columns[i], Full: a.FullColumns[i]}
-	}
-	t := core.Table{Columns: cols, Rows: a.Rows}
-	return fmt.Sprintf("#%d score=%.4f rows=%d\n%s\n%s", a.Rank, a.Score, a.NumRows, a.Pattern, t.Render(maxRows))
+	return fmt.Sprintf("#%d score=%.4f rows=%d\n%s\n%s", a.Rank, a.Score, a.NumRows, a.Pattern, a.table().Render(maxRows))
 }
 
 // Search returns the top-k table answers for a keyword query using the
