@@ -14,11 +14,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The allocation budgets (the enumerate stage; a cache-hit write and the
-# client's decode of a search reply) sit behind !race (the race detector
-# changes allocation counts), so `race` alone never runs them.
+# The allocation budgets (the enumerate stage; a cache-hit write, the
+# client's decode of a search reply and a whole Search over HTTP) sit
+# behind !race (the race detector changes allocation counts), so `race`
+# alone never runs them. CI's "allocation budgets" step runs this list.
 alloc:
-	$(GO) test -count=1 -run Alloc ./internal/search ./internal/core ./internal/serve ./internal/api
+	$(GO) test -count=1 -run Alloc ./internal/search ./internal/core ./internal/serve ./internal/api ./internal/client
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
@@ -103,6 +104,9 @@ fma:
 # cmd/kbsearch imports an internal package other than api and client
 # again. A planner statistic nothing reads is one nobody has measured:
 # fail if non-test Go names the deleted per-keyword PostingRoots again.
+# Every client call reads its reply on one path, into a pooled buffer
+# (client.call): fail if non-test Go in internal/client calls io.ReadAll
+# again.
 BASELINE_FREE = internal/shard internal/cluster internal/serve internal/api cmd/kbsearch
 EXECUTOR_FORK = PrepareQuery|ExecutePrepared|SearchPrepared|(shard|search)\.Prepared\b|NumCandidateRoots|SubtreeCount
 PREPARED_ROUTE = PreparedID|CodePreparedGone|handlePrepare|"/prepare"
@@ -147,7 +151,9 @@ one-path:
 	  if [ -n "$$hits" ]; then echo "kbsearch composes or searches beside the library (use kbtable, internal/api and internal/client):"; echo "$$hits"; exit 1; fi; \
 	  hits=$$(grep -rnE 'PostingRoots' --include='*.go' --exclude='*_test.go' .); \
 	  if [ -n "$$hits" ]; then echo "an unread per-keyword posting statistic again:"; echo "$$hits"; exit 1; fi; \
-	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type, one pattern order, one Auto resolution, one cache, one dictionary, one tokenization, one run per miss, one answer composer, no unread statistic"
+	  hits=$$(grep -rnE 'io\.ReadAll\(' --include='*.go' --exclude='*_test.go' internal/client); \
+	  if [ -n "$$hits" ]; then echo "a client reply read beside the one pooled read path (client.call):"; echo "$$hits"; exit 1; fi; \
+	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type, one pattern order, one Auto resolution, one cache, one dictionary, one tokenization, one run per miss, one answer composer, no unread statistic, one reply read path"
 
 check: vet build race api-procs alloc bench benchmark-module index-procs fma one-path
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

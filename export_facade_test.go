@@ -67,6 +67,26 @@ func TestAnswerMarkdown(t *testing.T) {
 	}
 }
 
+// TestAnswerWithoutFullColumns renders an answer that carries no full
+// column names, as one built by hand or decoded from a reply that omits
+// the optional full_columns: every renderer writes it under its short
+// names.
+func TestAnswerWithoutFullColumns(t *testing.T) {
+	a := Answer{Rank: 1, Score: 0.5, NumRows: 1, Pattern: "Software", Columns: []string{"Software"}, Rows: [][]string{{"SQL Server"}}}
+	if got := a.Render(5); !strings.Contains(got, "Software") || !strings.Contains(got, "SQL Server") {
+		t.Errorf("Render:\n%s", got)
+	}
+	if got, want := a.CSV(), "Software\nSQL Server\n"; got != want {
+		t.Errorf("CSV = %q, want %q", got, want)
+	}
+	if got, want := a.JSON(), `{"columns":["Software"],"fullColumns":["Software"],"rows":[["SQL Server"]]}`+"\n"; got != want {
+		t.Errorf("JSON = %q, want %q", got, want)
+	}
+	if got := a.Markdown(-1); !strings.Contains(got, "| Software |") || !strings.Contains(got, "| SQL Server |") {
+		t.Errorf("Markdown:\n%s", got)
+	}
+}
+
 func TestEngineIndexPersistence(t *testing.T) {
 	g := buildFig1Public(t)
 	eng, err := NewEngine(g, EngineOptions{D: 3, UniformPageRank: true})

@@ -11,11 +11,11 @@ import (
 
 // The /v1/search reply is the one body that grows with the answer:
 // tables × rows × cells. The server encodes a result's answers once, when
-// its cache entry is built, and splices those bytes after a per-request
-// head; the client decodes the reply without reflection. The bytes are
-// exactly what json.Encoder.Encode writes for the same SearchResponse
-// (HTML escaping, float format, omitempty, trailing newline), so the wire
-// is the encoding/json one.
+// its cache entry is built, and writes those bytes between a per-request
+// head and SearchTail; the client decodes the reply without reflection.
+// The bytes are exactly what json.Encoder.Encode writes for the same
+// SearchResponse (HTML escaping, float format, omitempty, trailing
+// newline), so the wire is the encoding/json one.
 
 // AppendAnswers appends the JSON encoding of answers (null when nil) to
 // dst. A NaN or infinite score fails, as it does in encoding/json.
@@ -64,21 +64,23 @@ func AppendAnswers(dst []byte, answers []SearchAnswer) ([]byte, error) {
 	return append(b, ']'), nil
 }
 
-// AppendSearchResponse appends the reply json.Encoder.Encode writes for
-// resp to dst, with answers (AppendAnswers' output) as its answers;
+// SearchHead returns the head of the reply json.Encoder.Encode writes
+// for resp: every field before the answers, then `"answers":`. The reply
+// is the head, the answers (AppendAnswers' output) and SearchTail;
 // resp.Answers is not read. The head is small and per request, so
 // encoding/json writes it.
-func AppendSearchResponse(dst []byte, resp *SearchResponse, answers []byte) ([]byte, error) {
+func SearchHead(resp *SearchResponse) ([]byte, error) {
 	head := *resp
 	head.Answers = nil
 	b, err := json.Marshal(&head) // ends `"answers":null}`: Answers is the last field
 	if err != nil {
-		return dst, err
+		return nil, err
 	}
-	dst = append(dst, b[:len(b)-len("null}")]...)
-	dst = append(dst, answers...)
-	return append(dst, "}\n"...), nil
+	return b[:len(b)-len("null}")], nil
 }
+
+// SearchTail closes a /v1/search reply after its answers.
+const SearchTail = "}\n"
 
 // appendFloat is encoding/json's float64 format: the shortest
 // round-trip form, exponent notation outside [1e-6, 1e21), "e-07"

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -28,18 +29,18 @@ func encodingJSON(t testing.TB, resp *SearchResponse) []byte {
 }
 
 // encode is the codec's encoding of resp: the answers encoded on their
-// own, then spliced after the head, as the server does.
+// own, then written between the head and the tail, as the server does.
 func encode(t testing.TB, resp *SearchResponse) []byte {
 	t.Helper()
 	answers, err := AppendAnswers(nil, resp.Answers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := AppendSearchResponse(nil, resp, answers)
+	head, err := SearchHead(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return body
+	return append(append(head, answers...), SearchTail...)
 }
 
 // checkCodec asserts that resp encodes exactly as encoding/json encodes
@@ -113,7 +114,7 @@ func TestCodecRejectsNonFinite(t *testing.T) {
 		if _, err := AppendAnswers(nil, []SearchAnswer{{Score: f}}); err == nil {
 			t.Errorf("score %v encoded without error", f)
 		}
-		if _, err := AppendSearchResponse(nil, &SearchResponse{Plan: &PlanOut{RankMS: f}}, []byte("null")); err == nil {
+		if _, err := SearchHead(&SearchResponse{Plan: &PlanOut{RankMS: f}}); err == nil {
 			t.Errorf("rank_ms %v encoded without error", f)
 		}
 	}
@@ -272,4 +273,56 @@ func FuzzSearchResponseDecode(f *testing.F) {
 			t.Fatalf("decoded %+v, encoding/json says %+v", got, want)
 		}
 	})
+}
+
+// decoded keeps the benchmark's decodes live.
+var decoded *SearchResponse
+
+// BenchmarkDecodeSearchResponse times the client's decode of search
+// replies, MB/s over their body bytes: every golden reply in turn
+// (golden), and one workload-shaped reply of 10 answers × 50 rows of
+// three cells (10x50).
+func BenchmarkDecodeSearchResponse(b *testing.B) {
+	goldens := goldenResponses(b)
+	names := make([]string, 0, len(goldens))
+	for name := range goldens {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var bodies [][]byte
+	for _, name := range names {
+		bodies = append(bodies, encode(b, goldens[name]))
+	}
+	wide := &SearchResponse{Query: "city population river", K: 10, Algorithm: "linearenum", D: 3, Plan: &PlanOut{Algorithm: "linearenum"}}
+	for a := 0; a < 10; a++ {
+		ans := SearchAnswer{Rank: a + 1, Score: 0.1 / float64(a+1), NumRows: 50, Pattern: "City\n  population\n  river -> River",
+			Columns: []string{"City", "Population", "River"}, FullColumns: []string{"City", "City.population", "City.river"}}
+		for r := 0; r < 50; r++ {
+			s := strconv.Itoa(1000*a + r)
+			ans.Rows = append(ans.Rows, []string{"City " + s, s + "00", "River " + s})
+		}
+		wide.Answers = append(wide.Answers, ans)
+	}
+	for _, bench := range []struct {
+		name   string
+		bodies [][]byte
+	}{{"golden", bodies}, {"10x50", [][]byte{encode(b, wide)}}} {
+		b.Run(bench.name, func(b *testing.B) {
+			n := 0
+			for _, body := range bench.bodies {
+				n += len(body)
+			}
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, body := range bench.bodies {
+					resp, err := DecodeSearchResponse(body)
+					if err != nil {
+						b.Fatal(err)
+					}
+					decoded = resp
+				}
+			}
+		})
+	}
 }

@@ -6,10 +6,14 @@
 // retry). The client pins the API version — it only ever calls /v1
 // paths.
 //
+// Every call reads its reply on one path (Client.call): into a reply
+// buffer reused across calls, handed to the call's decoder and taken
+// back when the decoder returns, so a decoder copies whatever it keeps.
 // Search decodes its reply without reflection (api.DecodeSearchResponse):
 // the strings of one response — query, patterns, column names, cells —
-// share one backing string, the reply body. Holding a single cell keeps
-// the whole body alive; copy it (strings.Clone) to keep it alone.
+// share one backing string, a copy of the reply body. Holding a single
+// cell keeps that whole string alive; copy it (strings.Clone) to keep it
+// alone.
 package client
 
 import (
@@ -23,6 +27,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"kbtable/internal/api"
@@ -100,25 +105,18 @@ func New(base string, cfg ...Config) *Client {
 // package's search codec, not by reflection (see the package comment for
 // what that means for the decoded strings).
 func (c *Client) Search(ctx context.Context, req *api.SearchRequest) (*api.SearchResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := c.call(ctx, http.MethodPost, "/search", body)
-	if err != nil {
-		return nil, err
-	}
-	out, err := api.DecodeSearchResponse(raw)
-	if err != nil {
-		return nil, c.replyError("/search", err)
-	}
-	return out, nil
+	var out *api.SearchResponse
+	err := c.call(ctx, http.MethodPost, "/search", req, func(raw []byte) (err error) {
+		out, err = api.DecodeSearchResponse(raw)
+		return err
+	})
+	return out, err
 }
 
 // Update runs POST /v1/update.
 func (c *Client) Update(ctx context.Context, req *api.UpdateRequest) (*api.UpdateResponse, error) {
 	var out api.UpdateResponse
-	if err := c.post(ctx, "/update", req, &out); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/update", req, jsonInto(&out)); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -127,7 +125,7 @@ func (c *Client) Update(ctx context.Context, req *api.UpdateRequest) (*api.Updat
 // Health runs GET /v1/healthz.
 func (c *Client) Health(ctx context.Context) (*api.HealthResponse, error) {
 	var out api.HealthResponse
-	if err := c.get(ctx, "/healthz", &out); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/healthz", nil, jsonInto(&out)); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -136,7 +134,7 @@ func (c *Client) Health(ctx context.Context) (*api.HealthResponse, error) {
 // Shards runs GET /v1/shards.
 func (c *Client) Shards(ctx context.Context) (*api.ShardsResponse, error) {
 	var out api.ShardsResponse
-	if err := c.get(ctx, "/shards", &out); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/shards", nil, jsonInto(&out)); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -151,7 +149,7 @@ func (c *Client) WALSegments(ctx context.Context, after uint64, max int) (*api.W
 		path += "&max=" + strconv.Itoa(max)
 	}
 	var out api.WALSegmentsResponse
-	if err := c.get(ctx, path, &out); err != nil {
+	if err := c.call(ctx, http.MethodGet, path, nil, jsonInto(&out)); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -161,7 +159,7 @@ func (c *Client) WALSegments(ctx context.Context, after uint64, max int) (*api.W
 // leg on an owner node.
 func (c *Client) ProbeShard(ctx context.Context, req *api.ClusterProbeRequest) (*api.ClusterProbeResponse, error) {
 	var out api.ClusterProbeResponse
-	if err := c.post(ctx, "/cluster/probe", req, &out); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/cluster/probe", req, jsonInto(&out)); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -171,78 +169,88 @@ func (c *Client) ProbeShard(ctx context.Context, req *api.ClusterProbeRequest) (
 // enumerate→aggregate leg on an owner node. Its reply is one binary
 // scatter frame (shard.DecodePartial); any other body is an error.
 func (c *Client) ScatterShard(ctx context.Context, req *api.ClusterScatterRequest) (*api.ClusterScatterResponse, error) {
-	body, err := json.Marshal(req)
+	var out *api.ClusterScatterResponse
+	err := c.call(ctx, http.MethodPost, "/cluster/scatter", req, func(raw []byte) error {
+		seq, p, err := shard.DecodePartial(raw)
+		out = &api.ClusterScatterResponse{Seq: seq, Partial: p}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	raw, err := c.call(ctx, http.MethodPost, "/cluster/scatter", body)
-	if err != nil {
-		return nil, err
-	}
-	seq, p, err := shard.DecodePartial(raw)
-	if err != nil {
-		return nil, c.replyError("/cluster/scatter", err)
-	}
-	return &api.ClusterScatterResponse{Seq: seq, Partial: p}, nil
+	return out, nil
 }
 
 // Metrics fetches the Prometheus text exposition from GET /v1/metrics.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	raw, err := c.call(ctx, http.MethodGet, "/metrics", nil)
-	return string(raw), err
+	var out string
+	err := c.call(ctx, http.MethodGet, "/metrics", nil, func(raw []byte) error {
+		out = string(raw)
+		return nil
+	})
+	return out, err
 }
 
-func (c *Client) get(ctx context.Context, path string, out any) error {
-	return c.do(ctx, http.MethodGet, path, nil, out)
+// jsonInto decodes a reply into out by reflection.
+func jsonInto(out any) func([]byte) error {
+	return func(raw []byte) error { return json.Unmarshal(raw, out) }
 }
 
-func (c *Client) post(ctx context.Context, path string, in, out any) error {
-	body, err := json.Marshal(in)
+// maxPooledReply caps the reply buffers kept for reuse: a buffer grown
+// past it by an outsized reply is dropped, so that reply's memory is not
+// held for good.
+const maxPooledReply = 1 << 20
+
+// replyBufs holds the reply buffers of finished calls.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// call performs one API call: it sends in as JSON (nil: no body) and
+// hands a 2xx reply body to decode, whose error is a reply-decoding
+// error. The body lives in a pooled buffer that is reused once decode
+// returns, so decode must copy whatever it keeps. A non-2xx reply is an
+// *APIError.
+func (c *Client) call(ctx context.Context, method, path string, in any, decode func([]byte) error) error {
+	var rd io.Reader
+	if in != nil {
+		body, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.url(path), rd)
 	if err != nil {
 		return err
 	}
-	return c.do(ctx, http.MethodPost, path, body, out)
-}
-
-// do performs one API call and decodes its reply into out (nil: the
-// reply is not read); a non-2xx reply is an *APIError.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
-	raw, err := c.call(ctx, method, path, body)
-	if err != nil || out == nil {
+	if rd != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(raw, out); err != nil {
+	defer resp.Body.Close()
+	buf := replyBufs.Get().(*bytes.Buffer)
+	defer putReply(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, 64<<20)); err != nil {
+		return err
+	}
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		return decodeError(resp, buf.Bytes())
+	}
+	if err := decode(buf.Bytes()); err != nil {
 		return c.replyError(path, err)
 	}
 	return nil
 }
 
-// call performs one API call and returns its 2xx reply body.
-func (c *Client) call(ctx context.Context, method, path string, body []byte) ([]byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+// putReply returns a reply buffer to the pool unless it outgrew
+// maxPooledReply.
+func putReply(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledReply {
+		replyBufs.Put(buf)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.url(path), rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return nil, decodeError(resp, raw)
-	}
-	return raw, nil
 }
 
 func (c *Client) url(path string) string { return c.base + "/" + api.Version + path }

@@ -4,6 +4,7 @@ package serve
 
 import (
 	"net/http"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -11,20 +12,37 @@ import (
 	"kbtable/internal/api"
 )
 
-// discardWriter is a ResponseWriter that keeps nothing.
+// discardWriter is a ResponseWriter that keeps nothing. Like net/http's
+// own, it writes strings without converting them.
 type discardWriter struct{ h http.Header }
 
-func (w *discardWriter) Header() http.Header         { return w.h }
-func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
-func (w *discardWriter) WriteHeader(int)             {}
+func (w *discardWriter) Header() http.Header               { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error)       { return len(p), nil }
+func (w *discardWriter) WriteString(s string) (int, error) { return len(s), nil }
+func (w *discardWriter) WriteHeader(int)                   {}
 
-// TestCacheHitWriteAlloc pins the cache-hit write budget: a handful of
-// allocations (the reply buffer, the head and its encoding, the header
-// value; the plan is the entry's own), the same for a table of 5 rows as
-// for one of 5000, because the answers are spliced in as bytes encoded
-// once, not re-encoded per hit.
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes one
+// call of f allocates, after one warm-up call, on a single P.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestCacheHitWriteAlloc pins the cache-hit write budget: three
+// allocations (the head, its encoding and the header value; the plan is
+// the entry's own) of at most 512 bytes together, the same for a table
+// of 5 rows as for one of 5000, because the answers are written as the
+// bytes the entry holds, encoded once, neither re-encoded nor copied per
+// hit.
 func TestCacheHitWriteAlloc(t *testing.T) {
-	const budget = 5
+	const budget, bytesBudget = 3, 512
 	plan := api.PlanOf(kbtable.PlanInfo{Algorithm: kbtable.PatternEnum, Auto: true, Reason: "cheaper"})
 	var counts []float64
 	for _, rows := range []int{5, 5000} {
@@ -42,7 +60,11 @@ func TestCacheHitWriteAlloc(t *testing.T) {
 		if n > budget {
 			t.Errorf("%d rows: %.0f allocations per cache-hit write, budget %d", rows, n, budget)
 		}
-		t.Logf("%d rows: %.0f allocations per cache-hit write", rows, n)
+		b := bytesPerRun(50, func() { e.write(w, true) })
+		if b > bytesBudget {
+			t.Errorf("%d rows: %d B allocated per cache-hit write of a %d-byte answer block, budget %d B", rows, b, len(answers), bytesBudget)
+		}
+		t.Logf("%d rows: %.0f allocations, %d B per cache-hit write", rows, n, b)
 		counts = append(counts, n)
 	}
 	if counts[0] != counts[1] {

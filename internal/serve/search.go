@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"kbtable"
@@ -25,30 +28,52 @@ type cacheEntry struct {
 	answers []byte
 }
 
-// write answers one request from the entry: a freshly encoded head,
-// then the cached answer bytes, in one Write. Every reply from one entry
-// reports the plan it was computed with, stage timings included.
+// write answers one request from the entry: a freshly encoded head, the
+// entry's cached answer bytes as they are, then the closing SearchTail —
+// three Writes, no reply-sized buffer and no copy of the answers. Every
+// reply from one entry reports the plan it was computed with, stage
+// timings included.
 func (e *cacheEntry) write(w http.ResponseWriter, cached bool) {
 	resp := e.head
 	resp.Cached = cached
-	body, err := api.AppendSearchResponse(make([]byte, 0, len(e.answers)+len(resp.Query)+512), &resp, e.answers)
+	head, err := api.SearchHead(&resp)
 	if err != nil {
 		WriteError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	_, _ = w.Write(head)
+	_, _ = w.Write(e.answers)
+	_, _ = io.WriteString(w, api.SearchTail)
 }
 
+// maxPooledAnswers caps the encoding scratch kept for reuse: a scratch
+// grown past it by an outsized result is dropped, not held for good.
+const maxPooledAnswers = 1 << 20
+
+// answerScratch holds the buffers misses encode their answers into.
+var answerScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // encodeAnswers converts engine answers to the wire form and encodes
-// them, once per computed result.
+// them, once per computed result: into a pooled scratch, copied exactly
+// once into a slice of the encoding's size.
 func encodeAnswers(answers []kbtable.Answer) ([]byte, error) {
 	wire := make([]api.SearchAnswer, len(answers))
 	for i, a := range answers {
 		wire[i] = api.SearchAnswer(a)
 	}
-	return api.AppendAnswers(nil, wire)
+	scratch := answerScratch.Get().(*[]byte)
+	b, err := api.AppendAnswers((*scratch)[:0], wire)
+	out := bytes.Clone(b)
+	if cap(b) <= maxPooledAnswers {
+		*scratch = b
+		answerScratch.Put(scratch)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // normalizeRequest canonicalizes a request before it reaches the cache

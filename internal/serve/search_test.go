@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"regexp"
+	"runtime"
 	"testing"
 	"time"
 
@@ -146,6 +147,27 @@ func TestHitMissBodiesAgree(t *testing.T) {
 	}
 	if got := perRequest.ReplaceAll(explicit, nil); !bytes.Equal(got, want) {
 		t.Errorf("explicit %s answers differ from auto's:\n got: %s\nwant: %s", m.Algorithm, got, want)
+	}
+}
+
+// TestEncodedAnswersOwnTheirBytes pins that a miss's answers, encoded
+// in a pooled scratch, are copied out of it: encoding other answers
+// afterwards leaves the first encoding, a cache entry's bytes, as it was.
+func TestEncodedAnswersOwnTheirBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: the second encode takes the first's scratch
+	encode := func(cell string) []byte {
+		b, err := encodeAnswers([]kbtable.Answer{{Rank: 1, Score: 1, NumRows: 1, Pattern: "p",
+			Columns: []string{"c"}, FullColumns: []string{"T.c"}, Rows: [][]string{{cell}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	first := encode("first")
+	want := string(first)
+	encode("other")
+	if string(first) != want {
+		t.Errorf("an encoding changed under a later one:\n got: %s\nwant: %s", first, want)
 	}
 }
 

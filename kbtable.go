@@ -858,10 +858,15 @@ func (a Answer) Markdown(maxRows int) string {
 	return a.table().Markdown(maxRows)
 }
 
+// table is the answer as the renderers' table. A column without a full
+// name (FullColumns is optional on the wire) goes by its short name.
 func (a Answer) table() core.Table {
 	cols := make([]core.Column, len(a.Columns))
-	for i := range a.Columns {
-		cols[i] = core.Column{Name: a.Columns[i], Full: a.FullColumns[i]}
+	for i, name := range a.Columns {
+		cols[i] = core.Column{Name: name, Full: name}
+		if i < len(a.FullColumns) {
+			cols[i].Full = a.FullColumns[i]
+		}
 	}
 	return core.Table{Columns: cols, Rows: a.Rows}
 }
