@@ -106,7 +106,10 @@ fma:
 # fail if non-test Go names the deleted per-keyword PostingRoots again.
 # Every client call reads its reply on one path, into a pooled buffer
 # (client.call): fail if non-test Go in internal/client calls io.ReadAll
-# again.
+# again. LINEARENUM expands a root with one kernel, the root walk
+# (leScratch.walkRoot), which folds the root's whole term product at
+# once: fail if internal/search/linearenum.go folds a pattern combination
+# on its own again (foldRoot( or .fold().
 BASELINE_FREE = internal/shard internal/cluster internal/serve internal/api cmd/kbsearch
 EXECUTOR_FORK = PrepareQuery|ExecutePrepared|SearchPrepared|(shard|search)\.Prepared\b|NumCandidateRoots|SubtreeCount
 PREPARED_ROUTE = PreparedID|CodePreparedGone|handlePrepare|"/prepare"
@@ -153,7 +156,9 @@ one-path:
 	  if [ -n "$$hits" ]; then echo "an unread per-keyword posting statistic again:"; echo "$$hits"; exit 1; fi; \
 	  hits=$$(grep -rnE 'io\.ReadAll\(' --include='*.go' --exclude='*_test.go' internal/client); \
 	  if [ -n "$$hits" ]; then echo "a client reply read beside the one pooled read path (client.call):"; echo "$$hits"; exit 1; fi; \
-	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type, one pattern order, one Auto resolution, one cache, one dictionary, one tokenization, one run per miss, one answer composer, no unread statistic, one reply read path"
+	  hits=$$(grep -nE 'foldRoot\(|\.fold\(' internal/search/linearenum.go); \
+	  if [ -n "$$hits" ]; then echo "LINEARENUM folds a pattern combination beside its root walk (leScratch.walkRoot):"; echo "$$hits"; exit 1; fi; \
+	  echo "one baseline path, one execution path, one search route, one search encoder, one partial encoder, one load driver, one name per wire type, one pattern order, one Auto resolution, one cache, one dictionary, one tokenization, one run per miss, one answer composer, no unread statistic, one reply read path, one root kernel"
 
 check: vet build race api-procs alloc bench benchmark-module index-procs fma one-path
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -253,11 +258,15 @@ profile-update:
 	$(GO) test -run '^$$' -bench ApplyUpdate -benchmem -cpuprofile cpu-update.prof .
 
 # CPU profile of the read path: BenchmarkQueryLETopK (LINEARENUM-TOPK, the
-# algorithm Auto runs for most search_cold queries, on the wiki corpus).
-# Writes cpu-search.prof beside the test binary kbtable.test; read it with
-# `go tool pprof -top kbtable.test cpu-search.prof`.
+# algorithm Auto runs for most search_cold queries, on the reduced wiki
+# corpus, SkipTrees) and BenchmarkSearchAuto (the engine half of
+# search_cold in process: Auto over a fixed workload on the 6,000-entity
+# wiki, K = 10, 50 rows, tables materialized; its set-up, which generates
+# the workload, shows in the profile too). Both report ns/op, B/op and
+# allocs/op. Writes cpu-search.prof beside the test binary kbtable.test;
+# read it with `go tool pprof -top kbtable.test cpu-search.prof`.
 profile-search:
-	$(GO) test -run '^$$' -bench 'QueryLETopK$$' -benchmem -cpuprofile cpu-search.prof .
+	$(GO) test -run '^$$' -bench 'QueryLETopK$$|SearchAuto$$' -benchmem -cpuprofile cpu-search.prof .
 
 # Non-test Go lines outside benchmark/ — the size every CHANGES.md entry
 # quotes (ROADMAP ground rule iv).

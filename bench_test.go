@@ -269,6 +269,32 @@ func BenchmarkQueryLETopK(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchAuto is the engine half of the search_cold workload in
+// process: SynthWiki at 6,000 entities and 60 types, d = 3, and Auto
+// searches with K = 10 and 50 rows per table over a fixed dataset.Workload
+// list, cycled. Unlike QueryLETopK it materializes the tables' subtrees,
+// so the rank stage is in the pass too. `make profile-search` profiles it.
+func BenchmarkSearchAuto(b *testing.B) {
+	g := dataset.SynthWiki(dataset.WikiConfig{Entities: 6000, Types: 60, Seed: 1})
+	eng, err := NewEngine(&Graph{g: g}, EngineOptions{D: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var qs []string
+	for _, q := range dataset.Workload(g, dataset.WorkloadConfig{PerM: 40, MaxM: 6, Seed: 1}) {
+		qs = append(qs, q.Text)
+	}
+	ctx := context.Background()
+	opts := SearchOptions{K: 10, Algorithm: Auto, MaxRowsPerTable: 50}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := eng.SearchPlan(ctx, qs[i%len(qs)], opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkQueryLETopKSampled(b *testing.B) {
 	e := env()
 	ix := e.WikiIndex(3)

@@ -46,7 +46,19 @@ func (s Scorer) Tree(terms []ScoreTerms) float64 {
 // FromSums is Equation 3 over already-summed terms: Tree's last step, for
 // callers that carry the sums themselves. Adding the terms left to right
 // from zero and calling FromSums yields exactly Tree's bits.
+//
+// Under the default exponents (−1, 1, 1) it computes (1/len)·pr·sim, with
+// 0 for the first factor when len = 0: the operations pow performs for
+// those exponents, in the same order, so the bits are equal, without three
+// calls per subtree.
 func (s Scorer) FromSums(sumLen int, sumPR, sumSim float64) float64 {
+	if s.Z1 == -1 && s.Z2 == 1 && s.Z3 == 1 {
+		inv := 0.0
+		if sumLen != 0 {
+			inv = 1 / float64(sumLen)
+		}
+		return inv * sumPR * sumSim
+	}
 	return pow(float64(sumLen), s.Z1) * pow(sumPR, s.Z2) * pow(sumSim, s.Z3)
 }
 

@@ -77,6 +77,32 @@ func TestPowFastPathsAgreeWithMathPow(t *testing.T) {
 	}
 }
 
+// TestFromSumsDefaultMatchesPow holds FromSums' path for the default
+// exponents to the three pow calls it skips, bit for bit, on edge values:
+// a zero, a huge and a negative length, signed zeros, subnormals,
+// infinities and NaN sums. A NaN result need only be NaN: which operand's
+// payload a product of two NaNs carries depends on the order the compiler
+// puts them in, which Go leaves open (score terms are finite anyway).
+func TestFromSumsDefaultMatchesPow(t *testing.T) {
+	s := DefaultScorer()
+	lens := []int{0, 1, 2, 3, 7, 1 << 40, -1}
+	vals := []float64{0, math.Copysign(0, -1), 5e-324, 1e-300, 0.1, 1, 1.5, 1e300, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), -2.5}
+	for _, l := range lens {
+		for _, pr := range vals {
+			for _, sim := range vals {
+				want := pow(float64(l), s.Z1) * pow(pr, s.Z2) * pow(sim, s.Z3)
+				got := s.FromSums(l, pr, sim)
+				if math.IsNaN(got) && math.IsNaN(want) {
+					continue
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("FromSums(%d, %v, %v) = %v (%x), pow gives %v (%x)", l, pr, sim, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
 func TestPatternScoreAggregations(t *testing.T) {
 	var p PatternScore
 	for _, v := range []float64{1, 3, 2} {

@@ -235,8 +235,9 @@ func TestApplyDeltaMatchesRebuild(t *testing.T) {
 			if !reflect.DeepEqual(rootsInc, rootsReb) {
 				t.Errorf("%s: Roots(%q) differ: %v vs %v", label, w, rootsInc, rootsReb)
 			}
+			var atInc, atReb int
 			for i := 0; i < len(rootsInc); i++ {
-				if cur.NumPathsAt(cur.dict.Canonical(wi), rootsInc[i]) != reb.NumPathsAt(reb.dict.Canonical(wr), rootsReb[i]) {
+				if cur.NumPathsAt(cur.dict.Canonical(wi), rootsInc[i], &atInc) != reb.NumPathsAt(reb.dict.Canonical(wr), rootsReb[i], &atReb) {
 					t.Errorf("%s: NumPathsAt(%q, %d) differ", label, w, rootsInc[i])
 				}
 			}

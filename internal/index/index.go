@@ -567,13 +567,15 @@ func (ix *Index) PatternsAt(w text.WordID, r kg.NodeID) []core.PatternID {
 }
 
 // NumPathsAt returns |Paths(w, r)| without materializing them
-// (Algorithm 4 line 4 computes NR from these counts).
-func (ix *Index) NumPathsAt(w text.WordID, r kg.NodeID) int {
+// (Algorithm 4 line 4 computes NR from these counts). at is the caller's
+// cursor into Roots(w) (seekRoot): zero it for each walk over ascending
+// roots, and each call gallops forward from the last.
+func (ix *Index) NumPathsAt(w text.WordID, r kg.NodeID, at *int) int {
 	wi := ix.word(w)
 	if wi == nil {
 		return 0
 	}
-	gi, ok := findRoot(wi.roots, r)
+	gi, ok := wi.seekRoot(r, at)
 	if !ok {
 		return 0
 	}
@@ -582,13 +584,14 @@ func (ix *Index) NumPathsAt(w text.WordID, r kg.NodeID) int {
 
 // RunsAt appends to dst one PathSet per pattern under which root r reaches
 // w (root-first Patterns(w, r) with their Paths(w, r, P)), in pattern
-// order. Nothing is appended when r does not reach w.
-func (ix *Index) RunsAt(dst []PathSet, w text.WordID, r kg.NodeID) []PathSet {
+// order. Nothing is appended when r does not reach w. at is the caller's
+// cursor into Roots(w), as for NumPathsAt.
+func (ix *Index) RunsAt(dst []PathSet, w text.WordID, r kg.NodeID, at *int) []PathSet {
 	wi := ix.word(w)
 	if wi == nil {
 		return dst
 	}
-	gi, ok := findRoot(wi.roots, r)
+	gi, ok := wi.seekRoot(r, at)
 	if !ok {
 		return dst
 	}
@@ -637,6 +640,42 @@ func findRoot(roots []kg.NodeID, r kg.NodeID) (int, bool) {
 		return 0, false
 	}
 	return i, true
+}
+
+// seekRoot locates r in the word's sorted root list from the cursor *at,
+// a position in that list: while r lies at or past the cursor it gallops
+// forward from it, so a walk over ascending roots pays for the distance it
+// moves, not a binary search per root; a backward step (or a cursor off
+// the list) restarts with a binary search. *at is left at r's position,
+// or where r would be.
+func (wi *wordIndex) seekRoot(r kg.NodeID, at *int) (int, bool) {
+	roots := wi.roots
+	var i int
+	if c := *at; c >= 0 && c <= len(roots) && (c == 0 || roots[c-1] < r) {
+		i = Gallop(roots, c, r)
+	} else {
+		i, _ = slices.BinarySearch(roots, r)
+	}
+	*at = i
+	return i, i < len(roots) && roots[i] == r
+}
+
+// Gallop returns the smallest i >= c with l[i] >= v (len(l) when there is
+// none) for ascending l: an exponential probe forward from c brackets the
+// answer, a binary search inside the bracket finds it.
+func Gallop(l []kg.NodeID, c int, v kg.NodeID) int {
+	if c >= len(l) || l[c] >= v {
+		return c
+	}
+	lo, step := c, 1 // l[lo] < v
+	hi := c + 1
+	for hi < len(l) && l[hi] < v {
+		lo = hi
+		step <<= 1
+		hi += step
+	}
+	i, _ := slices.BinarySearch(l[lo+1:min(hi, len(l))], v) // l[lo] < v; l[hi] >= v or hi is past the end
+	return lo + 1 + i
 }
 
 // defaultWorkers resolves the worker count.

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -49,7 +51,8 @@ func runPF(ix *Index, w text.WordID, p core.PatternID, r kg.NodeID) PathSet {
 // path) order.
 func termsAt(ix *Index, w text.WordID, r kg.NodeID) []core.ScoreTerms {
 	var out []core.ScoreTerms
-	for _, ps := range ix.RunsAt(nil, w, r) {
+	var at int
+	for _, ps := range ix.RunsAt(nil, w, r, &at) {
 		out = ps.AppendTerms(out)
 	}
 	return out
@@ -137,8 +140,8 @@ func TestFigure5RootsAndPaths(t *testing.T) {
 		t.Fatalf("root-first PatternsAt missing (Software)(Genre)(Model); got %v",
 			renderPatterns(ix, ix.PatternsAt(w, nodes.SQLServer)))
 	}
-	count := 0
-	for _, ps := range ix.RunsAt(nil, w, nodes.SQLServer) {
+	count, at := 0, 0
+	for _, ps := range ix.RunsAt(nil, w, nodes.SQLServer, &at) {
 		if ps.Pattern() != genreModel {
 			continue
 		}
@@ -409,14 +412,50 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestNumPathsAtMatchesEnumeration(t *testing.T) {
 	ix, _, _ := buildFig1(t, 3)
 	w := wordID(t, ix, "database")
+	at := 0
 	for _, r := range ix.Roots(w) {
 		n := len(termsAt(ix, w, r))
-		if got := ix.NumPathsAt(w, r); got != n {
+		if got := ix.NumPathsAt(w, r, &at); got != n {
 			t.Errorf("NumPathsAt(%d) = %d, enumeration = %d", r, got, n)
 		}
 	}
-	if ix.NumPathsAt(w, kg.NodeID(9999)) != 0 {
+	if ix.NumPathsAt(w, kg.NodeID(9999), &at) != 0 {
 		t.Errorf("unknown root should count 0")
+	}
+}
+
+// TestRootCursor holds one cursor, carried across calls, to what a fresh
+// one finds, whatever order the roots come in: ascending with roots the
+// word lacks between them (the walks), descending and shuffled (backward
+// steps restart), and from a cursor off the list (a pooled scratch's
+// cursor left behind by a longer list).
+func TestRootCursor(t *testing.T) {
+	ix, _, _ := buildFig1(t, 3)
+	w := wordID(t, ix, "database")
+	roots := ix.Roots(w)
+	var asc []kg.NodeID
+	for r := kg.NodeID(0); r <= roots[len(roots)-1]+2; r++ {
+		asc = append(asc, r)
+	}
+	desc := slices.Clone(asc)
+	slices.Reverse(desc)
+	shuffled := slices.Clone(asc)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for name, order := range map[string][]kg.NodeID{"ascending": asc, "descending": desc, "shuffled": shuffled} {
+		for _, start := range []int{0, len(roots) + 5, -1} {
+			at, runsAt := start, start
+			for _, r := range order {
+				fresh, freshRuns := 0, 0
+				want, wantRuns := ix.NumPathsAt(w, r, &fresh), len(ix.RunsAt(nil, w, r, &freshRuns))
+				got, gotRuns := ix.NumPathsAt(w, r, &at), len(ix.RunsAt(nil, w, r, &runsAt))
+				if got != want || gotRuns != wantRuns {
+					t.Fatalf("%s from %d, root %d: cursored %d paths in %d runs, fresh %d in %d", name, start, r, got, gotRuns, want, wantRuns)
+				}
+				if at != fresh {
+					t.Fatalf("%s from %d, root %d: cursor left at %d, a fresh one at %d", name, start, r, at, fresh)
+				}
+			}
+		}
 	}
 }
 

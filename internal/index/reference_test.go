@@ -90,8 +90,9 @@ func indexedPaths(ix *Index) map[string][]string {
 			continue // postings live under the canonical id only
 		}
 		var recs []string
+		at := 0
 		for _, r := range ix.Roots(id) {
-			for _, ps := range ix.RunsAt(nil, id, r) {
+			for _, ps := range ix.RunsAt(nil, id, r, &at) {
 				for k := 0; k < ps.Len(); k++ {
 					p := ps.Path(k)
 					recs = append(recs, fmt.Sprintf("r%d|%s|%v|%v", r, p.Pattern(g).Key(), p.Edges, p.EdgeEnd))

@@ -287,7 +287,7 @@ func prepare(ctx context.Context, ix *index.Index, words []text.WordID, need pre
 	}
 	if need&needCost != 0 {
 		pc := &pollCancel{ctx: ctx}
-		p.stats.Frontier = subtreeCountPoll(ix, words, p.candidates, pc)
+		p.stats.Frontier = subtreeCount(ix, words, p.candidates, pc)
 		for _, c := range p.rootTypes {
 			prod := int64(1)
 			for _, w := range words {

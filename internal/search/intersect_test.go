@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"kbtable/internal/index"
 	"kbtable/internal/kg"
 )
 
@@ -84,7 +85,7 @@ func TestGallopMatchesBinarySearch(t *testing.T) {
 		if c < len(l) {
 			want = c + sort.Search(len(l)-c, func(i int) bool { return l[c+i] >= target })
 		}
-		if got := gallop(l, c, target); got != want {
+		if got := index.Gallop(l, c, target); got != want {
 			t.Fatalf("gallop(len %d, c=%d, v=%d) = %d, want %d", len(l), c, target, got, want)
 		}
 	}

@@ -64,7 +64,7 @@ func leEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 		// like the sampling source, only when sampling can activate.
 		rate := 1.0
 		var rng *rand.Rand
-		if o.samplingEnabled() && subtreeCount(ix, words, rc) >= o.Lambda {
+		if o.samplingEnabled() && subtreeCount(ix, words, rc, nil) >= o.Lambda {
 			rate = o.Rho
 			rng = typeRNG(o.Seed, c)
 		}
@@ -72,6 +72,7 @@ func leEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 		// Lines 6-8: expand (a sample of) the roots of this type.
 		dict := &sc.dict
 		dict.reset()
+		sc.rewind(len(words))
 		for _, r := range rc {
 			if pc.hit() {
 				return
@@ -113,23 +114,21 @@ func leEnumerate(ctx context.Context, ix *index.Index, prep *prepared, o Options
 	})
 }
 
-// subtreeCount computes NR = Σ_r Π_i |Paths(wi, r)|, saturating at
-// MaxInt64 to stay meaningful on explosive queries.
-func subtreeCount(ix *index.Index, words []text.WordID, roots []kg.NodeID) int64 {
-	return subtreeCountPoll(ix, words, roots, nil)
-}
-
-// subtreeCountPoll is subtreeCount with a cancellation probe: a hit stops
-// the count early with the partial total (the caller is aborting anyway).
-func subtreeCountPoll(ix *index.Index, words []text.WordID, roots []kg.NodeID, pc *pollCancel) int64 {
+// subtreeCount computes NR = Σ_r Π_i |Paths(wi, r)| over ascending roots,
+// saturating at MaxInt64 to stay meaningful on explosive queries. Each
+// keyword's root cursor starts over per call. A hit on pc (nil never hits)
+// stops the count early with the partial total (the caller is aborting
+// anyway).
+func subtreeCount(ix *index.Index, words []text.WordID, roots []kg.NodeID, pc *pollCancel) int64 {
+	at := make([]int, len(words))
 	var total int64
 	for _, r := range roots {
 		if pc.hit() {
 			break
 		}
 		prod := 1.0
-		for _, w := range words {
-			prod *= float64(ix.NumPathsAt(w, r))
+		for i, w := range words {
+			prod *= float64(ix.NumPathsAt(w, r, &at[i]))
 		}
 		if prod >= math.MaxInt64-float64(total) {
 			return math.MaxInt64
@@ -141,14 +140,16 @@ func subtreeCountPoll(ix *index.Index, words []text.WordID, roots []kg.NodeID, p
 
 // expandRoot is subroutine EXPANDROOT of Algorithm 3: the product of
 // Patterns(wi, r) gives the (necessarily non-empty) tree patterns under r;
-// for each, the product of Paths(wi, r, Pi) gives its valid subtrees, which
-// are folded into dict.
+// for each, the product of Paths(wi, r, Pi) gives its valid subtrees. One
+// walk (leScratch.walkRoot) folds the root's whole term product into a
+// partial per pattern combination; one pass over the combinations, in
+// nextCombo's order, then merges each non-empty partial into dict.
 //
 // only == nil is the expansion proper: every combination with a surviving
 // subtree gets (or finds) its dictionary entry. only != nil is the exact
 // re-scoring pass over a dictionary pre-filled with the selected patterns:
 // per keyword just the listed patterns are fetched, and a combination
-// that is not in dict is skipped before any subtree is scored.
+// that is not in dict is skipped at the merge.
 //
 // Two-level fold (see aggregatePattern): this root's subtrees fold into a
 // local partial that merges into the dictionary entry, so LE produces the
@@ -157,24 +158,33 @@ func expandRoot(ix *index.Index, words []text.WordID, r kg.NodeID, o *Options, p
 	if !sc.fetch(ix, words, r, only) {
 		return // some keyword has no path at r: predicate pushdown
 	}
-	for ok := sc.firstCombo(); ok; ok = sc.nextCombo() {
-		var de *dictEntry
-		if only != nil {
-			if de = dict.find(sc.choice); de == nil {
-				continue // combination exists but was not selected
+	for ok := sc.firstCombo(); ok; {
+		if !sc.walkRoot(ix.Graph(), r, o, pc) {
+			return
+		}
+		for _, local := range sc.locals {
+			if local.Count > 0 { // else every tuple was filtered out (RequireTreeShape)
+				mergeRoot(dict, sc.choice, r, local, o, only != nil)
 			}
+			ok = sc.nextCombo()
 		}
-		local := sc.agg.foldRoot(ix.Graph(), r, o, pc)
-		if local.Count == 0 {
-			continue // every tuple filtered out (RequireTreeShape)
+	}
+}
+
+// mergeRoot merges root r's partial for the pattern with the given paths
+// into its dictionary entry, which selected requires to exist already.
+func mergeRoot(dict *leDict, paths []core.PatternID, r kg.NodeID, local core.PatternScore, o *Options, selected bool) {
+	var de *dictEntry
+	if selected {
+		if de = dict.find(paths); de == nil {
+			return // combination exists but was not selected
 		}
-		if de == nil {
-			de = dict.entry(sc.choice)
-		}
-		de.agg.Merge(local)
-		if o.CollectRootAggs {
-			de.rootAggs = append(de.rootAggs, RootAgg{Root: r, Agg: local})
-		}
+	} else {
+		de = dict.entry(paths)
+	}
+	de.agg.Merge(local)
+	if o.CollectRootAggs {
+		de.rootAggs = append(de.rootAggs, RootAgg{Root: r, Agg: local})
 	}
 }
 
@@ -198,6 +208,7 @@ func aggregateSelected(ix *index.Index, words []text.WordID, selected []*dictEnt
 			only[i][p] = true
 		}
 	}
+	sc.rewind(len(words))
 	for _, r := range roots {
 		if pc.hit() {
 			break
@@ -249,7 +260,7 @@ func countAllKeyed(ix *index.Index, words []text.WordID, budget int64) ([]core.T
 		rootLists[i] = ix.Roots(w)
 	}
 	candidates := intersectSorted(nil, rootLists...)
-	trees := subtreeCount(ix, words, candidates)
+	trees := subtreeCount(ix, words, candidates, nil)
 	if budget > 0 && trees > budget {
 		return nil, trees, true
 	}

@@ -166,6 +166,6 @@ func typeRNG(seed int64, c kg.TypeID) *rand.Rand {
 func materializeAll(ctx context.Context, ix *index.Index, words []text.WordID, patterns []RankedPattern, o Options) error {
 	workers := resolveWorkers(o.Workers)
 	return runShards(ctx, workers, len(patterns), func(_, i int) {
-		patterns[i].Trees = materializeTrees(ix, words, patterns[i].Pattern, o, &pollCancel{ctx: ctx})
+		patterns[i].Trees = materializeTrees(ix, words, patterns[i].Pattern, patterns[i].Agg.Count, o, &pollCancel{ctx: ctx})
 	})
 }

@@ -15,7 +15,6 @@ package search
 
 import (
 	"context"
-	"slices"
 	"time"
 
 	"kbtable/internal/core"
@@ -193,7 +192,7 @@ func intersectSorted(dst []kg.NodeID, lists ...[]kg.NodeID) []kg.NodeID {
 		// Keep, in place, the elements of dst that l contains.
 		kept, c := 0, 0
 		for _, v := range dst {
-			if c = gallop(l, c, v); c == len(l) {
+			if c = index.Gallop(l, c, v); c == len(l) {
 				break
 			}
 			if l[c] == v {
@@ -206,24 +205,6 @@ func intersectSorted(dst []kg.NodeID, lists ...[]kg.NodeID) []kg.NodeID {
 		}
 	}
 	return dst
-}
-
-// gallop returns the smallest i >= c with l[i] >= v (len(l) when there is
-// none) for ascending l: an exponential probe forward from c brackets the
-// answer, a binary search inside the bracket finds it.
-func gallop(l []kg.NodeID, c int, v kg.NodeID) int {
-	if c >= len(l) || l[c] >= v {
-		return c
-	}
-	lo, step := c, 1 // l[lo] < v
-	hi := c + 1
-	for hi < len(l) && l[hi] < v {
-		lo = hi
-		step <<= 1
-		hi += step
-	}
-	i, _ := slices.BinarySearch(l[lo+1:min(hi, len(l))], v) // l[lo] < v; l[hi] >= v or hi is past the end
-	return lo + 1 + i
 }
 
 // aggregatePattern scores every subtree of the tree pattern whose
@@ -270,10 +251,14 @@ func aggregatePattern(g *kg.Graph, groups []index.Group, roots []kg.NodeID, o *O
 // materializeTrees collects the valid subtrees of tp (up to the per-pattern
 // cap) across all roots where it is nonempty, in (root, tuple) order, via
 // the pattern-first index — the one place whole paths are built, for the
-// final k patterns only.
-func materializeTrees(ix *index.Index, words []text.WordID, tp core.TreePattern, o Options, pc *pollCancel) []core.Subtree {
-	groups := make([]index.Group, len(words))
-	rootLists := make([][]kg.NodeID, len(words))
+// final k patterns only. The walk borrows a pooled scratch, and the
+// subtrees' paths and terms are carved from two slabs, sized for n
+// subtrees when n > 0 (the pattern's subtree count, when the caller has
+// it), so a pattern costs three allocations, not two per subtree.
+func materializeTrees(ix *index.Index, words []text.WordID, tp core.TreePattern, n int, o Options, pc *pollCancel) []core.Subtree {
+	m := len(words)
+	groups := make([]index.Group, m)
+	rootLists := make([][]kg.NodeID, m)
 	for i, w := range words {
 		grp, ok := ix.Group(w, tp.Paths[i])
 		if !ok {
@@ -281,22 +266,43 @@ func materializeTrees(ix *index.Index, words []text.WordID, tp core.TreePattern,
 		}
 		groups[i], rootLists[i] = grp, grp.Roots()
 	}
-	var out []core.Subtree
-	var sc aggScratch
+	sc := aggScratchPool.Get().(*aggScratch)
+	defer func() {
+		sc.release()
+		aggScratchPool.Put(sc)
+	}()
 	sc.open(groups)
+	if o.MaxTreesPerPattern > 0 {
+		n = min(n, o.MaxTreesPerPattern)
+	}
+	var out []core.Subtree
+	var paths []core.Path
+	var terms []core.ScoreTerms
+	if n > 0 {
+		out, paths, terms = make([]core.Subtree, 0, n), make([]core.Path, 0, n*m), make([]core.ScoreTerms, 0, n*m)
+	}
+roots:
 	for _, r := range intersectSorted(nil, rootLists...) {
 		if !sc.seek(r) {
 			continue
 		}
 		for ok := sc.tw.start(sc.lists); ok; ok = sc.tw.next() {
 			if pc.hit() || (o.MaxTreesPerPattern > 0 && len(out) >= o.MaxTreesPerPattern) {
-				return out
+				break roots
 			}
 			if o.RequireTreeShape && !sc.treeShaped(ix.Graph(), r, sc.tw.idx) {
 				continue
 			}
-			out = append(out, sc.tree(r, sc.tw.idx))
+			out = append(out, core.Subtree{Root: r})
+			for i, k := range sc.tw.idx {
+				paths = append(paths, sc.sets[i].Path(k))
+				terms = append(terms, sc.lists[i][k])
+			}
 		}
+	}
+	for t := range out {
+		lo, hi := t*m, (t+1)*m
+		out[t].Paths, out[t].Terms = paths[lo:hi:hi], terms[lo:hi:hi]
 	}
 	return out
 }
@@ -305,10 +311,11 @@ func materializeTrees(ix *index.Index, words []text.WordID, tp core.TreePattern,
 // (up to Options.MaxTreesPerPattern, in ascending root order) through the
 // pattern-first index. The scatter-gather engine uses it to fill in tables
 // for globally ranked patterns after the per-shard searches ran with
-// SkipTrees.
-func MaterializeTrees(ctx context.Context, ix *index.Index, words []text.WordID, tp core.TreePattern, opts Options) []core.Subtree {
+// SkipTrees. n, when positive, is the pattern's subtree count on ix (its
+// Agg.Count there), which sizes the result.
+func MaterializeTrees(ctx context.Context, ix *index.Index, words []text.WordID, tp core.TreePattern, n int, opts Options) []core.Subtree {
 	o := opts.withDefaults()
-	return materializeTrees(ix, words, tp, o, &pollCancel{ctx: ctx})
+	return materializeTrees(ix, words, tp, n, o, &pollCancel{ctx: ctx})
 }
 
 // Table renders a ranked pattern as a table answer.

@@ -130,7 +130,8 @@ nextRoot:
 	for _, r := range roots {
 		for i, w := range words {
 			sc.lists[i] = sc.lists[i][:0]
-			for _, ps := range ix.RunsAt(nil, w, r) { // root-first Paths(w, r, P)
+			var at int
+			for _, ps := range ix.RunsAt(nil, w, r, &at) { // root-first Paths(w, r, P)
 				if ps.Pattern() == tp.Paths[i] {
 					sc.sets[i] = ps
 					sc.lists[i] = ps.AppendTerms(sc.lists[i])

@@ -64,8 +64,9 @@ func TestLEScratchRelease(t *testing.T) {
 	sc := &leScratch{}
 	fillLE(t, ix, fig1Query, &o, sc)
 	words := fillLE(t, ix, "database software", &o, sc)
-	// LINEARENUM never opens run cursors, but aggScratch is shared code:
-	// open one per keyword so the release is checked on them too.
+	// LINEARENUM never opens run cursors, but aggScratch is shared code
+	// (materializeTrees pools one): open one per keyword so the release
+	// is checked on them too.
 	groups := make([]index.Group, len(words))
 	for i, w := range words {
 		p := ix.PatternsAt(w, ix.Roots(w)[0])[0]
@@ -76,6 +77,11 @@ func TestLEScratchRelease(t *testing.T) {
 		groups[i] = g
 	}
 	sc.agg.open(groups)
+	// TopTrees walks the chosen runs with the kernel; LINEARENUM's root
+	// walk does not: start one so its lists are checked too.
+	sc.firstCombo()
+	sc.chosen()
+	sc.agg.tw.start(sc.agg.lists)
 
 	held := func() map[string]int {
 		runs, past := 0, 0
@@ -112,6 +118,41 @@ func TestLEScratchRelease(t *testing.T) {
 			t.Errorf("after release, %s still holds %d non-zero elements", slot, n)
 		}
 	}
+
+	// Every other field whose elements can hold a pointer must point only
+	// into the scratch's own buffers: a field added beside them fails here
+	// until release clears it (and the check above covers it) or it joins
+	// this list.
+	released := map[string]bool{"runs": true, "agg": true, "dict": true, "sel": true}
+	own := map[string]bool{"terms": true, "ends": true} // views of arena; run ends
+	st := reflect.TypeOf(leScratch{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		elem := f.Type
+		if elem.Kind() == reflect.Slice {
+			elem = elem.Elem()
+		}
+		if holdsPointer(elem) && !released[f.Name] && !own[f.Name] {
+			t.Errorf("leScratch.%s can hold a pointer, and release neither clears it nor is it known to point into the scratch", f.Name)
+		}
+	}
+}
+
+// holdsPointer reports whether a value of type t can hold a pointer.
+func holdsPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func, reflect.Interface, reflect.String, reflect.UnsafePointer:
+		return true
+	case reflect.Array:
+		return holdsPointer(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestLEDictSlotPrefix holds the dictionary's slot table to the root type

@@ -25,9 +25,16 @@ import (
 //	    is scored and offered into a per-worker heap the moment it is
 //	    produced. Scoring reads score terms only: posting runs are borrowed
 //	    views (index.PathSet) whose terms are copied from the columnar
-//	    arrays into per-worker scratch, and one kernel (tupleWalk) folds
-//	    every product. Paths are built only for what consumes them — the
-//	    final k patterns' tables, retained TopTrees, RequireTreeShape.
+//	    arrays into per-worker scratch. Two kernels fold the products, one
+//	    per access pattern. tupleWalk walks one pattern combination's
+//	    product at a time (PATTERNENUM's (combination, root) pairs,
+//	    materializeTrees, TopTrees). LINEARENUM's root walk
+//	    (leScratch.walkRoot) folds a root's whole term product in one pass
+//	    into a partial per pattern combination, which one pass in
+//	    combination order merges into the TreeDict: the per-combination
+//	    set-up is gone, and every partial keeps tupleWalk's bits. Paths are
+//	    built only for what consumes them — the final k patterns' tables,
+//	    retained TopTrees, RequireTreeShape.
 //
 //	ranking by score, then content  A pattern gets its own copy of the
 //	    PatternID vector only when its score reaches the queue's current
@@ -39,9 +46,11 @@ import (
 //	per-worker bookkeeping  LINEARENUM's TreeDict (leDict) hashes the
 //	    PatternID vector itself, is emptied between root types, draws
 //	    entries from a slab and sizes its slot table for each root type.
-//	    Its scratch (leScratch) is pooled across queries and goes back
-//	    released, holding no reference into an index, so a pooled
-//	    scratch pins no replaced epoch. PATTERNENUM resolves each (word,
+//	    Its scratch (leScratch), the root walk's partials included, is
+//	    pooled across queries and goes back released, holding no
+//	    reference into an index, so a pooled scratch pins no replaced
+//	    epoch; materializeTrees borrows its kernel scratch from a pool of
+//	    its own and carves its subtrees from two slabs per pattern. PATTERNENUM resolves each (word,
 //	    pattern) group once per query (peTables), follows it with a
 //	    monotone run cursor along the ascending roots, and intersects root
 //	    lists by galloping into per-depth scratch.
@@ -67,12 +76,17 @@ import (
 //	    (does this root reach wi at all?) from the run table before
 //	    reading any posting, and pulls each keyword's terms in one
 //	    root-first arena walk instead of one binary-searched fetch per
-//	    pattern. LINEARENUM gets no score pruning: its per-root partials
-//	    are lower bounds of the final pattern aggregates, so no cut
-//	    mid-type is sound.
+//	    pattern. Each keyword keeps a root cursor into its root list
+//	    (index.Index.RunsAt, NumPathsAt): the roots of a type ascend, so
+//	    finding the next one gallops from the last instead of a binary
+//	    search per root, in prepare's frontier count and in the fetch.
+//	    LINEARENUM gets no score pruning: its per-root partials are lower
+//	    bounds of the final pattern aggregates, so no cut mid-type is
+//	    sound.
 //
 //	cancellation pushdown  tupleWalk.fold polls the shard's pollCancel
-//	    once per tuple, so a canceled query aborts inside a combinatorial
+//	    once per tuple and the root walk once per sweep of its last
+//	    keyword, so a canceled query aborts inside a combinatorial
 //	    product instead of waiting for the next root or pattern boundary.
 
 // tupleWalk is the one product kernel: an odometer over per-keyword
@@ -157,16 +171,31 @@ func (tw *tupleWalk) fold(s *core.Scorer, lists [][]core.ScoreTerms, pc *pollCan
 
 // aggScratch is the per-worker buffer set around the kernel: for the
 // pattern combination being scored at one root, each keyword's posting run
-// (sets) and its score terms (lists). PATTERNENUM refills the lists' own
-// backing arrays per root through run cursors; LINEARENUM points them at
-// segments of its root arena — so an instance serves one algorithm, never
-// both, and one worker, never two.
+// (sets) and its score terms (lists). PATTERNENUM and materializeTrees
+// refill the lists' own backing arrays per root through run cursors;
+// TopTrees points them at segments of its root arena — so an instance
+// serves one of them, never two, and one worker, never two.
 type aggScratch struct {
 	tw      tupleWalk
 	sets    []index.PathSet
 	lists   [][]core.ScoreTerms
 	cursors []index.RunCursor
 	paths   []core.Path // RequireTreeShape's tuple buffer
+}
+
+// aggScratchPool serves materializeTrees, apart from leScratchPool: its
+// many short borrows would otherwise leave small scratches where
+// LINEARENUM's grown ones should be.
+var aggScratchPool = sync.Pool{New: func() any { return new(aggScratch) }}
+
+// release zeroes every slot that can point into an index (a PathSet, a
+// RunCursor, a Path), and the term lists, over their full capacity.
+func (sc *aggScratch) release() {
+	clear(sc.sets[:cap(sc.sets)])
+	clear(sc.cursors[:cap(sc.cursors)])
+	clear(sc.paths[:cap(sc.paths)])
+	clear(sc.lists[:cap(sc.lists)])
+	sc.tw.lists = nil
 }
 
 // size readies the buffers for m keywords.
@@ -326,23 +355,45 @@ func (d *leDict) entry(paths []core.PatternID) *dictEntry {
 	return &d.entries[len(d.entries)-1]
 }
 
-// leScratch is the per-worker state of the LINEARENUM root expansion: the
-// fetched root's posting runs per keyword (one per pattern), their score
-// terms in one arena (sized before it is filled, so the segments aliasing
-// it never move), the combination odometer over the runs, and the
-// dictionaries the expansion folds into. Scratches outlive a query: they
-// come from leScratchPool and go back released, holding buffers but no
-// reference into an index or a result.
+// leScratch is the per-worker state of LINEARENUM's root expansion (and of
+// TopTrees' root loop): per keyword, the root cursor into its root list,
+// the fetched root's posting runs (one per pattern) and their score terms,
+// run after run, in one arena (sized before it is filled, so the lists
+// aliasing it never move) with each run's end; the root walk's state and
+// the per-combination partials it folds into; the combination odometer;
+// and the dictionaries the expansion merges into. Scratches outlive a
+// query: they come from leScratchPool and go back released, holding
+// buffers but no reference into an index or a result.
 type leScratch struct {
+	at     []int // per keyword: its root cursor (index.Index.RunsAt)
 	runs   [][]index.PathSet
-	segs   [][][]core.ScoreTerms
+	terms  [][]core.ScoreTerms // per keyword: its runs' terms, in run order
+	ends   [][]int             // per keyword: where each run's terms end
 	arena  []core.ScoreTerms
+	walk   []walkKey           // per keyword: the root walk's state
+	locals []core.PatternScore // the root walk's partials, by combination slot
 	combo  []int
 	choice []core.PatternID
-	agg    aggScratch // the chosen combination's runs and term lists
+	agg    aggScratch // the chosen combination's runs and term lists (TopTrees)
 	dict   leDict     // TreeDict of the root type being expanded
 	sel    leDict     // exact re-scores of a sampled type's selection
 }
+
+// walkKey is one keyword's state in the root walk (leScratch.walkRoot): its
+// position in the keyword's terms, the run holding it, the range it sweeps
+// and the first run of that range, the run index's weight in a
+// combination slot, and the slot offset and score-term sums of the
+// keywords before it (the prefix tupleWalk.carry keeps).
+type walkKey struct {
+	pos, run, lo, hi, run0, stride int
+	slot, sumLen                   int
+	sumPR, sumSim                  float64
+}
+
+// leMaxSlots bounds the partials one root walk holds (24 B each): a root
+// whose pattern combinations outnumber it is walked in chunks, with the
+// leading keywords held to one run per chunk.
+const leMaxSlots = 1 << 14
 
 var leScratchPool = sync.Pool{New: func() any { return new(leScratch) }}
 
@@ -358,23 +409,29 @@ func putLEScratch(sc *leScratch) {
 // its word's index and root-first order, a RunCursor its group, a Path its
 // edges) or into a result (rootAggs), over each buffer's full capacity:
 // a pooled scratch must pin no epoch an update has since replaced. What
-// stays is pointer-free or points into the scratch's own buffers. Past
-// their lengths the run lists and the dictionaries' entries are already
-// zero (fetch clears a run list's tail when it shrinks, leDict.reset the
-// entries), so clearing their lengths zeroes their capacity at the cost
-// of what this query used, not of the largest query the scratch served.
+// stays is pointer-free (cursors, run ends, the walk's state, partials,
+// score terms) or points into the scratch's own buffers (term lists).
+// Past their lengths the run lists and the dictionaries' entries are
+// already zero (fetch clears a run list's tail when it shrinks,
+// leDict.reset the entries), so clearing their lengths zeroes their
+// capacity at the cost of what this query used, not of the largest query
+// the scratch served.
 func (sc *leScratch) release() {
 	for _, runs := range sc.runs[:cap(sc.runs)] {
 		clear(runs)
 	}
-	a := &sc.agg
-	clear(a.sets[:cap(a.sets)])
-	clear(a.cursors[:cap(a.cursors)])
-	clear(a.paths[:cap(a.paths)])
-	clear(a.lists[:cap(a.lists)])
-	a.tw.lists = nil
+	sc.agg.release()
 	clear(sc.dict.entries)
 	clear(sc.sel.entries)
+}
+
+// rewind starts the root cursors of m keywords over at the head of their
+// root lists: a walk over one root type's (ascending) roots rewinds first.
+// Any cursor finds the root it is asked for (index.Index.RunsAt); a
+// rewound one finds the next root by galloping from the last.
+func (sc *leScratch) rewind(m int) {
+	sc.at = slices.Grow(sc.at[:0], m)[:m]
+	clear(sc.at)
 }
 
 // fetch loads root r's per-keyword runs and their terms. It returns false
@@ -387,15 +444,18 @@ func (sc *leScratch) release() {
 func (sc *leScratch) fetch(ix *index.Index, words []text.WordID, r kg.NodeID, only []map[core.PatternID]bool) bool {
 	m := len(words)
 	if cap(sc.runs) < m {
-		sc.runs, sc.segs = make([][]index.PathSet, m), make([][][]core.ScoreTerms, m)
+		sc.runs, sc.terms, sc.ends = make([][]index.PathSet, m), make([][]core.ScoreTerms, m), make([][]int, m)
 		sc.combo, sc.choice = make([]int, m), make([]core.PatternID, m)
 	}
-	sc.runs, sc.segs, sc.combo, sc.choice = sc.runs[:m], sc.segs[:m], sc.combo[:m], sc.choice[:m]
+	sc.runs, sc.terms, sc.ends, sc.combo, sc.choice = sc.runs[:m], sc.terms[:m], sc.ends[:m], sc.combo[:m], sc.choice[:m]
+	if len(sc.at) != m {
+		sc.rewind(m)
+	}
 	sc.agg.size(m)
 	n := 0
 	for i, w := range words {
 		prev := sc.runs[i]
-		runs := ix.RunsAt(prev[:0], w, r)
+		runs := ix.RunsAt(prev[:0], w, r, &sc.at[i])
 		if only != nil {
 			runs = slices.DeleteFunc(runs, func(ps index.PathSet) bool { return !only[i][ps.Pattern()] })
 		}
@@ -412,30 +472,154 @@ func (sc *leScratch) fetch(ix *index.Index, words []text.WordID, r kg.NodeID, on
 	}
 	arena := slices.Grow(sc.arena[:0], n)
 	for i, runs := range sc.runs {
-		segs := sc.segs[i][:0]
+		lo := len(arena)
+		ends := sc.ends[i][:0]
 		for k := range runs {
-			lo := len(arena)
 			arena = runs[k].AppendTerms(arena)
-			segs = append(segs, arena[lo:len(arena):len(arena)])
+			ends = append(ends, len(arena)-lo)
 		}
-		sc.segs[i] = segs
+		sc.terms[i], sc.ends[i] = arena[lo:len(arena):len(arena)], ends
 	}
 	sc.arena = arena
 	return true
+}
+
+// runStart is where run j of keyword i starts in its terms.
+func (sc *leScratch) runStart(i, j int) int {
+	if j == 0 {
+		return 0
+	}
+	return sc.ends[i][j-1]
+}
+
+// walkRoot is the root walk: it folds the fetched root's whole term product
+// into sc.locals, one partial per pattern combination, in one pass. An
+// odometer runs over the keywords' term lists (keyword 0 slowest, each list
+// run after run, each run in posting order); the last keyword is the
+// inner loop. A tuple's slot is the mixed-radix number of its runs,
+// keyword 0 most significant, so slots count the combinations in the
+// order firstCombo/nextCombo visit them. Restricted to one combination the
+// odometer visits that combination's tuples in the order tupleWalk does,
+// and each tuple's score is FromSums over sums carried from zero in
+// keyword order, so each partial gets tupleWalk.fold's additions in its
+// order: the same bits. Under RequireTreeShape a tuple whose paths
+// re-converge is dropped.
+//
+// When the root's combinations outnumber leMaxSlots, the leading keywords
+// are held to their runs in sc.combo and one call walks the chunk of
+// combinations that share them; sc.locals then has one slot per
+// combination of the chunk. pc is polled once per inner loop; false means
+// it hit.
+func (sc *leScratch) walkRoot(g *kg.Graph, r kg.NodeID, o *Options, pc *pollCancel) bool {
+	m := len(sc.terms)
+	walk := slices.Grow(sc.walk[:0], m)[:m]
+	sc.walk = walk
+	n := 1
+	for i := m - 1; i >= 0; i-- {
+		k := &walk[i]
+		if runs := len(sc.ends[i]); i == m-1 || n*runs <= leMaxSlots {
+			k.lo, k.hi, k.run0, k.stride = 0, len(sc.terms[i]), 0, n
+			n *= runs
+			continue
+		}
+		for ; i >= 0; i-- { // held to one run for this chunk
+			j := sc.combo[i]
+			walk[i].lo, walk[i].hi, walk[i].run0, walk[i].stride = sc.runStart(i, j), sc.ends[i][j], j, 0
+		}
+	}
+	locals := slices.Grow(sc.locals[:0], n)[:n]
+	clear(locals)
+	sc.locals = locals
+	for i := range walk {
+		walk[i].pos, walk[i].run = walk[i].lo, walk[i].run0
+	}
+	walk[0].slot, walk[0].sumLen, walk[0].sumPR, walk[0].sumSim = 0, 0, 0, 0
+	sc.carry(0)
+
+	s, shape := *o.Scorer, o.RequireTreeShape
+	last, lastEnds, tail := sc.terms[m-1], sc.ends[m-1], &walk[m-1]
+	for {
+		if pc.hit() {
+			return false
+		}
+		lo := 0
+		for j, hi := range lastEnds {
+			acc := locals[tail.slot+j]
+			for k := lo; k < hi; k++ {
+				if shape && !sc.treeShaped(g, r, j, k-lo) {
+					continue
+				}
+				t := &last[k]
+				acc.Add(s.FromSums(tail.sumLen+t.Len, tail.sumPR+t.PR, tail.sumSim+t.Sim))
+			}
+			locals[tail.slot+j] = acc
+			lo = hi
+		}
+		i := m - 2
+		for ; i >= 0; i-- {
+			k := &walk[i]
+			if k.pos++; k.pos < k.hi {
+				if k.pos == sc.ends[i][k.run] {
+					k.run++
+				}
+				break
+			}
+			k.pos, k.run = k.lo, k.run0
+		}
+		if i < 0 {
+			return true
+		}
+		sc.carry(i)
+	}
+}
+
+// carry recomputes the walk's prefix sums and slot offsets below keyword
+// i, which moved, down to the last keyword.
+func (sc *leScratch) carry(i int) {
+	walk := sc.walk
+	for ; i < len(walk)-1; i++ {
+		k, t := &walk[i], &sc.terms[i][walk[i].pos]
+		next := &walk[i+1]
+		next.slot = k.slot + k.run*k.stride
+		next.sumLen = k.sumLen + t.Len
+		next.sumPR = k.sumPR + t.PR
+		next.sumSim = k.sumSim + t.Sim
+	}
+}
+
+// treeShaped is the RequireTreeShape filter on the walk's tuple whose last
+// keyword sits at position k of its run j; it builds the tuple's paths in
+// the scratch buffer.
+func (sc *leScratch) treeShaped(g *kg.Graph, r kg.NodeID, j, k int) bool {
+	m := len(sc.walk)
+	paths := sc.agg.paths
+	for i := range sc.walk[:m-1] {
+		w := &sc.walk[i]
+		paths[i] = sc.runs[i][w.run].Path(w.pos - sc.runStart(i, w.run))
+	}
+	paths[m-1] = sc.runs[m-1][j].Path(k)
+	return core.Subtree{Root: r, Paths: paths}.IsTreeShaped(g)
 }
 
 // pick makes run j of keyword i part of the current combination.
 func (sc *leScratch) pick(i, j int) {
 	sc.combo[i] = j
 	sc.choice[i] = sc.runs[i][j].Pattern()
-	sc.agg.sets[i] = sc.runs[i][j]
-	sc.agg.lists[i] = sc.segs[i][j]
+}
+
+// chosen points agg at the current combination's runs and term lists, for
+// tupleWalk to walk its product.
+func (sc *leScratch) chosen() {
+	for i, j := range sc.combo {
+		sc.agg.sets[i] = sc.runs[i][j]
+		sc.agg.lists[i] = sc.terms[i][sc.runStart(i, j):sc.ends[i][j]]
+	}
 }
 
 // firstCombo starts the walk over the fetched root's pattern combinations
 // (the product of Patterns(wi, r), Algorithm 3 line 8), leaving the first
-// in choice and agg. Always true (fetch guarantees a run per keyword), so
-// loops read: for ok := sc.firstCombo(); ok; ok = sc.nextCombo().
+// in combo and choice. Always true (fetch guarantees a run per keyword),
+// so loops read: for ok := sc.firstCombo(); ok; ok = sc.nextCombo().
 func (sc *leScratch) firstCombo() bool {
 	for i := range sc.runs {
 		sc.pick(i, 0)
@@ -507,12 +691,13 @@ func sumSlack(n float64) float64 {
 // fetched). It also returns the root's exact subtree count — the number of
 // product tuples enumeration would have visited — so a pruned root can
 // credit TreesFound as if it had been expanded. ok is false when any
-// pattern lacks bounds (never prune what cannot be bounded).
-func rootTreeUB(ix *index.Index, words []text.WordID, r kg.NodeID, o Options) (ub float64, tuples int64, ok bool) {
+// pattern lacks bounds (never prune what cannot be bounded). at holds the
+// keywords' root cursors (index.Index.NumPathsAt).
+func rootTreeUB(ix *index.Index, words []text.WordID, r kg.NodeID, o Options, at []int) (ub float64, tuples int64, ok bool) {
 	var lenLo, lenHi, prLo, prHi, simLo, simHi float64
 	prod := 1.0
-	for _, w := range words {
-		n := ix.NumPathsAt(w, r)
+	for i, w := range words {
+		n := ix.NumPathsAt(w, r, &at[i])
 		if n == 0 {
 			return 0, 0, false // not a candidate root; caller handles it
 		}

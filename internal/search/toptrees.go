@@ -56,9 +56,10 @@ func TopTrees(ix *index.Index, words []text.WordID, surfaces []string, k int, op
 	pruneRoots := !o.RequireTreeShape
 	sc := getLEScratch()
 	defer putLEScratch(sc)
+	sc.rewind(len(words))
 	for _, r := range candidates {
 		if pruneRoots && top.Len() >= k {
-			if ub, tuples, ok := rootTreeUB(ix, words, r, o); ok && !top.WouldAccept(ub) {
+			if ub, tuples, ok := rootTreeUB(ix, words, r, o, sc.at); ok && !top.WouldAccept(ub) {
 				stats.BoundPruned++
 				stats.TreesFound += tuples
 				continue
@@ -68,6 +69,7 @@ func TopTrees(ix *index.Index, words []text.WordID, surfaces []string, k int, op
 			continue // some keyword has no path at r
 		}
 		for ok := sc.firstCombo(); ok; ok = sc.nextCombo() {
+			sc.chosen()
 			tw := &sc.agg.tw
 			for ok := tw.start(sc.agg.lists); ok; ok = tw.next() {
 				if o.RequireTreeShape && !sc.agg.treeShaped(ix.Graph(), r, tw.idx) {

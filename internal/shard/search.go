@@ -95,11 +95,12 @@ type gathered struct {
 	contrib []contribRef
 }
 
-// contribRef names a contributing shard and the pattern's local identity
-// there (PatternIDs are shard-local).
+// contribRef names a contributing shard, the pattern's local identity
+// there (PatternIDs are shard-local) and its subtree count there.
 type contribRef struct {
 	shard   int
 	pattern core.TreePattern
+	trees   int
 }
 
 // compareContent orders two shards' patterns by content, each resolved in
@@ -312,7 +313,7 @@ func (e *Engine) gather(outs []shardOut, k int, agg core.Agg) (*core.TopK[gather
 		})
 		if score := g.agg.Value(agg); top.WouldAccept(score) {
 			for _, si := range lead {
-				g.contrib = append(g.contrib, contribRef{shard: si, pattern: head(si)})
+				g.contrib = append(g.contrib, contribRef{shard: si, pattern: head(si), trees: outs[si].patterns[0].Agg.Count})
 			}
 			top.Offer(score, g)
 		}
@@ -373,7 +374,7 @@ func (e *Engine) fillTrees(ctx context.Context, words []text.WordID, winners []g
 			defer wg.Done()
 			runs := make([][]core.Subtree, len(g.contrib))
 			for j, c := range g.contrib {
-				runs[j] = search.MaterializeTrees(ctx, e.units[c.shard].ix, words, c.pattern, opts)
+				runs[j] = search.MaterializeTrees(ctx, e.units[c.shard].ix, words, c.pattern, c.trees, opts)
 			}
 			mergeByRoot(runs, func(st *core.Subtree) kg.NodeID { return st.Root }, func(st *core.Subtree) bool {
 				patterns[i].Trees = append(patterns[i].Trees, *st)
